@@ -179,6 +179,10 @@ def cmd_regress(args: argparse.Namespace) -> int:
         stats = worklist.stats()
         line = " ".join(f"{key}={stats[key]}" for key in sorted(stats))
         print(f"worklist-stats: {line}")
+    if cache is not None:
+        stats = cache.stats()
+        line = " ".join(f"{key}={stats[key]}" for key in sorted(stats))
+        print(f"cache-stats: {line}")
     if cache is not None and args.cache_prune:
         removed = cache.prune(
             max_entries=args.cache_max_entries, max_age=args.cache_max_age

@@ -17,13 +17,17 @@ never owns it, mirroring the paper's ownership rules.
 ``build_image`` assembles one test cell for a (derivative, target) pair —
 selection happens *only* through assembler predefines, never by editing
 test sources — and links it with the abstraction and global layers into
-the one image every platform runs.
+the one image every platform runs.  ``build_key`` digests everything
+such a build reads, so a persisted (build key -> image digest) index
+can answer "which image would this build produce?" without building.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import posixpath
+from dataclasses import dataclass
+from pathlib import Path
 
 from repro.assembler.assembler import Assembler
 from repro.assembler.linker import Linker, MemoryImage
@@ -45,6 +49,101 @@ GLOBALS_FILENAME = "Globals.inc"
 BASE_FUNCTIONS_FILENAME = "Base_Functions.asm"
 TRAP_HANDLERS_FILENAME = "Trap_Handlers.asm"
 GLOBAL_FUNCTIONS_FILENAME = "Global_Test_Functions.asm"
+
+#: Source modules (relative to the ``repro`` package) that decide an
+#: image's bytes for given source texts: the assembler and linker, the
+#: ISA tables they encode with, this module's build recipe, and the
+#: derivative memory maps and firmware.
+_TOOLCHAIN_MODULES = (
+    "assembler/*.py",
+    "isa/instructions.py",
+    "isa/encoding.py",
+    "isa/registers.py",
+    "core/environment.py",
+    "soc/embedded.py",
+    "soc/derivatives.py",
+    "soc/memorymap.py",
+)
+
+_TOOLCHAIN_DIGEST: str | None = None
+
+
+def toolchain_digest() -> str:
+    """SHA-256 over the toolchain's source bytes, hashed once per
+    process: editing the assembler, linker or ISA tables changes every
+    build key."""
+    global _TOOLCHAIN_DIGEST
+    if _TOOLCHAIN_DIGEST is None:
+        root = Path(__file__).resolve().parent.parent
+        hasher = hashlib.sha256()
+        for pattern in _TOOLCHAIN_MODULES:
+            for path in sorted(root.glob(pattern)):
+                hasher.update(path.relative_to(root).as_posix().encode())
+                hasher.update(b"\0")
+                hasher.update(path.read_bytes())
+                hasher.update(b"\0")
+        _TOOLCHAIN_DIGEST = hasher.hexdigest()
+    return _TOOLCHAIN_DIGEST
+
+
+#: text -> (sha256 hex, ``.INCLUDE`` targets).  Build keys hash each
+#: distinct source text once per process; cleared when full so a
+#: long-lived daemon seeing endless edits stays bounded.
+_TEXT_FACTS: dict[str, tuple[str, tuple[str | None, ...]]] = {}
+_TEXT_FACTS_LIMIT = 4096
+
+
+def _scan_includes(text: str) -> tuple[str | None, ...]:
+    """The ``.INCLUDE`` targets of *text* in order; ``None`` marks a
+    mention this scan cannot parse (callers treat it as unknown)."""
+    if ".INCLUDE" not in text.upper():
+        return ()
+    names: list[str | None] = []
+    for line in text.splitlines():
+        code = line.split(";", 1)[0].strip()
+        if ".INCLUDE" not in code.upper():
+            continue
+        parts = code.split(None, 1)
+        if parts[0].upper() != ".INCLUDE" or len(parts) < 2:
+            names.append(None)
+        else:
+            names.append(parts[1].strip().strip('"'))
+    return tuple(names)
+
+
+def _text_facts(text: str) -> tuple[str, tuple[str | None, ...]]:
+    facts = _TEXT_FACTS.get(text)
+    if facts is None:
+        if len(_TEXT_FACTS) >= _TEXT_FACTS_LIMIT:
+            _TEXT_FACTS.clear()
+        facts = (
+            hashlib.sha256(text.encode()).hexdigest(),
+            _scan_includes(text),
+        )
+        _TEXT_FACTS[text] = facts
+    return facts
+
+
+def _reached_files(
+    files: dict[str, str], roots: list[str], texts: list[str]
+) -> set[str] | None:
+    """*roots* plus ``Globals.inc`` and every file reached from them or
+    from the extra *texts* through ``.INCLUDE``; ``None`` if some
+    include does not resolve to a workspace file."""
+    reached = {GLOBALS_FILENAME, *roots}
+    stack = [files[name] for name in reached] + texts
+    while stack:
+        for included in _text_facts(stack.pop())[1]:
+            if included is None:
+                return None
+            if included not in files:
+                included = posixpath.normpath(included)
+                if included not in files:
+                    return None
+            if included not in reached:
+                reached.add(included)
+                stack.append(files[included])
+    return reached
 
 
 @dataclass
@@ -276,17 +375,12 @@ class ModuleTestEnvironment:
                 return True
             if any(name in text for name in define_names):
                 return True
-            for line in text.splitlines():
-                stripped = line.strip()
-                if not stripped.upper().startswith(".INCLUDE"):
-                    continue
-                parts = stripped.split(None, 1)
-                included = parts[1].strip().strip('"') if len(parts) > 1 else ""
+            for included in _text_facts(text)[1]:
                 if included == GLOBALS_FILENAME or included in seen:
                     continue  # Globals only matters via used names
-                seen.add(included)
-                if included not in files:
+                if included is None or included not in files:
                     return True
+                seen.add(included)
                 if self._target_sensitive(
                     files, [files[included]], tgt, define_names, seen
                 ):
@@ -313,6 +407,56 @@ class ModuleTestEnvironment:
             predefines=self._predefines(derivative, tgt),
         )
         return assembler.assemble_file(cell.filename)
+
+    def build_key(
+        self,
+        cell_name: str,
+        derivative: Derivative,
+        tgt: Target,
+    ) -> str:
+        """Digest of every input :meth:`build_image` reads for one
+        matrix position — equal keys mean byte-identical images.
+
+        Covers the toolchain digest, the derivative (every field, so
+        its memory map and ES version), the target's
+        :meth:`build_signature`, the ES source, and the texts of
+        ``Globals.inc``, the base functions, both global libraries, the
+        cell and every file reached through ``.INCLUDE``.  An include
+        that does not resolve falls back to the whole-workspace
+        fingerprint.  Costs hashing only, never assembly.
+        """
+        cell = self.cell(cell_name)
+        files = self._source_files()
+        es_text = es_source(derivative.es_version)
+        hasher = hashlib.sha256()
+        for part in (
+            toolchain_digest(),
+            cell.filename,
+            repr(derivative),
+            repr(self.build_signature(tgt, files=files)),
+            _text_facts(es_text)[0],
+        ):
+            hasher.update(part.encode())
+            hasher.update(b"\0")
+        reached = _reached_files(
+            files,
+            [
+                cell.filename,
+                BASE_FUNCTIONS_FILENAME,
+                TRAP_HANDLERS_FILENAME,
+                GLOBAL_FUNCTIONS_FILENAME,
+            ],
+            [es_text],
+        )
+        if reached is None:
+            hasher.update(self._files_fingerprint(files).encode())
+        else:
+            for name in sorted(reached):
+                hasher.update(name.encode())
+                hasher.update(b"\0")
+                hasher.update(_text_facts(files[name])[0].encode())
+                hasher.update(b"\0")
+        return hasher.hexdigest()
 
     def build_image(
         self,

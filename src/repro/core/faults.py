@@ -34,8 +34,11 @@ site               fired from
                    key ``{platform}#run{n}``
 ``batch-peel``     :class:`BatchSession` peel servicing, key
                    ``{platform}#lane{i}``
-``cache-read``     :meth:`ResultCache.get`, key = cache key
-``cache-write``    :meth:`ResultCache.put`, key = cache key
+``cache-read``     :meth:`ResultCache.get`, key = cache key; build-index
+                   loads, key ``index/{environment}/{derivative}``
+                   (targeted)
+``cache-write``    :meth:`ResultCache.put`, key = cache key; build-index
+                   saves, same key (targeted)
 ``service-accept`` :meth:`RegressionService.submit` (admission), key
                    ``{job id}``
 ``pool-lease``     :meth:`WarmSessionPool.lease` (checkout), key
@@ -62,6 +65,10 @@ Actions
 mis-targeted spec cannot take the scheduler down); ``corrupt`` mangles
 payload bytes at the payload sites (cache read/write, store
 read/write) through :meth:`FaultInjector.mangle`.
+
+*Targeted* occurrences (the build index's reads and writes) only answer
+specs whose ``match`` names them: auxiliary I/O added to a site never
+shifts the hit windows of existing untargeted plans.
 """
 
 from __future__ import annotations
@@ -203,14 +210,18 @@ class FaultInjector:
         #: (site, key, action) log of every fault performed, for tests.
         self.fired: list[tuple[str, str, str]] = []
 
-    def _due(self, index: int, spec: FaultSpec, key: str) -> bool:
+    def _due(
+        self, index: int, spec: FaultSpec, key: str, targeted: bool
+    ) -> bool:
+        if targeted and spec.match is None:
+            return False
         if not spec.matches(key):
             return False
         self._hits[index] += 1
         hit = self._hits[index]
         return spec.after < hit <= spec.after + spec.times
 
-    def fire(self, site: str, key: str) -> None:
+    def fire(self, site: str, key: str, targeted: bool = False) -> None:
         """Service raise/hang/kill specs armed at *site* for *key*.
 
         A due ``hang`` sleeps before any due ``raise`` propagates, so a
@@ -220,7 +231,7 @@ class FaultInjector:
         for index, spec in enumerate(self.plan.specs):
             if spec.site != site or spec.action == ACTION_CORRUPT:
                 continue
-            if not self._due(index, spec, key):
+            if not self._due(index, spec, key, targeted):
                 continue
             self.fired.append((site, key, spec.action))
             if spec.action == ACTION_HANG:
@@ -236,12 +247,14 @@ class FaultInjector:
         if due_raise is not None:
             raise InjectedFault(site, key)
 
-    def mangle(self, site: str, key: str, data: bytes) -> bytes:
+    def mangle(
+        self, site: str, key: str, data: bytes, targeted: bool = False
+    ) -> bytes:
         """Pass payload *data* through any due ``corrupt`` specs."""
         for index, spec in enumerate(self.plan.specs):
             if spec.site != site or spec.action != ACTION_CORRUPT:
                 continue
-            if not self._due(index, spec, key):
+            if not self._due(index, spec, key, targeted):
                 continue
             self.fired.append((site, key, spec.action))
             data = corrupt_bytes(

@@ -15,8 +15,16 @@ This module makes the matrix explicit:
    target, derivative, platform fingerprint) satisfies entries whose
    inputs have not changed since the last regression — the lab's
    incremental re-run: touch one test cell and only its column of the
-   matrix re-executes.  Entries are checksummed; corrupt files are
-   counted, quarantined aside and re-executed rather than replayed;
+   matrix re-executes.  With a cache, the probe comes *before* the
+   build: a persisted per-(environment, derivative) build index maps
+   each position's build key
+   (:meth:`~repro.core.environment.ModuleTestEnvironment.build_key`)
+   to the image digest it produced last time, so unchanged positions
+   are keyed and served without assembling anything; only index
+   misses and uncached verdicts build, and a fresh build's digest
+   always wins over the indexed one.  Entries and indexes are
+   checksummed; corrupt files are counted, quarantined aside and
+   re-derived rather than replayed;
 3. **execution** — remaining entries run on a pluggable executor:
    serial (one long-lived :class:`ExecutionSession` per target), a
    ``concurrent.futures`` thread/process pool batched by target, or the
@@ -63,13 +71,7 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,6 +106,9 @@ from repro.soc.derivatives import Derivative, derivative as lookup_derivative
 #: Bump when run semantics change in a way that invalidates old caches.
 #: 2: checksummed cache entries (corrupt files detected, not replayed).
 CACHE_SCHEMA = 2
+
+#: Layout version of the per-(environment, derivative) build index.
+INDEX_SCHEMA = 1
 
 #: How often the pooled supervisor wakes to check deadlines/backoffs.
 _POLL_INTERVAL = 0.05
@@ -238,6 +243,12 @@ class ResultCache:
     degrades to a cold cache, never to a failed regression.  A
     long-lived owner (the serving daemon) bounds the directory with
     :meth:`prune`.
+
+    Beside the verdicts, ``index/`` holds one **build index** per
+    (environment, derivative): matrix position -> (build key, image
+    digest), in the same checksummed envelope.  It lets the scheduler
+    compute a verdict's key without assembling anything
+    (:meth:`load_index` / :meth:`save_index`).
     """
 
     def __init__(self, directory: str | Path, injector: FaultInjector | None = None):
@@ -251,6 +262,13 @@ class ResultCache:
         self.quarantined = 0
         #: Entries removed by :meth:`prune` over this cache's lifetime.
         self.pruned = 0
+        #: Matrix positions whose build key matched the index (no build
+        #: needed to key their verdict), whose key was absent or
+        #: changed, and whose fresh build contradicted the indexed
+        #: digest (a build input the key leaves out).
+        self.index_hits = 0
+        self.index_misses = 0
+        self.index_stale = 0
         #: Optional chaos hook (:mod:`repro.core.faults`).
         self.injector = injector
 
@@ -271,15 +289,17 @@ class ResultCache:
 
     def key_for(
         self,
-        image: MemoryImage,
+        image: MemoryImage | str,
         tgt: Target,
         derivative: Derivative,
         max_instructions: int,
     ) -> str:
+        """The verdict key of *image* (or its digest) on *tgt*."""
+        digest = image if isinstance(image, str) else image.digest()
         hasher = hashlib.sha256()
         for part in (
             f"schema={CACHE_SCHEMA}",
-            image.digest(),
+            digest,
             tgt.name,
             derivative.name,
             self._platform_fingerprint(tgt),
@@ -292,6 +312,9 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
+    def _index_path(self, environment: str, derivative: str) -> Path:
+        return self.directory / "index" / f"{environment}.{derivative}.json"
+
     def _quarantine_file(self, path: Path) -> None:
         """Move a corrupt entry off the hot path (best effort).
 
@@ -302,7 +325,7 @@ class ResultCache:
         """
         try:
             fd, destination = tempfile.mkstemp(
-                prefix=f"{path.stem}.", suffix=".corrupt", dir=self.directory
+                prefix=f"{path.stem}.", suffix=".corrupt", dir=path.parent
             )
             os.close(fd)
         except OSError:
@@ -330,6 +353,9 @@ class ResultCache:
             "quarantined": self.quarantined,
             "write_errors": self.write_errors,
             "pruned": self.pruned,
+            "index_hits": self.index_hits,
+            "index_misses": self.index_misses,
+            "index_stale": self.index_stale,
         }
 
     def prune(
@@ -346,7 +372,7 @@ class ResultCache:
         is fine; with neither this is a no-op.  Removal races with
         concurrent writers are benign: a vanished file is simply
         skipped, and a just-rewritten entry has a fresh mtime that
-        keeps it.
+        keeps it.  Build indexes are matrix-sized and never pruned.
         """
         removed = 0
         if max_entries is None and max_age is None:
@@ -379,51 +405,54 @@ class ResultCache:
             return 0
         return 1
 
-    def get(self, key: str) -> RunResult | None:
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
+    def _read_verified(
+        self, path: Path, key: str, decode, targeted: bool = False
+    ):
+        """``decode(payload)`` of the checksummed envelope at *path*.
+
+        Corrupt, unreadable or injected-faulty files are counted in
+        :attr:`corrupt`, quarantined aside, and read as ``None``.
+        """
         try:
             if self.injector is not None:
-                self.injector.fire(SITE_CACHE_READ, key)
+                self.injector.fire(SITE_CACHE_READ, key, targeted)
             raw = path.read_bytes()
             if self.injector is not None:
-                raw = self.injector.mangle(SITE_CACHE_READ, key, raw)
+                raw = self.injector.mangle(SITE_CACHE_READ, key, raw, targeted)
             body = json.loads(raw)
             payload_text = body["payload"]
             checksum = hashlib.sha256(payload_text.encode()).hexdigest()
             if checksum != body["checksum"]:
                 raise ValueError("cache entry checksum mismatch")
-            result = result_from_payload(json.loads(payload_text))
+            return decode(json.loads(payload_text))
         except Exception:
-            # Corrupt, unreadable or injected-faulty: quarantine the
-            # file aside and report a (counted) non-clean miss.
             self.corrupt += 1
             self._quarantine_file(path)
             return None
-        self.hits += 1
-        return result
 
-    def put(self, key: str, result: RunResult) -> bool:
-        payload_text = json.dumps(result_to_payload(result), sort_keys=True)
+    def _write_verified(
+        self, path: Path, key: str, payload_text: str, targeted: bool = False
+    ) -> bool:
+        """Atomically replace *path* with a checksummed envelope around
+        *payload_text*; failures are contained and counted."""
         body = {
             "schema": CACHE_SCHEMA,
             "checksum": hashlib.sha256(payload_text.encode()).hexdigest(),
             "payload": payload_text,
         }
         data = json.dumps(body).encode()
-        path = self._path(key)
         try:
             if self.injector is not None:
-                self.injector.fire(SITE_CACHE_WRITE, key)
-                data = self.injector.mangle(SITE_CACHE_WRITE, key, data)
+                self.injector.fire(SITE_CACHE_WRITE, key, targeted)
+                data = self.injector.mangle(
+                    SITE_CACHE_WRITE, key, data, targeted
+                )
             # Unique tmp name: concurrent regressions may share a cache
             # dir, and a fixed tmp path would let one writer replace
             # another's half-written file (or race os.replace into
             # FileNotFoundError).
             fd, tmp = tempfile.mkstemp(
-                prefix=f".{key}.", suffix=".tmp", dir=self.directory
+                prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
@@ -439,6 +468,66 @@ class ResultCache:
             self.write_errors += 1
             return False
         return True
+
+    def get(self, key: str) -> RunResult | None:
+        path = self._path(key)
+        if not path.exists():
+            self.misses += 1
+            return None
+        result = self._read_verified(path, key, result_from_payload)
+        if result is not None:
+            self.hits += 1
+        return result
+
+    def put(self, key: str, result: RunResult) -> bool:
+        payload_text = json.dumps(result_to_payload(result), sort_keys=True)
+        return self._write_verified(self._path(key), key, payload_text)
+
+    # -- build index -------------------------------------------------------
+    def load_index(
+        self, environment: str, derivative: str
+    ) -> dict[str, tuple[str, str]]:
+        """Position -> (build key, image digest) for one (environment,
+        derivative); empty when absent, corrupt or of another schema."""
+        path = self._index_path(environment, derivative)
+        if not path.exists():
+            return {}
+        index = self._read_verified(
+            path,
+            f"index/{environment}/{derivative}",
+            _decode_index,
+            targeted=True,
+        )
+        return index or {}
+
+    def save_index(
+        self,
+        environment: str,
+        derivative: str,
+        index: dict[str, tuple[str, str]],
+    ) -> bool:
+        path = self._index_path(environment, derivative)
+        try:
+            path.parent.mkdir(exist_ok=True)
+        except OSError:
+            self.write_errors += 1
+            return False
+        payload_text = json.dumps(
+            {"schema": INDEX_SCHEMA, "positions": index}, sort_keys=True
+        )
+        return self._write_verified(
+            path, f"index/{environment}/{derivative}", payload_text,
+            targeted=True,
+        )
+
+
+def _decode_index(payload: dict) -> dict[str, tuple[str, str]]:
+    if payload.get("schema") != INDEX_SCHEMA:
+        return {}
+    return {
+        position: (build_key, digest)
+        for position, (build_key, digest) in payload["positions"].items()
+    }
 
 
 # --------------------------------------------------------------------------
@@ -622,20 +711,28 @@ class RegressionScheduler:
         stream incremental results instead of waiting for the report.
         The callback runs on the executing thread and must not raise.
         """
-        work = self._work_list(environments, derivative)
         outcomes: dict[RunRequest, RunOutcome] = {}
-
         self._on_outcome = on_outcome
         try:
-            pending: list[tuple[RunRequest, MemoryImage, Target]] = []
             cache_keys: dict[RunRequest, str] = {}
-            for request, image, tgt in work:
-                cached = self._probe_cache(request, image, tgt, derivative,
-                                           cache_keys)
-                if cached is not None:
-                    outcomes[request] = self._emit(cached)
-                else:
-                    pending.append((request, image, tgt))
+            if self.cache is None or (
+                self.worklist is not None and not self.worklist.disabled
+            ):
+                work = self._work_list(environments, derivative)
+                pending = []
+                for request, image, tgt in work:
+                    cached = self._probe_cache(
+                        request, image, tgt, derivative, cache_keys
+                    )
+                    if cached is not None:
+                        outcomes[request] = self._emit(cached)
+                    else:
+                        pending.append((request, image, tgt))
+                indexes = {}
+            else:
+                work, pending, indexes = self._plan_indexed(
+                    environments, derivative, outcomes, cache_keys
+                )
 
             for outcome in self._execute(pending, derivative):
                 outcomes[outcome.request] = outcome
@@ -645,6 +742,9 @@ class RegressionScheduler:
                 # day permanent.
                 if key is not None and not outcome.quarantined:
                     self.cache.put(key, outcome.result)
+            for env_name, (loaded, index) in indexes.items():
+                if index != loaded:
+                    self.cache.save_index(env_name, derivative.name, index)
         finally:
             self._on_outcome = None
             # Persist whatever decode/superblock/JIT state this run
@@ -684,10 +784,82 @@ class RegressionScheduler:
         return work
 
     # -- caching -----------------------------------------------------------
+    def _plan_indexed(
+        self,
+        environments: dict[str, ModuleTestEnvironment],
+        derivative: Derivative,
+        outcomes: dict[RunRequest, RunOutcome],
+        cache_keys: dict[RunRequest, str],
+    ) -> tuple[list, list, dict]:
+        """Work-list and cache probe that build only what must run.
+
+        Each position's build key is looked up in the environment's
+        build index; a match yields the image digest, and so the
+        verdict key, without assembling.  Misses, and hits whose
+        verdict is not cached, build — and the fresh digest always
+        wins over the indexed one.  Returns ``(work, pending,
+        indexes)``; *indexes* maps an environment to its (loaded,
+        updated) index for :meth:`run_system` to save.
+        """
+        cache = self.cache
+        work: list[tuple[RunRequest, MemoryImage | None, Target]] = []
+        pending: list[tuple[RunRequest, MemoryImage, Target]] = []
+        indexes: dict[str, tuple[dict, dict]] = {}
+        for env in environments.values():
+            loaded = cache.load_index(env.name, derivative.name)
+            index = dict(loaded)
+            indexes[env.name] = (loaded, index)
+            for cell_name in env.cells:
+                for tgt in self.targets:
+                    request = RunRequest(
+                        environment=env.name,
+                        cell=cell_name,
+                        derivative=derivative.name,
+                        target=tgt.name,
+                    )
+                    if tgt.name in self.platform_overrides:
+                        image = env.build_image(
+                            cell_name, derivative, tgt
+                        ).image
+                        work.append((request, image, tgt))
+                        pending.append((request, image, tgt))
+                        continue
+                    position = f"{cell_name}/{tgt.name}"
+                    build_key = env.build_key(cell_name, derivative, tgt)
+                    known = index.get(position)
+                    digest = None
+                    if known is not None and known[0] == build_key:
+                        cache.index_hits += 1
+                        digest = known[1]
+                        cached = self._probe_cache(
+                            request, digest, tgt, derivative, cache_keys
+                        )
+                        if cached is not None:
+                            work.append((request, None, tgt))
+                            outcomes[request] = self._emit(cached)
+                            continue
+                    else:
+                        cache.index_misses += 1
+                    image = env.build_image(cell_name, derivative, tgt).image
+                    fresh = image.digest()
+                    index[position] = (build_key, fresh)
+                    work.append((request, image, tgt))
+                    if fresh != digest:
+                        if digest is not None:
+                            cache.index_stale += 1
+                        cached = self._probe_cache(
+                            request, image, tgt, derivative, cache_keys
+                        )
+                        if cached is not None:
+                            outcomes[request] = self._emit(cached)
+                            continue
+                    pending.append((request, image, tgt))
+        return work, pending, indexes
+
     def _probe_cache(
         self,
         request: RunRequest,
-        image: MemoryImage,
+        image: MemoryImage | str,
         tgt: Target,
         derivative: Derivative,
         cache_keys: dict[RunRequest, str],
@@ -1113,6 +1285,10 @@ class RegressionScheduler:
             _PoolJob(target=target_name, requests=batch)
             for target_name, batch in batches.items()
         ]
+        # Imported here: the pools (and multiprocessing behind them)
+        # cost every serial or cached run start-up time for nothing.
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
         pool_cls = (
             ThreadPoolExecutor
             if executor == "thread"
@@ -1349,6 +1525,8 @@ class RegressionScheduler:
                         process.kill()
                     except Exception:
                         pass
+        from concurrent.futures import ThreadPoolExecutor
+
         pool.shutdown(
             wait=False,
             cancel_futures=isinstance(pool, ThreadPoolExecutor),
@@ -1357,7 +1535,7 @@ class RegressionScheduler:
     # -- reporting ---------------------------------------------------------
     def _assemble_report(
         self,
-        work: list[tuple[RunRequest, MemoryImage, Target]],
+        work: list[tuple[RunRequest, MemoryImage | None, Target]],
         outcomes: dict[RunRequest, RunOutcome],
         derivative: Derivative,
     ) -> RegressionReport:

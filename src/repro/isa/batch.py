@@ -32,6 +32,7 @@ through one engine pass.  This module owns its data layout:
 
 from __future__ import annotations
 
+import importlib.util
 from array import array
 
 from repro.isa.decodecache import (
@@ -44,13 +45,9 @@ from repro.isa.decodecache import (
 )
 from repro.isa.registers import WORD_MASK
 
-try:  # pragma: no cover - exercised through both backends in tests
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
+#: numpy is imported on first use by a numpy-backed :class:`LaneRows`,
+#: so processes that never batch never pay its import.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Row order: 16 data registers, 16 address registers, then the
 #: non-register architectural columns every lane carries.
@@ -83,8 +80,10 @@ class LaneRows:
         self.lanes = lanes
         self.backend = backend
         if backend == "numpy":
+            import numpy as np
+
             self.rows = {
-                name: _np.zeros(lanes, dtype=_np.int64)
+                name: np.zeros(lanes, dtype=np.int64)
                 for name in ROW_NAMES
             }
         else:
@@ -137,11 +136,13 @@ class LaneRows:
     def diverging_lanes(self, reference: int = 0) -> list[int]:
         """Lanes whose column differs from *reference* in any row."""
         if self.backend == "numpy":
-            matrix = _np.stack([self.rows[name] for name in ROW_NAMES])
-            mask = _np.any(
+            import numpy as np
+
+            matrix = np.stack([self.rows[name] for name in ROW_NAMES])
+            mask = np.any(
                 matrix != matrix[:, reference : reference + 1], axis=0
             )
-            return [int(i) for i in _np.nonzero(mask)[0] if i != reference]
+            return [int(i) for i in np.nonzero(mask)[0] if i != reference]
         out = []
         for lane in range(self.lanes):
             if lane == reference:

@@ -1310,6 +1310,19 @@ class DecodeCache:
             self.misses += 1
         return entry
 
+    def check_wait_states(self, bus) -> None:
+        """Raise ``ValueError`` unless every cached segment was decoded
+        with the fetch wait states *bus* charges there — a cache built
+        for another wait-state profile would silently charge wrong
+        cycles on a wait-charging core."""
+        for base, _end, _data, waits in self._segments:
+            bus_waits = bus.mapping_for(base, 1).wait_states
+            if waits != bus_waits:
+                raise ValueError(
+                    f"decode cache decoded {base:#x} with {waits} fetch "
+                    f"wait state(s) but the bus charges {bus_waits}"
+                )
+
     def block_at(self, pc: int) -> Superblock | None:
         """The superblock starting at *pc*, formed lazily; ``None`` when
         the address itself is not cacheable (the caller falls back to

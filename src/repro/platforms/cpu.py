@@ -180,12 +180,9 @@ class CpuCore:
         #: Optional fault-injection hook: called with (opcode, result) and
         #: may return a corrupted result.  Used by the gate-level platform.
         self.alu_fault_hook: Callable[[int, int], int] | None = None
-        #: Predecoded-instruction cache over the loaded image's ROM; when
-        #: set, fetch/decode for cached addresses skips the bus entirely
-        #: (a traced bus gets the elided fetch events replayed instead).
-        #: RAM execution and self-modifying code miss it and take the
-        #: legacy per-step decode path below.
-        self.decode_cache: DecodeCache | None = None
+        #: Backing field of :attr:`decode_cache` (the engines read it
+        #: directly; attaching goes through the validating setter).
+        self._decode_cache: DecodeCache | None = None
         #: When True (the default), cached entries execute through the
         #: per-opcode executor table bound at decode time
         #: (``entry.exec(self, entry)`` — computed-goto-style dispatch).
@@ -247,6 +244,22 @@ class CpuCore:
         #: Bumped by :meth:`cut_block`; a runner that observes a bump
         #: mid-run discards its chain instead of persisting it.
         self._sb_epoch = 0
+
+    @property
+    def decode_cache(self) -> DecodeCache | None:
+        """Predecoded-instruction cache over the loaded image's ROM; when
+        set, fetch/decode for cached addresses skips the bus entirely
+        (a traced bus gets the elided fetch events replayed instead).
+        RAM execution and self-modifying code miss it and take the
+        legacy per-step decode path.  A wait-charging core refuses a
+        cache decoded for another fetch wait-state profile."""
+        return self._decode_cache
+
+    @decode_cache.setter
+    def decode_cache(self, cache: DecodeCache | None) -> None:
+        if cache is not None and self.charge_wait_states:
+            cache.check_wait_states(self.bus)
+        self._decode_cache = cache
 
     # -- lifecycle ---------------------------------------------------------
     def reset(self, entry: int, stack_pointer: int) -> None:
@@ -534,8 +547,8 @@ class CpuCore:
 
         pc = self.regs.pc
         entry = (
-            self.decode_cache.get(pc)
-            if self.decode_cache is not None
+            self._decode_cache.get(pc)
+            if self._decode_cache is not None
             else None
         )
         if entry is None:
@@ -729,7 +742,7 @@ class CpuCore:
             None if cycle_budget is None else start_cycles + cycle_budget
         )
         limit = instruction_limit
-        cache = self.decode_cache
+        cache = self._decode_cache
         bus = self.bus
         hoistable = (
             cache is not None
@@ -828,7 +841,7 @@ class CpuCore:
         regs = self.regs
         psw = regs.psw
         intc = self.intc
-        cache = self.decode_cache
+        cache = self._decode_cache
         block_at = cache.block_at
         fast_forward = self.use_fast_forward
         use_jit = self.use_jit
@@ -1010,7 +1023,7 @@ class CpuCore:
         regs = self.regs
         psw = regs.psw
         intc = self.intc
-        cache = self.decode_cache
+        cache = self._decode_cache
         block_at = cache.block_at
         fast_forward = self.use_fast_forward
         use_jit = self.use_jit

@@ -235,3 +235,64 @@ class TestExecutionSessionReuse:
         assert _strip(session.run(image)) == _strip(
             RtlSim().run(image, SC88A)
         )
+
+
+class TestWaitStateProfile:
+    """A wait-charging core must refuse a decode cache decoded for a
+    different fetch wait-state profile than its bus: cached entries
+    carry their fetch waits, so a mismatched cache would silently
+    charge wrong cycles (about half, on a ROM-resident ALU loop)."""
+
+    LOOP = (
+        "_main:\n    LOAD d1, 400\nloop:\n    ADD d2, d2, d1\n"
+        "    XOR d3, d3, d2\n    DJNZ d1, loop\n    HALT\n"
+    )
+
+    def charging_core(self, image):
+        from repro.platforms.cpu import CpuCore
+        from repro.soc.device import SystemOnChip
+
+        soc = SystemOnChip(SC88A)
+        soc.load_image(image)
+        cpu = CpuCore(soc.bus, intc=soc.intc, charge_wait_states=True)
+        return soc, cpu
+
+    def run_cycles(self, image, cache) -> int:
+        soc, cpu = self.charging_core(image)
+        cpu.decode_cache = cache
+        cpu.reset(image.entry, MEMORY_MAP.stack_top)
+        while not cpu.halted:
+            cpu.run(instruction_limit=cpu.instructions_retired + 10_000)
+        return cpu.cycles
+
+    def test_mismatched_profile_raises(self):
+        image = link_source(self.LOOP)
+        base, end = rom_region()
+        _soc, cpu = self.charging_core(image)
+        with pytest.raises(ValueError, match="wait state"):
+            cpu.decode_cache = DecodeCache(image, base, end, wait_states=0)
+        assert cpu.decode_cache is None
+
+    def test_matching_profile_charges_reference_cycles(self):
+        image = link_source(self.LOOP)
+        base, end = rom_region()
+        soc, _cpu = self.charging_core(image)
+        waits = soc.bus.mapping_for(base, 1).wait_states
+        assert waits > 0
+        cached = self.run_cycles(
+            image, DecodeCache(image, base, end, wait_states=waits)
+        )
+        assert cached == self.run_cycles(image, None)
+
+    def test_non_charging_core_accepts_any_profile(self):
+        from repro.platforms.cpu import CpuCore
+        from repro.soc.device import SystemOnChip
+
+        image = link_source(self.LOOP)
+        base, end = rom_region()
+        soc = SystemOnChip(SC88A)
+        soc.load_image(image)
+        cpu = CpuCore(soc.bus, intc=soc.intc)
+        cache = DecodeCache(image, base, end, wait_states=0)
+        cpu.decode_cache = cache
+        assert cpu.decode_cache is cache

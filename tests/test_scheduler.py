@@ -1,8 +1,24 @@
 """Tests for the parallel, cached regression scheduler."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.assembler.assembler import Assembler
+from repro.assembler.linker import Linker
 from repro.cli import main
+from repro.core import environment
+from repro.core.environment import GlobalLayer, ModuleTestEnvironment
+from repro.core.faults import (
+    ACTION_CORRUPT,
+    SITE_CACHE_READ,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.core.regression import RegressionRunner
 from repro.core.scheduler import (
     RegressionScheduler,
@@ -11,12 +27,15 @@ from repro.core.scheduler import (
     result_from_payload,
     result_to_payload,
 )
+from repro.core.system_env import make_default_system
 from repro.core.targets import TARGET_GOLDEN, all_targets, target
 from repro.core.workloads import make_nvm_environment, make_uart_environment
 from repro.core.workspace import SYSTEM_DIR_NAME
 from repro.isa.instructions import Opcode
 from repro.platforms import GateLevelSim, NetlistFault, RunStatus
-from repro.soc.derivatives import SC88A
+from repro.soc.derivatives import SC88A, all_derivatives
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def status_matrix(report):
@@ -218,6 +237,21 @@ class TestRegressCli:
             capsys.readouterr().out
         )
 
+    def test_regress_prints_cache_stats(self, workspace, tmp_path, capsys):
+        argv = [
+            "regress", str(workspace), "NVM",
+            "--targets", "golden,rtl",
+            "--cache-dir", str(tmp_path / "verdicts"),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "cache-stats: corrupt=0 hits=0 index_hits=0 index_misses=2" in out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "index_hits=2 index_misses=0 index_stale=0" in out
+        assert main(argv[:-2]) == 0
+        assert "cache-stats:" not in capsys.readouterr().out
+
     def test_no_cache_flag_forces_execution(self, workspace, tmp_path, capsys):
         cache_dir = tmp_path / "verdicts"
         argv = [
@@ -231,3 +265,369 @@ class TestRegressCli:
         out = capsys.readouterr().out
         assert "1/1 runs ok" in out
         assert "served from cache" not in out
+
+
+# --------------------------------------------------------------------------
+# build index: warm re-regressions build only what changed
+# --------------------------------------------------------------------------
+
+def payload_matrix(report):
+    return {
+        key: result_to_payload(result)
+        for key, result in report.results.items()
+    }
+
+
+def make_suite(layer=None, nvm_pages=None):
+    """NVM (2 cells) + UART (1 cell) over one shared global layer."""
+    layer = layer or GlobalLayer()
+    return {
+        "NVM": make_nvm_environment(
+            2, global_layer=layer, page_overrides=nvm_pages
+        ),
+        "UART": make_uart_environment(1, global_layer=layer),
+    }
+
+
+def with_include_file(envs, consts: str):
+    """NVM's second cell includes an extra abstraction-layer file."""
+    env = envs["NVM"]
+    cell = env.cells["TEST_NVM_PAGE_002"]
+    cell.source = '.INCLUDE "Consts.inc"\n' + cell.source
+    env.abstraction_files = lambda: {
+        **ModuleTestEnvironment.abstraction_files(env),
+        "Consts.inc": consts,
+    }
+    return envs
+
+
+@pytest.fixture
+def build_log(monkeypatch):
+    """Every (environment, cell, target) that reaches build_image."""
+    calls = []
+    original = ModuleTestEnvironment.build_image
+
+    def recording(self, cell_name, derivative, tgt, use_cache=True):
+        calls.append((self.name, cell_name, tgt.name))
+        return original(self, cell_name, derivative, tgt, use_cache)
+
+    monkeypatch.setattr(ModuleTestEnvironment, "build_image", recording)
+    return calls
+
+
+def column(env_name, cell_name):
+    return {(env_name, cell_name, tgt.name) for tgt in all_targets()}
+
+
+def every_position(envs):
+    return {
+        (env.name, cell, tgt.name)
+        for env in envs.values()
+        for cell in env.cells
+        for tgt in all_targets()
+    }
+
+
+def edit_cell(envs):
+    envs["NVM"].cells["TEST_NVM_PAGE_001"].source += "\n    NOP\n"
+    return envs
+
+
+def edit_base_functions(envs):
+    envs["UART"].extra_base_functions = "Base_Spare_Hook:\n    RETURN\n"
+    return envs
+
+
+def edit_trap_handlers(envs):
+    layer = envs["NVM"].global_layer
+    layer._trap_handlers += "\n;; reviewed\n"
+    return envs
+
+
+class TestBuildIndex:
+    def rerun(
+        self, tmp_path, build_log, edited, derivative=SC88A, between=None
+    ):
+        """Prime the cache with the unedited suite, then regress the
+        edited one; returns (report, cache, rebuilt positions)."""
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            make_suite(), SC88A
+        )
+        if between is not None:
+            between()
+        build_log.clear()
+        cache = ResultCache(tmp_path)
+        report = RegressionScheduler(cache=cache).run_system(
+            edited, derivative
+        )
+        return report, cache, set(build_log)
+
+    def assert_matches_cold(self, report, envs, derivative=SC88A):
+        cold = RegressionScheduler().run_system(envs, derivative)
+        assert payload_matrix(report) == payload_matrix(cold)
+
+    @pytest.mark.parametrize(
+        "edit, affected",
+        [
+            (edit_cell, column("NVM", "TEST_NVM_PAGE_001")),
+            (
+                edit_base_functions,
+                column("UART", "TEST_UART_LOOP_001")
+                | column("UART", "TEST_UART_BANNER"),
+            ),
+        ],
+        ids=["cell-source", "extra-base-functions"],
+    )
+    def test_edit_rebuilds_only_affected_positions(
+        self, tmp_path, build_log, edit, affected
+    ):
+        report, cache, rebuilt = self.rerun(
+            tmp_path, build_log, edit(make_suite())
+        )
+        assert rebuilt == affected
+        assert cache.index_misses == len(affected)
+        assert cache.index_hits == report.total_runs - len(affected)
+        assert cache.index_stale == 0
+        self.assert_matches_cold(report, edit(make_suite()))
+
+    def test_included_file_edit_rebuilds_its_includers(
+        self, tmp_path, build_log
+    ):
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            with_include_file(make_suite(), "SPARE .EQU 1\n"), SC88A
+        )
+        build_log.clear()
+        edited = with_include_file(make_suite(), "SPARE .EQU 2\n")
+        cache = ResultCache(tmp_path)
+        report = RegressionScheduler(cache=cache).run_system(edited, SC88A)
+        assert set(build_log) == column("NVM", "TEST_NVM_PAGE_002")
+        # The constant is unused: the image, hence the verdict, is
+        # unchanged and comes from the cache.
+        assert report.executed_runs == 0
+        self.assert_matches_cold(
+            report, with_include_file(make_suite(), "SPARE .EQU 2\n")
+        )
+
+    def test_unresolved_include_falls_back_to_workspace(
+        self, tmp_path, build_log
+    ):
+        def guarded(envs):
+            cell = envs["UART"].cells["TEST_UART_LOOP_001"]
+            cell.source = (
+                ".IFDEF NEVER_DEFINED\n.INCLUDE \"absent.inc\"\n.ENDIF\n"
+                + cell.source
+            )
+            return envs
+
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            guarded(make_suite()), SC88A
+        )
+        build_log.clear()
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            guarded(make_suite()), SC88A
+        )
+        assert build_log == []
+        # An edit to any UART file — here another cell — now also
+        # rebuilds the guarded cell; other environments are untouched.
+        edited = guarded(make_suite())
+        edited["UART"].cells["TEST_UART_BANNER"].source += "\n    NOP\n"
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            edited, SC88A
+        )
+        assert set(build_log) == column(
+            "UART", "TEST_UART_LOOP_001"
+        ) | column("UART", "TEST_UART_BANNER")
+
+    def test_globals_define_edit_rebuilds_its_environment(
+        self, tmp_path, build_log
+    ):
+        edited = make_suite(nvm_pages={2: 19})
+        report, cache, rebuilt = self.rerun(tmp_path, build_log, edited)
+        assert rebuilt == column("NVM", "TEST_NVM_PAGE_001") | column(
+            "NVM", "TEST_NVM_PAGE_002"
+        )
+        # Result keys stay image-digest keyed: cell 1's image did not
+        # change, so only cell 2's column executes.
+        assert report.executed_runs == len(all_targets())
+        self.assert_matches_cold(report, make_suite(nvm_pages={2: 19}))
+
+    def test_global_layer_edit_rebuilds_everything_runs_nothing(
+        self, tmp_path, build_log
+    ):
+        edited = edit_trap_handlers(make_suite())
+        report, cache, rebuilt = self.rerun(tmp_path, build_log, edited)
+        assert rebuilt == every_position(edited)
+        assert cache.index_hits == 0
+        assert report.executed_runs == 0
+        self.assert_matches_cold(report, edit_trap_handlers(make_suite()))
+
+    def test_derivative_edit_rebuilds_everything(self, tmp_path, build_log):
+        variant = dataclasses.replace(SC88A, description="re-specified")
+        edited = make_suite()
+        report, cache, rebuilt = self.rerun(
+            tmp_path, build_log, edited, derivative=variant
+        )
+        assert rebuilt == every_position(edited)
+        assert cache.index_misses == report.total_runs
+        assert report.executed_runs == 0
+        self.assert_matches_cold(report, make_suite(), derivative=variant)
+
+    def test_es_release_rebuilds_everything(
+        self, tmp_path, build_log, monkeypatch
+    ):
+        from repro.soc import embedded
+
+        original = embedded.es_source
+
+        def released(version):
+            return original(version) + ";; release note\n"
+
+        def release():
+            monkeypatch.setattr(embedded, "es_source", released)
+            monkeypatch.setattr(environment, "es_source", released)
+
+        edited = make_suite()
+        report, cache, rebuilt = self.rerun(
+            tmp_path, build_log, edited, between=release
+        )
+        assert rebuilt == every_position(edited)
+        assert report.executed_runs == 0
+        self.assert_matches_cold(report, make_suite())
+
+    def test_toolchain_change_rebuilds_everything(
+        self, tmp_path, build_log, monkeypatch
+    ):
+        edited = make_suite()
+        report, cache, rebuilt = self.rerun(
+            tmp_path,
+            build_log,
+            edited,
+            between=lambda: monkeypatch.setattr(
+                environment, "_TOOLCHAIN_DIGEST", "forced"
+            ),
+        )
+        assert rebuilt == every_position(edited)
+        assert report.executed_runs == 0
+        assert cache.index_stale == 0
+
+    def test_fully_cached_rerun_assembles_and_links_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            make_suite(), SC88A
+        )
+        calls = []
+        for owner, name in ((Assembler, "assemble_file"), (Linker, "link")):
+            original = getattr(owner, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        cache = ResultCache(tmp_path)
+        report = RegressionScheduler(cache=cache).run_system(
+            make_suite(), SC88A
+        )
+        assert calls == []
+        assert report.executed_runs == 0
+        assert cache.index_hits == report.total_runs
+        assert cache.index_misses == 0
+
+    def test_subset_run_leaves_other_positions(self, tmp_path):
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            make_suite(), SC88A
+        )
+        before = ResultCache(tmp_path).load_index("NVM", "sc88a")
+        RegressionScheduler(
+            cache=ResultCache(tmp_path),
+            targets=[TARGET_GOLDEN],
+        ).run_system(edit_cell(make_suite()), SC88A)
+        after = ResultCache(tmp_path).load_index("NVM", "sc88a")
+        changed = {key for key in after if after[key] != before[key]}
+        assert changed == {"TEST_NVM_PAGE_001/golden"}
+        assert set(after) == set(before)
+
+    @pytest.mark.parametrize("how", ["tampered", "injected"])
+    def test_corrupt_index_costs_only_a_rebuild(
+        self, tmp_path, build_log, how
+    ):
+        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            make_suite(), SC88A
+        )
+        index_file = tmp_path / "index" / "NVM.sc88a.json"
+        plan = None
+        if how == "tampered":
+            index_file.write_bytes(
+                index_file.read_bytes().replace(b"TEST", b"TEXT", 1)
+            )
+        else:
+            plan = FaultPlan(seed=3, specs=[
+                FaultSpec(site=SITE_CACHE_READ, action=ACTION_CORRUPT,
+                          match="index/NVM/"),
+            ])
+        build_log.clear()
+        cache = ResultCache(tmp_path)
+        report = RegressionScheduler(
+            cache=cache, fault_plan=plan
+        ).run_system(make_suite(), SC88A)
+        assert cache.corrupt == 1
+        assert cache.quarantined == 1
+        assert len(list((tmp_path / "index").glob("NVM.sc88a.*.corrupt"))) == 1
+        assert set(build_log) == every_position({"NVM": make_suite()["NVM"]})
+        assert report.executed_runs == 0
+        assert cache.hits == report.total_runs
+        self.assert_matches_cold(report, make_suite())
+        # The rewritten index serves the next run cleanly.
+        healed = ResultCache(tmp_path)
+        RegressionScheduler(cache=healed).run_system(make_suite(), SC88A)
+        assert healed.corrupt == 0
+        assert healed.index_hits == report.total_runs
+
+
+@pytest.mark.parametrize("deriv", all_derivatives(), ids=lambda d: d.name)
+def test_indexed_digest_equals_fresh_build(tmp_path, deriv):
+    """Differential check over the default ``init --nvm-tests 6
+    --uart-tests 3`` workspace: every indexed digest is the digest a
+    fresh build produces, and the index is keyed by the fresh build
+    key.  (Runs are capped at one instruction: only the index matters
+    here.)"""
+    system = make_default_system(nvm_tests=6, uart_tests=3)
+    cache = ResultCache(tmp_path)
+    RegressionScheduler(cache=cache, max_instructions=1).run_system(
+        system.environments, deriv
+    )
+    fresh = make_default_system(nvm_tests=6, uart_tests=3)
+    checked = 0
+    for env in fresh.environments.values():
+        index = cache.load_index(env.name, deriv.name)
+        for cell_name in env.cells:
+            for tgt in all_targets():
+                build_key, digest = index[f"{cell_name}/{tgt.name}"]
+                assert build_key == env.build_key(cell_name, deriv, tgt)
+                image = env.build_image(cell_name, deriv, tgt).image
+                assert digest == image.digest()
+                checked += 1
+    assert checked == 174
+    warm = ResultCache(tmp_path)
+    RegressionScheduler(cache=warm, max_instructions=1).run_system(
+        make_default_system(nvm_tests=6, uart_tests=3).environments, deriv
+    )
+    assert warm.index_hits == checked
+    assert warm.index_stale == 0
+
+
+def test_cli_import_skips_numpy_and_multiprocessing():
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('numpy', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
