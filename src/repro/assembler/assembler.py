@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.assembler.errors import (
     DirectiveError,
@@ -72,6 +72,11 @@ from repro.isa.registers import Register, RegisterClass, parse_register
 
 _MAX_DEFINE_DEPTH = 16
 
+#: (mnemonic, define-expanded operand tokens) -> (matched form, parsed
+#: operands), shared read-only by every unit.  Cleared when full.
+_PARSED_INSTRUCTIONS: dict[tuple, tuple[InstructionSpec, list]] = {}
+_PARSED_INSTRUCTIONS_LIMIT = 4096
+
 
 class OperandShape(enum.Enum):
     """Syntactic operand categories, before spec matching."""
@@ -83,12 +88,12 @@ class OperandShape(enum.Enum):
     EXPR = "expression"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ParsedOperand:
     shape: OperandShape
     register: Register | None = None
-    expr_tokens: list[Token] = field(default_factory=list)
-    offset_tokens: list[Token] = field(default_factory=list)
+    expr_tokens: tuple[Token, ...] = ()
+    offset_tokens: tuple[Token, ...] = ()
 
 
 @dataclass
@@ -186,6 +191,10 @@ class _Unit:
         self.defines: dict[str, list[Token]] = {}
         self.macros: dict[str, _MacroDef] = {}
         self.cond_stack: list[_CondFrame] = []
+        #: Whether lines are being assembled: every open conditional
+        #: frame is taking its branch.  Updated by the conditional
+        #: directives, never rescanned.
+        self.active = True
         self.macro_counter = 0
         self.capturing: _MacroDef | None = None
         self.current_section = TEXT_SECTION
@@ -218,9 +227,6 @@ class _Unit:
         self.obj.define_snapshot = dict(self.equ)
         return self.obj
 
-    def _active(self) -> bool:
-        return all(f.taking and f.parent_active for f in self.cond_stack)
-
     def _pass1_line(self, line: str, location: SourceLocation) -> None:
         # Macro body capture swallows raw lines (they may contain `\@`
         # and parameter placeholders that only lex after substitution).
@@ -245,7 +251,7 @@ class _Unit:
             if upper in (".IF", ".IFDEF", ".IFNDEF", ".ELSE", ".ENDIF"):
                 self._conditional(upper, tokens[1:], location)
                 return
-        if not self._active():
+        if not self.active:
             return
 
         self._statement(tokens, line, location)
@@ -253,18 +259,19 @@ class _Unit:
     def _conditional(
         self, directive: str, rest: list[Token], location: SourceLocation
     ) -> None:
+        # A frame only takes its branch inside an active region, so the
+        # innermost frame's ``taking`` is the whole stack's activity.
         if directive == ".IF":
             condition = False
-            if self._active():
-                expanded = self._expand_defines(rest, location)
-                result = evaluate_all(
-                    expanded, self._strict_resolver(location), location
-                )
+            if self.active:
                 condition = (
-                    result.require_absolute(".IF condition", location) != 0
+                    self._eval(
+                        self._expand_defines(rest, location), location
+                    ).require_absolute(".IF condition", location)
+                    != 0
                 )
             self.cond_stack.append(
-                _CondFrame(condition, condition, False, self._active())
+                _CondFrame(condition, condition, False, self.active)
             )
         elif directive in (".IFDEF", ".IFNDEF"):
             if not rest or rest[0].kind is not TokenKind.IDENT:
@@ -272,9 +279,10 @@ class _Unit:
             name = rest[0].text
             defined = name in self.equ or name in self.defines
             condition = defined if directive == ".IFDEF" else not defined
-            active = self._active()
             self.cond_stack.append(
-                _CondFrame(condition and active, condition, False, active)
+                _CondFrame(
+                    condition and self.active, condition, False, self.active
+                )
             )
         elif directive == ".ELSE":
             if not self.cond_stack:
@@ -288,6 +296,7 @@ class _Unit:
             if not self.cond_stack:
                 raise DirectiveError(".ENDIF without .IF", location)
             self.cond_stack.pop()
+        self.active = not self.cond_stack or self.cond_stack[-1].taking
 
     # -- statements ------------------------------------------------------
     def _statement(
@@ -438,11 +447,9 @@ class _Unit:
     def _equ_directive(
         self, name: str, value_tokens: list[Token], location: SourceLocation
     ) -> None:
-        expanded = self._expand_defines(value_tokens, location)
-        result = evaluate_all(
-            expanded, self._strict_resolver(location), location
-        )
-        value = result.require_absolute(f".EQU {name}", location)
+        value = self._eval(
+            self._expand_defines(value_tokens, location), location
+        ).require_absolute(f".EQU {name}", location)
         if name in self.equ and self.equ[name] != value:
             raise SymbolError(
                 f".EQU {name!r} redefined with a different value "
@@ -454,14 +461,9 @@ class _Unit:
     def _absolute(
         self, rest: list[Token], what: str, location: SourceLocation
     ) -> int:
-        expanded = self._expand_defines(
-            [t for t in rest if t.kind is not TokenKind.EOL], location
-        )
-        expanded.append(Token(TokenKind.EOL, ""))
-        result = evaluate_all(
-            expanded, self._strict_resolver(location), location
-        )
-        return result.require_absolute(what, location)
+        return self._eval(
+            self._expand_defines(rest, location), location
+        ).require_absolute(what, location)
 
     def _record_data(
         self,
@@ -552,9 +554,18 @@ class _Unit:
         body = self._expand_defines(
             [t for t in rest if t.kind is not TokenKind.EOL], location
         )
-        chunks = self._split_commas(body, location)
-        operands = [self._parse_operand(c, location) for c in chunks]
-        spec = self._match_spec(mnemonic, specs, operands, location)
+        # Operand shapes and the matching form depend on the expanded
+        # tokens alone; a statement that fails to parse is never stored.
+        key = (mnemonic, tuple(body))
+        parsed = _PARSED_INSTRUCTIONS.get(key)
+        if parsed is None:
+            chunks = self._split_commas(body, location)
+            operands = [self._parse_operand(c, location) for c in chunks]
+            spec = self._match_spec(mnemonic, specs, operands, location)
+            if len(_PARSED_INSTRUCTIONS) >= _PARSED_INSTRUCTIONS_LIMIT:
+                _PARSED_INSTRUCTIONS.clear()
+            parsed = _PARSED_INSTRUCTIONS[key] = (spec, operands)
+        spec, operands = parsed
         offset = self.cursors[self.current_section]
         self.statements.append(
             _InstrStatement(
@@ -598,9 +609,9 @@ class _Unit:
                 return ParsedOperand(
                     OperandShape.MEMIND,
                     register=first_reg,
-                    offset_tokens=offset_tokens,
+                    offset_tokens=tuple(offset_tokens),
                 )
-            return ParsedOperand(OperandShape.MEMABS, expr_tokens=inner)
+            return ParsedOperand(OperandShape.MEMABS, expr_tokens=tuple(inner))
         if len(chunk) == 1 and chunk[0].kind is TokenKind.IDENT:
             reg = parse_register(chunk[0].text)
             if reg is not None:
@@ -610,7 +621,7 @@ class _Unit:
                     else OperandShape.AREG
                 )
                 return ParsedOperand(shape, register=reg)
-        return ParsedOperand(OperandShape.EXPR, expr_tokens=chunk)
+        return ParsedOperand(OperandShape.EXPR, expr_tokens=tuple(chunk))
 
     _EXPR_KINDS = frozenset(
         {
@@ -707,26 +718,17 @@ class _Unit:
             location,
         )
 
-    def _strict_resolver(self, location: SourceLocation):
-        """Resolver for contexts that cannot take forward/extern symbols."""
-
-        def resolve(name: str) -> int | None:
-            return self.equ.get(name)
-
-        return resolve
-
-    def _pass2_resolver(self):
-        """Pass-2 resolver: EQUs are absolute; anything else is symbolic
-        (a local label or an external, both settled by the linker)."""
-
-        def resolve(name: str) -> int | None:
-            return self.equ.get(name)
-
-        return resolve
+    def _eval(
+        self, tokens: list[Token], location: SourceLocation
+    ) -> ExprResult:
+        """Evaluate *tokens*: EQUs are absolute; any other name is
+        symbolic (a local label or an external, both settled by the
+        linker), so contexts that cannot relocate call
+        :meth:`ExprResult.require_absolute` on the result."""
+        return evaluate_all(tokens, self.equ.get, location)
 
     # ---------------------------------------------------------------- pass 2
     def _pass2(self) -> None:
-        resolver = self._pass2_resolver()
         for name, org in self.orgs.items():
             self.obj.section(name).org = org
         for stmt in self.statements:
@@ -739,9 +741,9 @@ class _Unit:
                 )
             before = section.size
             if isinstance(stmt, _InstrStatement):
-                self._encode_instruction(stmt, section, resolver)
+                self._encode_instruction(stmt, section)
             else:
-                self._encode_data(stmt, section, resolver)
+                self._encode_data(stmt, section)
             self.listing.append(
                 ListingRecord(
                     section=stmt.section,
@@ -751,15 +753,6 @@ class _Unit:
                     location=stmt.location,
                 )
             )
-
-    def _eval(
-        self,
-        tokens: list[Token],
-        resolver,
-        location: SourceLocation,
-    ) -> ExprResult:
-        padded = list(tokens) + [Token(TokenKind.EOL, "")]
-        return evaluate_all(padded, resolver, location)
 
     @staticmethod
     def _check_range(
@@ -771,9 +764,7 @@ class _Unit:
             )
         return value
 
-    def _encode_instruction(
-        self, stmt: _InstrStatement, section, resolver
-    ) -> None:
+    def _encode_instruction(self, stmt: _InstrStatement, section) -> None:
         spec = stmt.spec
         fields: dict[str, int] = {f: 0 for f in spec.fmt.fields}
         literal_value: int | None = None
@@ -790,12 +781,12 @@ class _Unit:
                 assert operand.register is not None
                 fields["r2"] = operand.register.index
                 offset = self._eval(
-                    operand.offset_tokens, resolver, loc
+                    operand.offset_tokens, loc
                 ).require_absolute("memory offset", loc)
                 self._check_range(offset, -32768, 32767, "memory offset", loc)
                 fields["imm16"] = offset & 0xFFFF
             elif slot == "imm16":
-                result = self._eval(operand.expr_tokens, resolver, loc)
+                result = self._eval(operand.expr_tokens, loc)
                 value = result.require_absolute("16-bit immediate", loc)
                 if kind is OperandKind.IMM16S:
                     self._check_range(
@@ -807,7 +798,7 @@ class _Unit:
                     )
                 fields["imm16"] = value & 0xFFFF
             elif slot == "pos":
-                result = self._eval(operand.expr_tokens, resolver, loc)
+                result = self._eval(operand.expr_tokens, loc)
                 fields["pos"] = self._check_range(
                     result.require_absolute("bit position", loc),
                     0,
@@ -816,7 +807,7 @@ class _Unit:
                     loc,
                 )
             elif slot == "width":
-                result = self._eval(operand.expr_tokens, resolver, loc)
+                result = self._eval(operand.expr_tokens, loc)
                 fields["width"] = self._check_range(
                     result.require_absolute("field width", loc),
                     1,
@@ -825,7 +816,7 @@ class _Unit:
                     loc,
                 )
             elif slot == "imm8":
-                result = self._eval(operand.expr_tokens, resolver, loc)
+                result = self._eval(operand.expr_tokens, loc)
                 fields["imm8"] = self._check_range(
                     result.require_absolute("trap number", loc),
                     0,
@@ -834,7 +825,7 @@ class _Unit:
                     loc,
                 )
             elif slot == "literal":
-                result = self._eval(operand.expr_tokens, resolver, loc)
+                result = self._eval(operand.expr_tokens, loc)
                 if result.symbol is not None:
                     literal_symbol = result.symbol
                     literal_value = result.value
@@ -869,11 +860,11 @@ class _Unit:
                     location=stmt.location,
                 )
 
-    def _encode_data(self, stmt: _DataStatement, section, resolver) -> None:
+    def _encode_data(self, stmt: _DataStatement, section) -> None:
         loc = stmt.location
         if stmt.directive == ".WORD":
             for chunk in stmt.chunks:
-                result = self._eval(chunk, resolver, loc)
+                result = self._eval(chunk, loc)
                 if result.symbol is not None:
                     offset = section.emit_word(result.value)
                     self.obj.add_relocation(
@@ -894,14 +885,14 @@ class _Unit:
                     section.emit_word(value)
         elif stmt.directive == ".HALF":
             for chunk in stmt.chunks:
-                value = self._eval(chunk, resolver, loc).require_absolute(
+                value = self._eval(chunk, loc).require_absolute(
                     ".HALF", loc
                 )
                 self._check_range(value, -(1 << 15), (1 << 16) - 1, ".HALF", loc)
                 section.emit_bytes((value & 0xFFFF).to_bytes(2, "little"))
         elif stmt.directive == ".BYTE":
             for chunk in stmt.chunks:
-                value = self._eval(chunk, resolver, loc).require_absolute(
+                value = self._eval(chunk, loc).require_absolute(
                     ".BYTE", loc
                 )
                 self._check_range(value, -(1 << 7), (1 << 8) - 1, ".BYTE", loc)

@@ -10,12 +10,19 @@ embedded-software ROM).  Such expressions evaluate to a **symbolic** result
 ``symbol + addend`` and may only be used where the instruction set carries a
 full 32-bit literal word, because that is the only thing the linker can
 relocate.  Callers enforce that restriction via :meth:`ExprResult.require_absolute`.
+
+Parsing depends on the tokens alone, so :func:`evaluate_all` parses each
+distinct token sequence once per process into a tree of closures and
+evaluates that tree against the caller's resolver.  Syntax errors are
+raised at parse time, value errors (division by zero, arithmetic on a
+symbol) at evaluation time; both carry the caller's location, and a
+sequence that fails to parse is never stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.assembler.errors import ExpressionError, SourceLocation
 from repro.assembler.lexer import Token, TokenKind
@@ -48,190 +55,221 @@ class ExprResult:
         return self.value
 
 
-class _Parser:
-    """Recursive-descent evaluator over a token slice."""
+#: Parsed expression: evaluates against a resolver; errors carry *location*.
+_Node = Callable[[Resolver, SourceLocation], ExprResult]
 
-    def __init__(
-        self,
-        tokens: list[Token],
-        resolver: Resolver,
-        location: SourceLocation,
-    ):
+_END = Token(TokenKind.EOL, "")
+
+
+def _truncating_div(x: int, y: int) -> int:
+    """C-style integer division (rounds toward zero), exact at any width."""
+    quotient = abs(x) // abs(y)
+    return quotient if (x < 0) == (y < 0) else -quotient
+
+
+_BINARY_OPS: dict[str, Callable[[int, int], int]] = {
+    "||": lambda x, y: int(bool(x) or bool(y)),
+    "&&": lambda x, y: int(bool(x) and bool(y)),
+    "|": lambda x, y: x | y,
+    "^": lambda x, y: x ^ y,
+    "&": lambda x, y: x & y,
+    "==": lambda x, y: int(x == y),
+    "!=": lambda x, y: int(x != y),
+    "<": lambda x, y: int(x < y),
+    ">": lambda x, y: int(x > y),
+    "<=": lambda x, y: int(x <= y),
+    ">=": lambda x, y: int(x >= y),
+    "<<": lambda x, y: x << y,
+    ">>": lambda x, y: x >> y,
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": _truncating_div,
+    "%": lambda x, y: x - y * _truncating_div(x, y),
+}
+
+#: Binary operator -> binding level, loosest (0) to tightest; every
+#: level is left-associative.
+_BINARY_LEVEL: dict[str, int] = {
+    op: level
+    for level, ops in enumerate(
+        [
+            ("||",),
+            ("&&",),
+            ("|",),
+            ("^",),
+            ("&",),
+            ("==", "!="),
+            ("<", ">", "<=", ">="),
+            ("<<", ">>"),
+            ("+", "-"),
+            ("*", "/", "%"),
+        ]
+    )
+    for op in ops
+}
+
+#: Unary operator -> (function, verb for the symbolic-operand error).
+_UNARY_OPS: dict[str, tuple[Callable[[int], int], str]] = {
+    "-": (lambda x: -x, "negate"),
+    "~": (lambda x: ~x, "complement"),
+    "!": (lambda x: int(x == 0), "logically negate"),
+}
+
+
+def _constant_node(value: int) -> _Node:
+    result = ExprResult(value)
+    return lambda resolver, location: result
+
+
+def _symbol_node(name: str) -> _Node:
+    def node(resolver: Resolver, location: SourceLocation) -> ExprResult:
+        resolved = resolver(name)
+        if resolved is None:
+            return ExprResult(0, symbol=name)
+        return ExprResult(resolved)
+
+    return node
+
+
+def _unary_node(op: str, operand: _Node) -> _Node:
+    fn, verb = _UNARY_OPS[op]
+
+    def node(resolver: Resolver, location: SourceLocation) -> ExprResult:
+        value = operand(resolver, location)
+        if value.symbol is not None:
+            raise ExpressionError(
+                f"cannot {verb} a symbolic expression", location
+            )
+        return ExprResult(fn(value.value))
+
+    return node
+
+
+def _binary_node(op: str, lhs: _Node, rhs: _Node) -> _Node:
+    fn = _BINARY_OPS[op]
+    divides = op in ("/", "%")
+
+    def node(resolver: Resolver, location: SourceLocation) -> ExprResult:
+        a = lhs(resolver, location)
+        b = rhs(resolver, location)
+        # Symbolic arithmetic: only symbol +/- constant survives, because
+        # that is the only shape a relocation entry can carry.
+        if a.symbol is not None or b.symbol is not None:
+            if op == "+" and b.symbol is None:
+                return ExprResult(a.value + b.value, a.symbol)
+            if op == "+" and a.symbol is None:
+                return ExprResult(a.value + b.value, b.symbol)
+            if op == "-" and b.symbol is None:
+                return ExprResult(a.value - b.value, a.symbol)
+            raise ExpressionError(
+                f"operator {op!r} cannot be applied to a symbolic expression "
+                "(only <symbol> + <const> and <symbol> - <const> relocate)",
+                location,
+            )
+        if divides and b.value == 0:
+            raise ExpressionError("division by zero in expression", location)
+        return ExprResult(fn(a.value, b.value))
+
+    return node
+
+
+class _Parser:
+    """Recursive-descent parser from a token sequence to a :data:`_Node`."""
+
+    def __init__(self, tokens: tuple[Token, ...], location: SourceLocation):
         self.tokens = tokens
         self.pos = 0
-        self.resolver = resolver
         self.location = location
 
-    # -- token helpers ----------------------------------------------------
     def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOL:
-            self.pos += 1
-        return token
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return _END
 
     def accept_punct(self, text: str) -> bool:
         if self.peek().is_punct(text):
-            self.advance()
+            self.pos += 1
             return True
         return False
 
-    def expect_punct(self, text: str) -> None:
-        if not self.accept_punct(text):
+    def parse_all(self) -> _Node:
+        node = self._binary(0)
+        if self.pos < len(self.tokens):
             raise ExpressionError(
-                f"expected {text!r}, found {self.peek()!s}", self.location
+                f"unexpected trailing token {self.tokens[self.pos]!s} "
+                "after expression",
+                self.location,
             )
+        return node
 
-    # -- grammar ------------------------------------------------------------
-    # Levels from loosest to tightest binding.
-    _BINARY_LEVELS: list[tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def _binary(self, min_level: int) -> _Node:
+        """Precedence climbing: operators binding at *min_level* or
+        tighter, folded left to right."""
+        node = self._unary()
+        while True:
+            token = self.peek()
+            level = (
+                _BINARY_LEVEL.get(token.text, -1)
+                if token.kind is TokenKind.PUNCT
+                else -1
+            )
+            if level < min_level:
+                return node
+            self.pos += 1
+            node = _binary_node(token.text, node, self._binary(level + 1))
 
-    def parse(self) -> ExprResult:
-        return self._binary(0)
-
-    def _binary(self, level: int) -> ExprResult:
-        if level == len(self._BINARY_LEVELS):
-            return self._unary()
-        result = self._binary(level + 1)
-        ops = self._BINARY_LEVELS[level]
-        while self.peek().kind is TokenKind.PUNCT and self.peek().text in ops:
-            op = self.advance().text
-            rhs = self._binary(level + 1)
-            result = self._apply(op, result, rhs)
-        return result
-
-    def _unary(self) -> ExprResult:
+    def _unary(self) -> _Node:
         token = self.peek()
-        if token.is_punct("-"):
-            self.advance()
-            operand = self._unary()
-            if operand.symbol is not None:
-                raise ExpressionError(
-                    "cannot negate a symbolic expression", self.location
-                )
-            return ExprResult(-operand.value)
-        if token.is_punct("~"):
-            self.advance()
-            operand = self._unary()
-            if operand.symbol is not None:
-                raise ExpressionError(
-                    "cannot complement a symbolic expression", self.location
-                )
-            return ExprResult(~operand.value)
-        if token.is_punct("!"):
-            self.advance()
-            operand = self._unary()
-            if operand.symbol is not None:
-                raise ExpressionError(
-                    "cannot logically negate a symbolic expression",
-                    self.location,
-                )
-            return ExprResult(int(operand.value == 0))
+        if token.kind is TokenKind.PUNCT and token.text in _UNARY_OPS:
+            self.pos += 1
+            return _unary_node(token.text, self._unary())
         if token.is_punct("+"):
-            self.advance()
+            self.pos += 1
             return self._unary()
         return self._primary()
 
-    def _primary(self) -> ExprResult:
+    def _primary(self) -> _Node:
         token = self.peek()
         if token.kind is TokenKind.NUMBER:
-            self.advance()
+            self.pos += 1
             assert token.value is not None
-            return ExprResult(token.value)
+            return _constant_node(token.value)
         if token.kind is TokenKind.IDENT:
-            self.advance()
-            resolved = self.resolver(token.text)
-            if resolved is None:
-                return ExprResult(0, symbol=token.text)
-            return ExprResult(resolved)
-        if token.is_punct("("):
-            self.advance()
+            self.pos += 1
+            return _symbol_node(token.text)
+        if self.accept_punct("("):
             inner = self._binary(0)
-            self.expect_punct(")")
+            if not self.accept_punct(")"):
+                raise ExpressionError(
+                    f"expected ')', found {self.peek()!s}", self.location
+                )
             return inner
         raise ExpressionError(
             f"expected expression, found {token!s}", self.location
         )
 
-    def _apply(self, op: str, lhs: ExprResult, rhs: ExprResult) -> ExprResult:
-        # Symbolic arithmetic: only symbol +/- constant survives, because
-        # that is the only shape a relocation entry can carry.
-        if lhs.symbol is not None or rhs.symbol is not None:
-            if op == "+" and lhs.symbol is not None and rhs.symbol is None:
-                return ExprResult(lhs.value + rhs.value, lhs.symbol)
-            if op == "+" and rhs.symbol is not None and lhs.symbol is None:
-                return ExprResult(lhs.value + rhs.value, rhs.symbol)
-            if op == "-" and lhs.symbol is not None and rhs.symbol is None:
-                return ExprResult(lhs.value - rhs.value, lhs.symbol)
-            raise ExpressionError(
-                f"operator {op!r} cannot be applied to a symbolic expression "
-                "(only <symbol> + <const> and <symbol> - <const> relocate)",
-                self.location,
-            )
-        a, b = lhs.value, rhs.value
-        if op in ("/", "%") and b == 0:
-            raise ExpressionError("division by zero in expression", self.location)
-        table: dict[str, Callable[[int, int], int]] = {
-            "||": lambda x, y: int(bool(x) or bool(y)),
-            "&&": lambda x, y: int(bool(x) and bool(y)),
-            "|": lambda x, y: x | y,
-            "^": lambda x, y: x ^ y,
-            "&": lambda x, y: x & y,
-            "==": lambda x, y: int(x == y),
-            "!=": lambda x, y: int(x != y),
-            "<": lambda x, y: int(x < y),
-            ">": lambda x, y: int(x > y),
-            "<=": lambda x, y: int(x <= y),
-            ">=": lambda x, y: int(x >= y),
-            "<<": lambda x, y: x << y,
-            ">>": lambda x, y: x >> y,
-            "+": lambda x, y: x + y,
-            "-": lambda x, y: x - y,
-            "*": lambda x, y: x * y,
-            "/": lambda x, y: int(x / y) if (x < 0) != (y < 0) else x // y,
-            "%": lambda x, y: x - y * (int(x / y) if (x < 0) != (y < 0) else x // y),
-        }
-        return ExprResult(table[op](a, b))
 
-
-def evaluate(
-    tokens: list[Token],
-    resolver: Resolver,
-    location: SourceLocation,
-) -> tuple[ExprResult, int]:
-    """Evaluate an expression starting at ``tokens[0]``.
-
-    Returns the result and the number of tokens consumed, so operand
-    parsers can continue after the expression (e.g. at a ``,``).
-    """
-    parser = _Parser(tokens, resolver, location)
-    result = parser.parse()
-    return result, parser.pos
+#: Token sequence (without its EOL) -> parsed expression.  Cleared when
+#: full, so a long-lived daemon stays bounded.
+_PARSED: dict[tuple[Token, ...], _Node] = {}
+_PARSED_LIMIT = 4096
 
 
 def evaluate_all(
-    tokens: list[Token],
+    tokens: Sequence[Token],
     resolver: Resolver,
     location: SourceLocation,
 ) -> ExprResult:
-    """Evaluate an expression that must consume every token before EOL."""
-    result, consumed = evaluate(tokens, resolver, location)
-    if tokens[consumed].kind is not TokenKind.EOL:
-        raise ExpressionError(
-            f"unexpected trailing token {tokens[consumed]!s} after expression",
-            location,
-        )
-    return result
+    """Evaluate an expression that must consume every token (a trailing
+    EOL token is optional)."""
+    key = tuple(tokens)
+    if key and key[-1].kind is TokenKind.EOL:
+        key = key[:-1]
+    node = _PARSED.get(key)
+    if node is None:
+        node = _Parser(key, location).parse_all()
+        if len(_PARSED) >= _PARSED_LIMIT:
+            _PARSED.clear()
+        _PARSED[key] = node
+    return node(resolver, location)

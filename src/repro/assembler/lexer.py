@@ -6,6 +6,10 @@ into a list of :class:`Token`.  Comments start with ``;`` (the paper uses
 hexadecimal, ``0b`` binary, ``0o`` octal and ``'c'`` character forms.
 Identifiers may contain dots (``LD.W``) so instruction-variant mnemonics
 lex as single tokens; a leading dot marks a directive (``.INCLUDE``).
+
+Tokens depend on the line text alone, so :func:`tokenize_line` lexes each
+distinct line once per process: a regression matrix re-reads the same
+``Globals.inc`` for every unit it assembles.
 """
 
 from __future__ import annotations
@@ -25,11 +29,17 @@ class TokenKind(enum.Enum):
     EOL = "end of line"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     text: str
     value: int | None = None  # numeric value for NUMBER tokens
+
+    def __hash__(self) -> int:
+        # Tokens key the expression and statement memos.  The hash skips
+        # the kind, whose enum hash runs in Python; equality still
+        # compares it, so distinct kinds with one text merely collide.
+        return hash((self.text, self.value))
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -115,8 +125,31 @@ def _lex_string(text: str, pos: int, location: SourceLocation) -> tuple[Token, i
     return Token(TokenKind.STRING, "".join(out)), end + 1
 
 
+#: line text -> its tokens.  Cleared when full, so a long-lived daemon
+#: assembling endless edits stays bounded.  A line that fails to lex is
+#: never stored: it lexes again and raises with the caller's location.
+_LINE_TOKENS: dict[str, tuple[Token, ...]] = {}
+_LINE_TOKENS_LIMIT = 4096
+#: One shared instance per distinct token of the memoised lines (most
+#: tokens recur: punctuation, registers, directives), cleared with them.
+_TOKENS: dict[Token, Token] = {}
+
+
 def tokenize_line(line: str, location: SourceLocation) -> list[Token]:
     """Tokenise one source line; the trailing EOL token is always present."""
+    tokens = _LINE_TOKENS.get(line)
+    if tokens is None:
+        lexed = _lex_line(line, location)
+        if len(_LINE_TOKENS) >= _LINE_TOKENS_LIMIT:
+            _LINE_TOKENS.clear()
+            _TOKENS.clear()
+        tokens = _LINE_TOKENS[line] = tuple(
+            _TOKENS.setdefault(token, token) for token in lexed
+        )
+    return list(tokens)
+
+
+def _lex_line(line: str, location: SourceLocation) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     length = len(line)

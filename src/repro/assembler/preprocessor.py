@@ -98,6 +98,14 @@ class _Frame:
     #: Location of the line that opened this frame (include/invocation site).
     opened_at: SourceLocation | None = None
     is_file: bool = True
+    #: Include/macro chain every line of this frame reports.
+    context: tuple[tuple[str, int], ...] = field(init=False, default=())
+
+    def __post_init__(self) -> None:
+        if self.opened_at is not None:
+            self.context = self.opened_at.context + (
+                (self.opened_at.filename, self.opened_at.line),
+            )
 
     def exhausted(self) -> bool:
         return self.index >= len(self.lines)
@@ -187,13 +195,4 @@ class SourceStream:
         frame = self.frames[-1]
         line = frame.lines[frame.index]
         frame.index += 1
-        location = SourceLocation(
-            filename=frame.name,
-            line=frame.index,
-            context=(
-                frame.opened_at.context + ((frame.opened_at.filename, frame.opened_at.line),)
-                if frame.opened_at is not None
-                else ()
-            ),
-        )
-        return line, location
+        return line, SourceLocation(frame.name, frame.index, frame.context)

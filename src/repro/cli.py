@@ -39,6 +39,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core.environment import GlobalLayer
 from repro.core.porting import compare_nvm_port
 from repro.core.reporting import regression_matrix, render_table
 from repro.core.scheduler import RegressionScheduler, ResultCache
@@ -122,8 +123,10 @@ def _load_modules(system_dir: Path, module: str | None):
             if p.is_dir() and p.name != "Global_Libraries"
         ]
     )
+    layer = GlobalLayer()
     return {
-        name: load_module_environment(system_dir / name) for name in names
+        name: load_module_environment(system_dir / name, global_layer=layer)
+        for name in names
     }
 
 

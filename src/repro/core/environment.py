@@ -176,12 +176,14 @@ class BuildArtifacts:
 class GlobalLayer:
     """The shared, not-module-owned code: trap handlers, common
     functions, embedded software.  One instance serves many module
-    environments (Figure 4)."""
+    environments (Figure 4), and assembles its objects once for all of
+    them (:meth:`objects`)."""
 
     def __init__(self, derivatives: list[Derivative] | None = None):
         self.derivatives = list(derivatives or all_derivatives())
         self._trap_handlers = generate_trap_handlers(self.derivatives)
         self._global_functions = generate_global_test_functions()
+        self._objects: dict[tuple, list[ObjectFile]] = {}
 
     @property
     def trap_handlers_text(self) -> str:
@@ -198,13 +200,40 @@ class GlobalLayer:
         }
 
     def assemble(
-        self, assembler: Assembler, derivative: Derivative
+        self, derivative: Derivative, tgt: Target
     ) -> list[ObjectFile]:
-        objects = [
+        """Assemble trap handlers, global functions and the ES ROM for
+        (derivative, target).  The libraries include nothing (they are
+        upstream of every module's ``Globals.inc``), so they assemble
+        against themselves alone."""
+        assembler = Assembler(
+            provider=InMemoryProvider(self.library_files()),
+            predefines={derivative.predefine: 1, tgt.predefine: 1},
+        )
+        return [
             assembler.assemble_file(TRAP_HANDLERS_FILENAME),
             assembler.assemble_file(GLOBAL_FUNCTIONS_FILENAME),
             assemble_embedded_software(derivative.es_version, assembler),
         ]
+
+    def objects(
+        self, derivative: Derivative, tgt: Target
+    ) -> list[ObjectFile]:
+        """:meth:`assemble`, memoised on what it reads: the library
+        texts, the ES source, the derivative, and the target — which
+        reaches these texts only through its ``TARGET_*`` predefine, so
+        it joins the key only where some text names that predefine."""
+        texts = (
+            self._trap_handlers,
+            self._global_functions,
+            es_source(derivative.es_version),
+        )
+        sensitive = any(tgt.predefine in text for text in texts)
+        key = (texts, derivative, tgt.predefine if sensitive else None)
+        objects = self._objects.get(key)
+        if objects is None:
+            objects = self.assemble(derivative, tgt)
+            self._objects[key] = objects
         return objects
 
 
@@ -468,11 +497,12 @@ class ModuleTestEnvironment:
         """Assemble + link one test cell for (derivative, target).
 
         Builds are memoised two ways: whole images by (cell, derivative,
-        target signature, source fingerprint), and the shared-layer
-        object files (base functions, trap handlers, global functions,
-        embedded software) by the same key minus the cell — so a
+        target signature, source fingerprint), and the cell and base
+        functions objects by the same key minus the cell — so a
         regression sweeping many cells and targets assembles each layer
-        once per distinct build input, not once per matrix entry.
+        once per distinct build input, not once per matrix entry.  The
+        global layer memoises its own objects (:meth:`GlobalLayer.objects`),
+        once for every module environment that shares it.
         Editing any source or define changes the fingerprint and
         invalidates both caches.  ``use_cache=False`` forces a cold
         build (ablation baselines).
@@ -523,14 +553,10 @@ class ModuleTestEnvironment:
             [files[BASE_FUNCTIONS_FILENAME]],
             lambda: assembler.assemble_file(BASE_FUNCTIONS_FILENAME),
         )
-        global_objects = cached_object(
-            "__global_layer__",
-            [
-                files[TRAP_HANDLERS_FILENAME],
-                files[GLOBAL_FUNCTIONS_FILENAME],
-                es_source(derivative.es_version),
-            ],
-            lambda: self.global_layer.assemble(assembler, derivative),
+        global_objects = (
+            self.global_layer.objects(derivative, tgt)
+            if use_cache
+            else self.global_layer.assemble(derivative, tgt)
         )
         memory_map = derivative.memory_map()
         linker = Linker(

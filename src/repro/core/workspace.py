@@ -196,12 +196,14 @@ def load_module_environment(
     module_dir: Path | str,
     derivatives: list[Derivative] | None = None,
     targets: list[Target] | None = None,
+    global_layer: GlobalLayer | None = None,
 ) -> ModuleTestEnvironment:
     """Reconstruct a module environment from a Figure 3 tree.
 
     The loaded environment serves the **on-disk** abstraction-layer text
     (like a release snapshot), not regenerated text — the tree is the
-    source of truth.
+    source of truth.  Pass one *global_layer* to every module of a
+    system so they share its assembled objects (Figure 4).
     """
     module_dir = Path(module_dir)
     issues = validate_module_tree(module_dir)
@@ -210,7 +212,10 @@ def load_module_environment(
             "invalid module tree:\n" + "\n".join(str(i) for i in issues)
         )
     env = ModuleTestEnvironment(
-        module_dir.name, derivatives=derivatives, targets=targets
+        module_dir.name,
+        derivatives=derivatives,
+        targets=targets,
+        global_layer=global_layer,
     )
     globals_text = (
         module_dir / ABSTRACTION_DIR / GLOBALS_FILENAME

@@ -33,6 +33,7 @@ import copy
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from repro.core.environment import GlobalLayer
 from repro.core.targets import all_targets, target as lookup_target
 from repro.core.workspace import load_module_environment
 from repro.soc.derivatives import derivative as lookup_derivative
@@ -188,6 +189,11 @@ def pack_to_dict(pack: ScenarioPack) -> dict:
     return data
 
 
+#: *env_cache* entry holding the shared global layer; a tuple, so no
+#: module name can collide with it.
+_GLOBAL_LAYER_KEY = ("global-layer",)
+
+
 def resolve_pack(pack: ScenarioPack, system_dir: str | Path, env_cache=None):
     """Resolve a pack against a workspace into scheduler inputs.
 
@@ -201,7 +207,9 @@ def resolve_pack(pack: ScenarioPack, system_dir: str | Path, env_cache=None):
     fingerprint matches the cached environment the cached instance is
     reused — carrying its memoised image/object build caches, which is
     most of a small request's cold cost.  A changed fingerprint
-    replaces the cache entry, so stale builds can never serve.
+    replaces the cache entry, so stale builds can never serve.  Every
+    environment loaded here shares one :class:`GlobalLayer` — kept in
+    *env_cache* across calls — so the global layer assembles once.
     """
     system_dir = Path(system_dir)
     try:
@@ -226,12 +234,17 @@ def resolve_pack(pack: ScenarioPack, system_dir: str | Path, env_cache=None):
         )
     else:
         module_names = list(pack.modules)
+    layer = None if env_cache is None else env_cache.get(_GLOBAL_LAYER_KEY)
+    if layer is None:
+        layer = GlobalLayer()
+        if env_cache is not None:
+            env_cache[_GLOBAL_LAYER_KEY] = layer
     environments = {}
     for name in module_names:
         module_dir = system_dir / name
         if not module_dir.is_dir():
             raise PackError(f"unknown module {name!r}")
-        env = load_module_environment(module_dir)
+        env = load_module_environment(module_dir, global_layer=layer)
         if env_cache is not None:
             fingerprint = env._files_fingerprint(env._source_files())
             cached = env_cache.get(name)

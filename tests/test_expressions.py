@@ -1,7 +1,7 @@
 """Tests for assembler constant-expression evaluation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.assembler.errors import ExpressionError, SourceLocation
 from repro.assembler.expressions import ExprResult, evaluate_all
@@ -62,6 +62,15 @@ class TestArithmetic:
             evaluate("1 / 0")
         with pytest.raises(ExpressionError):
             evaluate("1 % 0")
+
+    def test_signed_division_is_exact(self):
+        # Mixed signs once went through float division and lost bits.
+        assert evaluate("(0 - 9007199254740993) / 1").value == (
+            -9007199254740993
+        )
+        assert evaluate("-7 / 2").value == -3
+        assert evaluate("-7 % 2").value == -1
+        assert evaluate("7 % -2").value == 1
 
     def test_precedence_bitwise_vs_shift(self):
         # C-like: shifts bind tighter than & which binds tighter than |.
@@ -134,11 +143,19 @@ class TestProperties:
         text = f"(({a} ^ {b}) << {s}) & 0xFFFFFFFF"
         assert evaluate(text).value == ((a ^ b) << s) & 0xFFFFFFFF
 
-    @given(st.integers(-10_000, 10_000), st.integers(1, 100))
+    @given(
+        st.integers(-(1 << 63), (1 << 63) - 1),
+        st.integers(-(1 << 63), (1 << 63) - 1).filter(bool),
+    )
+    @example(-9007199254740993, 1)
     def test_div_mod_identity(self, a, b):
-        quotient = evaluate(f"({a}) / {b}").value
-        remainder = evaluate(f"({a}) % {b}").value
+        # C semantics at full width: the quotient truncates toward zero
+        # and the remainder takes the dividend's sign.
+        quotient = evaluate(f"({a}) / ({b})").value
+        remainder = evaluate(f"({a}) % ({b})").value
         assert quotient * b + remainder == a
+        assert abs(remainder) < abs(b)
+        assert remainder == 0 or (remainder < 0) == (a < 0)
 
     def test_figure6_style_expression(self):
         # The kind of expression Globals.inc entries use.

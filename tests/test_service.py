@@ -181,6 +181,26 @@ class TestScenarioPack:
         )
         assert "TEST_NVM_PAGE_001" in full_again["NVM"].cells
 
+    def test_environments_share_one_global_layer(self, workspace):
+        pack = parse_pack(smoke_pack(modules=None))
+        alone, _, _ = resolve_pack(pack, workspace)
+        assert len(alone) > 1
+        assert len({id(env.global_layer) for env in alone.values()}) == 1
+        cache: dict = {}
+        first, _, _ = resolve_pack(pack, workspace, env_cache=cache)
+        layer = first["NVM"].global_layer
+        cell_file = workspace / "NVM" / "TEST_NVM_PAGE_001" / "test.asm"
+        cell_file.write_text(cell_file.read_text() + "\n; edited\n")
+        try:
+            second, _, _ = resolve_pack(pack, workspace, env_cache=cache)
+        finally:
+            cell_file.write_text(
+                cell_file.read_text().replace("\n; edited\n", "")
+            )
+        # A reloaded environment joins the cached layer's objects.
+        assert second["NVM"] is not first["NVM"]
+        assert all(env.global_layer is layer for env in second.values())
+
 
 # --------------------------------------------------------------------------
 # journal
