@@ -171,29 +171,28 @@ def cmd_regress(args: argparse.Namespace) -> int:
     print(regression_matrix(report))
     print(report.summary())
     if args.engine_stats:
-        stats = scheduler.engine_stats
-        line = " ".join(f"{key}={stats[key]}" for key in sorted(stats))
+        line = _stats_line(scheduler.engine_stats)
         print(f"engine-stats: {line or '(no runs executed)'}")
     if store is not None:
-        stats = store.stats()
-        line = " ".join(f"{key}={stats[key]}" for key in sorted(stats))
-        print(f"store-stats: {line}")
+        print(f"store-stats: {_stats_line(store.stats())}")
     if worklist is not None:
-        stats = worklist.stats()
-        line = " ".join(f"{key}={stats[key]}" for key in sorted(stats))
-        print(f"worklist-stats: {line}")
+        print(f"worklist-stats: {_stats_line(worklist.stats())}")
     if cache is not None:
-        stats = cache.stats()
-        line = " ".join(f"{key}={stats[key]}" for key in sorted(stats))
-        print(f"cache-stats: {line}")
+        print(f"cache-stats: {_stats_line(cache.stats())}")
     if cache is not None and args.cache_prune:
         removed = cache.prune(
             max_entries=args.cache_max_entries, max_age=args.cache_max_age
         )
-        stats = cache.stats()
-        line = " ".join(f"{key}={stats[key]}" for key in sorted(stats))
-        print(f"cache-prune: removed {removed} file(s); {line}")
+        print(
+            f"cache-prune: removed {removed} file(s); "
+            f"{_stats_line(cache.stats())}"
+        )
     return 0 if report.clean else 1
+
+
+def _stats_line(stats: dict) -> str:
+    """The ``key=value`` pairs of a ``*-stats:`` line, in key order."""
+    return " ".join(f"{key}={stats[key]}" for key in sorted(stats))
 
 
 def cmd_port(args: argparse.Namespace) -> int:

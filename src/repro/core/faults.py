@@ -44,7 +44,8 @@ site               fired from
 ``pool-lease``     :meth:`WarmSessionPool.lease` (checkout), key
                    ``{target}/{derivative}``
 ``journal-write``  :meth:`JobJournal.append` (durable accept/settle
-                   records), key ``{job id}``
+                   records), key ``{job id}``; compaction rewrites, key
+                   = new segment file name (targeted)
 ``store-read``     :meth:`ArtifactStore.load_decode_cache` /
                    :meth:`WorkList.fetch` (shared-store reads), key =
                    artifact file stem / cell key
@@ -66,9 +67,10 @@ mis-targeted spec cannot take the scheduler down); ``corrupt`` mangles
 payload bytes at the payload sites (cache read/write, store
 read/write) through :meth:`FaultInjector.mangle`.
 
-*Targeted* occurrences (the build index's reads and writes) only answer
-specs whose ``match`` names them: auxiliary I/O added to a site never
-shifts the hit windows of existing untargeted plans.
+*Targeted* occurrences (the build index's reads and writes, journal
+compactions) only answer specs whose ``match`` names them: auxiliary
+I/O added to a site never shifts the hit windows of existing
+untargeted plans.
 """
 
 from __future__ import annotations

@@ -65,10 +65,7 @@ fingerprints honestly.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
@@ -76,6 +73,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.assembler.linker import MemoryImage
+from repro.core.durable import DurableFiles, content_key, seal, unseal
 from repro.core.environment import ModuleTestEnvironment
 from repro.core.faults import (
     FaultInjector,
@@ -225,43 +223,32 @@ def quarantine_result(
     )
 
 
-class ResultCache:
+class ResultCache(DurableFiles):
     """Persistent (image digest, target, derivative) -> result store.
 
-    One JSON file per key under *directory*.  The key includes a schema
-    version and the platform's behavioural fingerprint, so platform
-    changes invalidate rather than replay stale verdicts.  Every entry
-    carries a SHA-256 checksum of its payload: a torn write, bit rot or
-    injected corruption is detected on read, counted in :attr:`corrupt`
-    (distinct from clean :attr:`misses`) and the bad file is renamed
-    aside to a unique ``<key>.<nonce>.corrupt`` name so it is never
-    re-parsed — and re-failed — on subsequent regressions, while
-    repeated corruption of the same key preserves every quarantined
-    file as forensic evidence (:attr:`quarantined` counts the distinct
-    files set aside).  Write failures are contained and counted in
-    :attr:`write_errors`: a cache that cannot persist a verdict
-    degrades to a cold cache, never to a failed regression.  A
-    long-lived owner (the serving daemon) bounds the directory with
-    :meth:`prune`.
+    One JSON file per key under *directory*, in the checksummed
+    envelope of :mod:`repro.core.durable`, whose rules also make the
+    cache contained: a corrupt entry is counted (never a clean miss)
+    and quarantined aside as evidence, a failed write or an
+    uncreatable directory degrades to a cold cache, never to a failed
+    regression.  The key includes a schema version and the platform's
+    behavioural fingerprint, so platform changes invalidate rather than
+    replay stale verdicts.  :meth:`prune` (``regress --cache-prune``)
+    bounds the directory.
 
     Beside the verdicts, ``index/`` holds one **build index** per
     (environment, derivative): matrix position -> (build key, image
-    digest), in the same checksummed envelope.  It lets the scheduler
-    compute a verdict's key without assembling anything
-    (:meth:`load_index` / :meth:`save_index`).
+    digest), in the same envelope.  It lets the scheduler compute a
+    verdict's key without assembling anything (:meth:`load_index` /
+    :meth:`save_index`).
     """
 
+    read_site = SITE_CACHE_READ
+    write_site = SITE_CACHE_WRITE
+
     def __init__(self, directory: str | Path, injector: FaultInjector | None = None):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        super().__init__(directory, injector, subdirs=("index",))
         self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.write_errors = 0
-        #: Distinct corrupt files successfully renamed aside.
-        self.quarantined = 0
-        #: Entries removed by :meth:`prune` over this cache's lifetime.
-        self.pruned = 0
         #: Matrix positions whose build key matched the index (no build
         #: needed to key their verdict), whose key was absent or
         #: changed, and whose fresh build contradicted the indexed
@@ -269,8 +256,6 @@ class ResultCache:
         self.index_hits = 0
         self.index_misses = 0
         self.index_stale = 0
-        #: Optional chaos hook (:mod:`repro.core.faults`).
-        self.injector = injector
 
     @staticmethod
     def _platform_fingerprint(tgt: Target) -> str:
@@ -296,18 +281,14 @@ class ResultCache:
     ) -> str:
         """The verdict key of *image* (or its digest) on *tgt*."""
         digest = image if isinstance(image, str) else image.digest()
-        hasher = hashlib.sha256()
-        for part in (
+        return content_key(
             f"schema={CACHE_SCHEMA}",
             digest,
             tgt.name,
             derivative.name,
             self._platform_fingerprint(tgt),
-            str(max_instructions),
-        ):
-            hasher.update(part.encode())
-            hasher.update(b"\0")
-        return hasher.hexdigest()
+            max_instructions,
+        )
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -315,173 +296,33 @@ class ResultCache:
     def _index_path(self, environment: str, derivative: str) -> Path:
         return self.directory / "index" / f"{environment}.{derivative}.json"
 
-    def _quarantine_file(self, path: Path) -> None:
-        """Move a corrupt entry off the hot path (best effort).
-
-        The destination name is unique per quarantine (mkstemp picks
-        the nonce), so a key that corrupts twice sets *two* files
-        aside instead of the second ``os.replace`` silently destroying
-        the first — the forensic evidence of the earlier corruption.
-        """
-        try:
-            fd, destination = tempfile.mkstemp(
-                prefix=f"{path.stem}.", suffix=".corrupt", dir=path.parent
-            )
-            os.close(fd)
-        except OSError:
-            return
-        try:
-            os.replace(path, destination)
-        except OSError:
-            # Another process got there first (shared cache dirs):
-            # drop the placeholder rather than leaving an empty decoy.
-            try:
-                os.unlink(destination)
-            except OSError:
-                pass
-            return
-        self.quarantined += 1
-
     def stats(self) -> dict[str, int]:
-        """Hit/miss/corruption/maintenance counters, one flat dict —
-        the shape the CLI summary and the serving daemon's ``/stats``
-        endpoint expose."""
         return {
+            **super().stats(),
             "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "write_errors": self.write_errors,
-            "pruned": self.pruned,
             "index_hits": self.index_hits,
             "index_misses": self.index_misses,
             "index_stale": self.index_stale,
         }
 
-    def prune(
-        self,
-        max_entries: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-    ) -> int:
-        """Bound the on-disk cache; returns how many files were removed.
-
-        *max_age* (seconds) removes entries (and quarantined files)
-        older than the horizon; *max_entries* then removes the
-        oldest-modified entries beyond the count.  Either bound alone
-        is fine; with neither this is a no-op.  Removal races with
-        concurrent writers are benign: a vanished file is simply
-        skipped, and a just-rewritten entry has a fresh mtime that
-        keeps it.  Build indexes are matrix-sized and never pruned.
-        """
-        removed = 0
-        if max_entries is None and max_age is None:
-            return removed
-        if now is None:
-            now = time.time()
-        entries: list[tuple[float, Path]] = []
-        for path in list(self.directory.glob("*.json")) + list(
-            self.directory.glob("*.corrupt")
-        ):
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            if max_age is not None and now - mtime > max_age:
-                removed += self._remove_file(path)
-            elif path.suffix == ".json":
-                entries.append((mtime, path))
-        if max_entries is not None and len(entries) > max_entries:
-            entries.sort()
-            for _mtime, path in entries[: len(entries) - max_entries]:
-                removed += self._remove_file(path)
-        self.pruned += removed
-        return removed
-
-    def _remove_file(self, path: Path) -> int:
-        try:
-            os.unlink(path)
-        except OSError:
-            return 0
-        return 1
-
-    def _read_verified(
-        self, path: Path, key: str, decode, targeted: bool = False
-    ):
-        """``decode(payload)`` of the checksummed envelope at *path*.
-
-        Corrupt, unreadable or injected-faulty files are counted in
-        :attr:`corrupt`, quarantined aside, and read as ``None``.
-        """
-        try:
-            if self.injector is not None:
-                self.injector.fire(SITE_CACHE_READ, key, targeted)
-            raw = path.read_bytes()
-            if self.injector is not None:
-                raw = self.injector.mangle(SITE_CACHE_READ, key, raw, targeted)
-            body = json.loads(raw)
-            payload_text = body["payload"]
-            checksum = hashlib.sha256(payload_text.encode()).hexdigest()
-            if checksum != body["checksum"]:
-                raise ValueError("cache entry checksum mismatch")
-            return decode(json.loads(payload_text))
-        except Exception:
-            self.corrupt += 1
-            self._quarantine_file(path)
-            return None
-
-    def _write_verified(
-        self, path: Path, key: str, payload_text: str, targeted: bool = False
-    ) -> bool:
-        """Atomically replace *path* with a checksummed envelope around
-        *payload_text*; failures are contained and counted."""
-        body = {
-            "schema": CACHE_SCHEMA,
-            "checksum": hashlib.sha256(payload_text.encode()).hexdigest(),
-            "payload": payload_text,
-        }
-        data = json.dumps(body).encode()
-        try:
-            if self.injector is not None:
-                self.injector.fire(SITE_CACHE_WRITE, key, targeted)
-                data = self.injector.mangle(
-                    SITE_CACHE_WRITE, key, data, targeted
-                )
-            # Unique tmp name: concurrent regressions may share a cache
-            # dir, and a fixed tmp path would let one writer replace
-            # another's half-written file (or race os.replace into
-            # FileNotFoundError).
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            self.write_errors += 1
-            return False
-        return True
-
     def get(self, key: str) -> RunResult | None:
+        if self.disabled:
+            return None
         path = self._path(key)
         if not path.exists():
             self.misses += 1
             return None
-        result = self._read_verified(path, key, result_from_payload)
+        result = self.read_file(path, key, _decode_result)
         if result is not None:
             self.hits += 1
         return result
 
     def put(self, key: str, result: RunResult) -> bool:
+        if self.disabled:
+            return False
         payload_text = json.dumps(result_to_payload(result), sort_keys=True)
-        return self._write_verified(self._path(key), key, payload_text)
+        data = seal(CACHE_SCHEMA, payload_text)
+        return bool(self.write_file(self._path(key), key, data))
 
     # -- build index -------------------------------------------------------
     def load_index(
@@ -490,9 +331,9 @@ class ResultCache:
         """Position -> (build key, image digest) for one (environment,
         derivative); empty when absent, corrupt or of another schema."""
         path = self._index_path(environment, derivative)
-        if not path.exists():
+        if self.disabled or not path.exists():
             return {}
-        index = self._read_verified(
+        index = self.read_file(
             path,
             f"index/{environment}/{derivative}",
             _decode_index,
@@ -506,22 +347,27 @@ class ResultCache:
         derivative: str,
         index: dict[str, tuple[str, str]],
     ) -> bool:
-        path = self._index_path(environment, derivative)
-        try:
-            path.parent.mkdir(exist_ok=True)
-        except OSError:
-            self.write_errors += 1
+        if self.disabled:
             return False
         payload_text = json.dumps(
             {"schema": INDEX_SCHEMA, "positions": index}, sort_keys=True
         )
-        return self._write_verified(
-            path, f"index/{environment}/{derivative}", payload_text,
-            targeted=True,
+        return bool(
+            self.write_file(
+                self._index_path(environment, derivative),
+                f"index/{environment}/{derivative}",
+                seal(CACHE_SCHEMA, payload_text),
+                targeted=True,
+            )
         )
 
 
-def _decode_index(payload: dict) -> dict[str, tuple[str, str]]:
+def _decode_result(raw: bytes) -> RunResult:
+    return result_from_payload(unseal(raw, CACHE_SCHEMA))
+
+
+def _decode_index(raw: bytes) -> dict[str, tuple[str, str]]:
+    payload = unseal(raw, CACHE_SCHEMA)
     if payload.get("schema") != INDEX_SCHEMA:
         return {}
     return {

@@ -15,31 +15,33 @@ whole of that contract:
   on restart (:meth:`pending_jobs`), giving at-least-once semantics —
   re-running an idempotent regression is cheap (the result cache makes
   it nearly free), losing one is not;
-- **corruption is counted, never trusted** — every record rides in the
-  schema-2 :class:`~repro.core.scheduler.ResultCache` envelope style
+- **corruption is counted, never trusted** — every record is one
+  line in the checksummed envelope of :mod:`repro.core.durable`
   (``{"schema", "checksum", "payload"}`` with a SHA-256 over the
   payload text), so torn writes, bit rot and injected
   ``journal-write`` chaos are detected line-by-line on replay,
   counted in :attr:`corrupt_records` and surfaced in ``/stats`` —
   an unreadable accept record degrades to an *explicit* loss report,
-  never a silent one;
+  never a silent one, and its segment is quarantined as evidence;
 - **bounded segments** — records append to ``journal-<n>.ndjson``;
   when a segment fills, the journal *compacts*: still-pending accept
-  records are rewritten into a fresh segment through the atomic
-  tempfile + ``os.replace`` idiom and older segments are deleted, so
-  a long-lived daemon's journal is bounded by its in-flight work, not
+  records are rewritten into a fresh segment (an fsync'd
+  :func:`~repro.core.durable.atomic_write`, a targeted
+  ``journal-write`` occurrence) and older segments are deleted, so a
+  long-lived daemon's journal is bounded by its in-flight work, not
   its uptime.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
-import tempfile
 import threading
 from pathlib import Path
+
+from repro.core.durable import DurableFiles, seal, unseal
+from repro.core.faults import SITE_JOURNAL_WRITE
 
 #: Bump when record semantics change incompatibly.
 JOURNAL_SCHEMA = 1
@@ -55,35 +57,24 @@ class JournalError(RuntimeError):
     """The journal could not durably record an event."""
 
 
-def _envelope(payload_text: str) -> bytes:
-    body = {
-        "schema": JOURNAL_SCHEMA,
-        "checksum": hashlib.sha256(payload_text.encode()).hexdigest(),
-        "payload": payload_text,
-    }
-    return json.dumps(body).encode() + b"\n"
+def _record(kind: str, job_id: str, seq: int, data: dict) -> bytes:
+    """One journal line: a sealed record and its newline."""
+    payload_text = json.dumps(
+        {"kind": kind, "job": job_id, "seq": seq, "data": data},
+        sort_keys=True,
+    )
+    return seal(JOURNAL_SCHEMA, payload_text) + b"\n"
 
 
-def _open_envelope(line: bytes) -> dict | None:
-    """Parse + verify one journal line; ``None`` when corrupt."""
-    try:
-        body = json.loads(line)
-        payload_text = body["payload"]
-        if body["schema"] != JOURNAL_SCHEMA:
-            return None
-        checksum = hashlib.sha256(payload_text.encode()).hexdigest()
-        if checksum != body["checksum"]:
-            return None
-        payload = json.loads(payload_text)
-        if not isinstance(payload, dict) or "kind" not in payload:
-            return None
-        return payload
-    except Exception:
-        return None
+class JobJournal(DurableFiles):
+    """Append-only, checksummed, segment-compacting job journal.
 
+    Unlike the other durable-file owners it cannot degrade: a directory
+    that cannot be created raises :class:`JournalError`, because a
+    daemon must not acknowledge jobs it cannot remember.
+    """
 
-class JobJournal:
-    """Append-only, checksummed, segment-compacting job journal."""
+    write_site = SITE_JOURNAL_WRITE
 
     def __init__(
         self,
@@ -92,16 +83,16 @@ class JobJournal:
         segment_records: int = 256,
         fsync: bool = True,
     ):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        #: Optional :class:`repro.core.faults.FaultInjector` driving
-        #: the ``journal-write`` chaos site.
-        self.injector = injector
+        super().__init__(directory, injector)
+        if self.disabled:
+            raise JournalError(f"cannot create journal directory {directory}")
         self.segment_records = max(1, int(segment_records))
         self.fsync = fsync
         #: job id -> accepted payload dict, in acceptance order.
         self._pending: dict[str, dict] = {}
-        self.corrupt_records = 0
+        #: Segments holding a corrupt record, quarantined (not deleted)
+        #: by the next compaction.
+        self._tainted: set[Path] = set()
         self.replayed_jobs = 0
         self.accepted_jobs = 0
         self.settled_jobs = 0
@@ -133,23 +124,32 @@ class JobJournal:
             try:
                 raw = path.read_bytes()
             except OSError:
-                self.corrupt_records += 1
+                self.corrupt += 1
+                self._tainted.add(path)
                 continue
             for line in raw.splitlines():
                 if not line.strip():
                     continue
-                payload = _open_envelope(line)
-                if payload is None:
-                    self.corrupt_records += 1
+                try:
+                    payload = unseal(line, JOURNAL_SCHEMA)
+                    kind = payload["kind"]
+                    job_id = payload.get("job")
+                except (ValueError, TypeError, KeyError):
+                    self.corrupt += 1
+                    self._tainted.add(path)
                     continue
-                kind = payload.get("kind")
-                job_id = payload.get("job")
                 if kind == KIND_ACCEPTED:
                     self._pending[job_id] = payload.get("data", {})
                 elif kind in (KIND_COMPLETED, KIND_FAILED):
                     self._pending.pop(job_id, None)
         self.replayed_jobs = len(self._pending)
         self._compact()
+
+    @property
+    def corrupt_records(self) -> int:
+        """Journal lines (or unreadable segments) that failed
+        verification on replay."""
+        return self.corrupt
 
     def close(self) -> None:
         with self._lock:
@@ -165,15 +165,11 @@ class JobJournal:
         """One durable record; raises :class:`JournalError` on any
         failure so callers refuse work they cannot remember."""
         self._seq += 1
-        payload_text = json.dumps(
-            {"kind": kind, "job": job_id, "seq": self._seq, "data": data},
-            sort_keys=True,
-        )
-        line = _envelope(payload_text)
+        line = _record(kind, job_id, self._seq, data)
         try:
             if self.injector is not None:
-                self.injector.fire("journal-write", job_id)
-                line = self.injector.mangle("journal-write", job_id, line)
+                self.injector.fire(SITE_JOURNAL_WRITE, job_id)
+                line = self.injector.mangle(SITE_JOURNAL_WRITE, job_id, line)
             if self._handle is None:
                 raise JournalError("journal is closed")
             self._handle.write(line)
@@ -240,50 +236,33 @@ class JobJournal:
 
     def _compact(self) -> None:
         """Rewrite pending records into a fresh segment atomically and
-        drop the history (tempfile + ``os.replace``, so a crash
-        mid-compaction leaves either the old segments or the new one —
-        never a torn journal)."""
+        drop the history (a crash mid-compaction leaves either the old
+        segments or the new one — never a torn journal).  Segments
+        that held corrupt records are quarantined, not deleted."""
         segments = self._segments()
         next_index = (segments[-1][0] + 1) if segments else 0
         path = self._segment_path(next_index)
-        fd, tmp = tempfile.mkstemp(
-            prefix=".journal.", suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                for job_id, data in self._pending.items():
-                    self._seq += 1
-                    payload_text = json.dumps(
-                        {
-                            "kind": KIND_ACCEPTED,
-                            "job": job_id,
-                            "seq": self._seq,
-                            "data": data,
-                        },
-                        sort_keys=True,
-                    )
-                    handle.write(_envelope(payload_text))
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        records = []
+        for job_id, pending in self._pending.items():
+            self._seq += 1
+            records.append(_record(KIND_ACCEPTED, job_id, self._seq, pending))
+        if not self.write_file(
+            path, path.name, b"".join(records), targeted=True, fsync=self.fsync
+        ):
+            raise JournalError("journal compaction write failed")
         if self._handle is not None:
             try:
                 self._handle.close()
             except OSError:
                 pass
         for _index, old in segments:
-            if old != path:
-                try:
-                    os.unlink(old)
-                except OSError:
-                    pass
+            if old in self._tainted and self.quarantine(old):
+                continue
+            try:
+                os.unlink(old)
+            except OSError:
+                pass
+        self._tainted.clear()
         self._handle = open(path, "ab")
         self._segment_index = next_index
         self._records_in_segment = len(self._pending)
@@ -296,7 +275,8 @@ class JobJournal:
                 "accepted": self.accepted_jobs,
                 "settled": self.settled_jobs,
                 "replayed": self.replayed_jobs,
-                "corrupt_records": self.corrupt_records,
+                "corrupt_records": self.corrupt,
+                "quarantined": self.quarantined,
                 "compactions": self.compactions,
                 "compaction_failures": self.compaction_failures,
                 "segment_index": self._segment_index,

@@ -10,22 +10,16 @@ process skips the derivation:
 - **content-addressed** — one file per registry key, named by the
   SHA-256 of the key tuple, so distinct images/regions/wait profiles
   never collide and a shared store directory needs no index;
-- **checksummed envelope** — a JSON header line carrying the schema,
+- **checksummed header** — a JSON header line carrying the schema,
   the registry key and a SHA-256 over the pickled payload, verified on
   *every* read.  Corrupt ≠ miss: a failed verification is counted in
   :attr:`ArtifactStore.corrupt`, the file is renamed aside to a unique
   ``*.corrupt`` name (forensic evidence, off the hot path) and the
   caller re-derives from source — a corrupt artifact is never trusted;
-- **atomic writes** — ``tempfile.mkstemp`` + ``os.replace``, the same
-  idiom as :class:`~repro.core.scheduler.ResultCache`, so concurrent
-  fleet workers sharing a store directory can never observe a torn
-  snapshot;
-- **contained** — every operation degrades instead of raising: an
-  unavailable store root disables the store (counted), a failed write
-  is a cold next start, a failed read is a cold build.  The regression
-  itself never fails because its accelerator store is broken;
-- **bounded** — :meth:`ArtifactStore.prune` applies the familiar
-  max-entries/max-age policy over artifacts and quarantined evidence.
+- **atomic, contained, bounded** — the rules of
+  :mod:`repro.core.durable`: fleet workers sharing a store never see a
+  torn snapshot, a broken store degrades the run to cold starts and
+  never fails it, and :meth:`ArtifactStore.prune` bounds the directory.
 
 What a snapshot contains — and what it deliberately drops
 ---------------------------------------------------------
@@ -55,18 +49,15 @@ heat would permanently disable recompilation for that head).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
-import os
 import pickle
 import sys
-import tempfile
 import threading
-import time
 import types
 from pathlib import Path
 
+from repro.core.durable import DurableFiles, checksum, content_key
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
 from repro.isa import decodecache as _decodecache
 from repro.isa.decodecache import DecodeCache
@@ -209,81 +200,33 @@ def _cache_stamp(cache: DecodeCache) -> tuple[int, int, int]:
 
 
 # --------------------------------------------------------------------------
-# shared quarantine idiom
-# --------------------------------------------------------------------------
-
-def quarantine_aside(path: Path, directory: Path) -> bool:
-    """Rename a corrupt file to a unique ``*.corrupt`` name (mkstemp
-    picks the nonce, so repeated corruption preserves every piece of
-    evidence).  Best effort; returns whether a file was set aside."""
-    try:
-        fd, destination = tempfile.mkstemp(
-            prefix=f"{path.stem}.", suffix=".corrupt", dir=directory
-        )
-        os.close(fd)
-    except OSError:
-        return False
-    try:
-        os.replace(path, destination)
-    except OSError:
-        # Another process quarantined (or removed) it first: drop the
-        # placeholder rather than leaving an empty decoy.
-        try:
-            os.unlink(destination)
-        except OSError:
-            pass
-        return False
-    return True
-
-
-# --------------------------------------------------------------------------
 # the store
 # --------------------------------------------------------------------------
 
-class ArtifactStore:
-    """Content-addressed, checksummed, prunable artifact directory.
+class ArtifactStore(DurableFiles):
+    """Content-addressed, checksummed, prunable artifact directory."""
 
-    Construction never raises: a root that cannot be created (missing
-    volume, permission, a *file* squatting on the path) marks the store
-    :attr:`disabled` and every operation becomes a counted no-op — the
-    run degrades to local-only cold starts, it does not fail.
-    """
+    read_site = SITE_STORE_READ
+    write_site = SITE_STORE_WRITE
+    suffix = ".art"
 
     def __init__(self, directory: str | Path, injector=None):
-        self.directory = Path(directory)
-        #: Optional :class:`repro.core.faults.FaultInjector` driving
-        #: the ``store-read``/``store-write`` chaos sites.
-        self.injector = injector
-        self.disabled = False
+        super().__init__(directory, injector)
         self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        #: Distinct corrupt files successfully renamed aside.
-        self.quarantined = 0
-        self.write_errors = 0
         self.saved = 0
         #: Saves skipped because the stamp says the snapshot on disk is
         #: already current.
         self.unchanged = 0
-        self.pruned = 0
         #: file stem -> stamp of the snapshot known to be on disk.
         self._stamps: dict[str, tuple] = {}
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            self.disabled = True
 
     # -- naming ------------------------------------------------------------
     @staticmethod
     def _stem(kind: str, key: tuple) -> str:
-        hasher = hashlib.sha256()
-        for part in key:
-            hasher.update(str(part).encode())
-            hasher.update(b"\0")
-        return f"{kind}-{hasher.hexdigest()}"
+        return f"{kind}-{content_key(*key)}"
 
     def _path(self, stem: str) -> Path:
-        return self.directory / f"{stem}.art"
+        return self.directory / f"{stem}{self.suffix}"
 
     # -- decode-cache artifacts --------------------------------------------
     def save_decode_cache(self, key: tuple, cache: DecodeCache) -> bool:
@@ -309,63 +252,17 @@ class ArtifactStore:
                 "schema": STORE_SCHEMA,
                 "kind": _KIND_DECODE,
                 "key": list(key),
-                "checksum": hashlib.sha256(payload).hexdigest(),
+                "checksum": checksum(payload),
             },
             sort_keys=True,
         ).encode()
-        data = header + b"\n" + payload
-        path = self._path(stem)
-        try:
-            if self.injector is not None:
-                self.injector.fire(SITE_STORE_WRITE, stem)
-                data = self.injector.mangle(SITE_STORE_WRITE, stem, data)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{stem}.", suffix=".tmp", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            self.write_errors += 1
+        if not self.write_file(
+            self._path(stem), stem, header + b"\n" + payload
+        ):
             return False
         self._stamps[stem] = stamp
         self.saved += 1
         return True
-
-    def _read_artifact(
-        self, path: Path, stem: str
-    ) -> tuple[dict, DecodeCache] | None:
-        """Read + verify + restore one artifact file; quarantines and
-        returns ``None`` on any failure (corrupt ≠ miss)."""
-        try:
-            if self.injector is not None:
-                self.injector.fire(SITE_STORE_READ, stem)
-            raw = path.read_bytes()
-            if self.injector is not None:
-                raw = self.injector.mangle(SITE_STORE_READ, stem, raw)
-            header_line, payload = raw.split(b"\n", 1)
-            header = json.loads(header_line)
-            if header["schema"] != STORE_SCHEMA:
-                raise ValueError("artifact schema mismatch")
-            if header["kind"] != _KIND_DECODE:
-                raise ValueError("artifact kind mismatch")
-            checksum = hashlib.sha256(payload).hexdigest()
-            if checksum != header["checksum"]:
-                raise ValueError("artifact checksum mismatch")
-            cache = restore_decode_cache(payload)
-        except Exception:
-            self.corrupt += 1
-            if quarantine_aside(path, self.directory):
-                self.quarantined += 1
-            return None
-        return header, cache
 
     def load_decode_cache(self, key: tuple) -> DecodeCache | None:
         """The restored cache for *key*, or ``None`` (miss or counted
@@ -377,17 +274,12 @@ class ArtifactStore:
         if not path.exists():
             self.misses += 1
             return None
-        loaded = self._read_artifact(path, stem)
+        loaded = self.read_file(
+            path, stem, lambda raw: _decode_artifact(raw, tuple(key))
+        )
         if loaded is None:
             return None
-        header, cache = loaded
-        if tuple(header.get("key", ())) != tuple(key):
-            # A content-addressed name that disagrees with its own
-            # header is corruption by definition.
-            self.corrupt += 1
-            if quarantine_aside(path, self.directory):
-                self.quarantined += 1
-            return None
+        _key, cache = loaded
         self.hits += 1
         self._stamps[stem] = _cache_stamp(cache)
         return cache
@@ -400,17 +292,11 @@ class ArtifactStore:
             return 0
         installed = 0
         for path in sorted(self.directory.glob(f"{_KIND_DECODE}-*.art")):
-            stem = path.name.removesuffix(".art")
-            loaded = self._read_artifact(path, stem)
+            stem = path.name.removesuffix(self.suffix)
+            loaded = self.read_file(path, stem, _decode_artifact)
             if loaded is None:
                 continue
-            header, cache = loaded
-            key = tuple(header.get("key", ()))
-            if len(key) != 4:
-                self.corrupt += 1
-                if quarantine_aside(path, self.directory):
-                    self.quarantined += 1
-                continue
+            key, cache = loaded
             _decodecache.install_cache(key, cache)
             self._stamps[stem] = _cache_stamp(cache)
             self.hits += 1
@@ -418,59 +304,36 @@ class ArtifactStore:
         return installed
 
     # -- maintenance -------------------------------------------------------
-    def prune(
-        self,
-        max_entries: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-    ) -> int:
-        """Bound the store directory; returns how many files were
-        removed.  *max_age* reaps artifacts and quarantined evidence
-        past the horizon; *max_entries* then drops the oldest-modified
-        artifacts beyond the count (evidence is never entry-bounded)."""
-        removed = 0
-        if self.disabled or (max_entries is None and max_age is None):
-            return removed
-        if now is None:
-            now = time.time()
-        entries: list[tuple[float, Path]] = []
-        for path in list(self.directory.glob("*.art")) + list(
-            self.directory.glob("*.corrupt")
-        ):
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            if max_age is not None and now - mtime > max_age:
-                removed += self._remove_file(path)
-            elif path.suffix == ".art":
-                entries.append((mtime, path))
-        if max_entries is not None and len(entries) > max_entries:
-            entries.sort()
-            for _mtime, path in entries[: len(entries) - max_entries]:
-                removed += self._remove_file(path)
-        self.pruned += removed
-        return removed
-
-    def _remove_file(self, path: Path) -> int:
-        try:
-            os.unlink(path)
-        except OSError:
-            return 0
-        self._stamps.pop(path.name.removesuffix(".art"), None)
-        return 1
+    def _remove(self, path: Path) -> int:
+        self._stamps.pop(path.name.removesuffix(self.suffix), None)
+        return super()._remove(path)
 
     def stats(self) -> dict[str, int]:
-        """Flat counters, the shape CLI summaries and ``/stats``
-        expose."""
         return {
-            "disabled": int(self.disabled),
+            **super().stats(),
             "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "write_errors": self.write_errors,
             "saved": self.saved,
             "unchanged": self.unchanged,
-            "pruned": self.pruned,
         }
+
+
+def _decode_artifact(
+    raw: bytes, key: tuple | None = None
+) -> tuple[tuple, DecodeCache]:
+    """Verify one artifact file and restore its cache; returns
+    ``(registry key, cache)``.  Raises on any mismatch, including a
+    header key that disagrees with *key* (or, without one, is not a
+    registry key): a content-addressed name that disagrees with its own
+    header is corruption by definition."""
+    header_line, payload = raw.split(b"\n", 1)
+    header = json.loads(header_line)
+    if header["schema"] != STORE_SCHEMA:
+        raise ValueError("artifact schema mismatch")
+    if header["kind"] != _KIND_DECODE:
+        raise ValueError("artifact kind mismatch")
+    if checksum(payload) != header["checksum"]:
+        raise ValueError("artifact checksum mismatch")
+    stored = tuple(header.get("key", ()))
+    if len(stored) != 4 or key not in (None, stored):
+        raise ValueError("artifact key mismatch")
+    return stored, restore_decode_cache(payload)

@@ -17,15 +17,17 @@ built from three ordinary-filesystem primitives and one invariant:
   and confirm the nonce survived.  SIGKILLed workers therefore delay
   their cells by at most one TTL, never strand them;
 - **idempotent first-writer-wins publication** — results are written
-  to a temp file and ``os.link``ed to ``results/<key>.json``: the
-  first publisher wins atomically, later publishers count a
+  to a temp file and ``os.link``ed to ``results/<key>.json`` (the
+  *exclusive* :func:`~repro.core.durable.atomic_write`): the first
+  publisher wins atomically, later publishers count a
   ``duplicate`` and adopt the published verdict.  Steal races and
   double executions are therefore *benign*: at-least-once execution,
   exactly-once accounting;
 - **corruption is re-derived, never trusted** — published results ride
-  the schema-checksummed envelope; a result that fails verification is
-  quarantined aside (counted) and its cell returns to the claimable
-  pool, so the matrix re-derives the verdict from source.
+  the checksummed envelope of :mod:`repro.core.durable`; a result that
+  fails verification is quarantined aside (counted) and its cell
+  returns to the claimable pool, so the matrix re-derives the verdict
+  from source.
 
 Every operation is contained: an unavailable work-list root marks the
 list :attr:`WorkList.disabled` and the scheduler degrades to ordinary
@@ -36,35 +38,32 @@ local execution.  Chaos sites: ``store-read`` (fetch), ``store-write``
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 
+from repro.core.durable import (
+    DurableFiles,
+    atomic_write,
+    content_key,
+    seal,
+    unseal,
+)
 from repro.core.faults import (
     SITE_LEASE_RENEW,
     SITE_STORE_READ,
     SITE_STORE_WRITE,
 )
-from repro.store.artifacts import quarantine_aside
 
 #: Bump when the published-result envelope changes incompatibly.
 WORKLIST_SCHEMA = 1
 
 
-def cell_key(*parts) -> str:
-    """Deterministic cell identity: the SHA-256 over the stringified
-    parts (environment, cell, derivative, target, image digest, run
-    bounds).  Every fleet worker derives the same key from the same
-    work-list entry, with no coordination."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(str(part).encode())
-        hasher.update(b"\0")
-    return hasher.hexdigest()
+#: Cell identity: the content key of (environment, cell, derivative,
+#: target, image digest, run bounds), derived alike by every worker.
+cell_key = content_key
 
 
 class Lease:
@@ -88,12 +87,11 @@ class Lease:
         self.lost = False
 
 
-class WorkList:
-    """Lease/steal/publish protocol over one shared directory.
+class WorkList(DurableFiles):
+    """Lease/steal/publish protocol over one shared directory."""
 
-    Construction never raises: an uncreatable root marks the list
-    :attr:`disabled` (counted by the caller as local-only degradation).
-    """
+    read_site = SITE_STORE_READ
+    write_site = SITE_STORE_WRITE
 
     def __init__(
         self,
@@ -103,15 +101,12 @@ class WorkList:
         injector=None,
         clock=time.time,
     ):
-        self.directory = Path(directory)
+        super().__init__(directory, injector, subdirs=("leases", "results"))
         self.owner = owner or f"pid{os.getpid()}-{os.urandom(3).hex()}"
         self.lease_ttl = max(0.05, float(lease_ttl))
-        #: Optional :class:`repro.core.faults.FaultInjector`.
-        self.injector = injector
         #: Wall clock on purpose: expiries must compare across
         #: processes, which a per-process monotonic clock cannot.
         self._clock = clock
-        self.disabled = False
         self.claimed = 0
         self.stolen = 0
         self.released = 0
@@ -121,14 +116,6 @@ class WorkList:
         self.published = 0
         self.duplicates = 0
         self.fetched = 0
-        self.corrupt = 0
-        self.quarantined = 0
-        self.write_errors = 0
-        try:
-            (self.directory / "leases").mkdir(parents=True, exist_ok=True)
-            (self.directory / "results").mkdir(parents=True, exist_ok=True)
-        except OSError:
-            self.disabled = True
 
     # -- paths -------------------------------------------------------------
     def _lease_path(self, key: str) -> Path:
@@ -149,21 +136,6 @@ class WorkList:
             return None
         return record
 
-    def _write_lease_record(self, path: Path, record: dict) -> None:
-        fd, tmp = tempfile.mkstemp(
-            prefix=".lease.", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(record, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- claims ------------------------------------------------------------
     def claim(self, key: str) -> Lease | None:
         """Try to claim *key*; returns a :class:`Lease` or ``None``
@@ -182,6 +154,7 @@ class WorkList:
         nonce = os.urandom(8).hex()
         expires = self._clock() + self.lease_ttl
         record = {"owner": self.owner, "nonce": nonce, "expires": expires}
+        data = json.dumps(record, sort_keys=True).encode()
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -192,7 +165,7 @@ class WorkList:
             ):
                 return None  # held by a live worker
             try:
-                self._write_lease_record(path, record)
+                atomic_write(path, data)
             except OSError:
                 self.claim_errors += 1
                 return None
@@ -205,8 +178,8 @@ class WorkList:
             self.claim_errors += 1
             return None
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(record, sort_keys=True))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
         except OSError:
             self.claim_errors += 1
             return None
@@ -228,14 +201,10 @@ class WorkList:
             if current is None or current.get("nonce") != lease.nonce:
                 raise PermissionError("lease ownership lost")
             expires = self._clock() + self.lease_ttl
-            self._write_lease_record(
-                path,
-                {
-                    "owner": self.owner,
-                    "nonce": lease.nonce,
-                    "expires": expires,
-                },
-            )
+            record = {
+                "owner": self.owner, "nonce": lease.nonce, "expires": expires
+            }
+            atomic_write(path, json.dumps(record, sort_keys=True).encode())
         except Exception:
             lease.lost = True
             self.lease_lost += 1
@@ -288,73 +257,37 @@ class WorkList:
         neither raises."""
         if self.disabled:
             return False
-        payload_text = json.dumps(payload, sort_keys=True)
-        body = {
-            "schema": WORKLIST_SCHEMA,
-            "checksum": hashlib.sha256(payload_text.encode()).hexdigest(),
-            "payload": payload_text,
-        }
-        data = json.dumps(body).encode()
-        path = self._result_path(key)
-        try:
-            if self.injector is not None:
-                self.injector.fire(SITE_STORE_WRITE, key)
-                data = self.injector.mangle(SITE_STORE_WRITE, key, data)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:16]}.", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                try:
-                    # Hard link = atomic create-exclusive publication:
-                    # os.replace would let a late duplicate clobber the
-                    # canonical result other workers already adopted.
-                    os.link(tmp, path)
-                except FileExistsError:
-                    self.duplicates += 1
-                    return False
-            finally:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        except Exception:
-            self.write_errors += 1
+        # Exclusive (hard-link) publication: a rename would let a late
+        # duplicate clobber the canonical result other workers adopted.
+        published = self.write_file(
+            self._result_path(key),
+            key,
+            seal(WORKLIST_SCHEMA, json.dumps(payload, sort_keys=True)),
+            exclusive=True,
+        )
+        if published is None:
+            return False
+        if not published:
+            self.duplicates += 1
             return False
         self.published += 1
         return True
 
     def fetch(self, key: str) -> dict | None:
         """The published payload for *key*, or ``None`` (not published
-        yet, or counted-and-quarantined corruption).  Never raises."""
+        yet, or counted-and-quarantined corruption, after which the
+        cell re-enters the claimable pool and is re-derived from
+        source).  Never raises."""
         if self.disabled:
             return None
         path = self._result_path(key)
         if not path.exists():
             return None
-        try:
-            if self.injector is not None:
-                self.injector.fire(SITE_STORE_READ, key)
-            raw = path.read_bytes()
-            if self.injector is not None:
-                raw = self.injector.mangle(SITE_STORE_READ, key, raw)
-            body = json.loads(raw)
-            if body["schema"] != WORKLIST_SCHEMA:
-                raise ValueError("work-list schema mismatch")
-            payload_text = body["payload"]
-            checksum = hashlib.sha256(payload_text.encode()).hexdigest()
-            if checksum != body["checksum"]:
-                raise ValueError("work-list result checksum mismatch")
-            payload = json.loads(payload_text)
-        except Exception:
-            # Corrupt: quarantine aside so the cell re-enters the
-            # claimable pool and is re-derived from source.
-            self.corrupt += 1
-            if quarantine_aside(path, path.parent):
-                self.quarantined += 1
-            return None
-        self.fetched += 1
+        payload = self.read_file(
+            path, key, lambda raw: unseal(raw, WORKLIST_SCHEMA)
+        )
+        if payload is not None:
+            self.fetched += 1
         return payload
 
     def stats(self) -> dict[str, int]:

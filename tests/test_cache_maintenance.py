@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro import cli
+from repro.core.durable import quarantine_aside
 from repro.core.scheduler import ResultCache
 from repro.core.system_env import make_default_system
 from repro.core.workspace import write_system_environment
@@ -55,10 +56,8 @@ class TestQuarantine:
         """If the corrupt file vanished (another process quarantined it
         first), no placeholder may survive to be mistaken for
         evidence."""
-        cache = ResultCache(tmp_path)
-        cache._quarantine_file(tmp_path / "vanished.json")
+        assert quarantine_aside(tmp_path / "vanished.json") is False
         assert list(tmp_path.iterdir()) == []
-        assert cache.quarantined == 0
 
 
 # --------------------------------------------------------------------------

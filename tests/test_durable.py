@@ -1,0 +1,439 @@
+"""The durable-file contract (:mod:`repro.core.durable`), once per owner.
+
+Four objects keep regression state on disk: the result cache, the
+artifact store, the fleet work-list's published results and the
+serving daemon's job journal (whose atomic write is compaction).  They
+share one envelope, one atomic write, one quarantine and one
+containment policy, so the same checks run against each of them:
+
+- an injected write fault (raise, mangle, or a failed rename) leaves
+  no temp file behind;
+- a torn file is counted once and quarantined under a unique name;
+- a quarantine that loses the race to a peer leaves no empty decoy;
+- a file that a peer removes mid-read is a miss, not corruption.
+
+The golden-bytes tests pin the on-disk formats: caches, stores,
+work-lists and journals written before the formats were shared must
+stay readable, so every owner must still write the same bytes.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from repro import cli
+from repro.core.durable import atomic_write, quarantine_aside, seal, unseal
+from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.core.scheduler import CACHE_SCHEMA, ResultCache
+from repro.core.system_env import make_default_system
+from repro.core.workspace import write_system_environment
+from repro.isa.decodecache import DecodeCache
+from repro.platforms.base import RunResult, RunStatus
+from repro.service.journal import JobJournal, JournalError
+from repro.store import artifacts
+from repro.store.artifacts import ArtifactStore
+from repro.store.worklist import WorkList
+
+
+def make_result(cycles: int = 7) -> RunResult:
+    return RunResult(
+        platform="golden", derivative="sc88a", status=RunStatus.PASS,
+        cycles=cycles,
+    )
+
+
+def make_decode_cache() -> DecodeCache:
+    """A decode cache over 16 zero bytes (NOPs) with one entry."""
+    image = SimpleNamespace(
+        segments=[SimpleNamespace(base=0, end=16, data=bytes(16))]
+    )
+    cache = DecodeCache(image, 0, 16)
+    cache.get(0)
+    return cache
+
+
+def temp_files(directory: Path) -> list[Path]:
+    return [p for p in directory.rglob("*") if p.name.endswith(".tmp")]
+
+
+def evidence(directory: Path) -> list[Path]:
+    return list(directory.rglob("*.corrupt"))
+
+
+# --------------------------------------------------------------------------
+# one adapter per owner: a numbered write, the file it made, a read back
+# --------------------------------------------------------------------------
+
+class CacheOwner:
+    write_match = None
+
+    def __init__(self, directory: Path, injector=None):
+        self.directory = directory
+        self.owner = ResultCache(directory, injector)
+
+    def write(self, n: int) -> None:
+        self.owner.put(f"key{n}", make_result(n))
+
+    def entry(self, n: int) -> Path:
+        return self.directory / f"key{n}.json"
+
+    def read(self, n: int):
+        return self.owner.get(f"key{n}")
+
+    def counts(self) -> tuple[int, int]:
+        return self.owner.corrupt, self.owner.quarantined
+
+    def close(self) -> None:
+        pass
+
+
+class StoreOwner(CacheOwner):
+    def __init__(self, directory: Path, injector=None):
+        self.directory = directory
+        self.owner = ArtifactStore(directory, injector)
+
+    @staticmethod
+    def key(n: int) -> tuple:
+        return (f"{n:064x}", 0, 16, 0)
+
+    def write(self, n: int) -> None:
+        self.owner.save_decode_cache(self.key(n), make_decode_cache())
+
+    def entry(self, n: int) -> Path:
+        return self.owner._path(self.owner._stem("decode", self.key(n)))
+
+    def read(self, n: int):
+        return self.owner.load_decode_cache(self.key(n))
+
+
+class WorkListOwner(CacheOwner):
+    def __init__(self, directory: Path, injector=None):
+        self.directory = directory
+        self.owner = WorkList(directory, injector=injector)
+
+    def write(self, n: int) -> None:
+        self.owner.publish(f"cell{n}", {"verdict": n})
+
+    def entry(self, n: int) -> Path:
+        return self.directory / "results" / f"cell{n}.json"
+
+    def read(self, n: int):
+        return self.owner.fetch(f"cell{n}")
+
+
+class JournalOwner:
+    """The journal's durable-file write is compaction; its read is the
+    replay a restarted journal performs.  One record per segment makes
+    every accept compact."""
+
+    # Compactions are targeted occurrences of the journal-write site.
+    write_match = "journal-"
+
+    def __init__(self, directory: Path, injector=None):
+        self.directory = directory
+        self.owner = self._open(injector)
+        self.corrupt = self.quarantined = 0
+
+    def _open(self, injector=None) -> JobJournal:
+        return JobJournal(
+            self.directory, injector, segment_records=1, fsync=False
+        )
+
+    def write(self, n: int) -> None:
+        self.owner.accept(f"job-{n}", {"n": n})
+
+    def entry(self, n: int) -> Path:
+        return max(self.directory.glob("journal-*.ndjson"))
+
+    def read(self, n: int):
+        self.owner.close()
+        self.owner = self._open()
+        self.corrupt += self.owner.corrupt
+        self.quarantined += self.owner.quarantined
+        return dict(self.owner.pending_jobs()).get(f"job-{n}")
+
+    def counts(self) -> tuple[int, int]:
+        return self.corrupt, self.quarantined
+
+    def close(self) -> None:
+        self.owner.close()
+
+
+OWNERS = {
+    "result-cache": CacheOwner,
+    "artifact-store": StoreOwner,
+    "worklist": WorkListOwner,
+    "journal": JournalOwner,
+}
+
+
+@pytest.fixture(params=sorted(OWNERS))
+def owner(request, tmp_path):
+    owner = OWNERS[request.param](tmp_path)
+    yield owner
+    owner.close()
+
+
+def write_site_plan(owner, action: str) -> FaultInjector:
+    spec = FaultSpec(
+        site=type(owner.owner).write_site,
+        action=action,
+        match=owner.write_match,
+    )
+    return FaultInjector(FaultPlan(seed=3, specs=[spec]))
+
+
+# --------------------------------------------------------------------------
+# the contract
+# --------------------------------------------------------------------------
+
+class TestContract:
+    def test_injected_write_raise_leaves_no_temp_file(
+        self, tmp_path, owner
+    ):
+        owner.owner.injector = write_site_plan(owner, "raise")
+        owner.write(0)
+        assert owner.owner.write_errors == 1
+        assert temp_files(tmp_path) == []
+
+    def test_injected_mangle_leaves_no_temp_file(self, tmp_path, owner):
+        owner.owner.injector = write_site_plan(owner, "corrupt")
+        owner.write(0)
+        assert owner.owner.injector.fired
+        assert temp_files(tmp_path) == []
+        # The mangled file is written, then caught on read.
+        owner.owner.injector = None
+        assert owner.read(0) is None
+        assert owner.counts()[0] >= 1
+
+    def test_failed_rename_leaves_no_temp_file(
+        self, tmp_path, owner, monkeypatch
+    ):
+
+        def fail(*_args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        monkeypatch.setattr(os, "link", fail)
+        owner.write(0)
+        assert owner.owner.write_errors == 1
+        assert temp_files(tmp_path) == []
+
+    def test_torn_file_counted_once_and_quarantined_uniquely(
+        self, tmp_path, owner
+    ):
+        kept: set[str] = set()
+        for n in range(2):
+            owner.write(n)
+            path = owner.entry(n)
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+            assert owner.read(n) is None
+            assert owner.read(n) is None  # evidence is off the hot path
+            assert owner.counts() == (n + 1, n + 1)
+            (added,) = {p.name for p in evidence(tmp_path)} - kept
+            assert added.startswith(f"{path.stem}.")
+            kept.add(added)
+
+    def test_lost_quarantine_race_leaves_no_decoy(
+        self, tmp_path, owner, monkeypatch
+    ):
+        owner.write(0)
+        target = owner.entry(0)
+        real_read = Path.read_bytes
+
+        def read_then_lose_race(path):
+            if path == target:
+                # A peer quarantines the file right after this read.
+                real_read(path)
+                path.unlink()
+                return b"rot"
+            return real_read(path)
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_lose_race)
+        assert owner.read(0) is None
+        assert owner.counts() == (1, 0)
+        assert evidence(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "owner_name", ["artifact-store", "result-cache", "worklist"]
+)
+def test_file_vanishing_mid_read_is_a_miss(tmp_path, monkeypatch, owner_name):
+    """A peer's quarantine or prune may remove a file between the
+    existence check and the read: that is a miss, not corruption."""
+    owner = OWNERS[owner_name](tmp_path)
+    owner.write(0)
+    target = owner.entry(0)
+    real_read = Path.read_bytes
+
+    def vanish(path):
+        if path == target:
+            path.unlink()
+        return real_read(path)
+
+    monkeypatch.setattr(Path, "read_bytes", vanish)
+    assert owner.read(0) is None
+    assert owner.counts() == (0, 0)
+    assert owner.owner.misses == 1
+
+
+# --------------------------------------------------------------------------
+# an uncreatable directory
+# --------------------------------------------------------------------------
+
+class TestUnavailableDirectory:
+    @pytest.fixture
+    def squatter(self, tmp_path) -> Path:
+        path = tmp_path / "state"
+        path.write_text("a file where a directory should be")
+        return path
+
+    def test_result_cache_degrades_to_no_ops(self, squatter):
+        cache = ResultCache(squatter)
+        assert cache.disabled
+        key = "k" * 64
+        assert cache.put(key, make_result()) is False
+        assert cache.get(key) is None
+        assert cache.save_index("NVM", "sc88a", {"p": ("b", "d")}) is False
+        assert cache.load_index("NVM", "sc88a") == {}
+        assert cache.prune(max_entries=0) == 0
+        stats = cache.stats()
+        assert stats["disabled"] == 1
+        assert stats["write_errors"] == stats["misses"] == 0
+
+    def test_journal_refuses_to_start(self, squatter):
+        with pytest.raises(JournalError):
+            JobJournal(squatter)
+
+    def test_regress_with_uncreatable_cache_dir_completes(
+        self, tmp_path, squatter, capsys
+    ):
+        workspace = write_system_environment(
+            make_default_system(nvm_tests=1, uart_tests=0),
+            tmp_path / "ws",
+        )
+        code = cli.main([
+            "regress", str(workspace), "NVM", "--targets", "golden,rtl",
+            "--cache-dir", str(squatter),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "2/2 runs ok" in out
+        stats = dict(
+            pair.split("=")
+            for pair in out.split("cache-stats: ", 1)[1].split()
+        )
+        assert stats["disabled"] == "1"
+        assert stats["write_errors"] == "0"
+
+
+# --------------------------------------------------------------------------
+# the on-disk formats did not change
+# --------------------------------------------------------------------------
+
+GOLDEN_VERDICT = (
+    b'{"schema": 2, "checksum": "78c16361de613a00fe2c0ba659c16948e42598ed8'
+    b'c9df7e72016b50fa59f440c", "payload": "{\\"cycles\\": 7, \\"derivative'
+    b'\\": \\"sc88a\\", \\"done_pin\\": null, \\"fault_reason\\": null, \\"'
+    b'instructions\\": 0, \\"pass_pin\\": null, \\"platform\\": \\"golden\\"'
+    b', \\"registers\\": null, \\"result_word\\": null, \\"signature\\": nul'
+    b'l, \\"status\\": \\"pass\\", \\"trace\\": null, \\"uart_output\\": nul'
+    b'l}"}'
+)
+
+GOLDEN_ARTIFACT = (
+    b'{"checksum": "16a0eeb0791b6c92451fd284dd9f599e0a7dbe7f6ebea6e2d2d06c7f'
+    b'74aec112", "key": ["' + b"d" * 64 + b'", 0, 16, 0], "kind": "decode",'
+    b' "schema": 1}\nsnapshot'
+)
+
+GOLDEN_RESULT = (
+    b'{"schema": 1, "checksum": "4f3e24804a32b979e09cf184cd3a3369a98729df51'
+    b'bd0d8ccd89cad4e831d8c4", "payload": "{\\"cycles\\": 7, \\"status\\": '
+    b'\\"pass\\"}"}'
+)
+
+GOLDEN_JOURNAL = (
+    b'{"schema": 1, "checksum": "1890fe443b79514578f153c74e1168b7e4f5b7cf95'
+    b'4bdfe515fee8b87416dc9f", "payload": "{\\"data\\": {\\"name\\": \\"pac'
+    b'k\\"}, \\"job\\": \\"job-000001\\", \\"kind\\": \\"accepted\\", \\"se'
+    b'q\\": 1}"}\n'
+)
+
+
+class TestGoldenBytes:
+    def test_seal_and_result_cache_entry(self, tmp_path):
+        payload = json.loads(json.loads(GOLDEN_VERDICT)["payload"])
+        text = json.dumps(payload, sort_keys=True)
+        assert seal(CACHE_SCHEMA, text) == GOLDEN_VERDICT
+        assert unseal(GOLDEN_VERDICT, CACHE_SCHEMA) == payload
+        cache = ResultCache(tmp_path)
+        cache.put("k1", make_result(7))
+        assert (tmp_path / "k1.json").read_bytes() == GOLDEN_VERDICT
+
+    def test_artifact_header(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            artifacts, "snapshot_decode_cache", lambda cache: b"snapshot"
+        )
+        store = ArtifactStore(tmp_path)
+        key = ("d" * 64, 0, 16, 0)
+        assert store.save_decode_cache(key, make_decode_cache())
+        path = store._path(store._stem("decode", key))
+        assert path.read_bytes() == GOLDEN_ARTIFACT
+
+    def test_worklist_result_and_journal_record(self, tmp_path):
+        worklist = WorkList(tmp_path / "wl")
+        assert worklist.publish("c" * 64, {"status": "pass", "cycles": 7})
+        published = tmp_path / "wl" / "results" / ("c" * 64 + ".json")
+        assert published.read_bytes() == GOLDEN_RESULT
+        journal = JobJournal(tmp_path / "journal", fsync=False)
+        journal.accept("job-000001", {"name": "pack"})
+        journal.close()
+        segment = next((tmp_path / "journal").glob("journal-*.ndjson"))
+        assert segment.read_bytes() == GOLDEN_JOURNAL
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"rot",
+            b"[]",
+            b'{"schema": 2}',
+            GOLDEN_VERDICT.replace(b'"schema": 2', b'"schema": 3'),
+            GOLDEN_VERDICT.replace(b"78c1", b"78c2"),
+            GOLDEN_VERDICT.replace(b"golden", b"silver"),
+        ],
+        ids=[
+            "not-json", "not-object", "no-payload", "other-schema",
+            "bad-checksum", "edited-payload",
+        ],
+    )
+    def test_unseal_rejects_anything_but_an_intact_envelope(self, raw):
+        with pytest.raises(ValueError):
+            unseal(raw, CACHE_SCHEMA)
+
+
+class TestPrimitives:
+    def test_exclusive_write_keeps_the_first(self, tmp_path):
+        path = tmp_path / "result.json"
+        assert atomic_write(path, b"first", exclusive=True) is True
+        assert atomic_write(path, b"second", exclusive=True) is False
+        assert path.read_bytes() == b"first"
+        assert atomic_write(path, b"third") is True
+        assert path.read_bytes() == b"third"
+        assert temp_files(tmp_path) == []
+
+    def test_quarantine_names_are_unique(self, tmp_path):
+        for round_index in range(2):
+            path = tmp_path / "entry.json"
+            path.write_bytes(b"rot %d" % round_index)
+            assert quarantine_aside(path) is True
+            assert not path.exists()
+        names = [p.name for p in evidence(tmp_path)]
+        assert len(set(names)) == 2
+        assert all(name.startswith("entry.") for name in names)

@@ -245,7 +245,10 @@ class TestRegressCli:
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "cache-stats: corrupt=0 hits=0 index_hits=0 index_misses=2" in out
+        assert (
+            "cache-stats: corrupt=0 disabled=0 hits=0 index_hits=0 "
+            "index_misses=2" in out
+        )
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "index_hits=2 index_misses=0 index_stale=0" in out
