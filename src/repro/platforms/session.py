@@ -11,7 +11,11 @@ phases a lab bench actually has — *reset*, *run*, *observe* — over one
 long-lived device:
 
 - ``reset``: :meth:`SystemOnChip.full_reset` restores the
-  just-constructed state (peripherals, RAM, ROM, NVM) between images;
+  just-constructed state (peripherals, RAM, ROM, NVM) between images,
+  paying for what the last run touched: ROM is restored by the extents
+  its image loads wrote, and the bus page table is kept unless a
+  mapping changed (``reset_full`` / ``dispatch_rebuilds`` in
+  :meth:`ExecutionSession.stats` count the exceptions);
 - ``run``: load an image, attach the shared predecode cache for its ROM,
   and execute to HALT/timeout/fault exactly as ``Platform.run`` did;
 - ``observe``: the platform's ``judge``/``collect`` hooks derive the
@@ -192,6 +196,12 @@ class ExecutionSession:
         self.batch_lanes = 0
         self.batch_steps = 0
         self.peel_events = 0
+        #: Device resets that prepared the most recent run (including a
+        #: pool's health-check reset): whole-ROM restores and page-table
+        #: rebuilds, from the SoC's running counts at the previous run.
+        self.reset_full = 0
+        self.dispatch_rebuilds = 0
+        self._reset_counts = (0, 0)
         #: True while the trace was armed beyond the platform's own
         #: visibility (a batch leader observing for its whole cohort).
         self._trace_forced = False
@@ -214,6 +224,9 @@ class ExecutionSession:
         ``jit_exec_steps`` instructions retired inside compiled chain
         bodies; ``registry_size``/``registry_evictions`` are gauges of
         the shared digest-keyed decode registry (LRU-bounded).
+        ``reset_full`` and ``dispatch_rebuilds`` (0 or 1 per run) flag
+        a device reset before the run that had to rewrite all of ROM
+        or rebuild the bus page table.
         """
         from repro.isa.decodecache import registry_stats
 
@@ -231,9 +244,18 @@ class ExecutionSession:
             "peel_events": self.peel_events,
             "jit_chains": cpu.jit_chains,
             "jit_exec_steps": cpu.jit_exec_steps,
+            "reset_full": self.reset_full,
+            "dispatch_rebuilds": self.dispatch_rebuilds,
         }
         stats.update(registry_stats())
         return stats
+
+    def _count_resets(self) -> None:
+        soc = self.soc
+        fallbacks, rebuilds = self._reset_counts
+        self._reset_counts = (soc.reset_fallbacks, soc.dispatch_rebuilds)
+        self.reset_full = soc.reset_fallbacks - fallbacks
+        self.dispatch_rebuilds = soc.dispatch_rebuilds - rebuilds
 
     # -- run phases --------------------------------------------------------
     #
@@ -290,6 +312,7 @@ class ExecutionSession:
 
         if self.runs_completed:
             soc.full_reset()
+        self._count_resets()
         soc.load_image(image)
         self.apply_stimulus(stimulus)
         bus_trace: BusTrace | None = None
@@ -346,6 +369,7 @@ class ExecutionSession:
             )
         if self.runs_completed:
             soc.full_reset()
+        self._count_resets()
         soc.restore_lane_state(soc_state)
         cpu.restore_lane_state(cpu_state)
         self._trace_forced = (
@@ -698,6 +722,9 @@ class BatchSession:
         #: converged followers never need a device of their own).
         self._sessions: dict[int, ExecutionSession] = {}
         self._leader_sessions: list[ExecutionSession] = []
+        #: Every session that ran in the last batch (leaders, forks,
+        #: peels and degraded re-runs), for the reset counters.
+        self._run_sessions: list[ExecutionSession] = []
         self.lane_rows: LaneRows | None = None
         self.last_lanes: list[BatchLane] = []
         self.batch_lanes = 0
@@ -709,7 +736,7 @@ class BatchSession:
     def stats(self) -> dict:
         """Batch + aggregated engine telemetry of the last
         :meth:`run_batch` (engine counters summed over cohort leader
-        sessions)."""
+        sessions; the reset counters over every session that ran)."""
         totals = {
             "ff_warps": 0,
             "sb_blocks": 0,
@@ -731,6 +758,10 @@ class BatchSession:
         totals["batch_steps"] = self.batch_steps
         totals["peel_events"] = self.peel_events
         totals["degraded_lanes"] = self.degraded_lanes
+        totals["reset_full"] = sum(s.reset_full for s in self._run_sessions)
+        totals["dispatch_rebuilds"] = sum(
+            s.dispatch_rebuilds for s in self._run_sessions
+        )
         return totals
 
     def lane_divergences(self, reference: int = 0) -> dict[int, list[str]]:
@@ -796,6 +827,7 @@ class BatchSession:
         self.peel_events = 0
         self.degraded_lanes = 0
         self._leader_sessions = []
+        self._run_sessions = []
 
         cohorts: dict[tuple, list[BatchLane]] = {}
         static_peels: list[BatchLane] = []
@@ -921,6 +953,7 @@ class BatchSession:
                 **self._engine_overrides,
             )
             self._sessions[lane.index] = session
+        self._run_sessions.append(session)
         return session
 
     # -- cohort execution --------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import is_
 from struct import Struct
 from typing import Callable, Iterator, Protocol
 
@@ -262,12 +263,23 @@ class BusTrace:
         return BusAccess(*raw)
 
 
+#: Most :meth:`Memory.load` extents a memory remembers for
+#: :meth:`Memory.restore`.  A linked image puts a handful of segments
+#: in ROM; past the cap the next restore rewrites the whole region.
+LOAD_EXTENT_CAP = 32
+
+
 class Memory:
     """Plain byte-addressable memory device (RAM, ROM, NVM array)."""
 
     def __init__(self, size: int, read_only: bool = False, fill: int = 0x00):
         self.data: bytearray = bytearray([fill]) * size
         self.read_only = read_only
+        self.fill = fill
+        #: ``(offset, length)`` of every :meth:`load` since the last
+        #: restore, or ``None`` once a load covered the whole region or
+        #: the list passed :data:`LOAD_EXTENT_CAP`.
+        self.loaded_extents: list[tuple[int, int]] | None = []
 
     def read(self, offset: int, size: int) -> int:
         return int.from_bytes(self.data[offset : offset + size], "little")
@@ -281,7 +293,35 @@ class Memory:
 
     def load(self, offset: int, payload: bytes) -> None:
         """Backdoor load (image loading bypasses read-only protection)."""
-        self.data[offset : offset + len(payload)] = payload
+        length = len(payload)
+        self.data[offset : offset + length] = payload
+        extents = self.loaded_extents
+        if extents is not None:
+            if length >= len(self.data) or len(extents) >= LOAD_EXTENT_CAP:
+                self.loaded_extents = None
+            else:
+                extents.append((offset, length))
+
+    def restore(self) -> bool:
+        """Return every byte :meth:`load` wrote since the last restore
+        to the construction fill.  Sound only where ``load`` is the sole
+        writer — a read-only memory, whose bus writes raise.  Returns
+        True when it fell back to rewriting the whole region."""
+        extents = self.loaded_extents
+        if extents is None:
+            self.wipe()
+            return True
+        data = self.data
+        fill = bytes((self.fill,))
+        for offset, length in extents:
+            data[offset : offset + length] = fill * length
+        extents.clear()
+        return False
+
+    def wipe(self) -> None:
+        """Rewrite the whole region with the construction fill."""
+        self.data[:] = bytes((self.fill,)) * len(self.data)
+        self.loaded_extents = []
 
 
 class Bus:
@@ -295,6 +335,8 @@ class Bus:
         self.access_count = 0
         self._bases: list[int] = []
         self.page_table: dict[int, Mapping] = {}
+        #: Page count and :meth:`_dispatch_inputs` of the last build.
+        self._built_from: tuple[int, list] = (0, [])
 
     def attach(
         self,
@@ -319,9 +361,12 @@ class Bus:
             raise ValueError(
                 f"bus mapping {name!r} overlaps {self.mappings[index].name!r}"
             )
+        current = self.dispatch_current()
         self.mappings.insert(index, mapping)
         self._bases.insert(index, mapping.base)
         self._index_mapping(mapping)
+        if current:
+            self._note_dispatch_inputs()
         return mapping
 
     def _index_mapping(self, mapping: Mapping) -> None:
@@ -333,12 +378,39 @@ class Bus:
             table[page] = mapping
 
     def rebuild_dispatch(self) -> None:
-        """Recompute the page dispatch table from the mapping list
-        (device full reset; mappings whose buffers were swapped)."""
+        """Recompute the page dispatch table from the mapping list.
+
+        Called directly after a mapping's device was swapped (the batch
+        engine's RAM watch); a device full reset calls it only when
+        :meth:`dispatch_current` says something the table was built
+        from changed."""
         self.page_table.clear()
         for mapping in self.mappings:
             mapping.__post_init__()  # refresh end + word buffers
             self._index_mapping(mapping)
+        self._note_dispatch_inputs()
+
+    def _dispatch_inputs(self) -> list:
+        """What the page table is built from: every mapping, with its
+        device and word buffers (compared by identity)."""
+        inputs: list = []
+        for m in self.mappings:
+            inputs += (m, m.device, m.word_buf, m.word_wbuf)
+        return inputs
+
+    def _note_dispatch_inputs(self) -> None:
+        self._built_from = (len(self.page_table), self._dispatch_inputs())
+
+    def dispatch_current(self) -> bool:
+        """True when the page count and every input of the table are
+        those of its last build."""
+        pages, seen = self._built_from
+        now = self._dispatch_inputs()
+        return (
+            pages == len(self.page_table)
+            and len(now) == len(seen)
+            and all(map(is_, now, seen))
+        )
 
     def mapping_for(self, address: int, length: int) -> Mapping:
         """The mapping containing ``[address, address+length)``.

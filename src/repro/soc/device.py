@@ -159,6 +159,12 @@ class SystemOnChip:
         self._ticked_cycles = 0
         self._horizon: int | None = None
 
+        #: :meth:`full_reset` telemetry: resets that had to rewrite all
+        #: of ROM (its load extents were not kept), and resets that
+        #: rebuilt the bus page table (a mapping had changed).
+        self.reset_fallbacks = 0
+        self.dispatch_rebuilds = 0
+
     # -- lifecycle ------------------------------------------------------------
     def reset(self) -> None:
         for peripheral in (
@@ -170,7 +176,7 @@ class SystemOnChip:
             self.wdt,
         ):
             peripheral.reset()
-        self.ram.load(0, bytes(self.memory_map.ram.size))
+        self.ram.wipe()
 
     def full_reset(self) -> None:
         """Return the device to its just-constructed state.
@@ -180,12 +186,26 @@ class SystemOnChip:
         can host many independent runs — an
         :class:`~repro.platforms.session.ExecutionSession` calls this
         between images instead of rebuilding the whole device.
+
+        The cost follows what the last run touched.  ROM is written only
+        by image loads, so only the extents they loaded are restored;
+        after a whole-ROM load (a lane-state restore) or more loads than
+        :data:`~repro.soc.bus.LOAD_EXTENT_CAP`, all of ROM is rewritten
+        and :attr:`reset_fallbacks` counts it.  RAM and the NVM array,
+        which bus stores and NVM programming write directly, are always
+        rewritten whole (64 KiB and a few KiB).  Every memory returns to
+        its construction fill.  The page table is rebuilt only if a
+        mapping changed since its last build, counted in
+        :attr:`dispatch_rebuilds`.
         """
         self.reset()
-        self.rom.load(0, bytes(self.memory_map.rom.size))
-        self.nvm.array.load(0, bytes(len(self.nvm.array.data)))
+        if self.rom.restore():
+            self.reset_fallbacks += 1
+        self.nvm.array.wipe()
         self.bus.access_count = 0
-        self.bus.rebuild_dispatch()
+        if not self.bus.dispatch_current():
+            self.bus.rebuild_dispatch()
+            self.dispatch_rebuilds += 1
         self._cpu = None
         self._ticked_cycles = 0
         self._horizon = None

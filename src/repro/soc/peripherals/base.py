@@ -129,11 +129,23 @@ class Peripheral:
     def set_reg(self, name: str, value: int) -> None:
         self.values[name] = value & 0xFFFF_FFFF
 
+    # Field access resolves through the layout's cached decode table;
+    # on a miss the by-name lookup re-raises its descriptive KeyError
+    # (unknown register, or unknown field of a known register).
     def field_value(self, register: str, field: str) -> int:
-        reg = self.layout.register_named(register)
-        return reg.field_named(field).extract(self.values[register])
+        try:
+            mask, pos = self.layout.field_masks[register, field]
+        except KeyError:
+            self.layout.register_named(register).field_named(field)
+            raise
+        return (self.values[register] & mask) >> pos
 
     def set_field(self, register: str, field: str, value: int) -> None:
-        reg = self.layout.register_named(register)
-        fld = reg.field_named(field)
-        self.values[register] = fld.insert(self.values[register], value)
+        try:
+            mask, pos = self.layout.field_masks[register, field]
+        except KeyError:
+            self.layout.register_named(register).field_named(field)
+            raise
+        self.values[register] = (self.values[register] & ~mask) | (
+            (value << pos) & mask
+        )

@@ -15,6 +15,7 @@ base addresses for one concrete derivative and answers queries like
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class Access:
@@ -124,17 +125,36 @@ class PeripheralLayout:
             seen_names.add(reg.name)
             seen_offsets.add(reg.offset)
 
+    # Decode tables, built on first use and cached on the (immutable)
+    # layout itself — every peripheral bound to it shares them, and
+    # peripheral lane-state copies never carry them.
+    @cached_property
+    def registers_by_name(self) -> dict[str, RegisterDef]:
+        return {reg.name: reg for reg in self.registers}
+
+    @cached_property
+    def registers_by_offset(self) -> dict[int, RegisterDef]:
+        return {reg.offset: reg for reg in self.registers}
+
+    @cached_property
+    def field_masks(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """``(register, field) -> (mask, pos)`` for every field."""
+        return {
+            (reg.name, fld.name): (fld.mask, fld.pos)
+            for reg in self.registers
+            for fld in reg.fields
+        }
+
     def register_named(self, name: str) -> RegisterDef:
-        for reg in self.registers:
-            if reg.name == name:
-                return reg
-        raise KeyError(f"peripheral {self.name} has no register {name!r}")
+        try:
+            return self.registers_by_name[name]
+        except KeyError:
+            raise KeyError(
+                f"peripheral {self.name} has no register {name!r}"
+            ) from None
 
     def register_at(self, offset: int) -> RegisterDef | None:
-        for reg in self.registers:
-            if reg.offset == offset:
-                return reg
-        return None
+        return self.registers_by_offset.get(offset)
 
     def register_names(self) -> list[str]:
         return [r.name for r in self.registers]
@@ -212,4 +232,4 @@ class RegisterMap:
 
 
 def register_name_in(layout: PeripheralLayout, name: str) -> bool:
-    return any(r.name == name for r in layout.registers)
+    return name in layout.registers_by_name

@@ -1,0 +1,248 @@
+"""What a device reset costs and how it reports itself.
+
+A reset restores ROM by the extents image loads wrote (falling back to
+the whole region past :data:`LOAD_EXTENT_CAP` or after a whole-region
+load), rewrites every memory with its own construction fill, rebuilds
+the bus page table only when a mapping changed, and counts both
+fallbacks in the session's engine stats.  Peripheral register fields
+decode through tables cached once per layout.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.assembler.assembler import Assembler
+from repro.assembler.linker import Linker
+from repro.cli import main
+from repro.platforms import make_platform
+from repro.platforms.base import RunStatus
+from repro.platforms.session import BatchSession, ExecutionSession
+from repro.soc.bus import LOAD_EXTENT_CAP, PAGE_SIZE, Bus, Memory
+from repro.soc.derivatives import SC88A
+from repro.soc.device import FAIL_MAGIC, PASS_MAGIC, SystemOnChip
+from repro.soc.peripherals.timer import Timer, make_timer_layout
+
+MEMORY_MAP = SC88A.memory_map()
+STIM_ADDR = MEMORY_MAP.ram.base + 0x8000
+
+#: Branches on the stimulus word: 0 -> PASS, nonzero -> FAIL.  A lane
+#: with a nonzero stimulus forks off the cohort leader at the load.
+BRANCH_IMAGE = Linker(
+    text_base=MEMORY_MAP.text_base, data_base=MEMORY_MAP.data_base
+).link(
+    [
+        Assembler().assemble_source(
+            f"""\
+_main:
+    LOAD a4, {STIM_ADDR:#x}
+    LD.W d4, [a4]
+    CMPI d4, 0
+    JNZ lane_fail
+    LOAD d0, {PASS_MAGIC:#x}
+    STORE [{MEMORY_MAP.result_address:#x}], d0
+    HALT
+lane_fail:
+    LOAD d0, {FAIL_MAGIC:#x}
+    STORE [{MEMORY_MAP.result_address:#x}], d0
+    HALT
+""",
+            "t.asm",
+        )
+    ]
+)
+
+
+# --------------------------------------------------------------------------
+# Memory: extent restore and the construction fill
+# --------------------------------------------------------------------------
+
+class TestMemoryRestore:
+    def test_extents_restore_to_construction_fill(self):
+        rom = Memory(0x100, read_only=True, fill=0xFF)
+        rom.load(0x10, b"\x00" * 8)
+        rom.load(0x14, b"\x12" * 8)  # overlapping
+        rom.load(0xF0, b"\x00" * 0x10)  # touching the end
+        assert rom.restore() is False
+        assert rom.data == b"\xff" * 0x100
+        assert rom.loaded_extents == []
+
+    def test_whole_region_load_falls_back(self):
+        rom = Memory(0x100, read_only=True, fill=0xFF)
+        rom.load(0, b"\x00" * 0x100)
+        assert rom.loaded_extents is None
+        assert rom.restore() is True
+        assert rom.data == b"\xff" * 0x100
+        assert rom.loaded_extents == []
+
+    def test_extents_past_the_cap_fall_back(self):
+        rom = Memory(0x1000, read_only=True, fill=0xFF)
+        for i in range(LOAD_EXTENT_CAP):
+            rom.load(4 * i, b"\x00")
+        assert len(rom.loaded_extents) == LOAD_EXTENT_CAP
+        rom.load(0x800, b"\x00")
+        assert rom.loaded_extents is None
+        assert rom.restore() is True
+        assert rom.data == b"\xff" * 0x1000
+
+    def test_wipe_writes_the_fill(self):
+        ram = Memory(0x40, fill=0xFF)
+        ram.write(0, 0, 4)
+        ram.load(8, b"\x00" * 4)
+        ram.wipe()
+        assert ram.data == b"\xff" * 0x40
+        assert ram.loaded_extents == []
+
+    def test_restore_keeps_the_buffer_identity(self):
+        # Bus mappings hold the buffer for their word fast path.
+        rom = Memory(0x100, read_only=True)
+        data = rom.data
+        rom.load(0, b"\x01" * 0x100)
+        rom.restore()
+        assert rom.data is data
+
+
+# --------------------------------------------------------------------------
+# Bus: the page table is kept unless a mapping changed
+# --------------------------------------------------------------------------
+
+class TestDispatchReuse:
+    def test_attach_keeps_a_current_table_current(self):
+        bus = Bus()
+        bus.attach("a", 0x0, PAGE_SIZE, Memory(PAGE_SIZE))
+        bus.attach("b", 0x1000, PAGE_SIZE, Memory(PAGE_SIZE))
+        assert bus.dispatch_current()
+
+    def test_attach_after_a_clear_is_not_current(self):
+        bus = Bus()
+        bus.attach("a", 0x0, PAGE_SIZE, Memory(PAGE_SIZE))
+        bus.page_table.clear()
+        bus.attach("b", 0x1000, PAGE_SIZE, Memory(PAGE_SIZE))
+        assert not bus.dispatch_current()
+        bus.rebuild_dispatch()
+        assert bus.dispatch_current()
+        assert sorted(bus.page_table) == [0x0, 0x1000 >> 8]
+
+    def test_device_swap_is_not_current(self):
+        bus = Bus()
+        mapping = bus.attach("a", 0x0, PAGE_SIZE, Memory(PAGE_SIZE))
+        mapping.device = Memory(PAGE_SIZE)
+        assert not bus.dispatch_current()
+        bus.rebuild_dispatch()
+        assert mapping.word_buf is mapping.device.data
+
+    def test_reset_counts_rebuilds_only_after_a_change(self):
+        soc = SystemOnChip(SC88A)
+        table = dict(soc.bus.page_table)
+        soc.full_reset()
+        assert soc.dispatch_rebuilds == 0
+        soc.bus.page_table.clear()
+        soc.full_reset()
+        assert soc.dispatch_rebuilds == 1
+        assert soc.bus.page_table == table
+
+    def test_reset_counts_whole_rom_restores(self):
+        soc = SystemOnChip(SC88A)
+        soc.rom.load(0x100, b"\x01" * 16)
+        soc.full_reset()
+        assert soc.reset_fallbacks == 0
+        soc.restore_lane_state(soc.snapshot_lane_state())
+        soc.full_reset()
+        assert soc.reset_fallbacks == 1
+        assert soc.rom.data == bytes(len(soc.rom.data))
+
+
+# --------------------------------------------------------------------------
+# PeripheralLayout: decoded once, shared, same errors
+# --------------------------------------------------------------------------
+
+class TestLayoutDecode:
+    def test_field_access_matches_field_model(self):
+        timer = Timer(make_timer_layout(counter_width=24))
+        reload_def = timer.layout.register_named(timer._reload)
+        reload_field = reload_def.field_named("RELOAD")
+        timer.set_reg(timer._reload, 0xFFFF_FFFF)
+        timer.set_field(timer._reload, "RELOAD", 0x12_3456)
+        assert timer.reg_value(timer._reload) == reload_field.insert(
+            0xFFFF_FFFF, 0x12_3456
+        )
+        assert timer.field_value(timer._reload, "RELOAD") == 0x12_3456
+
+    def test_lookups_by_name_and_offset(self):
+        layout = make_timer_layout()
+        for reg in layout.registers:
+            assert layout.register_named(reg.name) is reg
+            assert layout.register_at(reg.offset) is reg
+        assert layout.register_at(0x40) is None
+
+    def test_unknown_names_raise_the_same_errors(self):
+        timer = Timer()
+        with pytest.raises(KeyError, match="has no register 'NOPE'"):
+            timer.field_value("NOPE", "EN")
+        with pytest.raises(KeyError, match="has no field 'NOPE'"):
+            timer.field_value(timer._ctrl, "NOPE")
+        with pytest.raises(KeyError, match="has no register 'NOPE'"):
+            timer.set_field("NOPE", "EN", 1)
+        with pytest.raises(KeyError, match="has no field 'NOPE'"):
+            timer.set_field(timer._ctrl, "NOPE", 1)
+        with pytest.raises(KeyError, match="has no register 'NOPE'"):
+            timer.layout.register_named("NOPE")
+
+    def test_tables_live_on_the_layout_not_the_peripheral(self):
+        layout = make_timer_layout()
+        first, second = Timer(layout), Timer(layout)
+        first.field_value(first._ctrl, "EN")
+        assert first.layout.field_masks is second.layout.field_masks
+        state = first.lane_state()
+        assert "field_masks" not in state
+        assert set(state) == set(first.__dict__) - {"layout"}
+
+
+# --------------------------------------------------------------------------
+# engine stats: reset_full / dispatch_rebuilds
+# --------------------------------------------------------------------------
+
+class TestResetTelemetry:
+    def test_cold_default_regress_reports_zero(self, tmp_path, capsys):
+        assert main(["init", str(tmp_path), "--nvm-tests", "1"]) == 0
+        capsys.readouterr()
+        assert main(["regress", str(tmp_path), "--engine-stats"]) == 0
+        line = next(
+            row
+            for row in capsys.readouterr().out.splitlines()
+            if row.startswith("engine-stats:")
+        )
+        assert " reset_full=0 " in f"{line} "
+        assert " dispatch_rebuilds=0 " in f"{line} "
+
+    def test_forked_run_leaves_a_whole_rom_restore(self):
+        session = ExecutionSession(make_platform("golden"), SC88A)
+        assert session.run(BRANCH_IMAGE).status is RunStatus.PASS
+        assert session.stats()["reset_full"] == 0
+        soc_state = session.soc.snapshot_lane_state()
+        cpu_state = session.cpu.snapshot_lane_state()
+        ctx = session.begin_forked(
+            BRANCH_IMAGE, None, soc_state, cpu_state
+        )
+        session.drive(ctx)
+        session.finish(ctx)
+        session.run(BRANCH_IMAGE)
+        stats = session.stats()
+        assert stats["reset_full"] == 1
+        assert stats["dispatch_rebuilds"] == 0
+
+    def test_batch_fork_reports_reset_full(self):
+        batch = BatchSession(
+            SC88A, [make_platform("golden"), make_platform("golden")]
+        )
+        stimuli = [None, {STIM_ADDR: 1}]
+        first = batch.run_batch(BRANCH_IMAGE, stimuli=stimuli)
+        assert [r.status for r in first] == [RunStatus.PASS, RunStatus.FAIL]
+        assert batch.last_lanes[1].peeled and batch.last_lanes[1].batched
+        assert batch.stats()["reset_full"] == 0
+        # The forked lane's device was seeded with a whole-ROM restore,
+        # so its next reset rewrites all of ROM.
+        batch.run_batch(BRANCH_IMAGE, stimuli=stimuli)
+        stats = batch.stats()
+        assert stats["reset_full"] > 0
+        assert stats["dispatch_rebuilds"] == 0
