@@ -20,14 +20,8 @@ FAULT = NetlistFault(
 
 
 def faulty_runner():
-    # The matrix rides the batched lock-step engine: healthy platforms
-    # run as lanes of one cohort and the divergence attribution works
-    # from per-lane results instead of six independent re-runs.  The
-    # overridden (faulty) gate-level platform executes on its own
-    # scalar session as before — overrides bypass batching by design.
     return RegressionRunner(
         platform_overrides={"gatelevel": GateLevelSim(fault=FAULT)},
-        executor="batch",
     )
 
 
@@ -42,7 +36,6 @@ def test_c2_fault_attributed_to_gatelevel(benchmark):
     suspects = report.suspect_platforms()
     assert set(suspects) == {"gatelevel"}
     assert suspects["gatelevel"] == 3
-    assert report.batched_runs > 0  # the healthy lanes ran lock-step
     shape(
         "C2: injected netlist fault -> regression attributes "
         f"{suspects['gatelevel']} divergent tests to 'gatelevel' only"
@@ -73,11 +66,10 @@ def test_c2_healthy_fleet_is_silent(benchmark):
 
     env = make_nvm_environment(2)
     report = benchmark.pedantic(
-        RegressionRunner(executor="batch").run_environment,
+        RegressionRunner().run_environment,
         args=(env, SC88A),
         rounds=1,
         iterations=1,
     )
     assert report.clean
-    assert report.batched_runs > 0
     shape("C2 control: healthy fleet -> 0 divergences")

@@ -1,8 +1,7 @@
 """Template JIT benchmarks (ISSUE 8).
 
 The engine series took the single run from an if/elif interpreter to
-executor tables, superblocks, analytic idle warps and lock-step
-batching; the template JIT (:mod:`repro.isa.jit`) is the next integer
+executor tables, superblocks and analytic idle warps; the template JIT (:mod:`repro.isa.jit`) is the next integer
 multiple on the workload class none of those closed forms cover:
 compute-heavy code where every retired instruction does data-dependent
 ALU work.  This bench records the acceptance numbers ISSUE 8 ties the

@@ -38,7 +38,6 @@ BENCH_PR: dict[str, int] = {
     "dispatch": 3,
     "superblock": 4,
     "trace_fastpath": 5,
-    "batch_engine": 6,
     "resilience": 7,
     "jit": 8,
     "serving": 9,
@@ -59,7 +58,6 @@ BENCH_FLOORS: dict[str, dict[str, float]] = {
         "traced_coverage.speedup": 2.0,
         "wait_states.speedup": 2.0,
     },
-    "batch_engine": {"matrix.speedup": 4.0},
     # PR 7 is a robustness PR: its floor asserts the supervision layer
     # is free (>= 0.95x of raw sessions, i.e. <= 5% overhead), not fast.
     "resilience": {"zero_fault.speedup": 0.95},

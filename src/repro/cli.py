@@ -42,7 +42,11 @@ from pathlib import Path
 from repro.core.environment import GlobalLayer
 from repro.core.porting import compare_nvm_port
 from repro.core.reporting import regression_matrix, render_table
-from repro.core.scheduler import RegressionScheduler, ResultCache
+from repro.core.scheduler import (
+    RegressionScheduler,
+    ResultCache,
+    matrix_digest,
+)
 from repro.core.system_env import make_default_system
 from repro.core.targets import all_targets, target as lookup_target
 from repro.core.testplan import TestPlan
@@ -173,6 +177,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
     if args.engine_stats:
         line = _stats_line(scheduler.engine_stats)
         print(f"engine-stats: {line or '(no runs executed)'}")
+        print(f"matrix-digest: {matrix_digest(report)}")
     if store is not None:
         print(f"store-stats: {_stats_line(store.stats())}")
     if worklist is not None:
@@ -379,16 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker count for the pooled executors (default: serial)",
+        help="worker count for the process pool (default: serial)",
     )
     p_regress.add_argument(
         "--executor",
-        choices=["auto", "serial", "thread", "process", "batch"],
+        choices=["auto", "serial", "process"],
         default="auto",
         help=(
             "how matrix entries execute (auto: process pool when "
-            "--jobs > 1; batch: lock-step lanes across each cell's "
-            "platform matrix)"
+            "--jobs > 1, serial otherwise)"
         ),
     )
     p_regress.add_argument(
@@ -451,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "append aggregated engine telemetry (sb_replays, ff_warps, "
-            "jit_chains, jit_exec_steps, batch/peel counters) to the "
-            "report summary"
+            "jit_chains, jit_exec_steps, reset counters) and a "
+            "matrix-digest line (one SHA-256 over every verdict, "
+            "signature, cycle count and trace) to the report summary"
         ),
     )
     p_regress.add_argument(
@@ -572,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--derivative", default="sc88a")
     p_submit.add_argument(
         "--executor",
-        choices=["auto", "serial", "thread", "process", "batch"],
+        choices=["auto", "serial", "process"],
         default="serial",
     )
     p_submit.add_argument(

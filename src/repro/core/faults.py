@@ -30,10 +30,8 @@ site               fired from
 =================  ========================================================
 ``worker-boot``    ``_run_target_batch`` (pool worker entry), key
                    ``{target}#{attempt}``
-``session-run``    :meth:`ExecutionSession.begin` / ``begin_forked``,
-                   key ``{platform}#run{n}``
-``batch-peel``     :class:`BatchSession` peel servicing, key
-                   ``{platform}#lane{i}``
+``session-run``    :meth:`ExecutionSession.begin`, key
+                   ``{platform}#run{n}``
 ``cache-read``     :meth:`ResultCache.get`, key = cache key; build-index
                    loads, key ``index/{environment}/{derivative}``
                    (targeted)
@@ -84,7 +82,6 @@ from dataclasses import dataclass, field
 
 SITE_WORKER_BOOT = "worker-boot"
 SITE_SESSION_RUN = "session-run"
-SITE_BATCH_PEEL = "batch-peel"
 SITE_CACHE_READ = "cache-read"
 SITE_CACHE_WRITE = "cache-write"
 SITE_SERVICE_ACCEPT = "service-accept"
@@ -97,7 +94,6 @@ SITE_LEASE_RENEW = "lease-renew"
 ALL_SITES = (
     SITE_WORKER_BOOT,
     SITE_SESSION_RUN,
-    SITE_BATCH_PEEL,
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
     SITE_SERVICE_ACCEPT,

@@ -53,18 +53,11 @@ class RegressionReport:
     #: result cache (incremental regression bookkeeping).
     executed_runs: int = 0
     cached_runs: int = 0
-    #: Runs materialised from a lock-step batch cohort, and runs the
-    #: batch engine peeled off to the scalar oracle (a run can be both:
-    #: it rode the cohort up to its divergence point).
-    batched_runs: int = 0
-    peeled_runs: int = 0
     #: Fault-tolerance bookkeeping: runs that needed more than one
-    #: attempt, cells quarantined as synthesized FAULT verdicts after
-    #: the attempt budget, and batch lanes demoted to a from-reset
-    #: scalar run after an execution-layer error.
+    #: attempt, and cells quarantined as synthesized FAULT verdicts
+    #: after the attempt budget.
     retried_runs: int = 0
     quarantined_runs: int = 0
-    degraded_runs: int = 0
     #: Fleet bookkeeping: verdicts adopted from a peer worker's
     #: publication in the shared work-list, and runs executed under a
     #: lease stolen from a dead (expired) worker.
@@ -107,21 +100,15 @@ class RegressionReport:
                 f"  {self.executed_runs} run(s) executed, "
                 f"{self.cached_runs} served from cache"
             )
-        if self.batched_runs:
-            lines.append(
-                f"  {self.batched_runs} run(s) batched in lock-step "
-                f"({self.peeled_runs} peeled to scalar)"
-            )
         if self.fetched_runs or self.stolen_runs:
             lines.append(
                 f"  fleet: {self.fetched_runs} verdict(s) adopted from "
                 f"peers, {self.stolen_runs} lease(s) stolen from dead "
                 "workers"
             )
-        if self.retried_runs or self.quarantined_runs or self.degraded_runs:
+        if self.retried_runs or self.quarantined_runs:
             lines.append(
                 f"  fault tolerance: {self.retried_runs} retried, "
-                f"{self.degraded_runs} degraded, "
                 f"{self.quarantined_runs} quarantined"
             )
         for platform, count in sorted(self.suspect_platforms().items()):
@@ -176,27 +163,19 @@ class RegressionRunner:
         self,
         targets: list[Target] | None = None,
         platform_overrides: dict[str, Platform] | None = None,
-        executor: str = "auto",
     ):
         self.targets = list(targets or all_targets())
         #: target name -> pre-built platform (lets experiments inject a
         #: faulty gate-level simulator, C2).
         self.platform_overrides = dict(platform_overrides or {})
-        self.executor = executor
-        self._scheduler_instance = None
 
     def _scheduler(self):
         from repro.core.scheduler import RegressionScheduler
 
-        # Keep one scheduler alive so the batch executor's pooled
-        # BatchSessions amortise device construction across calls.
-        if self._scheduler_instance is None:
-            self._scheduler_instance = RegressionScheduler(
-                targets=self.targets,
-                platform_overrides=self.platform_overrides,
-                executor=self.executor,
-            )
-        return self._scheduler_instance
+        return RegressionScheduler(
+            targets=self.targets,
+            platform_overrides=self.platform_overrides,
+        )
 
     def run_environment(
         self,

@@ -1,6 +1,6 @@
-"""Regression scheduling: explicit work-lists, pluggable executors, a
-persistent result cache for incremental re-regression, and supervised
-fault-tolerant execution.
+"""Regression scheduling: explicit work-lists, a serial executor and a
+process pool, a persistent result cache for incremental re-regression,
+and supervised fault-tolerant execution.
 
 The paper's regression is a (cells × platforms) matrix over one linked
 image per build input.  The original runner walked that matrix with
@@ -25,20 +25,21 @@ This module makes the matrix explicit:
    always wins over the indexed one.  Entries and indexes are
    checksummed; corrupt files are counted, quarantined aside and
    re-derived rather than replayed;
-3. **execution** — remaining entries run on a pluggable executor:
-   serial (one long-lived :class:`ExecutionSession` per target), a
-   ``concurrent.futures`` thread/process pool batched by target, or the
-   lock-step batch engine — all **supervised**: a worker exception,
-   crash or wall-clock overrun fails only its own payload, which is
-   retried with capped deterministic backoff and, after the attempt
-   budget, **quarantined** as a synthesized :data:`RunStatus.FAULT`
-   result.  The matrix always completes;
+3. **execution** — remaining entries run on one of two executors:
+   serial (one long-lived :class:`ExecutionSession` per target) or a
+   ``concurrent.futures`` process pool fed one payload per target —
+   both **supervised**: a worker exception, crash or wall-clock
+   overrun fails only its own payload, which is retried with capped
+   deterministic backoff and, after the attempt budget,
+   **quarantined** as a synthesized :data:`RunStatus.FAULT` result.
+   The matrix always completes;
 4. **report** — the familiar :class:`RegressionReport`, with
-   executed/cached/batched/peeled bookkeeping plus the fault-tolerance
-   counters (``retried_runs``/``quarantined_runs``/``degraded_runs``)
-   and the golden-reference divergence attribution unchanged
-   (quarantined cells are infrastructure faults, not platform bugs, so
-   they are excluded from divergence attribution).
+   executed/cached bookkeeping plus the fault-tolerance counters
+   (``retried_runs``/``quarantined_runs``) and the golden-reference
+   divergence attribution unchanged (quarantined cells are
+   infrastructure faults, not platform bugs, so they are excluded from
+   divergence attribution).  :func:`matrix_digest` condenses every
+   verdict, signature, cycle count and trace into one SHA-256.
 
 Supervision state machine (per pooled payload)::
 
@@ -65,6 +66,7 @@ fingerprints honestly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -98,7 +100,7 @@ from repro.platforms.base import (
     RunStatus,
 )
 from repro.platforms.cpu import TraceEntry
-from repro.platforms.session import BatchSession, ExecutionSession
+from repro.platforms.session import ExecutionSession
 from repro.soc.derivatives import Derivative, derivative as lookup_derivative
 
 #: Bump when run semantics change in a way that invalidates old caches.
@@ -126,13 +128,7 @@ class RunRequest:
 class RunOutcome:
     """A request plus how its result was obtained.
 
-    ``batched`` marks results materialised from a lock-step batch
-    cohort (see :class:`~repro.platforms.session.BatchSession`);
-    ``peeled`` marks lanes that ran (at least partly) on their own
-    scalar engine because the lock-step argument could not cover them.
-    ``retried`` marks runs that needed more than one submission,
-    ``degraded`` runs demoted from the lock-step fast path to a
-    from-reset scalar run after an execution-layer error, and
+    ``retried`` marks runs that needed more than one submission, and
     ``quarantined`` cells whose result is a synthesized
     :data:`RunStatus.FAULT` because every attempt failed.  In a
     fleet-sharded run, ``fetched`` marks verdicts adopted from a peer
@@ -143,10 +139,7 @@ class RunOutcome:
     request: RunRequest
     result: RunResult
     cached: bool = False
-    batched: bool = False
-    peeled: bool = False
     retried: bool = False
-    degraded: bool = False
     quarantined: bool = False
     fetched: bool = False
     stolen: bool = False
@@ -202,6 +195,24 @@ def result_from_payload(payload: dict) -> RunResult:
         ),
         registers=payload["registers"],
     )
+
+
+def matrix_digest(report: RegressionReport) -> str:
+    """One SHA-256 over the whole matrix: every ``(environment, cell,
+    target)`` entry in sorted order with its result's cache payload.
+
+    The payload is the result cache's own serialisation, so a verdict
+    read back from the cache, adopted from a fleet peer or returned by
+    a pool worker hashes exactly like the freshly executed one."""
+    digest = hashlib.sha256()
+    for key in sorted(report.results):
+        entry = [*key, result_to_payload(report.results[key])]
+        # A fresh payload cannot be cyclic; skipping the check saves
+        # a quarter of the encoding time.
+        text = json.dumps(entry, sort_keys=True, check_circular=False)
+        digest.update(text.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def quarantine_result(
@@ -389,7 +400,7 @@ def merge_engine_stats(totals: dict, stats: dict) -> dict:
     """Accumulate one engine ``stats()`` snapshot into *totals*.
 
     Per-run counters (``sb_replays``, ``ff_warps``, ``jit_chains``,
-    ``jit_exec_steps``, batch/peel counters) sum; shared-cache and
+    ``jit_exec_steps``, reset counters) sum; shared-cache and
     registry keys are gauges where the last observation wins."""
     for key, value in stats.items():
         if key in _ENGINE_GAUGES or key.startswith("registry_"):
@@ -402,13 +413,12 @@ def merge_engine_stats(totals: dict, stats: dict) -> dict:
 def _run_target_batch(payload):
     """Worker: run one target's batch of images on one shared session.
 
-    Module-level so process pools can pickle it; thread pools use it
-    too, giving every worker its own platform/device to mutate.  The
-    fault plan (if any) rides along in the payload and a fresh injector
-    is built per call — worker hit counters are per-process by design,
-    so a respawned worker replays the same deterministic chaos, and
-    the ``{target}#{attempt}`` key lets plans distinguish first runs
-    from retries.
+    Module-level so process pools can pickle it.  The fault plan (if
+    any) rides along in the payload and a fresh injector is built per
+    call — worker hit counters are per-process by design, so a
+    respawned worker replays the same deterministic chaos, and the
+    ``{target}#{attempt}`` key lets plans distinguish first runs from
+    retries.
     """
     (
         target_name,
@@ -471,7 +481,7 @@ class RegressionScheduler:
         session_provider=None,
         worklist=None,
     ):
-        if executor not in ("auto", "serial", "thread", "process", "batch"):
+        if executor not in ("auto", "serial", "process"):
             raise ValueError(f"unknown executor {executor!r}")
         self.targets = list(targets or all_targets())
         self.platform_overrides = dict(platform_overrides or {})
@@ -480,10 +490,10 @@ class RegressionScheduler:
         self.cache = cache
         self.max_instructions = max_instructions
         #: Wall-clock budget per pooled payload; ``None`` disables the
-        #: deadline.  Enforced preemptively on the pooled executors
-        #: (a wedged process worker is killed and its payload retried);
-        #: the in-process executors cannot preempt a running core, so
-        #: there the budget only shapes retry/quarantine decisions.
+        #: deadline.  Enforced preemptively on the process pool (a
+        #: wedged worker is killed and its payload retried); the serial
+        #: executor cannot preempt a running core, so there the budget
+        #: only shapes retry/quarantine decisions.
         self.run_timeout = run_timeout
         #: Failed attempts a payload may burn before quarantine.
         self.retries = max(0, int(retries))
@@ -528,10 +538,6 @@ class RegressionScheduler:
             and worklist.injector is None
         ):
             worklist.injector = self._injector
-        #: (derivative, target tuple) -> pooled BatchSession, so the
-        #: batch executor amortises device construction across cells
-        #: exactly like the serial executor's per-target sessions.
-        self._batch_sessions: dict[tuple, BatchSession] = {}
         #: Aggregated engine telemetry (``ExecutionSession.stats()``
         #: merged via :func:`merge_engine_stats`) over every run this
         #: scheduler executed — ``regress --engine-stats`` dumps it.
@@ -775,12 +781,10 @@ class RegressionScheduler:
         executor = self.executor
         if executor == "auto":
             executor = "serial" if self.jobs <= 1 else "process"
-        if executor == "batch":
-            results.extend(self._run_batched(normal, derivative))
-        elif executor == "serial" or self.jobs <= 1 or len(normal) <= 1:
+        if executor == "serial" or self.jobs <= 1 or len(normal) <= 1:
             results.extend(self._run_serial(normal, derivative))
         else:
-            results.extend(self._run_pooled(normal, derivative, executor))
+            results.extend(self._run_pooled(normal, derivative))
         return results
 
     def _run_fleet(
@@ -1050,74 +1054,11 @@ class RegressionScheduler:
             merge_engine_stats(self.engine_stats, session.stats())
             return RunOutcome(request, result, retried=retried)
 
-    def _run_batched(
-        self,
-        items: list[tuple[RunRequest, MemoryImage, Target]],
-        derivative: Derivative,
-    ) -> list[RunOutcome]:
-        """Run whole matrix cells in lock-step on a pooled BatchSession.
-
-        Entries sharing a cell *and* the same built image object (the
-        environment build cache deduplicates targets with identical
-        build inputs) become lanes of one batch; per-lane accounting
-        (executed counts, cache writes, batched/peeled/degraded flags)
-        stays per request, not per batch.
-        """
-        groups: dict[
-            tuple, list[tuple[RunRequest, MemoryImage, Target]]
-        ] = {}
-        for request, image, tgt in items:
-            key = (request.environment, request.cell, id(image))
-            groups.setdefault(key, []).append((request, image, tgt))
-        out: list[RunOutcome] = []
-        for group in groups.values():
-            target_names = tuple(tgt.name for _r, _i, tgt in group)
-            session_key = (derivative.name, target_names)
-            batch = self._batch_sessions.get(session_key)
-            if batch is None:
-                batch = BatchSession(
-                    derivative,
-                    [tgt.make_platform() for _r, _i, tgt in group],
-                    injector=self._injector,
-                )
-                self._batch_sessions[session_key] = batch
-            image = group[0][1]
-            try:
-                results = batch.run_batch(
-                    image, max_instructions=self.max_instructions
-                )
-            except Exception:
-                # run_batch is contractually non-raising (the lane
-                # degradation ladder lives inside it); if it still
-                # raises, drop the session and fall back to supervised
-                # scalar runs for the whole group.
-                self._batch_sessions.pop(session_key, None)
-                out.extend(self._run_serial(group, derivative))
-                continue
-            merge_engine_stats(self.engine_stats, batch.stats())
-            for (request, _image, _tgt), result, lane in zip(
-                group, results, batch.last_lanes
-            ):
-                out.append(
-                    self._emit(
-                        RunOutcome(
-                            request,
-                            result,
-                            batched=lane.batched,
-                            peeled=lane.peeled,
-                            degraded=lane.degraded,
-                            quarantined=lane.quarantined,
-                        )
-                    )
-                )
-        return out
-
     # -- supervised pooled execution ---------------------------------------
     def _run_pooled(
         self,
         items: list[tuple[RunRequest, MemoryImage, Target]],
         derivative: Derivative,
-        executor: str,
     ) -> list[RunOutcome]:
         """``submit``-per-payload supervision loop (state machine in the
         module docstring): per-payload error attribution, wall-clock
@@ -1131,18 +1072,13 @@ class RegressionScheduler:
             _PoolJob(target=target_name, requests=batch)
             for target_name, batch in batches.items()
         ]
-        # Imported here: the pools (and multiprocessing behind them)
-        # cost every serial or cached run start-up time for nothing.
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        # Imported here: the pool (and multiprocessing behind it) costs
+        # every serial or cached run start-up time for nothing.
+        from concurrent.futures import ProcessPoolExecutor
 
-        pool_cls = (
-            ThreadPoolExecutor
-            if executor == "thread"
-            else ProcessPoolExecutor
-        )
         workers = min(self.jobs, max(1, len(jobs)))
         out: list[RunOutcome] = []
-        pool = pool_cls(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers)
         #: future -> (job, wall-clock deadline or None)
         inflight: dict = {}
         #: After a pool breakage payloads run one at a time so the next
@@ -1167,7 +1103,7 @@ class RegressionScheduler:
                             ),
                         )
                     except BrokenExecutor:
-                        pool = self._rebuild_pool(pool, pool_cls, workers)
+                        pool = self._rebuild_pool(pool, workers)
                         break  # job stays queued; resubmit next pass
                     jobs.remove(job)
                     # The wall-clock deadline starts when the payload
@@ -1223,7 +1159,7 @@ class RegressionScheduler:
                         jobs.append(job)
                     inflight.clear()
                     cautious = True
-                    pool = self._rebuild_pool(pool, pool_cls, workers)
+                    pool = self._rebuild_pool(pool, workers)
                     continue
                 if cautious and done and not inflight:
                     # A payload completed alone on the rebuilt pool:
@@ -1259,17 +1195,18 @@ class RegressionScheduler:
                 # Deadlines only arm on *running* futures, so every
                 # overdue payload means a wedged worker: requeue the
                 # healthy inflight payloads untouched and rebuild
-                # (process workers are killed to reclaim them;
-                # abandoned thread workers finish in the background).
+                # (the workers are killed to reclaim them).
                 for future, (job, _deadline) in inflight.items():
                     job.retried = True
                     jobs.append(job)
                 inflight.clear()
-                pool = self._rebuild_pool(
-                    pool, pool_cls, workers, kill=True
-                )
-        finally:
+                pool = self._rebuild_pool(pool, workers, kill=True)
+        except BaseException:
             self._abandon_pool(pool)
+            raise
+        # Every payload settled, so no worker is busy: join them, or
+        # they outlive the run and race interpreter exit.
+        pool.shutdown(wait=True)
         return out
 
     def _pool_job_failed(
@@ -1349,19 +1286,19 @@ class RegressionScheduler:
             )
         )
 
-    def _rebuild_pool(self, pool, pool_cls, workers: int, kill: bool = False):
+    def _rebuild_pool(self, pool, workers: int, kill: bool = False):
+        from concurrent.futures import ProcessPoolExecutor
+
         self._abandon_pool(pool, kill=kill)
-        return pool_cls(max_workers=workers)
+        return ProcessPoolExecutor(max_workers=workers)
 
     def _abandon_pool(self, pool, kill: bool = False) -> None:
-        """Shut a pool down without waiting on wedged workers.
+        """Shut a broken or wedged pool down without waiting on it.
 
-        *kill* reclaims hung process workers with SIGKILL; thread
-        workers cannot be killed and are left to finish detached.
-        Pending futures are only cancelled on thread pools — a broken
-        process pool's manager thread fails its own work items, and
-        racing it with ``cancel_futures`` trips ``InvalidStateError``
-        in that thread.
+        *kill* reclaims hung workers with SIGKILL.  Pending futures are
+        not cancelled: a broken pool's manager thread fails its own
+        work items, and racing it with ``cancel_futures`` trips
+        ``InvalidStateError`` in that thread.
         """
         if kill:
             processes = getattr(pool, "_processes", None)
@@ -1371,12 +1308,7 @@ class RegressionScheduler:
                         process.kill()
                     except Exception:
                         pass
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool.shutdown(
-            wait=False,
-            cancel_futures=isinstance(pool, ThreadPoolExecutor),
-        )
+        pool.shutdown(wait=False)
 
     # -- reporting ---------------------------------------------------------
     def _assemble_report(
@@ -1409,16 +1341,10 @@ class RegressionScheduler:
                 report.executed_runs += 1
             if outcome.stolen:
                 report.stolen_runs += 1
-            if outcome.batched:
-                report.batched_runs += 1
-            if outcome.peeled:
-                report.peeled_runs += 1
             if outcome.retried:
                 report.retried_runs += 1
             if outcome.quarantined:
                 report.quarantined_runs += 1
-            if outcome.degraded:
-                report.degraded_runs += 1
         for (env_name, cell_name), per_target in per_cell.items():
             detect_divergences(env_name, cell_name, per_target, report)
         return report

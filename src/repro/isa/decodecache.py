@@ -1242,7 +1242,8 @@ def _precomputed_operands(
 class DecodeCache:
     """Lazy pc -> :class:`DecodedInstruction` map over one image's ROM.
 
-    Shared across platforms (and thread-pool workers) for one image.
+    Shared across platforms (and the daemon's concurrent jobs) for one
+    image.
     Entries are deterministic, so concurrent use is safe; the miss path
     is locked to avoid duplicate decode work, while the per-retire hit
     path stays lock-free — which makes :attr:`hits` approximate under
@@ -1465,8 +1466,8 @@ class DecodeCache:
 #: runs of one session) share decode work — predecoded entries,
 #: superblocks and compiled JIT chains — for the same linked image.
 #: Bounded LRU: the dict's insertion order is recency order (every hit
-#: re-inserts), so warm ``BatchSession`` pools cycling through many
-#: images evict the coldest cache instead of growing without limit.
+#: re-inserts), so warm session pools cycling through many images
+#: evict the coldest cache instead of growing without limit.
 _REGISTRY: dict[tuple, DecodeCache] = {}
 _REGISTRY_LIMIT = 256
 _REGISTRY_LOCK = threading.Lock()

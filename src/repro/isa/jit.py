@@ -26,7 +26,7 @@ Chains are built over the existing ``succ_taken``/``succ_fall`` memo
 graph and stored on the :class:`~repro.isa.decodecache.Superblock`
 itself (``jit_u``/``jit_ot``/``jit_ow`` variant slots), which means they
 live in the digest-keyed :func:`~repro.isa.decodecache.decode_cache_for`
-registry alongside the blocks: shared across sessions and batch lanes,
+registry alongside the blocks: shared across sessions and platforms,
 dropped wholesale with the cache on registry eviction, and — because the
 generated code re-reads ``cpu._block_deadline`` at every boundary and
 side exit — cut mid-chain by the same ``cut_block()`` path that flushes

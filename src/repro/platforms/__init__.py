@@ -20,7 +20,7 @@ from repro.platforms.cpu import CpuCore, CpuFault, InstructionTrace, TraceEntry
 from repro.platforms.gatelevel import GateLevelSim, NetlistFault
 from repro.platforms.golden import GoldenModel
 from repro.platforms.rtl import RtlSim
-from repro.platforms.session import BatchLane, BatchSession, ExecutionSession
+from repro.platforms.session import ExecutionSession
 from repro.platforms.silicon import ProductSilicon
 
 PLATFORM_CLASSES: dict[str, type[Platform]] = {
@@ -54,8 +54,6 @@ def all_platforms() -> list[Platform]:
 
 __all__ = [
     "Accelerator",
-    "BatchLane",
-    "BatchSession",
     "Bondout",
     "CpuCore",
     "CpuFault",

@@ -282,70 +282,6 @@ class CpuCore:
     def enable_trace(self, limit: int = 100_000) -> None:
         self.trace = InstructionTrace(limit)
 
-    # -- lane state (batched lock-step engine) ------------------------------
-    def snapshot_lane_state(self) -> dict:
-        """Architectural + bookkeeping state for a batch lane fork.
-
-        Captured at a block boundary (no instruction in flight); the
-        engine-internal block deadline and superblock chain memo are
-        deliberately not part of it — a restored core starts a fresh
-        block and re-resolves its chain from the decode cache.
-        """
-        regs = self.regs
-        trace = self.trace
-        return {
-            "data": list(regs.data),
-            "address": list(regs.address),
-            "pc": regs.pc,
-            "psw": regs.psw.value,
-            "halted": self.halted,
-            "retired": self.instructions_retired,
-            "cycles": self.cycles,
-            "brk_events": list(self.brk_events),
-            "pending_waits": self._pending_waits,
-            "ff_warps": self.ff_warps,
-            "sb_blocks": self.sb_blocks,
-            "sb_replays": self.sb_replays,
-            "sb_fallback_steps": self.sb_fallback_steps,
-            "jit_chains": self.jit_chains,
-            "jit_exec_steps": self.jit_exec_steps,
-            "trace": (
-                None
-                if trace is None
-                else (trace._limit, list(trace.raw()))
-            ),
-        }
-
-    def restore_lane_state(self, state: dict) -> None:
-        """Load a :meth:`snapshot_lane_state` snapshot (reusable: the
-        snapshot is not consumed)."""
-        regs = self.regs
-        regs.data[:] = state["data"]
-        regs.address[:] = state["address"]
-        regs.pc = state["pc"]
-        regs.psw.value = state["psw"]
-        self.halted = state["halted"]
-        self.instructions_retired = state["retired"]
-        self.cycles = state["cycles"]
-        self.brk_events = list(state["brk_events"])
-        self._pending_waits = state["pending_waits"]
-        self.ff_warps = state["ff_warps"]
-        self.sb_blocks = state["sb_blocks"]
-        self.sb_replays = state["sb_replays"]
-        self.sb_fallback_steps = state["sb_fallback_steps"]
-        self.jit_chains = state["jit_chains"]
-        self.jit_exec_steps = state["jit_exec_steps"]
-        if state["trace"] is None:
-            self.trace = None
-        else:
-            limit, events = state["trace"]
-            trace = InstructionTrace(limit)
-            trace.extend_raw(events)
-            self.trace = trace
-        self._block_deadline = None
-        self._sb_resume = None
-        self._sb_epoch += 1
-
     # -- bus helpers -----------------------------------------------------------
     # Word accesses (fetch fallback, stack, word loads/stores) take the
     # bus's word-specialised fast path; other sizes use the generic one.

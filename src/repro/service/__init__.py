@@ -11,8 +11,9 @@ headline property is robustness:
   resolved into :class:`~repro.core.scheduler.RegressionScheduler`
   work-lists;
 - :mod:`repro.service.pool` — warm :class:`ExecutionSession` pools
-  keyed like batch cohorts, with lease/return checkout, health-checked
-  recycling of wedged or poisoned sessions and bounded LRU eviction;
+  keyed by target, derivative and engine flags, with lease/return
+  checkout, health-checked recycling of wedged or poisoned sessions and
+  bounded LRU eviction;
 - :mod:`repro.service.journal` — a crash-safe append-only write-ahead
   journal of accepted jobs (checksummed records, atomic segment
   compaction) replayed on restart, so an accepted job is never
@@ -25,10 +26,11 @@ headline property is robustness:
 
 Chaos coverage comes from three service-layer injection sites in
 :mod:`repro.core.faults` (``service-accept``, ``pool-lease``,
-``journal-write``) on top of the five execution-layer sites from the
-fault-tolerance PR: under injected crashes, hangs and corruption every
-accepted request terminates with a result or an explicit FAULT, and the
-readiness probe never reports ready over a broken pool.
+``journal-write``) on top of the execution-layer sites (``worker-boot``,
+``session-run``, ``cache-read``, ``cache-write``): under injected
+crashes, hangs and corruption every accepted request terminates with a
+result or an explicit FAULT, and the readiness probe never reports
+ready over a broken pool.
 """
 
 from repro.service.daemon import (

@@ -143,9 +143,7 @@ def _outcome_event(job_id: str, outcome: RunOutcome) -> dict:
         "derivative": outcome.request.derivative,
         "status": result.status.value,
         "cached": outcome.cached,
-        "batched": outcome.batched,
         "retried": outcome.retried,
-        "degraded": outcome.degraded,
         "quarantined": outcome.quarantined,
         "fault_reason": result.fault_reason,
     }
@@ -159,7 +157,6 @@ def _report_summary(report) -> dict:
         "cached_runs": report.cached_runs,
         "retried_runs": report.retried_runs,
         "quarantined_runs": report.quarantined_runs,
-        "degraded_runs": report.degraded_runs,
         "divergences": len(report.divergences),
         "clean": report.clean,
     }

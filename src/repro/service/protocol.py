@@ -43,7 +43,7 @@ from repro.soc.derivatives import derivative as lookup_derivative
 PACK_SCHEMA = 1
 
 #: Executors a pack may request (mirrors the ``regress`` CLI choices).
-PACK_EXECUTORS = ("auto", "serial", "thread", "process", "batch")
+PACK_EXECUTORS = ("auto", "serial", "process")
 
 
 class PackError(ValueError):

@@ -380,10 +380,9 @@ class Bus:
     def rebuild_dispatch(self) -> None:
         """Recompute the page dispatch table from the mapping list.
 
-        Called directly after a mapping's device was swapped (the batch
-        engine's RAM watch); a device full reset calls it only when
-        :meth:`dispatch_current` says something the table was built
-        from changed."""
+        Called directly after a mapping's device was swapped; a device
+        full reset calls it only when :meth:`dispatch_current` says
+        something the table was built from changed."""
         self.page_table.clear()
         for mapping in self.mappings:
             mapping.__post_init__()  # refresh end + word buffers

@@ -189,7 +189,7 @@ class SystemOnChip:
 
         The cost follows what the last run touched.  ROM is written only
         by image loads, so only the extents they loaded are restored;
-        after a whole-ROM load (a lane-state restore) or more loads than
+        after a whole-ROM load or more loads than
         :data:`~repro.soc.bus.LOAD_EXTENT_CAP`, all of ROM is rewritten
         and :attr:`reset_fallbacks` counts it.  RAM and the NVM array,
         which bus stores and NVM programming write directly, are always
@@ -230,54 +230,6 @@ class SystemOnChip:
                 raise ValueError(
                     f"cannot load image segment into region {region.name!r}"
                 )
-
-    # -- lane-indexed state snapshots (batched lock-step engine) -----------
-    #
-    # A batch run executes one leader device for every converged lane;
-    # when a lane peels off mid-run its follower device is seeded from
-    # the leader's state at the peel point.  The snapshot is taken with
-    # peripheral time settled, so restoring it and then binding a core
-    # whose cycle counter matches the snapshot reproduces the leader's
-    # deferred-ticking state exactly (attach_cpu re-anchors
-    # ``_ticked_cycles`` and recomputes the horizon from the restored
-    # peripherals).
-
-    def _named_peripherals(self):
-        return (
-            ("intc", self.intc),
-            ("uart", self.uart),
-            ("nvm", self.nvm),
-            ("timer", self.timer),
-            ("gpio", self.gpio),
-            ("wdt", self.wdt),
-        )
-
-    def snapshot_lane_state(self) -> dict:
-        """Deep snapshot of all mutable device state (memories,
-        peripherals, bus bookkeeping), reusable across many restores."""
-        self.flush_ticks()
-        return {
-            "rom": bytes(self.rom.data),
-            "ram": bytes(self.ram.data),
-            "nvm_array": bytes(self.nvm.array.data),
-            "peripherals": {
-                name: peripheral.lane_state()
-                for name, peripheral in self._named_peripherals()
-            },
-            "access_count": self.bus.access_count,
-        }
-
-    def restore_lane_state(self, state: dict) -> None:
-        """Load a :meth:`snapshot_lane_state` snapshot into this device
-        (no core may be attached; attach one with a matching cycle
-        counter afterwards)."""
-        self.rom.load(0, state["rom"])
-        self.ram.load(0, state["ram"])
-        self.nvm.array.load(0, state["nvm_array"])
-        peripherals = state["peripherals"]
-        for name, peripheral in self._named_peripherals():
-            peripheral.load_lane_state(peripherals[name])
-        self.bus.access_count = state["access_count"]
 
     # -- time -------------------------------------------------------------------
     def tick(self, cycles: int = 1) -> None:

@@ -29,40 +29,6 @@ class Peripheral:
         self.values = {r.name: r.reset for r in self.layout.registers}
         self.irq = False
 
-    # -- lane state (batched lock-step engine) ------------------------------
-    #
-    # A surgical lane fork clones the leader device mid-run; peripheral
-    # state is value-like throughout the tree (ints, strings, byte
-    # buffers, flat containers of those), so a generic deep copy of the
-    # instance dict captures it.  Excluded: the shared immutable layout,
-    # and any attribute that is a bus-attached device (the NVM
-    # controller's array Memory stays identity-bound to its bus mapping;
-    # the SoC snapshots its bytes separately).
-    _LANE_STATE_SKIP = ("layout",)
-
-    def lane_state(self) -> dict:
-        """Deep-copied mutable state for a lane fork."""
-        import copy
-
-        from repro.soc.bus import Memory
-
-        return copy.deepcopy(
-            {
-                key: value
-                for key, value in self.__dict__.items()
-                if key not in self._LANE_STATE_SKIP
-                and not isinstance(value, Memory)
-            }
-        )
-
-    def load_lane_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`lane_state`.  The snapshot
-        is deep-copied on the way in, so one captured state can seed
-        any number of forked lanes without aliasing."""
-        import copy
-
-        self.__dict__.update(copy.deepcopy(state))
-
     # -- bus protocol ----------------------------------------------------------
     def read(self, offset: int, size: int) -> int:
         if size != 4:

@@ -126,8 +126,7 @@ class PeripheralLayout:
             seen_offsets.add(reg.offset)
 
     # Decode tables, built on first use and cached on the (immutable)
-    # layout itself — every peripheral bound to it shares them, and
-    # peripheral lane-state copies never carry them.
+    # layout itself — every peripheral bound to it shares them.
     @cached_property
     def registers_by_name(self) -> dict[str, RegisterDef]:
         return {reg.name: reg for reg in self.registers}

@@ -1,11 +1,10 @@
 """Fault-tolerant regression execution: supervision, quarantine, chaos.
 
 Drives seeded :class:`~repro.core.faults.FaultPlan`\\ s through the
-serial / thread / process / batch executors and asserts the contract
-the supervision layer promises: the matrix always completes, healthy
-cells keep byte-identical verdicts vs a fault-free run, and faulty
-cells surface as retried / degraded / quarantined bookkeeping instead
-of raw tracebacks.
+serial and process executors and asserts the contract the supervision
+layer promises: the matrix always completes, healthy cells keep
+byte-identical verdicts vs a fault-free run, and faulty cells surface
+as retried / quarantined bookkeeping instead of raw tracebacks.
 """
 
 import pickle
@@ -21,7 +20,6 @@ from repro.core.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    SITE_BATCH_PEEL,
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
     SITE_SESSION_RUN,
@@ -29,10 +27,8 @@ from repro.core.faults import (
     corrupt_bytes,
 )
 from repro.core.scheduler import RegressionScheduler, ResultCache, result_to_payload
-from repro.core.targets import TARGET_GOLDEN
 from repro.core.workloads import make_nvm_environment, make_uart_environment
-from repro.platforms import RunStatus, make_platform
-from repro.platforms.session import BatchSession
+from repro.platforms import RunStatus
 from repro.soc.derivatives import SC88A
 
 
@@ -226,11 +222,10 @@ class TestSerialSupervision:
         report = scheduler.run_environment(make_nvm_environment(1), SC88A)
         assert report.retried_runs == 0
         assert report.quarantined_runs == 0
-        assert report.degraded_runs == 0
 
 
 class TestPooledSupervision:
-    def test_thread_worker_exception_does_not_abort_matrix(
+    def test_process_worker_exception_does_not_abort_matrix(
         self, baseline_report
     ):
         # The original pool.map semantics aborted every payload on the
@@ -240,14 +235,14 @@ class TestPooledSupervision:
                       match="rtl#0", times=1),
         ])
         report = RegressionScheduler(
-            jobs=3, executor="thread", fault_plan=plan,
+            jobs=3, executor="process", fault_plan=plan,
             backoff_base=0.001,
         ).run_system(make_environments(), SC88A)
         assert report.retried_runs >= 1
         assert report.quarantined_runs == 0
         assert_healthy_cells_identical(report, baseline_report)
 
-    def test_thread_persistent_fault_quarantines_per_cell(
+    def test_process_persistent_fault_quarantines_per_cell(
         self, baseline_report
     ):
         plan = FaultPlan(specs=[
@@ -255,7 +250,7 @@ class TestPooledSupervision:
                       match="rtl#", times=999),
         ])
         report = RegressionScheduler(
-            jobs=2, executor="thread", fault_plan=plan, retries=1,
+            jobs=2, executor="process", fault_plan=plan, retries=1,
             backoff_base=0.001,
         ).run_system(make_environments(), SC88A)
         rtl_cells = [
@@ -300,84 +295,6 @@ class TestPooledSupervision:
         assert report.retried_runs >= 1
         assert report.quarantined_runs == 0
         assert_healthy_cells_identical(report, baseline_report)
-
-
-class TestBatchDegradation:
-    def test_lockstep_fault_degrades_not_aborts(self, baseline_report):
-        plan = FaultPlan(specs=[
-            FaultSpec(site=SITE_SESSION_RUN, action=ACTION_RAISE,
-                      times=1),
-        ])
-        report = RegressionScheduler(
-            executor="batch", fault_plan=plan
-        ).run_system(make_environments(), SC88A)
-        assert report.total_runs == baseline_report.total_runs
-        assert report.degraded_runs >= 1
-        assert report.quarantined_runs == 0
-        assert_healthy_cells_identical(report, baseline_report)
-        assert "degraded" in report.summary()
-
-    def test_run_batch_never_raises_and_quarantines_last(self):
-        # Every session attempt fails: the degradation ladder must
-        # bottom out in synthesized FAULT verdicts, not an exception.
-        plan = FaultPlan(specs=[
-            FaultSpec(site=SITE_SESSION_RUN, action=ACTION_RAISE,
-                      times=9999),
-        ])
-        injector = FaultInjector(plan)
-        batch = BatchSession(
-            SC88A,
-            [make_platform("golden"), make_platform("rtl")],
-            injector=injector,
-        )
-        env = make_nvm_environment(1)
-        artifacts = env.build_image("TEST_NVM_PAGE_001", SC88A, TARGET_GOLDEN)
-        results = batch.run_batch(artifacts.image)
-        assert len(results) == 2
-        for lane, result in zip(batch.last_lanes, results):
-            assert lane.degraded and lane.quarantined
-            assert result.status is RunStatus.FAULT
-            assert result.fault_reason.startswith("quarantined:")
-        assert batch.stats()["degraded_lanes"] == 2
-
-    def test_peel_fault_degrades_lane_to_identical_scalar_run(self):
-        # A fault during peel servicing demotes the lane to a
-        # from-reset scalar run whose verdict is byte-identical.
-        env = make_nvm_environment(1)
-        artifacts = env.build_image("TEST_NVM_PAGE_001", SC88A, TARGET_GOLDEN)
-        stimuli = [None, {SC88A.memory_map().ram.base: 0xDEAD_BEEF}]
-        plans = [
-            None,
-            FaultPlan(specs=[
-                FaultSpec(site=SITE_BATCH_PEEL, action=ACTION_RAISE,
-                          times=1),
-            ]),
-        ]
-        outcomes = []
-        for plan in plans:
-            batch = BatchSession(
-                SC88A,
-                [make_platform("golden"), make_platform("golden")],
-                injector=(
-                    FaultInjector(plan) if plan is not None else None
-                ),
-            )
-            results = batch.run_batch(artifacts.image, stimuli=stimuli)
-            outcomes.append(
-                [result_to_payload(r) for r in results]
-            )
-        clean, chaotic = outcomes
-        assert chaotic == clean
-
-    def test_invalid_arguments_still_raise(self):
-        # The degradation ladder must not swallow caller errors.
-        env = make_nvm_environment(1)
-        artifacts = env.build_image("TEST_NVM_PAGE_001", SC88A, TARGET_GOLDEN)
-        batch = BatchSession(SC88A, [make_platform("golden")])
-        with pytest.raises(ValueError, match="outside RAM"):
-            batch.run_batch(artifacts.image, stimuli=[{0x10: 1}])
-        with pytest.raises(ValueError, match="lanes"):
-            batch.run_batch(artifacts.image, stimuli=[None, None])
 
 
 # --------------------------------------------------------------------------
@@ -480,7 +397,6 @@ CHAOS_PLAN = FaultPlan(
 class TestChaosAcceptance:
     @pytest.mark.parametrize("executor,jobs", [
         ("serial", 1),
-        ("thread", 2),
         ("process", 2),
     ])
     def test_chaos_matrix_completes_everywhere(

@@ -3,7 +3,7 @@
 :meth:`SystemOnChip.full_reset` restores ROM by the extents image loads
 wrote and keeps the bus page table unless a mapping changed.  These
 tests hold it to the only contract that matters: after any mix of
-dirtying — image loads, whole-ROM lane-state restores, RAM/NVM pokes,
+dirtying — image loads, whole-ROM loads, RAM/NVM pokes, device swaps,
 NVM programming through the SFRs, peripheral configuration, page-table
 perturbations, real test runs — a reset device is indistinguishable
 from ``SystemOnChip(derivative)``.
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.system_env import make_default_system
 from repro.core.targets import all_targets
-from repro.platforms.session import ExecutionSession, _ArmedWatch
+from repro.platforms.session import ExecutionSession
 from repro.soc.bus import LOAD_EXTENT_CAP, Memory
 from repro.soc.derivatives import SC88A, SC88C, all_derivatives
 from repro.soc.device import SfrPort, SystemOnChip
@@ -32,6 +32,17 @@ WINDOW = 0x800
 # the fresh-device comparison
 # --------------------------------------------------------------------------
 
+def _named_peripherals(soc: SystemOnChip):
+    return (
+        ("intc", soc.intc),
+        ("uart", soc.uart),
+        ("nvm", soc.nvm),
+        ("timer", soc.timer),
+        ("gpio", soc.gpio),
+        ("wdt", soc.wdt),
+    )
+
+
 def _device_role(soc: SystemOnChip, device) -> str:
     for name, memory in (
         ("rom", soc.rom),
@@ -41,7 +52,7 @@ def _device_role(soc: SystemOnChip, device) -> str:
         if device is memory:
             return name
     if isinstance(device, SfrPort) and device.soc is soc:
-        for name, peripheral in soc._named_peripherals():
+        for name, peripheral in _named_peripherals(soc):
             if device.peripheral is peripheral:
                 return name
     return f"foreign {type(device).__name__}"
@@ -57,7 +68,7 @@ def device_state(soc: SystemOnChip) -> dict:
     """Every piece of device state a run can observe or leave behind,
     with object identities replaced by their role in *soc*."""
     peripherals = {}
-    for name, peripheral in soc._named_peripherals():
+    for name, peripheral in _named_peripherals(soc):
         peripherals[name] = {
             key: value
             for key, value in peripheral.__dict__.items()
@@ -94,8 +105,8 @@ def assert_fresh(soc: SystemOnChip) -> None:
 # --------------------------------------------------------------------------
 
 class _Wrapped:
-    """A non-Memory bus device, as the batch engine's RAM watch is: the
-    mapping loses its word buffers while it is installed."""
+    """A non-Memory bus device: the mapping loses its word buffers while
+    it is installed."""
 
     def __init__(self, memory):
         self.memory = memory
@@ -146,9 +157,7 @@ def apply_step(soc: SystemOnChip, step: tuple) -> None:
             soc.rom.load(8 * i, bytes([byte]) * 4)
     elif kind == "rom_whole":
         (byte,) = args
-        state = soc.snapshot_lane_state()
-        state["rom"] = bytes([byte]) * ROM_SIZE
-        soc.restore_lane_state(state)
+        soc.rom.load(0, bytes([byte]) * ROM_SIZE)
     elif kind == "ram_poke":
         offset, value = args
         bus.poke_word(soc.memory_map.ram.base + offset, value)
@@ -167,18 +176,14 @@ def apply_step(soc: SystemOnChip, step: tuple) -> None:
         soc.tick(ticks)
     elif kind == "page_clear":
         bus.page_table.clear()
-    elif kind == "watch_swap":
-        (disarm,) = args
+    elif kind == "device_swap":
         mapping = bus.mapping_for(soc.memory_map.ram.base, 1)
         original = mapping.device
         mapping.device = _Wrapped(original)
         bus.rebuild_dispatch()
         bus.poke_word(mapping.base, 0x5A5A_5A5A)
-        if disarm:
-            _ArmedWatch(bus, mapping, original).disarm()
-        else:
-            # Device restored, word buffers still dropped.
-            mapping.device = original
+        # Device restored, word buffers still dropped.
+        mapping.device = original
     elif kind == "no_fast_routing":
         bus.page_table.clear()
         for mapping in bus.mappings:
@@ -234,7 +239,7 @@ steps = st.one_of(
         st.integers(0, 500),
     ),
     st.tuples(st.just("page_clear")),
-    st.tuples(st.just("watch_swap"), st.booleans()),
+    st.tuples(st.just("device_swap")),
     st.tuples(st.just("no_fast_routing")),
     st.tuples(st.just("drop_word_buffers"), st.integers(0, 2)),
 )

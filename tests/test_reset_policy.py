@@ -17,33 +17,22 @@ from repro.assembler.linker import Linker
 from repro.cli import main
 from repro.platforms import make_platform
 from repro.platforms.base import RunStatus
-from repro.platforms.session import BatchSession, ExecutionSession
+from repro.platforms.session import ExecutionSession
 from repro.soc.bus import LOAD_EXTENT_CAP, PAGE_SIZE, Bus, Memory
 from repro.soc.derivatives import SC88A
-from repro.soc.device import FAIL_MAGIC, PASS_MAGIC, SystemOnChip
+from repro.soc.device import PASS_MAGIC, SystemOnChip
 from repro.soc.peripherals.timer import Timer, make_timer_layout
 
 MEMORY_MAP = SC88A.memory_map()
-STIM_ADDR = MEMORY_MAP.ram.base + 0x8000
 
-#: Branches on the stimulus word: 0 -> PASS, nonzero -> FAIL.  A lane
-#: with a nonzero stimulus forks off the cohort leader at the load.
-BRANCH_IMAGE = Linker(
+PASS_IMAGE = Linker(
     text_base=MEMORY_MAP.text_base, data_base=MEMORY_MAP.data_base
 ).link(
     [
         Assembler().assemble_source(
             f"""\
 _main:
-    LOAD a4, {STIM_ADDR:#x}
-    LD.W d4, [a4]
-    CMPI d4, 0
-    JNZ lane_fail
     LOAD d0, {PASS_MAGIC:#x}
-    STORE [{MEMORY_MAP.result_address:#x}], d0
-    HALT
-lane_fail:
-    LOAD d0, {FAIL_MAGIC:#x}
     STORE [{MEMORY_MAP.result_address:#x}], d0
     HALT
 """,
@@ -146,7 +135,7 @@ class TestDispatchReuse:
         soc.rom.load(0x100, b"\x01" * 16)
         soc.full_reset()
         assert soc.reset_fallbacks == 0
-        soc.restore_lane_state(soc.snapshot_lane_state())
+        soc.rom.load(0, bytes(len(soc.rom.data)))
         soc.full_reset()
         assert soc.reset_fallbacks == 1
         assert soc.rom.data == bytes(len(soc.rom.data))
@@ -193,9 +182,7 @@ class TestLayoutDecode:
         first, second = Timer(layout), Timer(layout)
         first.field_value(first._ctrl, "EN")
         assert first.layout.field_masks is second.layout.field_masks
-        state = first.lane_state()
-        assert "field_masks" not in state
-        assert set(state) == set(first.__dict__) - {"layout"}
+        assert "field_masks" not in first.__dict__
 
 
 # --------------------------------------------------------------------------
@@ -215,34 +202,15 @@ class TestResetTelemetry:
         assert " reset_full=0 " in f"{line} "
         assert " dispatch_rebuilds=0 " in f"{line} "
 
-    def test_forked_run_leaves_a_whole_rom_restore(self):
+    def test_over_cap_loads_report_a_whole_rom_restore(self):
         session = ExecutionSession(make_platform("golden"), SC88A)
-        assert session.run(BRANCH_IMAGE).status is RunStatus.PASS
+        assert session.run(PASS_IMAGE).status is RunStatus.PASS
         assert session.stats()["reset_full"] == 0
-        soc_state = session.soc.snapshot_lane_state()
-        cpu_state = session.cpu.snapshot_lane_state()
-        ctx = session.begin_forked(
-            BRANCH_IMAGE, None, soc_state, cpu_state
-        )
-        session.drive(ctx)
-        session.finish(ctx)
-        session.run(BRANCH_IMAGE)
+        for i in range(LOAD_EXTENT_CAP):
+            session.soc.rom.load(0x1000 + 4 * i, b"\x01")
+        assert session.run(PASS_IMAGE).status is RunStatus.PASS
         stats = session.stats()
         assert stats["reset_full"] == 1
         assert stats["dispatch_rebuilds"] == 0
-
-    def test_batch_fork_reports_reset_full(self):
-        batch = BatchSession(
-            SC88A, [make_platform("golden"), make_platform("golden")]
-        )
-        stimuli = [None, {STIM_ADDR: 1}]
-        first = batch.run_batch(BRANCH_IMAGE, stimuli=stimuli)
-        assert [r.status for r in first] == [RunStatus.PASS, RunStatus.FAIL]
-        assert batch.last_lanes[1].peeled and batch.last_lanes[1].batched
-        assert batch.stats()["reset_full"] == 0
-        # The forked lane's device was seeded with a whole-ROM restore,
-        # so its next reset rewrites all of ROM.
-        batch.run_batch(BRANCH_IMAGE, stimuli=stimuli)
-        stats = batch.stats()
-        assert stats["reset_full"] > 0
-        assert stats["dispatch_rebuilds"] == 0
+        session.run(PASS_IMAGE)
+        assert session.stats()["reset_full"] == 0

@@ -1,6 +1,7 @@
 """Tests for the parallel, cached regression scheduler."""
 
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from repro.core.scheduler import (
     RegressionScheduler,
     ResultCache,
     RunRequest,
+    matrix_digest,
     result_from_payload,
     result_to_payload,
 )
@@ -83,7 +85,7 @@ class TestExecutors:
         assert status_matrix(report) == status_matrix(legacy)
         assert report.clean
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_pooled_matches_serial(self, executor):
         serial = RegressionScheduler().run_system(
             make_environments(), SC88A
@@ -94,9 +96,37 @@ class TestExecutors:
         assert status_matrix(pooled) == status_matrix(serial)
         assert pooled.executed_runs == pooled.total_runs
 
+    def test_pooled_run_leaves_no_worker_alive(self):
+        before = set(multiprocessing.active_children())
+        RegressionScheduler(jobs=2, executor="process").run_system(
+            make_environments(), SC88A
+        )
+        assert set(multiprocessing.active_children()) - before == set()
+
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             RegressionScheduler(executor="carrier-pigeon")
+
+    @pytest.mark.parametrize("executor", ["thread", "batch"])
+    def test_removed_executor_rejected(self, executor):
+        with pytest.raises(ValueError, match="unknown executor"):
+            RegressionScheduler(executor=executor)
+
+    def test_matrix_digest_covers_every_result_field(self):
+        report = RegressionScheduler().run_system(
+            make_environments(), SC88A
+        )
+        digest = matrix_digest(report)
+        assert len(digest) == 64
+        key = ("NVM", "TEST_NVM_PAGE_001", "rtl")
+        original = report.results[key]
+        for change in ({"cycles": original.cycles + 1},
+                       {"signature": (original.signature or 0) ^ 1},
+                       {"trace": original.trace[:-1]}):
+            report.results[key] = dataclasses.replace(original, **change)
+            assert matrix_digest(report) != digest, change
+        report.results[key] = original
+        assert matrix_digest(report) == digest
 
     def test_divergence_attribution_with_overrides(self):
         fault = NetlistFault(
@@ -106,7 +136,7 @@ class TestExecutors:
         )
         scheduler = RegressionScheduler(
             jobs=2,
-            executor="thread",
+            executor="process",
             platform_overrides={"gatelevel": GateLevelSim(fault=fault)},
         )
         report = scheduler.run_environment(make_nvm_environment(2), SC88A)
@@ -214,12 +244,43 @@ class TestRegressCli:
             [
                 "regress", str(workspace), "NVM",
                 "--targets", "golden,rtl",
-                "--jobs", "2", "--executor", "thread",
+                "--jobs", "2", "--executor", "process",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "2/2 runs ok" in out
+
+    @pytest.mark.parametrize("executor", ["thread", "batch"])
+    def test_regress_rejects_removed_executors(
+        self, workspace, executor, capsys
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["regress", str(workspace), "--executor", executor])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_matrix_digest_agrees_across_executors_and_cache(
+        self, workspace, tmp_path, capsys
+    ):
+        def digest(*extra):
+            assert main(
+                ["regress", str(workspace), "--engine-stats", *extra]
+            ) == 0
+            out = capsys.readouterr().out
+            (line,) = [
+                line for line in out.splitlines()
+                if line.startswith("matrix-digest: ")
+            ]
+            return line, out
+
+        cache = ["--cache-dir", str(tmp_path / "verdicts")]
+        serial, _ = digest()
+        pooled, _ = digest("--jobs", "2", "--executor", "process")
+        cold, _ = digest(*cache)
+        warm, out = digest(*cache)
+        assert "0 run(s) executed" in out
+        assert serial == pooled == cold == warm
 
     def test_regress_cache_roundtrip(self, workspace, tmp_path, capsys):
         cache_dir = tmp_path / "verdicts"

@@ -113,6 +113,13 @@ class TestScenarioPack:
         with pytest.raises(PackError):
             parse_pack(["not", "a", "pack"])
 
+    @pytest.mark.parametrize("executor", ["thread", "batch"])
+    def test_rejects_removed_executors(self, executor):
+        with pytest.raises(
+            PackError, match="pack field 'executor' must be one of"
+        ):
+            parse_pack(smoke_pack(executor=executor))
+
     def test_resolve(self, workspace):
         pack = parse_pack(smoke_pack())
         environments, derivative, targets = resolve_pack(pack, workspace)
@@ -659,6 +666,36 @@ class TestRegressionService:
         assert stats["jobs"]["completed"] == 1
         assert stats["journal"]["pending"] == 0
         # The settle is durable: a third incarnation replays nothing.
+        assert JobJournal(journal_dir).pending_jobs() == []
+
+    def test_replay_settles_removed_executor_as_unreplayable(
+        self, workspace, tmp_path
+    ):
+        journal_dir = tmp_path / "journal"
+        journal = JobJournal(journal_dir)
+        journal.accept("job-000043", smoke_pack(executor="batch"))
+        del journal  # kill -9: no settle, no close
+
+        async def scenario():
+            journal = JobJournal(journal_dir)
+            settled = []
+            settle = journal.settle
+
+            def record(job_id, status, summary):
+                settled.append((job_id, status, summary))
+                return settle(job_id, status, summary)
+
+            journal.settle = record
+            service = RegressionService(workspace, journal=journal)
+            replayed = await service.replay_pending()
+            await service.drain()
+            return replayed, settled
+
+        replayed, settled = run_async(scenario())
+        assert replayed == 0
+        assert settled == [
+            ("job-000043", "failed", {"error": "unreplayable pack"})
+        ]
         assert JobJournal(journal_dir).pending_jobs() == []
 
     def test_ready_reflects_pool_health(self, workspace):

@@ -1,11 +1,10 @@
 """HTTP-layer and chaos-acceptance tests for the serving daemon.
 
-The acceptance bar, from the robustness issue: with faults armed at
-every one of the eight injection sites against a *live* daemon, every
-accepted request terminates with a result or an explicit FAULT; the
-readiness probe never reports ready over a broken pool; and a
-``kill -9`` between accept and settle replays the journal with zero
-loss on restart.
+The acceptance bar: with faults armed at every injection site against
+a *live* daemon, every accepted request terminates with a result or an
+explicit FAULT; the readiness probe never reports ready over a broken
+pool; and a ``kill -9`` between accept and settle replays the journal
+with zero loss on restart.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.core.faults import (
     ALL_SITES,
     FaultPlan,
     FaultSpec,
-    SITE_BATCH_PEEL,
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
     SITE_JOURNAL_WRITE,
@@ -210,7 +208,7 @@ class TestHttpLayer:
 
 
 # --------------------------------------------------------------------------
-# chaos acceptance: all eight sites against a live daemon
+# chaos acceptance: every site against a live daemon
 # --------------------------------------------------------------------------
 
 CHAOS_CASES = {
@@ -221,10 +219,6 @@ CHAOS_CASES = {
     SITE_SESSION_RUN: (
         FaultSpec(site=SITE_SESSION_RUN, action="raise", times=10),
         smoke_pack(),
-    ),
-    SITE_BATCH_PEEL: (
-        FaultSpec(site=SITE_BATCH_PEEL, action="raise"),
-        smoke_pack(executor="batch", targets=["golden", "rtl"]),
     ),
     SITE_CACHE_READ: (
         FaultSpec(site=SITE_CACHE_READ, action="corrupt"),
