@@ -1,18 +1,17 @@
 """Dispatch benchmarks: executor-table dispatch + event-horizon ticking.
 
-Records the numbers ISSUE 3 ties the execution core to, against an
-in-benchmark emulation of the pre-PR engine (the ``if/elif`` opcode
-chain on every retire via ``use_exec_table=False``, and the per-step
-session loop that walks every peripheral after every instruction via
-``use_block_run=False``):
+Records the executor-table and event-horizon numbers against the
+reference interpreter (``use_superblocks=False``: bus fetch, decode and
+the ``if/elif`` opcode chain on every retire, and a walk of every
+peripheral after every instruction):
 
 - interpreter instructions/sec on an ALU/branch/memory loop,
   **untraced** — the configuration the verdict matrix spends its time
   in — asserting the >= 1.5x target and byte-identical
   ``(signature, cycles, instructions)``;
 - byte-identical architectural outcomes — signature, cycles, retire
-  trace, interrupt delivery cycles — between table+horizon and the
-  legacy per-step/per-tick path across the interrupt-heavy example
+  trace, interrupt delivery cycles — between the default engine and
+  the reference interpreter across the interrupt-heavy example
   suites (timer IRQ, watchdog service, UART) on golden and RTL;
 - the mechanism observable: how many peripheral tick *walks* the
   event-horizon scheduler performs vs the per-instruction loop.
@@ -68,8 +67,8 @@ skip:
 
 RESULTS = BenchResults("dispatch")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_block_run": True},
-    reference={"use_block_run": False},
+    candidate={"use_superblocks": True},
+    reference={"use_superblocks": False, "note": "reference interpreter"},
 )
 
 
@@ -81,14 +80,10 @@ def link_source(source: str):
 
 
 def make_session(platform_cls, *, legacy: bool) -> ExecutionSession:
-    """A session in the new configuration, or the pre-PR emulation:
-    ``if/elif`` chain on every retire, one peripheral walk per
-    instruction."""
-    session = ExecutionSession(
-        platform_cls(), SC88A, use_block_run=not legacy
-    )
-    session.cpu.use_exec_table = not legacy
-    return session
+    """A session on the default engine, or on the reference
+    interpreter: ``if/elif`` chain on every retire, one peripheral walk
+    per instruction."""
+    return ExecutionSession(platform_cls(), SC88A, use_superblocks=not legacy)
 
 
 def timed_run(image, *, legacy: bool):
@@ -124,7 +119,7 @@ def test_untraced_dispatch_speedup():
     shape(
         "dispatch: untraced interpreter loop "
         f"{legacy_ips:,.0f} -> {fast_ips:,.0f} instr/sec "
-        f"({speedup:.2f}x with executor table + event horizons)"
+        f"({speedup:.2f}x over the reference interpreter)"
     )
     assert speedup >= 1.5, (
         f"dispatch speedup {speedup:.2f}x below 1.5x target"
@@ -133,7 +128,7 @@ def test_untraced_dispatch_speedup():
 
 def test_outcomes_identical_across_irq_suites():
     """Signature, cycles, retire trace and interrupt delivery timing
-    must be byte-identical between the new engine and the per-step/
+    must be byte-identical between the default engine and the reference
     per-tick reference across the interrupt-heavy suites."""
     cells_checked = 0
     for make_env in (make_timer_environment, lambda: make_uart_environment(2)):
@@ -160,7 +155,8 @@ def test_outcomes_identical_across_irq_suites():
     }
     shape(
         f"dispatch: {cells_checked} interrupt-heavy runs byte-identical "
-        "(signature, cycles, trace, IRQ timing) to per-step/per-tick"
+        "(signature, cycles, trace, IRQ timing) to the reference "
+        "interpreter"
     )
 
 

@@ -24,6 +24,7 @@ trajectory is tracked across PRs.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from repro.assembler.assembler import Assembler
 from repro.assembler.linker import Linker
@@ -77,8 +78,8 @@ loop:
 
 RESULTS = BenchResults("memsys")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_decode_cache": True},
-    reference={"use_decode_cache": False},
+    candidate={"use_superblocks": True},
+    reference={"use_superblocks": False, "note": "reference interpreter"},
 )
 
 
@@ -262,6 +263,13 @@ def test_traced_coverage_run_speedup():
     )
 
 
+def reference_run(platform, image, derivative, max_instructions, **kw):
+    """``Platform.run`` on the reference interpreter (no decode cache)."""
+    return ExecutionSession(platform, derivative, use_superblocks=False).run(
+        image, max_instructions=max_instructions, **kw
+    )
+
+
 def test_divergence_verdicts_identical():
     image = link_source(
         "_main:\n"
@@ -280,8 +288,9 @@ def test_divergence_verdicts_identical():
     for use_cache in (True, False):
         reference = GoldenModel()
         subject = GateLevelSim(fault=fault)
-        reference.use_decode_cache = use_cache
-        subject.use_decode_cache = use_cache
+        if not use_cache:
+            for platform in (reference, subject):
+                platform.run = partial(reference_run, platform)
         comparison = compare_traces(image, SC88A, reference, subject)
         verdicts.append(
             (comparison.identical, comparison.divergence.index)
@@ -289,8 +298,9 @@ def test_divergence_verdicts_identical():
     assert verdicts[0] == verdicts[1]
     RESULTS["divergence_verdicts_identical"] = True
     shape(
-        "memsys: first-divergence verdict identical with decode cache "
-        f"on and off (fork at instruction #{verdicts[0][1]})"
+        "memsys: first-divergence verdict identical on the default "
+        "engine and the reference interpreter "
+        f"(fork at instruction #{verdicts[0][1]})"
     )
 
 
@@ -306,7 +316,7 @@ def test_session_coverage_wall_time_and_emit_json():
         for image in images:
             platform = GoldenModel()
             session = ExecutionSession(
-                platform, SC88A, use_decode_cache=False
+                platform, SC88A, use_superblocks=False
             )
             make_legacy(session.soc)
             events: list[BusAccess] = []

@@ -1,8 +1,8 @@
 """Superblock benchmarks: straight-line fusion + idle fast-forward.
 
-Records the numbers ISSUE 4 ties the execution core to, against the
-ISSUE 3 engine (per-instruction executor-table dispatch under
-event-horizon scheduling, selected via ``use_superblocks=False``):
+Records the superblock engine's numbers against the reference
+interpreter (``use_superblocks=False``: bus fetch, decode and the
+``if/elif`` chain per instruction, one peripheral walk per step):
 
 - instructions/sec on the **delay-heavy** workloads — one-shot timer
   delays (``Base_Timer_Delay``: calibrated pure spin between status
@@ -10,21 +10,19 @@ event-horizon scheduling, selected via ``use_superblocks=False``):
   fast-forward warps the spin iterations the program only counts,
   asserting the >= 2x target (>= 1.5x in ``--quick`` mode);
 - byte-identical architectural outcomes — signature, cycles, retire
-  totals, IRQ-delivery timing — against **both** reference baselines:
-  ``use_exec_table=False`` (the pre-dispatch ``if/elif`` chain) and
-  ``use_block_run=False`` (the per-step/per-tick loop), plus a traced
-  golden run proving the retire trace itself is unchanged (since
-  ISSUE 5 the fast path stays on under observation and synthesizes
-  the warped trace records; ``bench_trace_fastpath.py`` measures that
-  win);
-- the chaining win on a branchy ALU loop with no idle spins (fusion +
-  block-to-block chaining only);
+  totals, IRQ-delivery timing — against the reference interpreter and
+  the JIT-off superblock loop, plus a traced golden run proving the
+  retire trace itself is unchanged (the fast path stays on under
+  observation and synthesizes the warped trace records;
+  ``bench_trace_fastpath.py`` measures that win);
+- the chaining figure on a branchy ALU loop with no idle spins: the
+  superblock loop without the JIT (fusion + block-to-block chaining
+  only) vs the reference interpreter;
 - the mechanism observables: warps performed, and that the reference
-  configurations perform none.
+  interpreter performs none.
 
 Runs on the bondout platform — full register/memory visibility without
-the always-on instruction trace, i.e. the configuration where the
-hoisted engine actually operates.
+the always-on instruction trace, i.e. the unobserved superblock loop.
 
 Emits ``BENCH_superblock.json`` next to the repository root.  Also
 runnable as a script: ``python benchmarks/bench_superblock.py
@@ -53,9 +51,9 @@ MEMORY_MAP = SC88A.memory_map()
 
 RESULTS = BenchResults("superblock")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_superblocks": True, "use_fast_forward": True},
-    reference={"use_superblocks": False},
-    baseline={"use_block_run": False, "note": "per-step/per-tick loop"},
+    candidate={"use_superblocks": True},
+    reference={"use_superblocks": False, "note": "reference interpreter"},
+    chaining={"use_jit": False, "note": "superblock loop, no JIT"},
 )
 
 #: Full (pytest/CI bench) and quick (perf-smoke gate) configurations.
@@ -100,21 +98,14 @@ skip:
 
 
 def make_session(platform_cls=Bondout, *, engine: str) -> ExecutionSession:
-    """``new`` = superblocks + fast-forward; ``pr3`` = the ISSUE 3
-    per-instruction hoisted loop; ``exec_off`` = the pre-dispatch
-    ``if/elif`` chain; ``step`` = the per-step/per-tick session loop."""
+    """``new`` = the default engine; ``sb`` = the superblock loop with
+    the JIT off; ``reference`` = the reference interpreter."""
     if engine == "new":
         return ExecutionSession(platform_cls(), SC88A)
-    if engine == "pr3":
+    if engine == "sb":
+        return ExecutionSession(platform_cls(), SC88A, use_jit=False)
+    if engine == "reference":
         return ExecutionSession(platform_cls(), SC88A, use_superblocks=False)
-    if engine == "exec_off":
-        session = ExecutionSession(
-            platform_cls(), SC88A, use_superblocks=False
-        )
-        session.cpu.use_exec_table = False
-        return session
-    if engine == "step":
-        return ExecutionSession(platform_cls(), SC88A, use_block_run=False)
     raise ValueError(engine)
 
 
@@ -138,41 +129,40 @@ def delay_images(config):
 
 
 def run_delay_speedup(config) -> dict:
-    """The acceptance number: new engine vs the ISSUE 3 engine on the
-    delay-heavy workloads, byte-identical against both references."""
+    """The acceptance number: the default engine vs the reference
+    interpreter on the delay-heavy workloads, byte-identical against
+    it and against the JIT-off superblock loop."""
     repeats = config["repeats"]
     per_cell = {}
     total_new = 0.0
-    total_pr3 = 0.0
+    total_ref = 0.0
     warps_total = 0
     for cell, image in delay_images(config):
         new_ips, (new_result, new_warps) = best_rate(
             repeats, lambda: timed_run(image, engine="new")
         )
-        pr3_ips, (pr3_result, pr3_warps) = best_rate(
-            repeats, lambda: timed_run(image, engine="pr3")
+        ref_ips, (ref_result, ref_warps) = best_rate(
+            repeats, lambda: timed_run(image, engine="reference")
         )
-        _, exec_off_result, _ = timed_run(image, engine="exec_off")
-        _, step_result, step_warps = timed_run(image, engine="step")
+        _, sb_result, _ = timed_run(image, engine="sb")
         # Byte-identical architecture against both baselines before any
         # speed claim (signature, cycles, retires, pins, UART).
-        assert strip(new_result) == strip(pr3_result), cell
-        assert strip(new_result) == strip(exec_off_result), cell
-        assert strip(new_result) == strip(step_result), cell
+        assert strip(new_result) == strip(ref_result), cell
+        assert strip(new_result) == strip(sb_result), cell
         assert new_warps > 0, f"{cell}: fast-forward never fired"
-        assert pr3_warps == 0 and step_warps == 0
+        assert ref_warps == 0
         instructions = new_result.instructions
         total_new += instructions / new_ips
-        total_pr3 += instructions / pr3_ips
+        total_ref += instructions / ref_ips
         warps_total += new_warps
         per_cell[cell] = {
             "instructions": instructions,
-            "pr3_ips": round(pr3_ips),
+            "reference_ips": round(ref_ips),
             "new_ips": round(new_ips),
-            "speedup": round(new_ips / pr3_ips, 2),
+            "speedup": round(new_ips / ref_ips, 2),
             "warps": new_warps,
         }
-    speedup = total_pr3 / total_new
+    speedup = total_ref / total_new
     return {
         "per_cell": per_cell,
         "speedup": round(speedup, 2),
@@ -183,7 +173,8 @@ def run_delay_speedup(config) -> dict:
 
 
 def run_chain_speedup(config) -> dict:
-    """Fusion + chaining alone (no idle spins in the loop)."""
+    """Fusion + chaining alone (no idle spins, JIT off) vs the
+    reference interpreter."""
     from repro.assembler.assembler import Assembler
     from repro.assembler.linker import Linker
 
@@ -192,18 +183,18 @@ def run_chain_speedup(config) -> dict:
         text_base=MEMORY_MAP.text_base, data_base=MEMORY_MAP.data_base
     ).link([obj])
     repeats = config["repeats"]
-    new_ips, (new_result, new_warps) = best_rate(
-        repeats, lambda: timed_run(image, engine="new")
+    sb_ips, (sb_result, sb_warps) = best_rate(
+        repeats, lambda: timed_run(image, engine="sb")
     )
-    pr3_ips, (pr3_result, _) = best_rate(
-        repeats, lambda: timed_run(image, engine="pr3")
+    ref_ips, (ref_result, _) = best_rate(
+        repeats, lambda: timed_run(image, engine="reference")
     )
-    assert strip(new_result) == strip(pr3_result)
-    assert new_warps == 0  # no idle spins here: pure chaining
+    assert strip(sb_result) == strip(ref_result)
+    assert sb_warps == 0  # no idle spins here: pure chaining
     return {
-        "pr3_ips": round(pr3_ips),
-        "new_ips": round(new_ips),
-        "speedup": round(new_ips / pr3_ips, 2),
+        "reference_ips": round(ref_ips),
+        "sb_ips": round(sb_ips),
+        "speedup": round(sb_ips / ref_ips, 2),
     }
 
 
@@ -216,7 +207,7 @@ def run_irq_timing_and_trace_identity() -> dict:
         image = env.build_image(cell, SC88A, TARGET_BONDOUT).image
         outcomes = [
             strip(timed_run(image, engine=engine)[1])
-            for engine in ("new", "pr3", "exec_off", "step")
+            for engine in ("new", "sb", "reference")
         ]
         assert all(outcome == outcomes[0] for outcome in outcomes), cell
         cells_checked += 1
@@ -232,7 +223,7 @@ def run_irq_timing_and_trace_identity() -> dict:
         fast_session = ExecutionSession(GoldenModel(), SC88A)
         fast = fast_session.run(image)
         reference = ExecutionSession(
-            GoldenModel(), SC88A, use_block_run=False
+            GoldenModel(), SC88A, use_superblocks=False
         ).run(image)
         assert strip(fast) == strip(reference), cell
         assert fast.trace is not None
@@ -250,9 +241,9 @@ def test_delay_fastforward_speedup():
     RESULTS["delay_fast_forward"] = numbers
     shape(
         "superblock: delay-heavy workloads "
-        f"{numbers['speedup']:.2f}x vs the ISSUE 3 engine "
-        f"({numbers['warps']} idle warps), byte-identical vs "
-        "exec-table-off and per-step references"
+        f"{numbers['speedup']:.2f}x vs the reference interpreter "
+        f"({numbers['warps']} idle warps), byte-identical vs it and "
+        "the JIT-off superblock loop"
     )
     assert numbers["speedup"] >= FULL["min_speedup"], (
         f"superblock speedup {numbers['speedup']:.2f}x below "
@@ -265,8 +256,8 @@ def test_chaining_on_branchy_loop():
     RESULTS["chaining"] = numbers
     shape(
         "superblock: branchy ALU loop (no idle spins) "
-        f"{numbers['pr3_ips']:,} -> {numbers['new_ips']:,} instr/sec "
-        f"({numbers['speedup']:.2f}x from fusion + chaining)"
+        f"{numbers['reference_ips']:,} -> {numbers['sb_ips']:,} instr/sec "
+        f"({numbers['speedup']:.2f}x from the superblock loop, JIT off)"
     )
     assert numbers["speedup"] >= 1.0
 
@@ -277,7 +268,7 @@ def test_irq_timing_and_trace_identity_and_emit_json():
     shape(
         f"superblock: {numbers['irq_cells']} interrupt-heavy runs and "
         f"{numbers['traced_cells']} traced runs byte-identical across "
-        "all four engine configurations"
+        "all three engine configurations"
     )
     path = RESULTS.emit()
     shape(f"superblock: wrote {path.name}")

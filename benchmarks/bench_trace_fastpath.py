@@ -5,8 +5,9 @@ retire traces, cycle-accurate timing — yet until this PR the superblock
 engine self-disabled the moment any of those was on, so exactly the
 runs the methodology cares about executed on the per-instruction path.
 This bench records the numbers ISSUE 5 ties the observed engine to,
-against ``use_superblocks=False`` (which under observation is the
-per-step reference loop — the PR 4 fallback behaviour):
+against ``use_superblocks=False`` — the reference interpreter, one
+instruction and one peripheral walk per step, fetching and decoding
+every instruction over the bus:
 
 - instructions/sec on a **traced coverage run** (golden model,
   instruction trace + unbounded bus-trace recording, the functional
@@ -52,7 +53,7 @@ RESULTS["engine_matrix"] = engine_matrix(
     candidate={"use_superblocks": True},
     reference={
         "use_superblocks": False,
-        "note": "per-step loop under observation",
+        "note": "reference interpreter",
     },
 )
 
@@ -86,8 +87,7 @@ def observed_session(platform_cls, *, record_bus, fast: bool):
     platform.record_bus_trace = record_bus
     if fast:
         return ExecutionSession(platform, SC88A)
-    # Under observation ``use_superblocks=False`` lands on the per-step
-    # reference loop — exactly the pre-ISSUE 5 fallback behaviour.
+    # The reference interpreter: per-step, with no decode cache.
     return ExecutionSession(platform, SC88A, use_superblocks=False)
 
 
@@ -122,7 +122,7 @@ def scenario_images(config, target):
 
 def run_observed_speedup(config) -> dict:
     """The acceptance numbers: observed superblock engine vs the
-    per-step fallback on the traced-coverage and wait-state scenarios,
+    reference interpreter on the traced-coverage and wait-state scenarios,
     byte-identical (outcome, retire trace, bus access stream) first."""
     scenarios = {}
     for name, platform_cls, target, record_bus in SCENARIOS:
@@ -190,7 +190,7 @@ def run_observed_speedup(config) -> dict:
 def run_irq_identity_under_observation() -> dict:
     """Interrupt-heavy timer suite under full observation (instruction
     trace + bus trace, golden and RTL): delivery timing and every
-    recorded event byte-identical to the per-step fallback."""
+    recorded event byte-identical to the reference interpreter."""
     cells_checked = 0
     for _name, platform_cls, target, _record in SCENARIOS:
         env = make_timer_environment()
@@ -219,7 +219,7 @@ def test_observed_fastpath_speedup():
         RESULTS[name] = numbers
         shape(
             f"trace_fastpath: {name} {numbers['speedup']:.2f}x vs the "
-            "per-step fallback "
+            "reference interpreter "
             f"({numbers['telemetry']['ff_warps']} warps, "
             f"{numbers['telemetry']['sb_blocks']} blocks, "
             "byte-identical outcome/trace/bus stream)"
@@ -235,7 +235,7 @@ def test_irq_identity_and_emit_json():
     RESULTS["equivalence"] = numbers
     shape(
         f"trace_fastpath: {numbers['irq_cells']} interrupt-heavy fully "
-        "observed runs byte-identical to the per-step fallback"
+        "observed runs byte-identical to the reference interpreter"
     )
     path = RESULTS.emit()
     shape(f"trace_fastpath: wrote {path.name}")

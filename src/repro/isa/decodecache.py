@@ -290,12 +290,15 @@ def _x_ei(cpu, e):
 
 
 def _x_ret(cpu, e):
-    cpu.regs.pc = cpu._pop()
+    regs = cpu.regs
+    regs.pc = e.next_pc  # a faulting pop traps from the fall-through pc
+    regs.pc = cpu._pop()
     return True
 
 
 def _x_reti(cpu, e):
     regs = cpu.regs
+    regs.pc = e.next_pc
     regs.psw.value = cpu._pop()
     regs.pc = cpu._pop()
     return True
@@ -841,14 +844,17 @@ def _x_jle(cpu, e):
 
 
 def _x_call_abs(cpu, e):
+    regs = cpu.regs
+    regs.pc = e.next_pc  # a faulting push traps from the fall-through pc
     cpu._push(e.next_pc)
-    cpu.regs.pc = e.imm_u
+    regs.pc = e.imm_u
     return True
 
 
 def _x_call_ind(cpu, e):
-    cpu._push(e.next_pc)
     regs = cpu.regs
+    regs.pc = e.next_pc
+    cpu._push(e.next_pc)
     regs.pc = regs.address[e.r1]
     return True
 

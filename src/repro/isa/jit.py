@@ -41,8 +41,9 @@ the ``_w`` variant's costs.  Terminators the compiler does not model as
 chain still inlines everything before them and finishes the odd
 terminator through its bound executor, byte-identically.
 
-The superblock engine itself (``use_jit=False``) is the reference
-baseline, exactly as each prior engine PR kept its predecessor.
+The superblock engine itself (``use_jit=False``) is the baseline the
+JIT is measured and fuzzed against; the reference interpreter
+(``ExecutionSession(use_superblocks=False)``) is the oracle for both.
 """
 
 from __future__ import annotations
@@ -705,7 +706,7 @@ def generate_chain_source(
     completed (0 only when the entry block's budget precheck refused to
     start, with no state touched — the caller then takes the
     interpreter's narrow path).  Counter commits are block-granular and
-    ordered exactly as the superblock loops order them, so faults,
+    ordered exactly as the superblock loop orders them, so faults,
     SFR-settlement reads and trap exits observe identical state.
     """
     env: dict = {
@@ -801,13 +802,15 @@ def _emit_block(
                 env[f"_tt{i}"] = tmpl
                 src.w("if _tr is not None:")
                 src.w(f"    _tr.extend_raw(_tt{i})")
-        # Post-body retire ceiling: the superblock loops break here with
+        # Post-body retire ceiling: the superblock loop breaks here with
         # the pc already on the next instruction (the terminator, or the
-        # uncacheable next address when there is none).
+        # uncacheable next address when there is none).  The body ran,
+        # so the block counts: returning 0 from the head block would
+        # send the caller down the narrow path to run the body again.
         after_pc = term.pc if term is not None else sb.body[-1].next_pc
         src.w("if limit is not None and cpu.instructions_retired >= limit:")
         src.w(f"    regs.pc = {after_pc}")
-        src.w("    return _n")
+        src.w("    return _n + 1")
     if term is None:
         # Next address not cacheable: hand back to the outer loop.
         src.w(f"regs.pc = {sb.body[-1].next_pc}")
@@ -860,12 +863,15 @@ def _emit_terminator(
         src.w("_n += 1")
 
     def bus_guard(op_lines: list[str]) -> None:
-        # The step()-identical BusError protocol: architectural trap,
-        # two cycles, one retire, no trace record.
+        # The step()-identical BusError protocol: the fall-through pc
+        # stored (as the interpreter's executors do before the access,
+        # so an unhandled trap faults with the same pc), architectural
+        # trap, two cycles, one retire, no trace record.
         src.w("try:")
         for line in op_lines:
             src.w(f"    {line}")
         src.w("except BusError:")
+        src.w(f"    regs.pc = {term.next_pc}")
         src.w(f"    cpu.take_trap({TRAP_BUS_ERROR}, {term.next_pc})")
         src.w("    cpu.cycles += 2")
         src.w("    cpu.instructions_retired += 1")

@@ -83,10 +83,12 @@ class RunResult:
 class Platform(ABC):
     """One execution platform.
 
-    Each ``run`` call builds a fresh device; the previous run's device and
-    core remain inspectable via :attr:`last_soc` / :attr:`last_cpu` (the
-    software equivalent of walking up to the bench after the test), which
-    the functional-coverage collector uses on platforms with visibility.
+    Each ``run`` call builds a fresh device and runs it on the default
+    engine (:class:`~repro.platforms.session.ExecutionSession` selects
+    the engine); the previous run's device and core remain inspectable
+    via :attr:`last_soc` / :attr:`last_cpu` (the software equivalent of
+    walking up to the bench after the test), which the
+    functional-coverage collector uses on platforms with visibility.
     """
 
     name: str = "platform"
@@ -105,40 +107,6 @@ class Platform(ABC):
     #: :attr:`last_bus_trace` (a flat :class:`~repro.soc.bus.BusTrace`
     #: ring buffer; coverage drains it lazily).
     record_bus_trace: bool = False
-    #: When True, runs consume the shared per-image predecode cache
-    #: (:mod:`repro.isa.decodecache`) for ROM execution.  The cache
-    #: stays enabled while a bus trace is recorded — the core replays
-    #: the elided instruction-fetch events into the trace.
-    use_decode_cache: bool = True
-    #: When True, the session drives the core in blocks bounded by the
-    #: SoC's peripheral event horizon (:meth:`CpuCore.run` +
-    #: :meth:`SystemOnChip.flush_ticks`) instead of the per-step
-    #: step/tick loop.  Both paths retire byte-identical results; the
-    #: per-step loop is kept as the reference baseline.
-    use_block_run: bool = True
-    #: When True, the core's block loop executes superblock-at-a-time
-    #: (straight-line fusion + chaining across taken branches); False
-    #: selects the ISSUE 3 per-instruction hoisted loop, which
-    #: benchmarks use as the pre-superblock baseline.  Observed runs
-    #: (instruction trace, bus trace, wait-state charging) stay on the
-    #: superblock path, replaying precomputed block templates in bulk.
-    use_superblocks: bool = True
-    #: When True, idle ``DJNZ`` self-loops are fast-forwarded
-    #: analytically (clamped to the event horizon), including under
-    #: traces and wait-state charging — the warped retire/fetch records
-    #: are synthesized closed-form.  Self-disables only with the block
-    #: engine itself: fault hooks, per-access ``trace_hooks`` and
-    #: ``use_block_run=False`` run the reference per-instruction
-    #: stream.
-    use_fast_forward: bool = True
-    #: When True, hot pc-validated superblock chains are promoted to
-    #: generated Python closures (:mod:`repro.isa.jit`) with operands,
-    #: branch targets and cycle costs baked in as constants — one
-    #: interrupt/limit/horizon probe per block boundary preserved
-    #: exactly.  False keeps the ISSUE 5 superblock engine as the
-    #: byte-identity reference baseline.
-    use_jit: bool = True
-
     last_soc: SystemOnChip | None = None
     last_cpu: CpuCore | None = None
     #: Bus-access recording of the last run (``BusTrace`` from ``run``;

@@ -20,34 +20,17 @@ is zero is *unhandled* and raises :class:`CpuFault`, ending the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
-from repro.isa.decodecache import (
-    BASE_CYCLES,
-    DecodeCache,
-    MEM_LAST_WORD_KIND,
-    MEM_LD_W,
-    MEM_LDABS_A,
-    MEM_LDABS_D,
-    MEM_POP_A,
-    MEM_POP_D,
-    MEM_PUSH_A,
-    MEM_PUSH_D,
-    MEM_ST_W,
-    MEM_STABS_A,
-    MEM_STABS_D,
-)
+from repro.isa.decodecache import BASE_CYCLES, DecodeCache
 from repro.isa.encoding import decode_word, opcode_of, sign_extend_16
 from repro.isa.instructions import Opcode, lookup_opcode
 from repro.isa.jit import (
     JIT_THRESHOLD as _JIT_THRESHOLD,
     compile_chain as _jit_compile_chain,
 )
-from repro.isa.registers import (
-    RegisterFile,
-    STACK_POINTER_INDEX,
-    WORD_MASK,
-)
+from repro.isa.registers import RegisterFile, WORD_MASK
 from repro.soc.bus import (
     Bus,
     BusError,
@@ -183,35 +166,11 @@ class CpuCore:
         #: Backing field of :attr:`decode_cache` (the engines read it
         #: directly; attaching goes through the validating setter).
         self._decode_cache: DecodeCache | None = None
-        #: When True (the default), cached entries execute through the
-        #: per-opcode executor table bound at decode time
-        #: (``entry.exec(self, entry)`` — computed-goto-style dispatch).
-        #: When False, cached entries run the pre-dispatch paths (the
-        #: inline word micro-op branch plus the ``_execute`` chain),
-        #: which benchmarks use as the pre-PR baseline.
-        self.use_exec_table = True
-        #: When True (the default), the hoisted block loop executes
-        #: decoded instructions superblock-at-a-time (straight-line
-        #: bodies fused, successors chained across taken branches) with
-        #: idle ``DJNZ`` self-loops fast-forwarded analytically.  When
-        #: False, :meth:`run` uses the per-instruction hoisted loop —
-        #: the ISSUE 3 engine, kept as the benchmark baseline.
-        self.use_superblocks = True
-        #: Gates the idle-spin fast-forward independently of superblock
-        #: fusion (ablation / debugging).  The superblock engine —
-        #: including the warp — runs under instruction traces, bus
-        #: traces and wait-state charging (replaying each block's
-        #: precomputed observation templates in bulk); only fault hooks,
-        #: per-access ``trace_hooks`` callbacks and
-        #: ``use_block_run=False`` sessions still take the reference
-        #: per-instruction retire stream.
-        self.use_fast_forward = True
         #: When True (the default), hot superblock chains are promoted
         #: to compiled template-JIT functions (``isa/jit.py``): operand
         #: fields, branch targets and cycle costs baked as constants,
         #: one deadline/limit/interrupt probe per block boundary.  When
-        #: False, the superblock loops run every block entry-by-entry —
-        #: the ISSUE 5 engine, kept as the byte-identity reference.
+        #: False, the superblock loop runs every block entry-by-entry.
         self.use_jit = True
         #: JIT chains compiled on this core's trigger (telemetry).
         self.jit_chains = 0
@@ -223,11 +182,10 @@ class CpuCore:
         #: Superblocks executed through the block engine (telemetry:
         #: nonzero proves the fast path engaged, not a silent fallback).
         self.sb_blocks = 0
-        #: Bulk observation-template replays performed by the observed
-        #: block engine (body template emissions + warped spin
-        #: syntheses).
+        #: Bulk observation-template replays (body template emissions
+        #: + warped spin syntheses); zero on an unobserved run.
         self.sb_replays = 0
-        #: Legacy per-step fallbacks taken inside the superblock loops
+        #: Legacy per-step fallbacks taken inside the superblock loop
         #: (RAM execution / uncacheable addresses) — fast-path coverage
         #: regressions show up here as silent nonzero counts.
         self.sb_fallback_steps = 0
@@ -505,17 +463,13 @@ class CpuCore:
             bus.emit_fetches(entry.fetch_events)
         next_pc = entry.next_pc
         try:
-            if self.use_exec_table and (
-                self.alu_fault_hook is None or entry.mem_kind
-            ):
+            if self.alu_fault_hook is None or entry.mem_kind:
                 # Table dispatch: one indirect call to the per-opcode
                 # executor bound at decode time.  Memory micro-ops
                 # never touch the fault hook, so they stay on the
                 # table even under fault injection; everything else
                 # drops to the reference chain when a hook is armed.
                 taken = entry.exec(self, entry)
-            elif entry.mem_kind and entry.mem_kind <= MEM_LAST_WORD_KIND:
-                taken = self._exec_mem_inline(entry, next_pc)
             else:
                 taken = self._execute(
                     entry.op, entry.fields, entry.literal, next_pc
@@ -587,55 +541,6 @@ class CpuCore:
             self.trace.record(pc, opcode, spec.mnemonic, cost)
         return self.cycles - start_cycles
 
-    def _exec_mem_inline(self, entry, next_pc: int) -> bool:
-        """Pre-dispatch execution of the word-memory micro-ops: the
-        inline branch the executor table replaced, kept verbatim as the
-        ``use_exec_table=False`` baseline."""
-        mem_kind = entry.mem_kind
-        regs = self.regs
-        regs.pc = next_pc
-        r1 = entry.r1
-        if mem_kind == MEM_LD_W:
-            regs.data[r1] = self._read_word_fast(
-                (regs.address[entry.r2] + entry.mem_disp) & WORD_MASK
-            )
-        elif mem_kind == MEM_ST_W:
-            self._write_word_fast(
-                (regs.address[entry.r2] + entry.mem_disp) & WORD_MASK,
-                regs.data[r1],
-            )
-        elif mem_kind == MEM_PUSH_D:
-            sp = (regs.address[STACK_POINTER_INDEX] - 4) & WORD_MASK
-            regs.address[STACK_POINTER_INDEX] = sp
-            self._write_word_fast(sp, regs.data[r1])
-        elif mem_kind == MEM_POP_D:
-            regs.data[r1] = self._read_word_fast(
-                regs.address[STACK_POINTER_INDEX]
-            )
-            regs.address[STACK_POINTER_INDEX] = (
-                regs.address[STACK_POINTER_INDEX] + 4
-            ) & WORD_MASK
-        elif mem_kind == MEM_PUSH_A:
-            value = regs.address[r1]  # before sp update (PUSH sp)
-            sp = (regs.address[STACK_POINTER_INDEX] - 4) & WORD_MASK
-            regs.address[STACK_POINTER_INDEX] = sp
-            self._write_word_fast(sp, value)
-        elif mem_kind == MEM_POP_A:
-            value = self._read_word_fast(regs.address[STACK_POINTER_INDEX])
-            regs.address[STACK_POINTER_INDEX] = (
-                regs.address[STACK_POINTER_INDEX] + 4
-            ) & WORD_MASK
-            regs.address[r1] = value
-        elif mem_kind == MEM_LDABS_D:
-            regs.data[r1] = self._read_word_fast(entry.mem_disp)
-        elif mem_kind == MEM_LDABS_A:
-            regs.address[r1] = self._read_word_fast(entry.mem_disp)
-        elif mem_kind == MEM_STABS_D:
-            self._write_word_fast(entry.mem_disp, regs.data[r1])
-        else:  # MEM_STABS_A
-            self._write_word_fast(entry.mem_disp, regs.address[r1])
-        return False
-
     # -- block execution ------------------------------------------------------
     def cut_block(self) -> None:
         """End the current :meth:`run` block after the instruction in
@@ -660,16 +565,11 @@ class CpuCore:
         each retired instruction, exactly where the per-step loop
         ticked peripherals — once *cycle_budget* cycles have been
         consumed or :meth:`cut_block` fired.  Engine selection: the
-        superblock loops run whenever a decode cache and the executor
-        table are available and no fault hook or per-access
-        ``trace_hooks`` callback is armed — observation (instruction
-        trace, bus trace buffer, wait-state charging) selects the
-        template-replaying observed variant instead of disabling the
-        engine.  With ``use_superblocks=False``, observation still
-        drops to the per-step reference loop (the pre-superblock
-        baseline), while the unobserved case keeps the per-instruction
-        hoisted loop: interrupt check, cache probe and one executor
-        call per instruction.
+        superblock loop runs whenever a decode cache is attached and no
+        fault hook or per-access ``trace_hooks`` callback is armed —
+        observation (instruction trace, bus trace buffer, wait-state
+        charging) only switches it to template replay.  Anything else
+        steps through :meth:`step`.
         """
         if self.halted:
             return 0
@@ -677,77 +577,35 @@ class CpuCore:
         self._block_deadline = (
             None if cycle_budget is None else start_cycles + cycle_budget
         )
-        limit = instruction_limit
-        cache = self._decode_cache
         bus = self.bus
-        hoistable = (
-            cache is not None
-            and self.use_exec_table
+        if (
+            self._decode_cache is not None
             and self.alu_fault_hook is None
             and not bus.trace_hooks
-        )
-        observed = (
-            self.trace is not None
-            or self.charge_wait_states
-            or bus.trace_buffer is not None
-        )
-        if hoistable and self.use_superblocks:
-            if observed:
-                self._run_superblocks_observed(limit)
-            else:
-                self._run_superblocks(limit)
+        ):
+            self._run_superblocks(
+                instruction_limit,
+                self.trace is not None
+                or self.charge_wait_states
+                or bus.trace_buffer is not None,
+            )
             return self.cycles - start_cycles
 
-        if not hoistable or observed:
-            while not self.halted:
-                if limit is not None and self.instructions_retired >= limit:
-                    break
-                self.step()
-                deadline = self._block_deadline
-                if deadline is not None and self.cycles >= deadline:
-                    break
-            return self.cycles - start_cycles
-
-        # Hoisted hot loop: every iteration is at most an interrupt
-        # probe, a cache probe and one executor call.
-        self._pending_waits = 0
-        regs = self.regs
-        psw = regs.psw
-        intc = self.intc
-        get = cache.get
         while not self.halted:
-            if limit is not None and self.instructions_retired >= limit:
+            if (
+                instruction_limit is not None
+                and self.instructions_retired >= instruction_limit
+            ):
                 break
-            if intc is not None and psw.interrupt_enable:
-                self._check_interrupts()
-            entry = get(regs.pc)
-            if entry is None:
-                # RAM execution / trap-prone address: one reference
-                # step (interrupts were already serviced above; the
-                # re-check inside is a no-op because trap entry clears
-                # the interrupt-enable bit).
-                self._step_uncached(regs.pc, self.cycles)
-            else:
-                try:
-                    taken = entry.exec(self, entry)
-                except BusError:
-                    self.take_trap(TRAP_BUS_ERROR, entry.next_pc)
-                    self.cycles += 2
-                    self.instructions_retired += 1
-                else:
-                    self.instructions_retired += 1
-                    self.cycles += (
-                        entry.base_cycles + _JUMP_TAKEN_EXTRA
-                        if taken
-                        else entry.base_cycles
-                    )
+            self.step()
             deadline = self._block_deadline
             if deadline is not None and self.cycles >= deadline:
                 break
         return self.cycles - start_cycles
 
-    def _run_superblocks(self, limit: int | None) -> None:
-        """Superblock execution loop (the hoisted invariants hold).
+    def _run_superblocks(self, limit: int | None, observed: bool) -> None:
+        """Superblock execution loop (decode cache attached, no fault
+        hook, no per-access ``trace_hooks``).
 
         Retires instructions block-at-a-time: the interrupt probe and
         the limit check run once per superblock (sound because body
@@ -757,8 +615,9 @@ class CpuCore:
         cycles and retire counts batched, and the terminator chains
         directly to its cached successor block.  Near a cycle deadline
         or retire limit the body falls back to single-instruction
-        stepping so stop points stay exactly where the per-instruction
-        loops put them.
+        stepping so stop points stay exactly where :meth:`step` puts
+        them.  Hot chains run as compiled JIT variants (``jit_u``
+        unobserved, ``jit_ot`` traced, ``jit_ow`` wait-charging).
 
         Idle spins (``DJNZ rX, .``) are fast-forwarded: the remaining
         taken iterations are warped analytically — counter, logic
@@ -768,200 +627,27 @@ class CpuCore:
         so interrupt delivery and stop points are byte-identical.  The
         final, not-taken iteration always executes normally.
 
-        :meth:`_run_superblocks_observed` is this loop plus bulk
-        observation-template replay, kept separate so the unobserved
-        hot path carries no per-block observation branches.  Any
-        change to the control flow here (warp clamps, stop rules,
-        chaining, fallback handling) must be mirrored there.
+        *observed* (an instruction trace, a bus trace buffer and/or
+        wait-state charging is active) replays each block's
+        precomputed observation templates in bulk and counts the
+        replays in ``sb_replays``: the body's concatenated fetch events
+        land in the bus trace through one wrap-correct slice append,
+        its retire-trace records come from the block's static template
+        (cost = base cycles, with fetch waits folded in the
+        cycle-accurate variant), and a warped spin synthesizes its
+        repeated fetch/retire records closed-form, clamped to each
+        ring's capacity.  Only data-access waits are charged inline
+        (and only terminators can incur them).  The one asymmetry with
+        :meth:`step` is wait debt left by an interrupt entry (vector
+        read + frame pushes): ``step`` folds it into the next
+        instruction's cost, which a static template cannot carry, so
+        that first instruction retires through the single-entry path.
         """
         regs = self.regs
         psw = regs.psw
         intc = self.intc
         cache = self._decode_cache
         block_at = cache.block_at
-        fast_forward = self.use_fast_forward
-        use_jit = self.use_jit
-        epoch = self._sb_epoch
-        resume = self._sb_resume
-        sb = resume[1] if resume is not None and resume[0] is cache else None
-        self._pending_waits = 0
-        while not self.halted:
-            retired = self.instructions_retired
-            if limit is not None and retired >= limit:
-                break
-            if intc is not None and psw.interrupt_enable:
-                self._check_interrupts()
-            pc = regs.pc
-            if sb is None or sb.start != pc:
-                sb = block_at(pc)
-                if sb is None:
-                    # RAM execution / trap-prone address: one reference
-                    # step through the legacy bus-fetch path.
-                    self.sb_fallback_steps += 1
-                    self._step_uncached(pc, self.cycles)
-                    deadline = self._block_deadline
-                    if deadline is not None and self.cycles >= deadline:
-                        break
-                    continue
-            if use_jit:
-                fn = sb.jit_u
-                if fn is None:
-                    heat = sb.heat + 1
-                    sb.heat = heat
-                    if heat == _JIT_THRESHOLD:
-                        self.jit_chains += _jit_compile_chain(cache, sb)
-                        fn = sb.jit_u
-                if fn is not None:
-                    blocks = fn(self, limit)
-                    if blocks:
-                        self.sb_blocks += blocks
-                        delta = self.instructions_retired - retired
-                        self.jit_exec_steps += delta
-                        cache.hits += delta
-                        sb = None
-                        deadline = self._block_deadline
-                        if deadline is not None and self.cycles >= deadline:
-                            break
-                        continue
-                    # Zero blocks: the entry precheck refused to start
-                    # (window narrower than the head's body) — take the
-                    # interpreter's narrow path below.
-            self.sb_blocks += 1
-            if fast_forward and sb.spin_reg >= 0:
-                counter = regs.data[sb.spin_reg]
-                warp = (counter - 1) & WORD_MASK
-                if limit is not None and warp > limit - retired:
-                    warp = limit - retired
-                deadline = self._block_deadline
-                if deadline is not None:
-                    room = deadline - self.cycles
-                    cost = sb.spin_cost
-                    # First iteration count whose retire lands at or
-                    # past the deadline — exactly where per-instruction
-                    # stepping stops.
-                    boundary = -(-room // cost) if room > 0 else 0
-                    if warp > boundary:
-                        warp = boundary
-                if warp > 0:
-                    value = (counter - warp) & WORD_MASK
-                    regs.data[sb.spin_reg] = value
-                    psw.set_logic_flags(value)
-                    self.instructions_retired = retired + warp
-                    self.cycles += warp * sb.spin_cost
-                    cache.hits += warp
-                    self.ff_warps += 1
-                    if deadline is not None and self.cycles >= deadline:
-                        break
-                    continue  # remaining iterations retire normally
-            body = sb.body
-            if body:
-                deadline = self._block_deadline
-                if (limit is None or retired + sb.body_count <= limit) and (
-                    deadline is None
-                    or self.cycles + sb.body_cycles < deadline
-                ):
-                    for entry in body:
-                        entry.exec(self, entry)
-                    retired += sb.body_count
-                    self.instructions_retired = retired
-                    self.cycles += sb.body_cycles
-                    cache.hits += sb.body_count
-                else:
-                    # Within a limit/deadline window narrower than the
-                    # body: retire one instruction and re-resolve, so
-                    # the stop point matches per-instruction stepping.
-                    entry = body[0]
-                    entry.exec(self, entry)
-                    self.instructions_retired = retired + 1
-                    self.cycles += entry.base_cycles
-                    cache.hits += 1
-                    sb = None
-                    if deadline is not None and self.cycles >= deadline:
-                        break
-                    continue
-                if limit is not None and retired >= limit:
-                    break  # retire ceiling reached before the terminator
-            term = sb.terminator
-            if term is None:
-                # Next address not cacheable: resolve it at the top of
-                # the loop (legacy step or a fresh block).
-                sb = None
-                deadline = self._block_deadline
-                if deadline is not None and self.cycles >= deadline:
-                    break
-                continue
-            try:
-                taken = term.exec(self, term)
-            except BusError:
-                self.take_trap(TRAP_BUS_ERROR, term.next_pc)
-                self.cycles += 2
-                self.instructions_retired += 1
-                sb = None
-            else:
-                self.instructions_retired += 1
-                self.cycles += (
-                    term.base_cycles + _JUMP_TAKEN_EXTRA
-                    if taken
-                    else term.base_cycles
-                )
-                cache.hits += 1
-                # Chain: ride the cached successor when it matches the
-                # live pc, otherwise resolve and memoise it.
-                succ = sb.succ_taken if taken else sb.succ_fall
-                next_pc = regs.pc
-                if succ is None or succ.start != next_pc:
-                    succ = block_at(next_pc)
-                    if succ is not None:
-                        if taken:
-                            sb.succ_taken = succ
-                        else:
-                            sb.succ_fall = succ
-                sb = succ
-            deadline = self._block_deadline
-            if deadline is not None and self.cycles >= deadline:
-                break
-        # Persist the predicted chain for the next block run — unless a
-        # cut_block() mid-run flushed it (the cut wins: re-resolve).
-        if self._sb_epoch == epoch:
-            self._sb_resume = None if sb is None else (cache, sb)
-
-    def _run_superblocks_observed(self, limit: int | None) -> None:
-        """Superblock execution under observation: an instruction trace,
-        a bus trace buffer and/or wait-state charging is active (no
-        fault hook, no per-access ``trace_hooks``).
-
-        Retires the same block-at-a-time stream as
-        :meth:`_run_superblocks`, replaying each block's precomputed
-        observation templates in bulk: the body's concatenated fetch
-        events land in the bus trace through one wrap-correct slice
-        append, its retire-trace records come from the block's static
-        template (cost = base cycles, with fetch waits folded in the
-        cycle-accurate variant), and a warped ``DJNZ`` spin synthesizes
-        its repeated fetch/retire records closed-form, clamped to each
-        ring's capacity.  Fetch wait states are folded into the block
-        cycle totals at formation; only data-access waits are charged
-        inline (and only terminators can incur them — body entries are
-        pure-register).
-
-        Byte-identical to the per-step reference by construction: the
-        cost formula, stop rules and event order all match
-        :meth:`step`.  The one asymmetry is wait debt left by an
-        interrupt entry (vector read + frame pushes): ``step`` folds it
-        into the next instruction's cost, which a static template
-        cannot carry, so that first instruction retires through the
-        single-entry path below.
-
-        Control flow deliberately mirrors :meth:`_run_superblocks`
-        (kept separate so the unobserved hot path pays no observation
-        branches) — changes to either loop's warp clamps, stop rules,
-        chaining or fallback handling must land in both.
-        """
-        regs = self.regs
-        psw = regs.psw
-        intc = self.intc
-        cache = self._decode_cache
-        block_at = cache.block_at
-        fast_forward = self.use_fast_forward
         use_jit = self.use_jit
         epoch = self._sb_epoch
         resume = self._sb_resume
@@ -970,6 +656,9 @@ class CpuCore:
         bus_trace = bus.trace_buffer
         trace = self.trace
         charge = self.charge_wait_states
+        jit_variant = attrgetter(
+            "jit_ow" if charge else "jit_ot" if observed else "jit_u"
+        )
         while not self.halted:
             retired = self.instructions_retired
             if limit is not None and retired >= limit:
@@ -994,13 +683,13 @@ class CpuCore:
                 # Interrupt-entry wait debt takes the single-entry path
                 # below (a baked template cannot carry it), exactly as
                 # the template-replay fast path requires.
-                fn = sb.jit_ow if charge else sb.jit_ot
+                fn = jit_variant(sb)
                 if fn is None:
                     heat = sb.heat + 1
                     sb.heat = heat
                     if heat == _JIT_THRESHOLD:
                         self.jit_chains += _jit_compile_chain(cache, sb)
-                        fn = sb.jit_ow if charge else sb.jit_ot
+                        fn = jit_variant(sb)
                 if fn is not None:
                     blocks = fn(self, limit)
                     if blocks:
@@ -1017,7 +706,7 @@ class CpuCore:
                     # take the narrow path below.
             self.sb_blocks += 1
             pending = self._pending_waits
-            if fast_forward and sb.spin_reg >= 0 and not pending:
+            if sb.spin_reg >= 0 and not pending:
                 counter = regs.data[sb.spin_reg]
                 warp = (counter - 1) & WORD_MASK
                 if limit is not None and warp > limit - retired:
@@ -1041,7 +730,8 @@ class CpuCore:
                     self.cycles += warp * cost
                     cache.hits += warp
                     self.ff_warps += 1
-                    self.sb_replays += 1
+                    if observed:
+                        self.sb_replays += 1
                     if bus_trace is not None:
                         bus.access_count += warp * len(term.fetch_events)
                         bus_trace.extend_repeat(term.fetch_events, warp)
@@ -1071,7 +761,8 @@ class CpuCore:
                     self.instructions_retired = retired
                     self.cycles += body_cycles
                     cache.hits += sb.body_count
-                    self.sb_replays += 1
+                    if observed:
+                        self.sb_replays += 1
                     if bus_trace is not None:
                         bus.access_count += len(sb.fetch_events)
                         bus_trace.extend_raw(sb.fetch_events)

@@ -26,29 +26,33 @@ peripheral event horizon**: instead of ticking every peripheral after
 every retired instruction, the SoC reports the cycle distance to the
 next observable peripheral event (timer underflow, watchdog expiry,
 NVM completion, level-sensitive interrupt re-raise), the core executes
-up to that many cycles in one :meth:`CpuCore.run` block with the
-per-step invariant checks hoisted out of the inner loop, and the
+up to that many cycles in one :meth:`CpuCore.run` block, and the
 deferred peripheral time is settled in one linear ``tick`` at the
 boundary.  Peripheral register accesses and SoC probes settle the debt
 early (and SFR writes end the current block so a moved horizon is
-picked up), which makes block and per-step driving byte-identical —
-the legacy step/tick loop survives behind ``use_block_run=False`` as
-the reference baseline.
+picked up), which makes block and per-step driving byte-identical.
 
 Within a block the core executes superblock-at-a-time (straight-line
-fusion, chaining across taken branches, and analytic fast-forward of
-idle ``DJNZ`` spins — see :mod:`repro.isa.decodecache` and
-:meth:`CpuCore._run_superblocks`); ``use_superblocks=False`` selects
-the per-instruction hoisted loop and ``use_fast_forward=False`` just
-the warp, both for ablation benchmarks.  Observed runs — instruction
-traces, bus-trace recording, wait-state charging — take the same
-superblock path through :meth:`CpuCore._run_superblocks_observed`,
-which replays each block's precomputed fetch-event and retire-record
-templates in bulk, so coverage and cycle-accurate runs no longer drop
-to per-instruction execution.  :meth:`ExecutionSession.stats` exposes
-the fast-path telemetry (warps, blocks executed, template replays,
-legacy fallbacks) so silent fast-path coverage regressions are
-visible to tests and benchmarks.
+fusion, chaining across taken branches, analytic fast-forward of idle
+``DJNZ`` spins and, with ``use_jit``, compiled hot chains — see
+:mod:`repro.isa.decodecache`, :mod:`repro.isa.jit` and
+:meth:`CpuCore._run_superblocks`).  Observed runs — instruction traces,
+bus-trace recording, wait-state charging — take the same loop, which
+replays each block's precomputed fetch-event and retire-record
+templates in bulk.  :meth:`ExecutionSession.stats` exposes the
+fast-path telemetry (warps, blocks executed, template replays,
+fallbacks) so silent fast-path coverage regressions are visible to
+tests and benchmarks.
+
+Two engines exist, selected per session:
+
+- ``use_superblocks=True`` (the default): the event-horizon block loop
+  over the shared predecode cache and the superblock engine above;
+  ``use_jit`` switches compiled chains on or off inside it.
+- ``use_superblocks=False``: the **reference interpreter** — no decode
+  cache, so every instruction is fetched over the bus, decoded and run
+  by :meth:`CpuCore._execute`, with one walk of every peripheral per
+  step.  It is the oracle every fast path must match byte for byte.
 
 ``Platform.run`` now delegates to a throwaway session, so its
 fresh-device-per-call semantics (``last_soc``/``last_cpu`` inspection)
@@ -78,7 +82,6 @@ class _RunContext:
         "max_instructions",
         "bus_trace",
         "fault_reason",
-        "use_block",
     )
 
     def __init__(
@@ -86,13 +89,11 @@ class _RunContext:
         image: MemoryImage,
         max_instructions: int,
         bus_trace: BusTrace | None,
-        use_block: bool,
     ):
         self.image = image
         self.max_instructions = max_instructions
         self.bus_trace = bus_trace
         self.fault_reason: str | None = None
-        self.use_block = use_block
 
 
 class ExecutionSession:
@@ -102,11 +103,8 @@ class ExecutionSession:
         self,
         platform,
         derivative: Derivative,
-        use_decode_cache: bool | None = None,
-        use_block_run: bool | None = None,
-        use_superblocks: bool | None = None,
-        use_fast_forward: bool | None = None,
-        use_jit: bool | None = None,
+        use_superblocks: bool = True,
+        use_jit: bool = True,
         injector=None,
     ):
         self.platform = platform
@@ -122,31 +120,9 @@ class ExecutionSession:
             charge_wait_states=platform.cycle_accurate,
         )
         platform.configure_cpu(self.cpu, self.soc)
-        self.use_decode_cache = (
-            platform.use_decode_cache
-            if use_decode_cache is None
-            else use_decode_cache
-        )
-        self.use_block_run = (
-            getattr(platform, "use_block_run", True)
-            if use_block_run is None
-            else use_block_run
-        )
-        self.cpu.use_superblocks = (
-            getattr(platform, "use_superblocks", True)
-            if use_superblocks is None
-            else use_superblocks
-        )
-        self.cpu.use_fast_forward = (
-            getattr(platform, "use_fast_forward", True)
-            if use_fast_forward is None
-            else use_fast_forward
-        )
-        self.cpu.use_jit = (
-            getattr(platform, "use_jit", True)
-            if use_jit is None
-            else use_jit
-        )
+        #: False selects the reference interpreter (module docstring).
+        self.use_superblocks = use_superblocks
+        self.cpu.use_jit = use_jit
         self.runs_completed = 0
         #: Latched when a run escaped through an exception: the device
         #: is in an unknown state, so pools and schedulers must discard
@@ -165,7 +141,7 @@ class ExecutionSession:
         ``ff_warps`` counts analytic idle-spin warps, ``sb_blocks``
         superblocks executed through the block engine, ``sb_replays``
         bulk observation-template replays, and ``sb_fallback_steps``
-        legacy per-step fallbacks taken inside the superblock loops —
+        legacy per-step fallbacks taken inside the superblock loop —
         a nonzero fallback count on a ROM-resident workload means the
         fast path silently lost coverage.  ``decode_hits`` /
         ``decode_misses`` report the shared (cross-run, cross-platform)
@@ -247,17 +223,18 @@ class ExecutionSession:
         # The predecode cache stays enabled under tracing: the core
         # replays the elided fetch events into the trace, so coverage
         # collectors and divergence hunts see the same access stream as
-        # a real bus fetch — at predecoded speed.
+        # a real bus fetch — at predecoded speed.  The reference
+        # interpreter runs without it.
         self._attach_decode_cache(image)
 
-        ctx = _RunContext(image, max_instructions, bus_trace, self.use_block_run)
-        if ctx.use_block:
+        ctx = _RunContext(image, max_instructions, bus_trace)
+        if self.use_superblocks:
             soc.attach_cpu(cpu)
         return ctx
 
     def _attach_decode_cache(self, image: MemoryImage) -> None:
         soc = self.soc
-        if self.use_decode_cache:
+        if self.use_superblocks:
             rom = soc.memory_map.rom
             mapping = soc.bus.mapping_for(rom.base, 4)
             self.cpu.decode_cache = decode_cache_for(
@@ -272,7 +249,7 @@ class ExecutionSession:
         cpu = self.cpu
         max_instructions = ctx.max_instructions
         try:
-            if ctx.use_block:
+            if self.use_superblocks:
                 # Event-horizon loop: run the core in blocks bounded by
                 # the next observable peripheral event, then settle the
                 # deferred peripheral time in one linear tick.  An SFR
@@ -285,7 +262,7 @@ class ExecutionSession:
                     if soc.wdt.expired:
                         break
             else:
-                # Reference per-step loop: one instruction, one walk of
+                # Reference interpreter: one instruction, one walk of
                 # every peripheral.
                 while not cpu.halted:
                     if cpu.instructions_retired >= max_instructions:
@@ -299,7 +276,7 @@ class ExecutionSession:
 
     def finish(self, ctx: _RunContext) -> None:
         """Detach the core and disarm run-scoped observation."""
-        if ctx.use_block:
+        if self.use_superblocks:
             self.soc.detach_cpu()
         if ctx.bus_trace is not None:
             self.soc.bus.trace_buffer = None

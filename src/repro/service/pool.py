@@ -50,19 +50,11 @@ class WarmSessionPool:
     ``session_provider=pool`` runs its serial executor on warm devices.
     """
 
-    def __init__(
-        self,
-        max_idle: int = 12,
-        injector=None,
-        engine_flags: dict | None = None,
-    ):
+    def __init__(self, max_idle: int = 12, injector=None):
         self.max_idle = max(1, int(max_idle))
         #: Optional :class:`repro.core.faults.FaultInjector` driving
         #: the ``pool-lease`` chaos site.
         self.injector = injector
-        #: Engine-flag overrides applied to every pooled session
-        #: (``use_jit`` etc.), part of the pool key by construction.
-        self.engine_flags = dict(engine_flags or {})
         self._lock = threading.Lock()
         #: key -> stack of idle sessions (most recently returned last).
         self._idle: dict[tuple, list[ExecutionSession]] = {}
@@ -80,11 +72,7 @@ class WarmSessionPool:
 
     # -- keys --------------------------------------------------------------
     def _key(self, target, derivative: Derivative) -> tuple:
-        return (
-            target.name,
-            derivative.name,
-            tuple(sorted(self.engine_flags.items())),
-        )
+        return (target.name, derivative.name)
 
     # -- checkout ----------------------------------------------------------
     def lease(self, target, derivative: Derivative) -> ExecutionSession:
@@ -115,10 +103,7 @@ class WarmSessionPool:
                     self.recycled += 1
                     self._keys.pop(id(session), None)
             session = ExecutionSession(
-                target.make_platform(),
-                derivative,
-                injector=self.injector,
-                **self.engine_flags,
+                target.make_platform(), derivative, injector=self.injector
             )
         except Exception:
             with self._lock:

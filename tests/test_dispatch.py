@@ -80,11 +80,9 @@ def strip(result):
 
 
 def reference_session(platform, derivative) -> ExecutionSession:
-    """The pre-dispatch engine: ``if/elif`` chain on every retire, one
-    peripheral walk per instruction."""
-    session = ExecutionSession(platform, derivative, use_block_run=False)
-    session.cpu.use_exec_table = False
-    return session
+    """The reference interpreter: bus fetch and the ``if/elif`` chain on
+    every retire, one peripheral walk per instruction."""
+    return ExecutionSession(platform, derivative, use_superblocks=False)
 
 
 ENVIRONMENT_FACTORIES = [
@@ -124,7 +122,8 @@ class TestEngineEquivalence:
 
     def test_block_run_bus_trace_identical(self):
         """The event-horizon loop records the same bus access stream
-        (fetch replay included) as the per-step loop."""
+        (fetch replay included) as the reference interpreter's real
+        bus fetches."""
         env = make_timer_environment()
         image = env.build_image("TEST_TIMER_IRQ", SC88A, TARGET_GOLDEN).image
         traces = []
@@ -132,7 +131,7 @@ class TestEngineEquivalence:
             platform = GoldenModel()
             platform.record_bus_trace = True
             session = ExecutionSession(
-                platform, SC88A, use_block_run=use_block
+                platform, SC88A, use_superblocks=use_block
             )
             result = session.run(image)
             assert result.passed

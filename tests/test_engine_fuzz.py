@@ -1,0 +1,456 @@
+"""Differential fuzzing across the execution engines.
+
+Byte-identity between the engines must rest on generated programs, not
+only on the hand-written workloads (Csmith's lesson: random programs
+find what curated suites miss).  A ``hypothesis`` strategy builds
+directed-test cells out of snippets that cover the whole engine surface:
+
+- random initial registers, ALU and immediate operations, forward
+  conditional branches;
+- word, half and byte loads and stores to RAM and to the GPIO SFR page;
+- PUSH/POP, CALL/RET, DIVU;
+- at most one trailing fault: a zero divisor, an access past the end of
+  RAM, or a half/byte SFR access (SFRs need word access);
+- EI/DI/WRPSW with the timer interrupt armed;
+- ``DJNZ`` loops of 1–200 iterations, so hot chains get compiled, and
+  idle spins, so the fast-forward warps fire;
+- a RAM-resident code fragment, optionally patched before it runs.
+
+Each cell is built as a :class:`ModuleTestEnvironment` cell (the global
+trap and interrupt handlers are linked in) and run on three engines —
+the default (superblocks + JIT), ``use_jit=False`` and the reference
+interpreter (``use_superblocks=False``) — on golden (instruction and
+bus trace), rtl (traced and cycle-accurate) and the accelerator
+(unobserved).  The cached result payload and the recorded bus trace
+must be identical.  Failures found here are committed as plain
+regression tests below the property.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.environment import ModuleTestEnvironment, TestCell
+from repro.core.scheduler import result_to_payload
+from repro.core.targets import target
+from repro.platforms import ExecutionSession, RunStatus
+from repro.soc.derivatives import SC88A
+
+#: Engines every generated program runs on; the last is the oracle.
+ENGINES = (
+    ("default", {}),
+    ("no-jit", {"use_jit": False}),
+    ("reference", {"use_superblocks": False}),
+)
+
+#: (target, records a bus trace): golden and rtl fully observed (rtl
+#: also charges wait states), the accelerator on the unobserved path.
+TARGETS = (("golden", True), ("rtl", True), ("accelerator", False))
+
+#: Retire ceiling per run: generated programs are a few thousand
+#: instructions; an interrupt storm times out identically everywhere.
+MAX_INSTRUCTIONS = 20_000
+
+RAM_BUFFER = 0x1000_8000  # middle of RAM: clear of data, stack, result
+RAM_END = 0x1001_0000
+GPIO_BASE_REG = "GPIO_OUT_ADDR"
+
+#: d10 is the loop counter, d11 scratch, d12 the flag fold.
+_DATA = st.integers(0, 9)
+_IMM16 = st.integers(0, 0xFFFF)
+_SIMM16 = st.integers(-0x8000, 0x7FFF)
+#: Words biased to the sign and carry boundaries, where flags differ.
+_WORD = st.sampled_from(
+    (0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF, 0x8000_0001, 1)
+) | st.integers(0, 0xFFFF_FFFF)
+
+
+def _rrr(op):
+    return st.tuples(_DATA, _DATA, _DATA).map(
+        lambda t: f"{op} d{t[0]}, d{t[1]}, d{t[2]}"
+    )
+
+
+def _ri(op, imm=_IMM16):
+    return st.tuples(_DATA, _DATA, imm).map(
+        lambda t: f"{op} d{t[0]}, d{t[1]}, {t[2]}"
+    )
+
+
+_BIT = st.integers(0, 31)
+_FIELD = st.tuples(st.integers(0, 27), st.integers(1, 4))
+
+#: One pure-register instruction (superblock body material).
+ALU = st.one_of(
+    *(_rrr(op) for op in ("ADD", "SUB", "AND", "OR", "XOR", "MUL")),
+    *(_rrr(op) for op in ("SHL", "SHR", "SAR")),
+    _ri("ADDI", _SIMM16),
+    *(_ri(op) for op in ("ANDI", "ORI", "XORI")),
+    *(_ri(op, _BIT) for op in ("SHLI", "SHRI", "SARI")),
+    st.tuples(_DATA, _WORD).map(lambda t: f"LOAD d{t[0]}, {t[1]:#x}"),
+    st.tuples(_DATA, _SIMM16).map(lambda t: f"MOVI d{t[0]}, {t[1]}"),
+    st.tuples(_DATA, _IMM16).map(lambda t: f"MOVHI d{t[0]}, {t[1]}"),
+    st.tuples(_DATA, _DATA).map(lambda t: f"MOV d{t[0]}, d{t[1]}"),
+    st.tuples(_DATA, _DATA).map(lambda t: f"CMP d{t[0]}, d{t[1]}"),
+    st.tuples(_DATA, _SIMM16).map(lambda t: f"CMPI d{t[0]}, {t[1]}"),
+    st.tuples(st.sampled_from(("SETB", "CLRB", "TGLB", "TSTB")), _DATA, _BIT)
+    .map(lambda t: f"{t[0]} d{t[1]}, {t[2]}"),
+    st.tuples(st.sampled_from(("EXTRU", "EXTRS")), _DATA, _DATA, _FIELD).map(
+        lambda t: f"{t[0]} d{t[1]}, d{t[2]}, {t[3][0]}, {t[3][1]}"
+    ),
+    st.tuples(_DATA, _DATA, st.integers(0, 0xFF), _FIELD).map(
+        lambda t: f"INSERT d{t[0]}, d{t[1]}, {t[2]}, {t[3][0]}, {t[3][1]}"
+    ),
+    _DATA.map(lambda r: f"RDPSW d{r}"),
+)
+
+_ALU_RUN = st.lists(ALU, min_size=1, max_size=6)
+
+_RAM_ACCESS = st.one_of(
+    st.tuples(st.sampled_from(("LD.W", "ST.W")), st.integers(0, 15).map(
+        lambda i: 4 * i
+    )),
+    st.tuples(st.sampled_from(("LD.H", "ST.H")), st.integers(0, 31).map(
+        lambda i: 2 * i
+    )),
+    st.tuples(st.sampled_from(("LD.B", "ST.B")), st.integers(0, 63)),
+)
+
+#: GPIO OUT/IN/DIR word offsets.
+_SFR_ACCESS = st.tuples(
+    st.sampled_from(("LD.W", "ST.W")), st.sampled_from((0, 4, 8))
+)
+
+#: Snippets that trap on purpose; the global default handler then ends
+#: the run, so a program carries at most one, last.
+FAULT = st.one_of(
+    st.tuples(st.just("divu0"), _DATA, _DATA, _DATA),
+    st.tuples(
+        st.just("oob"),
+        st.sampled_from(("LD.W", "ST.W", "LD.B")),
+        st.integers(0, 64),
+    ),
+    st.tuples(st.just("sfr-sized"), st.sampled_from(("LD.H", "ST.B")), _DATA),
+)
+
+SNIPPET = st.one_of(
+    st.tuples(st.just("alu"), _ALU_RUN),
+    st.tuples(st.just("ram"), _RAM_ACCESS, _DATA),
+    st.tuples(st.just("sfr"), _SFR_ACCESS, _DATA),
+    st.tuples(st.just("push"), _DATA),
+    st.tuples(st.just("pop"), _DATA),
+    st.tuples(st.just("call"), _ALU_RUN),
+    st.tuples(st.just("divu"), _DATA, _DATA, _DATA),
+    st.tuples(
+        st.just("psw"),
+        st.sampled_from(("EI", "DI", "WRPSW")),
+        st.integers(0, 0xFF),
+    ),
+    st.tuples(st.just("loop"), st.integers(1, 200), _ALU_RUN),
+    st.tuples(st.just("spin"), st.integers(1, 1_000)),
+    st.tuples(
+        st.just("fragment"), _ALU_RUN, st.none() | st.integers(0, 0xFFFF)
+    ),
+    st.tuples(
+        st.just("branch"),
+        st.sampled_from(("JZ", "JNZ", "JC", "JN", "JGE", "JLT", "JGT")),
+        _ALU_RUN,
+    ),
+)
+
+#: ``(timer reload or None for no timer, initial d0-d9, snippets, fold
+#: flags)``.  With *fold flags*, every generated ALU instruction is
+#: followed by a fold of the PSW into ``d12``, so a flag computed wrong
+#: anywhere — even one the program never branches on — reaches the
+#: register snapshot.
+PROGRAMS = st.tuples(
+    st.none() | st.integers(200, 2_000),
+    st.lists(_WORD, min_size=10, max_size=10),
+    st.tuples(
+        st.lists(SNIPPET, min_size=3, max_size=16), st.none() | FAULT
+    ).map(lambda t: t[0] + ([] if t[1] is None else [t[1]])),
+    st.booleans(),
+)
+
+
+def render(program) -> str:
+    """Assembly source of one generated cell."""
+    timer_reload, registers, snippets, fold_flags = program
+
+    def alu(lines: list[str]) -> list[str]:
+        out = []
+        for line in lines:
+            out.append(f"    {line}")
+            if fold_flags:
+                out += ["    RDPSW d11", "    XOR d12, d12, d11"]
+        return out
+
+    main = [
+        ".INCLUDE Globals.inc",
+        "_main:",
+        f"    LOAD a2, {RAM_BUFFER:#x}",
+        f"    LOAD a3, {GPIO_BASE_REG}",
+    ]
+    main += [f"    LOAD d{i}, {value:#x}" for i, value in enumerate(registers)]
+    if timer_reload is not None:
+        main += [
+            "    LOAD a11, INT_EN_ADDR",
+            "    LOAD d11, IRQ_LINE_TIMER_MASK",
+            "    ST.W [a11], d11",
+            "    LOAD a11, TIM_RELOAD_ADDR",
+            f"    LOAD d11, {timer_reload}",
+            "    ST.W [a11], d11",
+            "    LOAD a11, TIM_CTRL_ADDR",
+            "    LOAD d11, TIMER_CTRL_IRQ_VALUE",
+            "    ST.W [a11], d11",
+            "    EI",
+        ]
+    tail: list[str] = []  # subroutines, after the final HALT
+    data: list[str] = []  # RAM-resident fragments
+    for index, snippet in enumerate(snippets):
+        kind = snippet[0]
+        if kind == "alu":
+            main += alu(snippet[1])
+        elif kind in ("ram", "sfr"):
+            (op, offset), reg = snippet[1:]
+            base = "a2" if kind == "ram" else "a3"
+            if op.startswith("LD"):
+                main.append(f"    {op} d{reg}, [{base} + {offset}]")
+            else:
+                main.append(f"    {op} [{base} + {offset}], d{reg}")
+        elif kind == "push":
+            main.append(f"    PUSH d{snippet[1]}")
+        elif kind == "pop":
+            main.append(f"    POP d{snippet[1]}")
+        elif kind == "call":
+            main.append(f"    CALL sub_{index}")
+            tail += [f"sub_{index}:"]
+            tail += alu(snippet[1])
+            tail.append("    RET")
+        elif kind in ("divu", "divu0"):
+            _, r1, r2, r3 = snippet
+            if kind == "divu":
+                main.append(f"    ORI d{r3}, d{r3}, 1")
+            else:
+                main.append(f"    LOAD d{r3}, 0")
+            main.append(f"    DIVU d{r1}, d{r2}, d{r3}")
+        elif kind == "oob":
+            _, op, offset = snippet
+            main.append(f"    LOAD a4, {RAM_END + offset:#x}")
+            if op.startswith("LD"):
+                main.append(f"    {op} d1, [a4]")
+            else:
+                main.append(f"    {op} [a4], d1")
+        elif kind == "sfr-sized":
+            # SFRs require word access: a bus-error trap.
+            _, op, reg = snippet
+            if op.startswith("LD"):
+                main.append(f"    {op} d{reg}, [a3]")
+            else:
+                main.append(f"    {op} [a3], d{reg}")
+        elif kind == "psw":
+            _, op, value = snippet
+            if op == "WRPSW":
+                main += [f"    LOAD d11, {value:#x}", "    WRPSW d11"]
+            else:
+                main.append(f"    {op}")
+        elif kind == "loop":
+            _, count, body = snippet
+            main += [f"    LOAD d10, {count}", f"loop_{index}:"]
+            main += alu(body)
+            main.append(f"    DJNZ d10, loop_{index}")
+        elif kind == "spin":
+            main += [
+                f"    LOAD d10, {snippet[1]}",
+                f"spin_{index}:",
+                f"    DJNZ d10, spin_{index}",
+            ]
+        elif kind == "fragment":
+            _, body, patch = snippet
+            if patch is not None:
+                # Rewrite the fragment's first literal before it runs.
+                main += [
+                    f"    LOAD a5, ram_{index}",
+                    f"    LOAD d11, {patch}",
+                    "    ST.W [a5 + 4], d11",
+                ]
+            main.append(f"    CALL ram_{index}")
+            data += [f"ram_{index}:", "    LOAD d9, 0x5a5a"]
+            data += alu(body)
+            data.append("    RET")
+        elif kind == "branch":
+            _, cond, body = snippet
+            main.append(f"    {cond} skip_{index}")
+            main += alu(body)
+            main.append(f"skip_{index}:")
+    main.append("    HALT")
+    source = main + tail
+    if data:
+        source += [".SECTION data"] + data + [".SECTION text"]
+    return "\n".join(source) + "\n"
+
+
+def run_engines(source: str, totals: Counter | None = None) -> None:
+    """Run *source* on every engine and target; assert identity."""
+    env = ModuleTestEnvironment("FUZZ")
+    env.add_test(TestCell(name="TEST_FUZZ", source=source))
+    for target_name, bus_trace in TARGETS:
+        tgt = target(target_name)
+        image = env.build_image("TEST_FUZZ", SC88A, tgt).image
+        outcomes = {}
+        for engine, flags in ENGINES:
+            platform = tgt.make_platform()
+            platform.record_bus_trace = bus_trace
+            session = ExecutionSession(platform, SC88A, **flags)
+            result = session.run(image, max_instructions=MAX_INSTRUCTIONS)
+            outcomes[engine] = (
+                result_to_payload(result),
+                None if not bus_trace else platform.last_bus_trace.raw(),
+            )
+            if totals is not None and engine == "default":
+                totals.update(session.stats())
+        oracle = outcomes["reference"]
+        for engine, outcome in outcomes.items():
+            assert outcome[0] == oracle[0], (target_name, engine, source)
+            assert outcome[1] == oracle[1], (target_name, engine, source)
+
+
+def fuzz_campaign(max_examples: int, derandomize: bool = True) -> Counter:
+    """Run *max_examples* generated programs; returns the summed engine
+    telemetry of the default-engine runs."""
+    totals: Counter = Counter()
+
+    @settings(
+        max_examples=max_examples,
+        derandomize=derandomize,
+        deadline=None,
+        database=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.data_too_large,
+        ],
+    )
+    @given(program=PROGRAMS)
+    def check(program):
+        run_engines(render(program), totals)
+
+    check()
+    return totals
+
+
+def test_engines_agree_on_generated_programs():
+    totals = fuzz_campaign(max_examples=20)
+    # The net must reach the tiers it guards: compiled chains ran and
+    # idle spins were warped somewhere in the campaign.
+    assert totals["jit_chains"] > 0, totals
+    assert totals["ff_warps"] > 0, totals
+
+
+# ---------------------------------------------------------------------------
+# Regressions found by the fuzzer (plain tests, every engine and target)
+# ---------------------------------------------------------------------------
+
+#: A data access inside a compiled chain faults into a trap whose frame
+#: cannot be pushed: the chain must store the fall-through pc first,
+#: exactly like the interpreter, or the fault reports the stale pc of
+#: the chain head (the PUSH block, hot first).  The stack starts 256
+#: bytes above the bottom of RAM so the chain compiles and runs off RAM
+#: within 64 pushes.
+STACK_RUNAWAY_SOURCE = """\
+_main:
+    LOAD a15, 0x10000100
+    JMP loop
+loop:
+    PUSH d9
+    DJNZ d10, loop
+"""
+STACK_RUNAWAY_FAULT_PC = 0x214  # the DJNZ after the faulting PUSH
+
+#: A CALL whose return-address push faults, then a RET whose pop
+#: faults: both trap from the fall-through pc on every engine.
+CALL_RUNAWAY_SOURCE = """\
+_main:
+    LOAD a15, 0x10000000
+    CALL sub
+    HALT
+sub:
+    HALT
+"""
+
+RET_RUNAWAY_SOURCE = """\
+_main:
+    LOAD a15, 0xfffffffc
+    RET
+"""
+
+
+@pytest.mark.parametrize("target_name", ["golden", "rtl", "gatelevel"])
+def test_faulting_chain_access_reports_fall_through_pc(target_name):
+    env = ModuleTestEnvironment("PCFAULT")
+    env.add_test(TestCell(name="TEST_RUNAWAY", source=STACK_RUNAWAY_SOURCE))
+    tgt = target(target_name)
+    image = env.build_image("TEST_RUNAWAY", SC88A, tgt).image
+    payloads = {}
+    for engine, flags in ENGINES:
+        session = ExecutionSession(tgt.make_platform(), SC88A, **flags)
+        result = session.run(image)
+        assert result.status is RunStatus.FAULT, engine
+        assert result.registers["pc"] == STACK_RUNAWAY_FAULT_PC, engine
+        if engine == "default":
+            assert session.stats()["jit_chains"] > 0
+        payloads[engine] = result_to_payload(result)
+    assert payloads["default"] == payloads["reference"]
+    assert payloads["no-jit"] == payloads["reference"]
+
+
+@pytest.mark.parametrize(
+    "source", [CALL_RUNAWAY_SOURCE, RET_RUNAWAY_SOURCE], ids=["call", "ret"]
+)
+def test_faulting_stack_control_flow_matches_reference(source):
+    run_engines(source)
+
+
+#: Once its chains are compiled (the decode cache and its chains are
+#: shared across sessions), a retire ceiling swept over the first
+#: passes lands right after a chain head's body on the chain's first
+#: call.  The chain used to report zero blocks there, and the caller
+#: ran the body a second time.
+LIMIT_LOOP_SOURCE = """\
+_main:
+    LOAD d1, 1000
+loop:
+    ADDI d2, d2, 1
+    XOR d3, d3, d2
+    DJNZ d1, loop
+    HALT
+"""
+
+
+@pytest.mark.parametrize("target_name", ["golden", "rtl", "accelerator"])
+def test_instruction_limit_inside_a_compiled_chain(target_name):
+    env = ModuleTestEnvironment("LIMIT")
+    env.add_test(TestCell(name="TEST_LIMIT", source=LIMIT_LOOP_SOURCE))
+    tgt = target(target_name)
+    image = env.build_image("TEST_LIMIT", SC88A, tgt).image
+    warm = ExecutionSession(tgt.make_platform(), SC88A)
+    for _ in range(20):  # every block past the compile threshold
+        warm.run(image)
+    assert warm.stats()["jit_exec_steps"] > 0
+    for limit in range(1, 31):
+        payloads = {}
+        for engine, flags in ENGINES:
+            platform = tgt.make_platform()
+            platform.record_bus_trace = True
+            result = ExecutionSession(platform, SC88A, **flags).run(
+                image, max_instructions=limit
+            )
+            assert result.status is RunStatus.TIMEOUT
+            payloads[engine] = (
+                result_to_payload(result),
+                platform.last_bus_trace.raw(),
+            )
+        for engine, payload in payloads.items():
+            assert payload == payloads["reference"], (limit, engine)

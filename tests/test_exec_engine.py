@@ -120,8 +120,8 @@ ENVIRONMENT_FACTORIES = [
 
 class TestEngineEquivalence:
     """The predecoded engine must retire identical (signature, cycles,
-    trace) to the legacy per-step decode path — the property the whole
-    tentpole hangs on."""
+    trace) to the reference interpreter's per-step bus decode — the
+    property the whole tentpole hangs on."""
 
     @pytest.mark.parametrize("make_env", ENVIRONMENT_FACTORIES)
     @pytest.mark.parametrize(
@@ -137,10 +137,10 @@ class TestEngineEquivalence:
         for cell_name in env.cells:
             image = env.build_image(cell_name, derivative, tgt).image
             fast = ExecutionSession(
-                platform_cls(), derivative, use_decode_cache=True
+                platform_cls(), derivative, use_superblocks=True
             ).run(image)
             legacy = ExecutionSession(
-                platform_cls(), derivative, use_decode_cache=False
+                platform_cls(), derivative, use_superblocks=False
             ).run(image)
             assert _strip(fast) == _strip(legacy), cell_name
             assert fast.status is RunStatus.PASS

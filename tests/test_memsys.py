@@ -10,6 +10,8 @@ ISSUE 2 tentpole hangs on:
     trace is recorded — the cache now *stays on* under observation.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.assembler.assembler import Assembler
@@ -315,14 +317,21 @@ class TestRoutingEquivalence:
 # property (b): decode cache stays on under tracing, observably identical
 # ---------------------------------------------------------------------------
 
-def traced_run(image, derivative, platform_cls, use_decode_cache):
+def traced_run(image, derivative, platform_cls, use_superblocks):
     platform = platform_cls()
     platform.record_bus_trace = True
     session = ExecutionSession(
-        platform, derivative, use_decode_cache=use_decode_cache
+        platform, derivative, use_superblocks=use_superblocks
     )
     result = session.run(image)
     return platform, session, result
+
+
+def reference_run(platform, image, derivative, max_instructions, **kw):
+    """``Platform.run`` on the reference interpreter (no decode cache)."""
+    return ExecutionSession(platform, derivative, use_superblocks=False).run(
+        image, max_instructions=max_instructions, **kw
+    )
 
 
 class TestTracedCacheEquivalence:
@@ -394,8 +403,9 @@ class TestTracedCacheEquivalence:
         for use_cache in (True, False):
             reference = GoldenModel()
             subject = GateLevelSim(fault=fault)
-            reference.use_decode_cache = use_cache
-            subject.use_decode_cache = use_cache
+            if not use_cache:
+                for platform in (reference, subject):
+                    platform.run = partial(reference_run, platform)
             comparison = compare_traces(image, SC88A, reference, subject)
             assert not comparison.identical
             point = comparison.divergence

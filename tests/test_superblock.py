@@ -8,8 +8,8 @@ The contract under test:
     self-loop is classified as an idle spin.
 (b) **Equivalence** — the superblock engine (fusion + chaining + idle
     fast-forward) retires byte-identical signature / cycles /
-    IRQ-delivery timing to the ``use_block_run=False`` per-step
-    reference across **all six platforms**, on timer-delay and
+    IRQ-delivery timing to the ``use_superblocks=False`` reference
+    interpreter across **all six platforms**, on timer-delay and
     busy-wait workloads whose wall-clock is dominated by fast-forwarded
     iterations.
 (c) **Observation** (ISSUE 5) — the superblock engine (fusion, chaining
@@ -17,7 +17,7 @@ The contract under test:
     bus traces and wait-state charging, replaying each block's
     precomputed observation templates in bulk; the retire trace and bus
     access stream are byte-identical to the per-step reference.  Only
-    the per-step loop itself (``use_block_run=False``), fault hooks and
+    the per-step loop itself (``use_superblocks=False``), fault hooks and
     per-access ``trace_hooks`` remain reference baselines where no warp
     fires.
 (d) **Exactness** — warps land retire counts and cycle counts exactly
@@ -186,7 +186,7 @@ class TestDelayEquivalenceAcrossPlatforms:
     ):
         """The satellite property: fast-forwarded ``Base_Timer_Delay``
         (and pure busy-wait) runs retire byte-identical signature,
-        cycles and IRQ-delivery timing vs the ``use_block_run=False``
+        cycles and IRQ-delivery timing vs the ``use_superblocks=False``
         reference on every platform.  ``TEST_TIMER_IRQ`` exercises
         interrupt delivery; cycle equality pins its timing."""
         platform_cls = PLATFORM_CLASSES[platform_name]
@@ -198,7 +198,7 @@ class TestDelayEquivalenceAcrossPlatforms:
                     image
                 )
                 reference = ExecutionSession(
-                    platform_cls(), derivative, use_block_run=False
+                    platform_cls(), derivative, use_superblocks=False
                 ).run(image)
                 assert strip(fast) == strip(reference), (
                     platform_name,
@@ -251,7 +251,7 @@ class TestIrqDeliveryDuringFastForward:
         results = {}
         for label, kw in (
             ("fast", {}),
-            ("reference", {"use_block_run": False}),
+            ("reference", {"use_superblocks": False}),
         ):
             session = ExecutionSession(GoldenModel(), SC88A, **kw)
             results[label] = session.run(image)
@@ -299,7 +299,7 @@ class TestObservedFastPath:
         # synthesized, not skipped.
         assert len(cpu.trace) == cpu.instructions_retired
         reference, _ = direct_cpu(image, trace=True)
-        reference.use_superblocks = False
+        reference.decode_cache = None
         reference.run()
         assert reference.ff_warps == 0
         assert cpu.trace.raw() == reference.trace.raw()
@@ -310,7 +310,7 @@ class TestObservedFastPath:
 
     def test_no_warps_in_per_step_reference_session(self):
         image = link_source(SPIN_ONLY_SOURCE)
-        session = ExecutionSession(GoldenModel(), SC88A, use_block_run=False)
+        session = ExecutionSession(GoldenModel(), SC88A, use_superblocks=False)
         result = session.run(image)
         assert result.signature == PASS_MAGIC
         assert session.cpu.ff_warps == 0
@@ -336,25 +336,37 @@ class TestObservedFastPath:
         # LOAD + 5000 DJNZ retires + LOAD + HALT
         assert cpu.instructions_retired == 1 + 5000 + 2
 
-    def test_ablation_flags(self):
-        image = link_source(SPIN_ONLY_SOURCE)
-        outcomes = []
-        for superblocks, fast_forward in (
-            (True, True), (True, False), (False, True), (False, False),
-        ):
-            cpu, _ = direct_cpu(image)
-            cpu.use_superblocks = superblocks
-            cpu.use_fast_forward = fast_forward
-            cpu.run()
-            outcomes.append(
-                (cpu.instructions_retired, cpu.cycles, cpu.regs.data[0])
-            )
-            expected_warps = superblocks and fast_forward
-            assert (cpu.ff_warps > 0) == expected_warps, (
-                superblocks,
-                fast_forward,
-            )
-        assert len(set(outcomes)) == 1  # all four configs byte-identical
+
+class TestEngineSurface:
+    """Two engine arguments remain: ``use_superblocks`` (False = the
+    reference interpreter) and ``use_jit``."""
+
+    @pytest.mark.parametrize(
+        "keyword", ["use_decode_cache", "use_block_run", "use_fast_forward"]
+    )
+    def test_removed_session_keywords_raise(self, keyword):
+        with pytest.raises(TypeError):
+            ExecutionSession(GoldenModel(), SC88A, **{keyword: False})
+
+    @pytest.mark.parametrize(
+        "platform_name", sorted(PLATFORM_CLASSES), ids=str
+    )
+    def test_sb_replays_count_only_observed_runs(self, platform_name):
+        """One loop serves both cases; template replays (and their
+        count) happen only when a trace or wait-state charging is
+        on."""
+        env = make_delay_environment(delay_ticks=(900,), spin_loops=(4_000,))
+        tgt = TARGETS_BY_NAME[platform_name]
+        platform = PLATFORM_CLASSES[platform_name]()
+        session = ExecutionSession(platform, SC88A)
+        for cell_name in env.cells:
+            session.run(env.build_image(cell_name, SC88A, tgt).image)
+            stats = session.stats()
+            assert stats["sb_blocks"] > 0, cell_name
+            if platform.sees_trace or platform.cycle_accurate:
+                assert stats["sb_replays"] > 0, cell_name
+            else:
+                assert stats["sb_replays"] == 0, cell_name
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +396,7 @@ class TestWarpExactness:
         # exactly like per-instruction stepping.
         assert 501 <= consumed <= 502
         reference_cpu, _ = direct_cpu(image)
-        reference_cpu.use_superblocks = False
+        reference_cpu.decode_cache = None
         reference_consumed = reference_cpu.run(cycle_budget=501)
         assert consumed == reference_consumed
         assert cpu.instructions_retired == reference_cpu.instructions_retired
@@ -402,7 +414,7 @@ spin:
         fast_cpu, _ = direct_cpu(image)
         fast_cpu.run(instruction_limit=10_000)
         slow_cpu, _ = direct_cpu(image)
-        slow_cpu.use_superblocks = False
+        slow_cpu.decode_cache = None
         slow_cpu.run(instruction_limit=10_000)
         assert fast_cpu.instructions_retired == 10_000
         assert (fast_cpu.cycles, fast_cpu.regs.data[1]) == (
@@ -501,7 +513,7 @@ class TestObservedMatrixAcrossPlatforms:
                 ref_platform = platform_cls()
                 ref_platform.record_bus_trace = True
                 reference = ExecutionSession(
-                    ref_platform, derivative, use_block_run=False
+                    ref_platform, derivative, use_superblocks=False
                 ).run(image)
                 assert strip(fast) == strip(reference), (
                     platform_name,
@@ -527,7 +539,7 @@ class TestObservedMatrixAcrossPlatforms:
         fast_session = ExecutionSession(RtlSim(), SC88A)
         fast = fast_session.run(image)
         reference = ExecutionSession(
-            RtlSim(), SC88A, use_block_run=False
+            RtlSim(), SC88A, use_superblocks=False
         ).run(image)
         assert strip(fast) == strip(reference)
         assert fast.signature == PASS_MAGIC
@@ -564,7 +576,7 @@ class TestObservedMatrixAcrossPlatforms:
         ref_platform = GoldenModel()
         ref_platform.record_bus_trace = True
         reference = ExecutionSession(
-            ref_platform, SC88A, use_block_run=False
+            ref_platform, SC88A, use_superblocks=False
         ).run(image)
         assert strip(fast) == strip(reference)
         assert stripped_bus_trace(fast_platform) == (
