@@ -8,7 +8,9 @@ interpreter (``use_superblocks=False``: bus fetch, decode and the
   delays (``Base_Timer_Delay``: calibrated pure spin between status
   polls) and raw busy-wait burns (``Base_Spin``) — where the idle
   fast-forward warps the spin iterations the program only counts,
-  asserting the >= 2x target (>= 1.5x in ``--quick`` mode);
+  asserting >= 500x (>= 1.5x in ``--quick`` mode): with the warp
+  disabled the same workloads read 23-58x, so the floor fails a run
+  whose spins are not warped;
 - byte-identical architectural outcomes — signature, cycles, retire
   totals, IRQ-delivery timing — against the reference interpreter and
   the JIT-off superblock loop, plus a traced golden run proving the
@@ -61,7 +63,7 @@ FULL = {
     "delay_ticks": (60_000, 120_000),
     "spin_loops": (150_000,),
     "repeats": 3,
-    "min_speedup": 2.0,
+    "min_speedup": 500.0,
     "mode": "full",
 }
 QUICK = {

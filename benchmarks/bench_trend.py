@@ -53,10 +53,14 @@ BENCH_FLOORS: dict[str, dict[str, float]] = {
     "exec_engine": {"matrix.speedup": 2.0},
     "memsys": {"untraced.speedup": 1.3, "traced_coverage.speedup": 2.0},
     "dispatch": {"untraced.speedup": 1.5},
-    "superblock": {"delay_fast_forward.speedup": 2.0},
+    # Raised from 2.0 once measured against the reference interpreter:
+    # ~2,800-4,500x with the idle-spin warp, 23-58x without it.
+    "superblock": {"delay_fast_forward.speedup": 500.0},
+    # Raised from 2.0 the same way: ~520-880x with the warp, 14-48x
+    # without it.
     "trace_fastpath": {
-        "traced_coverage.speedup": 2.0,
-        "wait_states.speedup": 2.0,
+        "traced_coverage.speedup": 150.0,
+        "wait_states.speedup": 150.0,
     },
     # PR 7 is a robustness PR: its floor asserts the supervision layer
     # is free (>= 0.95x of raw sessions, i.e. <= 5% overhead), not fast.

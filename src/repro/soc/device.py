@@ -44,6 +44,9 @@ SFR_WAIT_STATES = 1
 class IrqLine:
     line: int
     device: object  # Peripheral with an ``irq`` attribute
+    #: Whether the device was armed (``device.armed()``) when the bound
+    #: core last re-evaluated it; only armed lines are walked.
+    armed: bool = False
 
 
 class SfrPort:
@@ -57,15 +60,29 @@ class SfrPort:
     (enable a timer, start an NVM operation) and move the event
     horizon, which the scheduler must recompute before running on.
 
+    A write through this port (or a reset) is the only way a
+    peripheral becomes armed during a run, so the write hook also
+    re-evaluates whether *irq_line*'s device is armed (see
+    :meth:`~repro.soc.peripherals.base.Peripheral.armed`).  Host-side
+    backdoors that change that state without a port write
+    (``Uart.host_receive``, ``Gpio.drive_input``) are for standalone
+    peripherals or for use between runs, before ``attach_cpu``.
+
     When no core is bound (legacy per-tick driving, direct SoC use)
     both hooks are no-ops and the port is a transparent pass-through.
     """
 
-    __slots__ = ("soc", "peripheral")
+    __slots__ = ("soc", "peripheral", "irq_line")
 
-    def __init__(self, soc: "SystemOnChip", peripheral):
+    def __init__(
+        self,
+        soc: "SystemOnChip",
+        peripheral,
+        irq_line: IrqLine | None = None,
+    ):
         self.soc = soc
         self.peripheral = peripheral
+        self.irq_line = irq_line
 
     def read(self, offset: int, size: int) -> int:
         self.soc.flush_ticks()
@@ -75,7 +92,7 @@ class SfrPort:
         soc = self.soc
         soc.flush_ticks()
         self.peripheral.write(offset, value, size)
-        soc.horizon_changed()
+        soc.horizon_changed(self.irq_line)
 
 
 class SystemOnChip:
@@ -124,6 +141,15 @@ class SystemOnChip:
             derivative.wdt_layout(), service_key=derivative.wdt_service_key
         )
 
+        self.irq_lines = [
+            IrqLine(LINE_UART, self.uart),
+            IrqLine(LINE_TIMER, self.timer),
+            IrqLine(LINE_NVM, self.nvm),
+            IrqLine(LINE_GPIO, self.gpio),
+            IrqLine(LINE_WDT, self.wdt),
+        ]
+        line_of = {irq_line.device: irq_line for irq_line in self.irq_lines}
+
         register_map = self.register_map
         for instance_name, device in (
             ("INTC", self.intc),
@@ -138,26 +164,20 @@ class SystemOnChip:
                 instance_name.lower(),
                 instance.base,
                 instance.layout.size,
-                SfrPort(self, device),
+                SfrPort(self, device, line_of.get(device)),
                 SFR_WAIT_STATES,
             )
-
-        self.irq_lines = [
-            IrqLine(LINE_UART, self.uart),
-            IrqLine(LINE_TIMER, self.timer),
-            IrqLine(LINE_NVM, self.nvm),
-            IrqLine(LINE_GPIO, self.gpio),
-            IrqLine(LINE_WDT, self.wdt),
-        ]
 
         #: Event-horizon scheduling state: the bound core whose cycle
         #: counter peripheral time follows (None = legacy per-tick
         #: driving), the cycle count peripherals have been ticked
         #: through, and the cycles-after-that of the next observable
-        #: peripheral event (None = no event pending).
+        #: peripheral event (None = no event pending), and the armed
+        #: IRQ lines — the only ones deferred ticking walks.
         self._cpu = None
         self._ticked_cycles = 0
         self._horizon: int | None = None
+        self._armed: list[IrqLine] = []
 
         #: :meth:`full_reset` telemetry: resets that had to rewrite all
         #: of ROM (its load extents were not kept), and resets that
@@ -233,12 +253,19 @@ class SystemOnChip:
 
     # -- time -------------------------------------------------------------------
     def tick(self, cycles: int = 1) -> None:
-        """Advance peripheral time and collect interrupt lines."""
-        for irq_line in self.irq_lines:
-            irq_line.device.tick(cycles)
-            if irq_line.device.irq:
-                self.intc.raise_line(irq_line.line)
-                irq_line.device.irq = False
+        """Advance peripheral time and collect interrupt lines.
+
+        With no core bound every peripheral is walked (the reference
+        interpreter's one walk per step); with one bound only the armed
+        lines are, since ticking an unarmed peripheral is a no-op.
+        """
+        intc = self.intc
+        for irq_line in self.irq_lines if self._cpu is None else self._armed:
+            device = irq_line.device
+            device.tick(cycles)
+            if device.irq:
+                intc.raise_line(irq_line.line)
+                device.irq = False
 
     # -- event-horizon scheduling ---------------------------------------------
     #
@@ -255,12 +282,25 @@ class SystemOnChip:
     # per-instruction ticking retire byte-identical state; the SFR
     # ports and the probes below settle the debt before any read, so
     # observed register state is never stale.
+    #
+    # Settling and the horizon walk only the *armed* lines: those whose
+    # device's ``tick`` is not a no-op.  A device can become armed only
+    # at reset or through a register write, so membership is
+    # re-evaluated for every line in :meth:`attach_cpu` and for the
+    # written device in :meth:`horizon_changed`.  A device that disarms
+    # itself by ticking (NVM completion, watchdog expiry, a one-shot
+    # timer) or by a register read (draining the UART FIFO) stays
+    # listed until its next write, which is sound: ticking it changes
+    # nothing and its horizon is ``None``.
 
     def attach_cpu(self, cpu) -> None:
         """Bind *cpu* as the cycle source for deferred ticking; the
         caller must have reset the core first."""
         self._cpu = cpu
         self._ticked_cycles = cpu.cycles
+        for irq_line in self.irq_lines:
+            irq_line.armed = irq_line.device.armed()
+        self._armed = [line for line in self.irq_lines if line.armed]
         self._horizon = self._compute_horizon()
 
     def detach_cpu(self) -> None:
@@ -276,7 +316,8 @@ class SystemOnChip:
         cycles, so the horizon computed at the last settle (or by
         :meth:`horizon_changed` after the last register write) still
         holds.  Skipping the recompute keeps back-to-back probes and
-        polls from paying a full peripheral walk each.
+        polls from paying a full peripheral walk each; with nothing
+        armed no peripheral is walked at all.
         """
         cpu = self._cpu
         if cpu is None:
@@ -285,16 +326,25 @@ class SystemOnChip:
         if debt <= 0:
             return
         self._ticked_cycles += debt
-        self.tick(debt)
-        self._horizon = self._compute_horizon()
+        if self._armed:
+            self.tick(debt)
+            self._horizon = self._compute_horizon()
 
-    def horizon_changed(self) -> None:
-        """Recompute the event horizon after a peripheral register
-        write and end the core's current block so the session picks up
-        the new bound (a store may have armed a nearer event)."""
+    def horizon_changed(self, irq_line: IrqLine | None = None) -> None:
+        """Re-evaluate whether the device on *irq_line* (the one just
+        written) is armed, recompute the event horizon, and end the
+        core's current block so the session picks up the new bound (a
+        store may have armed a nearer event)."""
         cpu = self._cpu
         if cpu is None:
             return
+        if irq_line is not None:
+            armed = irq_line.device.armed()
+            if armed != irq_line.armed:
+                irq_line.armed = armed
+                self._armed = [
+                    line for line in self.irq_lines if line.armed
+                ]
         self._horizon = self._compute_horizon()
         cpu.cut_block()
 
@@ -310,7 +360,7 @@ class SystemOnChip:
 
     def _compute_horizon(self) -> int | None:
         horizon: int | None = None
-        for irq_line in self.irq_lines:
+        for irq_line in self._armed:
             distance = irq_line.device.event_horizon()
             if distance is not None and (
                 horizon is None or distance < horizon

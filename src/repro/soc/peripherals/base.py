@@ -15,7 +15,16 @@ from repro.soc.registers import Access, PeripheralLayout, RegisterDef
 
 
 class Peripheral:
-    """Register-block device with layout-driven access semantics."""
+    """Register-block device with layout-driven access semantics.
+
+    A subclass that overrides :meth:`tick` also overrides :meth:`armed`,
+    the predicate saying whether ticking can change anything.  The state
+    that can arm a peripheral changes only through a register write
+    (on a :class:`~repro.soc.device.SystemOnChip`, through its
+    ``SfrPort``) or a reset; the SoC relies on that to walk only armed
+    peripherals.  Host-side helpers that change such state directly are
+    for standalone peripherals or for use between runs.
+    """
 
     def __init__(self, layout: PeripheralLayout, name: str | None = None):
         self.layout = layout
@@ -75,6 +84,13 @@ class Peripheral:
 
     def tick(self, cycles: int = 1) -> None:
         """Advance model time by *cycles* core clocks."""
+
+    def armed(self) -> bool:
+        """Whether :meth:`tick` can change anything.  When ``False``,
+        ``tick(n)`` must be a no-op for every *n* and
+        :meth:`event_horizon` must be ``None``; a subclass that
+        overrides ``tick`` defines this next to it."""
+        return False
 
     def event_horizon(self) -> int | None:
         """Core cycles until this peripheral's ticking next changes

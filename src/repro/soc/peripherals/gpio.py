@@ -70,6 +70,8 @@ class Gpio(Peripheral):
 
     # -- host-side helpers ---------------------------------------------------
     def drive_input(self, pins: int) -> None:
+        """Drive the input pins from outside.  It bypasses the register
+        port, so it is for standalone use or between runs."""
         self.set_reg(self._in, pins & 0xFFFF)
 
     def pin(self, index: int) -> int:

@@ -173,6 +173,9 @@ class NvmController(Peripheral):
         # interrupt + array update) after the programming delay.
         return self.busy_cycles if self.busy_cycles > 0 else None
 
+    def armed(self) -> bool:
+        return self.busy_cycles > 0
+
     def tick(self, cycles: int = 1) -> None:
         if self.busy_cycles <= 0:
             return

@@ -66,6 +66,12 @@ class Timer(Peripheral):
         self._ctrl, self._count, self._reload, self._stat = regs
         counter_field = layout.register_named(self._count).field_named("COUNT")
         self.max_count = counter_field.max_value
+        # Single-bit masks: tick and horizon decode CTRL/STAT once each.
+        masks = layout.field_masks
+        self._en = masks[self._ctrl, "EN"][0]
+        self._ie = masks[self._ctrl, "IE"][0]
+        self._oneshot = masks[self._ctrl, "ONESHOT"][0]
+        self._ovf = masks[self._stat, "OVF"][0]
         super().__init__(layout, name="TIMER")
         self.underflows = 0
 
@@ -81,19 +87,22 @@ class Timer(Peripheral):
             pass  # EN/IE take effect on the next tick
 
     def event_horizon(self) -> int | None:
-        if self.field_value(self._ctrl, "EN") != 1:
+        values = self.values
+        ctrl = values[self._ctrl]
+        if not ctrl & self._en:
             return None  # disabled: ticking is a no-op
-        if (
-            self.field_value(self._ctrl, "IE") == 1
-            and self.field_value(self._stat, "OVF") == 1
-        ):
+        if not ctrl & self._ie:
+            return None  # counts, but can never raise an interrupt
+        if values[self._stat] & self._ovf:
             # Level-sensitive: every tick re-raises the line until the
             # handler clears OVF, so ticking cannot be deferred.
             return 1
-        if self.field_value(self._ctrl, "IE") != 1:
-            return None  # counts, but can never raise an interrupt
         # Underflow fires on the cycle after the counter hits zero.
-        return self.reg_value(self._count) + 1
+        return values[self._count] + 1
+
+    def armed(self) -> bool:
+        # A disabled timer's tick only drops a pending irq.
+        return self.irq or bool(self.values[self._ctrl] & self._en)
 
     def tick(self, cycles: int = 1) -> None:
         # Closed-form advance: one batched tick must cost O(1), not
@@ -101,24 +110,24 @@ class Timer(Peripheral):
         # can hand a free-running timer millions of deferred cycles in a
         # single flush.  The first underflow consumes ``count + 1``
         # cycles; every further reload period consumes ``reload + 1``.
-        if self.field_value(self._ctrl, "EN") != 1:
+        values = self.values
+        ctrl = values[self._ctrl]
+        if not ctrl & self._en:
             self.irq = False
             return
-        count = self.reg_value(self._count)
+        count = values[self._count]
         if cycles <= count:
             count -= cycles
         else:
             self.underflows += 1
-            self.set_field(self._stat, "OVF", 1)
-            if self.field_value(self._ctrl, "ONESHOT"):
-                self.set_field(self._ctrl, "EN", 0)
+            values[self._stat] |= self._ovf
+            if ctrl & self._oneshot:
+                values[self._ctrl] = ctrl & ~self._en
                 count = 0
             else:
-                reload = self.reg_value(self._reload) & self.max_count
+                reload = values[self._reload] & self.max_count
                 extra, leftover = divmod(cycles - (count + 1), reload + 1)
                 self.underflows += extra
                 count = reload - leftover
-        self.set_reg(self._count, count)
-        interrupt_enabled = self.field_value(self._ctrl, "IE") == 1
-        overflow = self.field_value(self._stat, "OVF") == 1
-        self.irq = interrupt_enabled and overflow
+        values[self._count] = count
+        self.irq = bool(ctrl & self._ie and values[self._stat] & self._ovf)

@@ -80,7 +80,11 @@ class Uart(Peripheral):
 
     # -- host-side API (platforms inject received bytes here) -------------
     def host_receive(self, byte: int) -> None:
-        """A byte arrives on the wire from the outside world."""
+        """A byte arrives on the wire from the outside world.
+
+        This bypasses the register port, so on a SoC with a bound core
+        it cannot arm the receive interrupt: call it on a standalone
+        UART or between runs (before ``attach_cpu``)."""
         if self.field_value(self._ctrl, "RXEN") != 1:
             return
         if len(self.rx_fifo) >= RX_FIFO_DEPTH:
@@ -135,6 +139,12 @@ class Uart(Peripheral):
         if self.rx_fifo and self.field_value(self._ctrl, "RXIE") == 1:
             return 1
         return None
+
+    def armed(self) -> bool:
+        # Ticking recomputes the level-sensitive receive interrupt.
+        return self.irq or (
+            bool(self.rx_fifo) and self.field_value(self._ctrl, "RXIE") == 1
+        )
 
     def tick(self, cycles: int = 1) -> None:
         rxie = self.field_value(self._ctrl, "RXIE")

@@ -93,6 +93,9 @@ class Watchdog(Peripheral):
         # Expiry latches once cumulative ticking reaches the count.
         return max(self.reg_value(self._count), 1)
 
+    def armed(self) -> bool:
+        return not self.expired and self.field_value(self._ctrl, "EN") == 1
+
     def tick(self, cycles: int = 1) -> None:
         if self.field_value(self._ctrl, "EN") != 1 or self.expired:
             return

@@ -8,6 +8,12 @@ directed-test cells out of snippets that cover the whole engine surface:
 - random initial registers, ALU and immediate operations, forward
   conditional branches;
 - word, half and byte loads and stores to RAM and to the GPIO SFR page;
+- register writes that arm and disarm the other interrupt sources: the
+  timer (RELOAD, CTRL with EN/IE/ONESHOT, STAT write-1-to-clear), the
+  watchdog (CTRL enable, SERVICE with the right or a wrong key), the NVM
+  controller (a START of program or erase, then polling DONE) and the
+  UART (CTRL with LOOP/RXIE, then DATA), plus interrupt-controller
+  enables and reads of the pending lines;
 - PUSH/POP, CALL/RET, DIVU;
 - at most one trailing fault: a zero divisor, an access past the end of
   RAM, or a half/byte SFR access (SFRs need word access);
@@ -124,6 +130,39 @@ _SFR_ACCESS = st.tuples(
     st.sampled_from(("LD.W", "ST.W")), st.sampled_from((0, 4, 8))
 )
 
+#: Writes (and settled reads) on the peripherals behind the interrupt
+#: lines: each arms or disarms a device's deferred ticking mid-run.
+#: The UART control value is EN|LOOP|TXEN|RXEN|RXIE, bits 0-4, biased
+#: to loopback with and without the receive interrupt.
+_IRQ_LINES = ("TIMER", "NVM", "UART", "WDT")
+_UART_CTRL = st.sampled_from((0b10111, 0b00111)) | st.integers(0, 31)
+PERIPHERAL = st.one_of(
+    st.tuples(st.just("timer-reload"), st.integers(0, 3_000)),
+    st.tuples(st.just("timer-ctrl"), st.integers(0, 7)),
+    st.tuples(st.just("timer-stat"), st.integers(0, 1)),
+    st.tuples(st.just("timer-cnt"), _DATA),
+    st.tuples(st.just("wdt-ctrl"), st.integers(0, 1), st.integers(0, 4_000)),
+    st.tuples(st.just("wdt-service"), st.booleans()),
+    st.tuples(
+        st.just("nvm"),
+        st.sampled_from(("NVM_CMD_PROG", "NVM_CMD_ERASE")),
+        st.integers(0, 33),  # 32 pages: the last two are rejected
+        st.integers(1, 60),
+        _DATA,
+    ),
+    st.tuples(
+        st.just("uart"),
+        _UART_CTRL,
+        st.lists(st.integers(0, 0xFF), max_size=3),
+        st.none() | _DATA,
+    ),
+    st.tuples(
+        st.just("intc-en"),
+        st.lists(st.sampled_from(_IRQ_LINES), unique=True),
+    ),
+    st.tuples(st.just("intc-pend"), _DATA),
+)
+
 #: Snippets that trap on purpose; the global default handler then ends
 #: the run, so a program carries at most one, last.
 FAULT = st.one_of(
@@ -140,6 +179,7 @@ SNIPPET = st.one_of(
     st.tuples(st.just("alu"), _ALU_RUN),
     st.tuples(st.just("ram"), _RAM_ACCESS, _DATA),
     st.tuples(st.just("sfr"), _SFR_ACCESS, _DATA),
+    PERIPHERAL,
     st.tuples(st.just("push"), _DATA),
     st.tuples(st.just("pop"), _DATA),
     st.tuples(st.just("call"), _ALU_RUN),
@@ -281,16 +321,82 @@ def render(program) -> str:
             data += [f"ram_{index}:", "    LOAD d9, 0x5a5a"]
             data += alu(body)
             data.append("    RET")
+        elif kind.startswith(("timer", "wdt", "nvm", "uart", "intc")):
+            main += render_peripheral(snippet, index)
         elif kind == "branch":
             _, cond, body = snippet
             main.append(f"    {cond} skip_{index}")
             main += alu(body)
             main.append(f"skip_{index}:")
-    main.append("    HALT")
+    # The pending interrupt lines, read last, expose when each device
+    # raised its line even if no handler ran.
+    main += ["    LOAD a6, INT_PEND_ADDR", "    LD.W d11, [a6]", "    HALT"]
     source = main + tail
     if data:
         source += [".SECTION data"] + data + [".SECTION text"]
     return "\n".join(source) + "\n"
+
+
+def render_peripheral(snippet, index: int) -> list[str]:
+    """Lines of one peripheral snippet; ``a6`` and ``d11`` are scratch
+    (the global interrupt handlers save and restore ``a6``)."""
+    kind = snippet[0]
+
+    def store(register: str, value) -> list[str]:
+        return [
+            f"    LOAD a6, {register}",
+            f"    LOAD d11, {value}",
+            "    ST.W [a6], d11",
+        ]
+
+    def load(register: str, reg: int) -> list[str]:
+        return [f"    LOAD a6, {register}", f"    LD.W d{reg}, [a6]"]
+
+    if kind == "timer-reload":
+        return store("TIM_RELOAD_ADDR", snippet[1])
+    if kind == "timer-ctrl":
+        return store("TIM_CTRL_ADDR", snippet[1])
+    if kind == "timer-stat":
+        return store("TIM_STAT_ADDR", snippet[1])
+    if kind == "timer-cnt":
+        return load("TIM_CNT_ADDR", snippet[1])
+    if kind == "wdt-ctrl":
+        _, enable, timeout = snippet
+        return store("WDT_CTRL_ADDR", f"{timeout << 8 | enable:#x}")
+    if kind == "wdt-service":
+        key = "WDT_SERVICE_KEY" if snippet[1] else "WDT_SERVICE_KEY + 1"
+        return store("WDT_SERVICE_ADDR", key)
+    if kind == "nvm":
+        _, command, page, polls, reg = snippet
+        start = (
+            f"(1 << NVM_START_BIT_POS) | ({command} << NVM_CMD_FIELD_POS)"
+            f" | ({page} << PAGE_FIELD_START_POSITION)"
+        )
+        return store("NVM_CTRL_ADDR", start) + [
+            "    LOAD a6, NVM_STAT_ADDR",
+            f"    LOAD d11, {polls}",
+            f"nvm_poll_{index}:",
+            f"    LD.W d{reg}, [a6]",
+            f"    TSTB d{reg}, NVM_STAT_DONE_BIT",
+            f"    JNZ nvm_done_{index}",
+            f"    DJNZ d11, nvm_poll_{index}",
+            f"nvm_done_{index}:",
+        ]
+    if kind == "uart":
+        _, ctrl, data, reg = snippet
+        lines = store("UART_CTRL_ADDR", ctrl)
+        lines.append("    LOAD a6, UART_DATA_ADDR")
+        for byte in data:
+            lines += [f"    LOAD d11, {byte}", "    ST.W [a6], d11"]
+        if reg is not None:
+            lines.append(f"    LD.W d{reg}, [a6]")  # pops the FIFO
+        return lines
+    if kind == "intc-en":
+        mask = " | ".join(
+            [f"IRQ_LINE_{line}_MASK" for line in snippet[1]] or ["0"]
+        )
+        return store("INT_EN_ADDR", mask)
+    return load("INT_PEND_ADDR", snippet[1])
 
 
 def run_engines(source: str, totals: Counter | None = None) -> None:
