@@ -36,6 +36,7 @@ def run_campaign(examples: int) -> dict:
     elapsed = time.perf_counter() - start
     assert totals["jit_chains"] > 0, totals
     assert totals["ff_warps"] > 0, totals
+    assert totals["jit_codegen_failures"] == 0, totals
     return {
         "examples": examples,
         "seconds": round(elapsed, 1),

@@ -70,7 +70,9 @@ QUICK = {
     "delay_ticks": (15_000,),
     "spin_loops": (40_000,),
     "repeats": 2,
-    "min_speedup": 1.5,
+    # Between a warp-clamped copy (at most 24.9x over five runs) and
+    # this engine (at least 259x over five runs), 2 vCPUs.
+    "min_speedup": 100.0,
     "mode": "quick",
 }
 

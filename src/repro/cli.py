@@ -455,9 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "append aggregated engine telemetry (sb_replays, ff_warps, "
-            "jit_chains, jit_exec_steps, reset counters) and a "
-            "matrix-digest line (one SHA-256 over every verdict, "
-            "signature, cycle count and trace) to the report summary"
+            "jit_chains, jit_codegen_failures, jit_exec_steps, reset "
+            "counters) and a matrix-digest line (one SHA-256 over every "
+            "verdict, signature, cycle count and trace) to the report "
+            "summary"
         ),
     )
     p_regress.add_argument(

@@ -400,7 +400,7 @@ def merge_engine_stats(totals: dict, stats: dict) -> dict:
     """Accumulate one engine ``stats()`` snapshot into *totals*.
 
     Per-run counters (``sb_replays``, ``ff_warps``, ``jit_chains``,
-    ``jit_exec_steps``, reset counters) sum; shared-cache and
+    ``jit_codegen_failures``, ``jit_exec_steps``, reset counters) sum; shared-cache and
     registry keys are gauges where the last observation wins."""
     for key, value in stats.items():
         if key in _ENGINE_GAUGES or key.startswith("registry_"):

@@ -8,13 +8,17 @@ program-counter value and reused for every subsequent retire of that
 address (loops, repeated calls, and every later run of the same image).
 
 Beyond fields, each cache entry is bound to a per-opcode **executor
-function** drawn from the module-level :data:`EXECUTORS` table — the
-Python analogue of a computed-goto dispatch table.  Operands are
-precomputed at decode time (register indices, sign/zero-extended
-immediates, branch targets, bit-field masks), so the execute stage is
-``entry.exec(cpu, entry)``: one dict-free indirect call instead of the
-core's ~300-line ``if/elif`` opcode chain.  The chain survives in
-:meth:`CpuCore._execute` as the uncached/trap/fault-injection fallback.
+function** drawn from the :data:`EXECUTORS` table — the Python analogue
+of a computed-goto dispatch table.  Operands are precomputed at decode
+time (register indices, sign/zero-extended immediates, branch targets,
+bit-field masks), so the execute stage is ``entry.exec(cpu, entry)``:
+one dict-free indirect call instead of the core's ~300-line ``if/elif``
+opcode chain, which survives in :meth:`CpuCore._execute` as the
+reference interpreter and the fault-injection path.  The executors are
+not written here: each is rendered from its opcode's row in
+:mod:`repro.isa.semantics` (the table the JIT renders its statement
+bodies from too) and all of them are compiled in one ``compile()`` the
+first time an entry is decoded or unpickled.
 
 :class:`DecodeCache` is *lazy*: an address is decoded the first time the
 core fetches it, then memoised.  Laziness matters because images carry
@@ -65,8 +69,7 @@ from typing import Callable, Mapping
 
 from repro.isa.encoding import decode_word, opcode_of, sign_extend_16
 from repro.isa.instructions import Opcode, lookup_opcode
-from repro.isa.registers import STACK_POINTER_INDEX, WORD_MASK
-from repro.soc.memorymap import TRAP_DIV_ZERO
+from repro.isa.registers import WORD_MASK
 
 #: Base cycle cost per opcode (before wait states).  Owned by the ISA
 #: layer so decode + cycle lookup are a single cached step.
@@ -99,14 +102,12 @@ for _op in Opcode:
     BASE_CYCLES[int(_op)] = _cycles_for(_op)
 
 
-#: Memory micro-ops the core can execute on a dedicated fast path (no
-#: flag updates, no ALU-fault hook involvement): the decode cache
-#: pre-classifies them and precomputes their operands so the execute
-#: stage is one register access plus one direct memory access.  Kinds
-#: 1..10 are the word-size micro-ops; 11..14 are the byte/halfword
-#: loads and stores (zero-extended on load, truncated on store), which
-#: only the executor table serves — the core's legacy inline branch
-#: predates them and routes them through the ``if/elif`` chain.
+#: Memory micro-op classification (``DecodedInstruction.mem_kind``).
+#: Kinds 1..10 are the word-size micro-ops, 11..14 the byte/halfword
+#: loads and stores (zero-extended on load, truncated on store).  A
+#: nonzero kind ends a superblock (the access may land on an SFR page)
+#: and is the JIT's memory-terminator case; ``mem_disp`` carries the
+#: precomputed displacement or absolute address.
 MEM_NONE = 0
 MEM_LD_W = 1
 MEM_ST_W = 2
@@ -122,9 +123,6 @@ MEM_LD_H = 11
 MEM_LD_B = 12
 MEM_ST_H = 13
 MEM_ST_B = 14
-
-#: Last of the word-size kinds the legacy inline branch understands.
-MEM_LAST_WORD_KIND = MEM_STABS_A
 
 _MEM_KINDS: dict[Opcode, int] = {
     Opcode.LD_W: MEM_LD_W,
@@ -163,14 +161,16 @@ class DecodedInstruction:
     cycle-accurate cores add it so cached and uncached execution retire
     identical cycle counts.
 
-    ``exec`` is the opcode's executor from :data:`EXECUTORS`; the core
-    calls ``entry.exec(cpu, entry)`` and gets back the branch-taken
-    flag.  Executor operands are precomputed at decode time: ``r1``/
-    ``r2``/``r3`` register indices, ``imm_s`` (the sign-extended
-    immediate as a signed Python int), ``imm_u`` (the opcode-specific
-    unsigned operand: masked immediate, branch target, shift amount,
-    bit index, or extract mask), and ``pos``/``width`` for bit-field
-    operations.
+    ``exec`` is the opcode's executor from :data:`EXECUTORS` (rendered
+    from :mod:`repro.isa.semantics`, pickled by reference as
+    ``repro.isa.decodecache._x_<opcode>``); the core calls
+    ``entry.exec(cpu, entry)`` and gets back the branch-taken flag.
+    Executor operands are precomputed at decode time: ``r1``/``r2``/
+    ``r3`` register indices, ``imm_s`` (the sign-extended immediate as a
+    signed Python int, or an extract's sign bit), ``imm_u`` (the
+    opcode-specific unsigned operand: masked immediate, branch target,
+    shift amount, bit index, or extract mask), and ``pos``/``width`` for
+    bit-field operations.
     """
 
     opcode: int
@@ -186,11 +186,11 @@ class DecodedInstruction:
     #: replays them (``Bus.emit_fetches``) when a bus trace is active,
     #: so the cache can stay enabled under observation.
     fetch_events: tuple[tuple[str, int, int, int], ...] = ()
-    #: Memory micro-op classification (``MEM_*``; 0 = execute through
-    #: the generic dispatch).  ``mem_disp`` is the sign-extended
-    #: displacement (indexed forms) or the absolute address
-    #: (LDABS/STABS forms); the register operands are ``r1`` (the
-    #: data/address register moved) and ``r2`` (the base register).
+    #: Memory micro-op classification (``MEM_*``; 0 = not a memory
+    #: micro-op).  ``mem_disp`` is the sign-extended displacement
+    #: (indexed forms) or the absolute address (LDABS/STABS forms); the
+    #: register operands are ``r1`` (the data/address register moved)
+    #: and ``r2`` (the base register).
     mem_kind: int = MEM_NONE
     mem_disp: int = 0
     #: Executor binding + precomputed operands (see class docstring).
@@ -244,783 +244,53 @@ DecodedInstruction.__setstate__ = _unrolled_setstate(
 # ---------------------------------------------------------------------------
 # Executor table — computed-goto-style dispatch targets.
 #
-# Each executor receives ``(cpu, entry)``, performs the full
-# architectural effect of the instruction (including setting ``pc``:
-# fall-through first, control flow overrides) and returns the
-# branch-taken flag that costs the extra cycle.  The functions must stay
-# byte-for-byte equivalent to the ``CpuCore._execute`` chain — that
-# chain remains the uncached and fault-injection reference path, and the
-# equivalence suite diffs the two.  None of them consult
-# ``alu_fault_hook``; the core routes non-memory opcodes through the
-# legacy chain when a fault hook is armed.
+# Each executor ``_x_<opcode>(cpu, e)`` performs the full architectural
+# effect of the instruction (including setting ``pc``: fall-through
+# first, control flow overrides) and returns the branch-taken flag that
+# costs the extra cycle.  They are rendered from ``isa/semantics.py``
+# (operands read off ``e``) and compiled together on first use — the
+# first decode or the first artifact-store unpickle, never at import.
+# They are defined into this module's namespace, so a pickled entry's
+# ``exec`` resolves as ``repro.isa.decodecache._x_<opcode>`` through
+# :func:`__getattr__`.  None of them consult ``alu_fault_hook``; the
+# core routes non-memory opcodes through ``CpuCore._execute`` when a
+# fault hook is armed.
 # ---------------------------------------------------------------------------
 
-_OP_SHL = Opcode.SHL
-_OP_SHR = Opcode.SHR
-_OP_SAR = Opcode.SAR
-
-
-def _x_nop(cpu, e):
-    cpu.regs.pc = e.next_pc
-    return False
-
-
-def _x_halt(cpu, e):
-    cpu.regs.pc = e.next_pc
-    cpu.halted = True
-    return False
-
-
-def _x_brk(cpu, e):
-    cpu.regs.pc = e.next_pc
-    cpu.brk_events.append(e.pc)
-    return False
-
-
-def _x_di(cpu, e):
-    cpu.regs.pc = e.next_pc
-    cpu.regs.psw.interrupt_enable = False
-    return False
-
-
-def _x_ei(cpu, e):
-    cpu.regs.pc = e.next_pc
-    cpu.regs.psw.interrupt_enable = True
-    return False
-
-
-def _x_ret(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc  # a faulting pop traps from the fall-through pc
-    regs.pc = cpu._pop()
-    return True
-
-
-def _x_reti(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.psw.value = cpu._pop()
-    regs.pc = cpu._pop()
-    return True
-
-
-# -- moves ------------------------------------------------------------------
-
-def _x_mov_dd(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = regs.data[e.r2]
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_mov_aa(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.address[e.r1] = regs.address[e.r2]
-    return False
-
-
-def _x_mov_da(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = regs.address[e.r2]
-    return False
-
-
-def _x_mov_ad(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.address[e.r1] = regs.data[e.r2]
-    return False
-
-
-def _x_load_d(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = e.imm_u
-    return False
-
-
-def _x_load_a(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.address[e.r1] = e.imm_u
-    return False
-
-
-def _x_movi(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = e.imm_u
-    return False
-
-
-# -- memory micro-ops -------------------------------------------------------
-
-def _x_ld_w(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = cpu._read_word_fast(
-        (regs.address[e.r2] + e.mem_disp) & WORD_MASK
-    )
-    return False
-
-
-def _x_st_w(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    cpu._write_word_fast(
-        (regs.address[e.r2] + e.mem_disp) & WORD_MASK, regs.data[e.r1]
-    )
-    return False
-
-
-def _x_ld_h(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = cpu._read_half_fast(
-        (regs.address[e.r2] + e.mem_disp) & WORD_MASK
-    )
-    return False
-
-
-def _x_ld_b(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = cpu._read_byte_fast(
-        (regs.address[e.r2] + e.mem_disp) & WORD_MASK
-    )
-    return False
-
-
-def _x_st_h(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    cpu._write_half_fast(
-        (regs.address[e.r2] + e.mem_disp) & WORD_MASK, regs.data[e.r1]
-    )
-    return False
-
-
-def _x_st_b(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    cpu._write_byte_fast(
-        (regs.address[e.r2] + e.mem_disp) & WORD_MASK, regs.data[e.r1]
-    )
-    return False
-
-
-def _x_ldabs_d(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = cpu._read_word_fast(e.mem_disp)
-    return False
-
-
-def _x_ldabs_a(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.address[e.r1] = cpu._read_word_fast(e.mem_disp)
-    return False
-
-
-def _x_stabs_d(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    cpu._write_word_fast(e.mem_disp, regs.data[e.r1])
-    return False
-
-
-def _x_stabs_a(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    cpu._write_word_fast(e.mem_disp, regs.address[e.r1])
-    return False
-
-
-# -- ALU --------------------------------------------------------------------
-
-def _x_add(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    lhs = data[e.r2]
-    rhs = data[e.r3]
-    raw = lhs + rhs
-    regs.psw.set_add_flags(lhs, rhs, raw)
-    data[e.r1] = raw & WORD_MASK
-    return False
-
-
-def _x_sub(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    lhs = data[e.r2]
-    rhs = data[e.r3]
-    regs.psw.set_sub_flags(lhs, rhs)
-    data[e.r1] = (lhs - rhs) & WORD_MASK
-    return False
-
-
-def _x_and(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = data[e.r2] & data[e.r3]
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_or(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = data[e.r2] | data[e.r3]
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_xor(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = data[e.r2] ^ data[e.r3]
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_shl(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    data[e.r1] = cpu._shift(_OP_SHL, data[e.r2], data[e.r3] & 31)
-    return False
-
-
-def _x_shr(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    data[e.r1] = cpu._shift(_OP_SHR, data[e.r2], data[e.r3] & 31)
-    return False
-
-
-def _x_sar(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    data[e.r1] = cpu._shift(_OP_SAR, data[e.r2], data[e.r3] & 31)
-    return False
-
-
-def _x_shli(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    data[e.r1] = cpu._shift(_OP_SHL, data[e.r2], e.imm_u)
-    return False
-
-
-def _x_shri(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    data[e.r1] = cpu._shift(_OP_SHR, data[e.r2], e.imm_u)
-    return False
-
-
-def _x_sari(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    data[e.r1] = cpu._shift(_OP_SAR, data[e.r2], e.imm_u)
-    return False
-
-
-def _x_mul(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = (data[e.r2] * data[e.r3]) & WORD_MASK
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_not(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = ~data[e.r2] & WORD_MASK
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_neg(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    rhs = data[e.r2]
-    regs.psw.set_sub_flags(0, rhs)
-    data[e.r1] = -rhs & WORD_MASK
-    return False
-
-
-def _x_addi(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    lhs = data[e.r2]
-    raw = lhs + e.imm_s
-    regs.psw.set_add_flags(lhs, e.imm_u, raw)
-    data[e.r1] = raw & WORD_MASK
-    return False
-
-
-def _x_andi(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = data[e.r2] & e.imm_u
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_ori(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = data[e.r2] | e.imm_u
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_xori(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    value = data[e.r2] ^ e.imm_u
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_adda(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.address[e.r1] = (regs.address[e.r2] + e.imm_s) & WORD_MASK
-    return False
-
-
-def _x_divu(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    regs.pc = e.next_pc
-    rhs = data[e.r3]
-    if rhs == 0:
-        cpu.take_trap(TRAP_DIV_ZERO, e.next_pc)
-        return True
-    value = data[e.r2] // rhs
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_cmp(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.psw.set_sub_flags(regs.data[e.r1], regs.data[e.r2])
-    return False
-
-
-def _x_cmpi(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.psw.set_sub_flags(regs.data[e.r1], e.imm_u)
-    return False
-
-
-# -- bit fields -------------------------------------------------------------
-
-def _x_insert(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = cpu._insert(regs.data[e.r2], e.imm_u, e.pos, e.width)
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_insertr(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = cpu._insert(regs.data[e.r2], regs.data[e.r3], e.pos, e.width)
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_extru(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = (regs.data[e.r2] >> e.pos) & e.imm_u
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_extrs(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = (regs.data[e.r2] >> e.pos) & e.imm_u
-    if e.imm_s and value & e.imm_s:
-        value |= WORD_MASK & ~e.imm_u
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_setb(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = regs.data[e.r1] | (1 << e.imm_u)
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_clrb(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = regs.data[e.r1] & ~(1 << e.imm_u)
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_tglb(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    value = regs.data[e.r1] ^ (1 << e.imm_u)
-    regs.data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    return False
-
-
-def _x_tstb(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.psw.zero = not (regs.data[e.r1] >> e.imm_u) & 1
-    return False
-
-
-# -- control flow -----------------------------------------------------------
-
-def _x_jmp(cpu, e):
-    cpu.regs.pc = e.imm_u
-    return True
-
-
-def _x_jz(cpu, e):
-    regs = cpu.regs
-    if regs.psw.zero:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jnz(cpu, e):
-    regs = cpu.regs
-    if not regs.psw.zero:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jc(cpu, e):
-    regs = cpu.regs
-    if regs.psw.carry:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jnc(cpu, e):
-    regs = cpu.regs
-    if not regs.psw.carry:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jn(cpu, e):
-    regs = cpu.regs
-    if regs.psw.negative:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jnn(cpu, e):
-    regs = cpu.regs
-    if not regs.psw.negative:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jv(cpu, e):
-    regs = cpu.regs
-    if regs.psw.overflow:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jnv(cpu, e):
-    regs = cpu.regs
-    if not regs.psw.overflow:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jge(cpu, e):
-    regs = cpu.regs
-    psw = regs.psw
-    if psw.negative == psw.overflow:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jlt(cpu, e):
-    regs = cpu.regs
-    psw = regs.psw
-    if psw.negative != psw.overflow:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jgt(cpu, e):
-    regs = cpu.regs
-    psw = regs.psw
-    if not psw.zero and psw.negative == psw.overflow:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_jle(cpu, e):
-    regs = cpu.regs
-    psw = regs.psw
-    if psw.zero or psw.negative != psw.overflow:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-def _x_call_abs(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc  # a faulting push traps from the fall-through pc
-    cpu._push(e.next_pc)
-    regs.pc = e.imm_u
-    return True
-
-
-def _x_call_ind(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    cpu._push(e.next_pc)
-    regs.pc = regs.address[e.r1]
-    return True
-
-
-def _x_djnz(cpu, e):
-    regs = cpu.regs
-    data = regs.data
-    value = (data[e.r1] - 1) & WORD_MASK
-    data[e.r1] = value
-    regs.psw.set_logic_flags(value)
-    if value != 0:
-        regs.pc = e.imm_u
-        return True
-    regs.pc = e.next_pc
-    return False
-
-
-# -- stack (word micro-ops share the direct-buffer accessors) --------------
-
-def _x_push_d(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    addr = regs.address
-    sp = (addr[STACK_POINTER_INDEX] - 4) & WORD_MASK
-    addr[STACK_POINTER_INDEX] = sp
-    cpu._write_word_fast(sp, regs.data[e.r1])
-    return False
-
-
-def _x_push_a(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    addr = regs.address
-    value = addr[e.r1]  # before sp update (PUSH sp)
-    sp = (addr[STACK_POINTER_INDEX] - 4) & WORD_MASK
-    addr[STACK_POINTER_INDEX] = sp
-    cpu._write_word_fast(sp, value)
-    return False
-
-
-def _x_pop_d(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    addr = regs.address
-    regs.data[e.r1] = cpu._read_word_fast(addr[STACK_POINTER_INDEX])
-    addr[STACK_POINTER_INDEX] = (addr[STACK_POINTER_INDEX] + 4) & WORD_MASK
-    return False
-
-
-def _x_pop_a(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    addr = regs.address
-    value = cpu._read_word_fast(addr[STACK_POINTER_INDEX])
-    addr[STACK_POINTER_INDEX] = (addr[STACK_POINTER_INDEX] + 4) & WORD_MASK
-    addr[e.r1] = value
-    return False
-
-
-# -- system -----------------------------------------------------------------
-
-def _x_trap(cpu, e):
-    cpu.regs.pc = e.next_pc
-    cpu.take_trap(e.imm_u, e.next_pc)
-    return True
-
-
-def _x_rdpsw(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.data[e.r1] = regs.psw.value
-    return False
-
-
-def _x_wrpsw(cpu, e):
-    regs = cpu.regs
-    regs.pc = e.next_pc
-    regs.psw.value = regs.data[e.r1]
-    return False
-
-
-#: Opcode value -> executor: the computed-goto dispatch table.  Every
-#: legal opcode has an entry; `_decode` refuses to cache anything that
-#: does not (which cannot happen while the assert below holds).
-EXECUTORS: dict[int, Callable] = {
-    int(Opcode.NOP): _x_nop,
-    int(Opcode.HALT): _x_halt,
-    int(Opcode.BRK): _x_brk,
-    int(Opcode.DI): _x_di,
-    int(Opcode.EI): _x_ei,
-    int(Opcode.RET): _x_ret,
-    int(Opcode.RETI): _x_reti,
-    int(Opcode.MOV_DD): _x_mov_dd,
-    int(Opcode.MOV_AA): _x_mov_aa,
-    int(Opcode.MOV_DA): _x_mov_da,
-    int(Opcode.MOV_AD): _x_mov_ad,
-    int(Opcode.LOAD_D): _x_load_d,
-    int(Opcode.LOAD_A): _x_load_a,
-    int(Opcode.MOVI): _x_movi,
-    int(Opcode.MOVHI): _x_movi,  # value precomputed; same move shape
-    int(Opcode.LD_W): _x_ld_w,
-    int(Opcode.LD_H): _x_ld_h,
-    int(Opcode.LD_B): _x_ld_b,
-    int(Opcode.ST_W): _x_st_w,
-    int(Opcode.ST_H): _x_st_h,
-    int(Opcode.ST_B): _x_st_b,
-    int(Opcode.LDABS_D): _x_ldabs_d,
-    int(Opcode.STABS_D): _x_stabs_d,
-    int(Opcode.LDABS_A): _x_ldabs_a,
-    int(Opcode.STABS_A): _x_stabs_a,
-    int(Opcode.ADD): _x_add,
-    int(Opcode.SUB): _x_sub,
-    int(Opcode.AND): _x_and,
-    int(Opcode.OR): _x_or,
-    int(Opcode.XOR): _x_xor,
-    int(Opcode.SHL): _x_shl,
-    int(Opcode.SHR): _x_shr,
-    int(Opcode.SAR): _x_sar,
-    int(Opcode.MUL): _x_mul,
-    int(Opcode.NOT): _x_not,
-    int(Opcode.NEG): _x_neg,
-    int(Opcode.ADDI): _x_addi,
-    int(Opcode.SHLI): _x_shli,
-    int(Opcode.SHRI): _x_shri,
-    int(Opcode.SARI): _x_sari,
-    int(Opcode.ANDI): _x_andi,
-    int(Opcode.ORI): _x_ori,
-    int(Opcode.XORI): _x_xori,
-    int(Opcode.ADDA): _x_adda,
-    int(Opcode.DIVU): _x_divu,
-    int(Opcode.CMP): _x_cmp,
-    int(Opcode.CMPI): _x_cmpi,
-    int(Opcode.INSERT): _x_insert,
-    int(Opcode.INSERTR): _x_insertr,
-    int(Opcode.EXTRU): _x_extru,
-    int(Opcode.EXTRS): _x_extrs,
-    int(Opcode.SETB): _x_setb,
-    int(Opcode.CLRB): _x_clrb,
-    int(Opcode.TGLB): _x_tglb,
-    int(Opcode.TSTB): _x_tstb,
-    int(Opcode.JMP): _x_jmp,
-    int(Opcode.JZ): _x_jz,
-    int(Opcode.JNZ): _x_jnz,
-    int(Opcode.JC): _x_jc,
-    int(Opcode.JNC): _x_jnc,
-    int(Opcode.JN): _x_jn,
-    int(Opcode.JNN): _x_jnn,
-    int(Opcode.JV): _x_jv,
-    int(Opcode.JNV): _x_jnv,
-    int(Opcode.JGE): _x_jge,
-    int(Opcode.JLT): _x_jlt,
-    int(Opcode.JGT): _x_jgt,
-    int(Opcode.JLE): _x_jle,
-    int(Opcode.CALL_ABS): _x_call_abs,
-    int(Opcode.CALL_IND): _x_call_ind,
-    int(Opcode.DJNZ): _x_djnz,
-    int(Opcode.PUSH_D): _x_push_d,
-    int(Opcode.PUSH_A): _x_push_a,
-    int(Opcode.POP_D): _x_pop_d,
-    int(Opcode.POP_A): _x_pop_a,
-    int(Opcode.TRAP): _x_trap,
-    int(Opcode.RDPSW): _x_rdpsw,
-    int(Opcode.WRPSW): _x_wrpsw,
-}
-
-assert all(int(op) in EXECUTORS for op in Opcode), "executor table incomplete"
+_EXECUTORS: dict[int, Callable] | None = None
+_EXECUTORS_LOCK = threading.Lock()
+
+
+def _executors() -> dict[int, Callable]:
+    """Opcode value -> executor, built once per process."""
+    global _EXECUTORS
+    with _EXECUTORS_LOCK:
+        if _EXECUTORS is None:
+            from repro.isa import semantics
+
+            namespace = globals()
+            exec(
+                compile(
+                    semantics.executor_source(), "<opcode executors>", "exec"
+                ),
+                namespace,
+            )
+            _EXECUTORS = {
+                int(op): namespace[semantics.executor_name(op)]
+                for op in Opcode
+            }
+    return _EXECUTORS
+
+
+def __getattr__(name: str):
+    # ``EXECUTORS`` and the ``_x_*`` executors exist once built.
+    if name == "EXECUTORS":
+        return _executors()
+    if name.startswith("_x_"):
+        _executors()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1428,12 +698,7 @@ class DecodeCache:
             literal, literal_waits = second
             fetch_waits += literal_waits
             fetch_events += (("read", pc + 4, 4, literal),)
-        executor = EXECUTORS.get(opcode)
-        if executor is None:
-            # No executor bound (an opcode added without a table entry):
-            # decline to cache so the address keeps taking the legacy
-            # fetch-decode-execute path, which is always complete.
-            return None
+        executors = _EXECUTORS if _EXECUTORS is not None else _executors()
         op = Opcode(opcode)
         fields = decode_word(spec.fmt, word)
         mem_kind = _MEM_KINDS.get(op, MEM_NONE)
@@ -1464,7 +729,7 @@ class DecodeCache:
             imm_u=imm_u,
             pos=fields.get("pos", 0),
             width=fields.get("width", 0),
-            exec=executor,
+            exec=executors[opcode],
         )
 
 

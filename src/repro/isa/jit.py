@@ -10,9 +10,14 @@ function per chain via source generation + :func:`compile`:
 - register indices, immediates, branch targets and cycle costs are baked
   into the generated source as constants;
 - per-instruction ``exec`` indirection and operand attribute loads are
-  gone — each decoded instruction becomes two-to-eight plain statements
-  over the hoisted ``data``/``addr``/``psw`` locals, with the PSW flag
-  algebra inlined and constant-folded against known immediates;
+  gone — each decoded instruction becomes its row of
+  :data:`repro.isa.semantics.ROWS` rendered with the entry as the
+  operand binding: plain statements over the hoisted ``data``/``addr``/
+  ``psw`` locals, operands as literals, the PSW flag algebra inlined and
+  folded against known immediates, and no pc store.  Body instructions
+  and memory terminators use a row's effect, conditional branches and
+  ``DJNZ`` its taken-condition; the decode cache's executors are the
+  same rows rendered with operands read at run time;
 - intermediate ``regs.pc`` writes are elided (bodies are pure-register;
   every exit point re-establishes the architectural pc exactly);
 - exactly one deadline/limit/interrupt probe runs per block boundary, in
@@ -48,27 +53,8 @@ JIT is measured and fuzzed against; the reference interpreter
 
 from __future__ import annotations
 
-from repro.isa.decodecache import (
-    DecodeCache,
-    DecodedInstruction,
-    MEM_LD_B,
-    MEM_LD_H,
-    MEM_LD_W,
-    MEM_LDABS_A,
-    MEM_LDABS_D,
-    MEM_POP_A,
-    MEM_POP_D,
-    MEM_PUSH_A,
-    MEM_PUSH_D,
-    MEM_ST_B,
-    MEM_ST_H,
-    MEM_ST_W,
-    MEM_STABS_A,
-    MEM_STABS_D,
-    Superblock,
-)
+from repro.isa.decodecache import DecodeCache, DecodedInstruction, Superblock
 from repro.isa.instructions import Opcode
-from repro.isa.registers import STACK_POINTER_INDEX, WORD_MASK
 from repro.soc.bus import BusError
 from repro.soc.memorymap import TRAP_BUS_ERROR
 
@@ -92,517 +78,23 @@ _JMP = int(Opcode.JMP)
 _CALL_ABS = int(Opcode.CALL_ABS)
 _DJNZ = int(Opcode.DJNZ)
 
-#: Conditional branch opcode -> taken-condition over the ``psw`` local.
-_COND_EXPR = {
-    int(Opcode.JZ): "psw.zero",
-    int(Opcode.JNZ): "not psw.zero",
-    int(Opcode.JC): "psw.carry",
-    int(Opcode.JNC): "not psw.carry",
-    int(Opcode.JN): "psw.negative",
-    int(Opcode.JNN): "not psw.negative",
-    int(Opcode.JV): "psw.overflow",
-    int(Opcode.JNV): "not psw.overflow",
-    int(Opcode.JGE): "psw.negative == psw.overflow",
-    int(Opcode.JLT): "psw.negative != psw.overflow",
-    int(Opcode.JGT): "not psw.zero and psw.negative == psw.overflow",
-    int(Opcode.JLE): "psw.zero or psw.negative != psw.overflow",
-}
-
-_M = WORD_MASK  # 4294967295
-_S = 0x8000_0000
+#: ``isa/semantics.py``'s opcode table and the opcodes of its rows with
+#: a taken-condition (conditional branches and ``DJNZ``), imported on
+#: the first chain trace so importing the JIT stays cheap.
+_ROWS: dict | None = None
+_CONDITIONAL: frozenset[int] = frozenset()
 
 
-# ---------------------------------------------------------------------------
-# Per-opcode statement emitters.  Each returns unindented source lines
-# that reproduce the bound executor's architectural effects exactly —
-# minus the ``regs.pc`` write, which the chain re-establishes at every
-# exit point.  ``data``/``addr``/``psw`` are function locals.
-# ---------------------------------------------------------------------------
+def _rows() -> dict:
+    global _ROWS, _CONDITIONAL
+    if _ROWS is None:
+        from repro.isa.semantics import ROWS
 
-def _logic_flags(var: str) -> list[str]:
-    # Inlined PSW.set_logic_flags over an already-masked value.
-    return [
-        f"psw.zero = {var} == 0",
-        f"psw.negative = {var} & {_S} != 0",
-        "psw.carry = False",
-        "psw.overflow = False",
-    ]
-
-
-def _sub_flags(lhs: str, rhs: str, res: str) -> list[str]:
-    # Inlined PSW.set_sub_flags(lhs, rhs) with result precomputed.
-    return [
-        f"psw.zero = {res} == 0",
-        f"psw.negative = {res} & {_S} != 0",
-        f"psw.carry = {lhs} < {rhs}",
-        f"_s = {lhs} & {_S} != 0",
-        f"psw.overflow = _s != ({rhs} & {_S} != 0)"
-        f" and ({res} & {_S} != 0) != _s",
-    ]
-
-
-def _sub_flags_const_rhs(lhs: str, rhs: int, res: str) -> list[str]:
-    # set_sub_flags with the rhs (and therefore its sign) baked in.
-    lines = [
-        f"psw.zero = {res} == 0",
-        f"psw.negative = {res} & {_S} != 0",
-        f"psw.carry = {lhs} < {rhs}",
-    ]
-    if rhs & _S:
-        lines.append(
-            f"psw.overflow = {lhs} & {_S} == 0 and {res} & {_S} != 0"
+        _CONDITIONAL = frozenset(
+            int(op) for op, row in ROWS.items() if row.cond is not None
         )
-    else:
-        lines.append(
-            f"psw.overflow = {lhs} & {_S} != 0 and {res} & {_S} == 0"
-        )
-    return lines
-
-
-def _add_flags_const_rhs(lhs: str, rhs_u: int, raw: str, res: str) -> list[str]:
-    # set_add_flags with the rhs sign folded to a constant.
-    lines = [
-        f"psw.zero = {res} == 0",
-        f"psw.negative = {res} & {_S} != 0",
-        f"psw.carry = {raw} > {_M}",
-    ]
-    if rhs_u & _S:
-        lines.append(
-            f"psw.overflow = {lhs} & {_S} != 0 and {res} & {_S} == 0"
-        )
-    else:
-        lines.append(
-            f"psw.overflow = {lhs} & {_S} == 0 and {res} & {_S} != 0"
-        )
-    return lines
-
-
-def _b_nop(e):
-    return []
-
-
-def _b_brk(e):
-    return [f"cpu.brk_events.append({e.pc})"]
-
-
-def _b_di(e):
-    return ["psw.interrupt_enable = False"]
-
-
-def _b_mov_dd(e):
-    return [f"_v = data[{e.r2}]", f"data[{e.r1}] = _v", *_logic_flags("_v")]
-
-
-def _b_mov_aa(e):
-    return [f"addr[{e.r1}] = addr[{e.r2}]"]
-
-
-def _b_mov_da(e):
-    return [f"data[{e.r1}] = addr[{e.r2}]"]
-
-
-def _b_mov_ad(e):
-    return [f"addr[{e.r1}] = data[{e.r2}]"]
-
-
-def _b_load_d(e):
-    return [f"data[{e.r1}] = {e.imm_u}"]
-
-
-def _b_load_a(e):
-    return [f"addr[{e.r1}] = {e.imm_u}"]
-
-
-def _b_add(e):
-    return [
-        f"_l = data[{e.r2}]",
-        f"_b = data[{e.r3}]",
-        "_r = _l + _b",
-        f"_v = _r & {_M}",
-        "psw.zero = _v == 0",
-        f"psw.negative = _v & {_S} != 0",
-        f"psw.carry = _r > {_M}",
-        f"_s = _l & {_S} != 0",
-        f"psw.overflow = _s == (_b & {_S} != 0) and (_v & {_S} != 0) != _s",
-        f"data[{e.r1}] = _v",
-    ]
-
-
-def _b_sub(e):
-    return [
-        f"_l = data[{e.r2}]",
-        f"_b = data[{e.r3}]",
-        f"_v = (_l - _b) & {_M}",
-        *_sub_flags("_l", "_b", "_v"),
-        f"data[{e.r1}] = _v",
-    ]
-
-
-def _bitop(e, op: str) -> list[str]:
-    return [
-        f"_v = data[{e.r2}] {op} data[{e.r3}]",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_and(e):
-    return _bitop(e, "&")
-
-
-def _b_or(e):
-    return _bitop(e, "|")
-
-
-def _b_xor(e):
-    return _bitop(e, "^")
-
-
-def _b_shl(e):
-    return [f"data[{e.r1}] = cpu._shift(_SHL, data[{e.r2}], data[{e.r3}] & 31)"]
-
-
-def _b_shr(e):
-    return [f"data[{e.r1}] = cpu._shift(_SHR, data[{e.r2}], data[{e.r3}] & 31)"]
-
-
-def _b_sar(e):
-    return [f"data[{e.r1}] = cpu._shift(_SAR, data[{e.r2}], data[{e.r3}] & 31)"]
-
-
-def _shift_imm(e, kind: str) -> list[str]:
-    amount = e.imm_u
-    if amount == 0:
-        # _shift(value, 0): logic flags over the unchanged value.
-        return [
-            f"_v = data[{e.r2}]",
-            *_logic_flags("_v"),
-            f"data[{e.r1}] = _v",
-        ]
-    lines = [f"_a = data[{e.r2}]"]
-    if kind == "shl":
-        lines += [
-            f"_v = (_a << {amount}) & {_M}",
-            f"_c = _a >> {32 - amount} & 1 != 0",
-        ]
-    elif kind == "shr":
-        lines += [
-            f"_v = _a >> {amount}",
-            f"_c = _a >> {amount - 1} & 1 != 0",
-        ]
-    else:  # sar
-        lines += [
-            f"_v = ((_a - {1 << 32} if _a & {_S} else _a) >> {amount})"
-            f" & {_M}",
-            f"_c = _a >> {amount - 1} & 1 != 0",
-        ]
-    lines += [
-        "psw.zero = _v == 0",
-        f"psw.negative = _v & {_S} != 0",
-        "psw.overflow = False",
-        "psw.carry = _c",
-        f"data[{e.r1}] = _v",
-    ]
-    return lines
-
-
-def _b_shli(e):
-    return _shift_imm(e, "shl")
-
-
-def _b_shri(e):
-    return _shift_imm(e, "shr")
-
-
-def _b_sari(e):
-    return _shift_imm(e, "sar")
-
-
-def _b_mul(e):
-    return [
-        f"_v = (data[{e.r2}] * data[{e.r3}]) & {_M}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_not(e):
-    return [
-        f"_v = ~data[{e.r2}] & {_M}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_neg(e):
-    # set_sub_flags(0, rhs) with lhs_sign == False folded out.
-    return [
-        f"_b = data[{e.r2}]",
-        f"_v = -_b & {_M}",
-        "psw.zero = _v == 0",
-        f"psw.negative = _v & {_S} != 0",
-        "psw.carry = 0 < _b",
-        f"psw.overflow = _b & {_S} != 0 and _v & {_S} != 0",
-        f"data[{e.r1}] = _v",
-    ]
-
-
-def _b_addi(e):
-    return [
-        f"_l = data[{e.r2}]",
-        f"_r = _l + {e.imm_s}",
-        f"_v = _r & {_M}",
-        *_add_flags_const_rhs("_l", e.imm_u, "_r", "_v"),
-        f"data[{e.r1}] = _v",
-    ]
-
-
-def _bitop_imm(e, op: str) -> list[str]:
-    return [
-        f"_v = data[{e.r2}] {op} {e.imm_u}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_andi(e):
-    return _bitop_imm(e, "&")
-
-
-def _b_ori(e):
-    return _bitop_imm(e, "|")
-
-
-def _b_xori(e):
-    return _bitop_imm(e, "^")
-
-
-def _b_adda(e):
-    return [f"addr[{e.r1}] = (addr[{e.r2}] + {e.imm_s}) & {_M}"]
-
-
-def _b_cmp(e):
-    return [
-        f"_l = data[{e.r1}]",
-        f"_b = data[{e.r2}]",
-        f"_v = (_l - _b) & {_M}",
-        *_sub_flags("_l", "_b", "_v"),
-    ]
-
-
-def _b_cmpi(e):
-    return [
-        f"_l = data[{e.r1}]",
-        f"_v = (_l - {e.imm_u}) & {_M}",
-        *_sub_flags_const_rhs("_l", e.imm_u, "_v"),
-    ]
-
-
-def _insert_mask(e) -> tuple[int, int]:
-    mask = ((1 << e.width) - 1) if e.width < 32 else _M
-    keep = _M & ~((mask << e.pos) & _M)
-    return mask, keep
-
-
-def _b_insert(e):
-    mask, keep = _insert_mask(e)
-    merged = ((e.imm_u & mask) << e.pos) & _M
-    return [
-        f"_v = data[{e.r2}] & {keep} | {merged}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_insertr(e):
-    mask, keep = _insert_mask(e)
-    return [
-        f"_v = data[{e.r2}] & {keep}"
-        f" | (data[{e.r3}] & {mask}) << {e.pos} & {_M}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_extru(e):
-    return [
-        f"_v = data[{e.r2}] >> {e.pos} & {e.imm_u}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_extrs(e):
-    lines = [f"_v = data[{e.r2}] >> {e.pos} & {e.imm_u}"]
-    if e.imm_s:
-        lines += [
-            f"if _v & {e.imm_s}:",
-            f"    _v |= {_M & ~e.imm_u}",
-        ]
-    lines += [f"data[{e.r1}] = _v", *_logic_flags("_v")]
-    return lines
-
-
-def _b_setb(e):
-    return [
-        f"_v = data[{e.r1}] | {1 << e.imm_u}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_clrb(e):
-    return [
-        f"_v = data[{e.r1}] & {_M & ~(1 << e.imm_u)}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_tglb(e):
-    return [
-        f"_v = data[{e.r1}] ^ {1 << e.imm_u}",
-        f"data[{e.r1}] = _v",
-        *_logic_flags("_v"),
-    ]
-
-
-def _b_tstb(e):
-    return [f"psw.zero = not (data[{e.r1}] >> {e.imm_u} & 1)"]
-
-
-def _b_rdpsw(e):
-    return [f"data[{e.r1}] = psw.value"]
-
-
-_BODY_EMITTERS = {
-    int(Opcode.NOP): _b_nop,
-    int(Opcode.BRK): _b_brk,
-    int(Opcode.DI): _b_di,
-    int(Opcode.MOV_DD): _b_mov_dd,
-    int(Opcode.MOV_AA): _b_mov_aa,
-    int(Opcode.MOV_DA): _b_mov_da,
-    int(Opcode.MOV_AD): _b_mov_ad,
-    int(Opcode.LOAD_D): _b_load_d,
-    int(Opcode.LOAD_A): _b_load_a,
-    int(Opcode.MOVI): _b_load_d,  # value precomputed, same move shape
-    int(Opcode.MOVHI): _b_load_d,
-    int(Opcode.ADD): _b_add,
-    int(Opcode.SUB): _b_sub,
-    int(Opcode.AND): _b_and,
-    int(Opcode.OR): _b_or,
-    int(Opcode.XOR): _b_xor,
-    int(Opcode.SHL): _b_shl,
-    int(Opcode.SHR): _b_shr,
-    int(Opcode.SAR): _b_sar,
-    int(Opcode.SHLI): _b_shli,
-    int(Opcode.SHRI): _b_shri,
-    int(Opcode.SARI): _b_sari,
-    int(Opcode.MUL): _b_mul,
-    int(Opcode.NOT): _b_not,
-    int(Opcode.NEG): _b_neg,
-    int(Opcode.ADDI): _b_addi,
-    int(Opcode.ANDI): _b_andi,
-    int(Opcode.ORI): _b_ori,
-    int(Opcode.XORI): _b_xori,
-    int(Opcode.ADDA): _b_adda,
-    int(Opcode.CMP): _b_cmp,
-    int(Opcode.CMPI): _b_cmpi,
-    int(Opcode.INSERT): _b_insert,
-    int(Opcode.INSERTR): _b_insertr,
-    int(Opcode.EXTRU): _b_extru,
-    int(Opcode.EXTRS): _b_extrs,
-    int(Opcode.SETB): _b_setb,
-    int(Opcode.CLRB): _b_clrb,
-    int(Opcode.TGLB): _b_tglb,
-    int(Opcode.TSTB): _b_tstb,
-    int(Opcode.RDPSW): _b_rdpsw,
-}
-
-
-def _body_lines(e: DecodedInstruction, env: dict, tag: str) -> list[str]:
-    emitter = _BODY_EMITTERS.get(e.opcode)
-    if emitter is not None:
-        return emitter(e)
-    # An opcode without a template (can only happen if a new pure
-    # body opcode lands without one): fall back to its bound executor.
-    # The redundant ``regs.pc`` store it performs is overwritten by the
-    # chain's next exit point, so semantics are unchanged.
-    name = f"_x{tag}"
-    env[name] = e
-    return [f"{name}.exec(cpu, {name})"]
-
-
-# Memory micro-op statements (terminator position only; bodies are
-# pure-register by construction).  Mirrors the ``_x_*`` executors minus
-# the pc store.
-_SPI = STACK_POINTER_INDEX
-
-
-def _mem_lines(e: DecodedInstruction) -> list[str]:
-    kind = e.mem_kind
-    if kind == MEM_LD_W:
-        return [
-            f"data[{e.r1}] = cpu._read_word_fast("
-            f"(addr[{e.r2}] + {e.mem_disp}) & {_M})"
-        ]
-    if kind == MEM_ST_W:
-        return [
-            f"cpu._write_word_fast("
-            f"(addr[{e.r2}] + {e.mem_disp}) & {_M}, data[{e.r1}])"
-        ]
-    if kind == MEM_LD_H:
-        return [
-            f"data[{e.r1}] = cpu._read_half_fast("
-            f"(addr[{e.r2}] + {e.mem_disp}) & {_M})"
-        ]
-    if kind == MEM_LD_B:
-        return [
-            f"data[{e.r1}] = cpu._read_byte_fast("
-            f"(addr[{e.r2}] + {e.mem_disp}) & {_M})"
-        ]
-    if kind == MEM_ST_H:
-        return [
-            f"cpu._write_half_fast("
-            f"(addr[{e.r2}] + {e.mem_disp}) & {_M}, data[{e.r1}])"
-        ]
-    if kind == MEM_ST_B:
-        return [
-            f"cpu._write_byte_fast("
-            f"(addr[{e.r2}] + {e.mem_disp}) & {_M}, data[{e.r1}])"
-        ]
-    if kind == MEM_PUSH_D:
-        return [
-            f"_p = (addr[{_SPI}] - 4) & {_M}",
-            f"addr[{_SPI}] = _p",
-            f"cpu._write_word_fast(_p, data[{e.r1}])",
-        ]
-    if kind == MEM_PUSH_A:
-        return [
-            f"_v = addr[{e.r1}]",
-            f"_p = (addr[{_SPI}] - 4) & {_M}",
-            f"addr[{_SPI}] = _p",
-            "cpu._write_word_fast(_p, _v)",
-        ]
-    if kind == MEM_POP_D:
-        return [
-            f"data[{e.r1}] = cpu._read_word_fast(addr[{_SPI}])",
-            f"addr[{_SPI}] = (addr[{_SPI}] + 4) & {_M}",
-        ]
-    if kind == MEM_POP_A:
-        return [
-            f"_v = cpu._read_word_fast(addr[{_SPI}])",
-            f"addr[{_SPI}] = (addr[{_SPI}] + 4) & {_M}",
-            f"addr[{e.r1}] = _v",
-        ]
-    if kind == MEM_LDABS_D:
-        return [f"data[{e.r1}] = cpu._read_word_fast({e.mem_disp})"]
-    if kind == MEM_LDABS_A:
-        return [f"addr[{e.r1}] = cpu._read_word_fast({e.mem_disp})"]
-    if kind == MEM_STABS_D:
-        return [f"cpu._write_word_fast({e.mem_disp}, data[{e.r1}])"]
-    # MEM_STABS_A
-    return [f"cpu._write_word_fast({e.mem_disp}, addr[{e.r1}])"]
+        _ROWS = ROWS
+    return _ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +121,7 @@ def trace_chain(
     """
     if head.spin_reg >= 0:
         return None
+    _rows()
     blocks = [head]
     links: list[str | None] = []
     seen = {head.start}
@@ -642,7 +135,7 @@ def trace_chain(
             edge = "fall"
         elif term.opcode == _JMP or term.opcode == _CALL_ABS:
             edge = "taken"
-        elif term.opcode == _DJNZ or term.opcode in _COND_EXPR:
+        elif term.opcode in _CONDITIONAL:
             edge = _pick_edge(cur, term)
         # else: generic tail (RET/RETI/CALL_IND/TRAP/DIVU/HALT/EI/WRPSW)
         if edge is None:
@@ -709,12 +202,8 @@ def generate_chain_source(
     ordered exactly as the superblock loop orders them, so faults,
     SFR-settlement reads and trap exits observe identical state.
     """
-    env: dict = {
-        "BusError": BusError,
-        "_SHL": Opcode.SHL,
-        "_SHR": Opcode.SHR,
-        "_SAR": Opcode.SAR,
-    }
+    _rows()
+    env: dict = {"BusError": BusError}
     cyclic = links[-1] is not None
     src = _Emitter()
     src.lines.append("def _chain(cpu, limit):")
@@ -786,8 +275,8 @@ def _emit_block(
         src.w(f"if _d is not None and cpu.cycles + {body_cycles} >= _d:")
         src.w(f"    regs.pc = {sb.start}")
         src.w("    return _n")
-        for k, entry in enumerate(sb.body):
-            src.block(_body_lines(entry, env, f"{i}_{k}"))
+        for entry in sb.body:
+            src.block(_ROWS[entry.opcode].effect(entry))
         src.w(f"cpu.instructions_retired += {sb.body_count}")
         src.w(f"cpu.cycles += {body_cycles}")
         if observed:
@@ -883,7 +372,7 @@ def _emit_terminator(
             # step() zeroes pending waits per instruction then adds the
             # fetch waits; inside a chain that collapses to assignment.
             src.w(f"cpu._pending_waits = {term.fetch_waits}")
-        bus_guard(_mem_lines(term))
+        bus_guard(_ROWS[opcode].effect(term))
         src.w("cpu.instructions_retired += 1")
         if charge:
             src.w(f"_c = {term.base_cycles} + cpu._pending_waits")
@@ -912,7 +401,7 @@ def _emit_terminator(
     if opcode == _CALL_ABS:
         if charge:
             src.w(f"cpu._pending_waits = {term.fetch_waits}")
-        bus_guard([f"cpu._push({term.next_pc})"])
+        bus_guard(_ROWS[opcode].effect(term))
         src.w("cpu.instructions_retired += 1")
         if charge:
             src.w(
@@ -933,23 +422,12 @@ def _emit_terminator(
             src.w("_n += 1")
         return
 
-    if opcode == _DJNZ:
-        src.w(f"_v = (data[{term.r1}] - 1) & {_M}")
-        src.w(f"data[{term.r1}] = _v")
-        src.block(_logic_flags("_v"))
-        src.w("cpu.instructions_retired += 1")
-        taken_cond = "_v"
-        _emit_conditional_edges(
-            src, term, taken_cond, link, cost_taken, cost_fall,
-            exit_edge, continue_edge,
-        )
-        return
-
-    cond = _COND_EXPR.get(opcode)
-    if cond is not None:
+    row = _ROWS[opcode]
+    if row.cond is not None:
+        src.block(row.effect(term))  # DJNZ's count-down; none for Jcc
         src.w("cpu.instructions_retired += 1")
         _emit_conditional_edges(
-            src, term, cond, link, cost_taken, cost_fall,
+            src, term, row.cond, link, cost_taken, cost_fall,
             exit_edge, continue_edge,
         )
         return
@@ -1035,7 +513,7 @@ def _worth_compiling(
     return blocks[0].body_count >= 4
 
 
-def compile_chain(cache: DecodeCache, head: Superblock) -> bool:
+def compile_chain(cache: DecodeCache, head: Superblock, core=None) -> bool:
     """Build and install every variant of the chain headed at *head*.
 
     Returns ``True`` when a chain was installed.  Declines idle spins
@@ -1058,9 +536,11 @@ def compile_chain(cache: DecodeCache, head: Superblock) -> bool:
         jit_ot = _compile_variant(blocks, links, True, False)
         jit_ow = _compile_variant(blocks, links, True, True)
     except Exception:
-        # A codegen hole must degrade to the superblock engine, never
-        # kill the run; tests assert jit_exec_steps > 0, so silent
-        # regressions here still surface.
+        # A codegen hole degrades to the superblock engine, never kills
+        # the run; *core* (the CpuCore whose trigger this was) counts it
+        # in ``jit_codegen_failures`` so the fallback is not silent.
+        if core is not None:
+            core.jit_codegen_failures += 1
         return False
     _memoise_edges(cache, blocks)
     head.jit_u = jit_u
@@ -1088,7 +568,7 @@ def _memoise_edges(cache: DecodeCache, blocks: list[Superblock]) -> None:
         elif term.opcode == _JMP or term.opcode == _CALL_ABS:
             if sb.succ_taken is None:
                 sb.succ_taken = cache.block_at(term.imm_u)
-        elif term.opcode == _DJNZ or term.opcode in _COND_EXPR:
+        elif term.opcode in _CONDITIONAL:
             if sb.succ_taken is None:
                 sb.succ_taken = cache.block_at(term.imm_u)
             if sb.succ_fall is None:

@@ -174,6 +174,9 @@ class CpuCore:
         self.use_jit = True
         #: JIT chains compiled on this core's trigger (telemetry).
         self.jit_chains = 0
+        #: Chain compiles that failed in codegen and left the chain to
+        #: the superblock loop (telemetry: nonzero is a table hole).
+        self.jit_codegen_failures = 0
         #: Instructions retired inside compiled JIT chains (telemetry:
         #: nonzero proves chains actually executed, not just compiled).
         self.jit_exec_steps = 0
@@ -233,6 +236,7 @@ class CpuCore:
         self.sb_replays = 0
         self.sb_fallback_steps = 0
         self.jit_chains = 0
+        self.jit_codegen_failures = 0
         self.jit_exec_steps = 0
         self._sb_resume = None
         self._sb_epoch += 1
@@ -688,7 +692,9 @@ class CpuCore:
                     heat = sb.heat + 1
                     sb.heat = heat
                     if heat == _JIT_THRESHOLD:
-                        self.jit_chains += _jit_compile_chain(cache, sb)
+                        self.jit_chains += _jit_compile_chain(
+                            cache, sb, self
+                        )
                         fn = jit_variant(sb)
                 if fn is not None:
                     blocks = fn(self, limit)

@@ -146,8 +146,10 @@ class ExecutionSession:
         fast path silently lost coverage.  ``decode_hits`` /
         ``decode_misses`` report the shared (cross-run, cross-platform)
         decode cache.  ``jit_chains`` counts chain compiles this core
-        triggered and ``jit_exec_steps`` instructions retired inside
-        compiled chain bodies; ``registry_size``/``registry_evictions``
+        triggered, ``jit_codegen_failures`` those whose codegen failed
+        (the chain then stays on the superblock loop), and
+        ``jit_exec_steps`` instructions retired inside compiled chain
+        bodies; ``registry_size``/``registry_evictions``
         are gauges of the shared digest-keyed decode registry
         (LRU-bounded).
         ``reset_full`` and ``dispatch_rebuilds`` (0 or 1 per run) flag
@@ -166,6 +168,7 @@ class ExecutionSession:
             "decode_hits": 0 if cache is None else cache.hits,
             "decode_misses": 0 if cache is None else cache.misses,
             "jit_chains": cpu.jit_chains,
+            "jit_codegen_failures": cpu.jit_codegen_failures,
             "jit_exec_steps": cpu.jit_exec_steps,
             "reset_full": self.reset_full,
             "dispatch_rebuilds": self.dispatch_rebuilds,

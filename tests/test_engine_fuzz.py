@@ -14,9 +14,12 @@ directed-test cells out of snippets that cover the whole engine surface:
   controller (a START of program or erase, then polling DONE) and the
   UART (CTRL with LOOP/RXIE, then DATA), plus interrupt-controller
   enables and reads of the pending lines;
-- PUSH/POP, CALL/RET, DIVU;
+- PUSH/POP, CALL/RET (direct and through an address register), DIVU,
+  every branch, and the address-register moves, ``ADDA`` and absolute
+  ``LOAD``/``STORE``;
 - at most one trailing fault: a zero divisor, an access past the end of
-  RAM, or a half/byte SFR access (SFRs need word access);
+  RAM, a half/byte SFR access (SFRs need word access), or a ``TRAP``
+  to a returning, ending, unhandled or out-of-range vector;
 - EI/DI/WRPSW with the timer interrupt armed;
 - ``DJNZ`` loops of 1–200 iterations, so hot chains get compiled, and
   idle spins, so the fast-forward warps fire;
@@ -42,6 +45,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.environment import ModuleTestEnvironment, TestCell
 from repro.core.scheduler import result_to_payload
 from repro.core.targets import target
+from repro.isa.instructions import Opcode
 from repro.platforms import ExecutionSession, RunStatus
 from repro.soc.derivatives import SC88A
 
@@ -88,8 +92,14 @@ def _ri(op, imm=_IMM16):
 
 _BIT = st.integers(0, 31)
 _FIELD = st.tuples(st.integers(0, 27), st.integers(1, 4))
+#: Any address register may be read; a7-a9 are free to write (a2/a3
+#: hold the RAM and GPIO bases, a4-a6 and a11 are snippet scratch, a15
+#: is the stack pointer).
+_AREG = st.integers(0, 15)
+_SCRATCH_AREG = st.integers(7, 9)
 
-#: One pure-register instruction (superblock body material).
+#: One instruction of an ALU run: pure-register (superblock body
+#: material), or an absolute load or store, which ends a block.
 ALU = st.one_of(
     *(_rrr(op) for op in ("ADD", "SUB", "AND", "OR", "XOR", "MUL")),
     *(_rrr(op) for op in ("SHL", "SHR", "SAR")),
@@ -111,6 +121,28 @@ ALU = st.one_of(
         lambda t: f"INSERT d{t[0]}, d{t[1]}, {t[2]}, {t[3][0]}, {t[3][1]}"
     ),
     _DATA.map(lambda r: f"RDPSW d{r}"),
+    st.sampled_from(("NOP", "BRK")),
+    st.tuples(st.sampled_from(("NOT", "NEG")), _DATA, _DATA).map(
+        lambda t: f"{t[0]} d{t[1]}, d{t[2]}"
+    ),
+    st.tuples(_SCRATCH_AREG, _AREG, _SIMM16).map(
+        lambda t: f"ADDA a{t[0]}, a{t[1]}, {t[2]}"
+    ),
+    st.tuples(_DATA, _DATA, _DATA, _FIELD).map(
+        lambda t: f"INSERTR d{t[0]}, d{t[1]}, d{t[2]}, {t[3][0]}, {t[3][1]}"
+    ),
+    st.tuples(_DATA, _AREG).map(lambda t: f"MOV d{t[0]}, a{t[1]}"),
+    st.tuples(_SCRATCH_AREG, _DATA).map(lambda t: f"MOV a{t[0]}, d{t[1]}"),
+    st.tuples(_SCRATCH_AREG, _AREG).map(lambda t: f"MOV a{t[0]}, a{t[1]}"),
+    st.tuples(st.integers(0, 15), st.sampled_from("da"), _DATA).map(
+        lambda t: f"STORE [{RAM_BUFFER + 4 * t[0]:#x}], {t[1]}{t[2]}"
+    ),
+    st.tuples(st.integers(0, 15), _DATA).map(
+        lambda t: f"LOAD d{t[1]}, [{RAM_BUFFER + 4 * t[0]:#x}]"
+    ),
+    st.tuples(st.integers(0, 15), _SCRATCH_AREG).map(
+        lambda t: f"LOAD a{t[1]}, [{RAM_BUFFER + 4 * t[0]:#x}]"
+    ),
 )
 
 _ALU_RUN = st.lists(ALU, min_size=1, max_size=6)
@@ -163,6 +195,13 @@ PERIPHERAL = st.one_of(
     st.tuples(st.just("intc-pend"), _DATA),
 )
 
+#: Trap numbers: the timer and NVM vectors (handlers that return), the
+#: default handler (ends the run), vector 0 (unhandled) and numbers past
+#: the vector table (out of range); both of the last fault the core.
+_TRAP_NUMBER = st.sampled_from((9, 10, 5, 31, 0, 32, 255)) | st.integers(
+    0, 255
+)
+
 #: Snippets that trap on purpose; the global default handler then ends
 #: the run, so a program carries at most one, last.
 FAULT = st.one_of(
@@ -173,6 +212,7 @@ FAULT = st.one_of(
         st.integers(0, 64),
     ),
     st.tuples(st.just("sfr-sized"), st.sampled_from(("LD.H", "ST.B")), _DATA),
+    st.tuples(st.just("trap"), _TRAP_NUMBER),
 )
 
 SNIPPET = st.one_of(
@@ -182,7 +222,7 @@ SNIPPET = st.one_of(
     PERIPHERAL,
     st.tuples(st.just("push"), _DATA),
     st.tuples(st.just("pop"), _DATA),
-    st.tuples(st.just("call"), _ALU_RUN),
+    st.tuples(st.just("call"), _ALU_RUN, st.booleans()),
     st.tuples(st.just("divu"), _DATA, _DATA, _DATA),
     st.tuples(
         st.just("psw"),
@@ -196,7 +236,12 @@ SNIPPET = st.one_of(
     ),
     st.tuples(
         st.just("branch"),
-        st.sampled_from(("JZ", "JNZ", "JC", "JN", "JGE", "JLT", "JGT")),
+        st.sampled_from(
+            (
+                "JZ", "JNZ", "JC", "JNC", "JN", "JNN", "JV", "JNV",
+                "JGE", "JLT", "JGT", "JLE", "JMP",
+            )
+        ),
         _ALU_RUN,
     ),
 )
@@ -266,7 +311,10 @@ def render(program) -> str:
         elif kind == "pop":
             main.append(f"    POP d{snippet[1]}")
         elif kind == "call":
-            main.append(f"    CALL sub_{index}")
+            if snippet[2]:  # through an address register
+                main += [f"    LOAD a7, sub_{index}", "    CALL a7"]
+            else:
+                main.append(f"    CALL sub_{index}")
             tail += [f"sub_{index}:"]
             tail += alu(snippet[1])
             tail.append("    RET")
@@ -284,6 +332,8 @@ def render(program) -> str:
                 main.append(f"    {op} d1, [a4]")
             else:
                 main.append(f"    {op} [a4], d1")
+        elif kind == "trap":
+            main.append(f"    TRAP {snippet[1]}")
         elif kind == "sfr-sized":
             # SFRs require word access: a bus-error trap.
             _, op, reg = snippet
@@ -399,10 +449,12 @@ def render_peripheral(snippet, index: int) -> list[str]:
     return load("INT_PEND_ADDR", snippet[1])
 
 
-def run_engines(source: str, totals: Counter | None = None) -> None:
-    """Run *source* on every engine and target; assert identity."""
+def run_engines(source: str, totals: Counter | None = None) -> dict:
+    """Run *source* on every engine and target; assert identity.
+    Returns ``{(target, engine): (result, session stats)}``."""
     env = ModuleTestEnvironment("FUZZ")
     env.add_test(TestCell(name="TEST_FUZZ", source=source))
+    runs = {}
     for target_name, bus_trace in TARGETS:
         tgt = target(target_name)
         image = env.build_image("TEST_FUZZ", SC88A, tgt).image
@@ -416,12 +468,14 @@ def run_engines(source: str, totals: Counter | None = None) -> None:
                 result_to_payload(result),
                 None if not bus_trace else platform.last_bus_trace.raw(),
             )
+            runs[target_name, engine] = (result, session.stats())
             if totals is not None and engine == "default":
                 totals.update(session.stats())
         oracle = outcomes["reference"]
         for engine, outcome in outcomes.items():
             assert outcome[0] == oracle[0], (target_name, engine, source)
             assert outcome[1] == oracle[1], (target_name, engine, source)
+    return runs
 
 
 def fuzz_campaign(max_examples: int, derandomize: bool = True) -> Counter:
@@ -453,6 +507,115 @@ def test_engines_agree_on_generated_programs():
     # idle spins were warped somewhere in the campaign.
     assert totals["jit_chains"] > 0, totals
     assert totals["ff_warps"] > 0, totals
+    # Every chain the campaign triggered rendered from the table.
+    assert totals["jit_codegen_failures"] == 0, totals
+
+
+#: A fixed cell whose hot ``DJNZ`` loop retires every opcode but HALT
+#: (which ends the run): body operations at their fold boundaries
+#: (shift by 0 and 31, a full-width field at pos 0, immediates with bit
+#: 15 set), every memory micro-op, every conditional branch, both
+#: calls, and a ``TRAP`` to the timer vector, whose handler returns
+#: with ``RETI``.  Forty passes put every block past the JIT threshold.
+EVERY_OPCODE_SOURCE = f"""\
+.INCLUDE Globals.inc
+_main:
+    LOAD a2, {RAM_BUFFER:#x}
+    LOAD a8, every_sub
+    LOAD d1, 0x12345678
+    LOAD d2, 0x9abcdef0
+    LOAD d3, 7
+    LOAD d10, 40
+every_loop:
+    NOP
+    BRK
+    DI
+    MOV d4, d1
+    MOV a7, a2
+    MOV d5, a7
+    MOV a9, d4
+    LOAD a9, {RAM_BUFFER + 0x40:#x}
+    MOVI d7, -3
+    MOVHI d8, 0x8001
+    ADD d4, d1, d2
+    SUB d5, d1, d2
+    AND d6, d4, d5
+    OR d6, d6, d1
+    XOR d1, d1, d6
+    SHL d4, d2, d3
+    SHR d5, d2, d3
+    SAR d6, d2, d3
+    MUL d7, d1, d3
+    NOT d8, d1
+    NEG d9, d2
+    ADDI d2, d2, -0x1235
+    SHLI d4, d1, 5
+    SHRI d5, d1, 31
+    SARI d6, d2, 0
+    ANDI d7, d1, 0xff0f
+    ORI d8, d2, 0x8000
+    XORI d9, d1, 0x1234
+    ADDA a7, a7, -4
+    ORI d3, d3, 1
+    DIVU d4, d1, d3
+    CMP d1, d2
+    CMPI d3, -1
+    INSERT d5, d1, 0xa5, 4, 8
+    INSERTR d6, d2, d1, 0, 32
+    EXTRU d7, d1, 0, 32
+    EXTRS d8, d2, 3, 9
+    SETB d9, 31
+    CLRB d9, 0
+    TGLB d9, 7
+    TSTB d9, 7
+    LD.W d4, [a2 + 0]
+    LD.H d5, [a2 + 2]
+    LD.B d6, [a2 + 3]
+    ST.W [a2 + 4], d1
+    ST.H [a2 + 8], d2
+    ST.B [a2 + 9], d3
+    LOAD d7, [{RAM_BUFFER + 4:#x}]
+    STORE [{RAM_BUFFER + 12:#x}], d7
+    LOAD a9, [{RAM_BUFFER + 12:#x}]
+    STORE [{RAM_BUFFER + 16:#x}], a7
+    PUSH d1
+    PUSH a7
+    POP a9
+    POP d5
+    JMP every_jmp
+every_jmp:
+    CMP d1, d2
+""" + "".join(
+    f"    {cond} every_{cond}\nevery_{cond}:\n"
+    for cond in (
+        "JZ", "JNZ", "JC", "JNC", "JN", "JNN", "JV", "JNV",
+        "JGE", "JLT", "JGT", "JLE",
+    )
+) + """\
+    CALL every_sub
+    CALL a8
+    TRAP 9
+    RDPSW d11
+    XOR d12, d12, d11
+    WRPSW d11
+    EI
+    DJNZ d10, every_loop
+    HALT
+every_sub:
+    ADDI d3, d3, 1
+    RET
+"""
+
+
+def test_every_opcode_cell_agrees_on_every_engine():
+    runs = run_engines(EVERY_OPCODE_SOURCE)
+    for target_name, _ in TARGETS:
+        stats = runs[target_name, "default"][1]
+        assert stats["jit_exec_steps"] > 0, target_name
+    golden, _ = runs["golden", "reference"]
+    assert {record.opcode for record in golden.trace} == {
+        int(op) for op in Opcode
+    }
 
 
 # ---------------------------------------------------------------------------

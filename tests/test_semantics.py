@@ -1,0 +1,192 @@
+"""Per-opcode binding-time test for the semantics table.
+
+``isa/semantics.py`` renders each opcode's row at two binding times: the
+decode cache's executor reads its operands off the decoded entry at run
+time, the JIT bakes them into the source as literals.  The flag helpers
+fold what a literal decides (a sign, a zero shift, a field mask) and
+emit the general test for a run-time operand, so the two renderings
+differ exactly at those fold boundaries — which program-level fuzzing
+reaches only by chance.
+
+For every row, this test encodes one instruction with operands biased to
+the boundaries (shift amounts 0 and 31, full-width fields at pos 0,
+immediates with bit 15 set, sign and carry boundary words), decodes it
+through a :class:`DecodeCache` over a one-instruction image, and runs it
+three ways on identical state: the hand-written ``CpuCore._execute``,
+the generated executor, and the row rendered with the entry's operands
+as literals.  All three must leave the same registers, PSW, pc,
+``brk_events``, halt flag, RAM and taken flag, or raise the same fault.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.assembler.linker import MemoryImage, PlacedSection
+from repro.isa.decodecache import DecodeCache
+from repro.isa.encoding import encode_word
+from repro.isa.instructions import Opcode, lookup_opcode
+from repro.isa.registers import STACK_POINTER_INDEX, WORD_MASK
+from repro.isa.semantics import ROWS, function_source
+from repro.platforms.cpu import CpuCore, CpuFault
+from repro.soc.bus import BusError
+from repro.soc.derivatives import SC88A
+from repro.soc.device import SystemOnChip
+from repro.soc.memorymap import VECTOR_BASE, VECTOR_COUNT
+
+MEMORY_MAP = SC88A.memory_map()
+ROM = MEMORY_MAP.rom
+RAM = MEMORY_MAP.ram
+PC = MEMORY_MAP.text_base
+
+#: Odd trap numbers have a handler, even ones (and 32..255) do not.
+VECTORS = b"".join(
+    ((PC + 0x100 + 4 * n) if n % 2 else 0).to_bytes(4, "little")
+    for n in range(VECTOR_COUNT)
+)
+
+#: Words at the sign, carry and shift-amount boundaries.
+_WORD = st.sampled_from(
+    (0, 1, 31, 32, 0x7FFF_FFFF, 0x8000_0000, 0x8000_0001, WORD_MASK)
+) | st.integers(0, WORD_MASK)
+#: Addresses in RAM (aligned or not), at its edges, and anywhere.
+_ADDRESS = (
+    st.integers(RAM.base, RAM.end - 1)
+    | st.sampled_from((RAM.base, RAM.end - 4, RAM.end, 0, WORD_MASK - 3))
+    | st.integers(0, WORD_MASK)
+)
+_REG = st.integers(0, 15)
+#: imm16 with bit 15 set or not, and with a low five bits of 0 or 31.
+_IMM16 = st.sampled_from(
+    (0, 1, 31, 32, 0x7FFF, 0x8000, 0x801F, 0xFFE0, 0xFFFF)
+) | st.integers(0, 0xFFFF)
+FIELDS = {
+    "r1": _REG,
+    "r2": _REG,
+    "r3": _REG,
+    "imm16": _IMM16,
+    "imm8": st.sampled_from((0, 1, 2, 31, 32, 255)) | st.integers(0, 255),
+}
+#: (pos, width) of a bit field: full and near-full width at pos 0, and
+#: single bits at the ends.
+_FIELD = st.sampled_from(((0, 32), (0, 31), (31, 1), (0, 1), (1, 31))) | (
+    st.tuples(st.integers(0, 31), st.integers(1, 32))
+)
+_LITERAL = _WORD | _ADDRESS
+
+
+def image_of(op: Opcode, fields: dict, literal: int) -> MemoryImage:
+    spec = lookup_opcode(int(op))
+    code = encode_word(spec.fmt, int(op), **fields).to_bytes(4, "little")
+    if spec.fmt.has_literal:
+        code += literal.to_bytes(4, "little")
+    return MemoryImage(
+        segments=[
+            PlacedSection("t", "vectors", VECTOR_BASE, VECTORS),
+            PlacedSection("t", "text", PC, code),
+        ],
+        entry=PC,
+    )
+
+
+def reference(cpu, e):
+    return cpu._execute(e.op, e.fields, e.literal, e.next_pc)
+
+
+def executor(cpu, e):
+    return e.exec(cpu, e)
+
+
+def literal_rendering(cpu, e):
+    namespace: dict = {}
+    exec(function_source("_literal", ROWS[e.op], e), namespace)
+    return namespace["_literal"](cpu, e)
+
+
+def outcome(soc, image, entry, state, run):
+    """Run *entry* once from *state* on a freshly reset *soc*."""
+    data, address, psw = state
+    soc.full_reset()
+    soc.load_image(image)
+    cpu = CpuCore(soc.bus, intc=soc.intc)
+    cpu.reset(PC, 0)
+    regs = cpu.regs
+    regs.data[:] = data
+    regs.address[:] = address
+    regs.psw.value = psw
+    try:
+        taken, fault = run(cpu, entry), None
+    except (BusError, CpuFault) as exc:
+        taken, fault = None, (type(exc).__name__, str(exc))
+    return (
+        taken,
+        fault,
+        list(regs.data),
+        list(regs.address),
+        regs.pc,
+        regs.psw.value,
+        list(cpu.brk_events),
+        cpu.halted,
+        hashlib.sha256(soc.ram.data).hexdigest(),
+    )
+
+
+@pytest.fixture(scope="module")
+def soc():
+    return SystemOnChip(SC88A)
+
+
+def register_state(data, fields):
+    """Data and address registers: boundary words and addresses in the
+    operand registers and the stack pointer, a fixed pattern elsewhere
+    (an instruction reads nothing else)."""
+    regs = [fields.get(name, 0) for name in ("r1", "r2", "r3")]
+    words = [(0x0101_0101 * index) & WORD_MASK for index in range(16)]
+    addresses = [RAM.base + 0x100 * index for index in range(16)]
+    for reg in regs:
+        words[reg] = data.draw(_WORD, f"d{reg}")
+    for reg in regs[:2] + [STACK_POINTER_INDEX]:
+        addresses[reg] = data.draw(_ADDRESS, f"a{reg}")
+    return words, addresses, data.draw(st.integers(0, 0xFF), "psw")
+
+
+@pytest.mark.parametrize("op", list(ROWS), ids=lambda op: op.name)
+@settings(
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_renderings_agree_with_reference(soc, op, data):
+    spec = lookup_opcode(int(op))
+    fields = {
+        name: data.draw(FIELDS[name], name)
+        for name in spec.fmt.fields
+        if name in FIELDS
+    }
+    if "pos" in spec.fmt.fields:
+        fields["pos"], fields["width"] = data.draw(_FIELD, "field")
+    literal = data.draw(_LITERAL, "literal")
+    state = register_state(data, fields)
+    image = image_of(op, fields, literal)
+    entry = DecodeCache(image, ROM.base, ROM.end).get(PC)
+    assert entry is not None and entry.op is op
+    expected = outcome(soc, image, entry, state, reference)
+    assert outcome(soc, image, entry, state, executor) == expected
+    assert outcome(soc, image, entry, state, literal_rendering) == expected
+
+
+def test_every_opcode_has_a_row_and_a_named_executor():
+    # Stored entries pickle their executor by this name.
+    from repro.isa.decodecache import EXECUTORS
+
+    assert set(ROWS) == set(Opcode)
+    assert set(EXECUTORS) == {int(op) for op in Opcode}
+    for op in Opcode:
+        assert EXECUTORS[int(op)].__name__ == f"_x_{op.name.lower()}"
+
