@@ -68,6 +68,25 @@ def best_of(repeats: int, fn):
     return best, value
 
 
+def interleaved_best(repeats: int, *fns):
+    """Best-of-N wall clock for several configurations sampled
+    round-robin, so machine drift (frequency scaling, page cache,
+    background load) lands on every side of a comparison instead of
+    biasing whichever ran last.  Returns ``(bests, values)`` aligned
+    with *fns*."""
+    bests = [None] * len(fns)
+    values = [None] * len(fns)
+    for _ in range(repeats):
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            value = fn()
+            elapsed = time.perf_counter() - start
+            if bests[index] is None or elapsed < bests[index]:
+                bests[index] = elapsed
+                values[index] = value
+    return bests, values
+
+
 def best_rate(repeats: int, fn):
     """Run *fn* (which returns ``(rate, *extras)``) *repeats* times;
     returns ``(best_rate, extras)`` from the highest-rate run."""

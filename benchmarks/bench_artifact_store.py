@@ -56,7 +56,12 @@ from repro.soc.derivatives import SC88A, derivative as lookup_derivative
 from repro.store import ArtifactStore, WorkList
 
 from conftest import shape
-from _harness import engine_matrix, BenchResults, strip_result as strip
+from _harness import (
+    engine_matrix,
+    BenchResults,
+    interleaved_best,
+    strip_result as strip,
+)
 
 RESULTS = BenchResults("artifact_store")
 RESULTS["engine_matrix"] = engine_matrix(
@@ -96,25 +101,6 @@ def make_environments(config):
     if config["uart_tests"]:
         environments["UART"] = make_uart_environment(config["uart_tests"])
     return environments
-
-
-def interleaved_best(repeats: int, *fns):
-    """Best-of-N wall clock for several configurations sampled
-    round-robin, so machine drift (frequency scaling, page cache,
-    background load) lands on every side of a comparison instead of
-    biasing whichever ran last.  Returns ``(bests, values)`` aligned
-    with *fns*."""
-    bests = [None] * len(fns)
-    values = [None] * len(fns)
-    for _ in range(repeats):
-        for index, fn in enumerate(fns):
-            start = time.perf_counter()
-            value = fn()
-            elapsed = time.perf_counter() - start
-            if bests[index] is None or elapsed < bests[index]:
-                bests[index] = elapsed
-                values[index] = value
-    return bests, values
 
 
 def run_warm_start(config) -> dict:
@@ -297,10 +283,10 @@ def _fleet_worker(
     worklist = WorkList(store_dir, owner=owner, lease_ttl=lease_ttl)
     scheduler = RegressionScheduler(
         targets=[lookup_target(name) for name in TARGETS],
-        executor="serial",
         worklist=worklist,
         fault_plan=plan,
-        retries=0,
+        # One steal per cell is within budget: the victim's death.
+        retries=1,
     )
     environments = {"NVM": load_module_environment(Path(workspace) / "NVM")}
     report = scheduler.run_system(environments, lookup_derivative("sc88a"))
@@ -342,7 +328,6 @@ def run_chaos(config) -> dict:
         derivative = lookup_derivative("sc88a")
         oracle = RegressionScheduler(
             targets=[lookup_target(name) for name in TARGETS],
-            executor="serial",
         ).run_system(environments, derivative)
         oracle_bytes = {
             "/".join(key): json.dumps(
@@ -426,7 +411,6 @@ def run_chaos(config) -> dict:
         )
         redo = RegressionScheduler(
             targets=[lookup_target(name) for name in TARGETS],
-            executor="serial",
             worklist=redo_worklist,
         ).run_system(environments, derivative)
         assert redo.executed_runs == 1 and redo.fetched_runs == cells - 1

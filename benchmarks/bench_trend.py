@@ -268,14 +268,16 @@ def test_embedded_floors_are_extracted():
 
 def test_committed_floors_win_over_weaker_embedded_ones():
     """A quick-mode JSON embedding min_required=1.5 must not lower the
-    committed 2.0 floor; embedded floors the table doesn't know still
+    committed floor; embedded floors the table doesn't know still
     apply."""
     data = {
         "traced_coverage": {"speedup": 1.7, "min_required": 1.5},
         "extra": {"speedup": 3.0, "min_required": 2.5},
     }
     floors = merged_floors("trace_fastpath", data)
-    assert floors["traced_coverage.speedup"] == 2.0
+    assert floors["traced_coverage.speedup"] == (
+        BENCH_FLOORS["trace_fastpath"]["traced_coverage.speedup"]
+    )
     assert floors["extra.speedup"] == 2.5
     # And the gate therefore flags the 1.7x figure.
     benches = {

@@ -62,6 +62,16 @@ from repro.core.workspace import (
 from repro.soc.derivatives import all_derivatives, derivative as lookup_derivative
 
 
+def _lookup(lookup, name: str):
+    """Resolve a target or derivative name, or exit 2 with one line
+    naming the available ones (the catalogue's own ``KeyError``)."""
+    try:
+        return lookup(name)
+    except KeyError as exc:
+        print(f"advm: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _system_dir(path: str) -> Path:
     candidate = Path(path)
     if candidate.name != SYSTEM_DIR_NAME and (
@@ -100,8 +110,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     builder = DiskBuilder(_system_dir(args.directory))
-    deriv = lookup_derivative(args.derivative)
-    tgt = lookup_target(args.target)
+    deriv = _lookup(lookup_derivative, args.derivative)
+    tgt = _lookup(lookup_target, args.target)
     result = builder.run(args.module, args.test, deriv, tgt)
     print(
         f"{args.module}/{args.test} on {tgt.name}/{deriv.name}: "
@@ -138,14 +148,21 @@ def cmd_regress(args: argparse.Namespace) -> int:
     if args.fleet and not args.store_dir:
         print("--fleet requires --store-dir", file=sys.stderr)
         return 2
-    system_dir = _system_dir(args.directory)
-    environments = _load_modules(system_dir, args.module)
-    deriv = lookup_derivative(args.derivative)
+    if args.run_timeout is not None and not args.fleet:
+        print(
+            "--run-timeout requires --fleet (a running core cannot be "
+            "preempted; only a fleet peer can take its cell over)",
+            file=sys.stderr,
+        )
+        return 2
+    deriv = _lookup(lookup_derivative, args.derivative)
     targets = (
-        [lookup_target(name) for name in args.targets.split(",")]
+        [_lookup(lookup_target, name) for name in args.targets.split(",")]
         if args.targets
         else all_targets()
     )
+    system_dir = _system_dir(args.directory)
+    environments = _load_modules(system_dir, args.module)
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
@@ -164,8 +181,6 @@ def cmd_regress(args: argparse.Namespace) -> int:
             )
     scheduler = RegressionScheduler(
         targets=targets,
-        jobs=args.jobs,
-        executor=args.executor,
         cache=cache,
         run_timeout=args.run_timeout,
         retries=args.retries,
@@ -201,8 +216,8 @@ def _stats_line(stats: dict) -> str:
 
 
 def cmd_port(args: argparse.Namespace) -> int:
-    known = [lookup_derivative(args.base)]
-    new = lookup_derivative(args.to)
+    known = [_lookup(lookup_derivative, args.base)]
+    new = _lookup(lookup_derivative, args.to)
     comparison = compare_nvm_port(args.suite, known, new)
     print(comparison.summary())
     return 0 if comparison.advm.all_pass else 1
@@ -224,8 +239,8 @@ def cmd_grep_plan(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     system_dir = _system_dir(args.directory)
     env = load_module_environment(system_dir / args.module)
-    deriv = lookup_derivative(args.derivative)
-    tgt = lookup_target(args.target)
+    deriv = _lookup(lookup_derivative, args.derivative)
+    tgt = _lookup(lookup_target, args.target)
     violations = check_environment(env, deriv, tgt)
     if not violations:
         print(f"{args.module}: no abstraction-layer violations")
@@ -277,7 +292,6 @@ def _build_pack(args: argparse.Namespace) -> dict:
     if args.deadline is not None:
         pack["deadline"] = args.deadline
     pack["derivative"] = args.derivative
-    pack["executor"] = args.executor
     return pack
 
 
@@ -381,21 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--targets", default=None, help="comma-separated target names"
     )
     p_regress.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count for the process pool (default: serial)",
-    )
-    p_regress.add_argument(
-        "--executor",
-        choices=["auto", "serial", "process"],
-        default="auto",
-        help=(
-            "how matrix entries execute (auto: process pool when "
-            "--jobs > 1, serial otherwise)"
-        ),
-    )
-    p_regress.add_argument(
         "--cache-dir",
         default=None,
         help="persistent result cache; unchanged cells are not re-run",
@@ -405,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "wall-clock seconds per pooled payload before the run is "
-            "failed and retried (default: no deadline)"
+            "fleet per-cell deadline in seconds: a cell running longer "
+            "stops renewing its lease, so a peer steals it once the "
+            "lease expires; requires --fleet (default: no deadline)"
         ),
     )
     p_regress.add_argument(
@@ -414,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help=(
-            "failed attempts per payload before its cell is "
-            "quarantined as a FAULT verdict (default: 2)"
+            "failed attempts per cell before it is quarantined as a "
+            "FAULT verdict; under --fleet also the lease steals (dead or "
+            "overrunning holders) a cell may cost (default: 2)"
         ),
     )
     p_regress.add_argument(
@@ -438,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "shard the matrix with peer processes through a shared "
             "work-list under --store-dir (lease claims, work stealing, "
-            "first-writer-wins results)"
+            "first-writer-wins results); start one such process per "
+            "core to use more cores"
         ),
     )
     p_regress.add_argument(
@@ -576,11 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--targets", default=None, help="comma-separated target names"
     )
     p_submit.add_argument("--derivative", default="sc88a")
-    p_submit.add_argument(
-        "--executor",
-        choices=["auto", "serial", "process"],
-        default="serial",
-    )
     p_submit.add_argument(
         "--deadline",
         type=float,

@@ -3,9 +3,10 @@
 The paper's regression matrix is only useful unattended if a single
 faulty cell cannot take the whole matrix down.  This module provides
 the *chaos half* of that contract: a seeded, fully deterministic fault
-plan that the scheduler, the execution sessions and the result cache
-consult at a small catalogue of **named injection sites**, so every
-fault-tolerance test reproduces bit-for-bit from its seed.
+plan that the scheduler, the execution sessions, the result cache, the
+fleet work-list and the serving layer consult at a small catalogue of
+**named injection sites**, so every fault-tolerance test reproduces
+bit-for-bit from its seed.
 
 Design constraints (mirrored by the supervision layer in
 :mod:`repro.core.scheduler`):
@@ -17,10 +18,10 @@ Design constraints (mirrored by the supervision layer in
   fixed by the spec (``after``/``times`` windows over per-spec hit
   counters) and payload corruption bytes derive from
   ``(seed, site, key)``, never from wall clock or global RNG state;
-- **picklable** — a :class:`FaultPlan` is plain data, so process-pool
-  workers rebuild their own :class:`FaultInjector` from the plan that
-  rode along in the payload (hit counters are per-process by design:
-  a respawned worker sees the same deterministic world).
+- **picklable** — a :class:`FaultPlan` is plain data, so every fleet
+  worker process builds its own :class:`FaultInjector` from the same
+  plan (hit counters are per-process by design: a restarted worker
+  sees the same deterministic world).
 
 Injection sites
 ---------------
@@ -28,8 +29,6 @@ Injection sites
 =================  ========================================================
 site               fired from
 =================  ========================================================
-``worker-boot``    ``_run_target_batch`` (pool worker entry), key
-                   ``{target}#{attempt}``
 ``session-run``    :meth:`ExecutionSession.begin`, key
                    ``{platform}#run{n}``
 ``cache-read``     :meth:`ResultCache.get`, key = cache key; build-index
@@ -58,10 +57,11 @@ Actions
 -------
 
 ``raise`` raises :class:`InjectedFault`; ``hang`` sleeps
-``hang_seconds`` (simulating a wedged simulator — the supervisor's
-``--run-timeout`` is what reclaims it); ``kill`` SIGKILLs the current
-*worker* process (in the main process it degrades to ``raise`` so a
-mis-targeted spec cannot take the scheduler down); ``corrupt`` mangles
+``hang_seconds`` (simulating a wedged simulator — in a fleet,
+``--run-timeout`` lets its lease lapse and a peer steals the cell);
+``kill`` SIGKILLs the current *worker* process (in the main process it
+degrades to ``raise`` so a mis-targeted spec cannot take the scheduler
+down); ``corrupt`` mangles
 payload bytes at the payload sites (cache read/write, store
 read/write) through :meth:`FaultInjector.mangle`.
 
@@ -80,7 +80,6 @@ import signal
 import time
 from dataclasses import dataclass, field
 
-SITE_WORKER_BOOT = "worker-boot"
 SITE_SESSION_RUN = "session-run"
 SITE_CACHE_READ = "cache-read"
 SITE_CACHE_WRITE = "cache-write"
@@ -92,7 +91,6 @@ SITE_STORE_WRITE = "store-write"
 SITE_LEASE_RENEW = "lease-renew"
 
 ALL_SITES = (
-    SITE_WORKER_BOOT,
     SITE_SESSION_RUN,
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
@@ -122,8 +120,7 @@ class InjectedFault(RuntimeError):
 
     def __reduce__(self):
         # args holds the rendered message, not (site, key); without
-        # this a worker-raised InjectedFault fails to unpickle on its
-        # way back through a process pool.
+        # this a pickled InjectedFault fails to unpickle.
         return (InjectedFault, (self.site, self.key))
 
 

@@ -1,6 +1,6 @@
-"""Regression scheduling: explicit work-lists, a serial executor and a
-process pool, a persistent result cache for incremental re-regression,
-and supervised fault-tolerant execution.
+"""Regression scheduling: explicit work-lists, serial supervised
+execution, fleet sharding over a shared work-list, and a persistent
+result cache for incremental re-regression.
 
 The paper's regression is a (cells × platforms) matrix over one linked
 image per build input.  The original runner walked that matrix with
@@ -25,14 +25,28 @@ This module makes the matrix explicit:
    always wins over the indexed one.  Entries and indexes are
    checksummed; corrupt files are counted, quarantined aside and
    re-derived rather than replayed;
-3. **execution** — remaining entries run on one of two executors:
-   serial (one long-lived :class:`ExecutionSession` per target) or a
-   ``concurrent.futures`` process pool fed one payload per target —
-   both **supervised**: a worker exception, crash or wall-clock
-   overrun fails only its own payload, which is retried with capped
-   deterministic backoff and, after the attempt budget,
+3. **execution** — remaining entries run in-process, one long-lived
+   :class:`ExecutionSession` per target, under a **supervised** ladder:
+   a failed attempt discards its session and is retried with capped
+   deterministic backoff and, after ``retries`` more attempts,
    **quarantined** as a synthesized :data:`RunStatus.FAULT` result.
-   The matrix always completes;
+   The matrix always completes.  More cores come from the **fleet**:
+   several processes (or machines) pointed at one shared
+   :class:`~repro.store.worklist.WorkList` divide the matrix by racing
+   cell leases, and each cell runs on the same ladder under a
+   heartbeat.  The fleet adds two guarantees of its own:
+
+   - **per-cell deadline** — the heartbeat stops renewing a lease whose
+     cell has run longer than ``run_timeout``, so a wedged holder's
+     lease expires and a peer steals the cell (the hung holder cannot
+     be preempted, but it no longer blocks anyone);
+   - **steal budget** — a lease record counts how often it was stolen.
+     Every steal means a holder died or overran, so a claimant whose
+     steal takes the count above ``retries`` quarantines the cell
+     locally instead of running it: a cell that kills every process
+     running it costs at most ``retries + 1`` processes.
+
+   Quarantined verdicts are never cached or published;
 4. **report** — the familiar :class:`RegressionReport`, with
    executed/cached bookkeeping plus the fault-tolerance counters
    (``retried_runs``/``quarantined_runs``) and the golden-reference
@@ -41,27 +55,15 @@ This module makes the matrix explicit:
    divergence attribution).  :func:`matrix_digest` condenses every
    verdict, signature, cycle count and trace into one SHA-256.
 
-Supervision state machine (per pooled payload)::
-
-    queued -> submitted -> ok
-                 |-> exception / timeout -> attempt+1 -> backoff -> queued
-                 |          (attempt > retries, multi-cell) -> split per cell
-                 |          (attempt > retries, one cell)   -> quarantined
-                 `-> pool broke (collateral) -> queued, cautious mode
-
-After a :class:`BrokenProcessPool` the supervisor rebuilds the pool and
-enters **cautious mode** — payloads run one at a time, so the next
-breakage is unambiguously attributed to the payload that was running
-(collateral victims of a parallel-mode breakage are requeued without
-burning an attempt).  Deterministic chaos for all of this comes from
-:mod:`repro.core.faults`: a seeded :class:`FaultPlan` rides into pool
-workers inside the payload, and the scheduler/sessions/cache consult
-the injector at named sites with zero overhead when no plan is set.
+Deterministic chaos for all of this comes from :mod:`repro.core.faults`:
+the scheduler, sessions, cache and work-list consult a seeded
+:class:`FaultPlan` at named sites with zero overhead when no plan is
+set.
 
 Targets with injected platform overrides (fault-injection experiments)
-always execute serially in-process and bypass the cache: an override's
-behaviour is arbitrary Python state that neither pickles reliably nor
-fingerprints honestly.
+always execute serially in-process and bypass the cache and the fleet:
+an override's behaviour is arbitrary Python state that neither pickles
+reliably nor fingerprints honestly.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ import hashlib
 import json
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.assembler.linker import MemoryImage
@@ -82,17 +83,12 @@ from repro.core.faults import (
     FaultPlan,
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
-    SITE_WORKER_BOOT,
 )
 from repro.core.regression import (
     RegressionReport,
     detect_divergences,
 )
-from repro.core.targets import (
-    Target,
-    all_targets,
-    target as lookup_target,
-)
+from repro.core.targets import Target, all_targets
 from repro.platforms.base import (
     DEFAULT_MAX_INSTRUCTIONS,
     Platform,
@@ -101,7 +97,7 @@ from repro.platforms.base import (
 )
 from repro.platforms.cpu import TraceEntry
 from repro.platforms.session import ExecutionSession
-from repro.soc.derivatives import Derivative, derivative as lookup_derivative
+from repro.soc.derivatives import Derivative
 
 #: Bump when run semantics change in a way that invalidates old caches.
 #: 2: checksummed cache entries (corrupt files detected, not replayed).
@@ -110,7 +106,7 @@ CACHE_SCHEMA = 2
 #: Layout version of the per-(environment, derivative) build index.
 INDEX_SCHEMA = 1
 
-#: How often the pooled supervisor wakes to check deadlines/backoffs.
+#: How often a fleet worker re-polls cells held by live peers.
 _POLL_INTERVAL = 0.05
 
 
@@ -202,8 +198,8 @@ def matrix_digest(report: RegressionReport) -> str:
     target)`` entry in sorted order with its result's cache payload.
 
     The payload is the result cache's own serialisation, so a verdict
-    read back from the cache, adopted from a fleet peer or returned by
-    a pool worker hashes exactly like the freshly executed one."""
+    read back from the cache or adopted from a fleet peer hashes exactly
+    like the freshly executed one."""
     digest = hashlib.sha256()
     for key in sorted(report.results):
         entry = [*key, result_to_payload(report.results[key])]
@@ -388,7 +384,7 @@ def _decode_index(raw: bytes) -> dict[str, tuple[str, str]]:
 
 
 # --------------------------------------------------------------------------
-# executors
+# execution
 # --------------------------------------------------------------------------
 
 #: ``stats()`` keys whose sources are cumulative (shared decode caches)
@@ -410,65 +406,14 @@ def merge_engine_stats(totals: dict, stats: dict) -> dict:
     return totals
 
 
-def _run_target_batch(payload):
-    """Worker: run one target's batch of images on one shared session.
-
-    Module-level so process pools can pickle it.  The fault plan (if
-    any) rides along in the payload and a fresh injector is built per
-    call — worker hit counters are per-process by design, so a
-    respawned worker replays the same deterministic chaos, and the
-    ``{target}#{attempt}`` key lets plans distinguish first runs from
-    retries.
-    """
-    (
-        target_name,
-        derivative_name,
-        max_instructions,
-        batch,
-        attempt,
-        fault_plan,
-    ) = payload
-    injector = FaultInjector(fault_plan) if fault_plan is not None else None
-    if injector is not None:
-        injector.fire(SITE_WORKER_BOOT, f"{target_name}#{attempt}")
-    tgt = lookup_target(target_name)
-    derivative = lookup_derivative(derivative_name)
-    session = ExecutionSession(
-        tgt.make_platform(), derivative, injector=injector
-    )
-    pairs = []
-    totals: dict = {}
-    for request, image in batch:
-        pairs.append(
-            (request, session.run(image, max_instructions=max_instructions))
-        )
-        merge_engine_stats(totals, session.stats())
-    return pairs, totals
-
-
-@dataclass
-class _PoolJob:
-    """One supervised pooled payload: a target's batch of cells."""
-
-    target: str
-    requests: list  #: [(RunRequest, MemoryImage)]
-    attempt: int = 0
-    retried: bool = False
-    #: Monotonic-clock time before which the job must not resubmit
-    #: (the deterministic backoff window).
-    not_before: float = 0.0
-
-
 class RegressionScheduler:
-    """Runs the regression matrix with sharing, pooling, caching and
-    supervised fault-tolerant execution."""
+    """Runs the regression matrix with sharing, caching, fleet sharding
+    and supervised fault-tolerant execution."""
 
     def __init__(
         self,
         targets: list[Target] | None = None,
         platform_overrides: dict[str, Platform] | None = None,
-        jobs: int = 1,
-        executor: str = "auto",
         cache: ResultCache | None = None,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         run_timeout: float | None = None,
@@ -481,21 +426,17 @@ class RegressionScheduler:
         session_provider=None,
         worklist=None,
     ):
-        if executor not in ("auto", "serial", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
         self.targets = list(targets or all_targets())
         self.platform_overrides = dict(platform_overrides or {})
-        self.jobs = max(1, int(jobs))
-        self.executor = executor
         self.cache = cache
         self.max_instructions = max_instructions
-        #: Wall-clock budget per pooled payload; ``None`` disables the
-        #: deadline.  Enforced preemptively on the process pool (a
-        #: wedged worker is killed and its payload retried); the serial
-        #: executor cannot preempt a running core, so there the budget
-        #: only shapes retry/quarantine decisions.
+        #: Fleet per-cell deadline in seconds (``None``: none).  A cell
+        #: running longer stops having its lease renewed, so a peer
+        #: steals it once the lease expires.  A running core cannot be
+        #: preempted, so outside a fleet there is nothing to enforce.
         self.run_timeout = run_timeout
-        #: Failed attempts a payload may burn before quarantine.
+        #: Failed attempts a cell may burn before quarantine, in-process
+        #: and, in a fleet, lease steals (dead or overrunning holders).
         self.retries = max(0, int(retries))
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -504,11 +445,10 @@ class RegressionScheduler:
         self._clock = clock
         self._sleep = sleep
         #: Optional warm-session source (``lease(target, derivative)``
-        #: / ``release(session, healthy=...)``) used by the serial
-        #: executor instead of constructing its own sessions — the
-        #: serving daemon's pool hook
+        #: / ``release(session, healthy=...)``) used instead of
+        #: constructing sessions — the serving daemon's pool hook
         #: (:class:`repro.service.pool.WarmSessionPool`).  Sessions the
-        #: executor saw fail are released unhealthy so the pool
+        #: scheduler saw fail are released unhealthy so the pool
         #: rebuilds them instead of handing the wreck to the next
         #: tenant.
         self.session_provider = session_provider
@@ -522,7 +462,6 @@ class RegressionScheduler:
         #: Set for the duration of :meth:`run_system` when the caller
         #: wants outcomes streamed as they materialise.
         self._on_outcome = None
-        self.fault_plan = fault_plan
         self._injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
@@ -776,15 +715,8 @@ class RegressionScheduler:
             # platforms above stayed local — their state is arbitrary
             # experiment Python no peer could reproduce.
             results.extend(self._run_fleet(normal, derivative))
-            return results
-
-        executor = self.executor
-        if executor == "auto":
-            executor = "serial" if self.jobs <= 1 else "process"
-        if executor == "serial" or self.jobs <= 1 or len(normal) <= 1:
-            results.extend(self._run_serial(normal, derivative))
         else:
-            results.extend(self._run_pooled(normal, derivative))
+            results.extend(self._run_serial(normal, derivative))
         return results
 
     def _run_fleet(
@@ -801,8 +733,17 @@ class RegressionScheduler:
         the ordinary retry/quarantine ladder, then publish.  Cells held
         by live peers are polled until their verdict appears or their
         lease expires, so the matrix completes even when peers are
-        SIGKILLed mid-shard: every cell is eventually published by its
-        lease holder or reclaimed by a survivor.
+        SIGKILLed or wedged mid-shard: every cell is eventually
+        published by its lease holder or reclaimed by a survivor.
+
+        Two budgets bound the reclaiming.  The heartbeat lets the lease
+        of a cell running past ``run_timeout`` lapse, so a wedged holder
+        delays its cell by at most the deadline plus one TTL.  A claim
+        whose steal takes the lease's steal count above ``retries``
+        holds a poison cell — every earlier holder died or overran on
+        it — and quarantines it without running it; the record, count
+        included, stays behind expired, so later peers quarantine it
+        too instead of dying on it.
 
         Publication is first-writer-wins; losing the race adopts the
         peer's canonical verdict so every worker accounts identical
@@ -821,14 +762,21 @@ class RegressionScheduler:
         # currently being executed (cells run one at a time here — the
         # fleet is the parallelism).  A thread per cell would cost more
         # than a short cell's execution; a thread per run is free.
-        held: list = [None]
+        held: list = [None]  #: (lease, start time) of the running cell
         stop_beat = threading.Event()
+        deadline = self.run_timeout
+        clock = self._clock
 
         def _beat() -> None:
             interval = max(0.02, worklist.lease_ttl / 3.0)
             while not stop_beat.wait(interval):
-                lease = held[0]
-                if lease is not None and not lease.lost:
+                current = held[0]
+                if current is None or current[0].lost:
+                    continue
+                lease, started = current
+                if deadline is not None and clock() - started > deadline:
+                    worklist.lapse(lease)
+                else:
                     worklist.renew(lease)
 
         keeper = threading.Thread(
@@ -877,7 +825,20 @@ class RegressionScheduler:
                         # will expire and we steal it.
                         deferred.append((request, image, tgt, key))
                         continue
-                    held[0] = lease
+                    if lease.steals > self.retries:
+                        outcome = self._quarantine_outcome(
+                            request,
+                            derivative,
+                            f"poison cell: lease stolen {lease.steals} "
+                            "time(s), every holder died or overran",
+                            retried=True,
+                        )
+                        outcome.stolen = True
+                        worklist.poison(lease)
+                        out.append(self._emit(outcome))
+                        progressed = True
+                        continue
+                    held[0] = (lease, clock())
                     try:
                         outcome = self._supervised_scalar_run(
                             sessions, request, image, tgt, derivative
@@ -1053,262 +1014,6 @@ class RegressionScheduler:
                 continue
             merge_engine_stats(self.engine_stats, session.stats())
             return RunOutcome(request, result, retried=retried)
-
-    # -- supervised pooled execution ---------------------------------------
-    def _run_pooled(
-        self,
-        items: list[tuple[RunRequest, MemoryImage, Target]],
-        derivative: Derivative,
-    ) -> list[RunOutcome]:
-        """``submit``-per-payload supervision loop (state machine in the
-        module docstring): per-payload error attribution, wall-clock
-        deadlines, broken-pool rebuild with requeue of unfinished
-        payloads only, capped deterministic backoff, and quarantine
-        after the attempt budget."""
-        batches: dict[str, list[tuple[RunRequest, MemoryImage]]] = {}
-        for request, image, tgt in items:
-            batches.setdefault(tgt.name, []).append((request, image))
-        jobs: list[_PoolJob] = [
-            _PoolJob(target=target_name, requests=batch)
-            for target_name, batch in batches.items()
-        ]
-        # Imported here: the pool (and multiprocessing behind it) costs
-        # every serial or cached run start-up time for nothing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(self.jobs, max(1, len(jobs)))
-        out: list[RunOutcome] = []
-        pool = ProcessPoolExecutor(max_workers=workers)
-        #: future -> (job, wall-clock deadline or None)
-        inflight: dict = {}
-        #: After a pool breakage payloads run one at a time so the next
-        #: breakage is unambiguously attributed (see module docstring).
-        cautious = False
-        try:
-            while jobs or inflight:
-                now = self._clock()
-                for job in [j for j in jobs if j.not_before <= now]:
-                    if cautious and inflight:
-                        break
-                    try:
-                        future = pool.submit(
-                            _run_target_batch,
-                            (
-                                job.target,
-                                derivative.name,
-                                self.max_instructions,
-                                job.requests,
-                                job.attempt,
-                                self.fault_plan,
-                            ),
-                        )
-                    except BrokenExecutor:
-                        pool = self._rebuild_pool(pool, workers)
-                        break  # job stays queued; resubmit next pass
-                    jobs.remove(job)
-                    # The wall-clock deadline starts when the payload
-                    # begins *running* (set lazily below), not when it
-                    # is queued — a busy pool must not time out jobs
-                    # that never got a worker.
-                    inflight[future] = (job, None)
-                if not inflight:
-                    if jobs:
-                        wake = min(job.not_before for job in jobs)
-                        self._sleep(max(0.0, wake - self._clock()))
-                    continue
-
-                done, _ = wait(
-                    list(inflight),
-                    timeout=_POLL_INTERVAL,
-                    return_when=FIRST_COMPLETED,
-                )
-                broken = False
-                for future in done:
-                    job, _deadline = inflight.pop(future)
-                    try:
-                        batch_result = future.result()
-                    except BrokenExecutor:
-                        broken = True
-                        # Only a payload that ran alone (cautious mode)
-                        # is unambiguously the one that broke the pool;
-                        # in parallel mode every inflight future dies
-                        # identically, so nobody is blamed and cautious
-                        # mode sorts the poison payload out.
-                        self._pool_job_broke(
-                            job, jobs, out, derivative, blamed=cautious
-                        )
-                    except Exception as exc:
-                        self._pool_job_failed(job, exc, jobs, out, derivative)
-                    else:
-                        pairs, totals = batch_result
-                        merge_engine_stats(self.engine_stats, totals)
-                        out.extend(
-                            self._emit(
-                                RunOutcome(
-                                    request, result, retried=job.retried
-                                )
-                            )
-                            for request, result in pairs
-                        )
-                if broken:
-                    # A broken pool dooms every inflight future: requeue
-                    # the collateral victims without burning an attempt
-                    # and rebuild.
-                    for future, (job, _deadline) in inflight.items():
-                        job.retried = True
-                        jobs.append(job)
-                    inflight.clear()
-                    cautious = True
-                    pool = self._rebuild_pool(pool, workers)
-                    continue
-                if cautious and done and not inflight:
-                    # A payload completed alone on the rebuilt pool:
-                    # the pool is healthy again.
-                    cautious = False
-
-                if self.run_timeout is None:
-                    continue
-                now = self._clock()
-                overdue = []
-                for future, (job, deadline) in list(inflight.items()):
-                    if deadline is None:
-                        if future.running():
-                            inflight[future] = (
-                                job, now + self.run_timeout
-                            )
-                    elif now > deadline and not future.done():
-                        overdue.append(future)
-                if not overdue:
-                    continue
-                for future in overdue:
-                    job, _deadline = inflight.pop(future)
-                    self._pool_job_failed(
-                        job,
-                        TimeoutError(
-                            f"run exceeded --run-timeout "
-                            f"({self.run_timeout}s)"
-                        ),
-                        jobs,
-                        out,
-                        derivative,
-                    )
-                # Deadlines only arm on *running* futures, so every
-                # overdue payload means a wedged worker: requeue the
-                # healthy inflight payloads untouched and rebuild
-                # (the workers are killed to reclaim them).
-                for future, (job, _deadline) in inflight.items():
-                    job.retried = True
-                    jobs.append(job)
-                inflight.clear()
-                pool = self._rebuild_pool(pool, workers, kill=True)
-        except BaseException:
-            self._abandon_pool(pool)
-            raise
-        # Every payload settled, so no worker is busy: join them, or
-        # they outlive the run and race interpreter exit.
-        pool.shutdown(wait=True)
-        return out
-
-    def _pool_job_failed(
-        self,
-        job: _PoolJob,
-        exc: BaseException,
-        jobs: list[_PoolJob],
-        out: list[RunOutcome],
-        derivative: Derivative,
-    ) -> None:
-        """One payload's own failure: retry with backoff, then split a
-        multi-cell payload to isolate the poison cell, then
-        quarantine."""
-        job.attempt += 1
-        if job.attempt <= self.retries:
-            job.retried = True
-            job.not_before = self._clock() + self._backoff(job.attempt)
-            jobs.append(job)
-            return
-        self._split_or_quarantine(job, exc, jobs, out, derivative)
-
-    def _pool_job_broke(
-        self,
-        job: _PoolJob,
-        jobs: list[_PoolJob],
-        out: list[RunOutcome],
-        derivative: Derivative,
-        blamed: bool,
-    ) -> None:
-        """A payload whose future died with the pool.  Only a *blamed*
-        payload (it ran alone, so attribution is unambiguous) burns an
-        attempt; parallel-mode victims requeue for free and cautious
-        mode sorts the poison payload out."""
-        if blamed:
-            self._pool_job_failed(
-                job,
-                RuntimeError("worker process pool broke during this payload"),
-                jobs,
-                out,
-                derivative,
-            )
-        else:
-            job.retried = True
-            jobs.append(job)
-
-    def _split_or_quarantine(
-        self,
-        job: _PoolJob,
-        exc: BaseException,
-        jobs: list[_PoolJob],
-        out: list[RunOutcome],
-        derivative: Derivative,
-    ) -> None:
-        if len(job.requests) > 1:
-            # Attempt budget burnt at payload granularity: isolate the
-            # poison cell by re-running each cell as its own payload
-            # with a fresh budget — healthy cells of a shared-target
-            # batch still report real results.
-            jobs.extend(
-                _PoolJob(
-                    target=job.target,
-                    requests=[(request, image)],
-                    retried=True,
-                )
-                for request, image in job.requests
-            )
-            return
-        ((request, _image),) = job.requests
-        out.append(
-            self._emit(
-                self._quarantine_outcome(
-                    request,
-                    derivative,
-                    f"{job.attempt} attempt(s) failed, last: {exc}",
-                    retried=job.retried,
-                )
-            )
-        )
-
-    def _rebuild_pool(self, pool, workers: int, kill: bool = False):
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._abandon_pool(pool, kill=kill)
-        return ProcessPoolExecutor(max_workers=workers)
-
-    def _abandon_pool(self, pool, kill: bool = False) -> None:
-        """Shut a broken or wedged pool down without waiting on it.
-
-        *kill* reclaims hung workers with SIGKILL.  Pending futures are
-        not cancelled: a broken pool's manager thread fails its own
-        work items, and racing it with ``cancel_futures`` trips
-        ``InvalidStateError`` in that thread.
-        """
-        if kill:
-            processes = getattr(pool, "_processes", None)
-            if processes:
-                for process in list(processes.values()):
-                    try:
-                        process.kill()
-                    except Exception:
-                        pass
-        pool.shutdown(wait=False)
 
     # -- reporting ---------------------------------------------------------
     def _assemble_report(

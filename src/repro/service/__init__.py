@@ -26,11 +26,11 @@ headline property is robustness:
 
 Chaos coverage comes from three service-layer injection sites in
 :mod:`repro.core.faults` (``service-accept``, ``pool-lease``,
-``journal-write``) on top of the execution-layer sites (``worker-boot``,
-``session-run``, ``cache-read``, ``cache-write``): under injected
-crashes, hangs and corruption every accepted request terminates with a
-result or an explicit FAULT, and the readiness probe never reports
-ready over a broken pool.
+``journal-write``) on top of the execution-layer sites
+(``session-run``, ``cache-read``, ``cache-write``, ``store-read``,
+``store-write``): under injected crashes, hangs and corruption every
+accepted request terminates with a result or an explicit FAULT, and the
+readiness probe never reports ready over a broken pool.
 """
 
 from repro.service.daemon import (

@@ -350,15 +350,12 @@ class RegressionService:
             )
             scheduler = RegressionScheduler(
                 targets=targets,
-                jobs=job.pack.jobs,
-                executor=job.pack.executor,
                 cache=self.cache,
                 max_instructions=(
                     job.pack.max_instructions
                     if job.pack.max_instructions is not None
                     else DEFAULT_MAX_INSTRUCTIONS
                 ),
-                run_timeout=job.pack.run_timeout,
                 retries=job.pack.retries,
                 fault_plan=self.fault_plan,
                 session_provider=provider,

@@ -47,7 +47,7 @@ class WarmSessionPool:
     Implements the scheduler's ``session_provider`` protocol
     (``lease(target, derivative)`` / ``release(session, healthy)``), so
     a :class:`~repro.core.scheduler.RegressionScheduler` built with
-    ``session_provider=pool`` runs its serial executor on warm devices.
+    ``session_provider=pool`` runs its cells on warm devices.
     """
 
     def __init__(self, max_idle: int = 12, injector=None):
@@ -80,7 +80,7 @@ class WarmSessionPool:
 
         Raises whatever the cold build raises (after firing the
         ``pool-lease`` chaos site); callers with a retry ladder — the
-        scheduler's supervised serial executor — treat that like any
+        scheduler's supervised run — treat that like any
         other attempt failure.
         """
         key = self._key(target, derivative)

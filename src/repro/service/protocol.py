@@ -2,12 +2,12 @@
 
 A *scenario pack* is the wire format of one regression job: a small
 versioned JSON document naming what to run (modules, test cells), where
-to run it (derivative, targets) and how (executor, jobs, retry budget,
-per-request deadline).  Packs are declarative on purpose — the daemon,
-the CLI client and the journal all pass the same plain dict around, and
-:func:`resolve_pack` is the single place a pack turns into concrete
-:class:`~repro.core.scheduler.RegressionScheduler` inputs against an
-on-disk workspace.
+to run it (derivative, targets) and how (retry budget, instruction
+bound, per-request deadline).  Packs are declarative on purpose — the
+daemon, the CLI client and the journal all pass the same plain dict
+around, and :func:`resolve_pack` is the single place a pack turns into
+concrete :class:`~repro.core.scheduler.RegressionScheduler` inputs
+against an on-disk workspace.
 
 Example::
 
@@ -25,6 +25,13 @@ Validation is strict: unknown keys, wrong types and unresolvable names
 raise :class:`PackError` with a message naming the offending field, so
 a malformed submission is a 400 with a reason — never a daemon-side
 traceback mid-job.
+
+``executor``, ``jobs`` and ``run_timeout`` are still accepted and
+validated, so packs written for older daemons parse unchanged, but they
+select nothing: the daemon runs every job serially on its warm pool.
+``executor`` is ``auto`` or ``serial``; the removed ``process`` pool
+(like ``thread`` and ``batch`` before it) is a :class:`PackError`, and
+a journaled pack naming it settles ``failed`` on replay.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from repro.soc.derivatives import derivative as lookup_derivative
 #: schemas outright: a daemon must never guess at a job's meaning.
 PACK_SCHEMA = 1
 
-#: Executors a pack may request (mirrors the ``regress`` CLI choices).
-PACK_EXECUTORS = ("auto", "serial", "process")
+#: Values a pack's legacy ``executor`` field may hold; both mean serial.
+PACK_EXECUTORS = ("auto", "serial")
 
 
 class PackError(ValueError):
@@ -64,17 +71,18 @@ class ScenarioPack:
     #: Test-cell names to keep; ``None`` means every cell of the
     #: selected modules.
     cells: tuple[str, ...] | None = None
-    executor: str = "serial"
-    jobs: int = 1
     retries: int = 2
-    run_timeout: float | None = None
     max_instructions: int | None = None
     #: Wall-clock seconds the whole job may take before the daemon
     #: fails it explicitly and reclaims its leased sessions.
     deadline: float | None = None
 
 
-_PACK_FIELDS = {f.name for f in fields(ScenarioPack)} | {"schema"}
+#: Accepted and validated, but carried by no :class:`ScenarioPack` field.
+_LEGACY_FIELDS = {"executor", "jobs", "run_timeout"}
+_PACK_FIELDS = (
+    {f.name for f in fields(ScenarioPack)} | {"schema"} | _LEGACY_FIELDS
+)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -138,6 +146,7 @@ def parse_pack(data) -> ScenarioPack:
         isinstance(jobs, int) and not isinstance(jobs, bool) and jobs >= 1,
         "pack field 'jobs' must be an integer >= 1",
     )
+    _number(data, "run_timeout")
     retries = data.get("retries", 2)
     _require(
         isinstance(retries, int) and not isinstance(retries, bool)
@@ -158,10 +167,7 @@ def parse_pack(data) -> ScenarioPack:
         derivative=derivative,
         targets=_str_tuple(data, "targets"),
         cells=_str_tuple(data, "cells"),
-        executor=executor,
-        jobs=jobs,
         retries=retries,
-        run_timeout=_number(data, "run_timeout"),
         max_instructions=max_instructions,
         deadline=_number(data, "deadline"),
     )
@@ -175,7 +181,6 @@ def pack_to_dict(pack: ScenarioPack) -> dict:
         "modules",
         "targets",
         "cells",
-        "run_timeout",
         "max_instructions",
         "deadline",
     ):
@@ -183,8 +188,6 @@ def pack_to_dict(pack: ScenarioPack) -> dict:
         if value is not None:
             data[key] = list(value) if isinstance(value, tuple) else value
     data["derivative"] = pack.derivative
-    data["executor"] = pack.executor
-    data["jobs"] = pack.jobs
     data["retries"] = pack.retries
     return data
 

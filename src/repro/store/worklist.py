@@ -5,17 +5,23 @@ filesystem — divide one regression matrix by racing to *claim* cells
 and publishing their results into a common directory.  The protocol is
 built from three ordinary-filesystem primitives and one invariant:
 
-- **lease-based claims** — a cell is claimed by creating
-  ``leases/<key>.lease`` with ``O_CREAT | O_EXCL`` (atomic on POSIX
-  even over NFS v3+ for local-machine fleets, which is what the tests
-  exercise).  The file records the owner id, a fresh nonce and a
-  wall-clock expiry;
+- **lease-based claims** — a cell is claimed by hard-linking a whole
+  record to ``leases/<key>.lease`` (the *exclusive*
+  :func:`~repro.core.durable.atomic_write`, atomic on POSIX even over
+  NFS v3+, so no peer ever reads a half-written record).  The record
+  holds the owner id, a fresh nonce, a wall-clock expiry and a steal
+  count;
 - **heartbeat renewal and expiry** — a healthy worker extends its
   lease (atomic rewrite, same nonce, firing the ``lease-renew`` chaos
-  site) while executing; a lease whose expiry passed is *dead* and any
-  worker may **steal** it: overwrite-with-own-record, then read back
-  and confirm the nonce survived.  SIGKILLed workers therefore delay
-  their cells by at most one TTL, never strand them;
+  site) while executing, up to its per-cell deadline
+  (:meth:`WorkList.lapse`); a lease whose expiry passed is *dead* and
+  any worker may **steal** it: overwrite-with-own-record, count the
+  steal, then read back and confirm the nonce survived.  SIGKILLed or
+  wedged workers therefore delay their cells, never strand them, and
+  a cell stolen more often than the scheduler's retry budget is
+  quarantined instead of run, its record left behind expired
+  (:meth:`WorkList.poison`) so a cell that kills whoever runs it
+  cannot take the fleet down one worker at a time;
 - **idempotent first-writer-wins publication** — results are written
   to a temp file and ``os.link``ed to ``results/<key>.json`` (the
   *exclusive* :func:`~repro.core.durable.atomic_write`): the first
@@ -69,22 +75,26 @@ cell_key = content_key
 class Lease:
     """One held (or stolen) cell claim."""
 
-    __slots__ = ("key", "owner", "nonce", "expires", "stolen", "lost")
+    __slots__ = ("key", "owner", "nonce", "expires", "steals", "lost")
 
-    def __init__(
-        self, key: str, owner: str, nonce: str, expires: float,
-        stolen: bool = False,
-    ):
+    def __init__(self, key: str, owner: str, nonce: str, expires: float):
         self.key = key
         self.owner = owner
         self.nonce = nonce
         self.expires = expires
-        #: Claimed by taking over a dead worker's expired lease.
-        self.stolen = stolen
-        #: Ownership could not be maintained (failed/raced renewal);
-        #: the holder finishes its execution — publication idempotence
-        #: keeps a concurrent re-claim harmless — but stops renewing.
+        #: How many times this cell's lease was stolen, this claim
+        #: included: each steal means an earlier holder died or overran.
+        self.steals = 0
+        #: Ownership could not be maintained (failed/raced renewal, or
+        #: the cell overran its deadline); the holder finishes its
+        #: execution — publication idempotence keeps a concurrent
+        #: re-claim harmless — but stops renewing.
         self.lost = False
+
+    @property
+    def stolen(self) -> bool:
+        """Claimed by taking over an expired (dead or overrun) lease."""
+        return self.steals > 0
 
 
 class WorkList(DurableFiles):
@@ -112,6 +122,8 @@ class WorkList(DurableFiles):
         self.released = 0
         self.renewed = 0
         self.lease_lost = 0
+        self.lapsed = 0
+        self.poisoned = 0
         self.claim_errors = 0
         self.published = 0
         self.duplicates = 0
@@ -125,16 +137,17 @@ class WorkList(DurableFiles):
         return self.directory / "results" / f"{key}.json"
 
     def _read_lease(self, path: Path) -> dict | None:
-        """The lease record at *path*, or ``None`` when missing or
-        unreadable (a torn lease file is claimable — safe because
-        publication, not the lease, decides the cell's verdict)."""
+        """The lease record at *path*: ``None`` when there is no file,
+        ``{}`` when it is unreadable (a torn lease file is claimable —
+        safe because publication, not the lease, decides the cell's
+        verdict)."""
         try:
             record = json.loads(path.read_bytes())
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        return record
+            return {}
+        return record if isinstance(record, dict) else {}
 
     # -- claims ------------------------------------------------------------
     def claim(self, key: str) -> Lease | None:
@@ -151,40 +164,49 @@ class WorkList(DurableFiles):
         if self.disabled:
             return None
         path = self._lease_path(key)
-        nonce = os.urandom(8).hex()
-        expires = self._clock() + self.lease_ttl
-        record = {"owner": self.owner, "nonce": nonce, "expires": expires}
-        data = json.dumps(record, sort_keys=True).encode()
+        lease = Lease(
+            key, self.owner, os.urandom(8).hex(),
+            self._clock() + self.lease_ttl,
+        )
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            current = self._read_lease(path)
-            if (
-                current is not None
-                and current.get("expires", 0) > self._clock()
-            ):
-                return None  # held by a live worker
-            try:
-                atomic_write(path, data)
-            except OSError:
-                self.claim_errors += 1
-                return None
-            confirm = self._read_lease(path)
-            if confirm is None or confirm.get("nonce") != nonce:
-                return None  # lost the steal race
-            self.stolen += 1
-            return Lease(key, self.owner, nonce, expires, stolen=True)
+            # Linked into place whole: a peer never reads a half-written
+            # record, which it would take for a torn one and steal.
+            if atomic_write(path, self._record(lease), exclusive=True):
+                self.claimed += 1
+                return lease
         except OSError:
             self.claim_errors += 1
             return None
+        current = self._read_lease(path)
+        if current is None:
+            # Released since the create failed: its holder finished, so
+            # the next poll fetches the verdict.
+            return None
+        if current.get("expires", 0) > self._clock():
+            return None  # held by a live worker
+        steals = current.get("steals", 0)
+        lease.steals = (steals if isinstance(steals, int) else 0) + 1
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+            atomic_write(path, self._record(lease))
         except OSError:
             self.claim_errors += 1
             return None
-        self.claimed += 1
-        return Lease(key, self.owner, nonce, expires)
+        confirm = self._read_lease(path)
+        if confirm is None or confirm.get("nonce") != lease.nonce:
+            return None  # lost the steal race
+        self.stolen += 1
+        return lease
+
+    def _record(self, lease: Lease, expires: float | None = None) -> bytes:
+        """The on-disk lease record of *lease* (expiring at *expires*,
+        default the lease's own)."""
+        record = {
+            "owner": self.owner,
+            "nonce": lease.nonce,
+            "expires": lease.expires if expires is None else expires,
+            "steals": lease.steals,
+        }
+        return json.dumps(record, sort_keys=True).encode()
 
     def renew(self, lease: Lease) -> bool:
         """Extend a held lease's expiry (the heartbeat).  Returns
@@ -201,10 +223,7 @@ class WorkList(DurableFiles):
             if current is None or current.get("nonce") != lease.nonce:
                 raise PermissionError("lease ownership lost")
             expires = self._clock() + self.lease_ttl
-            record = {
-                "owner": self.owner, "nonce": lease.nonce, "expires": expires
-            }
-            atomic_write(path, json.dumps(record, sort_keys=True).encode())
+            atomic_write(path, self._record(lease, expires))
         except Exception:
             lease.lost = True
             self.lease_lost += 1
@@ -212,6 +231,27 @@ class WorkList(DurableFiles):
         lease.expires = expires
         self.renewed += 1
         return True
+
+    def lapse(self, lease: Lease) -> None:
+        """Stop renewing *lease*: its cell overran the per-cell
+        deadline, so the lease expires and a peer steals the cell.  The
+        holder finishes and may still publish (first writer wins)."""
+        if not lease.lost:
+            lease.lost = True
+            self.lapsed += 1
+
+    def poison(self, lease: Lease) -> None:
+        """Give up a poison cell's lease without running it: the record
+        stays, steal count included, but expired, so the next claimant
+        steals it at once and quarantines the cell too."""
+        path = self._lease_path(lease.key)
+        try:
+            current = self._read_lease(path)
+            if current is not None and current.get("nonce") == lease.nonce:
+                atomic_write(path, self._record(lease, expires=0.0))
+                self.poisoned += 1
+        except OSError:
+            pass
 
     def release(self, lease: Lease) -> None:
         """Drop a held lease (best effort; only if still ours)."""
@@ -298,6 +338,8 @@ class WorkList(DurableFiles):
             "released": self.released,
             "renewed": self.renewed,
             "lease_lost": self.lease_lost,
+            "lapsed": self.lapsed,
+            "poisoned": self.poisoned,
             "claim_errors": self.claim_errors,
             "published": self.published,
             "duplicates": self.duplicates,

@@ -61,9 +61,7 @@ def clean_global_store():
 
 def run_matrix(matrix, **scheduler_kwargs):
     environments, derivative, targets = matrix
-    scheduler = RegressionScheduler(
-        targets=targets, executor="serial", **scheduler_kwargs
-    )
+    scheduler = RegressionScheduler(targets=targets, **scheduler_kwargs)
     return scheduler, scheduler.run_system(environments, derivative)
 
 

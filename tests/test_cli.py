@@ -53,14 +53,46 @@ class TestRun:
         assert code == 0
         assert "rtl/sc88c" in capsys.readouterr().out
 
-    def test_run_unknown_derivative_raises(self, workspace):
-        with pytest.raises(KeyError):
+    def test_run_unknown_derivative_raises(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exited:
             main(
                 [
                     "run", str(workspace), "NVM", "TEST_NVM_PAGE_001",
                     "--derivative", "sc99",
                 ]
             )
+        assert exited.value.code == 2
+        assert_one_line_naming(capsys, "derivative 'sc99'", "sc88a")
+
+
+def assert_one_line_naming(capsys, unknown, available):
+    """Exactly one stderr line naming the bad value and the choices,
+    no traceback, nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert f"unknown {unknown}" in line
+    assert "available:" in line and available in line
+
+
+@pytest.mark.parametrize(
+    "argv, unknown, available",
+    [
+        (["regress", "{ws}", "--targets", "golden,bogus"],
+         "target 'bogus'", "golden"),
+        (["regress", "{ws}", "--derivative", "sc99"],
+         "derivative 'sc99'", "sc88a"),
+        (["run", "{ws}", "NVM", "TEST_NVM_PAGE_001", "--target", "fpga"],
+         "target 'fpga'", "rtl"),
+    ],
+)
+def test_unknown_name_exits_2_with_one_line(
+    workspace, capsys, argv, unknown, available
+):
+    with pytest.raises(SystemExit) as exited:
+        main([arg.format(ws=workspace) for arg in argv])
+    assert exited.value.code == 2
+    assert_one_line_naming(capsys, unknown, available)
 
 
 class TestRegress:

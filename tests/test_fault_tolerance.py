@@ -1,8 +1,8 @@
 """Fault-tolerant regression execution: supervision, quarantine, chaos.
 
-Drives seeded :class:`~repro.core.faults.FaultPlan`\\ s through the
-serial and process executors and asserts the contract the supervision
-layer promises: the matrix always completes, healthy cells keep
+Drives seeded :class:`~repro.core.faults.FaultPlan`\\ s through serial
+and fleet-sharded runs and asserts the contract the supervision layer
+promises: the matrix always completes, healthy cells keep
 byte-identical verdicts vs a fault-free run, and faulty cells surface
 as retried / quarantined bookkeeping instead of raw tracebacks.
 """
@@ -23,13 +23,13 @@ from repro.core.faults import (
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
     SITE_SESSION_RUN,
-    SITE_WORKER_BOOT,
     corrupt_bytes,
 )
 from repro.core.scheduler import RegressionScheduler, ResultCache, result_to_payload
 from repro.core.workloads import make_nvm_environment, make_uart_environment
 from repro.platforms import RunStatus
 from repro.soc.derivatives import SC88A
+from repro.store import WorkList
 
 
 def make_environments():
@@ -79,14 +79,14 @@ class TestFaultInjector:
         plan = FaultPlan(
             seed=7,
             specs=[
-                FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_KILL,
-                          match="rtl#0"),
+                FaultSpec(site=SITE_SESSION_RUN, action=ACTION_KILL,
+                          match="rtl#run0"),
             ],
         )
         assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_injected_fault_survives_pickling(self):
-        fault = InjectedFault(SITE_WORKER_BOOT, "rtl#0")
+        fault = InjectedFault(SITE_SESSION_RUN, "rtl#run0")
         clone = pickle.loads(pickle.dumps(fault))
         assert clone.site == fault.site
         assert clone.key == fault.key
@@ -123,18 +123,18 @@ class TestFaultInjector:
         ])
         injector = FaultInjector(plan)
         injector.fire(SITE_SESSION_RUN, "x")
-        injector.fire(SITE_WORKER_BOOT, "x")
+        injector.fire(SITE_CACHE_READ, "x")
         with pytest.raises(InjectedFault):
             injector.fire(SITE_CACHE_WRITE, "x")
 
     def test_kill_degrades_to_raise_outside_worker(self):
         plan = FaultPlan(specs=[
-            FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_KILL),
+            FaultSpec(site=SITE_SESSION_RUN, action=ACTION_KILL),
         ])
         injector = FaultInjector(plan)
         # In the main process this must not SIGKILL the test runner.
         with pytest.raises(InjectedFault):
-            injector.fire(SITE_WORKER_BOOT, "rtl#0")
+            injector.fire(SITE_SESSION_RUN, "rtl#run0")
 
     def test_hang_uses_injectable_sleep(self):
         slept = []
@@ -224,79 +224,6 @@ class TestSerialSupervision:
         assert report.quarantined_runs == 0
 
 
-class TestPooledSupervision:
-    def test_process_worker_exception_does_not_abort_matrix(
-        self, baseline_report
-    ):
-        # The original pool.map semantics aborted every payload on the
-        # first worker exception; supervised futures must not.
-        plan = FaultPlan(specs=[
-            FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_RAISE,
-                      match="rtl#0", times=1),
-        ])
-        report = RegressionScheduler(
-            jobs=3, executor="process", fault_plan=plan,
-            backoff_base=0.001,
-        ).run_system(make_environments(), SC88A)
-        assert report.retried_runs >= 1
-        assert report.quarantined_runs == 0
-        assert_healthy_cells_identical(report, baseline_report)
-
-    def test_process_persistent_fault_quarantines_per_cell(
-        self, baseline_report
-    ):
-        plan = FaultPlan(specs=[
-            FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_RAISE,
-                      match="rtl#", times=999),
-        ])
-        report = RegressionScheduler(
-            jobs=2, executor="process", fault_plan=plan, retries=1,
-            backoff_base=0.001,
-        ).run_system(make_environments(), SC88A)
-        rtl_cells = [
-            result
-            for key, result in report.results.items()
-            if key[2] == "rtl"
-        ]
-        assert rtl_cells and all(
-            r.status is RunStatus.FAULT for r in rtl_cells
-        )
-        assert_healthy_cells_identical(
-            report, baseline_report, faulty_targets={"rtl"}
-        )
-
-    def test_process_worker_kill_recovers(self, baseline_report):
-        # One worker SIGKILLed on its first attempt: the pool breaks,
-        # is rebuilt, unfinished payloads requeue, the retry (attempt
-        # key no longer matches) succeeds — nothing quarantined.
-        plan = FaultPlan(specs=[
-            FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_KILL,
-                      match="rtl#0", times=1),
-        ])
-        report = RegressionScheduler(
-            jobs=2, executor="process", fault_plan=plan,
-            backoff_base=0.001,
-        ).run_system(make_environments(), SC88A)
-        assert report.total_runs == baseline_report.total_runs
-        assert report.quarantined_runs == 0
-        assert_healthy_cells_identical(report, baseline_report)
-
-    def test_process_hang_past_run_timeout_is_reclaimed(
-        self, baseline_report
-    ):
-        plan = FaultPlan(specs=[
-            FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_HANG,
-                      match="gatelevel#0", times=1, hang_seconds=5.0),
-        ])
-        report = RegressionScheduler(
-            jobs=2, executor="process", fault_plan=plan,
-            run_timeout=0.3, backoff_base=0.001,
-        ).run_system(make_environments(), SC88A)
-        assert report.retried_runs >= 1
-        assert report.quarantined_runs == 0
-        assert_healthy_cells_identical(report, baseline_report)
-
-
 # --------------------------------------------------------------------------
 # cache integrity
 # --------------------------------------------------------------------------
@@ -382,58 +309,58 @@ class TestCacheIntegrity:
 CHAOS_PLAN = FaultPlan(
     seed=42,
     specs=[
-        # Kill one process-pool worker persistently: rtl cells must end
-        # up quarantined, never aborting the matrix.  (Outside a worker
-        # process the kill degrades to a contained raise.)
-        FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_KILL,
+        # Every rtl run fails: its cells must end up quarantined, never
+        # aborting the matrix.
+        FaultSpec(site=SITE_SESSION_RUN, action=ACTION_RAISE,
                   match="rtl#", times=999),
-        # Hang one run past --run-timeout; its retry succeeds.
-        FaultSpec(site=SITE_WORKER_BOOT, action=ACTION_HANG,
-                  match="gatelevel#0", times=1, hang_seconds=2.0),
+        # One gatelevel run fails once; its retry succeeds.
+        FaultSpec(site=SITE_SESSION_RUN, action=ACTION_RAISE,
+                  match="gatelevel#", times=1),
     ],
 )
 
 
 class TestChaosAcceptance:
-    @pytest.mark.parametrize("executor,jobs", [
+    @pytest.mark.parametrize("mode,peers", [
         ("serial", 1),
-        ("process", 2),
+        ("fleet", 2),
     ])
     def test_chaos_matrix_completes_everywhere(
-        self, executor, jobs, baseline_report, tmp_path
+        self, mode, peers, baseline_report, tmp_path
     ):
-        cache = ResultCache(tmp_path / executor)
+        def worklist():
+            return WorkList(tmp_path / "fleet") if mode == "fleet" else None
+
+        cache = ResultCache(tmp_path / "cache")
         report = RegressionScheduler(
-            jobs=jobs,
-            executor=executor,
             cache=cache,
             fault_plan=CHAOS_PLAN,
-            run_timeout=0.3,
             retries=1,
             backoff_base=0.001,
+            worklist=worklist(),
         ).run_system(make_environments(), SC88A)
         assert report.total_runs == baseline_report.total_runs
-        faulty = {"rtl"} if executor != "serial" else set()
-        # worker-boot only fires on pooled executors; serially the
-        # whole plan is dormant and the run must be untouched.
         for key, result in report.results.items():
-            if key[2] in faulty:
+            if key[2] == "rtl":
                 assert result.status is RunStatus.FAULT
                 assert result.fault_reason.startswith("quarantined:")
             else:
                 assert result.status is not RunStatus.FAULT
         assert_healthy_cells_identical(
-            report, baseline_report, faulty_targets=faulty
+            report, baseline_report, faulty_targets={"rtl"}
         )
         rtl_cells = sum(1 for key in report.results if key[2] == "rtl")
-        if faulty:
-            assert report.quarantined_runs == rtl_cells
-            assert report.retried_runs >= 1
-        # Quarantined verdicts must not be cached: a warm fault-free
-        # re-run executes exactly the previously-quarantined cells.
-        warm = RegressionScheduler(
-            jobs=1, executor="serial",
-            cache=ResultCache(tmp_path / executor),
+        assert report.quarantined_runs == rtl_cells
+        assert report.retried_runs == rtl_cells + 1
+        # Quarantined verdicts are never cached, nor published to the
+        # fleet: a fault-free re-run executes exactly the quarantined
+        # cells.  The fleet's second peer reads no cache; it adopts
+        # every other verdict from the first peer's publications.
+        rerun = RegressionScheduler(
+            cache=ResultCache(tmp_path / "cache") if peers == 1 else None,
+            worklist=worklist(),
         ).run_system(make_environments(), SC88A)
-        assert warm.executed_runs == (rtl_cells if faulty else 0)
-        assert_healthy_cells_identical(warm, baseline_report)
+        assert rerun.executed_runs == rtl_cells
+        if mode == "fleet":
+            assert rerun.fetched_runs == rerun.total_runs - rtl_cells
+        assert_healthy_cells_identical(rerun, baseline_report)

@@ -1,7 +1,6 @@
-"""Tests for the parallel, cached regression scheduler."""
+"""Tests for the cached, fleet-shardable regression scheduler."""
 
 import dataclasses
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -85,32 +84,19 @@ class TestExecutors:
         assert status_matrix(report) == status_matrix(legacy)
         assert report.clean
 
-    @pytest.mark.parametrize("executor", ["process"])
-    def test_pooled_matches_serial(self, executor):
-        serial = RegressionScheduler().run_system(
-            make_environments(), SC88A
-        )
-        pooled = RegressionScheduler(jobs=3, executor=executor).run_system(
-            make_environments(), SC88A
-        )
-        assert status_matrix(pooled) == status_matrix(serial)
-        assert pooled.executed_runs == pooled.total_runs
-
-    def test_pooled_run_leaves_no_worker_alive(self):
-        before = set(multiprocessing.active_children())
-        RegressionScheduler(jobs=2, executor="process").run_system(
-            make_environments(), SC88A
-        )
-        assert set(multiprocessing.active_children()) - before == set()
-
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
+        # The scheduler has no executor choice left: serial or fleet.
+        with pytest.raises(TypeError, match="executor"):
             RegressionScheduler(executor="carrier-pigeon")
 
-    @pytest.mark.parametrize("executor", ["thread", "batch"])
+    @pytest.mark.parametrize("executor", ["thread", "batch", "process"])
     def test_removed_executor_rejected(self, executor):
-        with pytest.raises(ValueError, match="unknown executor"):
+        with pytest.raises(TypeError, match="executor"):
             RegressionScheduler(executor=executor)
+
+    def test_jobs_rejected(self):
+        with pytest.raises(TypeError, match="jobs"):
+            RegressionScheduler(jobs=2)
 
     def test_matrix_digest_covers_every_result_field(self):
         report = RegressionScheduler().run_system(
@@ -135,8 +121,6 @@ class TestExecutors:
             description="stuck bit",
         )
         scheduler = RegressionScheduler(
-            jobs=2,
-            executor="process",
             platform_overrides={"gatelevel": GateLevelSim(fault=fault)},
         )
         report = scheduler.run_environment(make_nvm_environment(2), SC88A)
@@ -239,26 +223,29 @@ class TestRegressCli:
         )
         return tmp_path / SYSTEM_DIR_NAME
 
-    def test_regress_with_jobs(self, workspace, capsys):
-        code = main(
-            [
-                "regress", str(workspace), "NVM",
-                "--targets", "golden,rtl",
-                "--jobs", "2", "--executor", "process",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "2/2 runs ok" in out
+    def test_regress_rejects_jobs(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["regress", str(workspace), "--jobs", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("executor", ["thread", "batch"])
+    @pytest.mark.parametrize("executor", ["thread", "batch", "process"])
     def test_regress_rejects_removed_executors(
         self, workspace, executor, capsys
     ):
         with pytest.raises(SystemExit) as exited:
             main(["regress", str(workspace), "--executor", executor])
         assert exited.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_timeout_requires_fleet(self, workspace, capsys):
+        assert main(
+            ["regress", str(workspace), "--run-timeout", "5"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("--run-timeout requires --fleet")
 
     def test_matrix_digest_agrees_across_executors_and_cache(
         self, workspace, tmp_path, capsys
@@ -276,11 +263,43 @@ class TestRegressCli:
 
         cache = ["--cache-dir", str(tmp_path / "verdicts")]
         serial, _ = digest()
-        pooled, _ = digest("--jobs", "2", "--executor", "process")
         cold, _ = digest(*cache)
         warm, out = digest(*cache)
         assert "0 run(s) executed" in out
-        assert serial == pooled == cold == warm
+        # Two concurrent fleet peers over one fresh store: each prints
+        # the serial digest, writes nothing to stderr and, with both
+        # alive, steals nothing from the other.
+        argv = [
+            sys.executable, "-m", "repro.cli", "regress", str(workspace),
+            "--engine-stats", "--fleet",
+            "--store-dir", str(tmp_path / "store"),
+        ]
+        peers = [
+            subprocess.Popen(
+                argv,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        fleet = []
+        for peer in peers:
+            out, err = peer.communicate(timeout=300)
+            assert peer.returncode == 0, err
+            assert err == ""
+            fleet += [
+                line for line in out.splitlines()
+                if line.startswith("matrix-digest: ")
+            ]
+            (stats,) = [
+                line for line in out.splitlines()
+                if line.startswith("worklist-stats: ")
+            ]
+            assert " stolen=0 " in stats
+        assert fleet == [serial, serial]
+        assert serial == cold == warm
 
     def test_regress_cache_roundtrip(self, workspace, tmp_path, capsys):
         cache_dir = tmp_path / "verdicts"

@@ -10,7 +10,9 @@ reaches only by chance.
 
 For every row, this test encodes one instruction with operands biased to
 the boundaries (shift amounts 0 and 31, full-width fields at pos 0,
-immediates with bit 15 set, sign and carry boundary words), decodes it
+immediates with bit 15 set, sign and carry boundary words, and for a
+31-bit field at pos 0 a source word and inserted value that differ in
+bit 31), decodes it
 through a :class:`DecodeCache` over a one-instruction image, and runs it
 three ways on identical state: the hand-written ``CpuCore._execute``,
 the generated executor, and the row rendered with the entry's operands
@@ -139,6 +141,23 @@ def soc():
     return SystemOnChip(SC88A)
 
 
+#: The one field whose mask differs from a full-word mask only in bit
+#: 31: a mask wrong just there shows only when the source word has bit
+#: 31 set and the value inserted into it does not.
+_BIT31_FIELD = (0, 31)
+_BIT31 = 1 << 31
+
+
+def bias_bit31_field(fields: dict, literal: int) -> int:
+    """For a (0, 31) field, keep ``INSERTR``'s value register apart from
+    its source register; returns the literal with bit 31 clear."""
+    if (fields.get("pos"), fields.get("width")) != _BIT31_FIELD:
+        return literal
+    if "r3" in fields and fields["r3"] == fields["r2"]:
+        fields["r3"] = (fields["r2"] + 1) % 16
+    return literal & ~_BIT31
+
+
 def register_state(data, fields):
     """Data and address registers: boundary words and addresses in the
     operand registers and the stack pointer, a fixed pattern elsewhere
@@ -148,21 +167,16 @@ def register_state(data, fields):
     addresses = [RAM.base + 0x100 * index for index in range(16)]
     for reg in regs:
         words[reg] = data.draw(_WORD, f"d{reg}")
+    if (fields.get("pos"), fields.get("width")) == _BIT31_FIELD:
+        words[fields["r2"]] |= _BIT31
+        if "r3" in fields:
+            words[fields["r3"]] &= ~_BIT31
     for reg in regs[:2] + [STACK_POINTER_INDEX]:
         addresses[reg] = data.draw(_ADDRESS, f"a{reg}")
     return words, addresses, data.draw(st.integers(0, 0xFF), "psw")
 
 
-@pytest.mark.parametrize("op", list(ROWS), ids=lambda op: op.name)
-@settings(
-    max_examples=30,
-    derandomize=True,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_renderings_agree_with_reference(soc, op, data):
+def assert_renderings_agree(soc, op, data, field_strategy):
     spec = lookup_opcode(int(op))
     fields = {
         name: data.draw(FIELDS[name], name)
@@ -170,8 +184,8 @@ def test_renderings_agree_with_reference(soc, op, data):
         if name in FIELDS
     }
     if "pos" in spec.fmt.fields:
-        fields["pos"], fields["width"] = data.draw(_FIELD, "field")
-    literal = data.draw(_LITERAL, "literal")
+        fields["pos"], fields["width"] = data.draw(field_strategy, "field")
+    literal = bias_bit31_field(fields, data.draw(_LITERAL, "literal"))
     state = register_state(data, fields)
     image = image_of(op, fields, literal)
     entry = DecodeCache(image, ROM.base, ROM.end).get(PC)
@@ -179,6 +193,36 @@ def test_renderings_agree_with_reference(soc, op, data):
     expected = outcome(soc, image, entry, state, reference)
     assert outcome(soc, image, entry, state, executor) == expected
     assert outcome(soc, image, entry, state, literal_rendering) == expected
+
+
+def examples(count: int):
+    return settings(
+        max_examples=count,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+
+@pytest.mark.parametrize("op", list(ROWS), ids=lambda op: op.name)
+@examples(30)
+@given(data=st.data())
+def test_renderings_agree_with_reference(soc, op, data):
+    assert_renderings_agree(soc, op, data, _FIELD)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [op for op in ROWS if "pos" in lookup_opcode(int(op)).fmt.fields],
+    ids=lambda op: op.name,
+)
+@examples(10)
+@given(data=st.data())
+def test_bit31_field_at_pos_0_agrees(soc, op, data):
+    # Among 30 drawn fields (0, 31) can be missing for an opcode, and a
+    # mask wrong only there then survives: pin it.
+    assert_renderings_agree(soc, op, data, st.just(_BIT31_FIELD))
 
 
 def test_every_opcode_has_a_row_and_a_named_executor():

@@ -81,8 +81,23 @@ class TestScenarioPack:
         pack = parse_pack({"schema": 1, "name": "n"})
         assert pack.modules is None
         assert pack.targets is None
-        assert pack.executor == "serial"
         assert pack.retries == 2
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"executor": "serial"},
+            {"executor": "auto"},
+            {"jobs": 4},
+            {"run_timeout": 2.5},
+        ],
+    )
+    def test_legacy_fields_parse_and_select_nothing(self, legacy):
+        # Packs written for the process pool still parse; the fields
+        # are validated but every job runs serially on the warm pool.
+        pack = parse_pack(smoke_pack(**legacy))
+        assert pack == parse_pack(smoke_pack())
+        assert not set(legacy) & set(pack_to_dict(pack))
 
     @pytest.mark.parametrize(
         "mutation",
@@ -113,7 +128,7 @@ class TestScenarioPack:
         with pytest.raises(PackError):
             parse_pack(["not", "a", "pack"])
 
-    @pytest.mark.parametrize("executor", ["thread", "batch"])
+    @pytest.mark.parametrize("executor", ["thread", "batch", "process"])
     def test_rejects_removed_executors(self, executor):
         with pytest.raises(
             PackError, match="pack field 'executor' must be one of"
@@ -674,6 +689,7 @@ class TestRegressionService:
         journal_dir = tmp_path / "journal"
         journal = JobJournal(journal_dir)
         journal.accept("job-000043", smoke_pack(executor="batch"))
+        journal.accept("job-000044", smoke_pack(executor="process", jobs=2))
         del journal  # kill -9: no settle, no close
 
         async def scenario():
@@ -694,7 +710,8 @@ class TestRegressionService:
         replayed, settled = run_async(scenario())
         assert replayed == 0
         assert settled == [
-            ("job-000043", "failed", {"error": "unreplayable pack"})
+            ("job-000043", "failed", {"error": "unreplayable pack"}),
+            ("job-000044", "failed", {"error": "unreplayable pack"}),
         ]
         assert JobJournal(journal_dir).pending_jobs() == []
 

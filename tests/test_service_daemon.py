@@ -27,7 +27,6 @@ from repro.core.faults import (
     SITE_SESSION_RUN,
     SITE_STORE_READ,
     SITE_STORE_WRITE,
-    SITE_WORKER_BOOT,
 )
 from repro.core.scheduler import ResultCache
 from repro.core.system_env import make_default_system
@@ -117,6 +116,10 @@ class TestHttpLayer:
                 "bad_pack": await http_request(
                     port, "POST", "/submit", body={"schema": 99}
                 ),
+                "process_pack": await http_request(
+                    port, "POST", "/submit",
+                    body=smoke_pack(executor="process", jobs=2),
+                ),
             }
             await daemon.shutdown()
             return results
@@ -131,6 +134,12 @@ class TestHttpLayer:
         assert results["bad_json"][0] == 400
         assert results["bad_pack"][0] == 400
         assert "schema" in results["bad_pack"][2][0]["error"]
+        # The process pool is gone: a pack asking for it is refused
+        # up front with the offending field named.
+        assert results["process_pack"][0] == 400
+        assert "pack field 'executor'" in (
+            results["process_pack"][2][0]["error"]
+        )
 
     def test_submit_streams_ndjson(self, workspace):
         async def scenario():
@@ -212,10 +221,6 @@ class TestHttpLayer:
 # --------------------------------------------------------------------------
 
 CHAOS_CASES = {
-    SITE_WORKER_BOOT: (
-        FaultSpec(site=SITE_WORKER_BOOT, action="raise"),
-        smoke_pack(executor="process", jobs=2),
-    ),
     SITE_SESSION_RUN: (
         FaultSpec(site=SITE_SESSION_RUN, action="raise", times=10),
         smoke_pack(),

@@ -1,10 +1,13 @@
 """Fleet work-list acceptance: lease claims, work stealing, idempotent
-publication, chaos containment and multi-process SIGKILL recovery.
+publication, chaos containment and multi-process SIGKILL, hang and
+poison-cell recovery.
 
-The contract (the robustness issue's fleet half): several scheduler
-processes sharing one directory divide a matrix by racing lease-based
-cell claims; a SIGKILLed worker's cells are stolen by survivors after
-its lease expires; publication is first-writer-wins so at-least-once
+The contract: several scheduler processes sharing one directory divide
+a matrix by racing lease-based cell claims; a SIGKILLed worker's cells
+are stolen by survivors after its lease expires, and so are the cells
+of a worker wedged past its per-cell deadline; a cell that kills every
+process running it costs at most ``retries + 1`` processes before the
+fleet quarantines it; publication is first-writer-wins so at-least-once
 execution yields exactly-once accounting; corrupt published results are
 quarantined and re-derived, never trusted; and healthy-cell verdicts
 are byte-identical to a scalar serial run of the same matrix.
@@ -52,17 +55,16 @@ def workspace(tmp_path_factory):
     )
 
 
-def make_scheduler(workspace, worklist=None, fault_plan=None):
+def make_scheduler(workspace, worklist=None, fault_plan=None, targets=TARGETS):
     return RegressionScheduler(
-        targets=[lookup_target(name) for name in TARGETS],
-        executor="serial",
+        targets=[lookup_target(name) for name in targets],
         worklist=worklist,
         fault_plan=fault_plan,
     )
 
 
-def run_matrix(workspace, worklist=None, fault_plan=None):
-    scheduler = make_scheduler(workspace, worklist, fault_plan)
+def run_matrix(workspace, worklist=None, fault_plan=None, targets=TARGETS):
+    scheduler = make_scheduler(workspace, worklist, fault_plan, targets)
     environments = {"NVM": load_module_environment(Path(workspace) / "NVM")}
     report = scheduler.run_system(
         environments, lookup_derivative("sc88a")
@@ -163,6 +165,49 @@ class TestLease:
         (tmp_path / "leases" / "cell.lease").write_bytes(b"to")
         lease = worklist.claim("cell")
         assert lease is not None and lease.stolen
+
+    def test_steal_count_survives_renewal_and_grows_per_steal(
+        self, tmp_path
+    ):
+        first, now = self.make(tmp_path, owner="first")
+        lease = first.claim("cell")
+        assert lease.steals == 0 and not lease.stolen
+        for owner in ("second", "third"):
+            now[0] += 20.0
+            thief, tnow = self.make(tmp_path, owner=owner)
+            tnow[0] = now[0]
+            lease = thief.claim("cell")
+            assert lease is not None and lease.stolen
+            assert thief.renew(lease)
+        assert lease.steals == 2
+        record = json.loads((tmp_path / "leases" / "cell.lease").read_text())
+        assert record["steals"] == 2
+
+    def test_poison_expires_the_record_but_keeps_its_count(self, tmp_path):
+        worklist, now = self.make(tmp_path, owner="dead")
+        worklist.claim("cell")
+        now[0] += 20.0
+        stealer, snow = self.make(tmp_path, owner="stealer")
+        snow[0] = now[0]
+        lease = stealer.claim("cell")
+        stealer.poison(lease)
+        assert stealer.poisoned == 1
+        # The next claimant steals at once, with the count carried on.
+        later, _lnow = self.make(tmp_path, owner="later")
+        again = later.claim("cell")
+        assert again is not None and again.steals == 2
+
+    def test_lapse_stops_renewal_without_touching_the_record(
+        self, tmp_path
+    ):
+        worklist, _now = self.make(tmp_path)
+        lease = worklist.claim("cell")
+        before = (tmp_path / "leases" / "cell.lease").read_bytes()
+        worklist.lapse(lease)
+        worklist.lapse(lease)
+        assert lease.lost and worklist.lapsed == 1
+        assert not worklist.renew(lease)
+        assert (tmp_path / "leases" / "cell.lease").read_bytes() == before
 
 
 # --------------------------------------------------------------------------
@@ -309,31 +354,33 @@ class TestFleetScheduler:
 # multi-process SIGKILL stress (the fleet acceptance test)
 # --------------------------------------------------------------------------
 
+#: SIGKILL at the first session start — after claiming a lease, before
+#: publishing anything — exactly the crash the steal protocol exists for.
+KILL_FIRST_RUN = FaultPlan(
+    specs=[FaultSpec(site=SITE_SESSION_RUN, action="kill")]
+)
+
+
 def _fleet_worker(
     workspace: str,
     store_dir: str,
     report_path: str,
     owner: str,
     lease_ttl: float,
-    kill_on_first_run: bool,
+    plan: FaultPlan | None = None,
+    retries: int = 1,
+    run_timeout: float | None = None,
+    targets: list[str] = TARGETS,
 ) -> None:
-    """One fleet worker process.  The victim variant SIGKILLs itself at
-    its first session start — after claiming a lease, before publishing
-    anything — exactly the crash the steal protocol exists for."""
-    plan = (
-        FaultPlan(
-            specs=[FaultSpec(site=SITE_SESSION_RUN, action="kill")]
-        )
-        if kill_on_first_run
-        else None
-    )
+    """One fleet worker process: regress NVM over the shared work-list
+    under *plan* and write its verdicts and counters to *report_path*."""
     worklist = WorkList(store_dir, owner=owner, lease_ttl=lease_ttl)
     scheduler = RegressionScheduler(
-        targets=[lookup_target(name) for name in TARGETS],
-        executor="serial",
+        targets=[lookup_target(name) for name in targets],
         worklist=worklist,
         fault_plan=plan,
-        retries=0,
+        retries=retries,
+        run_timeout=run_timeout,
     )
     environments = {"NVM": load_module_environment(Path(workspace) / "NVM")}
     report = scheduler.run_system(
@@ -358,6 +405,16 @@ def _fleet_worker(
     Path(report_path).write_text(json.dumps(payload, sort_keys=True))
 
 
+def wait_for_lease(store_dir: Path, process) -> None:
+    """Block until *process* holds a lease in *store_dir* (or died)."""
+    leases = store_dir / "leases"
+    deadline = time.time() + 30.0
+    while time.time() < deadline and process.is_alive():
+        if leases.is_dir() and any(leases.glob("*.lease")):
+            return
+        time.sleep(0.01)
+
+
 def test_sigkilled_worker_is_stolen_and_matrix_settles_exactly_once(
     workspace, tmp_path
 ):
@@ -374,18 +431,15 @@ def test_sigkilled_worker_is_stolen_and_matrix_settles_exactly_once(
         target=_fleet_worker,
         args=(
             str(workspace), str(store_dir),
-            str(tmp_path / "victim.json"), "victim", lease_ttl, True,
+            str(tmp_path / "victim.json"), "victim", lease_ttl,
+            KILL_FIRST_RUN,
         ),
     )
     victim.start()
     # Let the victim claim its first lease before the survivors start,
     # so a steal is guaranteed to be needed.
-    deadline = time.time() + 30.0
+    wait_for_lease(store_dir, victim)
     leases = store_dir / "leases"
-    while time.time() < deadline:
-        if leases.is_dir() and any(leases.glob("*.lease")):
-            break
-        time.sleep(0.01)
     victim.join(timeout=30.0)
     assert victim.exitcode == -signal.SIGKILL
     assert any(leases.glob("*.lease"))  # the orphaned lease
@@ -397,7 +451,7 @@ def test_sigkilled_worker_is_stolen_and_matrix_settles_exactly_once(
             args=(
                 str(workspace), str(store_dir),
                 str(tmp_path / f"survivor{index}.json"),
-                f"survivor{index}", lease_ttl, False,
+                f"survivor{index}", lease_ttl,
             ),
         )
         for index in range(2)
@@ -448,3 +502,113 @@ def test_sigkilled_worker_is_stolen_and_matrix_settles_exactly_once(
     }
     for report in reports:
         assert report["results"] == oracle_map
+
+
+def test_peer_hung_past_run_timeout_is_stolen_while_it_sleeps(
+    workspace, tmp_path
+):
+    """A peer wedges in its first cell.  Once the cell has run longer
+    than ``run_timeout`` its heartbeat stops renewing the lease, so a
+    second peer steals the cell after the lease expires and finishes
+    the whole matrix with the serial verdicts — while the first peer
+    is still asleep."""
+    store_dir = tmp_path / "fleet"
+    hang = FaultPlan(specs=[
+        FaultSpec(site=SITE_SESSION_RUN, action="hang", hang_seconds=120.0)
+    ])
+    sleeper = multiprocessing.Process(
+        target=_fleet_worker,
+        args=(str(workspace), str(store_dir), str(tmp_path / "sleeper.json"),
+              "sleeper", 0.5, hang),
+        kwargs={"run_timeout": 0.3},
+    )
+    peer = multiprocessing.Process(
+        target=_fleet_worker,
+        args=(str(workspace), str(store_dir), str(tmp_path / "peer.json"),
+              "peer", 0.5),
+        kwargs={"run_timeout": 0.3},
+    )
+    sleeper.start()
+    try:
+        wait_for_lease(store_dir, sleeper)
+        peer.start()
+        peer.join(timeout=60.0)
+        assert peer.exitcode == 0
+        assert sleeper.is_alive()  # still asleep in its cell
+    finally:
+        for process in (peer, sleeper):
+            if process.is_alive():
+                process.kill()
+            process.join()
+    assert not (tmp_path / "sleeper.json").exists()
+
+    report = json.loads((tmp_path / "peer.json").read_text())
+    cells = len(TARGETS) * 2
+    assert report["counters"]["total"] == cells
+    assert report["counters"]["executed"] == cells
+    assert report["counters"]["stolen"] == 1
+    assert report["counters"]["quarantined"] == 0
+    _oracle_sched, oracle = run_matrix(workspace)
+    assert report["results"] == {
+        "/".join(key): payload.decode()
+        for key, payload in verdict_bytes(oracle).items()
+    }
+
+
+def test_poison_cell_costs_retries_plus_one_processes(tmp_path):
+    """One cell SIGKILLs every process that runs it.  Fleet workers are
+    started one after another: at most ``retries + 1`` of them die, the
+    next quarantines exactly that cell without running it and settles
+    every other cell with the serial verdict, and a later worker
+    quarantines it too instead of dying on it."""
+    workspace = write_system_environment(
+        make_default_system(nvm_tests=1, uart_tests=0), tmp_path / "ws"
+    )
+    targets = ["golden", "rtl", "gatelevel", "accelerator"]
+    poison_key = "NVM/TEST_NVM_PAGE_001/rtl"
+    retries = 1
+    poison = FaultPlan(specs=[
+        FaultSpec(site=SITE_SESSION_RUN, action="kill", match="rtl#",
+                  times=10_000)
+    ])
+    _oracle_sched, oracle = run_matrix(workspace, targets=targets)
+    oracle_map = {
+        "/".join(key): payload.decode()
+        for key, payload in verdict_bytes(oracle).items()
+    }
+
+    def start_worker(index):
+        worker = multiprocessing.Process(
+            target=_fleet_worker,
+            args=(str(workspace), str(tmp_path / "fleet"),
+                  str(tmp_path / f"worker{index}.json"), f"worker{index}",
+                  0.3, poison),
+            kwargs={"retries": retries, "targets": targets},
+        )
+        worker.start()
+        worker.join(timeout=120.0)
+        return worker.exitcode
+
+    exits = [start_worker(index) for index in range(retries + 3)]
+    deaths = exits.count(-signal.SIGKILL)
+    assert deaths == retries + 1
+    assert exits == [-signal.SIGKILL] * deaths + [0, 0]
+
+    for index in (deaths, deaths + 1):
+        report = json.loads((tmp_path / f"worker{index}.json").read_text())
+        assert report["counters"]["total"] == len(targets)
+        assert report["counters"]["quarantined"] == 1
+        assert report["stats"]["poisoned"] == 1
+        verdict = json.loads(report["results"][poison_key])
+        assert verdict["status"] == "fault"
+        assert verdict["fault_reason"].startswith("quarantined: poison cell")
+        healthy = dict(report["results"])
+        del healthy[poison_key]
+        assert healthy == {
+            key: value for key, value in oracle_map.items()
+            if key != poison_key
+        }
+    # The quarantined verdict was never published.
+    assert len(list((tmp_path / "fleet" / "results").glob("*.json"))) == (
+        len(targets) - 1
+    )
