@@ -38,8 +38,8 @@ from conftest import shape
 from _harness import (
     BenchResults,
     assert_identical,
-    best_of,
     engine_matrix,
+    interleaved_best,
 )
 
 RESULTS = BenchResults("jit")
@@ -129,11 +129,14 @@ def run_compute_speedup(config) -> dict:
         ref_session.run(image)
         assert jit_result.status is RunStatus.PASS, label
 
-        jit_elapsed, jit_timed = best_of(
-            config["repeats"], lambda: jit_session.run(image)
-        )
-        ref_elapsed, ref_timed = best_of(
-            config["repeats"], lambda: ref_session.run(image)
+        # Round-robin sampling: host drift lands on both engines
+        # instead of on whichever side ran last.
+        (jit_elapsed, ref_elapsed), (jit_timed, ref_timed) = (
+            interleaved_best(
+                config["repeats"],
+                lambda: jit_session.run(image),
+                lambda: ref_session.run(image),
+            )
         )
         assert_identical([(jit_timed, ref_timed)], f"jit/{label}/timed")
         timed_stats = jit_session.stats()

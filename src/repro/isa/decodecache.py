@@ -64,6 +64,7 @@ appends instead of per-instruction recording.
 from __future__ import annotations
 
 import threading
+import types
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Mapping
 
@@ -215,7 +216,7 @@ def _decoded_getstate(self) -> list:
     return [getattr(self, name) for name in _DECODED_FIELDS]
 
 
-def _unrolled_setstate(names, setattr_form: str):
+def _unrolled_setstate(names, setattr_form: str, bindings=None):
     """A ``__setstate__`` with one inline store per field (the
     dataclass-``__init__`` codegen trick).  An artifact-store restore
     unpickles thousands of entries and blocks; a Python-level
@@ -225,19 +226,27 @@ def _unrolled_setstate(names, setattr_form: str):
         setattr_form.format(name=name, index=index)
         for index, name in enumerate(names)
     )
-    namespace = {"_setattr": object.__setattr__}
+    namespace = dict(bindings or {})
     exec(source, namespace)
     return namespace["_setstate"]
 
 
 # The slot-pickling helpers dataclasses generates for a frozen slots
-# class re-resolve ``fields()`` on every object; an artifact-store
-# restore unpickles thousands of entries, so bind precomputed versions
-# (assigned post-class because ``slots=True`` rebuilds the class and
-# installs its own helpers over in-body definitions on 3.11).
+# class re-resolve ``fields()`` and go through ``object.__setattr__``
+# on every object; an artifact-store restore unpickles thousands of
+# entries, so bind precomputed versions (assigned post-class because
+# ``slots=True`` rebuilds the class and installs its own helpers over
+# in-body definitions on 3.11).  The frozen class's own ``__setattr__``
+# raises, so each field is stored through its slot descriptor's
+# ``__set__``, pre-bound: half the cost of ``object.__setattr__``.
 DecodedInstruction.__getstate__ = _decoded_getstate
 DecodedInstruction.__setstate__ = _unrolled_setstate(
-    _DECODED_FIELDS, "    _setattr(self, {name!r}, state[{index}])"
+    _DECODED_FIELDS,
+    "    _set_{name}(self, state[{index}])",
+    {
+        f"_set_{name}": getattr(DecodedInstruction, name).__set__
+        for name in _DECODED_FIELDS
+    },
 )
 
 
@@ -744,6 +753,36 @@ _REGISTRY_LIMIT = 256
 _REGISTRY_LOCK = threading.Lock()
 _REGISTRY_EVICTIONS = 0
 
+#: Process-wide ``compile()`` memo for generated JIT chain source: the
+#: same chain over the same image bytes renders the same text in every
+#: cache that holds it (the wait-state profiles' caches of one image,
+#: the daemon's repeated images), so each distinct source is compiled
+#: once.  Bounded (oldest out first), like the registry, because the
+#: daemon is long-lived; :func:`reset_registry` empties it.  Its own
+#: lock: a store restore runs under the registry lock and may compile.
+_CODE_MEMO: dict[str, types.CodeType] = {}
+_CODE_MEMO_LIMIT = 1024
+_CODE_MEMO_LOCK = threading.Lock()
+
+
+def chain_code(source: str, filename: str) -> types.CodeType:
+    """The function code object of generated chain *source* (one
+    top-level ``def``), compiled at most once per distinct source (a
+    shared code object keeps the *filename* of its first chain)."""
+    code = _CODE_MEMO.get(source)
+    if code is None:
+        module = compile(source, filename, "exec")
+        code = next(
+            const for const in module.co_consts
+            if isinstance(const, types.CodeType)
+        )
+        with _CODE_MEMO_LOCK:
+            while len(_CODE_MEMO) >= _CODE_MEMO_LIMIT:
+                _CODE_MEMO.pop(next(iter(_CODE_MEMO)))
+            _CODE_MEMO[source] = code
+    return code
+
+
 #: Optional persistent artifact store (duck-typed:
 #: ``load_decode_cache(key) -> DecodeCache | None`` and
 #: ``save_decode_cache(key, cache) -> bool``, both non-raising) that
@@ -875,11 +914,15 @@ def reset_registry() -> RegistryReset:
     here), so an honest cold-start measurement must clear it between
     samples — including the :func:`registry_stats` eviction counter,
     which would otherwise report a previous sample's evictions against
-    the fresh registry.  Production code never calls this."""
+    the fresh registry, and the :func:`chain_code` memo, which would
+    otherwise let a "cold" sample skip every ``compile()``.  Production
+    code never calls this."""
     global _REGISTRY_EVICTIONS
     with _REGISTRY_LOCK:
         dropped = len(_REGISTRY)
         evictions = _REGISTRY_EVICTIONS
         _REGISTRY.clear()
         _REGISTRY_EVICTIONS = 0
-        return RegistryReset(dropped, evictions)
+    with _CODE_MEMO_LOCK:
+        _CODE_MEMO.clear()
+    return RegistryReset(dropped, evictions)

@@ -37,6 +37,13 @@ generated code re-reads ``cpu._block_deadline`` at every boundary and
 side exit — cut mid-chain by the same ``cut_block()`` path that flushes
 the superblock resume memo.
 
+Generated source is compiled at most once per process
+(:func:`~repro.isa.decodecache.chain_code`): the three variants of
+every chain are generated, but the same chain over the same bytes in
+another wait-state profile's cache, or in another image that shares
+the code, costs no second ``compile()``; each chain still binds its
+own globals (its blocks' entries and observation templates).
+
 Observation composes: the ``jit_ot``/``jit_ow`` variants replay each
 block's ``trace_tmpl``/``fetch_events`` observation templates (PR 5) in
 bulk from inside the compiled body, with wait-state charging baked into
@@ -53,7 +60,14 @@ JIT is measured and fuzzed against; the reference interpreter
 
 from __future__ import annotations
 
-from repro.isa.decodecache import DecodeCache, DecodedInstruction, Superblock
+import types
+
+from repro.isa.decodecache import (
+    DecodeCache,
+    DecodedInstruction,
+    Superblock,
+    chain_code,
+)
 from repro.isa.instructions import Opcode
 from repro.soc.bus import BusError
 from repro.soc.memorymap import TRAP_BUS_ERROR
@@ -492,15 +506,16 @@ def _compile_variant(
     observed: bool,
     charge: bool,
 ):
+    """Generate one variant of a chain and bind it to its own globals;
+    the code object is shared with every chain that renders the same
+    source (:func:`~repro.isa.decodecache.chain_code`)."""
     source, env = generate_chain_source(blocks, links, observed, charge)
     tag = "o" if observed else "u"
     if charge:
         tag += "w"
-    code = compile(
-        source, f"<jit-chain {blocks[0].start:#x} {tag}>", "exec"
-    )
-    exec(code, env)
-    return env["_chain"]
+    code = chain_code(source, f"<jit-chain {blocks[0].start:#x} {tag}>")
+    env["__builtins__"] = __builtins__
+    return types.FunctionType(code, env, "_chain")
 
 
 def _worth_compiling(
@@ -519,9 +534,9 @@ def compile_chain(cache: DecodeCache, head: Superblock, core=None) -> bool:
     Returns ``True`` when a chain was installed.  Declines idle spins
     (the analytic warp owns them), single blocks too small to beat the
     function-call overhead, and caches at :data:`JIT_MAX_CHAINS`.
-    Concurrent duplicate compilation (shared caches across pool
-    workers) is benign, like concurrent block formation: both threads
-    install identical functions.
+    Concurrent duplicate compilation (the daemon's jobs share caches)
+    is benign, like concurrent block formation: both threads install
+    identical functions.
     """
     if cache.jit_chains >= JIT_MAX_CHAINS:
         return False

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import is_
 from struct import Struct
 from typing import Callable, Iterator, Protocol
@@ -324,6 +325,14 @@ class Memory:
         self.loaded_extents = []
 
 
+@lru_cache(maxsize=64)
+def _page_numbers(first: int, last: int) -> dict[int, None]:
+    """The pages ``first .. last - 1`` as dict keys, shared by every bus
+    with that span: ``dict.fromkeys`` over a dict reuses its hashes, so
+    a SoC's 2,000-page ROM fills at C speed."""
+    return dict.fromkeys(range(first, last))
+
+
 class Bus:
     """Single-master system bus with O(1) device decode and tracing."""
 
@@ -371,11 +380,11 @@ class Bus:
 
     def _index_mapping(self, mapping: Mapping) -> None:
         """Add *mapping*'s fully covered pages to the dispatch table."""
-        first = (mapping.base + PAGE_SIZE - 1) >> PAGE_SHIFT
-        last = mapping.end >> PAGE_SHIFT
-        table = self.page_table
-        for page in range(first, last):
-            table[page] = mapping
+        pages = _page_numbers(
+            (mapping.base + PAGE_SIZE - 1) >> PAGE_SHIFT,
+            mapping.end >> PAGE_SHIFT,
+        )
+        self.page_table.update(dict.fromkeys(pages, mapping))
 
     def rebuild_dispatch(self) -> None:
         """Recompute the page dispatch table from the mapping list.

@@ -21,6 +21,8 @@ sc88d     embedded software **rewritten** (entry point renamed, input
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from repro.soc.embedded import EsAbi, es_abi
 from repro.soc.memorymap import MemoryMap, make_memory_map
@@ -73,10 +75,16 @@ class Derivative:
     def es_abi(self) -> EsAbi:
         return es_abi(self.es_version)
 
+    # The memory map, the layouts and the register map are frozen
+    # per-derivative constants: each is built once per derivative and
+    # shared by every SoC, instead of re-validating dozens of register
+    # and field definitions per device.
+    @cache
     def memory_map(self) -> MemoryMap:
         return make_memory_map(self.nvm_pages)
 
     # -- layouts -----------------------------------------------------------
+    @cache
     def nvm_layout(self) -> PeripheralLayout:
         return make_nvm_layout(
             page_pos=self.page_field_pos,
@@ -84,23 +92,32 @@ class Derivative:
             ctrl_name=self.nvm_ctrl_name,
         )
 
+    @cache
     def uart_layout(self) -> PeripheralLayout:
         return make_uart_layout()
 
+    @cache
     def timer_layout(self) -> PeripheralLayout:
         return make_timer_layout(counter_width=self.timer_counter_width)
 
+    @cache
     def intc_layout(self) -> PeripheralLayout:
         return make_intc_layout()
 
+    @cache
     def gpio_layout(self) -> PeripheralLayout:
         return make_gpio_layout()
 
+    @cache
     def wdt_layout(self) -> PeripheralLayout:
         return make_wdt_layout()
 
+    @cache
     def register_map(self) -> RegisterMap:
-        """Bind every peripheral layout to its base for this derivative."""
+        """Bind every peripheral layout to its base for this derivative.
+
+        The map is shared, so its instance table is read-only:
+        :meth:`RegisterMap.add` on it raises ``TypeError``."""
         register_map = RegisterMap()
         register_map.add(
             Instance("INTC", self.intc_layout(), SFR_BASE + self.intc_offset)
@@ -122,6 +139,7 @@ class Derivative:
         register_map.add(
             Instance("WDT", self.wdt_layout(), SFR_BASE + self.wdt_offset)
         )
+        register_map.instances = MappingProxyType(register_map.instances)
         return register_map
 
 

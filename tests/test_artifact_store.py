@@ -12,10 +12,17 @@ warm-start claim.
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
+import sys
+import threading
+import types
 
 import pytest
+
+from repro.assembler.assembler import Assembler
+from repro.assembler.linker import Linker
 
 from repro.core.scheduler import (
     RegressionScheduler,
@@ -29,13 +36,16 @@ from repro.core.workspace import (
 from repro.core.targets import target as lookup_target
 from repro.isa import decodecache
 from repro.isa.decodecache import (
+    DecodeCache,
     RegistryReset,
     install_cache,
     registry_stats,
     reset_registry,
     set_artifact_store,
 )
-from repro.soc.derivatives import derivative as lookup_derivative
+from repro.platforms.cpu import CpuCore
+from repro.soc.derivatives import SC88A, derivative as lookup_derivative
+from repro.soc.device import SystemOnChip
 from repro.store import ArtifactStore, restore_decode_cache, snapshot_decode_cache
 
 
@@ -133,6 +143,143 @@ class TestRoundtrip:
         for pc, block in restored._blocks.items():
             for offset, entry in enumerate(block.body):
                 assert entry is restored._entries[entry.pc]
+
+
+# --------------------------------------------------------------------------
+# JIT chains across the store: bound from code, never recompiled
+# --------------------------------------------------------------------------
+
+HOT_LOOP_SOURCE = """\
+_main:
+    LOAD d2, 0x1234
+    LOAD d6, 300
+loop:
+    SHLI d4, d2, 13
+    XOR d2, d2, d4
+    SHRI d5, d2, 17
+    XOR d2, d2, d5
+    ADD d3, d3, d2
+    DJNZ d6, loop
+    HALT
+"""
+
+
+def hot_loop():
+    """``(image, private cache, loop pc)`` for a loop the JIT chains."""
+    memory_map = SC88A.memory_map()
+    obj = Assembler().assemble_source(HOT_LOOP_SOURCE, "t.asm")
+    image = Linker(
+        text_base=memory_map.text_base, data_base=memory_map.data_base
+    ).link([obj])
+    rom = memory_map.rom
+    cache = DecodeCache(image, rom.base, rom.base + rom.size)
+    return image, cache, image.symbol("loop")
+
+
+def run_on(image, cache, *, trace=False, use_jit=True) -> CpuCore:
+    memory_map = SC88A.memory_map()
+    soc = SystemOnChip(SC88A)
+    soc.load_image(image)
+    cpu = CpuCore(soc.bus, intc=soc.intc)
+    cpu.decode_cache = cache
+    cpu.use_jit = use_jit
+    cpu.reset(image.entry, memory_map.stack_top)
+    if trace:
+        cpu.enable_trace()
+    cpu.run()
+    assert cpu.halted
+    return cpu
+
+
+def outcome(cpu: CpuCore):
+    return (
+        list(cpu.regs.data),
+        cpu.cycles,
+        cpu.instructions_retired,
+        None if cpu.trace is None else list(cpu.trace.raw()),
+    )
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every ``compile()`` of generated chain source, by file name,
+    from an empty source -> code memo."""
+    names: list[str] = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if str(filename).startswith("<jit-chain"):
+            names.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    reset_registry()
+    return names
+
+
+class TestChainRoundtrip:
+    def test_restored_chain_runs_without_compile(self, compiles):
+        image, cache, loop = hot_loop()
+        run_on(image, cache)
+        compiled = len(compiles)
+        assert compiled
+        payload = snapshot_decode_cache(cache)
+        reset_registry()  # a fresh process: empty memo
+        restored = restore_decode_cache(payload)
+        head = restored._blocks[loop]
+        assert restored.jit_chains == 1
+        assert all(
+            isinstance(fn, types.FunctionType)
+            for fn in (head.jit_u, head.jit_ot, head.jit_ow)
+        )
+        for trace in (False, True):
+            reference = run_on(
+                image, hot_loop()[1], trace=trace, use_jit=False
+            )
+            cpu = run_on(image, restored, trace=trace)
+            assert cpu.jit_chains == 0 and cpu.jit_exec_steps > 0
+            assert outcome(cpu) == outcome(reference)
+        assert len(compiles) == compiled
+
+    def test_unbindable_chain_recompiles_inside_registry_lookup(
+        self, tmp_path, monkeypatch, compiles
+    ):
+        """A snapshot from another interpreter recompiles its chains on
+        restore, which runs under the registry lock: the compile memo
+        must not need that lock."""
+        image, cache, loop = hot_loop()
+        rom = SC88A.memory_map().rom
+        key = (image.digest(), rom.base, rom.base + rom.size, 0)
+        run_on(image, cache)
+        compiled = len(compiles)
+        store = ArtifactStore(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys.implementation, "cache_tag", "other-0")
+            assert store.save_decode_cache(key, cache)
+        reset_registry()
+        set_artifact_store(ArtifactStore(tmp_path))
+        restored = []
+        lookup = threading.Thread(
+            target=lambda: restored.append(
+                decodecache.decode_cache_for(
+                    image, rom.base, rom.base + rom.size
+                )
+            ),
+            daemon=True,
+        )
+        try:
+            lookup.start()
+            lookup.join(timeout=20)
+        finally:
+            set_artifact_store(None)
+        assert not lookup.is_alive(), "restore deadlocked on a compile"
+        assert len(compiles) == 2 * compiled  # the chain, then again
+        head = restored[0]._blocks[loop]
+        assert isinstance(head.jit_ot, types.FunctionType)
+        traced = run_on(image, restored[0], trace=True)
+        assert outcome(traced) == outcome(
+            run_on(image, hot_loop()[1], trace=True, use_jit=False)
+        )
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,12 @@ The contract under test:
 (d) **Registry bound** — the digest-keyed registry is LRU-bounded;
     evictions drop caches (and their chains) wholesale and are exposed
     via ``registry_stats()`` in ``stats()``.
+(e) **Code memo** — each distinct generated source is compiled at
+    most once per process; chains that render the same source share
+    the code object and keep their own globals.
 """
+
+import builtins
 
 import pytest
 
@@ -41,8 +46,13 @@ from repro.core.workloads import (
     compute_burn_test,
     make_compute_environment,
 )
-from repro.isa import decodecache
-from repro.isa.decodecache import decode_cache_for, registry_stats
+from repro.isa import decodecache, jit
+from repro.isa.decodecache import (
+    DecodeCache,
+    decode_cache_for,
+    registry_stats,
+    reset_registry,
+)
 from repro.isa.jit import (
     JIT_THRESHOLD,
     compile_chain,
@@ -441,3 +451,152 @@ class TestRegistryBound:
         # The second session reuses the chain the first one compiled.
         assert second.cpu.jit_chains == 0
         assert second.cpu.jit_exec_steps > 0
+
+
+# ---------------------------------------------------------------------------
+# (e) the code memo
+# ---------------------------------------------------------------------------
+
+CALL_TAIL_SOURCE = f"""\
+_main:
+    LOAD d6, 40
+loop:
+    CALL sub
+    DJNZ d6, loop
+    LOAD d0, {PASS_MAGIC:#x}
+    HALT
+sub:
+    ADDI d2, d2, 3
+    XOR d3, d3, d2
+    SHLI d4, d2, 5
+    ADD d3, d3, d4
+    RET
+"""
+
+
+def private_cache(image) -> DecodeCache:
+    """A cache outside the shared registry: nothing another test ran
+    has compiled over it."""
+    rom = MEMORY_MAP.rom
+    return DecodeCache(image, rom.base, rom.base + rom.size)
+
+
+def cpu_on(image, cache, *, trace=False, use_jit=True) -> CpuCore:
+    soc = SystemOnChip(SC88A)
+    soc.load_image(image)
+    cpu = CpuCore(soc.bus, intc=soc.intc)
+    cpu.decode_cache = cache
+    cpu.use_jit = use_jit
+    cpu.reset(image.entry, MEMORY_MAP.stack_top)
+    if trace:
+        cpu.enable_trace()
+    cpu.run()
+    assert cpu.halted
+    return cpu
+
+
+def outcome(cpu: CpuCore):
+    return (
+        list(cpu.regs.data),
+        cpu.cycles,
+        cpu.instructions_retired,
+        None if cpu.trace is None else list(cpu.trace.raw()),
+    )
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every ``compile()`` of generated chain source, by file name,
+    from an empty memo."""
+    names: list[str] = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if str(filename).startswith("<jit-chain"):
+            names.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    reset_registry()
+    return names
+
+
+class TestSharedCode:
+    def test_second_cache_compiles_nothing(self, compiles):
+        image = link_source(ALU_LOOP_SOURCE)
+        first, second = private_cache(image), private_cache(image)
+        cpu_on(image, first)
+        # At most one compile per variant; with no wait states to
+        # charge the two observed variants render the same text.
+        compiled = len(compiles)
+        assert 1 <= compiled <= 3
+        for trace in (False, True):
+            reference = cpu_on(
+                image, private_cache(image), trace=trace, use_jit=False
+            )
+            cpu = cpu_on(image, second, trace=trace)
+            assert outcome(cpu) == outcome(reference)
+            assert cpu.jit_exec_steps > 0
+        assert len(compiles) == compiled
+        loop = image.symbol("loop")
+        for slot in ("jit_u", "jit_ot", "jit_ow"):
+            fn1 = getattr(first.block_at(loop), slot)
+            fn2 = getattr(second.block_at(loop), slot)
+            assert fn1.__code__ is fn2.__code__
+            assert fn1.__globals__ is not fn2.__globals__
+
+    @pytest.mark.parametrize(
+        "source", [ALU_LOOP_SOURCE, CALL_TAIL_SOURCE], ids=["loop", "call"]
+    )
+    def test_same_source_shares_code_not_globals(self, source):
+        image = link_source(source)
+        symbol = "loop" if source is ALU_LOOP_SOURCE else "sub"
+        chains = []
+        for _ in range(2):
+            cache = private_cache(image)
+            blocks, links = trace_chain(
+                cache, cache.block_at(image.symbol(symbol))
+            )
+            chains.append(
+                (blocks[0], jit._compile_variant(blocks, links, True, False))
+            )
+        (head1, fn1), (head2, fn2) = chains
+        assert fn1.__code__ is fn2.__code__
+        assert fn1.__globals__ is not fn2.__globals__
+        bound = [
+            name for name in fn1.__globals__
+            if name.startswith(("_fe", "_tt", "_tk", "_ft"))
+        ]
+        assert bound, sorted(fn1.__globals__)
+        if source is CALL_TAIL_SOURCE:
+            assert fn1.__globals__["_tk0"] is head1.terminator
+            assert fn2.__globals__["_tk0"] is head2.terminator
+        else:
+            assert fn1.__globals__["_fe0"] is head1.fetch_events
+            assert fn2.__globals__["_fe0"] is head2.fetch_events
+        for name in bound:
+            assert fn1.__globals__[name] == fn2.__globals__[name]
+            assert fn1.__globals__[name] is not fn2.__globals__[name]
+
+
+class TestCodeMemo:
+    def test_reset_registry_clears_the_memo(self):
+        image = link_source(ALU_LOOP_SOURCE)
+        cpu_on(image, private_cache(image))
+        assert decodecache._CODE_MEMO
+        reset_registry()
+        assert not decodecache._CODE_MEMO
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(decodecache, "_CODE_MEMO", {})
+        monkeypatch.setattr(decodecache, "_CODE_MEMO_LIMIT", 2)
+        codes = [
+            decodecache.chain_code(
+                f"def _chain(cpu, limit):\n    return {n}\n", "<t>"
+            )
+            for n in range(3)
+        ]
+        assert len(decodecache._CODE_MEMO) == 2
+        assert codes[2] is decodecache.chain_code(
+            "def _chain(cpu, limit):\n    return 2\n", "<t>"
+        )

@@ -20,6 +20,34 @@ from repro.soc.embedded import (
     es_source,
 )
 from repro.soc.memorymap import ES_ROM_BASE, MemoryMap
+from repro.soc.registers import Instance
+
+
+class TestDerivativeConstants:
+    def test_layouts_and_maps_are_built_once_per_derivative(self):
+        for d in all_derivatives():
+            assert d.memory_map() is d.memory_map()
+            assert d.register_map() is d.register_map()
+            for layout in (
+                d.nvm_layout, d.uart_layout, d.timer_layout,
+                d.intc_layout, d.gpio_layout, d.wdt_layout,
+            ):
+                assert layout() is layout()
+        first, second = SystemOnChip(SC88A), SystemOnChip(SC88A)
+        assert first.register_map is second.register_map
+        assert first.nvm.layout is second.nvm.layout
+        assert SC88A.nvm_layout() is not SC88B.nvm_layout()
+
+    def test_shared_register_map_is_read_only(self):
+        register_map = SC88C.register_map()
+        nvm = register_map.instance("NVM")
+        with pytest.raises(TypeError):
+            register_map.add(Instance("NVM2", nvm.layout, nvm.base + 0x8000))
+        with pytest.raises(TypeError):
+            register_map.instances["NVM"] = nvm
+        assert sorted(register_map.instances) == [
+            "GPIO", "INTC", "NVM", "TIMER", "UART", "WDT",
+        ]
 
 
 class TestDerivativeCatalogue:
