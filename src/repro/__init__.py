@@ -24,6 +24,33 @@ Quickstart::
     assert result.passed
 """
 
+import importlib
+import sys
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]
+
+
+def lazy_exports(package: str, origins: dict[str, str]):
+    """PEP 562 ``(__getattr__, __dir__)`` for a package whose public
+    names live in its submodules.  *origins* maps each name to the
+    submodule defining it; that submodule is imported on the name's
+    first use, so importing the package (or one submodule through it)
+    loads nothing else."""
+
+    def __getattr__(name: str):
+        submodule = origins.get(name)
+        if submodule is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        module = importlib.import_module(f"{package}.{submodule}")
+        value = getattr(module, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(origins))
+
+    return __getattr__, __dir__

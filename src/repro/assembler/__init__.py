@@ -13,77 +13,49 @@ Typical use::
     obj = asm.assemble_file("TEST_NVM_PAGE/test.asm")
     image = Linker(text_base=0x100, data_base=0x10000000).link(
         [obj, base_functions_obj, embedded_software_obj])
+
+Each public name resolves on first use (PEP 562) and imports only
+the submodule defining it: a run that links or keys cached verdicts
+never loads the assembler proper.
 """
 
-from repro.assembler.assembler import Assembler, ListingRecord
-from repro.assembler.errors import (
-    AssemblerError,
-    Diagnostics,
-    DirectiveError,
-    EncodingError,
-    ExpressionError,
-    IncludeError,
-    LexError,
-    LinkError,
-    ParseError,
-    SourceLocation,
-    SymbolError,
-)
-from repro.assembler.lexer import Token, TokenKind, tokenize_line
-from repro.assembler.linker import (
-    Linker,
-    MemoryImage,
-    PlacedSection,
-    Region,
-)
-from repro.assembler.listing import (
-    disassemble_range,
-    disassemble_word,
-    render_listing,
-)
-from repro.assembler.objectfile import (
-    ObjectFile,
-    Relocation,
-    Section,
-    Symbol,
-)
-from repro.assembler.preprocessor import (
-    FileProvider,
-    FilesystemProvider,
-    InMemoryProvider,
-    SourceStream,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Assembler",
-    "AssemblerError",
-    "Diagnostics",
-    "DirectiveError",
-    "EncodingError",
-    "ExpressionError",
-    "FileProvider",
-    "FilesystemProvider",
-    "IncludeError",
-    "InMemoryProvider",
-    "LexError",
-    "LinkError",
-    "Linker",
-    "ListingRecord",
-    "MemoryImage",
-    "ObjectFile",
-    "ParseError",
-    "PlacedSection",
-    "Region",
-    "Relocation",
-    "Section",
-    "SourceLocation",
-    "SourceStream",
-    "Symbol",
-    "SymbolError",
-    "Token",
-    "TokenKind",
-    "disassemble_range",
-    "disassemble_word",
-    "render_listing",
-    "tokenize_line",
-]
+#: Public name -> the submodule that defines it (``__all__`` order).
+_ORIGINS = {
+    "Assembler": "assembler",
+    "AssemblerError": "errors",
+    "Diagnostics": "errors",
+    "DirectiveError": "errors",
+    "EncodingError": "errors",
+    "ExpressionError": "errors",
+    "FileProvider": "preprocessor",
+    "FilesystemProvider": "preprocessor",
+    "IncludeError": "errors",
+    "InMemoryProvider": "preprocessor",
+    "LexError": "errors",
+    "LinkError": "errors",
+    "Linker": "linker",
+    "ListingRecord": "assembler",
+    "MemoryImage": "linker",
+    "ObjectFile": "objectfile",
+    "ParseError": "errors",
+    "PlacedSection": "linker",
+    "Region": "linker",
+    "Relocation": "objectfile",
+    "Section": "objectfile",
+    "SourceLocation": "errors",
+    "SourceStream": "preprocessor",
+    "Symbol": "objectfile",
+    "SymbolError": "errors",
+    "Token": "lexer",
+    "TokenKind": "lexer",
+    "disassemble_range": "listing",
+    "disassemble_word": "listing",
+    "render_listing": "listing",
+    "tokenize_line": "lexer",
+}
+
+__all__ = list(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

@@ -40,17 +40,14 @@ import sys
 from pathlib import Path
 
 from repro.core.environment import GlobalLayer
-from repro.core.porting import compare_nvm_port
 from repro.core.reporting import regression_matrix, render_table
 from repro.core.scheduler import (
     RegressionScheduler,
     ResultCache,
     matrix_digest,
 )
-from repro.core.system_env import make_default_system
 from repro.core.targets import all_targets, target as lookup_target
 from repro.core.testplan import TestPlan
-from repro.core.violations import check_environment
 from repro.core.workspace import (
     DiskBuilder,
     SYSTEM_DIR_NAME,
@@ -86,6 +83,8 @@ def _system_dir(path: str) -> Path:
 # --------------------------------------------------------------------------
 
 def cmd_init(args: argparse.Namespace) -> int:
+    from repro.core.system_env import make_default_system
+
     system = make_default_system(
         nvm_tests=args.nvm_tests, uart_tests=args.uart_tests
     )
@@ -216,6 +215,8 @@ def _stats_line(stats: dict) -> str:
 
 
 def cmd_port(args: argparse.Namespace) -> int:
+    from repro.core.porting import compare_nvm_port
+
     known = [_lookup(lookup_derivative, args.base)]
     new = _lookup(lookup_derivative, args.to)
     comparison = compare_nvm_port(args.suite, known, new)
@@ -237,6 +238,8 @@ def cmd_grep_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.core.violations import check_environment
+
     system_dir = _system_dir(args.directory)
     env = load_module_environment(system_dir / args.module)
     deriv = _lookup(lookup_derivative, args.derivative)

@@ -19,144 +19,77 @@ The pieces map one-to-one onto the paper's figures and claims:
   generation;
 - :mod:`~repro.core.coverage` / :mod:`~repro.core.testplan` — what the
   suite exercised vs what was planned.
+
+Each public name resolves on first use (PEP 562) and imports only
+the submodule defining it, so a ``regress`` loads none of the porting,
+release, CRG or coverage code it never calls.
 """
 
-from repro.core.basefuncs import generate_base_functions
-from repro.core.coverage import CoverageCollector, CoverageReport
-from repro.core.crg import (
-    DefineConstraint,
-    RandomGlobalsGenerator,
-    RandomInstance,
-    coverage_of_campaign,
-)
-from repro.core.defines import DefineEntry, GlobalDefines
-from repro.core.environment import (
-    BuildArtifacts,
-    GlobalLayer,
-    ModuleTestEnvironment,
-    TestCell,
-)
-from repro.core.metrics import (
-    EffortReport,
-    FileDiff,
-    compare_effort,
-    diff_files,
-    loc,
-)
-from repro.core.porting import (
-    PortComparison,
-    PortOutcome,
-    compare_nvm_port,
-    make_hardwired_nvm_suite,
-    port_advm_environment,
-    port_hardwired_suite,
-)
-from repro.core.regression import (
-    Divergence,
-    RegressionReport,
-    RegressionRunner,
-    quick_regression,
-)
-from repro.core.release import (
-    EnvironmentLabel,
-    FrozenEnvironment,
-    ReleaseManager,
-    SystemLabel,
-)
-from repro.core.reporting import regression_matrix, render_table
-from repro.core.system_env import (
-    IsolationViolation,
-    SystemEnvironment,
-    make_default_system,
-)
-from repro.core.targets import (
-    ALL_TARGETS,
-    Target,
-    all_targets,
-    target,
-)
-from repro.core.testplan import PlanItem, TestPlan
-from repro.core.violations import (
-    Violation,
-    ViolationKind,
-    check_cell,
-    check_environment,
-)
-from repro.core.workloads import (
-    make_datapath_environment,
-    make_nvm_environment,
-    make_register_environment,
-    make_reginit_environment,
-    make_timer_environment,
-    make_uart_environment,
-)
-from repro.core.workspace import (
-    DiskBuilder,
-    load_module_environment,
-    validate_module_tree,
-    validate_system_tree,
-    write_module_environment,
-    write_system_environment,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ALL_TARGETS",
-    "BuildArtifacts",
-    "CoverageCollector",
-    "CoverageReport",
-    "DefineConstraint",
-    "DefineEntry",
-    "DiskBuilder",
-    "Divergence",
-    "EffortReport",
-    "EnvironmentLabel",
-    "FileDiff",
-    "FrozenEnvironment",
-    "GlobalDefines",
-    "GlobalLayer",
-    "IsolationViolation",
-    "ModuleTestEnvironment",
-    "PlanItem",
-    "PortComparison",
-    "PortOutcome",
-    "RandomGlobalsGenerator",
-    "RandomInstance",
-    "RegressionReport",
-    "RegressionRunner",
-    "ReleaseManager",
-    "SystemEnvironment",
-    "SystemLabel",
-    "Target",
-    "TestCell",
-    "TestPlan",
-    "Violation",
-    "ViolationKind",
-    "all_targets",
-    "check_cell",
-    "check_environment",
-    "compare_effort",
-    "compare_nvm_port",
-    "coverage_of_campaign",
-    "diff_files",
-    "generate_base_functions",
-    "load_module_environment",
-    "loc",
-    "make_datapath_environment",
-    "make_default_system",
-    "make_hardwired_nvm_suite",
-    "make_nvm_environment",
-    "make_register_environment",
-    "make_reginit_environment",
-    "make_timer_environment",
-    "make_uart_environment",
-    "port_advm_environment",
-    "port_hardwired_suite",
-    "quick_regression",
-    "regression_matrix",
-    "render_table",
-    "target",
-    "validate_module_tree",
-    "validate_system_tree",
-    "write_module_environment",
-    "write_system_environment",
-]
+#: Public name -> the submodule that defines it (``__all__`` order).
+_ORIGINS = {
+    "ALL_TARGETS": "targets",
+    "BuildArtifacts": "environment",
+    "CoverageCollector": "coverage",
+    "CoverageReport": "coverage",
+    "DefineConstraint": "crg",
+    "DefineEntry": "defines",
+    "DiskBuilder": "workspace",
+    "Divergence": "regression",
+    "EffortReport": "metrics",
+    "EnvironmentLabel": "release",
+    "FileDiff": "metrics",
+    "FrozenEnvironment": "release",
+    "GlobalDefines": "defines",
+    "GlobalLayer": "environment",
+    "IsolationViolation": "system_env",
+    "ModuleTestEnvironment": "environment",
+    "PlanItem": "testplan",
+    "PortComparison": "porting",
+    "PortOutcome": "porting",
+    "RandomGlobalsGenerator": "crg",
+    "RandomInstance": "crg",
+    "RegressionReport": "regression",
+    "RegressionRunner": "regression",
+    "ReleaseManager": "release",
+    "SystemEnvironment": "system_env",
+    "SystemLabel": "release",
+    "Target": "targets",
+    "TestCell": "environment",
+    "TestPlan": "testplan",
+    "Violation": "violations",
+    "ViolationKind": "violations",
+    "all_targets": "targets",
+    "check_cell": "violations",
+    "check_environment": "violations",
+    "compare_effort": "metrics",
+    "compare_nvm_port": "porting",
+    "coverage_of_campaign": "crg",
+    "diff_files": "metrics",
+    "generate_base_functions": "basefuncs",
+    "load_module_environment": "workspace",
+    "loc": "metrics",
+    "make_datapath_environment": "workloads",
+    "make_default_system": "system_env",
+    "make_hardwired_nvm_suite": "porting",
+    "make_nvm_environment": "workloads",
+    "make_register_environment": "workloads",
+    "make_reginit_environment": "workloads",
+    "make_timer_environment": "workloads",
+    "make_uart_environment": "workloads",
+    "port_advm_environment": "porting",
+    "port_hardwired_suite": "porting",
+    "quick_regression": "regression",
+    "regression_matrix": "reporting",
+    "render_table": "reporting",
+    "target": "targets",
+    "validate_module_tree": "workspace",
+    "validate_system_tree": "workspace",
+    "write_module_environment": "workspace",
+    "write_system_environment": "workspace",
+}
+
+__all__ = list(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

@@ -5,7 +5,8 @@ journal all keep regression state on disk under the same rules, and
 this module is the only place they are written:
 
 - :func:`seal`/:func:`unseal` — the ``{"schema", "checksum",
-  "payload"}`` JSON envelope with a SHA-256 over the payload text;
+  "payload"}`` JSON envelope with a SHA-256 over the payload text
+  (:func:`unseal_text` returns that verified text itself);
 - :func:`atomic_write` — a unique temp file renamed (or, exclusive,
   hard-linked) into place, so no reader ever sees a torn file;
 - :func:`quarantine_aside` — a file that fails verification is renamed
@@ -53,9 +54,9 @@ def seal(schema: int, text: str) -> bytes:
     return json.dumps(body).encode()
 
 
-def unseal(raw: bytes, schema: int):
-    """The JSON-decoded payload of the envelope *raw*; raises
-    :class:`ValueError` unless *raw* is an intact envelope of
+def unseal_text(raw: bytes, schema: int) -> str:
+    """The payload text of the envelope *raw*, checksum verified;
+    raises :class:`ValueError` unless *raw* is an intact envelope of
     *schema*."""
     try:
         body = json.loads(raw)
@@ -66,7 +67,13 @@ def unseal(raw: bytes, schema: int):
             raise ValueError("envelope checksum mismatch")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed envelope: {exc!r}") from None
-    return json.loads(text)
+    return text
+
+
+def unseal(raw: bytes, schema: int):
+    """The JSON-decoded payload of the envelope *raw* (see
+    :func:`unseal_text`)."""
+    return json.loads(unseal_text(raw, schema))
 
 
 def atomic_write(

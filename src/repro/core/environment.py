@@ -29,7 +29,7 @@ import posixpath
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.assembler.assembler import Assembler
+from repro import assembler as toolchain
 from repro.assembler.linker import Linker, MemoryImage
 from repro.assembler.objectfile import ObjectFile
 from repro.assembler.preprocessor import InMemoryProvider
@@ -206,7 +206,7 @@ class GlobalLayer:
         (derivative, target).  The libraries include nothing (they are
         upstream of every module's ``Globals.inc``), so they assemble
         against themselves alone."""
-        assembler = Assembler(
+        assembler = toolchain.Assembler(
             provider=InMemoryProvider(self.library_files()),
             predefines={derivative.predefine: 1, tgt.predefine: 1},
         )
@@ -431,7 +431,7 @@ class ModuleTestEnvironment:
         violation checker, which must inspect objects that may not even
         link cleanly)."""
         cell = self.cell(cell_name)
-        assembler = Assembler(
+        assembler = toolchain.Assembler(
             provider=self._provider(),
             predefines=self._predefines(derivative, tgt),
         )
@@ -517,7 +517,7 @@ class ModuleTestEnvironment:
             if cached is not None:
                 return cached
 
-        assembler = Assembler(
+        assembler = toolchain.Assembler(
             provider=InMemoryProvider(files),
             predefines=self._predefines(derivative, tgt),
         )

@@ -76,7 +76,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.assembler.linker import MemoryImage
-from repro.core.durable import DurableFiles, content_key, seal, unseal
+from repro.core.durable import (
+    DurableFiles,
+    content_key,
+    seal,
+    unseal,
+    unseal_text,
+)
 from repro.core.environment import ModuleTestEnvironment
 from repro.core.faults import (
     FaultInjector,
@@ -95,7 +101,7 @@ from repro.platforms.base import (
     RunResult,
     RunStatus,
 )
-from repro.platforms.cpu import TraceEntry
+from repro.platforms.cpu import InstructionTrace
 from repro.platforms.session import ExecutionSession
 from repro.soc.derivatives import Derivative
 
@@ -161,10 +167,7 @@ def result_to_payload(result: RunResult) -> dict:
         "trace": (
             None
             if result.trace is None
-            else [
-                [t.pc, t.opcode, t.mnemonic, t.cycles]
-                for t in result.trace
-            ]
+            else [list(event) for event in result.trace.raw()]
         ),
         "registers": result.registers,
     }
@@ -184,11 +187,7 @@ def result_from_payload(payload: dict) -> RunResult:
         done_pin=payload["done_pin"],
         pass_pin=payload["pass_pin"],
         fault_reason=payload["fault_reason"],
-        trace=(
-            None
-            if trace is None
-            else [TraceEntry(pc, op, mn, cy) for pc, op, mn, cy in trace]
-        ),
+        trace=None if trace is None else InstructionTrace.from_raw(trace),
         registers=payload["registers"],
     )
 
@@ -199,15 +198,27 @@ def matrix_digest(report: RegressionReport) -> str:
 
     The payload is the result cache's own serialisation, so a verdict
     read back from the cache or adopted from a fleet peer hashes exactly
-    like the freshly executed one."""
+    like the freshly executed one.  Each line is the ``sort_keys`` JSON
+    of ``[*key, payload]``, built as the key's JSON list, then the
+    payload's text, then the closing bracket; the text is the one the
+    cache sealed or verified (``RunResult.payload_text``) when there is
+    one, so a re-regression encodes only the verdicts it executed."""
     digest = hashlib.sha256()
     for key in sorted(report.results):
-        entry = [*key, result_to_payload(report.results[key])]
-        # A fresh payload cannot be cyclic; skipping the check saves
-        # a quarter of the encoding time.
-        text = json.dumps(entry, sort_keys=True, check_circular=False)
+        result = report.results[key]
+        text = result.payload_text
+        if text is None:
+            # A fresh payload cannot be cyclic; skipping the check
+            # saves a quarter of the encoding time.
+            text = json.dumps(
+                result_to_payload(result),
+                sort_keys=True,
+                check_circular=False,
+            )
+        digest.update(json.dumps(list(key))[:-1].encode())
+        digest.update(b", ")
         digest.update(text.encode())
-        digest.update(b"\n")
+        digest.update(b"]\n")
     return digest.hexdigest()
 
 
@@ -327,8 +338,9 @@ class ResultCache(DurableFiles):
     def put(self, key: str, result: RunResult) -> bool:
         if self.disabled:
             return False
-        payload_text = json.dumps(result_to_payload(result), sort_keys=True)
-        data = seal(CACHE_SCHEMA, payload_text)
+        text = json.dumps(result_to_payload(result), sort_keys=True)
+        result.payload_text = text
+        data = seal(CACHE_SCHEMA, text)
         return bool(self.write_file(self._path(key), key, data))
 
     # -- build index -------------------------------------------------------
@@ -370,7 +382,10 @@ class ResultCache(DurableFiles):
 
 
 def _decode_result(raw: bytes) -> RunResult:
-    return result_from_payload(unseal(raw, CACHE_SCHEMA))
+    text = unseal_text(raw, CACHE_SCHEMA)
+    result = result_from_payload(json.loads(text))
+    result.payload_text = text
+    return result
 
 
 def _decode_index(raw: bytes) -> dict[str, tuple[str, str]]:

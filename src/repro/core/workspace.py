@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.assembler.assembler import Assembler
+from repro import assembler as toolchain
 from repro.assembler.linker import Linker, MemoryImage
 from repro.assembler.preprocessor import FilesystemProvider
 from repro.core.environment import (
@@ -43,11 +44,13 @@ from repro.core.environment import (
     ModuleTestEnvironment,
     TestCell,
 )
-from repro.core.system_env import SystemEnvironment
 from repro.core.targets import Target
 from repro.core.testplan import TestPlan
 from repro.soc.derivatives import Derivative
 from repro.soc.embedded import assemble_embedded_software
+
+if TYPE_CHECKING:
+    from repro.core.system_env import SystemEnvironment
 
 ABSTRACTION_DIR = "Abstraction_Layer"
 TESTPLAN_FILE = "TESTPLAN.TXT"
@@ -268,7 +271,7 @@ class DiskBuilder:
         provider = FilesystemProvider(
             include_paths=[str(abstraction_dir), str(libraries_dir)]
         )
-        assembler = Assembler(
+        assembler = toolchain.Assembler(
             provider=provider,
             predefines={derivative.predefine: 1, tgt.predefine: 1},
         )

@@ -259,6 +259,10 @@ DecodedInstruction.__setstate__ = _unrolled_setstate(
 # costs the extra cycle.  They are rendered from ``isa/semantics.py``
 # (operands read off ``e``) and compiled together on first use — the
 # first decode or the first artifact-store unpickle, never at import.
+# With an artifact store installed the compiled table is loaded from it
+# (keyed by the source's SHA-256 and the interpreter's cache tag) and
+# compiled, then saved, only on a miss: one marshal load per process
+# instead of one ``compile()``.
 # They are defined into this module's namespace, so a pickled entry's
 # ``exec`` resolves as ``repro.isa.decodecache._x_<opcode>`` through
 # :func:`__getattr__`.  None of them consult ``alu_fault_hook``; the
@@ -277,13 +281,15 @@ def _executors() -> dict[int, Callable]:
         if _EXECUTORS is None:
             from repro.isa import semantics
 
+            source = semantics.executor_source()
+            store = _ARTIFACT_STORE
+            code = None if store is None else store.load_code(source)
+            if code is None:
+                code = compile(source, "<opcode executors>", "exec")
+                if store is not None:
+                    store.save_code(source, code)
             namespace = globals()
-            exec(
-                compile(
-                    semantics.executor_source(), "<opcode executors>", "exec"
-                ),
-                namespace,
-            )
+            exec(code, namespace)
             _EXECUTORS = {
                 int(op): namespace[semantics.executor_name(op)]
                 for op in Opcode
@@ -334,6 +340,14 @@ _SB_MAX_BODY = 64
 
 _DJNZ_OPCODE = int(Opcode.DJNZ)
 _JUMP_TAKEN_EXTRA = 1
+
+#: Block executions before a chain is compiled from that head.  Counted
+#: per superblock in the JIT-enabled loops (``sb.heat``); one compile is
+#: attempted exactly when the counter *equals* the threshold, so heads
+#: the builder declines (spins, cold junk) are never retried.  Defined
+#: here, not in ``isa/jit.py``, so the core can test it without loading
+#: the JIT before a block first gets hot.
+JIT_THRESHOLD = 16
 
 
 class Superblock:
@@ -404,8 +418,9 @@ class Superblock:
         self.succ_taken: Superblock | None = None
         self.succ_fall: Superblock | None = None
         #: JIT hotness counter and compiled-chain variant slots (set by
-        #: ``isa/jit.py`` when a chain headed here crosses the replay
-        #: threshold): unobserved, observed, observed + wait-charging.
+        #: ``isa/jit.py`` when a chain headed here reaches
+        #: :data:`JIT_THRESHOLD`): unobserved, observed, observed +
+        #: wait-charging.
         self.heat = 0
         self.jit_u = None
         self.jit_ot = None
@@ -784,12 +799,15 @@ def chain_code(source: str, filename: str) -> types.CodeType:
 
 
 #: Optional persistent artifact store (duck-typed:
-#: ``load_decode_cache(key) -> DecodeCache | None`` and
-#: ``save_decode_cache(key, cache) -> bool``, both non-raising) that
-#: :func:`decode_cache_for` consults on a registry miss, so a fresh
-#: process warm-starts from disk instead of re-paying predecode and
-#: superblock formation.  Installed by the CLI/daemon via
-#: :func:`set_artifact_store`; ``None`` keeps the registry pure-memory.
+#: ``load_decode_cache(key) -> DecodeCache | None``,
+#: ``save_decode_cache(key, cache) -> bool``, ``load_code(source) ->
+#: CodeType | None`` and ``save_code(source, code) -> bool``, all
+#: non-raising) that :func:`decode_cache_for` consults on a registry
+#: miss, so a fresh process warm-starts from disk instead of re-paying
+#: predecode and superblock formation, and that :func:`_executors`
+#: loads the compiled executor table from.  Installed by the CLI/daemon
+#: via :func:`set_artifact_store`; ``None`` keeps the registry
+#: pure-memory.
 _ARTIFACT_STORE = None
 
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 import types
 
 from repro.isa.decodecache import (
+    JIT_THRESHOLD,  # defined beside the heat counter it governs
     DecodeCache,
     DecodedInstruction,
     Superblock,
@@ -71,12 +72,6 @@ from repro.isa.decodecache import (
 from repro.isa.instructions import Opcode
 from repro.soc.bus import BusError
 from repro.soc.memorymap import TRAP_BUS_ERROR
-
-#: Block executions before a chain is compiled from that head.  Counted
-#: per superblock in the JIT-enabled loops (``sb.heat``); one compile is
-#: attempted exactly when the counter *equals* the threshold, so heads
-#: the builder declines (spins, cold junk) are never retried.
-JIT_THRESHOLD = 16
 
 #: Chain length cap: bounds generated-source size and compile latency.
 JIT_MAX_BLOCKS = 16

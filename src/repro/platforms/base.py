@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.assembler.linker import MemoryImage
-from repro.platforms.cpu import CpuCore, CpuFault, InstructionTrace, TraceEntry
+from repro.platforms.cpu import CpuCore, CpuFault, InstructionTrace
 from repro.soc.bus import BusTrace
 from repro.soc.derivatives import Derivative
 from repro.soc.device import FAIL_MAGIC, PASS_MAGIC, SystemOnChip
@@ -64,11 +64,19 @@ class RunResult:
     pass_pin: int | None = None
     fault_reason: str | None = None
     #: Retired-instruction log where trace visibility exists: the live
-    #: ``InstructionTrace`` from a run, or a ``list[TraceEntry]`` when
+    #: ``InstructionTrace`` from a run, or one over the cached rows when
     #: rehydrated from the result cache.
-    trace: InstructionTrace | list[TraceEntry] | None = None
+    trace: InstructionTrace | None = None
     #: Register snapshot, where a debug port exists.
     registers: dict[str, int] | None = None
+    #: This verdict's result-cache JSON text, when the cache has already
+    #: sealed (stored) or verified (read back) it, so the matrix digest
+    #: hashes that text instead of encoding the verdict again.  Not part
+    #: of the verdict: no constructor argument (``dataclasses.replace``
+    #: never carries it to a changed copy), no comparison, no ``repr``.
+    payload_text: str | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def passed(self) -> bool:

@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable
 
-from repro.isa.decodecache import BASE_CYCLES, DecodeCache
+from repro.isa.decodecache import (
+    BASE_CYCLES,
+    JIT_THRESHOLD as _JIT_THRESHOLD,
+    DecodeCache,
+)
 from repro.isa.encoding import decode_word, opcode_of, sign_extend_16
 from repro.isa.instructions import Opcode, lookup_opcode
-from repro.isa.jit import (
-    JIT_THRESHOLD as _JIT_THRESHOLD,
-    compile_chain as _jit_compile_chain,
-)
 from repro.isa.registers import RegisterFile, WORD_MASK
 from repro.soc.bus import (
     Bus,
@@ -50,6 +50,15 @@ from repro.soc.memorymap import (
     VECTOR_COUNT,
 )
 from repro.soc.peripherals.intc import InterruptController
+
+
+def _jit_compile_chain(cache, head, core) -> bool:
+    """:func:`repro.isa.jit.compile_chain`, imported when the first
+    block gets hot: a run that never reaches the threshold never loads
+    the JIT."""
+    from repro.isa.jit import compile_chain
+
+    return compile_chain(cache, head, core)
 
 
 class CpuFault(Exception):
@@ -84,6 +93,15 @@ class InstructionTrace:
     def __init__(self, limit: int = 100_000):
         self._events: list[tuple[int, int, str, int]] = []
         self._limit = limit
+
+    @classmethod
+    def from_raw(cls, rows: list) -> "InstructionTrace":
+        """A full trace over already-recorded ``(pc, opcode, mnemonic,
+        cycles)`` *rows* (such as a cached verdict's JSON lists), each
+        made a tuple: no per-row object until a consumer asks for one."""
+        trace = cls(limit=len(rows))
+        trace._events = list(map(tuple, rows))
+        return trace
 
     def record(self, pc: int, opcode: int, mnemonic: str, cycles: int) -> None:
         if len(self._events) < self._limit:
@@ -123,6 +141,11 @@ class InstructionTrace:
 
     def __len__(self) -> int:
         return len(self._events)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, InstructionTrace):
+            return self._events == other._events
+        return NotImplemented
 
     def __iter__(self):
         for event in self._events:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.assembler.assembler import Assembler
-from repro.assembler.objectfile import ObjectFile
+from repro import assembler as toolchain
 from repro.soc.memorymap import ES_ROM_BASE
 
 
@@ -114,15 +113,15 @@ ES_Checksum_loop:
 
 
 def assemble_embedded_software(
-    version: int, assembler: Assembler | None = None
-) -> ObjectFile:
+    version: int, assembler: toolchain.Assembler | None = None
+) -> toolchain.ObjectFile:
     """Assemble the embedded-software ROM object for *version*.
 
     The object's ``estext`` section carries ``.ORG`` at the fixed ES ROM
     base, so linking it with any test image places the firmware exactly
     where real silicon would have it.
     """
-    asm = assembler or Assembler()
+    asm = assembler or toolchain.Assembler()
     return asm.assemble_source(
         es_source(version), name=f"Embedded_Software_v{version}.asm"
     )

@@ -42,13 +42,15 @@ interpreter-specific, so the snapshot carries
 ``sys.implementation.cache_tag``; on any mismatch — or any per-head
 restore failure — the head falls back to the eager
 :func:`~repro.isa.jit.compile_chain` path.  Every other block's
-persisted heat is clamped below :data:`~repro.isa.jit.JIT_THRESHOLD`
-(the trigger fires on exact equality, so restoring a past-threshold
-heat would permanently disable recompilation for that head).
+persisted heat is clamped below
+:data:`~repro.isa.decodecache.JIT_THRESHOLD` (the trigger fires on
+exact equality, so restoring a past-threshold heat would permanently
+disable recompilation for that head).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import marshal
 import pickle
@@ -60,13 +62,13 @@ from pathlib import Path
 from repro.core.durable import DurableFiles, checksum, content_key
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
 from repro.isa import decodecache as _decodecache
-from repro.isa.decodecache import DecodeCache
-from repro.isa.jit import JIT_THRESHOLD, compile_chain
+from repro.isa.decodecache import JIT_THRESHOLD, DecodeCache
 
 #: Bump when the snapshot payload or envelope changes incompatibly.
 STORE_SCHEMA = 1
 
 _KIND_DECODE = "decode"
+_KIND_CODE = "code"
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +189,10 @@ def restore_decode_cache(payload: bytes) -> DecodeCache:
         if _bind_marshalled_chain(head, jit_code.get(pc)):
             cache.jit_chains += 1
             head.heat = JIT_THRESHOLD
-        elif compile_chain(cache, head):
+            continue
+        from repro.isa.jit import compile_chain
+
+        if compile_chain(cache, head):
             head.heat = JIT_THRESHOLD
     return cache
 
@@ -203,8 +208,28 @@ def _cache_stamp(cache: DecodeCache) -> tuple[int, int, int]:
 # the store
 # --------------------------------------------------------------------------
 
+def code_key(source: str) -> tuple[str, str, str]:
+    """The key of the code object compiled from *source*: the source's
+    SHA-256, this interpreter's ``cache_tag`` and its bytecode magic
+    number (what PEP 3147 checks a ``.pyc`` by: pre-release or patched
+    interpreters can share a tag but not a bytecode format).  Marshalled
+    code is interpreter-specific, so another interpreter's artifact is a
+    different key — a miss, never corruption."""
+    return (
+        checksum(source.encode()),
+        sys.implementation.cache_tag,
+        importlib.util.MAGIC_NUMBER.hex(),
+    )
+
+
 class ArtifactStore(DurableFiles):
-    """Content-addressed, checksummed, prunable artifact directory."""
+    """Content-addressed, checksummed, prunable artifact directory.
+
+    Two kinds of artifact share its rules: decode-cache snapshots
+    (``decode-*``, counted in ``hits``/``saved``/``unchanged``) and
+    compiled code objects (``code-*``, counted in ``code_hits``/
+    ``code_saved``) — the opcode executor table, whose ``compile()``
+    every executing process would otherwise repeat."""
 
     read_site = SITE_STORE_READ
     write_site = SITE_STORE_WRITE
@@ -217,6 +242,11 @@ class ArtifactStore(DurableFiles):
         #: Saves skipped because the stamp says the snapshot on disk is
         #: already current.
         self.unchanged = 0
+        self.code_hits = 0
+        self.code_saved = 0
+        #: registry key -> its file stem (a SHA-256, computed once per
+        #: key: a warm daemon checks every key after every pack).
+        self._stems: dict[tuple, str] = {}
         #: file stem -> stamp of the snapshot known to be on disk.
         self._stamps: dict[str, tuple] = {}
 
@@ -225,8 +255,30 @@ class ArtifactStore(DurableFiles):
     def _stem(kind: str, key: tuple) -> str:
         return f"{kind}-{content_key(*key)}"
 
+    def _decode_stem(self, key: tuple) -> str:
+        stem = self._stems.get(key)
+        if stem is None:
+            stem = self._stems[key] = self._stem(_KIND_DECODE, key)
+        return stem
+
     def _path(self, stem: str) -> Path:
         return self.directory / f"{stem}{self.suffix}"
+
+    def _write(self, kind: str, key: tuple, stem: str, payload: bytes):
+        """Write one artifact: the checksummed JSON header line, then
+        *payload*.  :meth:`write_file`'s result."""
+        header = json.dumps(
+            {
+                "schema": STORE_SCHEMA,
+                "kind": kind,
+                "key": list(key),
+                "checksum": checksum(payload),
+            },
+            sort_keys=True,
+        ).encode()
+        return self.write_file(
+            self._path(stem), stem, header + b"\n" + payload
+        )
 
     # -- decode-cache artifacts --------------------------------------------
     def save_decode_cache(self, key: tuple, cache: DecodeCache) -> bool:
@@ -237,7 +289,7 @@ class ArtifactStore(DurableFiles):
             return False
         if not cache._entries and not cache._blocks:
             return False
-        stem = self._stem(_KIND_DECODE, key)
+        stem = self._decode_stem(key)
         stamp = _cache_stamp(cache)
         if self._stamps.get(stem) == stamp:
             self.unchanged += 1
@@ -247,18 +299,7 @@ class ArtifactStore(DurableFiles):
         except Exception:
             self.write_errors += 1
             return False
-        header = json.dumps(
-            {
-                "schema": STORE_SCHEMA,
-                "kind": _KIND_DECODE,
-                "key": list(key),
-                "checksum": checksum(payload),
-            },
-            sort_keys=True,
-        ).encode()
-        if not self.write_file(
-            self._path(stem), stem, header + b"\n" + payload
-        ):
+        if not self._write(_KIND_DECODE, key, stem, payload):
             return False
         self._stamps[stem] = stamp
         self.saved += 1
@@ -269,7 +310,7 @@ class ArtifactStore(DurableFiles):
         corruption).  Never raises."""
         if self.disabled:
             return None
-        stem = self._stem(_KIND_DECODE, key)
+        stem = self._decode_stem(key)
         path = self._path(stem)
         if not path.exists():
             self.misses += 1
@@ -303,6 +344,34 @@ class ArtifactStore(DurableFiles):
             installed += 1
         return installed
 
+    # -- compiled-code artifacts -------------------------------------------
+    def load_code(self, source: str) -> types.CodeType | None:
+        """This interpreter's code object compiled from *source*, or
+        ``None`` (miss or counted corruption).  Never raises."""
+        if self.disabled:
+            return None
+        key = code_key(source)
+        stem = self._stem(_KIND_CODE, key)
+        path = self._path(stem)
+        if not path.exists():
+            return None
+        code = self.read_file(path, stem, lambda raw: _code_artifact(raw, key))
+        if code is not None:
+            self.code_hits += 1
+        return code
+
+    def save_code(self, source: str, code: types.CodeType) -> bool:
+        """Persist *code*, compiled from *source*; returns whether a
+        file was written."""
+        if self.disabled:
+            return False
+        key = code_key(source)
+        stem = self._stem(_KIND_CODE, key)
+        if not self._write(_KIND_CODE, key, stem, marshal.dumps(code)):
+            return False
+        self.code_saved += 1
+        return True
+
     # -- maintenance -------------------------------------------------------
     def _remove(self, path: Path) -> int:
         self._stamps.pop(path.name.removesuffix(self.suffix), None)
@@ -314,26 +383,45 @@ class ArtifactStore(DurableFiles):
             "hits": self.hits,
             "saved": self.saved,
             "unchanged": self.unchanged,
+            "code_hits": self.code_hits,
+            "code_saved": self.code_saved,
         }
+
+
+def _verified_payload(raw: bytes, kind: str, key: tuple | None) -> tuple:
+    """``(header key, payload)`` of one artifact file of *kind*.  Raises
+    on any mismatch, including a header key that disagrees with *key*:
+    a content-addressed name that disagrees with its own header is
+    corruption by definition."""
+    header_line, payload = raw.split(b"\n", 1)
+    header = json.loads(header_line)
+    if header["schema"] != STORE_SCHEMA:
+        raise ValueError("artifact schema mismatch")
+    if header["kind"] != kind:
+        raise ValueError("artifact kind mismatch")
+    if checksum(payload) != header["checksum"]:
+        raise ValueError("artifact checksum mismatch")
+    stored = tuple(header.get("key", ()))
+    if key not in (None, stored):
+        raise ValueError("artifact key mismatch")
+    return stored, payload
 
 
 def _decode_artifact(
     raw: bytes, key: tuple | None = None
 ) -> tuple[tuple, DecodeCache]:
-    """Verify one artifact file and restore its cache; returns
-    ``(registry key, cache)``.  Raises on any mismatch, including a
-    header key that disagrees with *key* (or, without one, is not a
-    registry key): a content-addressed name that disagrees with its own
-    header is corruption by definition."""
-    header_line, payload = raw.split(b"\n", 1)
-    header = json.loads(header_line)
-    if header["schema"] != STORE_SCHEMA:
-        raise ValueError("artifact schema mismatch")
-    if header["kind"] != _KIND_DECODE:
-        raise ValueError("artifact kind mismatch")
-    if checksum(payload) != header["checksum"]:
-        raise ValueError("artifact checksum mismatch")
-    stored = tuple(header.get("key", ()))
-    if len(stored) != 4 or key not in (None, stored):
+    """Verify one decode artifact and restore its cache; returns
+    ``(registry key, cache)``.  Without *key* the header's own key must
+    still be a registry key."""
+    stored, payload = _verified_payload(raw, _KIND_DECODE, key)
+    if len(stored) != 4:
         raise ValueError("artifact key mismatch")
     return stored, restore_decode_cache(payload)
+
+
+def _code_artifact(raw: bytes, key: tuple) -> types.CodeType:
+    """Verify one code artifact; returns its code object."""
+    code = marshal.loads(_verified_payload(raw, _KIND_CODE, key)[1])
+    if not isinstance(code, types.CodeType):
+        raise ValueError("artifact is not a code object")
+    return code

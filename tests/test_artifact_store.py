@@ -13,11 +13,15 @@ warm-start claim.
 from __future__ import annotations
 
 import builtins
+import importlib.util
 import json
 import os
+import shutil
+import subprocess
 import sys
 import threading
 import types
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,8 @@ from repro.platforms.cpu import CpuCore
 from repro.soc.derivatives import SC88A, derivative as lookup_derivative
 from repro.soc.device import SystemOnChip
 from repro.store import ArtifactStore, restore_decode_cache, snapshot_decode_cache
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -491,3 +497,193 @@ class TestRegistry:
             "registry_size": 0,
             "registry_evictions": 0,
         }
+
+    def test_unchanged_persist_hashes_no_key(self, tmp_path, matrix,
+                                            monkeypatch):
+        """A warm daemon persists after every pack: once a key's file
+        is known, an unchanged check is a dict lookup and a stamp
+        compare, with no SHA-256 of the key."""
+        from repro.store import artifacts
+
+        store = ArtifactStore(tmp_path)
+        reset_registry()
+        warm_and_persist(matrix, store)
+        keys = len(decodecache._REGISTRY)
+        hashed = []
+        real = artifacts.content_key
+        monkeypatch.setattr(
+            artifacts, "content_key",
+            lambda *parts: hashed.append(parts) or real(*parts),
+        )
+        assert decodecache.persist_registry() == 0
+        assert store.unchanged == keys
+        assert hashed == []
+
+    def test_misnamed_snapshot_is_resaved_under_its_own_name(
+        self, tmp_path, matrix
+    ):
+        """Booting from a snapshot filed under another name must not
+        make later saves of its key target that name."""
+        store = ArtifactStore(tmp_path)
+        reset_registry()
+        warm_and_persist(matrix, store)
+        key = next(iter(decodecache._REGISTRY))
+        right = store._path(store._stem("decode", key))
+        wrong = store._path("decode-" + "0" * 64)
+        os.replace(right, wrong)
+        reset_registry()
+        booted = ArtifactStore(tmp_path)
+        assert booted.warm_registry() == len(list(tmp_path.glob("decode-*")))
+        assert booted.save_decode_cache(key, decodecache._REGISTRY[key])
+        assert right.exists() and wrong.exists()
+        assert booted.load_decode_cache(key) is not None
+
+
+# --------------------------------------------------------------------------
+# the compiled opcode-executor table: loaded from the store, not compiled
+# --------------------------------------------------------------------------
+
+#: Builds the executor table in a fresh process with a store under
+#: ``sys.argv[1]`` installed; prints the ``compile()`` calls of the
+#: executor source and the store's counters.
+EXECUTOR_PROBE = """\
+import builtins, json, sys
+from repro.isa import decodecache
+from repro.store import ArtifactStore
+
+compiled = []
+real_compile = builtins.compile
+
+
+def counting_compile(source, filename, *args, **kwargs):
+    if filename == "<opcode executors>":
+        compiled.append(filename)
+    return real_compile(source, filename, *args, **kwargs)
+
+
+builtins.compile = counting_compile
+store = ArtifactStore(sys.argv[1])
+decodecache.set_artifact_store(store)
+table = decodecache.EXECUTORS
+assert len(table) == len(set(table)) > 0
+print(json.dumps({"compiles": len(compiled), **store.stats()}))
+"""
+
+
+def probe_executors(store_dir) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", EXECUTOR_PROBE, str(store_dir)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def regress(workspace, store_dir) -> dict[str, str]:
+    """``advm regress --store-dir --engine-stats`` in a fresh process:
+    its ``engine-stats:``, ``matrix-digest:`` and ``store-stats:``
+    lines by name."""
+    out = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "regress", str(workspace),
+            "--store-dir", str(store_dir), "--engine-stats",
+        ],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return dict(
+        line.split(": ", 1)
+        for line in out.splitlines()
+        if line.startswith(("engine-stats:", "matrix-digest:", "store-stats:"))
+    )
+
+
+def store_counters(lines: dict[str, str]) -> dict[str, int]:
+    return {
+        key: int(value)
+        for key, value in (
+            pair.split("=") for pair in lines["store-stats"].split()
+        )
+    }
+
+
+class TestExecutorArtifact:
+    def test_second_process_loads_and_compiles_nothing(self, tmp_path):
+        cold = probe_executors(tmp_path)
+        assert cold["compiles"] == 1
+        assert (cold["code_saved"], cold["code_hits"]) == (1, 0)
+        assert len(list(tmp_path.glob("code-*.art"))) == 1
+        warm = probe_executors(tmp_path)
+        assert warm["compiles"] == 0
+        assert (warm["code_saved"], warm["code_hits"]) == (0, 1)
+        assert warm["corrupt"] == 0
+
+    def test_rotted_artifact_is_quarantined_and_recompiled(self, tmp_path):
+        """Rot in the executor artifact is counted, set aside and
+        recompiled; the matrix then runs exactly as from an intact
+        copy of the same store."""
+        workspace = write_system_environment(
+            make_default_system(nvm_tests=1, uart_tests=1), tmp_path / "ws"
+        )
+        rotted, intact = tmp_path / "rotted", tmp_path / "intact"
+        regress(workspace, rotted)
+        shutil.copytree(rotted, intact)
+        (artifact,) = (rotted / "artifacts").glob("code-*.art")
+        TestCorruption().corrupt_file(artifact)
+
+        healed = regress(workspace, rotted)
+        control = regress(workspace, intact)
+        assert healed["engine-stats"] == control["engine-stats"]
+        assert healed["matrix-digest"] == control["matrix-digest"]
+        counters = store_counters(healed)
+        assert counters["corrupt"] == counters["quarantined"] == 1
+        assert (counters["code_hits"], counters["code_saved"]) == (0, 1)
+        counters = store_counters(control)
+        assert (counters["corrupt"], counters["code_hits"]) == (0, 1)
+        assert counters["code_saved"] == 0
+        assert len(list((rotted / "artifacts").glob("*.corrupt"))) == 1
+        assert probe_executors(rotted / "artifacts")["compiles"] == 0
+
+    @pytest.mark.parametrize(
+        "target, name, value",
+        [
+            (sys.implementation, "cache_tag", "other-0"),
+            (importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n"),
+        ],
+        ids=["cache_tag", "magic_number"],
+    )
+    def test_other_interpreter_artifact_is_a_miss(self, tmp_path,
+                                                  monkeypatch, target,
+                                                  name, value):
+        source = "def probe():\n    return 1\n"
+        code = compile(source, "<probe>", "exec")
+        store = ArtifactStore(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, value)
+            assert store.save_code(source, code)
+            assert store.load_code(source) is not None
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load_code(source) is None
+        stats = fresh.stats()
+        assert (stats["code_hits"], stats["corrupt"]) == (0, 0)
+        assert stats["quarantined"] == 0
+        assert len(list(tmp_path.glob("code-*.art"))) == 1
+        assert fresh.save_code(source, code)
+        assert ArtifactStore(tmp_path).load_code(source) is not None
+
+    def test_header_key_mismatch_is_corruption(self, tmp_path):
+        """A valid code artifact squatting under another source's
+        content address is corruption, not a hit."""
+        store = ArtifactStore(tmp_path)
+        first, second = "x = 1\n", "x = 2\n"
+        assert store.save_code(first, compile(first, "<probe>", "exec"))
+        (path,) = tmp_path.glob("code-*.art")
+        from repro.store.artifacts import code_key
+
+        os.replace(path, store._path(store._stem("code", code_key(second))))
+        assert store.load_code(second) is None
+        assert (store.corrupt, store.quarantined) == (1, 1)

@@ -21,6 +21,11 @@ directed-test cells out of snippets that cover the whole engine surface:
   RAM, a half/byte SFR access (SFRs need word access), or a ``TRAP``
   to a returning, ending, unhandled or out-of-range vector;
 - EI/DI/WRPSW with the timer interrupt armed;
+- the cell's own vector table: the global layer links none, each cell
+  writes all 32 entries and points up to three of them (fault traps,
+  interrupt lines, software traps) at handlers in its own code, in ROM
+  or in RAM, that acknowledge, count their entry and return or halt;
+  mid-program ``TRAP`` instructions then dispatch through them;
 - ``DJNZ`` loops of 1–200 iterations, so hot chains get compiled, and
   idle spins, so the fast-forward warps fire;
 - a RAM-resident code fragment, optionally patched before it runs.
@@ -42,12 +47,28 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.environment import ModuleTestEnvironment, TestCell
+from repro.core.environment import GlobalLayer, ModuleTestEnvironment, TestCell
+from repro.core.globals_layer import NVM_VECTOR, TIMER_VECTOR
 from repro.core.scheduler import result_to_payload
 from repro.core.targets import target
 from repro.isa.instructions import Opcode
 from repro.platforms import ExecutionSession, RunStatus
 from repro.soc.derivatives import SC88A
+from repro.soc.memorymap import (
+    IRQ_VECTOR_BASE,
+    TRAP_BUS_ERROR,
+    TRAP_DIV_ZERO,
+    TRAP_ILLEGAL_OPCODE,
+    TRAP_MISALIGNED,
+    TRAP_WATCHDOG,
+    VECTOR_COUNT,
+)
+from repro.soc.peripherals.intc import (
+    LINE_NVM,
+    LINE_TIMER,
+    LINE_UART,
+    LINE_WDT,
+)
 
 #: Engines every generated program runs on; the last is the oracle.
 ENGINES = (
@@ -67,6 +88,9 @@ MAX_INSTRUCTIONS = 20_000
 RAM_BUFFER = 0x1000_8000  # middle of RAM: clear of data, stack, result
 RAM_END = 0x1001_0000
 GPIO_BASE_REG = "GPIO_OUT_ADDR"
+#: RAM word the cell's own handlers count their entries in; the program
+#: loads it into ``d13`` last, so the register snapshot shows them.
+HANDLER_COUNT = RAM_BUFFER + 0x100
 
 #: d10 is the loop counter, d11 scratch, d12 the flag fold.
 _DATA = st.integers(0, 9)
@@ -215,6 +239,29 @@ FAULT = st.one_of(
     st.tuples(st.just("trap"), _TRAP_NUMBER),
 )
 
+#: Vectors a cell may point at its own handler: the core's fault traps,
+#: four interrupt lines and two software-trap numbers.
+_IRQ_VECTORS = {
+    IRQ_VECTOR_BASE + LINE_UART: "UART",
+    IRQ_VECTOR_BASE + LINE_TIMER: "TIMER",
+    IRQ_VECTOR_BASE + LINE_NVM: "NVM",
+    IRQ_VECTOR_BASE + LINE_WDT: "WDT",
+}
+OWN_VECTORS = (
+    TRAP_DIV_ZERO, TRAP_ILLEGAL_OPCODE, TRAP_MISALIGNED, TRAP_BUS_ERROR,
+    TRAP_WATCHDOG, *_IRQ_VECTORS, 20, 31,
+)
+
+#: ``vector -> (body, placement, ending)`` of the cell's own handlers.
+VECTORS = st.dictionaries(
+    st.sampled_from(OWN_VECTORS),
+    st.tuples(
+        _ALU_RUN, st.sampled_from(("rom", "ram")),
+        st.sampled_from(("reti", "reti", "halt")),
+    ),
+    max_size=3,
+)
+
 SNIPPET = st.one_of(
     st.tuples(st.just("alu"), _ALU_RUN),
     st.tuples(st.just("ram"), _RAM_ACCESS, _DATA),
@@ -231,6 +278,10 @@ SNIPPET = st.one_of(
     ),
     st.tuples(st.just("loop"), st.integers(1, 200), _ALU_RUN),
     st.tuples(st.just("spin"), st.integers(1, 1_000)),
+    # A loop of software traps to the cell's own handler of this index
+    # (among its handled vectors, in order), so the handler gets hot;
+    # no-op without own handlers.
+    st.tuples(st.just("vtrap"), st.integers(0, 2), st.integers(1, 40)),
     st.tuples(
         st.just("fragment"), _ALU_RUN, st.none() | st.integers(0, 0xFFFF)
     ),
@@ -247,10 +298,10 @@ SNIPPET = st.one_of(
 )
 
 #: ``(timer reload or None for no timer, initial d0-d9, snippets, fold
-#: flags)``.  With *fold flags*, every generated ALU instruction is
-#: followed by a fold of the PSW into ``d12``, so a flag computed wrong
-#: anywhere — even one the program never branches on — reaches the
-#: register snapshot.
+#: flags, own vectors or None for the global layer's table)``.  With
+#: *fold flags*, every generated ALU instruction is followed by a fold
+#: of the PSW into ``d12``, so a flag computed wrong anywhere — even one
+#: the program never branches on — reaches the register snapshot.
 PROGRAMS = st.tuples(
     st.none() | st.integers(200, 2_000),
     st.lists(_WORD, min_size=10, max_size=10),
@@ -258,12 +309,60 @@ PROGRAMS = st.tuples(
         st.lists(SNIPPET, min_size=3, max_size=16), st.none() | FAULT
     ).map(lambda t: t[0] + ([] if t[1] is None else [t[1]])),
     st.booleans(),
+    st.none() | VECTORS.filter(bool) | VECTORS,
 )
+
+
+def vector_table(handlers) -> list[str]:
+    """The cell's own ``vectors`` section: the global layer's entries
+    (:func:`~repro.core.globals_layer.generate_trap_handlers`), except
+    each vector in *handlers* points at the cell's ``vec_<n>``."""
+    defaults = {
+        0: "0",
+        TIMER_VECTOR: "GL_IRQ_Timer_Handler",
+        NVM_VECTOR: "GL_IRQ_Nvm_Handler",
+    }
+    lines = [".SECTION vectors", ".ORG 0"]
+    for vector in range(VECTOR_COUNT):
+        default = defaults.get(vector, "GL_Default_Trap_Handler")
+        entry = f"vec_{vector}" if vector in handlers else default
+        lines.append(f".WORD {entry}")
+    return lines + [".SECTION text"]
+
+
+def handler_lines(vector: int, body: list[str], ending: str) -> list[str]:
+    """One own handler (``body`` already rendered): saves its scratch,
+    acknowledges its interrupt line, counts its entry in
+    :data:`HANDLER_COUNT`, then returns or ends the run."""
+    lines = [f"vec_{vector}:", "    PUSH d11", "    PUSH a6", *body]
+    line = _IRQ_VECTORS.get(vector)
+    if line == "TIMER":
+        lines += [
+            "    LOAD a6, TIM_STAT_ADDR",
+            "    LOAD d11, 1",
+            "    ST.W [a6], d11",
+        ]
+    if line is not None:
+        lines += [
+            "    LOAD a6, INT_PEND_ADDR",
+            f"    LOAD d11, IRQ_LINE_{line}_MASK",
+            "    ST.W [a6], d11",
+        ]
+    lines += [
+        f"    LOAD a6, {HANDLER_COUNT:#x}",
+        "    LD.W d11, [a6]",
+        "    ADDI d11, d11, 1",
+        "    ST.W [a6], d11",
+        "    POP a6",
+        "    POP d11",
+        "    RETI" if ending == "reti" else "    HALT",
+    ]
+    return lines
 
 
 def render(program) -> str:
     """Assembly source of one generated cell."""
-    timer_reload, registers, snippets, fold_flags = program
+    timer_reload, registers, snippets, fold_flags, handlers = program
 
     def alu(lines: list[str]) -> list[str]:
         out = []
@@ -334,6 +433,16 @@ def render(program) -> str:
                 main.append(f"    {op} [a4], d1")
         elif kind == "trap":
             main.append(f"    TRAP {snippet[1]}")
+        elif kind == "vtrap":
+            if handlers:
+                _, pick, count = snippet
+                vectors = sorted(handlers)
+                main += [
+                    f"    LOAD d10, {count}",
+                    f"vtrap_{index}:",
+                    f"    TRAP {vectors[pick % len(vectors)]}",
+                    f"    DJNZ d10, vtrap_{index}",
+                ]
         elif kind == "sfr-sized":
             # SFRs require word access: a bus-error trap.
             _, op, reg = snippet
@@ -380,10 +489,21 @@ def render(program) -> str:
             main.append(f"skip_{index}:")
     # The pending interrupt lines, read last, expose when each device
     # raised its line even if no handler ran.
-    main += ["    LOAD a6, INT_PEND_ADDR", "    LD.W d11, [a6]", "    HALT"]
+    main += ["    LOAD a6, INT_PEND_ADDR", "    LD.W d11, [a6]"]
+    if handlers:
+        # Every own handler table is dispatched through at least once.
+        main.append(f"    TRAP {min(handlers)}")
+    if handlers is not None:
+        main += [f"    LOAD a6, {HANDLER_COUNT:#x}", "    LD.W d13, [a6]"]
+        for vector, (body, placement, ending) in sorted(handlers.items()):
+            lines = handler_lines(vector, alu(body), ending)
+            (data if placement == "ram" else tail).extend(lines)
+    main.append("    HALT")
     source = main + tail
     if data:
         source += [".SECTION data"] + data + [".SECTION text"]
+    if handlers is not None:
+        source += vector_table(handlers)
     return "\n".join(source) + "\n"
 
 
@@ -449,10 +569,29 @@ def render_peripheral(snippet, index: int) -> list[str]:
     return load("INT_PEND_ADDR", snippet[1])
 
 
+class OwnVectorsLayer(GlobalLayer):
+    """The global layer without its vector table: a cell linked against
+    it writes every entry itself (:func:`vector_table`)."""
+
+    def __init__(self):
+        super().__init__()
+        head, table = self._trap_handlers.split(".SECTION vectors\n", 1)
+        self._trap_handlers = head + table[table.index(".SECTION text"):]
+
+
+#: Shared, so its objects are assembled once per target.
+OWN_VECTORS_LAYER = OwnVectorsLayer()
+
+
 def run_engines(source: str, totals: Counter | None = None) -> dict:
     """Run *source* on every engine and target; assert identity.
-    Returns ``{(target, engine): (result, session stats)}``."""
-    env = ModuleTestEnvironment("FUZZ")
+    Returns ``{(target, engine): (result, session stats)}``.  A source
+    with its own ``vectors`` section links against
+    :data:`OWN_VECTORS_LAYER`."""
+    own = ".SECTION vectors" in source
+    env = ModuleTestEnvironment(
+        "FUZZ", global_layer=OWN_VECTORS_LAYER if own else None
+    )
     env.add_test(TestCell(name="TEST_FUZZ", source=source))
     runs = {}
     for target_name, bus_trace in TARGETS:
@@ -471,6 +610,8 @@ def run_engines(source: str, totals: Counter | None = None) -> dict:
             runs[target_name, engine] = (result, session.stats())
             if totals is not None and engine == "default":
                 totals.update(session.stats())
+                if own and result.registers:
+                    totals["own_handler_entries"] += result.registers["d13"]
         oracle = outcomes["reference"]
         for engine, outcome in outcomes.items():
             assert outcome[0] == oracle[0], (target_name, engine, source)
@@ -504,9 +645,11 @@ def fuzz_campaign(max_examples: int, derandomize: bool = True) -> Counter:
 def test_engines_agree_on_generated_programs():
     totals = fuzz_campaign(max_examples=20)
     # The net must reach the tiers it guards: compiled chains ran and
-    # idle spins were warped somewhere in the campaign.
+    # idle spins were warped somewhere in the campaign, and traps or
+    # interrupts dispatched through a cell's own vector entries.
     assert totals["jit_chains"] > 0, totals
     assert totals["ff_warps"] > 0, totals
+    assert totals["own_handler_entries"] > 0, totals
     # Every chain the campaign triggered rendered from the table.
     assert totals["jit_codegen_failures"] == 0, totals
 
@@ -616,6 +759,55 @@ def test_every_opcode_cell_agrees_on_every_engine():
     assert {record.opcode for record in golden.trace} == {
         int(op) for op in Opcode
     }
+
+
+#: A fixed cell that owns its vector table: a hot loop divides by zero
+#: (vector 1, a handler in RAM), raises software trap 20 (a ROM handler)
+#: and runs under a timer whose interrupt enters the cell's own timer
+#: handler.  Every handler returns, so the loop, and the chains compiled
+#: over it, keep dispatching through the cell's entries.
+OWN_VECTORS_SOURCE = "\n".join([
+    ".INCLUDE Globals.inc",
+    "_main:",
+    f"    LOAD a2, {RAM_BUFFER:#x}",
+    "    LOAD a11, INT_EN_ADDR",
+    "    LOAD d11, IRQ_LINE_TIMER_MASK",
+    "    ST.W [a11], d11",
+    "    LOAD a11, TIM_RELOAD_ADDR",
+    "    LOAD d11, 150",
+    "    ST.W [a11], d11",
+    "    LOAD a11, TIM_CTRL_ADDR",
+    "    LOAD d11, TIMER_CTRL_IRQ_VALUE",
+    "    ST.W [a11], d11",
+    "    EI",
+    "    LOAD d10, 40",
+    "own_loop:",
+    "    ADDI d1, d1, 3",
+    "    XOR d2, d2, d1",
+    "    LOAD d3, 0",
+    "    DIVU d4, d1, d3",
+    "    TRAP 20",
+    "    DJNZ d10, own_loop",
+    f"    LOAD a6, {HANDLER_COUNT:#x}",
+    "    LD.W d13, [a6]",
+    "    HALT",
+    *handler_lines(20, ["    ADD d5, d5, d1", "    SHLI d6, d5, 3"], "reti"),
+    *handler_lines(TIMER_VECTOR, ["    ADDI d7, d7, 1"], "reti"),
+    ".SECTION data",
+    *handler_lines(TRAP_DIV_ZERO, ["    XOR d8, d8, d2"], "reti"),
+    ".SECTION text",
+    *vector_table({TRAP_DIV_ZERO, TIMER_VECTOR, 20}),
+]) + "\n"
+
+
+def test_own_vector_table_dispatch_agrees_on_every_engine():
+    runs = run_engines(OWN_VECTORS_SOURCE)
+    for target_name, _ in TARGETS:
+        assert runs[target_name, "default"][1]["jit_exec_steps"] > 0
+    golden = runs["golden", "reference"][0]
+    # 40 divide traps + 40 software traps + the timer's interrupts.
+    assert golden.registers["d13"] > 80
+    assert golden.registers["d7"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the cached, fleet-shardable regression scheduler."""
 
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -30,10 +32,16 @@ from repro.core.scheduler import (
 )
 from repro.core.system_env import make_default_system
 from repro.core.targets import TARGET_GOLDEN, all_targets, target
+from repro.core.tracediff import _first_divergence
 from repro.core.workloads import make_nvm_environment, make_uart_environment
 from repro.core.workspace import SYSTEM_DIR_NAME
 from repro.isa.instructions import Opcode
-from repro.platforms import GateLevelSim, NetlistFault, RunStatus
+from repro.platforms import (
+    GateLevelSim,
+    InstructionTrace,
+    NetlistFault,
+    RunStatus,
+)
 from repro.soc.derivatives import SC88A, all_derivatives
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -108,7 +116,8 @@ class TestExecutors:
         original = report.results[key]
         for change in ({"cycles": original.cycles + 1},
                        {"signature": (original.signature or 0) ^ 1},
-                       {"trace": original.trace[:-1]}):
+                       {"trace": InstructionTrace.from_raw(
+                           original.trace.raw()[:-1])}):
             report.results[key] = dataclasses.replace(original, **change)
             assert matrix_digest(report) != digest, change
         report.results[key] = original
@@ -139,6 +148,39 @@ class TestResultCache:
         assert [t.pc for t in restored.trace] == [
             t.pc for t in result.trace
         ]
+
+    def test_rehydrated_trace_adopts_the_cached_rows(self):
+        result = make_nvm_environment(1).run_test(
+            "TEST_NVM_PAGE_001", SC88A, "rtl"
+        )
+        payload = result_to_payload(result)
+        restored = result_from_payload(payload)
+        assert isinstance(restored.trace, InstructionTrace)
+        assert restored.trace.raw() == result.trace.raw()
+        assert all(type(event) is tuple for event in restored.trace.raw())
+        assert list(restored.trace) == list(result.trace)
+        assert result_to_payload(restored) == payload
+
+    def test_rehydrated_verdicts_compare_by_value(self):
+        result = make_nvm_environment(1).run_test(
+            "TEST_NVM_PAGE_001", SC88A, "rtl"
+        )
+        payload = json.loads(json.dumps(result_to_payload(result)))
+        assert result_from_payload(payload) == result_from_payload(payload)
+        assert result_from_payload(payload) == result
+        changed = json.loads(json.dumps(payload))
+        changed["trace"][-1][3] += 1
+        assert result_from_payload(changed) != result
+
+    def test_rehydrated_trace_diffs_like_a_live_one(self):
+        result = make_nvm_environment(1).run_test(
+            "TEST_NVM_PAGE_001", SC88A, "rtl"
+        )
+        payload = json.loads(json.dumps(result_to_payload(result)))
+        payload["trace"][2][0] += 2
+        restored = result_from_payload(payload)
+        point = _first_divergence(result.trace, restored.trace)
+        assert point is not None and point.index == 2
 
     def test_warm_cache_executes_zero_runs(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -203,6 +245,107 @@ class TestResultCache:
         report = scheduler.run_environment(env, SC88A)
         assert report.executed_runs == report.total_runs
         assert report.clean
+
+
+def encoded(result) -> str:
+    """A fresh encoding of *result*'s cache payload."""
+    return json.dumps(result_to_payload(result), sort_keys=True)
+
+
+def encoded_digest(report) -> str:
+    """``matrix_digest`` by its definition: SHA-256 over the
+    ``sort_keys`` JSON of ``[*key, payload]`` per sorted entry, every
+    payload encoded afresh."""
+    digest = hashlib.sha256()
+    for key in sorted(report.results):
+        entry = [*key, result_to_payload(report.results[key])]
+        digest.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestDigestReusesCacheText:
+    """The digest hashes the payload text the result cache sealed
+    (``put``) or verified (``get``) instead of encoding each verdict
+    again; that text is always the fresh encoding of the verdict it is
+    attached to, so the digest stays byte-identical."""
+
+    def test_cold_warm_and_uncached_digests_equal_the_encoding(
+        self, tmp_path
+    ):
+        uncached = RegressionScheduler().run_system(
+            make_environments(), SC88A
+        )
+        # No cache, no text: nothing is encoded beyond the digest.
+        assert all(
+            r.payload_text is None for r in uncached.results.values()
+        )
+        cold = RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            make_environments(), SC88A
+        )
+        warm = RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            make_environments(), SC88A
+        )
+        assert warm.cached_runs == warm.total_runs
+        for report in (cold, warm):
+            for result in report.results.values():
+                assert result.payload_text == encoded(result)
+        digests = {matrix_digest(r) for r in (uncached, cold, warm)}
+        assert digests == {encoded_digest(uncached)}
+
+    def test_digest_never_rereads_the_cache(self, tmp_path):
+        warm_cache = ResultCache(tmp_path)
+        RegressionScheduler(cache=warm_cache).run_system(
+            make_environments(), SC88A
+        )
+        report = RegressionScheduler(cache=warm_cache).run_system(
+            make_environments(), SC88A
+        )
+        expected = encoded_digest(report)
+        for path in tmp_path.glob("*.json"):
+            path.write_text("{not json")
+        assert matrix_digest(report) == expected
+
+    def test_changed_copy_carries_no_stale_text(self, tmp_path):
+        report = RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
+            make_environments(), SC88A
+        )
+        digest = matrix_digest(report)
+        key = ("NVM", "TEST_NVM_PAGE_001", "rtl")
+        original = report.results[key]
+        changed = dataclasses.replace(original, cycles=original.cycles + 1)
+        assert changed.payload_text is None
+        report.results[key] = changed
+        assert matrix_digest(report) == encoded_digest(report) != digest
+
+    def test_rewritten_entry_reads_back_its_own_text(self, tmp_path):
+        result = make_nvm_environment(1).run_test(
+            "TEST_NVM_PAGE_001", SC88A, "rtl"
+        )
+        other = dataclasses.replace(result, cycles=result.cycles + 7)
+        cache = ResultCache(tmp_path)
+        assert cache.put("k", result)
+        assert cache.get("k").payload_text == encoded(result)
+        assert cache.put("k", other)
+        assert other.payload_text == encoded(other)
+        again = cache.get("k")
+        assert result_to_payload(again) == result_to_payload(other)
+        assert again.payload_text == encoded(other) != encoded(result)
+        assert ResultCache(tmp_path).get("k").payload_text == encoded(other)
+
+    def test_tampered_text_is_corruption_not_digest_input(self, tmp_path):
+        result = make_nvm_environment(1).run_test(
+            "TEST_NVM_PAGE_001", SC88A, "rtl"
+        )
+        cache = ResultCache(tmp_path)
+        cache.put("k", result)
+        path = tmp_path / "k.json"
+        body = json.loads(path.read_text())
+        body["payload"] = body["payload"].replace(
+            f'"cycles": {result.cycles}', f'"cycles": {result.cycles + 1}'
+        )
+        path.write_text(json.dumps(body))
+        assert cache.get("k") is None
+        assert (cache.corrupt, cache.quarantined) == (1, 1)
 
 
 class TestRegressCli:
