@@ -6,6 +6,11 @@ relocation records for 32-bit literal words that reference symbols the
 assembler could not resolve locally, and bookkeeping the ADVM layer needs
 (the set of files each object pulled in via ``.INCLUDE`` — the
 abstraction-violation checker of the paper's Figure 2 is built on it).
+
+:meth:`ObjectFile.to_plain` and :meth:`ObjectFile.from_plain` convert an
+object to and from nested tuples of ``str``/``int``/``bytes`` — the form
+``marshal`` stores, so an artifact store can keep assembled objects
+without pickling them.
 """
 
 from __future__ import annotations
@@ -135,3 +140,57 @@ class ObjectFile:
     def undefined_symbols(self) -> set[str]:
         """Symbols referenced but not defined in this object."""
         return {r.symbol for r in self.relocations if r.symbol not in self.symbols}
+
+    def to_plain(self) -> tuple:
+        """Every field as nested tuples of ``str``, ``int``, ``bytes``
+        and ``None`` (source locations included, so a link error raised
+        from a decoded object names the same ``file:line``)."""
+        return (
+            self.name,
+            tuple(
+                (s.name, bytes(s.data), s.org) for s in self.sections.values()
+            ),
+            tuple(
+                (s.name, s.section, s.offset, _plain_location(s.location))
+                for s in self.symbols.values()
+            ),
+            tuple(
+                (r.section, r.offset, r.symbol, r.addend,
+                 _plain_location(r.location))
+                for r in self.relocations
+            ),
+            tuple(sorted(self.externs)),
+            tuple(self.included_files),
+            tuple(self.define_snapshot.items()),
+        )
+
+    @classmethod
+    def from_plain(cls, plain: tuple) -> "ObjectFile":
+        """The object :meth:`to_plain` encoded, equal field for field."""
+        name, sections, symbols, relocations, externs, included, defines = (
+            plain
+        )
+        return cls(
+            name=name,
+            sections={
+                section: Section(section, bytearray(data), org)
+                for section, data, org in sections
+            },
+            symbols={
+                symbol: Symbol(symbol, section, offset, SourceLocation(*where))
+                for symbol, section, offset, where in symbols
+            },
+            relocations=[
+                Relocation(
+                    section, offset, symbol, addend, SourceLocation(*where)
+                )
+                for section, offset, symbol, addend, where in relocations
+            ],
+            externs=set(externs),
+            included_files=list(included),
+            define_snapshot=dict(defines),
+        )
+
+
+def _plain_location(location: SourceLocation) -> tuple:
+    return (location.filename, location.line, location.context)

@@ -20,10 +20,15 @@ test sources — and links it with the abstraction and global layers into
 the one image every platform runs.  ``build_key`` digests everything
 such a build reads, so a persisted (build key -> image digest) index
 can answer "which image would this build produce?" without building.
+Assembled objects are keyed the same way, by content
+(:func:`input_key`); with an artifact store installed, the objects of
+the layers below the test cell persist across processes, so an edited
+cell re-assembles only itself.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import posixpath
 from dataclasses import dataclass
@@ -34,6 +39,7 @@ from repro.assembler.linker import Linker, MemoryImage
 from repro.assembler.objectfile import ObjectFile
 from repro.assembler.preprocessor import InMemoryProvider
 from repro.core.basefuncs import generate_base_functions
+from repro.core.durable import content_key
 from repro.core.defines import GlobalDefines, target_entries
 from repro.core.globals_layer import (
     generate_global_test_functions,
@@ -127,10 +133,10 @@ def _text_facts(text: str) -> tuple[str, tuple[str | None, ...]]:
 def _reached_files(
     files: dict[str, str], roots: list[str], texts: list[str]
 ) -> set[str] | None:
-    """*roots* plus ``Globals.inc`` and every file reached from them or
-    from the extra *texts* through ``.INCLUDE``; ``None`` if some
-    include does not resolve to a workspace file."""
-    reached = {GLOBALS_FILENAME, *roots}
+    """*roots* plus every file reached from them or from the extra
+    *texts* through ``.INCLUDE``; ``None`` if some include does not
+    resolve to a file of *files*."""
+    reached = set(roots)
     stack = [files[name] for name in reached] + texts
     while stack:
         for included in _text_facts(stack.pop())[1]:
@@ -144,6 +150,57 @@ def _reached_files(
                 reached.add(included)
                 stack.append(files[included])
     return reached
+
+
+@functools.cache
+def _derivative_repr(derivative: Derivative) -> str:
+    """``repr`` of a frozen derivative (every field), made once."""
+    return repr(derivative)
+
+
+def _files_fingerprint(files: dict[str, str]) -> str:
+    """SHA-256 over every file's name and text."""
+    hasher = hashlib.sha256()
+    for name in sorted(files):
+        hasher.update(name.encode())
+        hasher.update(b"\0")
+        hasher.update(files[name].encode())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+def input_key(
+    files: dict[str, str],
+    unit: str,
+    derivative: Derivative,
+    target_part: tuple,
+    roots: list[str],
+    texts: tuple[str, ...] = (),
+) -> str:
+    """The content key of one build: equal keys mean equal output.
+
+    Covers the toolchain digest, the *unit* built, the derivative
+    (every field, so its memory map and ES version), *target_part* —
+    what the build takes from the target, ``()`` where it takes nothing
+    — the SHA-256 of each extra source text in *texts*, and the name
+    and SHA-256 of every file of *files* reached from *roots* and
+    *texts* through ``.INCLUDE``.  An include that does not resolve
+    falls back to the fingerprint of all *files*.  Costs hashing only,
+    each distinct text once per process (:func:`_text_facts`).
+    """
+    parts = [
+        toolchain_digest(), unit, _derivative_repr(derivative),
+        repr(target_part),
+    ]
+    parts.extend(_text_facts(text)[0] for text in texts)
+    reached = _reached_files(files, roots, list(texts))
+    if reached is None:
+        parts.append(_files_fingerprint(files))
+    else:
+        for name in sorted(reached):
+            parts.append(name)
+            parts.append(_text_facts(files[name])[0])
+    return content_key(*parts)
 
 
 @dataclass
@@ -183,7 +240,9 @@ class GlobalLayer:
         self.derivatives = list(derivatives or all_derivatives())
         self._trap_handlers = generate_trap_handlers(self.derivatives)
         self._global_functions = generate_global_test_functions()
+        #: object keys -> the assembled (or stored) objects.
         self._objects: dict[tuple, list[ObjectFile]] = {}
+        self._keys: dict[tuple, tuple[str, str, str]] = {}
 
     @property
     def trap_handlers_text(self) -> str:
@@ -216,25 +275,85 @@ class GlobalLayer:
             assemble_embedded_software(derivative.es_version, assembler),
         ]
 
+    def _object_keys(
+        self, derivative: Derivative, tgt: Target
+    ) -> tuple[str, str, str]:
+        """The :func:`input_key` of each unit :meth:`assemble` builds.
+        The target reaches these texts only through its ``TARGET_*``
+        predefine, so it joins the keys only where some text names that
+        predefine.  Memoised on the texts, so each distinct key is
+        hashed once."""
+        es_text = es_source(derivative.es_version)
+        texts = (self._trap_handlers, self._global_functions, es_text)
+        sensitive = any(tgt.predefine in text for text in texts)
+        target_part = (tgt.predefine,) if sensitive else ()
+        memo = (texts, derivative, target_part)
+        keys = self._keys.get(memo)
+        if keys is None:
+            files = self.library_files()
+            keys = self._keys[memo] = (
+                input_key(
+                    files, TRAP_HANDLERS_FILENAME, derivative, target_part,
+                    [TRAP_HANDLERS_FILENAME],
+                ),
+                input_key(
+                    files, GLOBAL_FUNCTIONS_FILENAME, derivative,
+                    target_part, [GLOBAL_FUNCTIONS_FILENAME],
+                ),
+                input_key(
+                    files, f"Embedded_Software_v{derivative.es_version}.asm",
+                    derivative, target_part, [], (es_text,),
+                ),
+            )
+        return keys
+
     def objects(
         self, derivative: Derivative, tgt: Target
     ) -> list[ObjectFile]:
-        """:meth:`assemble`, memoised on what it reads: the library
-        texts, the ES source, the derivative, and the target — which
-        reaches these texts only through its ``TARGET_*`` predefine, so
-        it joins the key only where some text names that predefine."""
-        texts = (
-            self._trap_handlers,
-            self._global_functions,
-            es_source(derivative.es_version),
-        )
-        sensitive = any(tgt.predefine in text for text in texts)
-        key = (texts, derivative, tgt.predefine if sensitive else None)
-        objects = self._objects.get(key)
+        """:meth:`assemble`, memoised by :meth:`_object_keys` in this
+        process and, with an artifact store installed, across
+        processes (:func:`stored_objects`)."""
+        keys = self._object_keys(derivative, tgt)
+        objects = self._objects.get(keys)
         if objects is None:
-            objects = self.assemble(derivative, tgt)
-            self._objects[key] = objects
+            objects = self._objects[keys] = stored_objects(
+                keys, lambda: self.assemble(derivative, tgt)
+            )
         return objects
+
+
+def stored_objects(keys, build) -> list[ObjectFile]:
+    """The objects content-keyed by *keys*: from the installed artifact
+    store when it holds every one, else ``build()`` — whose objects are
+    then staged, so the run's end writes them to the store in one
+    artifact (:meth:`~repro.store.artifacts.ArtifactStore.save_objects`)."""
+    from repro.isa.decodecache import artifact_store
+
+    store = artifact_store()
+    if store is None:
+        return build()
+    objects = [store.load_object(key) for key in keys]
+    if None in objects:
+        objects = build()
+        for key, obj in zip(keys, objects):
+            store.stage_object(key, obj)
+    return objects
+
+
+class _SourceState:
+    """What one state of an environment's sources builds from: the
+    files, their fingerprint, and memos of the per-target build
+    signatures and per-unit object keys (see
+    :meth:`ModuleTestEnvironment._sources`)."""
+
+    __slots__ = ("token", "files", "fingerprint", "signatures", "keys")
+
+    def __init__(self, token: tuple, files: dict[str, str]):
+        self.token = token
+        self.files = files
+        self.fingerprint = _files_fingerprint(files)
+        self.signatures: dict[Target, tuple] = {}
+        self.keys: dict[tuple, str] = {}
 
 
 class ModuleTestEnvironment:
@@ -274,10 +393,13 @@ class ModuleTestEnvironment:
         self.global_layer = global_layer or GlobalLayer(self.derivatives)
         self.cells: dict[str, TestCell] = {}
         self.testplan = TestPlan(module=name)
-        #: Build caches — keyed by source fingerprint + effective build
-        #: inputs, so editing a cell or a define invalidates naturally.
+        #: Build caches: images by source fingerprint + effective build
+        #: inputs, objects by content key (:func:`input_key`), so
+        #: editing a cell or a define invalidates naturally, and an
+        #: edited cell leaves the base-function objects valid.
         self._image_cache: dict[tuple, BuildArtifacts] = {}
-        self._object_cache: dict[tuple, object] = {}
+        self._object_cache: dict[str, ObjectFile] = {}
+        self._source_state: _SourceState | None = None
 
     # -- test layer management ----------------------------------------------
     def add_test(self, cell: TestCell) -> None:
@@ -338,29 +460,39 @@ class ModuleTestEnvironment:
         }
 
     # -- building ---------------------------------------------------------------
-    def _source_files(self) -> dict[str, str]:
-        files = dict(self.abstraction_files())
-        files.update(self.global_layer.library_files())
-        for cell in self.cells.values():
-            files[cell.filename] = cell.source
-        return files
+    def _sources(self) -> _SourceState:
+        """The current state's source files, fingerprint and key memos.
+
+        Pure in the sources, so memoised on a cheap state token — the
+        cell sources, the rendered ``Globals.inc``, the base-function
+        text and the library texts — like :meth:`globals_text`: a
+        matrix sweep hashes its sources once, while editing a cell, a
+        define or the base functions still starts a fresh state.
+        """
+        token = (
+            tuple((cell.name, cell.source) for cell in self.cells.values()),
+            self.globals_text(),
+            self.base_functions_text(),
+            self.global_layer.trap_handlers_text,
+            self.global_layer.global_functions_text,
+        )
+        state = self._source_state
+        if state is None or state.token != token:
+            files = dict(self.abstraction_files())
+            files.update(self.global_layer.library_files())
+            for cell in self.cells.values():
+                files[cell.filename] = cell.source
+            state = self._source_state = _SourceState(token, files)
+        return state
+
+    def source_fingerprint(self) -> str:
+        """SHA-256 over every source file the environment builds from."""
+        return self._sources().fingerprint
 
     def _provider(self) -> InMemoryProvider:
-        return InMemoryProvider(self._source_files())
+        return InMemoryProvider(self._sources().files)
 
-    @staticmethod
-    def _files_fingerprint(files: dict[str, str]) -> str:
-        hasher = hashlib.sha256()
-        for name in sorted(files):
-            hasher.update(name.encode())
-            hasher.update(b"\0")
-            hasher.update(files[name].encode())
-            hasher.update(b"\0")
-        return hasher.hexdigest()
-
-    def build_signature(
-        self, tgt: Target, files: dict[str, str] | None = None
-    ) -> tuple:
+    def build_signature(self, tgt: Target) -> tuple:
         """What a build actually takes from *tgt*, as a hashable key.
 
         A target influences the assembled output only through the
@@ -373,14 +505,22 @@ class ModuleTestEnvironment:
         cache shares one build between them (golden/accelerator and
         bondout/silicon pair up in the default catalogue).
         """
-        if files is None:
-            files = self._source_files()
-        signature = tuple(
-            (entry.name, entry.value) for entry in target_entries(tgt)
-        )
-        for name, text in files.items():
-            if name != GLOBALS_FILENAME and tgt.predefine in text:
-                return signature + (tgt.predefine,)
+        return self._signature(self._sources(), tgt)
+
+    @staticmethod
+    def _signature(state: _SourceState, tgt: Target) -> tuple:
+        """:meth:`build_signature` in *state*, memoised there."""
+        signature = state.signatures.get(tgt)
+        if signature is None:
+            signature = tuple(
+                (entry.name, entry.value) for entry in target_entries(tgt)
+            )
+            if any(
+                name != GLOBALS_FILENAME and tgt.predefine in text
+                for name, text in state.files.items()
+            ):
+                signature += (tgt.predefine,)
+            state.signatures[tgt] = signature
         return signature
 
     def _target_sensitive(
@@ -446,46 +586,55 @@ class ModuleTestEnvironment:
         """Digest of every input :meth:`build_image` reads for one
         matrix position — equal keys mean byte-identical images.
 
-        Covers the toolchain digest, the derivative (every field, so
-        its memory map and ES version), the target's
-        :meth:`build_signature`, the ES source, and the texts of
-        ``Globals.inc``, the base functions, both global libraries, the
-        cell and every file reached through ``.INCLUDE``.  An include
-        that does not resolve falls back to the whole-workspace
-        fingerprint.  Costs hashing only, never assembly.
+        The :func:`input_key` of the cell under the target's
+        :meth:`build_signature`, over ``Globals.inc``, the base
+        functions, both global libraries, the ES source and every file
+        they reach.  Costs hashing only, never assembly.
         """
         cell = self.cell(cell_name)
-        files = self._source_files()
-        es_text = es_source(derivative.es_version)
-        hasher = hashlib.sha256()
-        for part in (
-            toolchain_digest(),
+        state = self._sources()
+        return input_key(
+            state.files,
             cell.filename,
-            repr(derivative),
-            repr(self.build_signature(tgt, files=files)),
-            _text_facts(es_text)[0],
-        ):
-            hasher.update(part.encode())
-            hasher.update(b"\0")
-        reached = _reached_files(
-            files,
+            derivative,
+            self._signature(state, tgt),
             [
                 cell.filename,
+                GLOBALS_FILENAME,
                 BASE_FUNCTIONS_FILENAME,
                 TRAP_HANDLERS_FILENAME,
                 GLOBAL_FUNCTIONS_FILENAME,
             ],
-            [es_text],
+            (es_source(derivative.es_version),),
         )
-        if reached is None:
-            hasher.update(self._files_fingerprint(files).encode())
-        else:
-            for name in sorted(reached):
-                hasher.update(name.encode())
-                hasher.update(b"\0")
-                hasher.update(_text_facts(files[name])[0].encode())
-                hasher.update(b"\0")
-        return hasher.hexdigest()
+
+    def _object_key(
+        self,
+        state: _SourceState,
+        unit: str,
+        derivative: Derivative,
+        tgt: Target,
+    ) -> str:
+        """The :func:`input_key` of assembling *unit* for (derivative,
+        target), memoised in *state*.  A unit that never touches a
+        target-contributed define (or the ``TARGET_*`` predefine)
+        assembles identically for every target, so its key drops the
+        target signature entirely."""
+        memo = (unit, derivative, tgt)
+        key = state.keys.get(memo)
+        if key is None:
+            define_names = tuple(entry.name for entry in target_entries(tgt))
+            sensitive = self._target_sensitive(
+                state.files, [state.files[unit]], tgt, define_names
+            )
+            key = state.keys[memo] = input_key(
+                state.files,
+                unit,
+                derivative,
+                self._signature(state, tgt) if sensitive else (),
+                [unit],
+            )
+        return key
 
     def build_image(
         self,
@@ -498,60 +647,52 @@ class ModuleTestEnvironment:
 
         Builds are memoised two ways: whole images by (cell, derivative,
         target signature, source fingerprint), and the cell and base
-        functions objects by the same key minus the cell — so a
-        regression sweeping many cells and targets assembles each layer
-        once per distinct build input, not once per matrix entry.  The
-        global layer memoises its own objects (:meth:`GlobalLayer.objects`),
-        once for every module environment that shares it.
-        Editing any source or define changes the fingerprint and
-        invalidates both caches.  ``use_cache=False`` forces a cold
+        functions objects by their :func:`input_key` — so a regression
+        sweeping many cells and targets assembles each layer once per
+        distinct build input, not once per matrix entry, and an edited
+        cell leaves the base functions' objects valid.  With an
+        artifact store installed, the base functions' objects also
+        persist across processes (:func:`stored_objects`); test-cell
+        objects stay in this process, since an edit changes them.  The
+        global layer memoises its own objects the same way
+        (:meth:`GlobalLayer.objects`), once for every module
+        environment that shares it.  ``use_cache=False`` forces a cold
         build (ablation baselines).
         """
         cell = self.cell(cell_name)
-        files = self._source_files()
-        fingerprint = self._files_fingerprint(files)
-        signature = self.build_signature(tgt, files=files)
-        image_key = (cell_name, derivative.name, signature, fingerprint)
+        state = self._sources()
+        image_key = (
+            cell_name, derivative.name, self._signature(state, tgt),
+            state.fingerprint,
+        )
         if use_cache:
             cached = self._image_cache.get(image_key)
             if cached is not None:
                 return cached
 
         assembler = toolchain.Assembler(
-            provider=InMemoryProvider(files),
+            provider=InMemoryProvider(state.files),
             predefines=self._predefines(derivative, tgt),
         )
-        define_names = tuple(
-            entry.name for entry in target_entries(tgt)
-        )
 
-        def cached_object(label: str, texts: list[str], build):
+        def cached_object(unit: str, persist: bool) -> ObjectFile:
             if not use_cache:
-                return build()
-            # Files that never touch a target-contributed define (or the
-            # TARGET_* predefine) assemble identically for every target,
-            # so their cache key drops the target signature entirely.
-            file_signature = (
-                signature
-                if self._target_sensitive(files, texts, tgt, define_names)
-                else ()
-            )
-            key = (label, derivative.name, file_signature, fingerprint)
+                return assembler.assemble_file(unit)
+            key = self._object_key(state, unit, derivative, tgt)
             obj = self._object_cache.get(key)
             if obj is None:
-                obj = build()
+                if persist:
+                    (obj,) = stored_objects(
+                        [key], lambda: [assembler.assemble_file(unit)]
+                    )
+                else:
+                    obj = assembler.assemble_file(unit)
                 self._object_cache[key] = obj
             return obj
 
-        test_object = cached_object(
-            cell.filename,
-            [cell.source],
-            lambda: assembler.assemble_file(cell.filename),
-        )
+        test_object = cached_object(cell.filename, persist=False)
         base_functions_object = cached_object(
-            BASE_FUNCTIONS_FILENAME,
-            [files[BASE_FUNCTIONS_FILENAME]],
-            lambda: assembler.assemble_file(BASE_FUNCTIONS_FILENAME),
+            BASE_FUNCTIONS_FILENAME, persist=True
         )
         global_objects = (
             self.global_layer.objects(derivative, tgt)

@@ -554,12 +554,16 @@ class RegressionScheduler:
         finally:
             self._on_outcome = None
             # Persist whatever decode/superblock/JIT state this run
-            # warmed up.  One stamp-sized check per registered image
-            # when an artifact store is installed, a constant-time
-            # no-op otherwise.
-            from repro.isa.decodecache import persist_registry
+            # warmed up, and the objects below the test cell it
+            # assembled (one file for all of them).  One stamp-sized
+            # check per registered image when an artifact store is
+            # installed, a constant-time no-op otherwise.
+            from repro.isa.decodecache import artifact_store, persist_registry
 
             persist_registry()
+            store = artifact_store()
+            if store is not None:
+                store.save_objects()
 
         return self._assemble_report(work, outcomes, derivative)
 

@@ -805,9 +805,11 @@ def chain_code(source: str, filename: str) -> types.CodeType:
 #: non-raising) that :func:`decode_cache_for` consults on a registry
 #: miss, so a fresh process warm-starts from disk instead of re-paying
 #: predecode and superblock formation, and that :func:`_executors`
-#: loads the compiled executor table from.  Installed by the CLI/daemon
-#: via :func:`set_artifact_store`; ``None`` keeps the registry
-#: pure-memory.
+#: loads the compiled executor table from.  The build layer keeps the
+#: assembled objects below the test cell in it too
+#: (:func:`repro.core.environment.stored_objects`).  Installed by the
+#: CLI/daemon via :func:`set_artifact_store`; ``None`` keeps the
+#: registry pure-memory.
 _ARTIFACT_STORE = None
 
 

@@ -249,7 +249,7 @@ def resolve_pack(pack: ScenarioPack, system_dir: str | Path, env_cache=None):
             raise PackError(f"unknown module {name!r}")
         env = load_module_environment(module_dir, global_layer=layer)
         if env_cache is not None:
-            fingerprint = env._files_fingerprint(env._source_files())
+            fingerprint = env.source_fingerprint()
             cached = env_cache.get(name)
             if cached is not None and cached[0] == fingerprint:
                 env = cached[1]

@@ -39,10 +39,11 @@ directly (one ``marshal.loads`` + ``exec`` per variant, no tracing, no
 codegen, no ``compile()``), which is what makes a warm process start
 cheaper than re-derivation rather than merely different.  Marshal is
 interpreter-specific, so the snapshot carries
-``sys.implementation.cache_tag``; on any mismatch — or any per-head
-restore failure — the head falls back to the eager
-:func:`~repro.isa.jit.compile_chain` path.  Every other block's
-persisted heat is clamped below
+:func:`bytecode_tag` (``sys.implementation.cache_tag`` and the bytecode
+magic number); on any mismatch — or any per-head restore failure — the
+head falls back to the eager :func:`~repro.isa.jit.compile_chain` path
+(and a snapshot of another format is re-saved with this interpreter's
+code).  Every other block's persisted heat is clamped below
 :data:`~repro.isa.decodecache.JIT_THRESHOLD` (the trigger fires on
 exact equality, so restoring a past-threshold heat would permanently
 disable recompilation for that head).
@@ -59,6 +60,7 @@ import threading
 import types
 from pathlib import Path
 
+from repro.assembler.objectfile import ObjectFile
 from repro.core.durable import DurableFiles, checksum, content_key
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
 from repro.isa import decodecache as _decodecache
@@ -69,6 +71,15 @@ STORE_SCHEMA = 1
 
 _KIND_DECODE = "decode"
 _KIND_CODE = "code"
+_KIND_OBJECTS = "objects"
+
+
+def bytecode_tag() -> tuple[str, str]:
+    """This interpreter's marshal format: its ``cache_tag`` and its
+    bytecode magic number — what PEP 3147 checks a ``.pyc`` by, since
+    pre-release or patched interpreters can share a tag but not a
+    bytecode format."""
+    return (sys.implementation.cache_tag, importlib.util.MAGIC_NUMBER.hex())
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +135,7 @@ def snapshot_decode_cache(cache: DecodeCache) -> bytes:
             pc for pc, block in blocks.items() if block.jit_u is not None
         ),
         "jit_code": jit_code,
-        "code_tag": sys.implementation.cache_tag,
+        "code_tag": bytecode_tag(),
     }
     return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -159,11 +170,19 @@ def restore_decode_cache(payload: bytes) -> DecodeCache:
     Chain heads restore their compiled variants straight from the
     snapshot's marshalled code objects (no codegen, no ``compile()``);
     a head whose marshalled chain is missing, from a different
-    interpreter (``code_tag`` mismatch) or unreadable recompiles
-    eagerly instead.  Every other persisted heat is clamped to
-    ``JIT_THRESHOLD - 1`` so a hot block whose chain could not be
-    restored re-triggers compilation on its first warm replay instead
-    of never again (the JIT trigger is an exact-equality check)."""
+    interpreter or bytecode format (``code_tag`` mismatch) or
+    unreadable recompiles eagerly instead.  Every other persisted heat
+    is clamped to ``JIT_THRESHOLD - 1`` so a hot block whose chain
+    could not be restored re-triggers compilation on its first warm
+    replay instead of never again (the JIT trigger is an
+    exact-equality check)."""
+    return _restore(payload)[0]
+
+
+def _restore(payload: bytes) -> tuple[DecodeCache, bool]:
+    """:func:`restore_decode_cache`, plus whether the snapshot's code
+    is this interpreter's (else its chains were recompiled, and a
+    re-save would record them)."""
     snapshot = pickle.loads(payload)
     cache = DecodeCache.__new__(DecodeCache)
     cache._segments = snapshot["segments"]
@@ -177,11 +196,8 @@ def restore_decode_cache(payload: bytes) -> DecodeCache:
     for block in cache._blocks.values():
         if block.heat >= JIT_THRESHOLD:
             block.heat = JIT_THRESHOLD - 1
-    jit_code = (
-        snapshot.get("jit_code", {})
-        if snapshot.get("code_tag") == sys.implementation.cache_tag
-        else {}
-    )
+    native = snapshot.get("code_tag") == bytecode_tag()
+    jit_code = snapshot.get("jit_code", {}) if native else {}
     for pc in snapshot["jit_heads"]:
         head = cache._blocks.get(pc)
         if head is None:
@@ -194,7 +210,7 @@ def restore_decode_cache(payload: bytes) -> DecodeCache:
 
         if compile_chain(cache, head):
             head.heat = JIT_THRESHOLD
-    return cache
+    return cache, native or not snapshot["jit_heads"]
 
 
 def _cache_stamp(cache: DecodeCache) -> tuple[int, int, int]:
@@ -215,21 +231,20 @@ def code_key(source: str) -> tuple[str, str, str]:
     interpreters can share a tag but not a bytecode format).  Marshalled
     code is interpreter-specific, so another interpreter's artifact is a
     different key — a miss, never corruption."""
-    return (
-        checksum(source.encode()),
-        sys.implementation.cache_tag,
-        importlib.util.MAGIC_NUMBER.hex(),
-    )
+    return (checksum(source.encode()), *bytecode_tag())
 
 
 class ArtifactStore(DurableFiles):
     """Content-addressed, checksummed, prunable artifact directory.
 
-    Two kinds of artifact share its rules: decode-cache snapshots
-    (``decode-*``, counted in ``hits``/``saved``/``unchanged``) and
+    Three kinds of artifact share its rules: decode-cache snapshots
+    (``decode-*``, counted in ``hits``/``saved``/``unchanged``),
     compiled code objects (``code-*``, counted in ``code_hits``/
     ``code_saved``) — the opcode executor table, whose ``compile()``
-    every executing process would otherwise repeat."""
+    every executing process would otherwise repeat — and assembled
+    objects of the layers below the test cell (``objects-*``, counted
+    in ``obj_hits``/``obj_saved``), keyed by their build inputs'
+    content so an edit re-run assembles only the edited cell."""
 
     read_site = SITE_STORE_READ
     write_site = SITE_STORE_WRITE
@@ -249,6 +264,16 @@ class ArtifactStore(DurableFiles):
         self._stems: dict[tuple, str] = {}
         #: file stem -> stamp of the snapshot known to be on disk.
         self._stamps: dict[str, tuple] = {}
+        self.obj_hits = 0
+        self.obj_saved = 0
+        #: content key -> an object's plain form (:meth:`ObjectFile.
+        #: to_plain`) from every object artifact, read on the first
+        #: :meth:`load_object`; a daemon's job threads share it.
+        self._objects: dict[str, tuple] | None = None
+        #: content key -> object assembled since the last
+        #: :meth:`save_objects` (encoded only when saved).
+        self._staged: dict[str, ObjectFile] = {}
+        self._objects_lock = threading.Lock()
 
     # -- naming ------------------------------------------------------------
     @staticmethod
@@ -320,9 +345,10 @@ class ArtifactStore(DurableFiles):
         )
         if loaded is None:
             return None
-        _key, cache = loaded
+        _key, cache, native = loaded
         self.hits += 1
-        self._stamps[stem] = _cache_stamp(cache)
+        if native:
+            self._stamps[stem] = _cache_stamp(cache)
         return cache
 
     def warm_registry(self) -> int:
@@ -337,9 +363,10 @@ class ArtifactStore(DurableFiles):
             loaded = self.read_file(path, stem, _decode_artifact)
             if loaded is None:
                 continue
-            key, cache = loaded
+            key, cache, native = loaded
             _decodecache.install_cache(key, cache)
-            self._stamps[stem] = _cache_stamp(cache)
+            if native:
+                self._stamps[stem] = _cache_stamp(cache)
             self.hits += 1
             installed += 1
         return installed
@@ -372,6 +399,74 @@ class ArtifactStore(DurableFiles):
         self.code_saved += 1
         return True
 
+    # -- assembled-object artifacts ----------------------------------------
+    def load_object(self, key: str) -> ObjectFile | None:
+        """The assembled object stored under content key *key*, or
+        ``None``.  The first call reads every object artifact in the
+        store, once per process; an object is decoded only when it is
+        looked up.  Never raises."""
+        if self.disabled:
+            return None
+        with self._objects_lock:
+            if self._objects is None:
+                self._objects = {}
+                for path in sorted(
+                    self.directory.glob(f"{_KIND_OBJECTS}-*.art")
+                ):
+                    stem = path.name.removesuffix(self.suffix)
+                    table = self.read_file(
+                        path, stem, lambda raw: _objects_artifact(raw, stem)
+                    )
+                    if table is not None:
+                        self._objects.update(table)
+            plain = self._objects.get(key)
+        if plain is None:
+            return None
+        try:
+            obj = ObjectFile.from_plain(plain)
+        except (TypeError, ValueError):
+            # A verified artifact whose entry does not decode: counted,
+            # dropped, and the unit is assembled again.
+            with self._objects_lock:
+                self.corrupt += 1
+                self._objects.pop(key, None)
+            return None
+        with self._objects_lock:
+            self.obj_hits += 1
+        return obj
+
+    def stage_object(self, key: str, obj: ObjectFile) -> None:
+        """Queue *obj*, assembled under content key *key*, for the next
+        :meth:`save_objects`."""
+        if self.disabled:
+            return
+        with self._objects_lock:
+            if key not in (self._objects or ()):
+                self._staged[key] = obj
+
+    def save_objects(self) -> bool:
+        """Write every staged object as one artifact; returns whether a
+        file was written.  Called once at the end of a run: each file
+        costs a create and a rename, so a run writes one file however
+        many units it assembled."""
+        with self._objects_lock:
+            staged, self._staged = self._staged, {}
+        if self.disabled or not staged:
+            return False
+        keys = tuple(sorted(staged))
+        table = {key: staged[key].to_plain() for key in keys}
+        with self._objects_lock:
+            if self._objects is not None:
+                self._objects.update(table)
+        payload = marshal.dumps(table)
+        if not self._write(
+            _KIND_OBJECTS, keys, self._stem(_KIND_OBJECTS, keys), payload
+        ):
+            return False
+        with self._objects_lock:
+            self.obj_saved += 1
+        return True
+
     # -- maintenance -------------------------------------------------------
     def _remove(self, path: Path) -> int:
         self._stamps.pop(path.name.removesuffix(self.suffix), None)
@@ -385,6 +480,8 @@ class ArtifactStore(DurableFiles):
             "unchanged": self.unchanged,
             "code_hits": self.code_hits,
             "code_saved": self.code_saved,
+            "obj_hits": self.obj_hits,
+            "obj_saved": self.obj_saved,
         }
 
 
@@ -409,14 +506,29 @@ def _verified_payload(raw: bytes, kind: str, key: tuple | None) -> tuple:
 
 def _decode_artifact(
     raw: bytes, key: tuple | None = None
-) -> tuple[tuple, DecodeCache]:
+) -> tuple[tuple, DecodeCache, bool]:
     """Verify one decode artifact and restore its cache; returns
-    ``(registry key, cache)``.  Without *key* the header's own key must
-    still be a registry key."""
+    ``(registry key, cache, whether its code was this interpreter's)``.
+    Without *key* the header's own key must still be a registry key."""
     stored, payload = _verified_payload(raw, _KIND_DECODE, key)
     if len(stored) != 4:
         raise ValueError("artifact key mismatch")
-    return stored, restore_decode_cache(payload)
+    return (stored, *_restore(payload))
+
+
+def _objects_artifact(raw: bytes, stem: str) -> dict[str, tuple]:
+    """Verify one object artifact filed under *stem*; returns its
+    objects' plain forms by content key.  Its header keys must name it
+    and match its payload's."""
+    stored, payload = _verified_payload(raw, _KIND_OBJECTS, None)
+    table = marshal.loads(payload)
+    if (
+        ArtifactStore._stem(_KIND_OBJECTS, stored) != stem
+        or not isinstance(table, dict)
+        or tuple(sorted(table)) != stored
+    ):
+        raise ValueError("artifact key mismatch")
+    return table
 
 
 def _code_artifact(raw: bytes, key: tuple) -> types.CodeType:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import builtins
 import importlib.util
 import json
+import marshal
 import os
 import shutil
 import subprocess
@@ -26,13 +27,19 @@ from pathlib import Path
 import pytest
 
 from repro.assembler.assembler import Assembler
+from repro.assembler.errors import LinkError
 from repro.assembler.linker import Linker
+from repro.assembler.objectfile import ObjectFile
+from repro.assembler.preprocessor import InMemoryProvider
 
+from repro.core import environment as environment_module
+from repro.core.environment import BASE_FUNCTIONS_FILENAME
 from repro.core.scheduler import (
     RegressionScheduler,
     result_to_payload,
 )
 from repro.core.system_env import make_default_system
+from repro.core.workloads import make_nvm_environment
 from repro.core.workspace import (
     load_module_environment,
     write_system_environment,
@@ -48,9 +55,10 @@ from repro.isa.decodecache import (
     set_artifact_store,
 )
 from repro.platforms.cpu import CpuCore
-from repro.soc.derivatives import SC88A, derivative as lookup_derivative
+from repro.soc.derivatives import SC88A, SC88B, derivative as lookup_derivative
 from repro.soc.device import SystemOnChip
 from repro.store import ArtifactStore, restore_decode_cache, snapshot_decode_cache
+from repro.store import artifacts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -286,6 +294,49 @@ class TestChainRoundtrip:
         assert outcome(traced) == outcome(
             run_on(image, hot_loop()[1], trace=True, use_jit=False)
         )
+
+
+    @pytest.mark.parametrize(
+        "written_by",
+        [
+            lambda patch: patch.setattr(
+                importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n"
+            ),
+            # The tag alone, as snapshots recorded it before the
+            # bytecode magic number joined their code tag.
+            lambda patch: patch.setattr(
+                artifacts, "bytecode_tag",
+                lambda: sys.implementation.cache_tag,
+            ),
+        ],
+        ids=["magic_number", "tag_only_snapshot"],
+    )
+    def test_foreign_bytecode_recompiles_and_is_resaved(
+        self, tmp_path, monkeypatch, compiles, written_by
+    ):
+        """Marshalled chains of another bytecode format are never
+        bound: the head recompiles (a hit, not corruption), and the
+        next persist re-saves the snapshot with this interpreter's
+        code, which later processes bind without compiling."""
+        image, cache, loop = hot_loop()
+        rom = SC88A.memory_map().rom
+        key = (image.digest(), rom.base, rom.base + rom.size, 0)
+        run_on(image, cache)
+        compiled = len(compiles)
+        with monkeypatch.context() as patch:
+            written_by(patch)
+            assert ArtifactStore(tmp_path).save_decode_cache(key, cache)
+        reset_registry()
+        store = ArtifactStore(tmp_path)
+        restored = store.load_decode_cache(key)
+        assert len(compiles) == 2 * compiled
+        assert isinstance(restored._blocks[loop].jit_ot, types.FunctionType)
+        assert (store.hits, store.corrupt, store.quarantined) == (1, 0, 0)
+        assert store.save_decode_cache(key, restored)
+        reset_registry()
+        rebound = ArtifactStore(tmp_path).load_decode_cache(key)
+        assert isinstance(rebound._blocks[loop].jit_ot, types.FunctionType)
+        assert len(compiles) == 2 * compiled
 
 
 # --------------------------------------------------------------------------
@@ -687,3 +738,328 @@ class TestExecutorArtifact:
         os.replace(path, store._path(store._stem("code", code_key(second))))
         assert store.load_code(second) is None
         assert (store.corrupt, store.quarantined) == (1, 1)
+
+
+# --------------------------------------------------------------------------
+# assembled objects below the test cell: persisted by content key
+# --------------------------------------------------------------------------
+
+#: ``advm regress`` in-process with every ``Assembler.assemble_*`` call
+#: counted; prints the CLI's output, then the calls as one JSON line.
+ASSEMBLER_PROBE = """\
+import json, sys
+from repro.assembler.assembler import Assembler
+from repro.cli import main
+
+calls = []
+
+
+def counted(real):
+    def wrapper(self, *args, **kwargs):
+        calls.append(real.__name__)
+        return real(self, *args, **kwargs)
+    return wrapper
+
+
+for name in ("assemble_file", "assemble_source"):
+    setattr(Assembler, name, counted(getattr(Assembler, name)))
+main(sys.argv[1:])
+print(json.dumps(calls))
+"""
+
+
+def probe_regress(workspace, store_dir, *flags) -> tuple[dict, list]:
+    """``regress --store-dir --engine-stats *flags`` in a fresh process:
+    its stats/digest lines by name, and its assembler calls."""
+    out = subprocess.run(
+        [
+            sys.executable, "-c", ASSEMBLER_PROBE, "regress",
+            str(workspace), "--store-dir", str(store_dir),
+            "--engine-stats", *flags,
+        ],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    lines = dict(
+        line.split(": ", 1)
+        for line in out
+        if line.startswith(("engine-stats:", "matrix-digest:", "store-stats:"))
+    )
+    return lines, json.loads(out[-1])
+
+
+def edit_one_cell(workspace: Path) -> None:
+    cell = workspace / "NVM" / "TEST_NVM_PAGE_001" / "test.asm"
+    with open(cell, "a") as handle:
+        handle.write("\n    NOP\n")
+
+
+def object_artifacts(store_dir: Path) -> list[Path]:
+    return sorted((store_dir / "artifacts").glob("objects-*.art"))
+
+
+class TestObjectArtifact:
+    @pytest.fixture
+    def workspace(self, tmp_path):
+        return write_system_environment(
+            make_default_system(nvm_tests=2, uart_tests=1), tmp_path / "ws"
+        )
+
+    def test_edit_rerun_assembles_only_the_edited_cell(
+        self, tmp_path, workspace
+    ):
+        store, cache = tmp_path / "store", str(tmp_path / "cache")
+        cold, _ = probe_regress(workspace, store, "--cache-dir", cache)
+        counters = store_counters(cold)
+        assert (counters["obj_saved"], counters["obj_hits"]) == (1, 0)
+        assert len(object_artifacts(store)) == 1
+
+        edit_one_cell(workspace)
+        edited, calls = probe_regress(workspace, store, "--cache-dir", cache)
+        assert calls == ["assemble_file"]
+        counters = store_counters(edited)
+        # The base functions for four target signatures, both global
+        # libraries and the ES ROM.
+        assert (counters["obj_hits"], counters["obj_saved"]) == (7, 0)
+        assert counters["corrupt"] == 0
+        assert len(object_artifacts(store)) == 1
+
+        control, calls = probe_regress(
+            workspace, tmp_path / "fresh-store", "--no-cache"
+        )
+        assert len(calls) > 1
+        assert edited["matrix-digest"] == control["matrix-digest"]
+
+    def test_rotted_object_artifact_is_quarantined_and_reassembled(
+        self, tmp_path, workspace
+    ):
+        rotted, intact = tmp_path / "rotted", tmp_path / "intact"
+        probe_regress(workspace, rotted)
+        shutil.copytree(rotted, intact)
+        (artifact,) = object_artifacts(rotted)
+        TestCorruption().corrupt_file(artifact)
+
+        healed, healed_calls = probe_regress(workspace, rotted)
+        control, control_calls = probe_regress(workspace, intact)
+        assert healed["engine-stats"] == control["engine-stats"]
+        assert healed["matrix-digest"] == control["matrix-digest"]
+        counters = store_counters(healed)
+        assert counters["corrupt"] == counters["quarantined"] == 1
+        assert (counters["obj_hits"], counters["obj_saved"]) == (0, 1)
+        counters = store_counters(control)
+        assert (counters["corrupt"], counters["obj_saved"]) == (0, 0)
+        assert counters["obj_hits"] > 0
+        assert len(healed_calls) > len(control_calls)
+        assert len(list((rotted / "artifacts").glob("*.corrupt"))) == 1
+        assert len(object_artifacts(rotted)) == 1
+
+    def test_cell_only_edit_writes_no_object_artifact(self, tmp_path):
+        """The store stays a fixed point under cell edits: test-cell
+        objects never persist, and nothing below them changed."""
+        targets = [lookup_target("golden"), lookup_target("rtl")]
+
+        def regress_in_fresh_process(environment):
+            reset_registry()
+            store = ArtifactStore(tmp_path)
+            set_artifact_store(store)
+            RegressionScheduler(targets=targets).run_system(
+                {"NVM": environment}, SC88A
+            )
+            return store
+
+        store = regress_in_fresh_process(make_nvm_environment(1))
+        assert store.obj_saved == 1
+        before = sorted(tmp_path.glob("objects-*.art"))
+        edited = make_nvm_environment(1)
+        _edit_cell_source(edited)
+        store = regress_in_fresh_process(edited)
+        assert (store.obj_saved, store.corrupt) == (0, 0)
+        # Base functions for two target signatures, both libraries, ES.
+        assert store.obj_hits == 5
+        assert sorted(tmp_path.glob("objects-*.art")) == before
+
+
+def _edit_cell_source(environment) -> None:
+    environment.cells["TEST_NVM_PAGE_001"].source += "\n    NOP\n"
+
+
+def _set_define(environment) -> None:
+    environment.defines.set_extra("PATTERN_SEED", 7)
+
+
+def _extend_base_functions(environment) -> None:
+    environment.extra_base_functions = "Base_Custom:\n    RETURN\n"
+
+
+class TestObjectKey:
+    """The content key of a unit below the test cell covers exactly
+    what its object is assembled from."""
+
+    @staticmethod
+    def base_key(environment, derivative=SC88A, target="golden") -> str:
+        return environment._object_key(
+            environment._sources(), BASE_FUNCTIONS_FILENAME, derivative,
+            lookup_target(target),
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_set_define, _extend_base_functions, _edit_cell_source],
+        ids=["globals_define", "base_functions_text", "cell_source"],
+    )
+    def test_key_follows_the_texts_the_unit_reaches(self, edit):
+        """``Globals.inc`` is reached only through ``.INCLUDE``: a key
+        without the included texts misses a define change.  The cell
+        is not reached, so editing it keeps the key."""
+        environment = make_nvm_environment(1)
+        before = self.base_key(environment)
+        edit(environment)
+        changed = self.base_key(environment) != before
+        assert changed == (edit is not _edit_cell_source)
+
+    def test_key_covers_derivative_target_and_toolchain(self, monkeypatch):
+        environment = make_nvm_environment(1)
+        golden = self.base_key(environment)
+        assert self.base_key(environment, derivative=SC88B) != golden
+        # Base functions poll with target budgets: the signature joins
+        # their key, and two targets with equal signatures share it.
+        assert self.base_key(environment, target="rtl") != golden
+        assert self.base_key(environment, target="accelerator") == golden
+        # The cell uses no target define: one key for every target.
+        cell = "TEST_NVM_PAGE_001.asm"
+        assert len({
+            environment._object_key(
+                environment._sources(), cell, SC88A, lookup_target(name)
+            )
+            for name in ("golden", "rtl", "silicon")
+        }) == 1
+        monkeypatch.setattr(environment_module, "_TOOLCHAIN_DIGEST", "0" * 64)
+        assert self.base_key(make_nvm_environment(1)) != golden
+
+
+class TestObjectEncoding:
+    @staticmethod
+    def roundtrip(obj: ObjectFile) -> ObjectFile:
+        return ObjectFile.from_plain(
+            marshal.loads(marshal.dumps(obj.to_plain()))
+        )
+
+    def test_decoded_object_equals_the_assembled_one(self, tmp_path):
+        artifacts_built = make_nvm_environment(1).build_image(
+            "TEST_NVM_PAGE_001", SC88A, lookup_target("golden")
+        )
+        objects = [
+            artifacts_built.test_object,
+            artifacts_built.base_functions_object,
+            *artifacts_built.global_objects,
+        ]
+        store = ArtifactStore(tmp_path)
+        for index, obj in enumerate(objects):
+            decoded = self.roundtrip(obj)
+            assert decoded == obj
+            assert decoded.symbols and decoded.define_snapshot
+            store.load_object(str(index))
+            store.stage_object(str(index), obj)
+        assert store.save_objects() and store.obj_saved == 1
+        fresh = ArtifactStore(tmp_path)
+        for index, obj in enumerate(objects):
+            assert fresh.load_object(str(index)) == obj
+        assert fresh.obj_hits == len(objects)
+
+    def test_link_error_from_a_decoded_object_names_the_same_line(self):
+        files = {
+            "a.asm": '_main:\n.INCLUDE "inc.asm"\n    HALT\n',
+            "inc.asm": ";; shared\n    LOAD a4, Missing_Label\n",
+        }
+        obj = Assembler(provider=InMemoryProvider(files)).assemble_file(
+            "a.asm"
+        )
+        messages = []
+        for candidate in (obj, self.roundtrip(obj)):
+            with pytest.raises(LinkError) as info:
+                Linker().link([candidate])
+            messages.append(str(info.value))
+        assert "inc.asm:2 (via a.asm:2)" in messages[0]
+        assert messages[0] == messages[1]
+
+    def test_misnamed_object_artifact_is_corruption(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        obj = Assembler().assemble_source("_main:\n    HALT\n", "m.asm")
+        store.load_object("k")
+        store.stage_object("k", obj)
+        assert store.save_objects()
+        (path,) = tmp_path.glob("objects-*.art")
+        os.replace(path, tmp_path / ("objects-" + "0" * 64 + ".art"))
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load_object("k") is None
+        assert (fresh.corrupt, fresh.quarantined, fresh.obj_hits) == (1, 1, 0)
+
+    def test_undecodable_entry_is_corruption(self, tmp_path):
+        """A verified artifact whose entry does not decode is counted
+        and dropped; the unit is then assembled as on a miss."""
+        store = ArtifactStore(tmp_path)
+        keys = ("k",)
+        assert store._write(
+            "objects", keys, store._stem("objects", keys),
+            marshal.dumps({"k": ("not an object",)}),
+        )
+        assert store.load_object("k") is None
+        assert store.load_object("k") is None
+        assert (store.corrupt, store.obj_hits) == (1, 0)
+
+
+class TestObjectTableThreads:
+    def test_concurrent_lookups_stages_and_saves_lose_nothing(
+        self, tmp_path
+    ):
+        """Fleet and daemon threads share one store: no staged object
+        and no hit is lost between lookups, stages and saves."""
+        obj = Assembler().assemble_source("_main:\n    HALT\n", "m.asm")
+        workers, per_worker = 6, 40
+        keys = [f"{w}-{i}" for w in range(workers) for i in range(per_worker)]
+        errors = []
+
+        def run_all(target, args_list):
+            threads = [
+                threading.Thread(target=target, args=args, daemon=True)
+                for args in args_list
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+
+        def stage(store, worker):
+            try:
+                for i in range(per_worker):
+                    key = f"{worker}-{i}"
+                    assert store.load_object(key) is None
+                    store.stage_object(key, obj)
+                    if i % 10 == 9:
+                        store.save_objects()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        def look(store):
+            try:
+                for key in keys:
+                    assert store.load_object(key) == obj
+            except Exception as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writer = ArtifactStore(tmp_path)
+            run_all(stage, [(writer, w) for w in range(workers)])
+            writer.save_objects()
+            reader = ArtifactStore(tmp_path)
+            run_all(look, [(reader,)] * workers)
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert reader.obj_hits == workers * len(keys)
+        assert reader.corrupt == 0

@@ -119,6 +119,75 @@ class TestBuildAndRun:
         assert result.status is RunStatus.TIMEOUT
 
 
+def _edit_cell(env):
+    env.cells["TEST_NVM_PAGE_001"].source += "\n    NOP\n"
+
+
+def _edit_define(env):
+    env.defines.set_extra("TEST1_TARGET_PAGE", 11)
+
+
+def _edit_base_functions(env):
+    env.extra_base_functions = "Base_Custom:\n    RETURN\n"
+
+
+class TestSourceStateMemo:
+    """``build_image`` hashes an environment's sources once per state,
+    and every edit of them starts a new state."""
+
+    @staticmethod
+    def build(env):
+        return env.build_image("TEST_NVM_PAGE_001", SC88A, TARGET_GOLDEN)
+
+    def test_unchanged_environment_returns_the_memoised_image(
+        self, monkeypatch
+    ):
+        from repro.core import environment
+
+        env = make_nvm_environment(2)
+        first = self.build(env)
+        hashed = []
+        real = environment._files_fingerprint
+        monkeypatch.setattr(
+            environment, "_files_fingerprint",
+            lambda files: hashed.append(files) or real(files),
+        )
+        assert self.build(env) is first
+        assert env.build_image(
+            "TEST_NVM_PAGE_001", SC88A, TARGET_RTL
+        ) is not first
+        assert hashed == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_edit_cell, _edit_define, _edit_base_functions],
+        ids=["cell_source", "set_extra", "extra_base_functions"],
+    )
+    def test_edit_between_builds_yields_a_new_image(self, edit):
+        env = make_nvm_environment(1)
+        first = self.build(env)
+        fingerprint = env.source_fingerprint()
+        edit(env)
+        second = self.build(env)
+        assert env.source_fingerprint() != fingerprint
+        assert second is not first
+        assert second.image.digest() != first.image.digest()
+        fresh = make_nvm_environment(1)
+        edit(fresh)
+        assert second.image.digest() == self.build(fresh).image.digest()
+
+    def test_cell_edit_keeps_the_base_functions_object(self):
+        """Objects are keyed by content: an edited cell re-assembles
+        only itself."""
+        env = make_nvm_environment(1)
+        first = self.build(env)
+        _edit_cell(env)
+        second = self.build(env)
+        assert second.test_object is not first.test_object
+        assert second.base_functions_object is first.base_functions_object
+        assert second.global_objects is first.global_objects
+
+
 class TestGlobalLayer:
     def test_library_files(self):
         layer = GlobalLayer()
