@@ -5,7 +5,7 @@ verdict reports PASS, and the relative simulation-speed spread matches the
 paper-era ordering (golden >> RTL >> gates).
 """
 
-from repro.core.regression import quick_regression
+from repro.core.scheduler import RegressionScheduler
 from repro.core.workloads import make_nvm_environment
 from repro.platforms import PLATFORM_CLASSES
 from repro.platforms.base import RunStatus
@@ -17,7 +17,10 @@ from conftest import shape
 def test_c1_suite_runs_on_all_six_platforms(benchmark):
     env = make_nvm_environment(2)
     report = benchmark.pedantic(
-        quick_regression, args=(env, SC88A), rounds=1, iterations=1
+        RegressionScheduler().run_environment,
+        args=(env, SC88A),
+        rounds=1,
+        iterations=1,
     )
     assert report.total_runs == 2 * 6
     statuses = {r.status for r in report.results.values()}

@@ -5,7 +5,7 @@ regression must flag exactly that platform, on exactly the tests whose
 stimulus reaches the faulty logic.
 """
 
-from repro.core.regression import RegressionRunner
+from repro.core.scheduler import RegressionScheduler
 from repro.core.workloads import make_nvm_environment, make_uart_environment
 from repro.isa.instructions import Opcode
 from repro.platforms import GateLevelSim, NetlistFault
@@ -20,7 +20,7 @@ FAULT = NetlistFault(
 
 
 def faulty_runner():
-    return RegressionRunner(
+    return RegressionScheduler(
         platform_overrides={"gatelevel": GateLevelSim(fault=FAULT)},
     )
 
@@ -66,7 +66,7 @@ def test_c2_healthy_fleet_is_silent(benchmark):
 
     env = make_nvm_environment(2)
     report = benchmark.pedantic(
-        RegressionRunner().run_environment,
+        RegressionScheduler().run_environment,
         args=(env, SC88A),
         rounds=1,
         iterations=1,

@@ -92,16 +92,19 @@ def link_source(source: str):
 
 def make_legacy(soc) -> None:
     """Downgrade *soc*'s bus to the pre-PR memory system: swap in
-    :class:`LegacyBus` and empty the dispatch table so the core's
-    inline word accessors always miss and fall back to it."""
+    :class:`LegacyBus`, give it its per-access hook list and empty the
+    dispatch table so the core's inline word accessors always miss and
+    fall back to it."""
     soc.bus.__class__ = LegacyBus
+    soc.bus.trace_hooks = []
     soc.bus.page_table.clear()
 
 
 class LegacyBus(Bus):
     """The pre-dispatch-table bus, for baseline measurement: linear
     mapping scan, generic device access, and a ``BusAccess`` object
-    allocated per traced access."""
+    allocated per traced access and handed to each of its
+    ``trace_hooks`` (the bus itself records into a buffer only)."""
 
     def mapping_for(self, address, length):
         for mapping in self.mappings:

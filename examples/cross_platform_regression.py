@@ -12,11 +12,8 @@ Reproduces the paper's Section 1 story:
 Run:  python examples/cross_platform_regression.py
 """
 
-from repro.core import (
-    RegressionRunner,
-    make_nvm_environment,
-    regression_matrix,
-)
+from repro.core import make_nvm_environment, regression_matrix
+from repro.core.scheduler import RegressionScheduler
 from repro.isa.instructions import Opcode
 from repro.platforms import GateLevelSim, NetlistFault
 from repro.soc import SC88A
@@ -26,7 +23,7 @@ def main() -> None:
     env = make_nvm_environment(num_tests=3)
 
     print("=== healthy fleet ===")
-    report = RegressionRunner().run_environment(env, SC88A)
+    report = RegressionScheduler().run_environment(env, SC88A)
     print(regression_matrix(report))
     print(report.summary())
 
@@ -36,10 +33,10 @@ def main() -> None:
         xor_mask=0x1,
         description="mis-synthesized bit-set unit (output bit 0 crossed)",
     )
-    runner = RegressionRunner(
+    scheduler = RegressionScheduler(
         platform_overrides={"gatelevel": GateLevelSim(fault=fault)}
     )
-    faulty_report = runner.run_environment(env, SC88A)
+    faulty_report = scheduler.run_environment(env, SC88A)
     print(regression_matrix(faulty_report))
     print(faulty_report.summary())
 

@@ -69,16 +69,6 @@ class Section:
     def emit_word(self, word: int) -> int:
         return self.emit_bytes(int(word & 0xFFFF_FFFF).to_bytes(4, "little"))
 
-    def align(self, boundary: int, fill: int = 0) -> None:
-        remainder = len(self.data) % boundary
-        if remainder:
-            self.data.extend(bytes([fill]) * (boundary - remainder))
-
-    def patch_word(self, offset: int, word: int) -> None:
-        self.data[offset : offset + 4] = int(word & 0xFFFF_FFFF).to_bytes(
-            4, "little"
-        )
-
     def read_word(self, offset: int) -> int:
         return int.from_bytes(self.data[offset : offset + 4], "little")
 

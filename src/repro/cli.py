@@ -533,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help=(
-            "persistent artifact store root; the daemon rehydrates its "
-            "decode/superblock/JIT state from it at boot and persists "
-            "what jobs warm up"
+            "persistent artifact store root; a job loads an image's "
+            "decode/superblock/JIT state from it on first use and "
+            "persists what jobs warm up"
         ),
     )
     p_serve.add_argument(

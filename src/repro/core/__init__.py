@@ -51,7 +51,6 @@ _ORIGINS = {
     "RandomGlobalsGenerator": "crg",
     "RandomInstance": "crg",
     "RegressionReport": "regression",
-    "RegressionRunner": "regression",
     "ReleaseManager": "release",
     "SystemEnvironment": "system_env",
     "SystemLabel": "release",
@@ -80,7 +79,6 @@ _ORIGINS = {
     "make_uart_environment": "workloads",
     "port_advm_environment": "porting",
     "port_hardwired_suite": "porting",
-    "quick_regression": "regression",
     "regression_matrix": "reporting",
     "render_table": "reporting",
     "target": "targets",

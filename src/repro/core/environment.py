@@ -466,7 +466,7 @@ class ModuleTestEnvironment:
         Pure in the sources, so memoised on a cheap state token — the
         cell sources, the rendered ``Globals.inc``, the base-function
         text and the library texts — like :meth:`globals_text`: a
-        matrix sweep hashes its sources once, while editing a cell, a
+        matrix run hashes its sources once, while editing a cell, a
         define or the base functions still starts a fresh state.
         """
         token = (

@@ -173,9 +173,6 @@ class FaultPlan:
         # Accept any iterable of specs but store a hashable tuple.
         object.__setattr__(self, "specs", tuple(self.specs))
 
-    def with_spec(self, *specs: FaultSpec) -> "FaultPlan":
-        return FaultPlan(seed=self.seed, specs=self.specs + specs)
-
 
 def _in_worker_process() -> bool:
     """True when running inside a multiprocessing child — the only

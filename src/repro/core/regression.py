@@ -1,22 +1,22 @@
-"""Regression running and cross-platform divergence detection.
+"""Regression reports and cross-platform divergence detection.
 
 Two paper claims live here:
 
 - §1: the same assembler suite performs functional verification of every
   development platform — so a regression is a (cells × platforms) matrix;
 - §1/§2: when platforms disagree on a test, "a bug or issue has been
-  found in that particular simulation domain" — the runner compares every
-  platform's verdict against the golden model and attributes divergence.
+  found in that particular simulation domain" — every platform's verdict
+  is compared against the golden model and divergence is attributed.
+
+:class:`~repro.core.scheduler.RegressionScheduler` runs the matrix and
+fills a :class:`RegressionReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.environment import ModuleTestEnvironment
-from repro.core.targets import Target, all_targets, target as lookup_target
-from repro.platforms.base import Platform, RunResult, RunStatus
-from repro.soc.derivatives import Derivative
+from repro.platforms.base import RunResult, RunStatus
 
 REFERENCE_TARGET = "golden"
 
@@ -147,60 +147,3 @@ def detect_divergences(
                     observed_status=result.status,
                 )
             )
-
-
-class RegressionRunner:
-    """Runs module environments across targets and compares verdicts.
-
-    Thin compatibility facade over
-    :class:`~repro.core.scheduler.RegressionScheduler` running serially
-    without a persistent result cache — the verdicts the original
-    serial loops produced, minus their per-(cell, target) platform
-    construction and build churn.
-    """
-
-    def __init__(
-        self,
-        targets: list[Target] | None = None,
-        platform_overrides: dict[str, Platform] | None = None,
-    ):
-        self.targets = list(targets or all_targets())
-        #: target name -> pre-built platform (lets experiments inject a
-        #: faulty gate-level simulator, C2).
-        self.platform_overrides = dict(platform_overrides or {})
-
-    def _scheduler(self):
-        from repro.core.scheduler import RegressionScheduler
-
-        return RegressionScheduler(
-            targets=self.targets,
-            platform_overrides=self.platform_overrides,
-        )
-
-    def run_environment(
-        self,
-        env: ModuleTestEnvironment,
-        derivative: Derivative,
-    ) -> RegressionReport:
-        return self._scheduler().run_environment(env, derivative)
-
-    def run_system(
-        self,
-        environments: dict[str, ModuleTestEnvironment],
-        derivative: Derivative,
-    ) -> RegressionReport:
-        return self._scheduler().run_system(environments, derivative)
-
-
-def quick_regression(
-    env: ModuleTestEnvironment,
-    derivative: Derivative,
-    target_names: list[str] | None = None,
-) -> RegressionReport:
-    """Convenience: regression over named targets (default: all six)."""
-    targets = (
-        [lookup_target(n) for n in target_names]
-        if target_names
-        else None
-    )
-    return RegressionRunner(targets=targets).run_environment(env, derivative)

@@ -26,7 +26,7 @@ far more words (base functions, trap handlers, embedded software) than a
 short directed test ever executes; eager predecode of the whole ROM
 would cost more than it saves on the paper's small test cells.
 :meth:`DecodeCache.predecode_all` exists for benchmarks and tools that
-do want the eager sweep.
+do want every word decoded up front.
 
 Caches only cover addresses inside the read-only region they were built
 for (ROM).  RAM/NVM execution — including self-modifying code — misses
@@ -156,11 +156,9 @@ _MEM_ABSOLUTE_KINDS = frozenset(
 class DecodedInstruction:
     """One fully decoded instruction, ready for the execute stage.
 
-    ``fields`` is shared across every retire of this address — consumers
-    must treat it as read-only.  ``fetch_waits`` is the bus wait-state
-    cost a real fetch of this instruction's word(s) would have charged;
-    cycle-accurate cores add it so cached and uncached execution retire
-    identical cycle counts.
+    ``fetch_waits`` is the bus wait-state cost a real fetch of this
+    instruction's word(s) would have charged; cycle-accurate cores add
+    it so cached and uncached execution retire identical cycle counts.
 
     ``exec`` is the opcode's executor from :data:`EXECUTORS` (rendered
     from :mod:`repro.isa.semantics`, pickled by reference as
@@ -175,10 +173,7 @@ class DecodedInstruction:
     """
 
     opcode: int
-    op: Opcode
     mnemonic: str
-    fields: Mapping[str, int]
-    literal: int | None
     size_bytes: int
     base_cycles: int
     fetch_waits: int
@@ -221,8 +216,14 @@ def _unrolled_setstate(names, setattr_form: str, bindings=None):
     dataclass-``__init__`` codegen trick).  An artifact-store restore
     unpickles thousands of entries and blocks; a Python-level
     ``zip``+``setattr`` loop over 18-20 fields per object was the
-    hottest piece of a warm process start."""
-    source = "def _setstate(self, state):\n" + "\n".join(
+    hottest piece of a warm process start.  A state of any other length
+    (another field layout) raises ``ValueError``, so it can never land
+    in shifted fields."""
+    source = (
+        "def _setstate(self, state):\n"
+        f"    if len(state) != {len(names)}:\n"
+        "        raise ValueError('pickled state has the wrong field count')\n"
+    ) + "\n".join(
         setattr_form.format(name=name, index=index)
         for index, name in enumerate(names)
     )
@@ -265,9 +266,9 @@ DecodedInstruction.__setstate__ = _unrolled_setstate(
 # instead of one ``compile()``.
 # They are defined into this module's namespace, so a pickled entry's
 # ``exec`` resolves as ``repro.isa.decodecache._x_<opcode>`` through
-# :func:`__getattr__`.  None of them consult ``alu_fault_hook``; the
-# core routes non-memory opcodes through ``CpuCore._execute`` when a
-# fault hook is armed.
+# :func:`__getattr__`.  None of them consult ``alu_fault_hook``: a core
+# with a fault hook armed never dispatches them, because ``CpuCore.step``
+# then runs every instruction through the reference interpreter.
 # ---------------------------------------------------------------------------
 
 _EXECUTORS: dict[int, Callable] | None = None
@@ -734,10 +735,7 @@ class DecodeCache:
         imm_s, imm_u = _precomputed_operands(op, fields, literal)
         return DecodedInstruction(
             opcode=opcode,
-            op=op,
             mnemonic=spec.mnemonic,
-            fields=fields,
-            literal=literal,
             size_bytes=spec.size_bytes,
             base_cycles=BASE_CYCLES[opcode],
             fetch_waits=fetch_waits,
@@ -870,23 +868,6 @@ def decode_cache_for(
     return cache
 
 
-def install_cache(key: tuple, cache: DecodeCache) -> DecodeCache:
-    """Register a restored cache under *key* (boot-time rehydration).
-
-    A live registry entry wins over the restored one — the in-memory
-    cache may hold state newer than the snapshot — so installing is
-    idempotent and never regresses warmth.  Returns the cache that is
-    registered after the call."""
-    with _REGISTRY_LOCK:
-        existing = _REGISTRY.pop(key, None)
-        if existing is not None:
-            _REGISTRY[key] = existing
-            return existing
-        _evict_to_limit_locked()
-        _REGISTRY[key] = cache
-        return cache
-
-
 def persist_registry() -> int:
     """Save every registered cache to the installed artifact store;
     returns how many snapshots were written (0 without a store).
@@ -914,20 +895,8 @@ def registry_stats() -> dict[str, int]:
     }
 
 
-class RegistryReset(int):
-    """:func:`reset_registry`'s return: the dropped-cache count (an
-    ``int``, for existing callers) that also carries the eviction count
-    the reset zeroed."""
-
-    def __new__(cls, dropped: int, evictions: int):
-        self = super().__new__(cls, dropped)
-        self.evictions = evictions
-        return self
-
-
-def reset_registry() -> RegistryReset:
-    """Drop every registered cache; returns how many were discarded
-    (with the zeroed eviction count on ``.evictions``).
+def reset_registry() -> int:
+    """Drop every registered cache; returns how many were discarded.
 
     Benchmark/test hook: the registry is what makes the second run of
     an image warm (predecode, superblocks, compiled chains all live
@@ -940,9 +909,8 @@ def reset_registry() -> RegistryReset:
     global _REGISTRY_EVICTIONS
     with _REGISTRY_LOCK:
         dropped = len(_REGISTRY)
-        evictions = _REGISTRY_EVICTIONS
         _REGISTRY.clear()
         _REGISTRY_EVICTIONS = 0
     with _CODE_MEMO_LOCK:
         _CODE_MEMO.clear()
-    return RegistryReset(dropped, evictions)
+    return dropped

@@ -309,11 +309,7 @@ class CpuCore:
     # path, which preserves full semantics.
     def _read_word_fast(self, address: int) -> int:
         bus = self.bus
-        if (
-            bus.trace_buffer is None
-            and not bus.trace_hooks
-            and not address & 3
-        ):
+        if bus.trace_buffer is None and not address & 3:
             mapping = bus.page_table.get(address >> PAGE_SHIFT)
             if mapping is not None and mapping.word_buf is not None:
                 bus.access_count += 1
@@ -329,11 +325,7 @@ class CpuCore:
 
     def _write_word_fast(self, address: int, value: int) -> None:
         bus = self.bus
-        if (
-            bus.trace_buffer is None
-            and not bus.trace_hooks
-            and not address & 3
-        ):
+        if bus.trace_buffer is None and not address & 3:
             mapping = bus.page_table.get(address >> PAGE_SHIFT)
             if mapping is not None and mapping.word_wbuf is not None:
                 bus.access_count += 1
@@ -356,11 +348,7 @@ class CpuCore:
     # the bus's generic sized access exactly.
     def _read_half_fast(self, address: int) -> int:
         bus = self.bus
-        if (
-            bus.trace_buffer is None
-            and not bus.trace_hooks
-            and not address & 1
-        ):
+        if bus.trace_buffer is None and not address & 1:
             mapping = bus.page_table.get(address >> PAGE_SHIFT)
             if mapping is not None and mapping.word_buf is not None:
                 bus.access_count += 1
@@ -376,11 +364,7 @@ class CpuCore:
 
     def _write_half_fast(self, address: int, value: int) -> None:
         bus = self.bus
-        if (
-            bus.trace_buffer is None
-            and not bus.trace_hooks
-            and not address & 1
-        ):
+        if bus.trace_buffer is None and not address & 1:
             mapping = bus.page_table.get(address >> PAGE_SHIFT)
             if mapping is not None and mapping.word_wbuf is not None:
                 bus.access_count += 1
@@ -398,7 +382,7 @@ class CpuCore:
 
     def _read_byte_fast(self, address: int) -> int:
         bus = self.bus
-        if bus.trace_buffer is None and not bus.trace_hooks:
+        if bus.trace_buffer is None:
             mapping = bus.page_table.get(address >> PAGE_SHIFT)
             if mapping is not None and mapping.word_buf is not None:
                 bus.access_count += 1
@@ -412,7 +396,7 @@ class CpuCore:
 
     def _write_byte_fast(self, address: int, value: int) -> None:
         bus = self.bus
-        if bus.trace_buffer is None and not bus.trace_hooks:
+        if bus.trace_buffer is None:
             mapping = bus.page_table.get(address >> PAGE_SHIFT)
             if mapping is not None and mapping.word_wbuf is not None:
                 bus.access_count += 1
@@ -459,7 +443,12 @@ class CpuCore:
     # -- main step -----------------------------------------------------------
     def step(self) -> int:
         """Execute one instruction; returns cycles consumed (including
-        interrupt entry if one was taken first)."""
+        interrupt entry if one was taken first).
+
+        An unhooked core with a decode cache dispatches the predecoded
+        entry at *pc*; a cache miss, or a core with an ALU fault hook
+        armed, runs the reference interpreter (:meth:`_step_uncached`),
+        which is the only place the hook is applied."""
         if self.halted:
             return 0
         start_cycles = self.cycles
@@ -469,13 +458,10 @@ class CpuCore:
         pc = self.regs.pc
         entry = (
             self._decode_cache.get(pc)
-            if self._decode_cache is not None
+            if self._decode_cache is not None and self.alu_fault_hook is None
             else None
         )
         if entry is None:
-            # Legacy path: bus fetch + per-step decode + if/elif chain.
-            # Kept for RAM execution, self-modifying code and fault/trap
-            # cases.
             return self._step_uncached(pc, start_cycles)
 
         # Predecoded fast path: fetch, decode and base-cycle lookup
@@ -486,21 +472,13 @@ class CpuCore:
         if self.charge_wait_states:
             self._pending_waits += entry.fetch_waits
         bus = self.bus
-        if bus.trace_buffer is not None or bus.trace_hooks:
+        if bus.trace_buffer is not None:
             bus.emit_fetches(entry.fetch_events)
         next_pc = entry.next_pc
         try:
-            if self.alu_fault_hook is None or entry.mem_kind:
-                # Table dispatch: one indirect call to the per-opcode
-                # executor bound at decode time.  Memory micro-ops
-                # never touch the fault hook, so they stay on the
-                # table even under fault injection; everything else
-                # drops to the reference chain when a hook is armed.
-                taken = entry.exec(self, entry)
-            else:
-                taken = self._execute(
-                    entry.op, entry.fields, entry.literal, next_pc
-                )
+            # Table dispatch: one indirect call to the per-opcode
+            # executor bound at decode time.
+            taken = entry.exec(self, entry)
         except BusError:
             # Convert data-access failures into the architectural trap.
             self.take_trap(TRAP_BUS_ERROR, next_pc)
@@ -520,7 +498,8 @@ class CpuCore:
 
     def _step_uncached(self, pc: int, start_cycles: int) -> int:
         """Fetch/decode through the bus and execute via the reference
-        chain — the pre-predecode interpreter, kept for cache misses."""
+        chain — the reference interpreter, for cache misses and for every
+        instruction of a core with an ALU fault hook armed."""
         try:
             word = self._read(pc, 4)
         except BusError:
@@ -593,10 +572,10 @@ class CpuCore:
         ticked peripherals — once *cycle_budget* cycles have been
         consumed or :meth:`cut_block` fired.  Engine selection: the
         superblock loop runs whenever a decode cache is attached and no
-        fault hook or per-access ``trace_hooks`` callback is armed —
-        observation (instruction trace, bus trace buffer, wait-state
-        charging) only switches it to template replay.  Anything else
-        steps through :meth:`step`.
+        ALU fault hook is armed — observation (instruction trace, bus
+        trace buffer, wait-state charging) only switches it to template
+        replay.  Anything else steps through :meth:`step`, which sends
+        a hooked core's every instruction to the reference interpreter.
         """
         if self.halted:
             return 0
@@ -604,17 +583,12 @@ class CpuCore:
         self._block_deadline = (
             None if cycle_budget is None else start_cycles + cycle_budget
         )
-        bus = self.bus
-        if (
-            self._decode_cache is not None
-            and self.alu_fault_hook is None
-            and not bus.trace_hooks
-        ):
+        if self._decode_cache is not None and self.alu_fault_hook is None:
             self._run_superblocks(
                 instruction_limit,
                 self.trace is not None
                 or self.charge_wait_states
-                or bus.trace_buffer is not None,
+                or self.bus.trace_buffer is not None,
             )
             return self.cycles - start_cycles
 
@@ -632,7 +606,7 @@ class CpuCore:
 
     def _run_superblocks(self, limit: int | None, observed: bool) -> None:
         """Superblock execution loop (decode cache attached, no fault
-        hook, no per-access ``trace_hooks``).
+        hook).
 
         Retires instructions block-at-a-time: the interrupt probe and
         the limit check run once per superblock (sound because body

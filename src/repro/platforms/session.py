@@ -333,10 +333,10 @@ class ExecutionSession:
             self.poisoned = True
             raise
 
-    # -- pool-visible health/reset hooks -----------------------------------
+    # -- pool-visible health hook ------------------------------------------
     #
     # A warm pool (:mod:`repro.service.pool`) keeps sessions alive
-    # across requests; these hooks are its contract for telling a
+    # across requests; this hook is its contract for telling a
     # reusable device from one wedged or poisoned by a faulting run.
 
     def health_check(self) -> bool:
@@ -357,16 +357,3 @@ class ExecutionSession:
         except Exception:
             self.poisoned = True
             return False
-
-    def recycle(self) -> None:
-        """Restore the just-constructed device state between tenants.
-
-        Raises if the device cannot be restored — the pool then
-        discards the session.  A poisoned session cannot be recycled:
-        its device state is unknown by definition.
-        """
-        if self.poisoned:
-            raise RuntimeError("cannot recycle a poisoned session")
-        self.soc.full_reset()
-        self.cpu.trace = None
-

@@ -202,8 +202,8 @@ class RegressionService:
         #: Optional :class:`repro.store.artifacts.ArtifactStore`.
         #: Installing it makes every scheduler run persist its warmed
         #: decode/superblock/JIT state and every registry miss try the
-        #: store first; :meth:`rehydrate` bulk-loads it at boot so a
-        #: restarted daemon's pool skips predecode entirely.
+        #: store first, so a restarted daemon loads each image's
+        #: snapshot on the first job that runs it, as the CLI does.
         self.store = store
         if store is not None:
             if store.injector is None and self._injector is not None:
@@ -423,19 +423,6 @@ class RegressionService:
         self._publish(job, event)
 
     # -- recovery / lifecycle ----------------------------------------------
-    async def rehydrate(self) -> int:
-        """Warm the process-wide decode-cache registry from the
-        artifact store (the warm-state half of boot recovery, next to
-        :meth:`replay_pending`'s journal half).  Returns how many
-        caches were installed; 0 without a store.  Restores are
-        blocking unpickle + JIT recompile work, so they run off the
-        event loop."""
-        if self.store is None:
-            return 0
-        return await asyncio.get_running_loop().run_in_executor(
-            None, self.store.warm_registry
-        )
-
     async def replay_pending(self) -> int:
         """Re-run jobs the journal accepted but never settled (the
         restart half of the durability contract).  Returns how many
@@ -549,11 +536,6 @@ class ServiceDaemon:
         self._server: asyncio.AbstractServer | None = None
 
     async def start(self) -> None:
-        rehydrated = await self.service.rehydrate()
-        if rehydrated:
-            print(
-                f"artifact store: {rehydrated} decode cache(s) rehydrated"
-            )
         replayed = await self.service.replay_pending()
         if replayed:
             print(f"journal replay: {replayed} pending job(s) restarted")

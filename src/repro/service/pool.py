@@ -19,9 +19,9 @@ Robustness over throughput:
   *and* the session's own :meth:`ExecutionSession.health_check` passes.
   A session poisoned by a faulting run (the PR 7 degradation ladder
   marks it) is discarded and rebuilt cold, never re-leased;
-- **supervision** — :meth:`sweep` health-checks every idle session and
-  recycles the wedged ones, so a daemon's pool self-heals between
-  requests instead of handing a broken device to the next tenant;
+- **supervision** — :meth:`lease` health-checks each idle session
+  before handing it out and discards a wedged one, so a broken device
+  never reaches the next tenant;
 - **bounded** — idle capacity is LRU-bounded like the decode-cache
   digest registry: returning a session beyond ``max_idle`` evicts the
   least-recently-used idle session, so a traffic spike cannot grow the
@@ -147,39 +147,6 @@ class WarmSessionPool:
                     pass
             self.evicted += 1
 
-    # -- supervision -------------------------------------------------------
-    def sweep(self) -> int:
-        """Health-check every idle session; recycle the broken ones.
-        Returns how many were recycled.
-
-        Idle sessions are detached under the lock before being probed,
-        so a concurrent lease can never receive a device the sweep is
-        mid-way through resetting.
-        """
-        with self._lock:
-            candidates = list(self._order)
-            self._order.clear()
-            self._idle.clear()
-        recycled = 0
-        for session in candidates:
-            if session.health_check():
-                with self._lock:
-                    key = self._keys.get(id(session))
-                    if key is not None and not self._closed:
-                        self._idle.setdefault(key, []).append(session)
-                        self._order.append(session)
-                        continue
-            with self._lock:
-                self._keys.pop(id(session), None)
-                self.recycled += 1
-            recycled += 1
-        # Survivors were re-added without bound checks (and concurrent
-        # releases may have refilled the pool while candidates were
-        # detached): re-enforce the LRU cap before returning.
-        with self._lock:
-            self._evict_to_bound_locked()
-        return recycled
-
     def probe(self, target, derivative: Derivative) -> bool:
         """Readiness: can the pool produce one healthy session right
         now?  A real lease + health-check + return, so injected
@@ -193,19 +160,6 @@ class WarmSessionPool:
             return session.health_check()
         finally:
             self.release(session)
-
-    def prewarm(self, targets, derivative: Derivative) -> int:
-        """Build (or verify) one warm session per target; returns how
-        many are now idle.  Boot-time hook so the first request after a
-        restart doesn't pay the whole matrix's cold-start."""
-        for target in targets:
-            try:
-                session = self.lease(target, derivative)
-            except Exception:
-                continue
-            self.release(session)
-        with self._lock:
-            return len(self._order)
 
     def close(self) -> None:
         """Drop every idle session and refuse to warm new ones."""

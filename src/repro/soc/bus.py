@@ -21,9 +21,7 @@ a method call plus a bytes-slice allocation per access.
 Tracing is allocation-free on the hot path: when a :class:`BusTrace`
 buffer is installed, each access appends one ``(kind, address, size,
 value)`` tuple; consumers drain the buffer lazily into
-:class:`BusAccess` views.  The legacy ``trace_hooks`` callback list is
-still honoured (each hook receives a :class:`BusAccess`), but costs an
-object per access and is kept for tests and ad-hoc probes.
+:class:`BusAccess` views.  The buffer is the one way to watch the bus.
 
 Unmapped or misaligned accesses raise :class:`BusError`; the CPU converts
 them into the architectural bus-error trap so a runaway test dies the
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import is_
 from struct import Struct
-from typing import Callable, Iterator, Protocol
+from typing import Iterator, Protocol
 
 #: Dispatch-table granularity.  256-byte pages cover every real mapping
 #: exactly (memory regions are 64 KiB-aligned and SFR peripheral blocks
@@ -338,7 +336,6 @@ class Bus:
 
     def __init__(self) -> None:
         self.mappings: list[Mapping] = []
-        self.trace_hooks: list[Callable[[BusAccess], None]] = []
         #: Allocation-free access recording; ``None`` when not tracing.
         self.trace_buffer: BusTrace | None = None
         self.access_count = 0
@@ -455,10 +452,6 @@ class Bus:
         trace = self.trace_buffer
         if trace is not None:
             trace.record("read", address, size, value)
-        if self.trace_hooks:
-            access = BusAccess("read", address, size, value)
-            for hook in self.trace_hooks:
-                hook(access)
         return value, mapping.wait_states
 
     def write(self, address: int, value: int, size: int) -> int:
@@ -477,10 +470,6 @@ class Bus:
         trace = self.trace_buffer
         if trace is not None:
             trace.record("write", address, size, value)
-        if self.trace_hooks:
-            access = BusAccess("write", address, size, value)
-            for hook in self.trace_hooks:
-                hook(access)
         return mapping.wait_states
 
     # Word-specialised accessors for the CPU's hottest operations
@@ -501,10 +490,6 @@ class Bus:
         trace = self.trace_buffer
         if trace is not None:
             trace.record("read", address, 4, value)
-        if self.trace_hooks:
-            access = BusAccess("read", address, 4, value)
-            for hook in self.trace_hooks:
-                hook(access)
         return value, mapping.wait_states
 
     def write_word(self, address: int, value: int) -> int:
@@ -523,10 +508,6 @@ class Bus:
         trace = self.trace_buffer
         if trace is not None:
             trace.record("write", address, 4, value)
-        if self.trace_hooks:
-            access = BusAccess("write", address, 4, value)
-            for hook in self.trace_hooks:
-                hook(access)
         return mapping.wait_states
 
     def emit_fetches(
@@ -542,11 +523,6 @@ class Bus:
         trace = self.trace_buffer
         if trace is not None:
             trace.extend_raw(events)
-        if self.trace_hooks:
-            for event in events:
-                access = BusAccess(*event)
-                for hook in self.trace_hooks:
-                    hook(access)
 
     # Convenience word accessors used by platforms/debug ports; they do
     # not charge wait states, count accesses, or record trace events.

@@ -63,13 +63,16 @@ from pathlib import Path
 from repro.assembler.objectfile import ObjectFile
 from repro.core.durable import DurableFiles, checksum, content_key
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
-from repro.isa import decodecache as _decodecache
 from repro.isa.decodecache import JIT_THRESHOLD, DecodeCache
 
 #: Bump when the snapshot payload or envelope changes incompatibly.
 STORE_SCHEMA = 1
 
-_KIND_DECODE = "decode"
+#: Decode snapshots are ``decode2-*``: files of the first entry layout
+#: (``decode-*``, whose entries also carried ``op``/``fields``/
+#: ``literal``) are never opened, so a store written with it reads as
+#: misses and re-derives, never as corruption or shifted fields.
+_KIND_DECODE = "decode2"
 _KIND_CODE = "code"
 _KIND_OBJECTS = "objects"
 
@@ -238,7 +241,7 @@ class ArtifactStore(DurableFiles):
     """Content-addressed, checksummed, prunable artifact directory.
 
     Three kinds of artifact share its rules: decode-cache snapshots
-    (``decode-*``, counted in ``hits``/``saved``/``unchanged``),
+    (``decode2-*``, counted in ``hits``/``saved``/``unchanged``),
     compiled code objects (``code-*``, counted in ``code_hits``/
     ``code_saved``) — the opcode executor table, whose ``compile()``
     every executing process would otherwise repeat — and assembled
@@ -345,31 +348,11 @@ class ArtifactStore(DurableFiles):
         )
         if loaded is None:
             return None
-        _key, cache, native = loaded
+        cache, native = loaded
         self.hits += 1
         if native:
             self._stamps[stem] = _cache_stamp(cache)
         return cache
-
-    def warm_registry(self) -> int:
-        """Install every readable decode snapshot into the process-wide
-        registry (boot-time rehydration for a restarted daemon pool);
-        returns how many caches are now registered from the store."""
-        if self.disabled:
-            return 0
-        installed = 0
-        for path in sorted(self.directory.glob(f"{_KIND_DECODE}-*.art")):
-            stem = path.name.removesuffix(self.suffix)
-            loaded = self.read_file(path, stem, _decode_artifact)
-            if loaded is None:
-                continue
-            key, cache, native = loaded
-            _decodecache.install_cache(key, cache)
-            if native:
-                self._stamps[stem] = _cache_stamp(cache)
-            self.hits += 1
-            installed += 1
-        return installed
 
     # -- compiled-code artifacts -------------------------------------------
     def load_code(self, source: str) -> types.CodeType | None:
@@ -504,16 +487,10 @@ def _verified_payload(raw: bytes, kind: str, key: tuple | None) -> tuple:
     return stored, payload
 
 
-def _decode_artifact(
-    raw: bytes, key: tuple | None = None
-) -> tuple[tuple, DecodeCache, bool]:
+def _decode_artifact(raw: bytes, key: tuple) -> tuple[DecodeCache, bool]:
     """Verify one decode artifact and restore its cache; returns
-    ``(registry key, cache, whether its code was this interpreter's)``.
-    Without *key* the header's own key must still be a registry key."""
-    stored, payload = _verified_payload(raw, _KIND_DECODE, key)
-    if len(stored) != 4:
-        raise ValueError("artifact key mismatch")
-    return (stored, *_restore(payload))
+    ``(cache, whether its code was this interpreter's)``."""
+    return _restore(_verified_payload(raw, _KIND_DECODE, key)[1])
 
 
 def _objects_artifact(raw: bytes, stem: str) -> dict[str, tuple]:

@@ -33,6 +33,7 @@ from repro.assembler.objectfile import ObjectFile
 from repro.assembler.preprocessor import InMemoryProvider
 
 from repro.core import environment as environment_module
+from repro.core.durable import checksum, content_key
 from repro.core.environment import BASE_FUNCTIONS_FILENAME
 from repro.core.scheduler import (
     RegressionScheduler,
@@ -48,12 +49,13 @@ from repro.core.targets import target as lookup_target
 from repro.isa import decodecache
 from repro.isa.decodecache import (
     DecodeCache,
-    RegistryReset,
-    install_cache,
+    DecodedInstruction,
     registry_stats,
     reset_registry,
     set_artifact_store,
 )
+from repro.isa.encoding import decode_word
+from repro.isa.instructions import Opcode, lookup_opcode
 from repro.platforms.cpu import CpuCore
 from repro.soc.derivatives import SC88A, SC88B, derivative as lookup_derivative
 from repro.soc.device import SystemOnChip
@@ -61,6 +63,9 @@ from repro.store import ArtifactStore, restore_decode_cache, snapshot_decode_cac
 from repro.store import artifacts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The kind name (and file prefix) of decode-cache snapshots.
+DECODE = artifacts._KIND_DECODE
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +123,7 @@ class TestRoundtrip:
         warm_and_persist(matrix, store)
         assert store.saved >= 1
         assert store.write_errors == 0
-        assert sorted(tmp_path.glob("decode-*.art"))
+        assert sorted(tmp_path.glob(f"{DECODE}-*.art"))
 
     def test_warm_start_is_byte_identical_and_skips_predecode(
         self, tmp_path, matrix
@@ -349,16 +354,13 @@ class TestCorruption:
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
 
-    def corrupt_one(self, tmp_path) -> None:
-        self.corrupt_file(next(tmp_path.glob("decode-*.art")))
-
     def test_corrupt_artifact_is_quarantined_and_rederived(
         self, tmp_path, matrix
     ):
         store = ArtifactStore(tmp_path)
         reset_registry()
         cold_report = warm_and_persist(matrix, store)
-        artifacts = sorted(tmp_path.glob("decode-*.art"))
+        artifacts = sorted(tmp_path.glob(f"{DECODE}-*.art"))
         for path in artifacts:
             self.corrupt_file(path)
 
@@ -394,7 +396,7 @@ class TestCorruption:
             assert store.save_decode_cache(
                 key, decodecache._REGISTRY[key]
             )
-            self.corrupt_one(tmp_path)
+            self.corrupt_file(store._path(store._stem(DECODE, key)))
             assert store.load_decode_cache(key) is None
         assert store.corrupt == 3
         assert store.quarantined == 3
@@ -405,11 +407,11 @@ class TestCorruption:
         reset_registry()
         warm_and_persist(matrix, store)
         key = next(iter(decodecache._REGISTRY))
-        path = store._path(store._stem("decode", key))
+        path = store._path(store._stem(DECODE, key))
         alias = ("0" * 64, 0, 16, 0)
         # A valid artifact squatting under another key's content
         # address lies about its identity: corruption by definition.
-        os.replace(path, store._path(store._stem("decode", alias)))
+        os.replace(path, store._path(store._stem(DECODE, alias)))
         fresh = ArtifactStore(tmp_path)
         assert fresh.load_decode_cache(alias) is None
         assert fresh.corrupt == 1
@@ -417,7 +419,7 @@ class TestCorruption:
 
     def test_truncated_artifact_is_corruption(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        stem = store._stem("decode", ("digest", 0, 16, 0))
+        stem = store._stem(DECODE, ("digest", 0, 16, 0))
         store._path(stem).write_bytes(b'{"schema": 1')  # no payload
         assert store.load_decode_cache(("digest", 0, 16, 0)) is None
         assert store.corrupt == 1
@@ -440,7 +442,6 @@ class TestDegradation:
         assert report.total_runs == len(report.results)
         assert store.saved == 0
         assert store.load_decode_cache(("k", 0, 1, 0)) is None
-        assert store.warm_registry() == 0
         assert store.prune(max_entries=0) == 0
 
     def test_fleet_flag_without_store_dir_is_an_error(self, capsys):
@@ -493,32 +494,10 @@ class TestPrune:
 
 
 # --------------------------------------------------------------------------
-# boot-time rehydration + registry semantics
+# registry semantics
 # --------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_warm_registry_installs_every_snapshot(self, tmp_path, matrix):
-        store = ArtifactStore(tmp_path)
-        reset_registry()
-        warm_and_persist(matrix, store)
-        saved_keys = set(decodecache._REGISTRY)
-        assert saved_keys
-
-        reset_registry()
-        fresh = ArtifactStore(tmp_path)
-        installed = fresh.warm_registry()
-        assert installed == len(saved_keys)
-        assert set(decodecache._REGISTRY) == saved_keys
-        assert registry_stats()["registry_size"] == len(saved_keys)
-
-    def test_install_cache_live_entry_wins(self, tmp_path, matrix):
-        reset_registry()
-        run_matrix(matrix)
-        key, live = next(iter(decodecache._REGISTRY.items()))
-        restored = restore_decode_cache(snapshot_decode_cache(live))
-        assert install_cache(key, restored) is live
-        assert decodecache._REGISTRY[key] is live
-
     def test_reset_registry_zeroes_evictions_and_keeps_int_contract(
         self, matrix, monkeypatch
     ):
@@ -527,23 +506,18 @@ class TestRegistry:
         cold-start measurement inherited a previous sample's
         evictions."""
         reset_registry()
+        # Force evictions: with a limit of 1, the matrix's second image
+        # key (golden and rtl fetch with different wait states) evicts
+        # the first.
+        monkeypatch.setattr(decodecache, "_REGISTRY_LIMIT", 1)
         run_matrix(matrix)
         assert decodecache._REGISTRY
-        # Force evictions: a limit of 1 evicts on the next install.
-        monkeypatch.setattr(decodecache, "_REGISTRY_LIMIT", 1)
-        cache = next(iter(decodecache._REGISTRY.values()))
-        install_cache(("other", 0, 1, 0), restore_decode_cache(
-            snapshot_decode_cache(cache)
-        ))
         assert registry_stats()["registry_evictions"] >= 1
 
         dropped = reset_registry()
-        # Existing callers treat the return as an int...
-        assert isinstance(dropped, RegistryReset)
-        assert isinstance(dropped, int)
-        assert dropped == dropped + 0
-        # ...and the reset reports and zeroes the eviction counter too.
-        assert dropped.evictions >= 1
+        # The return is the plain count of dropped caches...
+        assert type(dropped) is int and dropped >= 1
+        # ...and the reset zeroes the eviction counter too.
         assert registry_stats() == {
             "registry_size": 0,
             "registry_evictions": 0,
@@ -573,21 +547,124 @@ class TestRegistry:
     def test_misnamed_snapshot_is_resaved_under_its_own_name(
         self, tmp_path, matrix
     ):
-        """Booting from a snapshot filed under another name must not
-        make later saves of its key target that name."""
+        """A snapshot filed under another name is never read for a key:
+        the key misses, its state is re-derived and saved under the
+        key's own name, and the misnamed file is left as it was."""
         store = ArtifactStore(tmp_path)
         reset_registry()
         warm_and_persist(matrix, store)
         key = next(iter(decodecache._REGISTRY))
-        right = store._path(store._stem("decode", key))
-        wrong = store._path("decode-" + "0" * 64)
+        right = store._path(store._stem(DECODE, key))
+        wrong = store._path(f"{DECODE}-" + "0" * 64)
         os.replace(right, wrong)
         reset_registry()
         booted = ArtifactStore(tmp_path)
-        assert booted.warm_registry() == len(list(tmp_path.glob("decode-*")))
-        assert booted.save_decode_cache(key, decodecache._REGISTRY[key])
+        set_artifact_store(booted)
+        run_matrix(matrix)
+        assert (booted.corrupt, booted.quarantined) == (0, 0)
+        assert booted.saved >= 1
         assert right.exists() and wrong.exists()
-        assert booted.load_decode_cache(key) is not None
+        assert ArtifactStore(tmp_path).load_decode_cache(key) is not None
+
+
+# --------------------------------------------------------------------------
+# the store format across the entry-layout change
+# --------------------------------------------------------------------------
+
+def first_layout_state(entry) -> list:
+    """*entry*'s pickled state in the first entry layout: 21 fields,
+    with ``op``, ``fields`` and ``literal`` after ``opcode`` and
+    ``mnemonic`` (rebuilt from the entry's fetched words)."""
+    word = entry.fetch_events[0][3]
+    literal = entry.fetch_events[1][3] if len(entry.fetch_events) > 1 else None
+    fields = decode_word(lookup_opcode(entry.opcode).fmt, word)
+    state = [getattr(entry, name) for name in decodecache._DECODED_FIELDS]
+    return [state[0], Opcode(entry.opcode), state[1], fields, literal,
+            *state[2:]]
+
+
+class TestStoreFormat:
+    """A store written with the first entry layout holds ``decode-*``
+    snapshots of 21-field entries; this layout pickles 18 fields and
+    files its snapshots as ``decode2-*``."""
+
+    @staticmethod
+    def rewrite_in_first_layout(directory: Path) -> dict[Path, bytes]:
+        """Replace every decode snapshot in *directory* by the file the
+        first layout wrote for it; returns those files' bytes."""
+        written = {}
+        for path in sorted(directory.glob(f"{DECODE}-*.art")):
+            header_line, payload = path.read_bytes().split(b"\n", 1)
+            key = tuple(json.loads(header_line)["key"])
+            cache = restore_decode_cache(payload)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    DecodedInstruction, "__getstate__", first_layout_state
+                )
+                payload = snapshot_decode_cache(cache)
+            header = json.dumps(
+                {
+                    "schema": artifacts.STORE_SCHEMA,
+                    "kind": "decode",
+                    "key": list(key),
+                    "checksum": checksum(payload),
+                },
+                sort_keys=True,
+            ).encode()
+            first = directory / f"decode-{content_key(*key)}.art"
+            first.write_bytes(header + b"\n" + payload)
+            written[first] = first.read_bytes()
+            path.unlink()
+        return written
+
+    def test_first_layout_store_reads_clean(self, tmp_path):
+        """Its decode snapshots are misses, re-derived and saved under
+        the new name; its code and object artifacts still hit."""
+        workspace = write_system_environment(
+            make_default_system(nvm_tests=1, uart_tests=1), tmp_path / "ws"
+        )
+        store_dir = tmp_path / "store"
+        cold = regress(workspace, store_dir)
+        directory = store_dir / "artifacts"
+        first = self.rewrite_in_first_layout(directory)
+        assert first
+
+        after = regress(workspace, store_dir)
+        assert after["matrix-digest"] == cold["matrix-digest"]
+        assert after["engine-stats"] == cold["engine-stats"]
+        counters = store_counters(after)
+        assert (counters["corrupt"], counters["quarantined"]) == (0, 0)
+        assert counters["hits"] == 0
+        assert counters["saved"] == store_counters(cold)["saved"]
+        assert counters["code_hits"] == 1 and counters["code_saved"] == 0
+        assert counters["obj_hits"] >= 1 and counters["obj_saved"] == 0
+        assert len(list(directory.glob(f"{DECODE}-*.art"))) == len(first)
+        assert {path: path.read_bytes() for path in first} == first
+        assert not list(directory.glob("*.corrupt"))
+
+    def test_first_layout_entry_state_is_corruption(self, tmp_path, matrix):
+        """A 21-field entry state never lands in shifted fields: the
+        entry rejects it, and a snapshot holding one is corrupt."""
+        store = ArtifactStore(tmp_path)
+        reset_registry()
+        warm_and_persist(matrix, store)
+        key, cache = next(iter(decodecache._REGISTRY.items()))
+        entry = next(iter(cache._entries.values()))
+        with pytest.raises(ValueError, match="field count"):
+            DecodedInstruction.__new__(DecodedInstruction).__setstate__(
+                first_layout_state(entry)
+            )
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                DecodedInstruction, "__getstate__", first_layout_state
+            )
+            payload = snapshot_decode_cache(cache)
+        stem = store._stem(DECODE, key)
+        assert store._write(DECODE, key, stem, payload)
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load_decode_cache(key) is None
+        assert (fresh.corrupt, fresh.quarantined, fresh.hits) == (1, 1, 0)
 
 
 # --------------------------------------------------------------------------

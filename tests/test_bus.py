@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soc.bus import Bus, BusAccess, BusError, Memory
+from repro.soc.bus import Bus, BusError, BusTrace, Memory
 
 
 class TestMemory:
@@ -84,25 +84,13 @@ class TestBusDecode:
 
 
 class TestBusTracing:
-    def test_trace_hook_sees_accesses(self):
-        bus = Bus()
-        bus.attach("a", 0x0, 0x100, Memory(0x100))
-        seen: list[BusAccess] = []
-        bus.trace_hooks.append(seen.append)
-        bus.write(0x10, 7, 4)
-        bus.read(0x10, 4)
-        assert [a.kind for a in seen] == ["write", "read"]
-        assert seen[0].address == 0x10 and seen[0].value == 7
-        assert seen[1].value == 7
-
     def test_peek_poke_do_not_trace(self):
         bus = Bus()
         bus.attach("a", 0x0, 0x100, Memory(0x100))
-        seen = []
-        bus.trace_hooks.append(seen.append)
+        bus.trace_buffer = BusTrace()
         bus.poke_word(0, 9)
         assert bus.peek_word(0) == 9
-        assert seen == []
+        assert len(bus.trace_buffer) == 0
 
     def test_access_counter(self):
         bus = Bus()

@@ -45,8 +45,8 @@ class TestDecodeCache:
         assert len(cache) == 0
         entry = cache.get(image.entry)
         assert entry is not None
-        assert entry.op is Opcode.ADD
-        assert entry.fields == {"r1": 1, "r2": 2, "r3": 3}
+        assert entry.opcode == Opcode.ADD
+        assert (entry.r1, entry.r2, entry.r3) == (1, 2, 3)
         assert entry.base_cycles == BASE_CYCLES[int(Opcode.ADD)]
         assert cache.get(image.entry) is entry
         assert len(cache) == 1
@@ -56,8 +56,10 @@ class TestDecodeCache:
         base, end = rom_region()
         cache = DecodeCache(image, base, end, wait_states=1)
         entry = cache.get(image.entry)
-        assert entry.op is Opcode.LOAD_D
-        assert entry.literal == 0x12345678
+        assert entry.opcode == Opcode.LOAD_D
+        assert entry.fetch_events[1] == (
+            "read", image.entry + 4, 4, 0x12345678
+        )
         assert entry.size_bytes == 8
         # Two fetched words at one ROM wait state each.
         assert entry.fetch_waits == 2

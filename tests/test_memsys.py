@@ -248,17 +248,6 @@ class TestBusTraceBuffer:
         assert bus.peek_word(0x0) == 9
         assert len(bus.trace_buffer) == 0
 
-    def test_hooks_still_fire_alongside_buffer(self):
-        bus = Bus()
-        bus.attach("ram", 0x0, 0x1000, Memory(0x1000))
-        bus.trace_buffer = BusTrace()
-        seen: list[BusAccess] = []
-        bus.trace_hooks.append(seen.append)
-        bus.write_word(0x40, 1)
-        assert len(bus.trace_buffer) == 1
-        assert seen == [BusAccess("write", 0x40, 4, 1)]
-
-
 class TestInstructionTrace:
     def test_limit_enforced(self):
         trace = InstructionTrace(limit=2)

@@ -200,3 +200,111 @@ class TestRunResult:
         assert platform.last_bus_trace
         kinds = {access.kind for access in platform.last_bus_trace}
         assert kinds == {"read", "write"}
+
+
+#: A cell for the fault-hooked engine: word and byte loads and stores
+#: to RAM, the four faulted ALU operations in a hot loop, and a timer
+#: interrupt that lands in the middle of it.
+HOOKED_CELL_SOURCE = """\
+.INCLUDE Globals.inc
+_main:
+    LOAD a11, IRQ_COUNT_ADDR
+    LOAD d11, 0
+    ST.W [a11], d11
+    LOAD d4, IRQ_LINE_TIMER_MASK
+    CALL Base_Enable_IRQ
+    LOAD a4, TIM_RELOAD_ADDR
+    LOAD d4, 250
+    CALL Base_Init_Register
+    LOAD a4, TIM_CTRL_ADDR
+    LOAD d4, TIMER_CTRL_IRQ_VALUE
+    CALL Base_Init_Register
+    LOAD a5, 0x10008000
+    LOAD d1, 0x1234
+    LOAD d2, 7
+    LOAD d8, 0
+    LOAD d9, 60
+loop:
+    ADD d1, d1, d2
+    MUL d3, d1, d2
+    XOR d8, d8, d3
+    INSERT d3, d1, 5, 4, 4
+    SETB d3, 9
+    ST.W [a5 + 0], d3
+    ST.B [a5 + 5], d1
+    LD.W d7, [a5 + 0]
+    LD.B d6, [a5 + 5]
+    ADD d8, d8, d7
+    XOR d8, d8, d6
+    DJNZ d9, loop
+    DI
+    STORE [0x10008010], d8
+    LOAD d4, [IRQ_COUNT_ADDR]
+    CMPI d4, 2
+    JLT Base_Report_Fail
+    JMP Base_Report_Pass
+"""
+
+#: Faulted opcode -> the result bits its netlist fault flips.
+HOOKED_FAULTS = {
+    Opcode.ADD: 0x10,
+    Opcode.INSERT: 0x4,
+    Opcode.SETB: 0x1,
+    Opcode.MUL: 0x100,
+}
+
+
+@pytest.fixture(scope="module")
+def hooked_cell_image():
+    from repro.core.environment import ModuleTestEnvironment, TestCell
+    from repro.core.targets import target
+
+    env = ModuleTestEnvironment("HOOKED")
+    env.add_test(TestCell(name="TEST_HOOKED_ALU", source=HOOKED_CELL_SOURCE))
+    return env.build_image("TEST_HOOKED_ALU", SC88A, target("gatelevel")).image
+
+
+def run_gatelevel(image, fault, **engine):
+    """One gate-level run with its bus recorded; returns the result
+    payload, the bus trace and the session's engine counters."""
+    from repro.core.scheduler import result_to_payload
+    from repro.platforms import ExecutionSession
+
+    platform = GateLevelSim(fault=fault)
+    platform.record_bus_trace = True
+    session = ExecutionSession(platform, SC88A, **engine)
+    result = session.run(image, max_instructions=20_000)
+    return (
+        result_to_payload(result),
+        platform.last_bus_trace.raw(),
+        session.stats(),
+    )
+
+
+class TestFaultHookedEngine:
+    """A core with an ALU fault hook runs every instruction on the
+    reference interpreter, so the default engine and the oracle
+    (``use_superblocks=False``) agree on faulted runs byte for byte."""
+
+    @pytest.mark.parametrize(
+        "opcode", list(HOOKED_FAULTS), ids=lambda op: op.name
+    )
+    def test_hooked_default_engine_matches_reference(
+        self, hooked_cell_image, opcode
+    ):
+        fault = NetlistFault(
+            opcode=int(opcode), xor_mask=HOOKED_FAULTS[opcode]
+        )
+        payload, bus, stats = run_gatelevel(hooked_cell_image, fault)
+        oracle, oracle_bus, _ = run_gatelevel(
+            hooked_cell_image, fault, use_superblocks=False
+        )
+        assert payload["trace"] and payload["trace"] == oracle["trace"]
+        assert payload["cycles"] == oracle["cycles"]
+        assert bus and bus == oracle_bus
+        assert payload == oracle
+        assert stats["sb_blocks"] == 0
+        # The fault reached the run: it differs from an unfaulted one.
+        clean, _, _ = run_gatelevel(hooked_cell_image, None)
+        assert clean["status"] == "pass"
+        assert payload != clean

@@ -21,7 +21,6 @@ from repro.core.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.core.regression import RegressionRunner
 from repro.core.scheduler import (
     RegressionScheduler,
     ResultCache,
@@ -85,11 +84,19 @@ class TestWorkList:
 
 class TestExecutors:
     def test_serial_matches_legacy_runner(self):
-        report = RegressionScheduler().run_system(
-            make_environments(), SC88A
-        )
-        legacy = RegressionRunner().run_system(make_environments(), SC88A)
-        assert status_matrix(report) == status_matrix(legacy)
+        """The legacy runner's verdicts: one ``run_test`` per (cell,
+        target), each on a fresh platform."""
+        environments = make_environments()
+        report = RegressionScheduler().run_system(environments, SC88A)
+        legacy = {
+            (env_name, cell, target.name): env.run_test(
+                cell, SC88A, target.name
+            ).status
+            for env_name, env in environments.items()
+            for cell in env.cells
+            for target in all_targets()
+        }
+        assert status_matrix(report) == legacy
         assert report.clean
 
     def test_unknown_executor_rejected(self):

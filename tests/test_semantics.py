@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.assembler.linker import MemoryImage, PlacedSection
 from repro.isa.decodecache import DecodeCache
-from repro.isa.encoding import encode_word
+from repro.isa.encoding import decode_word, encode_word
 from repro.isa.instructions import Opcode, lookup_opcode
 from repro.isa.registers import STACK_POINTER_INDEX, WORD_MASK
 from repro.isa.semantics import ROWS, function_source
@@ -95,7 +95,13 @@ def image_of(op: Opcode, fields: dict, literal: int) -> MemoryImage:
 
 
 def reference(cpu, e):
-    return cpu._execute(e.op, e.fields, e.literal, e.next_pc)
+    """The reference chain, on the operands decoded from the fetched
+    word(s) of *e*."""
+    word, *literal = (event[3] for event in e.fetch_events)
+    fields = decode_word(lookup_opcode(e.opcode).fmt, word)
+    return cpu._execute(
+        Opcode(e.opcode), fields, literal[0] if literal else None, e.next_pc
+    )
 
 
 def executor(cpu, e):
@@ -104,7 +110,7 @@ def executor(cpu, e):
 
 def literal_rendering(cpu, e):
     namespace: dict = {}
-    exec(function_source("_literal", ROWS[e.op], e), namespace)
+    exec(function_source("_literal", ROWS[Opcode(e.opcode)], e), namespace)
     return namespace["_literal"](cpu, e)
 
 
@@ -189,7 +195,7 @@ def assert_renderings_agree(soc, op, data, field_strategy):
     state = register_state(data, fields)
     image = image_of(op, fields, literal)
     entry = DecodeCache(image, ROM.base, ROM.end).get(PC)
-    assert entry is not None and entry.op is op
+    assert entry is not None and entry.opcode == op
     expected = outcome(soc, image, entry, state, reference)
     assert outcome(soc, image, entry, state, executor) == expected
     assert outcome(soc, image, entry, state, literal_rendering) == expected

@@ -413,42 +413,18 @@ class TestWarmSessionPool:
         assert pool.lease(TARGET_GOLDEN, SC88A) is sessions[2]
         pool.close()
 
-    def test_sweep_recycles_wedged_sessions(self):
+    def test_lease_discards_session_wedged_while_idle(self):
+        # The lease-time health check is the pool's supervision: a
+        # session that broke while idle is dropped, never handed out.
         pool = WarmSessionPool()
         healthy = pool.lease(TARGET_GOLDEN, SC88A)
         broken = pool.lease(TARGET_GOLDEN, SC88A)
         pool.release(healthy)
         pool.release(broken)
         broken.poisoned = True  # wedged while idle
-        assert pool.sweep() == 1
-        assert pool.stats()["idle"] == 1
         assert pool.lease(TARGET_GOLDEN, SC88A) is healthy
-        pool.close()
-
-    def test_sweep_enforces_idle_bound(self):
-        # Regression: survivors re-added by sweep() (plus any session
-        # released concurrently while the candidates were detached)
-        # must not push the pool past max_idle.
-        pool = WarmSessionPool(max_idle=2)
-        first = pool.lease(TARGET_GOLDEN, SC88A)
-        second = pool.lease(TARGET_GOLDEN, SC88A)
-        third = pool.lease(TARGET_GOLDEN, SC88A)
-        pool.release(first)
-        pool.release(second)
-        # Simulate a release racing the sweep: while the candidates
-        # are detached, the first health check returns `third`.
-        original_check = type(first).health_check
-
-        def check_and_release():
-            del first.health_check  # one-shot shadow
-            pool.release(third)
-            return original_check(first)
-
-        first.health_check = check_and_release
-        pool.sweep()
-        stats = pool.stats()
-        assert stats["idle"] == 2
-        assert stats["evicted"] == 1
+        assert pool.stats()["recycled"] == 1
+        assert pool.stats()["idle"] == 0
         pool.close()
 
     def test_lease_chaos_counts_and_propagates(self):

@@ -17,9 +17,8 @@ The contract under test:
     bus traces and wait-state charging, replaying each block's
     precomputed observation templates in bulk; the retire trace and bus
     access stream are byte-identical to the per-step reference.  Only
-    the per-step loop itself (``use_superblocks=False``), fault hooks and
-    per-access ``trace_hooks`` remain reference baselines where no warp
-    fires.
+    the per-step loop itself (``use_superblocks=False``) and fault hooks
+    remain reference baselines where no warp fires.
 (d) **Exactness** — warps land retire counts and cycle counts exactly
     on instruction limits and block deadlines, so event-horizon
     scheduling (and therefore interrupt delivery) is unperturbed.
@@ -131,7 +130,7 @@ class TestFormation:
         spin_pc = image.symbol("spin")
         spin = cache.block_at(spin_pc)
         assert spin.body_count == 0
-        assert spin.terminator.op is Opcode.DJNZ
+        assert spin.terminator.opcode == Opcode.DJNZ
         assert spin.spin_reg == spin.terminator.r1
         assert spin.spin_cost == spin.terminator.base_cycles + 1
 
@@ -144,7 +143,7 @@ class TestFormation:
         djnz_block = other_cache.block_at(other.symbol("back"))
         # Body [ADDI], DJNZ terminator pointing at the block start but
         # with a nonempty body: analytic warp does not apply.
-        assert djnz_block.terminator.op is Opcode.DJNZ
+        assert djnz_block.terminator.opcode == Opcode.DJNZ
         assert djnz_block.spin_reg == -1
 
     def test_interrupt_enable_writers_terminate(self):
@@ -314,18 +313,6 @@ class TestObservedFastPath:
         result = session.run(image)
         assert result.signature == PASS_MAGIC
         assert session.cpu.ff_warps == 0
-
-    def test_no_warps_under_trace_hooks(self):
-        """Per-access hook callbacks still force the reference path —
-        each hook must observe every access as its own object."""
-        image = link_source(SPIN_ONLY_SOURCE)
-        cpu, soc = direct_cpu(image)
-        events = []
-        soc.bus.trace_hooks.append(events.append)
-        cpu.run()
-        assert cpu.halted
-        assert cpu.ff_warps == 0
-        assert cpu.regs.data[0] == PASS_MAGIC
 
     def test_warps_fire_on_the_hoisted_path(self):
         image = link_source(SPIN_ONLY_SOURCE)
