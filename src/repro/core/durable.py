@@ -12,7 +12,9 @@ this module is the only place they are written:
 - :func:`quarantine_aside` — a file that fails verification is renamed
   to a unique ``*.corrupt`` name: kept as evidence, never re-read;
 - :class:`DurableFiles` — the owners' base: contained, counted reads
-  and writes, and one max-entries/max-age :meth:`~DurableFiles.prune`.
+  and writes, and one max-entries/max-age :meth:`~DurableFiles.prune`;
+- :func:`source_digest` — which code produced a value, in its key, so
+  another code's value is a miss, never stale or corrupt data.
 
 It lives in :mod:`repro.core` because the scheduler's result cache
 uses it, and importing :mod:`repro.store` would load pickle, marshal
@@ -21,9 +23,12 @@ and the JIT.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib.util
 import json
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -42,6 +47,46 @@ def content_key(*parts) -> str:
         hasher.update(str(part).encode())
         hasher.update(b"\0")
     return hasher.hexdigest()
+
+
+#: Sources (relative to the ``repro`` package) that decide an image's
+#: verdicts and decode snapshots: the model digest's files.
+_MODEL_SOURCES = (
+    "isa/*.py",
+    "platforms/*.py",
+    "soc/**/*.py",
+    "core/targets.py",
+    "core/faults.py",
+    "core/scheduler.py",
+    "store/artifacts.py",
+)
+
+
+@functools.cache
+def source_digest(patterns: tuple[str, ...]) -> str:
+    """SHA-256 over the relative path and bytes of every source file
+    matching *patterns*, hashed once per process."""
+    root = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    for pattern in patterns:
+        for path in sorted(root.glob(pattern)):
+            hasher.update(path.relative_to(root).as_posix().encode())
+            hasher.update(b"\0")
+            hasher.update(path.read_bytes())
+            hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+def bytecode_tag() -> tuple[str, str]:
+    """This interpreter's marshal format, as PEP 3147 checks a ``.pyc``:
+    its ``cache_tag`` and its bytecode magic number."""
+    return (sys.implementation.cache_tag, importlib.util.MAGIC_NUMBER.hex())
+
+
+def model_digest() -> str:
+    """The digest of the code that executes a run: the model sources
+    and :func:`bytecode_tag` (snapshots hold marshalled code)."""
+    return content_key(source_digest(_MODEL_SOURCES), *bytecode_tag())
 
 
 def seal(schema: int, text: str) -> bytes:

@@ -32,14 +32,13 @@ import functools
 import hashlib
 import posixpath
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import assembler as toolchain
 from repro.assembler.linker import Linker, MemoryImage
 from repro.assembler.objectfile import ObjectFile
 from repro.assembler.preprocessor import InMemoryProvider
 from repro.core.basefuncs import generate_base_functions
-from repro.core.durable import content_key
+from repro.core.durable import content_key, source_digest
 from repro.core.defines import GlobalDefines, target_entries
 from repro.core.globals_layer import (
     generate_global_test_functions,
@@ -71,25 +70,12 @@ _TOOLCHAIN_MODULES = (
     "soc/memorymap.py",
 )
 
-_TOOLCHAIN_DIGEST: str | None = None
-
 
 def toolchain_digest() -> str:
     """SHA-256 over the toolchain's source bytes, hashed once per
     process: editing the assembler, linker or ISA tables changes every
     build key."""
-    global _TOOLCHAIN_DIGEST
-    if _TOOLCHAIN_DIGEST is None:
-        root = Path(__file__).resolve().parent.parent
-        hasher = hashlib.sha256()
-        for pattern in _TOOLCHAIN_MODULES:
-            for path in sorted(root.glob(pattern)):
-                hasher.update(path.relative_to(root).as_posix().encode())
-                hasher.update(b"\0")
-                hasher.update(path.read_bytes())
-                hasher.update(b"\0")
-        _TOOLCHAIN_DIGEST = hasher.hexdigest()
-    return _TOOLCHAIN_DIGEST
+    return source_digest(_TOOLCHAIN_MODULES)
 
 
 #: text -> (sha256 hex, ``.INCLUDE`` targets).  Build keys hash each

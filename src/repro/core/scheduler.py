@@ -11,8 +11,8 @@ This module makes the matrix explicit:
    carrying its pre-built image (builds are shared through the module
    environment's build cache, so targets with identical build inputs
    share one image);
-2. **cache probe** — a :class:`ResultCache` keyed by (image digest,
-   target, derivative, platform fingerprint) satisfies entries whose
+2. **cache probe** — a :class:`ResultCache` keyed by (model digest,
+   image digest, target, derivative) satisfies entries whose
    inputs have not changed since the last regression — the lab's
    incremental re-run: touch one test cell and only its column of the
    matrix re-executes.  With a cache, the probe comes *before* the
@@ -79,6 +79,7 @@ from repro.assembler.linker import MemoryImage
 from repro.core.durable import (
     DurableFiles,
     content_key,
+    model_digest,
     seal,
     unseal,
     unseal_text,
@@ -249,9 +250,9 @@ class ResultCache(DurableFiles):
     cache contained: a corrupt entry is counted (never a clean miss)
     and quarantined aside as evidence, a failed write or an
     uncreatable directory degrades to a cold cache, never to a failed
-    regression.  The key includes a schema version and the platform's
-    behavioural fingerprint, so platform changes invalidate rather than
-    replay stale verdicts.  :meth:`prune` (``regress --cache-prune``)
+    regression.  The key includes a schema version and the engine's
+    :func:`~repro.core.durable.model_digest`, so after an edit a verdict
+    is a miss, never stale.  :meth:`prune` (``regress --cache-prune``)
     bounds the directory.
 
     Beside the verdicts, ``index/`` holds one **build index** per
@@ -275,21 +276,6 @@ class ResultCache(DurableFiles):
         self.index_misses = 0
         self.index_stale = 0
 
-    @staticmethod
-    def _platform_fingerprint(tgt: Target) -> str:
-        platform_cls = type(tgt.make_platform())
-        return "|".join(
-            str(part)
-            for part in (
-                platform_cls.__name__,
-                platform_cls.sees_registers,
-                platform_cls.sees_memory,
-                platform_cls.sees_uart,
-                platform_cls.sees_trace,
-                platform_cls.cycle_accurate,
-            )
-        )
-
     def key_for(
         self,
         image: MemoryImage | str,
@@ -297,14 +283,15 @@ class ResultCache(DurableFiles):
         derivative: Derivative,
         max_instructions: int,
     ) -> str:
-        """The verdict key of *image* (or its digest) on *tgt*."""
+        """The verdict key of *image* (or its digest) on *tgt*; builds
+        no platform."""
         digest = image if isinstance(image, str) else image.digest()
         return content_key(
             f"schema={CACHE_SCHEMA}",
+            model_digest(),
             digest,
             tgt.name,
             derivative.name,
-            self._platform_fingerprint(tgt),
             max_instructions,
         )
 
@@ -808,6 +795,7 @@ class RegressionScheduler:
                 image,
                 tgt,
                 cell_key(
+                    model_digest(),
                     request.environment,
                     request.cell,
                     request.derivative,

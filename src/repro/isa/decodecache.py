@@ -261,9 +261,9 @@ DecodedInstruction.__setstate__ = _unrolled_setstate(
 # (operands read off ``e``) and compiled together on first use — the
 # first decode or the first artifact-store unpickle, never at import.
 # With an artifact store installed the compiled table is loaded from it
-# (keyed by the source's SHA-256 and the interpreter's cache tag) and
-# compiled, then saved, only on a miss: one marshal load per process
-# instead of one ``compile()``.
+# (keyed by the source's SHA-256 and the interpreter's bytecode tag, so
+# an edited table is a new key) and compiled, then saved, only on a
+# miss: one marshal load per process instead of one ``compile()``.
 # They are defined into this module's namespace, so a pickled entry's
 # ``exec`` resolves as ``repro.isa.decodecache._x_<opcode>`` through
 # :func:`__getattr__`.  None of them consult ``alu_fault_hook``: a core
@@ -850,8 +850,10 @@ def decode_cache_for(
     With an artifact store installed (:func:`set_artifact_store`), a
     registry miss first tries the store: a hit restores the persisted
     predecode/superblock/JIT state and the fresh process skips the cold
-    start entirely.  Store failures of any kind fall through to a
-    normal cold build — the store degrades, it never breaks a run.
+    start entirely.  The store names a snapshot by this key and the
+    code's :func:`~repro.core.durable.model_digest`, so one written by
+    other code is a miss.  Store failures of any kind fall through to
+    a normal cold build — the store degrades, it never breaks a run.
     """
     key = (image.digest(), region_base, region_end, wait_states)
     with _REGISTRY_LOCK:

@@ -37,52 +37,44 @@ opcode constants, all of which ride the same pickle memo as the block
 graph.  :func:`restore_decode_cache` rebinds those code objects
 directly (one ``marshal.loads`` + ``exec`` per variant, no tracing, no
 codegen, no ``compile()``), which is what makes a warm process start
-cheaper than re-derivation rather than merely different.  Marshal is
-interpreter-specific, so the snapshot carries
-:func:`bytecode_tag` (``sys.implementation.cache_tag`` and the bytecode
-magic number); on any mismatch — or any per-head restore failure — the
-head falls back to the eager :func:`~repro.isa.jit.compile_chain` path
-(and a snapshot of another format is re-saved with this interpreter's
-code).  Every other block's persisted heat is clamped below
+cheaper than re-derivation rather than merely different.  A head whose
+marshalled chain is missing or does not bind falls back to the eager
+:func:`~repro.isa.jit.compile_chain` path.  Every other block's
+persisted heat is clamped below
 :data:`~repro.isa.decodecache.JIT_THRESHOLD` (the trigger fires on
 exact equality, so restoring a past-threshold heat would permanently
-disable recompilation for that head).
+disable recompilation for that head).  A snapshot's name also hashes
+:func:`~repro.core.durable.model_digest` (engine sources, this format,
+the interpreter's bytecode tag), so one written by other code or
+another interpreter is never opened: a miss, re-derived and re-saved.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import marshal
 import pickle
-import sys
 import threading
 import types
 from pathlib import Path
 
 from repro.assembler.objectfile import ObjectFile
-from repro.core.durable import DurableFiles, checksum, content_key
+from repro.core.durable import (
+    DurableFiles,
+    bytecode_tag,
+    checksum,
+    content_key,
+    model_digest,
+)
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
 from repro.isa.decodecache import JIT_THRESHOLD, DecodeCache
 
 #: Bump when the snapshot payload or envelope changes incompatibly.
 STORE_SCHEMA = 1
 
-#: Decode snapshots are ``decode2-*``: files of the first entry layout
-#: (``decode-*``, whose entries also carried ``op``/``fields``/
-#: ``literal``) are never opened, so a store written with it reads as
-#: misses and re-derives, never as corruption or shifted fields.
-_KIND_DECODE = "decode2"
+_KIND_DECODE = "decode"
 _KIND_CODE = "code"
 _KIND_OBJECTS = "objects"
-
-
-def bytecode_tag() -> tuple[str, str]:
-    """This interpreter's marshal format: its ``cache_tag`` and its
-    bytecode magic number — what PEP 3147 checks a ``.pyc`` by, since
-    pre-release or patched interpreters can share a tag but not a
-    bytecode format."""
-    return (sys.implementation.cache_tag, importlib.util.MAGIC_NUMBER.hex())
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +130,6 @@ def snapshot_decode_cache(cache: DecodeCache) -> bytes:
             pc for pc, block in blocks.items() if block.jit_u is not None
         ),
         "jit_code": jit_code,
-        "code_tag": bytecode_tag(),
     }
     return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -172,20 +163,11 @@ def restore_decode_cache(payload: bytes) -> DecodeCache:
 
     Chain heads restore their compiled variants straight from the
     snapshot's marshalled code objects (no codegen, no ``compile()``);
-    a head whose marshalled chain is missing, from a different
-    interpreter or bytecode format (``code_tag`` mismatch) or
-    unreadable recompiles eagerly instead.  Every other persisted heat
-    is clamped to ``JIT_THRESHOLD - 1`` so a hot block whose chain
-    could not be restored re-triggers compilation on its first warm
-    replay instead of never again (the JIT trigger is an
-    exact-equality check)."""
-    return _restore(payload)[0]
-
-
-def _restore(payload: bytes) -> tuple[DecodeCache, bool]:
-    """:func:`restore_decode_cache`, plus whether the snapshot's code
-    is this interpreter's (else its chains were recompiled, and a
-    re-save would record them)."""
+    a head whose marshalled chain is missing or unreadable recompiles
+    eagerly instead.  Every other persisted heat is clamped to
+    ``JIT_THRESHOLD - 1`` so a hot block whose chain could not be
+    restored re-triggers compilation on its first warm replay instead
+    of never again (the JIT trigger is an exact-equality check)."""
     snapshot = pickle.loads(payload)
     cache = DecodeCache.__new__(DecodeCache)
     cache._segments = snapshot["segments"]
@@ -199,8 +181,7 @@ def _restore(payload: bytes) -> tuple[DecodeCache, bool]:
     for block in cache._blocks.values():
         if block.heat >= JIT_THRESHOLD:
             block.heat = JIT_THRESHOLD - 1
-    native = snapshot.get("code_tag") == bytecode_tag()
-    jit_code = snapshot.get("jit_code", {}) if native else {}
+    jit_code = snapshot["jit_code"]
     for pc in snapshot["jit_heads"]:
         head = cache._blocks.get(pc)
         if head is None:
@@ -213,7 +194,7 @@ def _restore(payload: bytes) -> tuple[DecodeCache, bool]:
 
         if compile_chain(cache, head):
             head.heat = JIT_THRESHOLD
-    return cache, native or not snapshot["jit_heads"]
+    return cache
 
 
 def _cache_stamp(cache: DecodeCache) -> tuple[int, int, int]:
@@ -229,11 +210,8 @@ def _cache_stamp(cache: DecodeCache) -> tuple[int, int, int]:
 
 def code_key(source: str) -> tuple[str, str, str]:
     """The key of the code object compiled from *source*: the source's
-    SHA-256, this interpreter's ``cache_tag`` and its bytecode magic
-    number (what PEP 3147 checks a ``.pyc`` by: pre-release or patched
-    interpreters can share a tag but not a bytecode format).  Marshalled
-    code is interpreter-specific, so another interpreter's artifact is a
-    different key — a miss, never corruption."""
+    SHA-256 and :func:`bytecode_tag`, so another interpreter's artifact
+    is a miss, never corruption."""
     return (checksum(source.encode()), *bytecode_tag())
 
 
@@ -241,13 +219,14 @@ class ArtifactStore(DurableFiles):
     """Content-addressed, checksummed, prunable artifact directory.
 
     Three kinds of artifact share its rules: decode-cache snapshots
-    (``decode2-*``, counted in ``hits``/``saved``/``unchanged``),
-    compiled code objects (``code-*``, counted in ``code_hits``/
-    ``code_saved``) — the opcode executor table, whose ``compile()``
-    every executing process would otherwise repeat — and assembled
-    objects of the layers below the test cell (``objects-*``, counted
-    in ``obj_hits``/``obj_saved``), keyed by their build inputs'
-    content so an edit re-run assembles only the edited cell."""
+    (``decode-*``, named by registry key and model digest, counted in
+    ``hits``/``saved``/``unchanged``), compiled code objects
+    (``code-*``, counted in ``code_hits``/``code_saved``) — the opcode
+    executor table, whose ``compile()`` every executing process would
+    otherwise repeat — and assembled objects of the layers below the
+    test cell (``objects-*``, counted in ``obj_hits``/``obj_saved``),
+    keyed by their build inputs' content so an edit re-run assembles
+    only the edited cell."""
 
     read_site = SITE_STORE_READ
     write_site = SITE_STORE_WRITE
@@ -286,7 +265,9 @@ class ArtifactStore(DurableFiles):
     def _decode_stem(self, key: tuple) -> str:
         stem = self._stems.get(key)
         if stem is None:
-            stem = self._stems[key] = self._stem(_KIND_DECODE, key)
+            stem = self._stems[key] = self._stem(
+                _KIND_DECODE, (model_digest(), *key)
+            )
         return stem
 
     def _path(self, stem: str) -> Path:
@@ -344,15 +325,17 @@ class ArtifactStore(DurableFiles):
             self.misses += 1
             return None
         loaded = self.read_file(
-            path, stem, lambda raw: _decode_artifact(raw, tuple(key))
+            path,
+            stem,
+            lambda raw: restore_decode_cache(
+                _verified_payload(raw, _KIND_DECODE, tuple(key))[1]
+            ),
         )
         if loaded is None:
             return None
-        cache, native = loaded
         self.hits += 1
-        if native:
-            self._stamps[stem] = _cache_stamp(cache)
-        return cache
+        self._stamps[stem] = _cache_stamp(loaded)
+        return loaded
 
     # -- compiled-code artifacts -------------------------------------------
     def load_code(self, source: str) -> types.CodeType | None:
@@ -485,12 +468,6 @@ def _verified_payload(raw: bytes, kind: str, key: tuple | None) -> tuple:
     if key not in (None, stored):
         raise ValueError("artifact key mismatch")
     return stored, payload
-
-
-def _decode_artifact(raw: bytes, key: tuple) -> tuple[DecodeCache, bool]:
-    """Verify one decode artifact and restore its cache; returns
-    ``(cache, whether its code was this interpreter's)``."""
-    return _restore(_verified_payload(raw, _KIND_DECODE, key)[1])
 
 
 def _objects_artifact(raw: bytes, stem: str) -> dict[str, tuple]:

@@ -67,8 +67,9 @@ from repro.core.faults import (
 WORKLIST_SCHEMA = 1
 
 
-#: Cell identity: the content key of (environment, cell, derivative,
-#: target, image digest, run bounds), derived alike by every worker.
+#: Cell identity: the content key of (model digest, environment, cell,
+#: derivative, target, image digest, run bounds), derived alike by
+#: every worker running the same code.
 cell_key = content_key
 
 

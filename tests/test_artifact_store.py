@@ -17,6 +17,7 @@ import importlib.util
 import json
 import marshal
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from repro.assembler.objectfile import ObjectFile
 from repro.assembler.preprocessor import InMemoryProvider
 
 from repro.core import environment as environment_module
-from repro.core.durable import checksum, content_key
+from repro.core.durable import bytecode_tag, checksum, content_key
 from repro.core.environment import BASE_FUNCTIONS_FILENAME
 from repro.core.scheduler import (
     RegressionScheduler,
@@ -263,9 +264,9 @@ class TestChainRoundtrip:
     def test_unbindable_chain_recompiles_inside_registry_lookup(
         self, tmp_path, monkeypatch, compiles
     ):
-        """A snapshot from another interpreter recompiles its chains on
-        restore, which runs under the registry lock: the compile memo
-        must not need that lock."""
+        """A chain head whose snapshot holds no marshalled chain
+        recompiles on restore, which runs under the registry lock: the
+        compile memo must not need that lock."""
         image, cache, loop = hot_loop()
         rom = SC88A.memory_map().rom
         key = (image.digest(), rom.base, rom.base + rom.size, 0)
@@ -273,7 +274,7 @@ class TestChainRoundtrip:
         compiled = len(compiles)
         store = ArtifactStore(tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr(sys.implementation, "cache_tag", "other-0")
+            patch.setattr(artifacts, "_marshal_chain", lambda block: None)
             assert store.save_decode_cache(key, cache)
         reset_registry()
         set_artifact_store(ArtifactStore(tmp_path))
@@ -307,22 +308,19 @@ class TestChainRoundtrip:
             lambda patch: patch.setattr(
                 importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n"
             ),
-            # The tag alone, as snapshots recorded it before the
-            # bytecode magic number joined their code tag.
             lambda patch: patch.setattr(
-                artifacts, "bytecode_tag",
-                lambda: sys.implementation.cache_tag,
+                sys.implementation, "cache_tag", "other-0"
             ),
         ],
-        ids=["magic_number", "tag_only_snapshot"],
+        ids=["magic_number", "cache_tag"],
     )
-    def test_foreign_bytecode_recompiles_and_is_resaved(
+    def test_foreign_bytecode_snapshot_is_a_miss(
         self, tmp_path, monkeypatch, compiles, written_by
     ):
-        """Marshalled chains of another bytecode format are never
-        bound: the head recompiles (a hit, not corruption), and the
-        next persist re-saves the snapshot with this interpreter's
-        code, which later processes bind without compiling."""
+        """A snapshot written under another bytecode format has another
+        name: it is a miss, never corruption.  The cache is re-derived
+        and saved under this interpreter's name, which later processes
+        bind without compiling."""
         image, cache, loop = hot_loop()
         rom = SC88A.memory_map().rom
         key = (image.digest(), rom.base, rom.base + rom.size, 0)
@@ -331,13 +329,20 @@ class TestChainRoundtrip:
         with monkeypatch.context() as patch:
             written_by(patch)
             assert ArtifactStore(tmp_path).save_decode_cache(key, cache)
+        (foreign,) = tmp_path.glob(f"{DECODE}-*.art")
         reset_registry()
         store = ArtifactStore(tmp_path)
-        restored = store.load_decode_cache(key)
+        set_artifact_store(store)
+        rederived = decodecache.decode_cache_for(
+            image, rom.base, rom.base + rom.size
+        )
+        run_on(image, rederived)
         assert len(compiles) == 2 * compiled
-        assert isinstance(restored._blocks[loop].jit_ot, types.FunctionType)
-        assert (store.hits, store.corrupt, store.quarantined) == (1, 0, 0)
-        assert store.save_decode_cache(key, restored)
+        assert (store.hits, store.misses) == (0, 1)
+        assert (store.corrupt, store.quarantined) == (0, 0)
+        assert decodecache.persist_registry() == 1
+        assert foreign.exists()
+        assert store._path(store._decode_stem(key)).exists()
         reset_registry()
         rebound = ArtifactStore(tmp_path).load_decode_cache(key)
         assert isinstance(rebound._blocks[loop].jit_ot, types.FunctionType)
@@ -396,7 +401,7 @@ class TestCorruption:
             assert store.save_decode_cache(
                 key, decodecache._REGISTRY[key]
             )
-            self.corrupt_file(store._path(store._stem(DECODE, key)))
+            self.corrupt_file(store._path(store._decode_stem(key)))
             assert store.load_decode_cache(key) is None
         assert store.corrupt == 3
         assert store.quarantined == 3
@@ -407,11 +412,11 @@ class TestCorruption:
         reset_registry()
         warm_and_persist(matrix, store)
         key = next(iter(decodecache._REGISTRY))
-        path = store._path(store._stem(DECODE, key))
+        path = store._path(store._decode_stem(key))
         alias = ("0" * 64, 0, 16, 0)
         # A valid artifact squatting under another key's content
         # address lies about its identity: corruption by definition.
-        os.replace(path, store._path(store._stem(DECODE, alias)))
+        os.replace(path, store._path(store._decode_stem(alias)))
         fresh = ArtifactStore(tmp_path)
         assert fresh.load_decode_cache(alias) is None
         assert fresh.corrupt == 1
@@ -419,7 +424,7 @@ class TestCorruption:
 
     def test_truncated_artifact_is_corruption(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        stem = store._stem(DECODE, ("digest", 0, 16, 0))
+        stem = store._decode_stem(("digest", 0, 16, 0))
         store._path(stem).write_bytes(b'{"schema": 1')  # no payload
         assert store.load_decode_cache(("digest", 0, 16, 0)) is None
         assert store.corrupt == 1
@@ -554,7 +559,7 @@ class TestRegistry:
         reset_registry()
         warm_and_persist(matrix, store)
         key = next(iter(decodecache._REGISTRY))
-        right = store._path(store._stem(DECODE, key))
+        right = store._path(store._decode_stem(key))
         wrong = store._path(f"{DECODE}-" + "0" * 64)
         os.replace(right, wrong)
         reset_registry()
@@ -583,51 +588,73 @@ def first_layout_state(entry) -> list:
             *state[2:]]
 
 
+def first_layout_payload(cache) -> bytes:
+    """*cache*'s snapshot with 21-field entries, as the first entry
+    layout pickled it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DecodedInstruction, "__getstate__", first_layout_state)
+        return snapshot_decode_cache(cache)
+
+
+def code_tag_layout_payload(cache) -> bytes:
+    """*cache*'s snapshot with a ``code_tag`` field beside the chains,
+    as the layout before names hashed the model digest pickled it."""
+    snapshot = pickle.loads(snapshot_decode_cache(cache))
+    snapshot["code_tag"] = bytecode_tag()
+    return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class TestStoreFormat:
-    """A store written with the first entry layout holds ``decode-*``
-    snapshots of 21-field entries; this layout pickles 18 fields and
-    files its snapshots as ``decode2-*``."""
+    """Earlier layouts named a decode snapshot by its kind and the
+    SHA-256 of its registry key alone: ``decode-*`` with 21-field
+    entries, then ``decode2-*`` with 18-field entries and a
+    ``code_tag``.  This layout's names also hash the model digest, so
+    neither kind of file is ever opened."""
 
     @staticmethod
-    def rewrite_in_first_layout(directory: Path) -> dict[Path, bytes]:
-        """Replace every decode snapshot in *directory* by the file the
-        first layout wrote for it; returns those files' bytes."""
+    def rewrite_in_layout(
+        directory: Path, kind: str, payload_of
+    ) -> dict[Path, bytes]:
+        """Replace every decode snapshot in *directory* by the file an
+        earlier layout wrote for it; returns those files' bytes."""
         written = {}
         for path in sorted(directory.glob(f"{DECODE}-*.art")):
             header_line, payload = path.read_bytes().split(b"\n", 1)
             key = tuple(json.loads(header_line)["key"])
-            cache = restore_decode_cache(payload)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(
-                    DecodedInstruction, "__getstate__", first_layout_state
-                )
-                payload = snapshot_decode_cache(cache)
+            payload = payload_of(restore_decode_cache(payload))
             header = json.dumps(
                 {
                     "schema": artifacts.STORE_SCHEMA,
-                    "kind": "decode",
+                    "kind": kind,
                     "key": list(key),
                     "checksum": checksum(payload),
                 },
                 sort_keys=True,
             ).encode()
-            first = directory / f"decode-{content_key(*key)}.art"
-            first.write_bytes(header + b"\n" + payload)
-            written[first] = first.read_bytes()
+            earlier = directory / f"{kind}-{content_key(*key)}.art"
+            earlier.write_bytes(header + b"\n" + payload)
+            written[earlier] = earlier.read_bytes()
             path.unlink()
         return written
 
     def test_first_layout_store_reads_clean(self, tmp_path):
-        """Its decode snapshots are misses, re-derived and saved under
-        the new name; its code and object artifacts still hit."""
+        self.assert_reads_clean(tmp_path, "decode", first_layout_payload)
+
+    def test_code_tag_layout_store_reads_clean(self, tmp_path):
+        self.assert_reads_clean(tmp_path, "decode2", code_tag_layout_payload)
+
+    def assert_reads_clean(self, tmp_path, kind, payload_of):
+        """A store whose decode snapshots are in an earlier layout: they
+        are misses, re-derived and saved under this layout's names; its
+        code and object artifacts still hit."""
         workspace = write_system_environment(
             make_default_system(nvm_tests=1, uart_tests=1), tmp_path / "ws"
         )
         store_dir = tmp_path / "store"
         cold = regress(workspace, store_dir)
         directory = store_dir / "artifacts"
-        first = self.rewrite_in_first_layout(directory)
-        assert first
+        earlier = self.rewrite_in_layout(directory, kind, payload_of)
+        assert earlier
 
         after = regress(workspace, store_dir)
         assert after["matrix-digest"] == cold["matrix-digest"]
@@ -638,8 +665,9 @@ class TestStoreFormat:
         assert counters["saved"] == store_counters(cold)["saved"]
         assert counters["code_hits"] == 1 and counters["code_saved"] == 0
         assert counters["obj_hits"] >= 1 and counters["obj_saved"] == 0
-        assert len(list(directory.glob(f"{DECODE}-*.art"))) == len(first)
-        assert {path: path.read_bytes() for path in first} == first
+        saved = set(directory.glob(f"{DECODE}-*.art")) - set(earlier)
+        assert len(saved) == len(earlier)
+        assert {path: path.read_bytes() for path in earlier} == earlier
         assert not list(directory.glob("*.corrupt"))
 
     def test_first_layout_entry_state_is_corruption(self, tmp_path, matrix):
@@ -660,7 +688,7 @@ class TestStoreFormat:
                 DecodedInstruction, "__getstate__", first_layout_state
             )
             payload = snapshot_decode_cache(cache)
-        stem = store._stem(DECODE, key)
+        stem = store._decode_stem(key)
         assert store._write(DECODE, key, stem, payload)
         fresh = ArtifactStore(tmp_path)
         assert fresh.load_decode_cache(key) is None
@@ -1012,7 +1040,9 @@ class TestObjectKey:
             )
             for name in ("golden", "rtl", "silicon")
         }) == 1
-        monkeypatch.setattr(environment_module, "_TOOLCHAIN_DIGEST", "0" * 64)
+        monkeypatch.setattr(
+            environment_module, "toolchain_digest", lambda: "0" * 64
+        )
         assert self.base_key(make_nvm_environment(1)) != golden
 
 

@@ -105,7 +105,7 @@ class StoreOwner(CacheOwner):
         self.owner.save_decode_cache(self.key(n), make_decode_cache())
 
     def entry(self, n: int) -> Path:
-        return self.owner._path(self.owner._stem("decode2", self.key(n)))
+        return self.owner._path(self.owner._decode_stem(self.key(n)))
 
     def read(self, n: int):
         return self.owner.load_decode_cache(self.key(n))
@@ -349,7 +349,7 @@ GOLDEN_VERDICT = (
 
 GOLDEN_ARTIFACT = (
     b'{"checksum": "16a0eeb0791b6c92451fd284dd9f599e0a7dbe7f6ebea6e2d2d06c7f'
-    b'74aec112", "key": ["' + b"d" * 64 + b'", 0, 16, 0], "kind": "decode2'
+    b'74aec112", "key": ["' + b"d" * 64 + b'", 0, 16, 0], "kind": "decode'
     b'", "schema": 1}\nsnapshot'
 )
 
@@ -384,7 +384,7 @@ class TestGoldenBytes:
         store = ArtifactStore(tmp_path)
         key = ("d" * 64, 0, 16, 0)
         assert store.save_decode_cache(key, make_decode_cache())
-        path = store._path(store._stem("decode2", key))
+        path = store._path(store._decode_stem(key))
         assert path.read_bytes() == GOLDEN_ARTIFACT
 
     def test_worklist_result_and_journal_record(self, tmp_path):

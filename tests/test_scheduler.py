@@ -736,7 +736,7 @@ class TestBuildIndex:
             build_log,
             edited,
             between=lambda: monkeypatch.setattr(
-                environment, "_TOOLCHAIN_DIGEST", "forced"
+                environment, "toolchain_digest", lambda: "forced"
             ),
         )
         assert rebuilt == every_position(edited)

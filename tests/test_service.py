@@ -17,6 +17,7 @@ from repro.core.faults import (
     SITE_JOURNAL_WRITE,
     SITE_POOL_LEASE,
     SITE_SERVICE_ACCEPT,
+    SITE_SESSION_RUN,
     FaultInjector,
 )
 from repro.core.system_env import make_default_system
@@ -615,13 +616,19 @@ class TestRegressionService:
         assert run_async(scenario()) == 0
 
     def test_deadline_fails_job_and_reclaims_sessions(self, workspace):
+        # The first run hangs, so the job always outlives its deadline
+        # and the engine thread hands its session back after it.
+        hang = FaultSpec(site=SITE_SESSION_RUN, action="hang", hang_seconds=0.5)
+
         async def scenario():
-            service = RegressionService(workspace)
+            service = RegressionService(
+                workspace, fault_plan=FaultPlan(specs=[hang])
+            )
             events = await collect(
                 service.submit(smoke_pack(), deadline=1e-6)
             )
-            # The engine thread outlives the deadline; wait for it to
-            # hand its session back (which the pool must then discard).
+            # Wait for the engine thread to hand its session back
+            # (which the pool must then discard).
             for _ in range(500):
                 if service.pool.stats()["recycled"] >= 1:
                     break

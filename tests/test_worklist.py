@@ -33,6 +33,7 @@ from repro.core.faults import (
     SITE_STORE_READ,
     SITE_STORE_WRITE,
 )
+from repro.core import scheduler as scheduler_module
 from repro.core.scheduler import RegressionScheduler, result_to_payload
 from repro.core.system_env import make_default_system
 from repro.core.targets import target as lookup_target
@@ -288,6 +289,20 @@ class TestFleetScheduler:
         assert second.fetched_runs == second.total_runs
         assert second.executed_runs == 0
         assert second_list.fetched == second.total_runs
+
+    def test_other_code_never_adopts_a_published_verdict(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        """Cells are keyed by the model digest: a worker running other
+        engine code finds nothing its peers published and executes
+        every run."""
+        run_matrix(workspace, worklist=WorkList(tmp_path, owner="first"))
+        monkeypatch.setattr(scheduler_module, "model_digest", lambda: "0" * 64)
+        other_list = WorkList(tmp_path, owner="other")
+        _other_sched, other = run_matrix(workspace, worklist=other_list)
+        assert other.fetched_runs == 0
+        assert other.executed_runs == other.total_runs
+        assert other_list.stats()["corrupt"] == 0
 
     def test_matrix_completes_under_store_chaos(self, workspace, tmp_path):
         """All three store-layer sites armed hot: every fetch raises,
