@@ -49,8 +49,8 @@ def assert_identical(pairs, label: str = "") -> None:
 def engine_matrix(**configurations) -> dict:
     """The engine-flag matrix a bench compared, embedded in its JSON so
     every figure is traceable to the exact engine configurations that
-    produced it (e.g. ``engine_matrix(candidate={'use_jit': True},
-    reference={'use_jit': False})``)."""
+    produced it (e.g. ``engine_matrix(candidate={'use_superblocks':
+    True}, reference={'use_superblocks': False})``)."""
     return {name: dict(flags) for name, flags in configurations.items()}
 
 

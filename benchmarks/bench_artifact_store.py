@@ -1,8 +1,8 @@
 """Artifact-store and fleet work-list benchmarks (ISSUE 10).
 
 The persistent artifact store exists to make a *process* restart warm:
-predecode, superblock formation and JIT chain shape are pure functions
-of (image digest, region bounds, wait states), so a fresh process that
+predecode and superblock formation are pure functions of (image
+digest, region bounds, wait states), so a fresh process that
 finds them on disk should skip the derivation entirely.  The fleet
 work-list exists to shard one matrix across worker processes without a
 coordinator.  This bench records the acceptance numbers ISSUE 10 ties
@@ -51,7 +51,6 @@ from repro.core.workspace import (
     write_system_environment,
 )
 from repro.isa.decodecache import reset_registry, set_artifact_store
-from repro.isa.jit import JIT_THRESHOLD
 from repro.soc.derivatives import SC88A, derivative as lookup_derivative
 from repro.store import ArtifactStore, WorkList
 
@@ -109,7 +108,7 @@ def run_warm_start(config) -> dict:
     speedup gate.
 
     Measured over one image's first pass in both modes: cold-start
-    cost is per image (predecode + formation + chain compilation), so
+    cost is per image (predecode + superblock formation), so
     folding more cells into the sample only dilutes the thing being
     measured under execution time that is identical on both sides."""
     environments = {"NVM": make_nvm_environment(1)}
@@ -117,7 +116,7 @@ def run_warm_start(config) -> dict:
         store = ArtifactStore(Path(tmp) / "artifacts")
         try:
             # Populate: one cold run with the store installed persists
-            # every decode/superblock/JIT snapshot when it completes.
+            # every decode/superblock snapshot when it completes.
             set_artifact_store(store)
             reset_registry()
             baseline = RegressionScheduler().run_system(environments, SC88A)
@@ -125,7 +124,7 @@ def run_warm_start(config) -> dict:
 
             def cold_run():
                 # What a fresh process without a store does: full
-                # predecode + superblock formation + JIT re-heating.
+                # predecode + superblock formation.
                 set_artifact_store(None)
                 reset_registry()
                 scheduler = RegressionScheduler()
@@ -139,11 +138,9 @@ def run_warm_start(config) -> dict:
                 scheduler = RegressionScheduler()
                 return scheduler, scheduler.run_system(environments, SC88A)
 
-            # Settle the snapshots: the first warm replays recompile
-            # the chains the clamped heats re-trigger and persist them,
-            # after which the stamps make every further persist a no-op
-            # and the timed samples measure pure restore + execution.
-            warm_run()
+            # One untimed warm pass: the stamps make every further
+            # persist a no-op, so the timed samples measure pure
+            # restore + execution.
             warm_run()
 
             bests, values = interleaved_best(
@@ -195,11 +192,6 @@ def run_zero_fault(config) -> dict:
         return RegressionScheduler().run_system(environments, SC88A)
 
     baseline = plain_run()  # warm build/decode/superblock caches
-    # Saturate the JIT across the warm registry so chain compilations
-    # stop landing inside timed samples (the trigger fires once per
-    # block as its accumulated replays cross the threshold).
-    for _ in range(JIT_THRESHOLD):
-        plain_run()
 
     with tempfile.TemporaryDirectory(prefix="bench_fleet0_") as tmp:
         store = ArtifactStore(Path(tmp) / "artifacts")

@@ -41,7 +41,6 @@ from repro.core.faults import (
 )
 from repro.core.scheduler import RegressionScheduler, ResultCache
 from repro.core.workloads import make_nvm_environment, make_uart_environment
-from repro.isa.jit import JIT_THRESHOLD
 from repro.platforms import ExecutionSession
 from repro.soc.derivatives import SC88A
 
@@ -109,14 +108,11 @@ def run_zero_fault(config) -> dict:
     def supervised_matrix():
         return RegressionScheduler().run_system(environments, SC88A)
 
-    # Warm every cache (build, decode, superblock templates, JIT
-    # chains) first: a compile inside a timed sample would be charged
-    # to whichever side ran it.  A chain compiles when its head block's
-    # heat reaches JIT_THRESHOLD and every block runs at least once per
-    # pass, so after JIT_THRESHOLD passes nothing is left to compile.
+    # Warm every cache (build, decode, superblock templates) first:
+    # a predecode inside a timed sample would be charged to whichever
+    # side ran it.  One pass of each side forms every block.
     raw_matrix()
-    for _ in range(JIT_THRESHOLD):
-        supervised_matrix()
+    supervised_matrix()
 
     (raw_elapsed, supervised_elapsed), (raw_results, report) = (
         interleaved_best(config["repeats"], raw_matrix, supervised_matrix)

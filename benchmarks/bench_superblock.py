@@ -12,14 +12,14 @@ interpreter (``use_superblocks=False``: bus fetch, decode and the
   disabled the same workloads read 23-58x, so the floor fails a run
   whose spins are not warped;
 - byte-identical architectural outcomes — signature, cycles, retire
-  totals, IRQ-delivery timing — against the reference interpreter and
-  the JIT-off superblock loop, plus a traced golden run proving the
+  totals, IRQ-delivery timing — against the reference interpreter,
+  plus a traced golden run proving the
   retire trace itself is unchanged (the fast path stays on under
   observation and synthesizes the warped trace records;
   ``bench_trace_fastpath.py`` measures that win);
 - the chaining figure on a branchy ALU loop with no idle spins: the
-  superblock loop without the JIT (fusion + block-to-block chaining
-  only) vs the reference interpreter;
+  superblock loop (fusion + block-to-block chaining only) vs the
+  reference interpreter;
 - the mechanism observables: warps performed, and that the reference
   interpreter performs none.
 
@@ -55,7 +55,6 @@ RESULTS = BenchResults("superblock")
 RESULTS["engine_matrix"] = engine_matrix(
     candidate={"use_superblocks": True},
     reference={"use_superblocks": False, "note": "reference interpreter"},
-    chaining={"use_jit": False, "note": "superblock loop, no JIT"},
 )
 
 #: Full (pytest/CI bench) and quick (perf-smoke gate) configurations.
@@ -102,12 +101,10 @@ skip:
 
 
 def make_session(platform_cls=Bondout, *, engine: str) -> ExecutionSession:
-    """``new`` = the default engine; ``sb`` = the superblock loop with
-    the JIT off; ``reference`` = the reference interpreter."""
+    """``new`` = the default engine (the superblock loop);
+    ``reference`` = the reference interpreter."""
     if engine == "new":
         return ExecutionSession(platform_cls(), SC88A)
-    if engine == "sb":
-        return ExecutionSession(platform_cls(), SC88A, use_jit=False)
     if engine == "reference":
         return ExecutionSession(platform_cls(), SC88A, use_superblocks=False)
     raise ValueError(engine)
@@ -135,7 +132,7 @@ def delay_images(config):
 def run_delay_speedup(config) -> dict:
     """The acceptance number: the default engine vs the reference
     interpreter on the delay-heavy workloads, byte-identical against
-    it and against the JIT-off superblock loop."""
+    it."""
     repeats = config["repeats"]
     per_cell = {}
     total_new = 0.0
@@ -148,11 +145,9 @@ def run_delay_speedup(config) -> dict:
         ref_ips, (ref_result, ref_warps) = best_rate(
             repeats, lambda: timed_run(image, engine="reference")
         )
-        _, sb_result, _ = timed_run(image, engine="sb")
-        # Byte-identical architecture against both baselines before any
-        # speed claim (signature, cycles, retires, pins, UART).
+        # Byte-identical architecture before any speed claim
+        # (signature, cycles, retires, pins, UART).
         assert strip(new_result) == strip(ref_result), cell
-        assert strip(new_result) == strip(sb_result), cell
         assert new_warps > 0, f"{cell}: fast-forward never fired"
         assert ref_warps == 0
         instructions = new_result.instructions
@@ -177,8 +172,8 @@ def run_delay_speedup(config) -> dict:
 
 
 def run_chain_speedup(config) -> dict:
-    """Fusion + chaining alone (no idle spins, JIT off) vs the
-    reference interpreter."""
+    """Fusion + chaining alone (no idle spins) vs the reference
+    interpreter."""
     from repro.assembler.assembler import Assembler
     from repro.assembler.linker import Linker
 
@@ -188,7 +183,7 @@ def run_chain_speedup(config) -> dict:
     ).link([obj])
     repeats = config["repeats"]
     sb_ips, (sb_result, sb_warps) = best_rate(
-        repeats, lambda: timed_run(image, engine="sb")
+        repeats, lambda: timed_run(image, engine="new")
     )
     ref_ips, (ref_result, _) = best_rate(
         repeats, lambda: timed_run(image, engine="reference")
@@ -211,7 +206,7 @@ def run_irq_timing_and_trace_identity() -> dict:
         image = env.build_image(cell, SC88A, TARGET_BONDOUT).image
         outcomes = [
             strip(timed_run(image, engine=engine)[1])
-            for engine in ("new", "sb", "reference")
+            for engine in ("new", "reference")
         ]
         assert all(outcome == outcomes[0] for outcome in outcomes), cell
         cells_checked += 1
@@ -246,8 +241,7 @@ def test_delay_fastforward_speedup():
     shape(
         "superblock: delay-heavy workloads "
         f"{numbers['speedup']:.2f}x vs the reference interpreter "
-        f"({numbers['warps']} idle warps), byte-identical vs it and "
-        "the JIT-off superblock loop"
+        f"({numbers['warps']} idle warps), byte-identical vs it"
     )
     assert numbers["speedup"] >= FULL["min_speedup"], (
         f"superblock speedup {numbers['speedup']:.2f}x below "
@@ -261,7 +255,7 @@ def test_chaining_on_branchy_loop():
     shape(
         "superblock: branchy ALU loop (no idle spins) "
         f"{numbers['reference_ips']:,} -> {numbers['sb_ips']:,} instr/sec "
-        f"({numbers['speedup']:.2f}x from the superblock loop, JIT off)"
+        f"({numbers['speedup']:.2f}x from the superblock loop)"
     )
     assert numbers["speedup"] >= 1.0
 

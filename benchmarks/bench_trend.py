@@ -39,7 +39,6 @@ BENCH_PR: dict[str, int] = {
     "superblock": 4,
     "trace_fastpath": 5,
     "resilience": 7,
-    "jit": 8,
     "serving": 9,
     "artifact_store": 10,
 }
@@ -65,9 +64,6 @@ BENCH_FLOORS: dict[str, dict[str, float]] = {
     # PR 7 is a robustness PR: its floor asserts the supervision layer
     # is free (>= 0.95x of raw sessions, i.e. <= 5% overhead), not fast.
     "resilience": {"zero_fault.speedup": 0.95},
-    # PR 8 acceptance: >= 2x over the superblock engine on the
-    # compute-heavy workloads (quick mode embeds its own 1.5x floor).
-    "jit": {"compute.speedup": 2.0},
     # PR 9 acceptance: a warm serving daemon answers the same scenario
     # pack >= 2x faster than a cold per-request service.
     "serving": {"warm_pool.speedup": 2.0},

@@ -431,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help=(
-            "persistent artifact store root; warmed decode/superblock/"
-            "JIT state is saved there and fresh processes warm-start "
+            "persistent artifact store root; warmed decode/superblock "
+            "state is saved there and fresh processes warm-start "
             "from it instead of re-predecoding"
         ),
     )
@@ -459,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-stats",
         action="store_true",
         help=(
-            "append aggregated engine telemetry (sb_replays, ff_warps, "
-            "jit_chains, jit_codegen_failures, jit_exec_steps, reset "
-            "counters) and a matrix-digest line (one SHA-256 over every "
+            "append aggregated engine telemetry (sb_blocks, sb_replays, "
+            "ff_warps, sb_fallback_steps, reset counters) and a "
+            "matrix-digest line (one SHA-256 over every "
             "verdict, signature, cycle count and trace) to the report "
             "summary"
         ),
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "persistent artifact store root; a job loads an image's "
-            "decode/superblock/JIT state from it on first use and "
+            "decode/superblock state from it on first use and "
             "persists what jobs warm up"
         ),
     )

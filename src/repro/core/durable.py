@@ -18,7 +18,7 @@ this module is the only place they are written:
 
 It lives in :mod:`repro.core` because the scheduler's result cache
 uses it, and importing :mod:`repro.store` would load pickle, marshal
-and the JIT.
+and the decode cache.
 """
 
 from __future__ import annotations

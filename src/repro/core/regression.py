@@ -95,11 +95,10 @@ class RegressionReport:
             f"{self.passing_runs}/{self.total_runs} runs ok, "
             f"{len(self.divergences)} divergence(s)"
         ]
-        if self.cached_runs:
-            lines.append(
-                f"  {self.executed_runs} run(s) executed, "
-                f"{self.cached_runs} served from cache"
-            )
+        lines.append(
+            f"  {self.executed_runs} run(s) executed, "
+            f"{self.cached_runs} served from cache"
+        )
         if self.fetched_runs or self.stolen_runs:
             lines.append(
                 f"  fleet: {self.fetched_runs} verdict(s) adopted from "

@@ -397,8 +397,8 @@ _ENGINE_GAUGES = ("decode_hits", "decode_misses")
 def merge_engine_stats(totals: dict, stats: dict) -> dict:
     """Accumulate one engine ``stats()`` snapshot into *totals*.
 
-    Per-run counters (``sb_replays``, ``ff_warps``, ``jit_chains``,
-    ``jit_codegen_failures``, ``jit_exec_steps``, reset counters) sum; shared-cache and
+    Per-run counters (``sb_replays``, ``ff_warps``, ``sb_blocks``,
+    ``sb_fallback_steps``, ``reset_full``) sum; shared-cache and
     registry keys are gauges where the last observation wins."""
     for key, value in stats.items():
         if key in _ENGINE_GAUGES or key.startswith("registry_"):
@@ -540,7 +540,7 @@ class RegressionScheduler:
                     self.cache.save_index(env_name, derivative.name, index)
         finally:
             self._on_outcome = None
-            # Persist whatever decode/superblock/JIT state this run
+            # Persist whatever decode/superblock state this run
             # warmed up, and the objects below the test cell it
             # assembled (one file for all of them).  One stamp-sized
             # check per registered image when an artifact store is

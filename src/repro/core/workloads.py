@@ -337,8 +337,7 @@ def compute_burn_test(
     checksum, verified against the Python mirror of the kernel.  Every
     iteration does real data-dependent arithmetic, so no closed form
     (and no idle fast-forward) applies — an emulator goes faster here
-    only by retiring the ALU work itself faster, which is the workload
-    the template JIT is benchmarked on."""
+    only by retiring the ALU work itself faster."""
     expect = _xorshift_checksum(seed, loops)
     source = f"""\
 ;; compute burn test {index}: {loops} xorshift32+checksum rounds
@@ -632,8 +631,8 @@ def make_compute_environment(
     """Compute-heavy module environment: ALU-saturated xorshift burns
     where every retired instruction does data-dependent work.  The
     closed-form warps of the delay environment cannot elide anything
-    here, so this is the workload the template JIT is benchmarked (and
-    equivalence-tested) on."""
+    here, so this is the workload the superblock body loop is
+    equivalence-tested on."""
     env = ModuleTestEnvironment(
         "COMPUTE",
         derivatives=derivatives,

@@ -16,9 +16,8 @@ one dict-free indirect call instead of the core's ~300-line ``if/elif``
 opcode chain, which survives in :meth:`CpuCore._execute` as the
 reference interpreter and the fault-injection path.  The executors are
 not written here: each is rendered from its opcode's row in
-:mod:`repro.isa.semantics` (the table the JIT renders its statement
-bodies from too) and all of them are compiled in one ``compile()`` the
-first time an entry is decoded or unpickled.
+:mod:`repro.isa.semantics` and all of them are compiled in one
+``compile()`` the first time an entry is decoded or unpickled.
 
 :class:`DecodeCache` is *lazy*: an address is decoded the first time the
 core fetches it, then memoised.  Laziness matters because images carry
@@ -64,7 +63,6 @@ appends instead of per-instruction recording.
 from __future__ import annotations
 
 import threading
-import types
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Mapping
 
@@ -106,9 +104,9 @@ for _op in Opcode:
 #: Memory micro-op classification (``DecodedInstruction.mem_kind``).
 #: Kinds 1..10 are the word-size micro-ops, 11..14 the byte/halfword
 #: loads and stores (zero-extended on load, truncated on store).  A
-#: nonzero kind ends a superblock (the access may land on an SFR page)
-#: and is the JIT's memory-terminator case; ``mem_disp`` carries the
-#: precomputed displacement or absolute address.
+#: nonzero kind ends a superblock (the access may land on an SFR page);
+#: ``mem_disp`` carries the precomputed displacement or absolute
+#: address.
 MEM_NONE = 0
 MEM_LD_W = 1
 MEM_ST_W = 2
@@ -342,14 +340,6 @@ _SB_MAX_BODY = 64
 _DJNZ_OPCODE = int(Opcode.DJNZ)
 _JUMP_TAKEN_EXTRA = 1
 
-#: Block executions before a chain is compiled from that head.  Counted
-#: per superblock in the JIT-enabled loops (``sb.heat``); one compile is
-#: attempted exactly when the counter *equals* the threshold, so heads
-#: the builder declines (spins, cold junk) are never retried.  Defined
-#: here, not in ``isa/jit.py``, so the core can test it without loading
-#: the JIT before a block first gets hot.
-JIT_THRESHOLD = 16
-
 
 class Superblock:
     """One straight-line run of decoded instructions plus its terminator.
@@ -402,7 +392,6 @@ class Superblock:
         "start", "body", "body_count", "body_cycles", "body_cycles_w",
         "terminator", "succ_taken", "succ_fall", "spin_reg", "spin_cost",
         "spin_cost_w", "fetch_events", "trace_tmpl", "trace_tmpl_w",
-        "heat", "jit_u", "jit_ot", "jit_ow",
     )
 
     def __init__(
@@ -418,14 +407,6 @@ class Superblock:
         self.terminator = terminator
         self.succ_taken: Superblock | None = None
         self.succ_fall: Superblock | None = None
-        #: JIT hotness counter and compiled-chain variant slots (set by
-        #: ``isa/jit.py`` when a chain headed here reaches
-        #: :data:`JIT_THRESHOLD`): unobserved, observed, observed +
-        #: wait-charging.
-        self.heat = 0
-        self.jit_u = None
-        self.jit_ot = None
-        self.jit_ow = None
         fetch_events: tuple[tuple[str, int, int, int], ...] = ()
         for entry in body:
             fetch_events += entry.fetch_events
@@ -461,19 +442,9 @@ class Superblock:
             self.spin_cost_w = 0
 
     def __getstate__(self) -> list:
-        """Pickle everything (slot order) except the compiled chain
-        variants.
-
-        ``jit_u``/``jit_ot``/``jit_ow`` are ``compile()``-generated
-        function objects — process-local artifacts that cannot ride a
-        pickle.  The artifact store snapshots their *code objects*
-        separately via :mod:`marshal` and rebinds (or recompiles) them
-        on restore, so dropping them here loses no warmth across a
-        process boundary."""
-        state = [getattr(self, slot) for slot in self.__slots__]
-        jit_base = self.__slots__.index("jit_u")
-        state[jit_base : jit_base + 3] = (None, None, None)
-        return state
+        """Every slot, in slot order (the unrolled ``__setstate__``'s
+        layout)."""
+        return [getattr(self, slot) for slot in self.__slots__]
 
 
 # Same unrolled-stores trick as ``DecodedInstruction`` (bound
@@ -552,7 +523,7 @@ class DecodeCache:
     """
 
     __slots__ = ("_entries", "_skip", "_segments", "_miss_lock",
-                 "_blocks", "hits", "misses", "jit_chains")
+                 "_blocks", "hits", "misses")
 
     def __init__(
         self,
@@ -585,8 +556,6 @@ class DecodeCache:
         self._miss_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: Compiled JIT chains installed over this cache's blocks.
-        self.jit_chains = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -661,24 +630,6 @@ class DecodeCache:
                 break
             entry = self.get(entry.next_pc)
         return Superblock(pc, tuple(body), terminator)
-
-    def flush_chains(self) -> int:
-        """Drop every compiled JIT chain (and reset hotness) over this
-        cache's blocks; returns the number of chains dropped.  The
-        blocks themselves stay valid — image bytes are immutable — so
-        re-heated chains recompile to identical code.  Exposed for the
-        registry/invalidation layer and tests; per-run invalidation
-        (``cut_block``, epoch flush) needs no per-chain action because
-        generated code re-reads the live deadline at every boundary.
-        """
-        dropped = 0
-        for block in self._blocks.values():
-            if block.jit_u is not None:
-                dropped += 1
-            block.jit_u = block.jit_ot = block.jit_ow = None
-            block.heat = 0
-        self.jit_chains = 0
-        return dropped
 
     def predecode_all(self) -> int:
         """Eagerly decode every aligned word (benchmarks/tools); returns
@@ -756,8 +707,8 @@ class DecodeCache:
 
 
 #: digest-keyed registry so the six platforms of a regression (and many
-#: runs of one session) share decode work — predecoded entries,
-#: superblocks and compiled JIT chains — for the same linked image.
+#: runs of one session) share decode work — predecoded entries and
+#: superblocks — for the same linked image.
 #: Bounded LRU: the dict's insertion order is recency order (every hit
 #: re-inserts), so warm session pools cycling through many images
 #: evict the coldest cache instead of growing without limit.
@@ -765,36 +716,6 @@ _REGISTRY: dict[tuple, DecodeCache] = {}
 _REGISTRY_LIMIT = 256
 _REGISTRY_LOCK = threading.Lock()
 _REGISTRY_EVICTIONS = 0
-
-#: Process-wide ``compile()`` memo for generated JIT chain source: the
-#: same chain over the same image bytes renders the same text in every
-#: cache that holds it (the wait-state profiles' caches of one image,
-#: the daemon's repeated images), so each distinct source is compiled
-#: once.  Bounded (oldest out first), like the registry, because the
-#: daemon is long-lived; :func:`reset_registry` empties it.  Its own
-#: lock: a store restore runs under the registry lock and may compile.
-_CODE_MEMO: dict[str, types.CodeType] = {}
-_CODE_MEMO_LIMIT = 1024
-_CODE_MEMO_LOCK = threading.Lock()
-
-
-def chain_code(source: str, filename: str) -> types.CodeType:
-    """The function code object of generated chain *source* (one
-    top-level ``def``), compiled at most once per distinct source (a
-    shared code object keeps the *filename* of its first chain)."""
-    code = _CODE_MEMO.get(source)
-    if code is None:
-        module = compile(source, filename, "exec")
-        code = next(
-            const for const in module.co_consts
-            if isinstance(const, types.CodeType)
-        )
-        with _CODE_MEMO_LOCK:
-            while len(_CODE_MEMO) >= _CODE_MEMO_LIMIT:
-                _CODE_MEMO.pop(next(iter(_CODE_MEMO)))
-            _CODE_MEMO[source] = code
-    return code
-
 
 #: Optional persistent artifact store (duck-typed:
 #: ``load_decode_cache(key) -> DecodeCache | None``,
@@ -845,11 +766,11 @@ def decode_cache_for(
     collide and cycle-accurate platforms see correct fetch costs.
     Resolving a cache marks it most-recently-used; when the registry is
     full the least-recently-resolved cache is evicted (dropping its
-    blocks and compiled chains with it).
+    blocks with it).
 
     With an artifact store installed (:func:`set_artifact_store`), a
     registry miss first tries the store: a hit restores the persisted
-    predecode/superblock/JIT state and the fresh process skips the cold
+    predecode/superblock state and the fresh process skips the cold
     start entirely.  The store names a snapshot by this key and the
     code's :func:`~repro.core.durable.model_digest`, so one written by
     other code is a miss.  Store failures of any kind fall through to
@@ -901,18 +822,14 @@ def reset_registry() -> int:
     """Drop every registered cache; returns how many were discarded.
 
     Benchmark/test hook: the registry is what makes the second run of
-    an image warm (predecode, superblocks, compiled chains all live
-    here), so an honest cold-start measurement must clear it between
-    samples — including the :func:`registry_stats` eviction counter,
-    which would otherwise report a previous sample's evictions against
-    the fresh registry, and the :func:`chain_code` memo, which would
-    otherwise let a "cold" sample skip every ``compile()``.  Production
-    code never calls this."""
+    an image warm (predecode and superblocks live here), so an honest
+    cold-start measurement must clear it between samples — including
+    the :func:`registry_stats` eviction counter, which would otherwise
+    report a previous sample's evictions against the fresh registry.
+    Production code never calls this."""
     global _REGISTRY_EVICTIONS
     with _REGISTRY_LOCK:
         dropped = len(_REGISTRY)
         _REGISTRY.clear()
         _REGISTRY_EVICTIONS = 0
-    with _CODE_MEMO_LOCK:
-        _CODE_MEMO.clear()
     return dropped

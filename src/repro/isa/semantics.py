@@ -1,32 +1,25 @@
-"""One table defines each opcode; both fast engines are rendered from it.
+"""One table defines each opcode; the fast engine is rendered from it.
 
 Every opcode has one :class:`Row` in :data:`ROWS`: its effect written as
 Python source over the ``data``/``addr``/``psw``/``cpu`` locals, with
-operands taken from an *operand binding* ``o`` (``o.r1``, ``o.imm_u``,
+operands taken from the *operand binding* ``o`` (``o.r1``, ``o.imm_u``,
 ``o.mem_disp``, ...; the field names of
 :class:`~repro.isa.decodecache.DecodedInstruction`).  A row is rendered
-at two binding times:
-
-- **run time**, for the decode cache's executor table: ``o`` is
-  :data:`EXEC_OPERANDS`, whose fields are the source text ``e.r1``,
-  ``e.imm_u``, ..., so one generated ``_x_<opcode>(cpu, e)`` per opcode
-  reads its operands off the decoded entry (:func:`executor_source`);
-- **compile time**, for the template JIT (``isa/jit.py``): ``o`` is the
-  decoded entry itself, so operands land in the source as literals and
-  the chain's body, memory and branch-condition lines are
-  ``row.effect(entry)`` and ``row.cond``, with no pc store.
+once, for the decode cache's executor table: ``o`` is
+:data:`EXEC_OPERANDS`, whose fields are the source text ``e.r1``,
+``e.imm_u``, ..., so one generated ``_x_<opcode>(cpu, e)`` per opcode
+reads its operands off the decoded entry at run time
+(:func:`executor_source`).
 
 A row has up to three parts besides its effect: ``cond``, the
 taken-condition of a conditional branch (the target is ``o.imm_u``);
 ``target``, the pc expression a jump stores after its effect; and
 ``taken``, the executor's return value when it is neither (default
-``False``, or ``True`` for a jump).  The flag helpers below fold what a
-literal operand decides (a sign, a zero shift, a field mask) and emit
-the general test when the operand is a run-time ``e.<field>``.
+``False``, or ``True`` for a jump).
 
 ``CpuCore._execute`` stays hand-written: it is the oracle the rendered
-engines are fuzzed against, so adding an opcode means one row here plus
-one ``_execute`` branch.
+executors are fuzzed against, so adding an opcode means one row here
+plus one ``_execute`` branch.
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ OPERAND_FIELDS = (
     "mem_disp",
 )
 
-#: The run-time binding: every operand is read off the decoded entry.
+#: The operand binding: every operand is read off the decoded entry.
 EXEC_OPERANDS = SimpleNamespace(
     **{name: f"e.{name}" for name in OPERAND_FIELDS}
 )
@@ -69,7 +62,7 @@ class Row(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Flag helpers: inlined PSW updates, folded against literal operands.
+# Flag helpers: inlined PSW updates.
 # ---------------------------------------------------------------------------
 
 def _sign(value, negative: bool) -> str:
@@ -90,21 +83,15 @@ def logic_flags(value: str) -> list[str]:
     ]
 
 
-def sub_flags(lhs, rhs, res: str) -> list[str]:
+def sub_flags(lhs, rhs: str, res: str) -> list[str]:
     """``PSW.set_sub_flags(lhs, rhs)`` with ``res = (lhs - rhs) & M``;
-    a literal operand's sign is folded."""
+    a literal *lhs* (``NEG``'s zero) has its sign folded."""
     lines = [
         f"psw.zero = {res} == 0",
         f"psw.negative = {_sign(res, True)}",
         f"psw.carry = {lhs} < {rhs}",
     ]
-    if isinstance(rhs, int):
-        negative = bool(rhs & _S)
-        lines.append(
-            f"psw.overflow = {_sign(lhs, not negative)}"
-            f" and {_sign(res, negative)}"
-        )
-    elif isinstance(lhs, int):
+    if isinstance(lhs, int):
         negative = bool(lhs & _S)
         lines.append(
             f"psw.overflow = {_sign(rhs, not negative)}"
@@ -119,27 +106,16 @@ def sub_flags(lhs, rhs, res: str) -> list[str]:
     return lines
 
 
-def add_flags(lhs: str, rhs, raw: str, res: str) -> list[str]:
-    """``PSW.set_add_flags(lhs, rhs, raw)`` with ``res = raw & M``; a
-    literal *rhs* has its sign folded."""
-    lines = [
+def add_flags(lhs: str, rhs: str, raw: str, res: str) -> list[str]:
+    """``PSW.set_add_flags(lhs, rhs, raw)`` with ``res = raw & M``."""
+    return [
         f"psw.zero = {res} == 0",
         f"psw.negative = {_sign(res, True)}",
         f"psw.carry = {raw} > {_M}",
+        f"_s = {_sign(lhs, True)}",
+        f"psw.overflow = _s == ({_sign(rhs, True)})"
+        f" and ({_sign(res, True)}) != _s",
     ]
-    if isinstance(rhs, int):
-        negative = bool(rhs & _S)
-        lines.append(
-            f"psw.overflow = {_sign(lhs, negative)}"
-            f" and {_sign(res, not negative)}"
-        )
-    else:
-        lines += [
-            f"_s = {_sign(lhs, True)}",
-            f"psw.overflow = _s == ({_sign(rhs, True)})"
-            f" and ({_sign(res, True)}) != _s",
-        ]
-    return lines
 
 
 def _shifted(kind: str, value: str, amount) -> tuple[str, str]:
@@ -159,36 +135,26 @@ def _shifted(kind: str, value: str, amount) -> tuple[str, str]:
     return result, f"({value} >> ({amount} - 1)) & 1 != 0"
 
 
-def shift(kind: str, value: str, amount) -> list[str]:
-    """``CpuCore._shift`` of local *value* into ``_v``; a literal
-    *amount* folds the zero-shift case (value unchanged, carry clear)."""
-    if isinstance(amount, int):
-        result, carry = (
-            _shifted(kind, value, amount) if amount else (value, "False")
-        )
-        lines = [f"_v = {result}", f"psw.carry = {carry}"]
-    else:
-        result, carry = _shifted(kind, value, "_k")
-        lines = [
-            f"_k = {amount}",
-            "if _k:",
-            f"    _v = {result}",
-            f"    psw.carry = {carry}",
-            "else:",
-            f"    _v = {value}",
-            "    psw.carry = False",
-        ]
-    return lines + [
+def shift(kind: str, value: str, amount: str) -> list[str]:
+    """``CpuCore._shift`` of local *value* into ``_v`` (a zero shift
+    leaves the value unchanged and the carry clear)."""
+    result, carry = _shifted(kind, value, "_k")
+    return [
+        f"_k = {amount}",
+        "if _k:",
+        f"    _v = {result}",
+        f"    psw.carry = {carry}",
+        "else:",
+        f"    _v = {value}",
+        "    psw.carry = False",
         "psw.zero = _v == 0",
         f"psw.negative = {_sign('_v', True)}",
         "psw.overflow = False",
     ]
 
 
-def _field_mask(width) -> tuple[list[str], object]:
+def _field_mask(width: str) -> tuple[list[str], str]:
     # (setup lines, mask) of a bit field *width* bits wide.
-    if isinstance(width, int):
-        return [], (1 << width) - 1 if width < 32 else _M
     return [f"_m = (1 << {width}) - 1 if {width} < 32 else {_M}"], "_m"
 
 
@@ -242,10 +208,13 @@ def _insert(value) -> Row:
 
 def _extrs(o) -> list[str]:
     # imm_s is the field's sign bit (0 for a full-width field).
-    lines = [f"_v = data[{o.r2}] >> {o.pos} & {o.imm_u}"]
-    if not isinstance(o.imm_s, int) or o.imm_s:
-        lines += [f"if _v & {o.imm_s}:", f"    _v |= {_M} & ~{o.imm_u}"]
-    return lines + [f"data[{o.r1}] = _v", *logic_flags("_v")]
+    return [
+        f"_v = data[{o.r2}] >> {o.pos} & {o.imm_u}",
+        f"if _v & {o.imm_s}:",
+        f"    _v |= {_M} & ~{o.imm_u}",
+        f"data[{o.r1}] = _v",
+        *logic_flags("_v"),
+    ]
 
 
 def _indexed(o) -> str:
@@ -332,14 +301,14 @@ def _addi(o) -> list[str]:
     ]
 
 
-def _subtract(lhs: str, rhs) -> list[str]:
-    # _v = (lhs - rhs) & M with subtraction flags; a register or
-    # run-time rhs is read once into _b, a literal one stays folded.
-    lines = [f"_l = {lhs}"]
-    if not isinstance(rhs, int):
-        lines.append(f"_b = {rhs}")
-        rhs = "_b"
-    return lines + [f"_v = (_l - {rhs}) & {_M}", *sub_flags("_l", rhs, "_v")]
+def _subtract(lhs: str, rhs: str) -> list[str]:
+    # _v = (lhs - rhs) & M with subtraction flags; rhs is read once.
+    return [
+        f"_l = {lhs}",
+        f"_b = {rhs}",
+        f"_v = (_l - _b) & {_M}",
+        *sub_flags("_l", "_b", "_v"),
+    ]
 
 
 def _neg(o) -> list[str]:
@@ -474,9 +443,10 @@ assert set(ROWS) == set(Opcode), "semantics table incomplete"
 _LOCALS = (("data", "data"), ("addr", "address"), ("psw", "psw"))
 
 
-def function_lines(row: Row, o) -> list[str]:
-    """Unindented body of ``(cpu, e) -> taken`` for *row* under binding
-    *o*: the pc store, the effect and the taken flag."""
+def function_lines(row: Row) -> list[str]:
+    """Unindented body of ``(cpu, e) -> taken`` for *row*: the pc
+    store, the effect and the taken flag."""
+    o = EXEC_OPERANDS
     effect = row.effect(o)
     if row.cond is not None:
         return effect + [
@@ -495,10 +465,10 @@ def function_lines(row: Row, o) -> list[str]:
     return lines
 
 
-def function_source(name: str, row: Row, o) -> str:
-    """Source of ``def name(cpu, e)`` rendering *row* under *o*, hoisting
-    only the register-file locals its body uses."""
-    body = function_lines(row, o)
+def function_source(name: str, row: Row) -> str:
+    """Source of ``def name(cpu, e)`` rendering *row*, hoisting only the
+    register-file locals its body uses."""
+    body = function_lines(row)
     text = "\n".join(body)
     prelude = ["regs = cpu.regs"] + [
         f"{local} = regs.{attr}"
@@ -519,6 +489,6 @@ def executor_name(op: Opcode) -> str:
 def executor_source() -> str:
     """Every executor's source, one module for one ``compile()``."""
     return "\n".join(
-        function_source(executor_name(op), row, EXEC_OPERANDS)
+        function_source(executor_name(op), row)
         for op, row in ROWS.items()
     )

@@ -20,14 +20,9 @@ is zero is *unhandled* and raises :class:`CpuFault`, ending the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable
 
-from repro.isa.decodecache import (
-    BASE_CYCLES,
-    JIT_THRESHOLD as _JIT_THRESHOLD,
-    DecodeCache,
-)
+from repro.isa.decodecache import BASE_CYCLES, DecodeCache
 from repro.isa.encoding import decode_word, opcode_of, sign_extend_16
 from repro.isa.instructions import Opcode, lookup_opcode
 from repro.isa.registers import RegisterFile, WORD_MASK
@@ -50,15 +45,6 @@ from repro.soc.memorymap import (
     VECTOR_COUNT,
 )
 from repro.soc.peripherals.intc import InterruptController
-
-
-def _jit_compile_chain(cache, head, core) -> bool:
-    """:func:`repro.isa.jit.compile_chain`, imported when the first
-    block gets hot: a run that never reaches the threshold never loads
-    the JIT."""
-    from repro.isa.jit import compile_chain
-
-    return compile_chain(cache, head, core)
 
 
 class CpuFault(Exception):
@@ -189,20 +175,6 @@ class CpuCore:
         #: Backing field of :attr:`decode_cache` (the engines read it
         #: directly; attaching goes through the validating setter).
         self._decode_cache: DecodeCache | None = None
-        #: When True (the default), hot superblock chains are promoted
-        #: to compiled template-JIT functions (``isa/jit.py``): operand
-        #: fields, branch targets and cycle costs baked as constants,
-        #: one deadline/limit/interrupt probe per block boundary.  When
-        #: False, the superblock loop runs every block entry-by-entry.
-        self.use_jit = True
-        #: JIT chains compiled on this core's trigger (telemetry).
-        self.jit_chains = 0
-        #: Chain compiles that failed in codegen and left the chain to
-        #: the superblock loop (telemetry: nonzero is a table hole).
-        self.jit_codegen_failures = 0
-        #: Instructions retired inside compiled JIT chains (telemetry:
-        #: nonzero proves chains actually executed, not just compiled).
-        self.jit_exec_steps = 0
         #: Idle-spin warps performed (telemetry for tests/benchmarks).
         self.ff_warps = 0
         #: Superblocks executed through the block engine (telemetry:
@@ -258,9 +230,6 @@ class CpuCore:
         self.sb_blocks = 0
         self.sb_replays = 0
         self.sb_fallback_steps = 0
-        self.jit_chains = 0
-        self.jit_codegen_failures = 0
-        self.jit_exec_steps = 0
         self._sb_resume = None
         self._sb_epoch += 1
 
@@ -617,8 +586,7 @@ class CpuCore:
         directly to its cached successor block.  Near a cycle deadline
         or retire limit the body falls back to single-instruction
         stepping so stop points stay exactly where :meth:`step` puts
-        them.  Hot chains run as compiled JIT variants (``jit_u``
-        unobserved, ``jit_ot`` traced, ``jit_ow`` wait-charging).
+        them.
 
         Idle spins (``DJNZ rX, .``) are fast-forwarded: the remaining
         taken iterations are warped analytically — counter, logic
@@ -649,7 +617,6 @@ class CpuCore:
         intc = self.intc
         cache = self._decode_cache
         block_at = cache.block_at
-        use_jit = self.use_jit
         epoch = self._sb_epoch
         resume = self._sb_resume
         sb = resume[1] if resume is not None and resume[0] is cache else None
@@ -657,9 +624,6 @@ class CpuCore:
         bus_trace = bus.trace_buffer
         trace = self.trace
         charge = self.charge_wait_states
-        jit_variant = attrgetter(
-            "jit_ow" if charge else "jit_ot" if observed else "jit_u"
-        )
         while not self.halted:
             retired = self.instructions_retired
             if limit is not None and retired >= limit:
@@ -680,33 +644,6 @@ class CpuCore:
                     if deadline is not None and self.cycles >= deadline:
                         break
                     continue
-            if use_jit and not self._pending_waits:
-                # Interrupt-entry wait debt takes the single-entry path
-                # below (a baked template cannot carry it), exactly as
-                # the template-replay fast path requires.
-                fn = jit_variant(sb)
-                if fn is None:
-                    heat = sb.heat + 1
-                    sb.heat = heat
-                    if heat == _JIT_THRESHOLD:
-                        self.jit_chains += _jit_compile_chain(
-                            cache, sb, self
-                        )
-                        fn = jit_variant(sb)
-                if fn is not None:
-                    blocks = fn(self, limit)
-                    if blocks:
-                        self.sb_blocks += blocks
-                        delta = self.instructions_retired - retired
-                        self.jit_exec_steps += delta
-                        cache.hits += delta
-                        sb = None
-                        deadline = self._block_deadline
-                        if deadline is not None and self.cycles >= deadline:
-                            break
-                        continue
-                    # Zero blocks: the entry precheck refused to start —
-                    # take the narrow path below.
             self.sb_blocks += 1
             pending = self._pending_waits
             if sb.spin_reg >= 0 and not pending:

@@ -13,9 +13,9 @@ long-lived device:
 - ``reset``: :meth:`SystemOnChip.full_reset` restores the
   just-constructed state (peripherals, RAM, ROM, NVM) between images,
   paying for what the last run touched: ROM is restored by the extents
-  its image loads wrote, and the bus page table is kept unless a
-  mapping changed (``reset_full`` / ``dispatch_rebuilds`` in
-  :meth:`ExecutionSession.stats` count the exceptions);
+  its image loads wrote (``reset_full`` in :meth:`ExecutionSession.stats`
+  counts the whole-ROM exceptions), and the bus forgets the pages it
+  memoised;
 - ``run``: load an image, attach the shared predecode cache for its ROM,
   and execute to HALT/timeout/fault exactly as ``Platform.run`` did;
 - ``observe``: the platform's ``judge``/``collect`` hooks derive the
@@ -34,8 +34,7 @@ picked up), which makes block and per-step driving byte-identical.
 
 Within a block the core executes superblock-at-a-time (straight-line
 fusion, chaining across taken branches, analytic fast-forward of idle
-``DJNZ`` spins and, with ``use_jit``, compiled hot chains — see
-:mod:`repro.isa.decodecache`, :mod:`repro.isa.jit` and
+``DJNZ`` spins — see :mod:`repro.isa.decodecache` and
 :meth:`CpuCore._run_superblocks`).  Observed runs — instruction traces,
 bus-trace recording, wait-state charging — take the same loop, which
 replays each block's precomputed fetch-event and retire-record
@@ -47,8 +46,7 @@ tests and benchmarks.
 Two engines exist, selected per session:
 
 - ``use_superblocks=True`` (the default): the event-horizon block loop
-  over the shared predecode cache and the superblock engine above;
-  ``use_jit`` switches compiled chains on or off inside it.
+  over the shared predecode cache and the superblock engine above.
 - ``use_superblocks=False``: the **reference interpreter** — no decode
   cache, so every instruction is fetched over the bus, decoded and run
   by :meth:`CpuCore._execute`, with one walk of every peripheral per
@@ -104,7 +102,6 @@ class ExecutionSession:
         platform,
         derivative: Derivative,
         use_superblocks: bool = True,
-        use_jit: bool = True,
         injector=None,
     ):
         self.platform = platform
@@ -122,18 +119,16 @@ class ExecutionSession:
         platform.configure_cpu(self.cpu, self.soc)
         #: False selects the reference interpreter (module docstring).
         self.use_superblocks = use_superblocks
-        self.cpu.use_jit = use_jit
         self.runs_completed = 0
         #: Latched when a run escaped through an exception: the device
         #: is in an unknown state, so pools and schedulers must discard
         #: the session instead of reusing it (:meth:`health_check`).
         self.poisoned = False
         #: Device resets that prepared the most recent run (including a
-        #: pool's health-check reset): whole-ROM restores and page-table
-        #: rebuilds, from the SoC's running counts at the previous run.
+        #: pool's health-check reset) and had to rewrite all of ROM,
+        #: from the SoC's running count at the previous run.
         self.reset_full = 0
-        self.dispatch_rebuilds = 0
-        self._reset_counts = (0, 0)
+        self._reset_fallbacks = 0
 
     def stats(self) -> dict:
         """Fast-path telemetry of the most recent :meth:`run`.
@@ -145,16 +140,10 @@ class ExecutionSession:
         a nonzero fallback count on a ROM-resident workload means the
         fast path silently lost coverage.  ``decode_hits`` /
         ``decode_misses`` report the shared (cross-run, cross-platform)
-        decode cache.  ``jit_chains`` counts chain compiles this core
-        triggered, ``jit_codegen_failures`` those whose codegen failed
-        (the chain then stays on the superblock loop), and
-        ``jit_exec_steps`` instructions retired inside compiled chain
-        bodies; ``registry_size``/``registry_evictions``
-        are gauges of the shared digest-keyed decode registry
-        (LRU-bounded).
-        ``reset_full`` and ``dispatch_rebuilds`` (0 or 1 per run) flag
-        a device reset before the run that had to rewrite all of ROM
-        or rebuild the bus page table.
+        decode cache; ``registry_size``/``registry_evictions`` are
+        gauges of the shared digest-keyed decode registry
+        (LRU-bounded).  ``reset_full`` (0 or 1 per run) flags a device
+        reset before the run that had to rewrite all of ROM.
         """
         from repro.isa.decodecache import registry_stats
 
@@ -167,21 +156,15 @@ class ExecutionSession:
             "sb_fallback_steps": cpu.sb_fallback_steps,
             "decode_hits": 0 if cache is None else cache.hits,
             "decode_misses": 0 if cache is None else cache.misses,
-            "jit_chains": cpu.jit_chains,
-            "jit_codegen_failures": cpu.jit_codegen_failures,
-            "jit_exec_steps": cpu.jit_exec_steps,
             "reset_full": self.reset_full,
-            "dispatch_rebuilds": self.dispatch_rebuilds,
         }
         stats.update(registry_stats())
         return stats
 
     def _count_resets(self) -> None:
-        soc = self.soc
-        fallbacks, rebuilds = self._reset_counts
-        self._reset_counts = (soc.reset_fallbacks, soc.dispatch_rebuilds)
-        self.reset_full = soc.reset_fallbacks - fallbacks
-        self.dispatch_rebuilds = soc.dispatch_rebuilds - rebuilds
+        fallbacks = self.soc.reset_fallbacks
+        self.reset_full = fallbacks - self._reset_fallbacks
+        self._reset_fallbacks = fallbacks
 
     # -- run phases --------------------------------------------------------
     #

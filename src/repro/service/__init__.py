@@ -1,8 +1,8 @@
 """Regression-as-a-service: the always-available serving layer.
 
 Everything below :mod:`repro.core` is one-shot — every CLI invocation
-pays cold-start (device construction, predecode, superblock formation,
-JIT warm-up) and an interrupted process loses all in-flight work.  This
+pays cold-start (device construction, predecode, superblock formation)
+and an interrupted process loses all in-flight work.  This
 package turns the regression engine into a long-lived daemon whose
 headline property is robustness:
 

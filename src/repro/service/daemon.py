@@ -201,7 +201,7 @@ class RegressionService:
             cache.injector = self._injector
         #: Optional :class:`repro.store.artifacts.ArtifactStore`.
         #: Installing it makes every scheduler run persist its warmed
-        #: decode/superblock/JIT state and every registry miss try the
+        #: decode/superblock state and every registry miss try the
         #: store first, so a restarted daemon loads each image's
         #: snapshot on the first job that runs it, as the CLI does.
         self.store = store

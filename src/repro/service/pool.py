@@ -1,13 +1,13 @@
 """Warm :class:`ExecutionSession` pools for the serving daemon.
 
 Cold-start is the tax the service exists to amortise: device
-construction, predecode, superblock formation and JIT warm-up are all
-paid by the first run and free afterwards.  The pool keeps finished
+construction, predecode and superblock formation are all paid by the
+first run and free afterwards.  The pool keeps finished
 sessions *warm* between requests, keyed by platform target, derivative
 and the engine-flag tuple, because those are exactly the axes along
 which a session is interchangeable.  The image-digest half of the
-warmth (predecoded entries, superblock chains, observation templates,
-compiled JIT chains) lives in the shared digest-keyed registry of
+warmth (predecoded entries, superblock chains, observation templates)
+lives in the shared digest-keyed registry of
 :mod:`repro.isa.decodecache` and survives across leases of *any*
 session, so a warm pool plus the registry give a request the same hot
 path the tail of a long serial regression enjoys.

@@ -8,12 +8,14 @@ models the two properties the execution platforms differ on:
 - an **access trace** used by functional coverage and by the platforms
   with bus visibility.
 
-Routing is O(1): :meth:`Bus.attach` precomputes a page-granular dispatch
-table (page index → :class:`Mapping`) for every page a mapping fully
-covers, so the hot path is one shift and one dict probe.  Accesses that
-land on a page no mapping fully covers — partial pages of an unaligned
-test mapping, or straddles past a region end — fall back to a binary
-search over the sorted mapping list.  Mappings backed by a plain
+Routing is O(1) after first touch: :meth:`Bus.mapping_for` memoises
+each page (page index → :class:`Mapping`) it resolves in a page-granular
+dispatch table when one mapping fully covers that page, so the hot path
+is one shift and one dict probe.  Only the pages a run touches are ever
+entered — a fresh bus builds nothing up front.  Accesses that land on a
+page no mapping fully covers — partial pages of an unaligned test
+mapping, or straddles past a region end — take the binary search over
+the sorted mapping list every time.  Mappings backed by a plain
 :class:`Memory` additionally expose their byte buffer to the bus, which
 reads/writes aligned words with :mod:`struct` directly instead of paying
 a method call plus a bytes-slice allocation per access.
@@ -32,15 +34,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import is_
 from struct import Struct
 from typing import Iterator, Protocol
 
 #: Dispatch-table granularity.  256-byte pages cover every real mapping
 #: exactly (memory regions are 64 KiB-aligned and SFR peripheral blocks
-#: are 0x100-sized at 0x100-aligned bases), while keeping the table a
-#: few thousand entries even for the 512 KiB ROM.
+#: are 0x100-sized at 0x100-aligned bases).
 PAGE_SHIFT = 8
 PAGE_SIZE = 1 << PAGE_SHIFT
 
@@ -88,9 +87,9 @@ class Mapping:
     word_wbuf: bytearray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # Re-entrant: rebuild_dispatch re-runs this after a device swap,
-        # so stale word buffers must be dropped, not just overwritten —
-        # a non-Memory device (e.g. a watching wrapper) must route every
+        # Re-entrant: whoever swaps a mapping's device re-runs this, so
+        # stale word buffers must be dropped, not just overwritten — a
+        # non-Memory device (e.g. a watching wrapper) must route every
         # access through its read/write methods.
         self.end = self.base + self.size
         self.word_buf = None
@@ -323,14 +322,6 @@ class Memory:
         self.loaded_extents = []
 
 
-@lru_cache(maxsize=64)
-def _page_numbers(first: int, last: int) -> dict[int, None]:
-    """The pages ``first .. last - 1`` as dict keys, shared by every bus
-    with that span: ``dict.fromkeys`` over a dict reuses its hashes, so
-    a SoC's 2,000-page ROM fills at C speed."""
-    return dict.fromkeys(range(first, last))
-
-
 class Bus:
     """Single-master system bus with O(1) device decode and tracing."""
 
@@ -340,9 +331,9 @@ class Bus:
         self.trace_buffer: BusTrace | None = None
         self.access_count = 0
         self._bases: list[int] = []
+        #: Page index -> the mapping that fully covers it, for the pages
+        #: :meth:`mapping_for` has resolved.
         self.page_table: dict[int, Mapping] = {}
-        #: Page count and :meth:`_dispatch_inputs` of the last build.
-        self._built_from: tuple[int, list] = (0, [])
 
     def attach(
         self,
@@ -367,65 +358,26 @@ class Bus:
             raise ValueError(
                 f"bus mapping {name!r} overlaps {self.mappings[index].name!r}"
             )
-        current = self.dispatch_current()
         self.mappings.insert(index, mapping)
         self._bases.insert(index, mapping.base)
-        self._index_mapping(mapping)
-        if current:
-            self._note_dispatch_inputs()
         return mapping
-
-    def _index_mapping(self, mapping: Mapping) -> None:
-        """Add *mapping*'s fully covered pages to the dispatch table."""
-        pages = _page_numbers(
-            (mapping.base + PAGE_SIZE - 1) >> PAGE_SHIFT,
-            mapping.end >> PAGE_SHIFT,
-        )
-        self.page_table.update(dict.fromkeys(pages, mapping))
-
-    def rebuild_dispatch(self) -> None:
-        """Recompute the page dispatch table from the mapping list.
-
-        Called directly after a mapping's device was swapped; a device
-        full reset calls it only when :meth:`dispatch_current` says
-        something the table was built from changed."""
-        self.page_table.clear()
-        for mapping in self.mappings:
-            mapping.__post_init__()  # refresh end + word buffers
-            self._index_mapping(mapping)
-        self._note_dispatch_inputs()
-
-    def _dispatch_inputs(self) -> list:
-        """What the page table is built from: every mapping, with its
-        device and word buffers (compared by identity)."""
-        inputs: list = []
-        for m in self.mappings:
-            inputs += (m, m.device, m.word_buf, m.word_wbuf)
-        return inputs
-
-    def _note_dispatch_inputs(self) -> None:
-        self._built_from = (len(self.page_table), self._dispatch_inputs())
-
-    def dispatch_current(self) -> bool:
-        """True when the page count and every input of the table are
-        those of its last build."""
-        pages, seen = self._built_from
-        now = self._dispatch_inputs()
-        return (
-            pages == len(self.page_table)
-            and len(now) == len(seen)
-            and all(map(is_, now, seen))
-        )
 
     def mapping_for(self, address: int, length: int) -> Mapping:
         """The mapping containing ``[address, address+length)``.
 
         Binary search over the sorted mapping list — the slow path
-        behind the page table, and the API for one-off queries."""
+        behind the page table, and the API for one-off queries.  The
+        page of *address* is memoised in :attr:`page_table` when the
+        mapping covers all of it (a new mapping cannot overlap it, so
+        the entry stays true until a reset clears the table)."""
         index = bisect_right(self._bases, address) - 1
         if index >= 0:
             mapping = self.mappings[index]
             if address + length <= mapping.end:
+                page = address >> PAGE_SHIFT
+                first = page << PAGE_SHIFT
+                if mapping.base <= first and first + PAGE_SIZE <= mapping.end:
+                    self.page_table[page] = mapping
                 return mapping
         raise BusError(f"unmapped address {address:#010x}", address)
 

@@ -180,10 +180,8 @@ class SystemOnChip:
         self._armed: list[IrqLine] = []
 
         #: :meth:`full_reset` telemetry: resets that had to rewrite all
-        #: of ROM (its load extents were not kept), and resets that
-        #: rebuilt the bus page table (a mapping had changed).
+        #: of ROM (its load extents were not kept).
         self.reset_fallbacks = 0
-        self.dispatch_rebuilds = 0
 
     # -- lifecycle ------------------------------------------------------------
     def reset(self) -> None:
@@ -214,18 +212,15 @@ class SystemOnChip:
         and :attr:`reset_fallbacks` counts it.  RAM and the NVM array,
         which bus stores and NVM programming write directly, are always
         rewritten whole (64 KiB and a few KiB).  Every memory returns to
-        its construction fill.  The page table is rebuilt only if a
-        mapping changed since its last build, counted in
-        :attr:`dispatch_rebuilds`.
+        its construction fill.  The bus forgets the pages it memoised,
+        as a fresh bus has none.
         """
         self.reset()
         if self.rom.restore():
             self.reset_fallbacks += 1
         self.nvm.array.wipe()
         self.bus.access_count = 0
-        if not self.bus.dispatch_current():
-            self.bus.rebuild_dispatch()
-            self.dispatch_rebuilds += 1
+        self.bus.page_table.clear()
         self._cpu = None
         self._ticked_cycles = 0
         self._horizon = None

@@ -1,16 +1,16 @@
 """Restart-proof fleet execution: persistent artifacts + shared work.
 
 Everything warm in this codebase — predecoded entries, superblocks,
-observation templates, JIT-chain metadata, warm session pools — lives
-in process memory and dies with the process, and a regression matrix
-can only be sharded inside one machine.  This package extends the
+observation templates, warm session pools — lives in process memory and
+dies with the process, and a regression matrix can only be sharded
+inside one machine.  This package extends the
 repo's two proven durability idioms downward and outward:
 
 - :mod:`repro.store.artifacts` — a content-addressed on-disk store of
   :class:`~repro.isa.decodecache.DecodeCache` snapshots (predecode +
-  superblock formation + JIT chains), keyed by image digest, region
-  bounds, wait-state profile and the model digest of the code that
-  derived them, checksummed, written and quarantined by the shared
+  superblock formation), keyed by image digest, region bounds,
+  wait-state profile and the model digest of the code that derived
+  them, checksummed, written and quarantined by the shared
   rules of :mod:`repro.core.durable`.  A fresh process (or a rebooted
   :class:`ServiceDaemon` pool) warm-starts from disk instead of
   re-paying predecode and formation;

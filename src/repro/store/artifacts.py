@@ -1,10 +1,9 @@
 """Content-addressed on-disk store of compiled execution artifacts.
 
-The expensive half of a cold start is deterministic: predecode,
-superblock formation and the shape of the compiled JIT chains are pure
-functions of the image bytes, the cached region bounds and the fetch
-wait-state profile — exactly the tuple the decode-cache registry is
-keyed on.  This module persists that derived state so the *next*
+The expensive half of a cold start is deterministic: predecode and
+superblock formation are pure functions of the image bytes, the cached
+region bounds and the fetch wait-state profile — exactly the tuple the
+decode-cache registry is keyed on.  This module persists that derived state so the *next*
 process skips the derivation:
 
 - **content-addressed** — one file per registry key, named by the
@@ -21,29 +20,15 @@ process skips the derivation:
   torn snapshot, a broken store degrades the run to cold starts and
   never fails it, and :meth:`ArtifactStore.prune` bounds the directory.
 
-What a snapshot contains — and what it deliberately drops
----------------------------------------------------------
+What a snapshot contains
+------------------------
 
 :func:`snapshot_decode_cache` pickles the cache's segments, decoded
 entries, non-cacheable ``skip`` set and formed superblocks (the pickle
 memo preserves entry/block identity, so restored successor pointers
-still alias restored blocks).  Compiled JIT chain *functions* are
-``compile()``-generated objects that cannot ride a pickle;
-``Superblock.__getstate__`` nulls them.  The snapshot instead records,
-per chain head, the three variants' *code objects* via :mod:`marshal`
-(the ``.pyc`` idiom) together with their exec namespaces — the
-namespaces hold only decoded entries, fetch-event/trace tuples and
-opcode constants, all of which ride the same pickle memo as the block
-graph.  :func:`restore_decode_cache` rebinds those code objects
-directly (one ``marshal.loads`` + ``exec`` per variant, no tracing, no
-codegen, no ``compile()``), which is what makes a warm process start
-cheaper than re-derivation rather than merely different.  A head whose
-marshalled chain is missing or does not bind falls back to the eager
-:func:`~repro.isa.jit.compile_chain` path.  Every other block's
-persisted heat is clamped below
-:data:`~repro.isa.decodecache.JIT_THRESHOLD` (the trigger fires on
-exact equality, so restoring a past-threshold heat would permanently
-disable recompilation for that head).  A snapshot's name also hashes
+still alias restored blocks; an entry's executor pickles by name).
+:func:`restore_decode_cache` rebuilds a live cache from it with no
+decode and no block formation.  A snapshot's name also hashes
 :func:`~repro.core.durable.model_digest` (engine sources, this format,
 the interpreter's bytecode tag), so one written by other code or
 another interpreter is never opened: a miss, re-derived and re-saved.
@@ -67,7 +52,7 @@ from repro.core.durable import (
     model_digest,
 )
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
-from repro.isa.decodecache import JIT_THRESHOLD, DecodeCache
+from repro.isa.decodecache import DecodeCache
 
 #: Bump when the snapshot payload or envelope changes incompatibly.
 STORE_SCHEMA = 1
@@ -81,28 +66,6 @@ _KIND_OBJECTS = "objects"
 # DecodeCache snapshot / restore
 # --------------------------------------------------------------------------
 
-def _marshal_chain(block) -> dict | None:
-    """The marshalled code objects + exec namespaces of one head's
-    three compiled variants, or ``None`` when any variant is missing
-    or unmarshalable (the head then recompiles eagerly on restore)."""
-    variants = (block.jit_u, block.jit_ot, block.jit_ow)
-    if any(fn is None for fn in variants):
-        return None
-    codes = []
-    environments = []
-    try:
-        for fn in variants:
-            codes.append(marshal.dumps(fn.__code__))
-            environments.append({
-                name: value
-                for name, value in fn.__globals__.items()
-                if name not in ("_chain", "__builtins__")
-            })
-    except (ValueError, TypeError):
-        return None
-    return {"codes": codes, "envs": environments}
-
-
 def snapshot_decode_cache(cache: DecodeCache) -> bytes:
     """Pickle one cache's derived state (see module docstring).
 
@@ -113,61 +76,17 @@ def snapshot_decode_cache(cache: DecodeCache) -> bytes:
     with cache._miss_lock:
         entries = dict(cache._entries)
         skip = set(cache._skip)
-    blocks = dict(cache._blocks)
-    jit_code = {}
-    for pc, block in blocks.items():
-        if block.jit_u is None:
-            continue
-        chain = _marshal_chain(block)
-        if chain is not None:
-            jit_code[pc] = chain
     snapshot = {
         "segments": list(cache._segments),
         "entries": entries,
         "skip": skip,
-        "blocks": blocks,
-        "jit_heads": sorted(
-            pc for pc, block in blocks.items() if block.jit_u is not None
-        ),
-        "jit_code": jit_code,
+        "blocks": dict(cache._blocks),
     }
     return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _bind_marshalled_chain(head, chain) -> bool:
-    """Rebind one head's three variants from marshalled code; returns
-    whether the chain was installed (any failure leaves the head clean
-    for the eager-recompile fallback)."""
-    if not chain:
-        return False
-    try:
-        codes = chain["codes"]
-        environments = chain["envs"]
-        if len(codes) != 3 or len(environments) != 3:
-            return False
-        variants = []
-        for blob, environment in zip(codes, environments):
-            namespace = dict(environment)
-            namespace.setdefault("__builtins__", __builtins__)
-            variants.append(
-                types.FunctionType(marshal.loads(blob), namespace, "_chain")
-            )
-    except Exception:
-        return False
-    head.jit_u, head.jit_ot, head.jit_ow = variants
-    return True
-
-
 def restore_decode_cache(payload: bytes) -> DecodeCache:
-    """Rebuild a live :class:`DecodeCache` from a snapshot payload.
-
-    Chain heads restore their compiled variants straight from the
-    snapshot's marshalled code objects (no codegen, no ``compile()``);
-    a head whose marshalled chain is missing or unreadable recompiles
-    eagerly instead.  Every other persisted heat is clamped to
-    ``JIT_THRESHOLD - 1`` so a hot block whose chain could not be
-    restored re-triggers compilation on its first warm replay instead
-    of never again (the JIT trigger is an exact-equality check)."""
+    """Rebuild a live :class:`DecodeCache` from a snapshot payload."""
     snapshot = pickle.loads(payload)
     cache = DecodeCache.__new__(DecodeCache)
     cache._segments = snapshot["segments"]
@@ -177,31 +96,14 @@ def restore_decode_cache(payload: bytes) -> DecodeCache:
     cache._miss_lock = threading.Lock()
     cache.hits = 0
     cache.misses = 0
-    cache.jit_chains = 0
-    for block in cache._blocks.values():
-        if block.heat >= JIT_THRESHOLD:
-            block.heat = JIT_THRESHOLD - 1
-    jit_code = snapshot["jit_code"]
-    for pc in snapshot["jit_heads"]:
-        head = cache._blocks.get(pc)
-        if head is None:
-            continue
-        if _bind_marshalled_chain(head, jit_code.get(pc)):
-            cache.jit_chains += 1
-            head.heat = JIT_THRESHOLD
-            continue
-        from repro.isa.jit import compile_chain
-
-        if compile_chain(cache, head):
-            head.heat = JIT_THRESHOLD
     return cache
 
 
-def _cache_stamp(cache: DecodeCache) -> tuple[int, int, int]:
+def _cache_stamp(cache: DecodeCache) -> tuple[int, int]:
     """Cheap content stamp deciding whether a re-save would change the
-    snapshot.  Entries and blocks only ever grow (and chains only
-    install) for an immutable image, so size deltas are sufficient."""
-    return (len(cache._entries), len(cache._blocks), cache.jit_chains)
+    snapshot.  Entries and blocks only ever grow for an immutable image,
+    so size deltas are sufficient."""
+    return (len(cache._entries), len(cache._blocks))
 
 
 # --------------------------------------------------------------------------

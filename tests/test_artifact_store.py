@@ -2,7 +2,7 @@
 degradation, pruning, registry warm-start and the registry-reset fix.
 
 The store's contract (the robustness issue's tentpole): a fresh process
-warm-starts from persisted decode/superblock/JIT state instead of
+warm-starts from persisted decode/superblock state instead of
 re-paying predecode, a corrupt artifact is counted + quarantined aside
 + re-derived from source (corrupt != miss, never trusted), and a store
 root that is unavailable degrades the run to local cold starts instead
@@ -12,7 +12,6 @@ warm-start claim.
 
 from __future__ import annotations
 
-import builtins
 import importlib.util
 import json
 import marshal
@@ -22,7 +21,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import types
 from pathlib import Path
 
 import pytest
@@ -166,7 +164,7 @@ class TestRoundtrip:
 
 
 # --------------------------------------------------------------------------
-# JIT chains across the store: bound from code, never recompiled
+# superblock chains across the store: restored, never re-derived
 # --------------------------------------------------------------------------
 
 HOT_LOOP_SOURCE = """\
@@ -185,7 +183,8 @@ loop:
 
 
 def hot_loop():
-    """``(image, private cache, loop pc)`` for a loop the JIT chains."""
+    """``(image, private cache, loop pc)`` for a loop whose block
+    chains to itself."""
     memory_map = SC88A.memory_map()
     obj = Assembler().assemble_source(HOT_LOOP_SOURCE, "t.asm")
     image = Linker(
@@ -196,13 +195,12 @@ def hot_loop():
     return image, cache, image.symbol("loop")
 
 
-def run_on(image, cache, *, trace=False, use_jit=True) -> CpuCore:
+def run_on(image, cache, *, trace=False) -> CpuCore:
     memory_map = SC88A.memory_map()
     soc = SystemOnChip(SC88A)
     soc.load_image(image)
     cpu = CpuCore(soc.bus, intc=soc.intc)
     cpu.decode_cache = cache
-    cpu.use_jit = use_jit
     cpu.reset(image.entry, memory_map.stack_top)
     if trace:
         cpu.enable_trace()
@@ -220,87 +218,22 @@ def outcome(cpu: CpuCore):
     )
 
 
-@pytest.fixture
-def compiles(monkeypatch):
-    """Every ``compile()`` of generated chain source, by file name,
-    from an empty source -> code memo."""
-    names: list[str] = []
-    real = builtins.compile
-
-    def counting(source, filename, *args, **kwargs):
-        if str(filename).startswith("<jit-chain"):
-            names.append(filename)
-        return real(source, filename, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "compile", counting)
-    reset_registry()
-    return names
-
-
 class TestChainRoundtrip:
-    def test_restored_chain_runs_without_compile(self, compiles):
+    def test_restored_chain_runs_without_decoding(self):
         image, cache, loop = hot_loop()
         run_on(image, cache)
-        compiled = len(compiles)
-        assert compiled
         payload = snapshot_decode_cache(cache)
-        reset_registry()  # a fresh process: empty memo
         restored = restore_decode_cache(payload)
         head = restored._blocks[loop]
-        assert restored.jit_chains == 1
-        assert all(
-            isinstance(fn, types.FunctionType)
-            for fn in (head.jit_u, head.jit_ot, head.jit_ow)
-        )
+        # The loop block's memoised successor is restored as itself.
+        assert head.succ_taken is head
         for trace in (False, True):
-            reference = run_on(
-                image, hot_loop()[1], trace=trace, use_jit=False
-            )
+            reference = run_on(image, hot_loop()[1], trace=trace)
             cpu = run_on(image, restored, trace=trace)
-            assert cpu.jit_chains == 0 and cpu.jit_exec_steps > 0
+            assert cpu.sb_blocks > 0
             assert outcome(cpu) == outcome(reference)
-        assert len(compiles) == compiled
-
-    def test_unbindable_chain_recompiles_inside_registry_lookup(
-        self, tmp_path, monkeypatch, compiles
-    ):
-        """A chain head whose snapshot holds no marshalled chain
-        recompiles on restore, which runs under the registry lock: the
-        compile memo must not need that lock."""
-        image, cache, loop = hot_loop()
-        rom = SC88A.memory_map().rom
-        key = (image.digest(), rom.base, rom.base + rom.size, 0)
-        run_on(image, cache)
-        compiled = len(compiles)
-        store = ArtifactStore(tmp_path)
-        with monkeypatch.context() as patch:
-            patch.setattr(artifacts, "_marshal_chain", lambda block: None)
-            assert store.save_decode_cache(key, cache)
-        reset_registry()
-        set_artifact_store(ArtifactStore(tmp_path))
-        restored = []
-        lookup = threading.Thread(
-            target=lambda: restored.append(
-                decodecache.decode_cache_for(
-                    image, rom.base, rom.base + rom.size
-                )
-            ),
-            daemon=True,
-        )
-        try:
-            lookup.start()
-            lookup.join(timeout=20)
-        finally:
-            set_artifact_store(None)
-        assert not lookup.is_alive(), "restore deadlocked on a compile"
-        assert len(compiles) == 2 * compiled  # the chain, then again
-        head = restored[0]._blocks[loop]
-        assert isinstance(head.jit_ot, types.FunctionType)
-        traced = run_on(image, restored[0], trace=True)
-        assert outcome(traced) == outcome(
-            run_on(image, hot_loop()[1], trace=True, use_jit=False)
-        )
-
+        assert restored.misses == 0
+        assert len(restored._blocks) == len(cache._blocks)
 
     @pytest.mark.parametrize(
         "written_by",
@@ -315,17 +248,16 @@ class TestChainRoundtrip:
         ids=["magic_number", "cache_tag"],
     )
     def test_foreign_bytecode_snapshot_is_a_miss(
-        self, tmp_path, monkeypatch, compiles, written_by
+        self, tmp_path, monkeypatch, written_by
     ):
         """A snapshot written under another bytecode format has another
         name: it is a miss, never corruption.  The cache is re-derived
         and saved under this interpreter's name, which later processes
-        bind without compiling."""
+        restore."""
         image, cache, loop = hot_loop()
         rom = SC88A.memory_map().rom
         key = (image.digest(), rom.base, rom.base + rom.size, 0)
         run_on(image, cache)
-        compiled = len(compiles)
         with monkeypatch.context() as patch:
             written_by(patch)
             assert ArtifactStore(tmp_path).save_decode_cache(key, cache)
@@ -336,17 +268,15 @@ class TestChainRoundtrip:
         rederived = decodecache.decode_cache_for(
             image, rom.base, rom.base + rom.size
         )
+        assert rederived is not cache and not rederived._blocks
         run_on(image, rederived)
-        assert len(compiles) == 2 * compiled
         assert (store.hits, store.misses) == (0, 1)
         assert (store.corrupt, store.quarantined) == (0, 0)
         assert decodecache.persist_registry() == 1
         assert foreign.exists()
         assert store._path(store._decode_stem(key)).exists()
-        reset_registry()
         rebound = ArtifactStore(tmp_path).load_decode_cache(key)
-        assert isinstance(rebound._blocks[loop].jit_ot, types.FunctionType)
-        assert len(compiles) == 2 * compiled
+        assert rebound._blocks[loop].succ_taken is rebound._blocks[loop]
 
 
 # --------------------------------------------------------------------------

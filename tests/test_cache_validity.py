@@ -83,7 +83,7 @@ def test_engine_edit_never_reads_a_primed_cache_or_store(tmp_path, mutant):
 
     # Every run executed: no verdict and no decode snapshot of the
     # unmutated tree was read, and none was taken for corruption.
-    assert "served from cache" not in edited
+    assert "174 run(s) executed, 0 served from cache" in edited
     cache = counters(edited, "cache-stats")
     store = counters(edited, "store-stats")
     assert (cache["hits"], cache["misses"]) == (0, 174)

@@ -26,14 +26,14 @@ directed-test cells out of snippets that cover the whole engine surface:
   interrupt lines, software traps) at handlers in its own code, in ROM
   or in RAM, that acknowledge, count their entry and return or halt;
   mid-program ``TRAP`` instructions then dispatch through them;
-- ``DJNZ`` loops of 1–200 iterations, so hot chains get compiled, and
-  idle spins, so the fast-forward warps fire;
+- ``DJNZ`` loops of 1–200 iterations, so superblocks chain to their
+  memoised successors, and idle spins, so the fast-forward warps fire;
 - a RAM-resident code fragment, optionally patched before it runs.
 
 Each cell is built as a :class:`ModuleTestEnvironment` cell (the global
-trap and interrupt handlers are linked in) and run on three engines —
-the default (superblocks + JIT), ``use_jit=False`` and the reference
-interpreter (``use_superblocks=False``) — on golden (instruction and
+trap and interrupt handlers are linked in) and run on both engines —
+the default (superblocks) and the reference interpreter
+(``use_superblocks=False``) — on golden (instruction and
 bus trace), rtl (traced and cycle-accurate) and the accelerator
 (unobserved).  The cached result payload and the recorded bus trace
 must be identical.  Failures found here are committed as plain
@@ -73,7 +73,6 @@ from repro.soc.peripherals.intc import (
 #: Engines every generated program runs on; the last is the oracle.
 ENGINES = (
     ("default", {}),
-    ("no-jit", {"use_jit": False}),
     ("reference", {"use_superblocks": False}),
 )
 
@@ -644,14 +643,12 @@ def fuzz_campaign(max_examples: int, derandomize: bool = True) -> Counter:
 
 def test_engines_agree_on_generated_programs():
     totals = fuzz_campaign(max_examples=20)
-    # The net must reach the tiers it guards: compiled chains ran and
-    # idle spins were warped somewhere in the campaign, and traps or
+    # The net must reach the tiers it guards: superblocks ran and idle
+    # spins were warped somewhere in the campaign, and traps or
     # interrupts dispatched through a cell's own vector entries.
-    assert totals["jit_chains"] > 0, totals
+    assert totals["sb_blocks"] > 0, totals
     assert totals["ff_warps"] > 0, totals
     assert totals["own_handler_entries"] > 0, totals
-    # Every chain the campaign triggered rendered from the table.
-    assert totals["jit_codegen_failures"] == 0, totals
 
 
 #: A fixed cell whose hot ``DJNZ`` loop retires every opcode but HALT
@@ -659,7 +656,7 @@ def test_engines_agree_on_generated_programs():
 #: (shift by 0 and 31, a full-width field at pos 0, immediates with bit
 #: 15 set), every memory micro-op, every conditional branch, both
 #: calls, and a ``TRAP`` to the timer vector, whose handler returns
-#: with ``RETI``.  Forty passes put every block past the JIT threshold.
+#: with ``RETI``.  Forty passes run every block on its memoised chain.
 EVERY_OPCODE_SOURCE = f"""\
 .INCLUDE Globals.inc
 _main:
@@ -754,7 +751,7 @@ def test_every_opcode_cell_agrees_on_every_engine():
     runs = run_engines(EVERY_OPCODE_SOURCE)
     for target_name, _ in TARGETS:
         stats = runs[target_name, "default"][1]
-        assert stats["jit_exec_steps"] > 0, target_name
+        assert stats["sb_blocks"] > 0, target_name
     golden, _ = runs["golden", "reference"]
     assert {record.opcode for record in golden.trace} == {
         int(op) for op in Opcode
@@ -764,7 +761,7 @@ def test_every_opcode_cell_agrees_on_every_engine():
 #: A fixed cell that owns its vector table: a hot loop divides by zero
 #: (vector 1, a handler in RAM), raises software trap 20 (a ROM handler)
 #: and runs under a timer whose interrupt enters the cell's own timer
-#: handler.  Every handler returns, so the loop, and the chains compiled
+#: handler.  Every handler returns, so the loop, and the superblocks
 #: over it, keep dispatching through the cell's entries.
 OWN_VECTORS_SOURCE = "\n".join([
     ".INCLUDE Globals.inc",
@@ -803,7 +800,7 @@ OWN_VECTORS_SOURCE = "\n".join([
 def test_own_vector_table_dispatch_agrees_on_every_engine():
     runs = run_engines(OWN_VECTORS_SOURCE)
     for target_name, _ in TARGETS:
-        assert runs[target_name, "default"][1]["jit_exec_steps"] > 0
+        assert runs[target_name, "default"][1]["sb_blocks"] > 0
     golden = runs["golden", "reference"][0]
     # 40 divide traps + 40 software traps + the timer's interrupts.
     assert golden.registers["d13"] > 80
@@ -814,12 +811,12 @@ def test_own_vector_table_dispatch_agrees_on_every_engine():
 # Regressions found by the fuzzer (plain tests, every engine and target)
 # ---------------------------------------------------------------------------
 
-#: A data access inside a compiled chain faults into a trap whose frame
-#: cannot be pushed: the chain must store the fall-through pc first,
+#: A data access ending a superblock faults into a trap whose frame
+#: cannot be pushed: the executor must store the fall-through pc first,
 #: exactly like the interpreter, or the fault reports the stale pc of
-#: the chain head (the PUSH block, hot first).  The stack starts 256
-#: bytes above the bottom of RAM so the chain compiles and runs off RAM
-#: within 64 pushes.
+#: the block (the PUSH terminator).  The stack starts 256 bytes above
+#: the bottom of RAM, so the loop's blocks chain to each other and run
+#: off RAM within 64 pushes.
 STACK_RUNAWAY_SOURCE = """\
 _main:
     LOAD a15, 0x10000100
@@ -861,10 +858,9 @@ def test_faulting_chain_access_reports_fall_through_pc(target_name):
         assert result.status is RunStatus.FAULT, engine
         assert result.registers["pc"] == STACK_RUNAWAY_FAULT_PC, engine
         if engine == "default":
-            assert session.stats()["jit_chains"] > 0
+            assert session.stats()["sb_blocks"] > 0
         payloads[engine] = result_to_payload(result)
     assert payloads["default"] == payloads["reference"]
-    assert payloads["no-jit"] == payloads["reference"]
 
 
 @pytest.mark.parametrize(
@@ -874,11 +870,11 @@ def test_faulting_stack_control_flow_matches_reference(source):
     run_engines(source)
 
 
-#: Once its chains are compiled (the decode cache and its chains are
+#: Once its superblocks are formed and chained (the decode cache is
 #: shared across sessions), a retire ceiling swept over the first
-#: passes lands right after a chain head's body on the chain's first
-#: call.  The chain used to report zero blocks there, and the caller
-#: ran the body a second time.
+#: passes lands inside, right after and right before each block's
+#: body: the superblock loop must stop exactly where the reference
+#: interpreter does, never running a body twice.
 LIMIT_LOOP_SOURCE = """\
 _main:
     LOAD d1, 1000
@@ -891,15 +887,14 @@ loop:
 
 
 @pytest.mark.parametrize("target_name", ["golden", "rtl", "accelerator"])
-def test_instruction_limit_inside_a_compiled_chain(target_name):
+def test_instruction_limit_inside_a_superblock(target_name):
     env = ModuleTestEnvironment("LIMIT")
     env.add_test(TestCell(name="TEST_LIMIT", source=LIMIT_LOOP_SOURCE))
     tgt = target(target_name)
     image = env.build_image("TEST_LIMIT", SC88A, tgt).image
     warm = ExecutionSession(tgt.make_platform(), SC88A)
-    for _ in range(20):  # every block past the compile threshold
-        warm.run(image)
-    assert warm.stats()["jit_exec_steps"] > 0
+    warm.run(image)  # forms the blocks and memoises their successors
+    assert warm.stats()["sb_blocks"] > 0
     for limit in range(1, 31):
         payloads = {}
         for engine, flags in ENGINES:

@@ -1,8 +1,8 @@
 """Import on first use: a re-regression pays only for what it calls.
 
 ``repro.core`` and ``repro.assembler`` resolve their public names
-lazily (PEP 562), and the assembler proper, the JIT and the opcode
-table load where they are first used.  A fully cached ``regress`` keys
+lazily (PEP 562), and the assembler proper and the opcode table load
+where they are first used.  A fully cached ``regress`` keys
 and replays every verdict without assembling, decoding or compiling,
 so none of them may load; every public name must still resolve.
 """
@@ -25,7 +25,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules a fully cached ``regress`` has no use for.
 UNUSED_WHEN_CACHED = (
     "repro.assembler.assembler",
-    "repro.isa.jit",
     "repro.isa.semantics",
 )
 

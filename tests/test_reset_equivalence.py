@@ -1,12 +1,12 @@
 """A device reset gives exactly a fresh device.
 
 :meth:`SystemOnChip.full_reset` restores ROM by the extents image loads
-wrote and keeps the bus page table unless a mapping changed.  These
-tests hold it to the only contract that matters: after any mix of
-dirtying — image loads, whole-ROM loads, RAM/NVM pokes, device swaps,
-NVM programming through the SFRs, peripheral configuration, page-table
-perturbations, real test runs — a reset device is indistinguishable
-from ``SystemOnChip(derivative)``.
+wrote and empties the bus page memo.  These tests hold it to the only
+contract that matters: after any mix of dirtying — image loads,
+whole-ROM loads, RAM/NVM pokes, device swaps, NVM programming through
+the SFRs, peripheral configuration, page-table perturbations, real test
+runs — a reset device is indistinguishable from
+``SystemOnChip(derivative)``.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def apply_step(soc: SystemOnChip, step: tuple) -> None:
         mapping = bus.mapping_for(soc.memory_map.ram.base, 1)
         original = mapping.device
         mapping.device = _Wrapped(original)
-        bus.rebuild_dispatch()
+        mapping.__post_init__()  # refresh the swapped mapping's buffers
         bus.poke_word(mapping.base, 0x5A5A_5A5A)
         # Device restored, word buffers still dropped.
         mapping.device = original

@@ -2,9 +2,9 @@
 
 A reset restores ROM by the extents image loads wrote (falling back to
 the whole region past :data:`LOAD_EXTENT_CAP` or after a whole-region
-load), rewrites every memory with its own construction fill, rebuilds
-the bus page table only when a mapping changed, and counts both
-fallbacks in the session's engine stats.  Peripheral register fields
+load), rewrites every memory with its own construction fill, empties
+the bus page memo, and counts the whole-ROM fallbacks in the session's
+engine stats.  Peripheral register fields
 decode through tables cached once per layout.
 """
 
@@ -19,26 +19,36 @@ from repro.platforms import make_platform
 from repro.platforms.base import RunStatus
 from repro.platforms.session import ExecutionSession
 from repro.soc.bus import LOAD_EXTENT_CAP, PAGE_SIZE, Bus, Memory
-from repro.soc.derivatives import SC88A
+from repro.soc.derivatives import SC88A, all_derivatives
 from repro.soc.device import PASS_MAGIC, SystemOnChip
 from repro.soc.peripherals.timer import Timer, make_timer_layout
 
 MEMORY_MAP = SC88A.memory_map()
 
-PASS_IMAGE = Linker(
-    text_base=MEMORY_MAP.text_base, data_base=MEMORY_MAP.data_base
-).link(
-    [
-        Assembler().assemble_source(
-            f"""\
+
+def pass_image(memory_map):
+    """Report PASS through the result word of *memory_map*."""
+    return Linker(
+        text_base=memory_map.text_base, data_base=memory_map.data_base
+    ).link(
+        [
+            Assembler().assemble_source(
+                f"""\
 _main:
     LOAD d0, {PASS_MAGIC:#x}
-    STORE [{MEMORY_MAP.result_address:#x}], d0
+    STORE [{memory_map.result_address:#x}], d0
     HALT
 """,
-            "t.asm",
-        )
-    ]
+                "t.asm",
+            )
+        ]
+    )
+
+
+PASS_IMAGE = pass_image(MEMORY_MAP)
+
+DERIVATIVES = pytest.mark.parametrize(
+    "derivative", all_derivatives(), ids=lambda d: d.name
 )
 
 
@@ -92,43 +102,70 @@ class TestMemoryRestore:
 
 
 # --------------------------------------------------------------------------
-# Bus: the page table is kept unless a mapping changed
+# Bus: a page is resolved once, on first touch, and reused until a reset
 # --------------------------------------------------------------------------
 
 class TestDispatchReuse:
-    def test_attach_keeps_a_current_table_current(self):
-        bus = Bus()
-        bus.attach("a", 0x0, PAGE_SIZE, Memory(PAGE_SIZE))
-        bus.attach("b", 0x1000, PAGE_SIZE, Memory(PAGE_SIZE))
-        assert bus.dispatch_current()
+    @DERIVATIVES
+    def test_fresh_soc_page_table_is_empty(self, derivative):
+        assert SystemOnChip(derivative).bus.page_table == {}
 
-    def test_attach_after_a_clear_is_not_current(self):
+    @DERIVATIVES
+    def test_run_memoises_only_fully_covered_pages(self, derivative):
+        memory_map = derivative.memory_map()
+        session = ExecutionSession(
+            make_platform("golden"), derivative, use_superblocks=False
+        )
+        result = session.run(pass_image(memory_map))
+        assert result.status is RunStatus.PASS
+        bus = session.soc.bus
+        table = bus.page_table
+        # The reference interpreter fetches over the bus: the text page
+        # and the result word's RAM page were touched and memoised.
+        assert table[memory_map.text_base >> 8].name == "rom"
+        assert table[memory_map.result_address >> 8].name == "ram"
+        assert len(table) < memory_map.rom.size // PAGE_SIZE
+        for page, mapping in table.items():
+            first = page * PAGE_SIZE
+            assert mapping.base <= first
+            assert first + PAGE_SIZE <= mapping.end
+            assert bus.mapping_for(first, PAGE_SIZE) is mapping
+
+    @DERIVATIVES
+    def test_full_reset_empties_the_memo(self, derivative):
+        ram_base = derivative.memory_map().ram.base
+        soc = SystemOnChip(derivative)
+        soc.bus.poke_word(ram_base, 0x1234)
+        assert soc.bus.page_table
+        soc.full_reset()
+        assert soc.bus.page_table == {}
+        assert soc.bus.peek_word(ram_base) == 0
+
+    def test_attach_keeps_a_current_table_current(self):
+        # A new mapping cannot overlap a memoised page, so attaching
+        # leaves every entry true.
         bus = Bus()
-        bus.attach("a", 0x0, PAGE_SIZE, Memory(PAGE_SIZE))
-        bus.page_table.clear()
-        bus.attach("b", 0x1000, PAGE_SIZE, Memory(PAGE_SIZE))
-        assert not bus.dispatch_current()
-        bus.rebuild_dispatch()
-        assert bus.dispatch_current()
-        assert sorted(bus.page_table) == [0x0, 0x1000 >> 8]
+        a = bus.attach("a", 0x0, PAGE_SIZE, Memory(PAGE_SIZE))
+        bus.write_word(0x10, 0x55)
+        assert bus.page_table == {0: a}
+        b = bus.attach("b", 0x1000, PAGE_SIZE, Memory(PAGE_SIZE))
+        assert bus.page_table == {0: a}
+        assert bus.read_word(0x10) == (0x55, 0)
+        assert bus.read_word(0x1010) == (0, 0)
+        assert bus.page_table == {0: a, 0x1000 >> 8: b}
 
     def test_device_swap_is_not_current(self):
+        # The memo holds the mapping, not its device: whoever swaps a
+        # device refreshes the mapping's word buffers.
         bus = Bus()
         mapping = bus.attach("a", 0x0, PAGE_SIZE, Memory(PAGE_SIZE))
+        bus.write_word(0x10, 0x55)
         mapping.device = Memory(PAGE_SIZE)
-        assert not bus.dispatch_current()
-        bus.rebuild_dispatch()
+        assert mapping.word_buf is not mapping.device.data
+        mapping.__post_init__()
         assert mapping.word_buf is mapping.device.data
-
-    def test_reset_counts_rebuilds_only_after_a_change(self):
-        soc = SystemOnChip(SC88A)
-        table = dict(soc.bus.page_table)
-        soc.full_reset()
-        assert soc.dispatch_rebuilds == 0
-        soc.bus.page_table.clear()
-        soc.full_reset()
-        assert soc.dispatch_rebuilds == 1
-        assert soc.bus.page_table == table
+        assert bus.page_table == {0: mapping}
+        assert bus.read_word(0x10) == (0, 0)
 
     def test_reset_counts_whole_rom_restores(self):
         soc = SystemOnChip(SC88A)
@@ -186,7 +223,7 @@ class TestLayoutDecode:
 
 
 # --------------------------------------------------------------------------
-# engine stats: reset_full / dispatch_rebuilds
+# engine stats: reset_full
 # --------------------------------------------------------------------------
 
 class TestResetTelemetry:
@@ -200,7 +237,7 @@ class TestResetTelemetry:
             if row.startswith("engine-stats:")
         )
         assert " reset_full=0 " in f"{line} "
-        assert " dispatch_rebuilds=0 " in f"{line} "
+        assert "dispatch_rebuilds" not in line
 
     def test_over_cap_loads_report_a_whole_rom_restore(self):
         session = ExecutionSession(make_platform("golden"), SC88A)
@@ -211,6 +248,5 @@ class TestResetTelemetry:
         assert session.run(PASS_IMAGE).status is RunStatus.PASS
         stats = session.stats()
         assert stats["reset_full"] == 1
-        assert stats["dispatch_rebuilds"] == 0
         session.run(PASS_IMAGE)
         assert session.stats()["reset_full"] == 0

@@ -461,7 +461,7 @@ class TestRegressCli:
         assert main(argv) == 0
         cold_out = capsys.readouterr().out
         assert "2/2 runs ok" in cold_out
-        assert "served from cache" not in cold_out
+        assert "2 run(s) executed, 0 served from cache" in cold_out
         assert main(argv) == 0
         assert "0 run(s) executed, 2 served from cache" in (
             capsys.readouterr().out
@@ -497,7 +497,7 @@ class TestRegressCli:
         assert main(argv + ["--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "1/1 runs ok" in out
-        assert "served from cache" not in out
+        assert "1 run(s) executed, 0 served from cache" in out
 
 
 # --------------------------------------------------------------------------

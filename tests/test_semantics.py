@@ -1,23 +1,19 @@
-"""Per-opcode binding-time test for the semantics table.
+"""Per-opcode test of the semantics table against the reference.
 
-``isa/semantics.py`` renders each opcode's row at two binding times: the
-decode cache's executor reads its operands off the decoded entry at run
-time, the JIT bakes them into the source as literals.  The flag helpers
-fold what a literal decides (a sign, a zero shift, a field mask) and
-emit the general test for a run-time operand, so the two renderings
-differ exactly at those fold boundaries — which program-level fuzzing
-reaches only by chance.
+``isa/semantics.py`` renders each opcode's row into the decode cache's
+executor, which reads its operands off the decoded entry at run time.
+Its flag and shift helpers branch on operand values (a sign, a zero
+shift, a field mask) that program-level fuzzing reaches only by chance.
 
 For every row, this test encodes one instruction with operands biased to
 the boundaries (shift amounts 0 and 31, full-width fields at pos 0,
 immediates with bit 15 set, sign and carry boundary words, and for a
 31-bit field at pos 0 a source word and inserted value that differ in
-bit 31), decodes it
-through a :class:`DecodeCache` over a one-instruction image, and runs it
-three ways on identical state: the hand-written ``CpuCore._execute``,
-the generated executor, and the row rendered with the entry's operands
-as literals.  All three must leave the same registers, PSW, pc,
-``brk_events``, halt flag, RAM and taken flag, or raise the same fault.
+bit 31), decodes it through a :class:`DecodeCache` over a
+one-instruction image, and runs it two ways on identical state: the
+hand-written ``CpuCore._execute`` and the generated executor.  Both
+must leave the same registers, PSW, pc, ``brk_events``, halt flag, RAM
+and taken flag, or raise the same fault.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from repro.isa.decodecache import DecodeCache
 from repro.isa.encoding import decode_word, encode_word
 from repro.isa.instructions import Opcode, lookup_opcode
 from repro.isa.registers import STACK_POINTER_INDEX, WORD_MASK
-from repro.isa.semantics import ROWS, function_source
+from repro.isa.semantics import ROWS
 from repro.platforms.cpu import CpuCore, CpuFault
 from repro.soc.bus import BusError
 from repro.soc.derivatives import SC88A
@@ -106,12 +102,6 @@ def reference(cpu, e):
 
 def executor(cpu, e):
     return e.exec(cpu, e)
-
-
-def literal_rendering(cpu, e):
-    namespace: dict = {}
-    exec(function_source("_literal", ROWS[Opcode(e.opcode)], e), namespace)
-    return namespace["_literal"](cpu, e)
 
 
 def outcome(soc, image, entry, state, run):
@@ -198,7 +188,6 @@ def assert_renderings_agree(soc, op, data, field_strategy):
     assert entry is not None and entry.opcode == op
     expected = outcome(soc, image, entry, state, reference)
     assert outcome(soc, image, entry, state, executor) == expected
-    assert outcome(soc, image, entry, state, literal_rendering) == expected
 
 
 def examples(count: int):

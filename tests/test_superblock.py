@@ -325,11 +325,12 @@ class TestObservedFastPath:
 
 
 class TestEngineSurface:
-    """Two engine arguments remain: ``use_superblocks`` (False = the
-    reference interpreter) and ``use_jit``."""
+    """One engine argument remains: ``use_superblocks`` (False = the
+    reference interpreter)."""
 
     @pytest.mark.parametrize(
-        "keyword", ["use_decode_cache", "use_block_run", "use_fast_forward"]
+        "keyword",
+        ["use_decode_cache", "use_block_run", "use_fast_forward", "use_jit"],
     )
     def test_removed_session_keywords_raise(self, keyword):
         with pytest.raises(TypeError):
