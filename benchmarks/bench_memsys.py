@@ -5,10 +5,11 @@ in-benchmark emulation of the pre-PR bus (linear mapping scan, generic
 device access, per-access ``BusAccess`` allocation for trace hooks, and
 the decode cache forced off whenever the bus is observed):
 
-- interpreter instructions/sec on a memory-heavy loop, **untraced**,
-  decode cache on for both sides — isolates the page dispatch table and
-  the struct word fast path (>= 1.3x target);
-- interpreter instructions/sec on a **traced coverage run** (bus trace
+- core instructions/sec (``CpuCore.run``, as sessions drive it) on a
+  memory-heavy loop, **untraced**, decode cache on for both sides —
+  isolates the page dispatch table and the struct word fast path
+  (>= 1.3x target);
+- core instructions/sec on a **traced coverage run** (bus trace
   recorded and drained into the coverage collector) — the run class the
   paper cares most about, previously forced onto the slow path
   (>= 3x target), asserting the decode cache stayed active while the
@@ -144,8 +145,8 @@ class LegacyBus(Bus):
 
 
 def timed_interpreter_run(image, *, legacy: bool, traced: bool):
-    """Drive the core directly (no peripheral ticking) and time the
-    interpreter plus, when traced, the coverage drain.
+    """Drive the core directly through ``CpuCore.run`` (no peripheral
+    ticking) and time it plus, when traced, the coverage drain.
 
     ``legacy`` selects the pre-PR memory system: LegacyBus routing,
     hook-based object tracing, decode cache off whenever traced (the
@@ -178,11 +179,9 @@ def timed_interpreter_run(image, *, legacy: bool, traced: bool):
 
     collector = CoverageCollector(SC88A) if traced else None
     start = time.perf_counter()
-    step = cpu.step
-    for _ in range(MAX_STEPS):
-        if cpu.halted:
-            break
-        step()
+    # As sessions drive it: the superblock loop over the decode cache
+    # when one is attached, else the reference interpreter.
+    cpu.run(instruction_limit=MAX_STEPS)
     if collector is not None:
         if ring is not None:
             collector.observe_trace(ring)

@@ -6,11 +6,12 @@ things do.  This bench records both
 acceptance numbers ISSUE 7 ties the layer to:
 
 - **zero-fault overhead**: the warm six-platform matrix through the
-  supervised serial scheduler vs the same work-list driven through raw
-  unsupervised ``ExecutionSession`` loops — verdicts byte-identical,
-  and the supervised path at most 5% slower (``speedup >= 0.95``, the
-  committed ``bench_trend`` floor).  Raw and supervised samples are
-  taken round-robin, so host drift lands on both sides;
+  supervised serial scheduler vs the same memoised builds driven
+  through raw unsupervised ``ExecutionSession`` loops — verdicts
+  byte-identical, and the supervised path at most 5% slower
+  (``speedup >= 0.95``, the committed ``bench_trend`` floor).  Raw
+  and supervised samples are taken round-robin, so host drift lands
+  on both sides;
 - **chaos completion**: a seeded :class:`~repro.core.faults.FaultPlan`
   that fails one rtl session run on the cold pass plus two injected
   cache corruptions on the warm pass — both regressions complete, the
@@ -40,6 +41,7 @@ from repro.core.faults import (
     SITE_SESSION_RUN,
 )
 from repro.core.scheduler import RegressionScheduler, ResultCache
+from repro.core.targets import all_targets
 from repro.core.workloads import make_nvm_environment, make_uart_environment
 from repro.platforms import ExecutionSession
 from repro.soc.derivatives import SC88A
@@ -86,23 +88,30 @@ def run_zero_fault(config) -> dict:
     """Supervised serial scheduler vs raw unsupervised session loops on
     the same warm matrix — identity first, then the overhead gate."""
     environments = make_environments(config)
-    scheduler = RegressionScheduler()
+    targets = all_targets()
 
     def raw_matrix():
-        # What the pre-supervision serial executor did: same memoised
-        # work-list, one long-lived session per target, no retry
+        # What the pre-supervision serial executor did: the same
+        # memoised builds, one long-lived session per target, no retry
         # ladder, no deadline bookkeeping.
-        work = scheduler._work_list(environments, SC88A)
+        work = [
+            (
+                (env.name, cell, tgt.name),
+                tgt,
+                env.build_image(cell, SC88A, tgt),
+            )
+            for env in environments.values()
+            for cell in env.cells
+            for tgt in targets
+        ]
         sessions = {}
         results = {}
-        for request, image, tgt in work:
+        for key, tgt, artifacts in work:
             session = sessions.get(tgt.name)
             if session is None:
                 session = ExecutionSession(tgt.make_platform(), SC88A)
                 sessions[tgt.name] = session
-            results[
-                (request.environment, request.cell, request.target)
-            ] = session.run(image)
+            results[key] = session.run(artifacts.image)
         return results
 
     def supervised_matrix():

@@ -7,22 +7,23 @@ image per build input.  The original runner walked that matrix with
 nested loops, rebuilding the platform and the image for every entry.
 This module makes the matrix explicit:
 
-1. **work-list** — every matrix entry becomes a :class:`RunRequest`
-   carrying its pre-built image (builds are shared through the module
-   environment's build cache, so targets with identical build inputs
-   share one image);
+1. **plan** — one walk over every (environment, cell, target)
+   position builds the :class:`RunRequest` work-list; builds are shared
+   through the module environment's build cache, so targets with
+   identical build inputs share one image;
 2. **cache probe** — a :class:`ResultCache` keyed by (model digest,
    image digest, target, derivative) satisfies entries whose
    inputs have not changed since the last regression — the lab's
    incremental re-run: touch one test cell and only its column of the
-   matrix re-executes.  With a cache, the probe comes *before* the
-   build: a persisted per-(environment, derivative) build index maps
-   each position's build key
+   matrix re-executes.  The probe comes *before* the build: a
+   persisted per-(environment, derivative) build index maps each
+   position's build key
    (:meth:`~repro.core.environment.ModuleTestEnvironment.build_key`)
    to the image digest it produced last time, so unchanged positions
-   are keyed and served without assembling anything; only index
-   misses and uncached verdicts build, and a fresh build's digest
-   always wins over the indexed one.  Entries and indexes are
+   are keyed and served without assembling anything, in a fleet too;
+   only index misses and uncached verdicts build, and a fresh build's
+   digest always wins over the indexed one.  Without a cache the plan
+   only builds and hashes no build key.  Entries and indexes are
    checksummed; corrupt files are counted, quarantined aside and
    re-derived rather than replayed;
 3. **execution** — remaining entries run in-process, one long-lived
@@ -61,9 +62,11 @@ the scheduler, sessions, cache and work-list consult a seeded
 set.
 
 Targets with injected platform overrides (fault-injection experiments)
-always execute serially in-process and bypass the cache and the fleet:
-an override's behaviour is arbitrary Python state that neither pickles
-reliably nor fingerprints honestly.
+always execute in-process and bypass the cache and the fleet: an
+override's behaviour is arbitrary Python state that neither pickles
+reliably nor fingerprints honestly.  They run on the same ladder with
+no retry — the first failure quarantines the cell — on a session of
+their own that is never leased from a session provider.
 """
 
 from __future__ import annotations
@@ -508,25 +511,9 @@ class RegressionScheduler:
         self._on_outcome = on_outcome
         try:
             cache_keys: dict[RunRequest, str] = {}
-            if self.cache is None or (
-                self.worklist is not None and not self.worklist.disabled
-            ):
-                work = self._work_list(environments, derivative)
-                pending = []
-                for request, image, tgt in work:
-                    cached = self._probe_cache(
-                        request, image, tgt, derivative, cache_keys
-                    )
-                    if cached is not None:
-                        outcomes[request] = self._emit(cached)
-                    else:
-                        pending.append((request, image, tgt))
-                indexes = {}
-            else:
-                work, pending, indexes = self._plan_indexed(
-                    environments, derivative, outcomes, cache_keys
-                )
-
+            work, pending, indexes = self._plan(
+                environments, derivative, outcomes, cache_keys
+            )
             for outcome in self._execute(pending, derivative):
                 outcomes[outcome.request] = outcome
                 key = cache_keys.get(outcome.request)
@@ -560,28 +547,8 @@ class RegressionScheduler:
             self._on_outcome(outcome)
         return outcome
 
-    # -- work-list ---------------------------------------------------------
-    def _work_list(
-        self,
-        environments: dict[str, ModuleTestEnvironment],
-        derivative: Derivative,
-    ) -> list[tuple[RunRequest, MemoryImage, Target]]:
-        work: list[tuple[RunRequest, MemoryImage, Target]] = []
-        for env in environments.values():
-            for cell_name in env.cells:
-                for tgt in self.targets:
-                    artifacts = env.build_image(cell_name, derivative, tgt)
-                    request = RunRequest(
-                        environment=env.name,
-                        cell=cell_name,
-                        derivative=derivative.name,
-                        target=tgt.name,
-                    )
-                    work.append((request, artifacts.image, tgt))
-        return work
-
-    # -- caching -----------------------------------------------------------
-    def _plan_indexed(
+    # -- plan ----------------------------------------------------------------
+    def _plan(
         self,
         environments: dict[str, ModuleTestEnvironment],
         derivative: Derivative,
@@ -590,22 +557,29 @@ class RegressionScheduler:
     ) -> tuple[list, list, dict]:
         """Work-list and cache probe that build only what must run.
 
-        Each position's build key is looked up in the environment's
-        build index; a match yields the image digest, and so the
-        verdict key, without assembling.  Misses, and hits whose
-        verdict is not cached, build — and the fresh digest always
-        wins over the indexed one.  Returns ``(work, pending,
-        indexes)``; *indexes* maps an environment to its (loaded,
-        updated) index for :meth:`run_system` to save.
+        One walk over every (environment, cell, target) position.
+        Builds go through the environment's build cache, so targets
+        with identical build inputs share one image.  Without a result
+        cache, and for overridden targets, every position builds and
+        runs; no build key is hashed.  With one, each position's build
+        key is looked up in the environment's build index; a match
+        yields the image digest, and so the verdict key, without
+        assembling.  Misses, and hits whose verdict is not cached,
+        build — and the fresh digest always wins over the indexed one.
+        Returns ``(work, pending, indexes)``: every position's request,
+        the ``(request, image, target)`` entries to execute, and per
+        environment its (loaded, updated) index for :meth:`run_system`
+        to save.
         """
         cache = self.cache
-        work: list[tuple[RunRequest, MemoryImage | None, Target]] = []
+        work: list[RunRequest] = []
         pending: list[tuple[RunRequest, MemoryImage, Target]] = []
         indexes: dict[str, tuple[dict, dict]] = {}
         for env in environments.values():
-            loaded = cache.load_index(env.name, derivative.name)
-            index = dict(loaded)
-            indexes[env.name] = (loaded, index)
+            if cache is not None:
+                loaded = cache.load_index(env.name, derivative.name)
+                index = dict(loaded)
+                indexes[env.name] = (loaded, index)
             for cell_name in env.cells:
                 for tgt in self.targets:
                     request = RunRequest(
@@ -614,11 +588,11 @@ class RegressionScheduler:
                         derivative=derivative.name,
                         target=tgt.name,
                     )
-                    if tgt.name in self.platform_overrides:
+                    work.append(request)
+                    if cache is None or tgt.name in self.platform_overrides:
                         image = env.build_image(
                             cell_name, derivative, tgt
                         ).image
-                        work.append((request, image, tgt))
                         pending.append((request, image, tgt))
                         continue
                     position = f"{cell_name}/{tgt.name}"
@@ -632,7 +606,6 @@ class RegressionScheduler:
                             request, digest, tgt, derivative, cache_keys
                         )
                         if cached is not None:
-                            work.append((request, None, tgt))
                             outcomes[request] = self._emit(cached)
                             continue
                     else:
@@ -640,7 +613,6 @@ class RegressionScheduler:
                     image = env.build_image(cell_name, derivative, tgt).image
                     fresh = image.digest()
                     index[position] = (build_key, fresh)
-                    work.append((request, image, tgt))
                     if fresh != digest:
                         if digest is not None:
                             cache.index_stale += 1
@@ -661,8 +633,6 @@ class RegressionScheduler:
         derivative: Derivative,
         cache_keys: dict[RunRequest, str],
     ) -> RunOutcome | None:
-        if self.cache is None or tgt.name in self.platform_overrides:
-            return None
         key = self.cache.key_for(
             image, tgt, derivative, self.max_instructions
         )
@@ -700,33 +670,43 @@ class RegressionScheduler:
         pending: list[tuple[RunRequest, MemoryImage, Target]],
         derivative: Derivative,
     ) -> list[RunOutcome]:
-        overridden = [
-            item
-            for item in pending
-            if item[2].name in self.platform_overrides
-        ]
-        normal = [
-            item
-            for item in pending
-            if item[2].name not in self.platform_overrides
-        ]
-
-        results: list[RunOutcome] = []
-        results.extend(self._run_overridden(overridden, derivative))
-
-        if self.worklist is not None and not self.worklist.disabled:
-            # Fleet-sharded run: divide the remaining matrix with peer
-            # processes through the shared work-list.  Cells execute
-            # in-process (the fleet is the parallelism); overridden
-            # platforms above stayed local — their state is arbitrary
-            # experiment Python no peer could reproduce.
-            results.extend(self._run_fleet(normal, derivative))
-        else:
-            results.extend(self._run_serial(normal, derivative))
-        return results
+        """Run *pending* in-process on one session per target, each
+        cell on the supervised ladder.  In a fleet the cells of
+        ordinary targets are divided with peer processes through the
+        shared work-list (the fleet is the parallelism); overridden
+        platforms stay local — their state is arbitrary experiment
+        Python no peer could reproduce."""
+        fleet = self.worklist is not None and not self.worklist.disabled
+        sessions: dict[str, ExecutionSession] = {}
+        shared: list[tuple[RunRequest, MemoryImage, Target]] = []
+        out: list[RunOutcome] = []
+        try:
+            for request, image, tgt in pending:
+                if fleet and tgt.name not in self.platform_overrides:
+                    shared.append((request, image, tgt))
+                    continue
+                out.append(
+                    self._emit(
+                        self._supervised_scalar_run(
+                            sessions, request, image, tgt, derivative
+                        )
+                    )
+                )
+            if shared:
+                out.extend(self._run_fleet(sessions, shared, derivative))
+        finally:
+            # Sessions that survived the whole run go back to the warm
+            # pool healthy; failed ones were already released unhealthy
+            # by _discard_session, and overridden ones were never leased.
+            if self.session_provider is not None:
+                for name, session in sessions.items():
+                    if name not in self.platform_overrides:
+                        self.session_provider.release(session, healthy=True)
+        return out
 
     def _run_fleet(
         self,
+        sessions: dict[str, ExecutionSession],
         items: list[tuple[RunRequest, MemoryImage, Target]],
         derivative: Derivative,
     ) -> list[RunOutcome]:
@@ -762,7 +742,6 @@ class RegressionScheduler:
         from repro.store.worklist import cell_key
 
         worklist = self.worklist
-        sessions: dict[str, ExecutionSession] = {}
         out: list[RunOutcome] = []
         # One run-scoped heartbeat thread renewing whichever lease is
         # currently being executed (cells run one at a time here — the
@@ -888,73 +867,6 @@ class RegressionScheduler:
         finally:
             stop_beat.set()
             keeper.join(timeout=5.0)
-            if self.session_provider is not None:
-                for session in sessions.values():
-                    self.session_provider.release(session, healthy=True)
-        return out
-
-    def _run_overridden(
-        self,
-        items: list[tuple[RunRequest, MemoryImage, Target]],
-        derivative: Derivative,
-    ) -> list[RunOutcome]:
-        """Injected platforms run unsupervised-but-contained: their
-        state is arbitrary experiment Python, so a failure is
-        quarantined immediately instead of retried (a retry would
-        re-enter the experiment's mutated state)."""
-        sessions: dict[str, ExecutionSession] = {}
-        out = []
-        for request, image, tgt in items:
-            session = sessions.get(tgt.name)
-            if session is None:
-                session = ExecutionSession(
-                    self.platform_overrides[tgt.name], derivative
-                )
-                sessions[tgt.name] = session
-            try:
-                result = session.run(
-                    image, max_instructions=self.max_instructions
-                )
-            except Exception as exc:
-                sessions.pop(tgt.name, None)
-                out.append(
-                    self._emit(
-                        self._quarantine_outcome(
-                            request,
-                            derivative,
-                            f"overridden platform failed: {exc}",
-                            retried=False,
-                        )
-                    )
-                )
-                continue
-            merge_engine_stats(self.engine_stats, session.stats())
-            out.append(self._emit(RunOutcome(request, result)))
-        return out
-
-    def _run_serial(
-        self,
-        items: list[tuple[RunRequest, MemoryImage, Target]],
-        derivative: Derivative,
-    ) -> list[RunOutcome]:
-        sessions: dict[str, ExecutionSession] = {}
-        out = []
-        try:
-            for request, image, tgt in items:
-                out.append(
-                    self._emit(
-                        self._supervised_scalar_run(
-                            sessions, request, image, tgt, derivative
-                        )
-                    )
-                )
-        finally:
-            # Sessions that survived the whole run go back to the warm
-            # pool healthy; failed ones were already released unhealthy
-            # by _discard_session.
-            if self.session_provider is not None:
-                for session in sessions.values():
-                    self.session_provider.release(session, healthy=True)
         return out
 
     def _checkout_session(
@@ -965,7 +877,10 @@ class RegressionScheduler:
     ) -> ExecutionSession:
         session = sessions.get(tgt.name)
         if session is None:
-            if self.session_provider is not None:
+            override = self.platform_overrides.get(tgt.name)
+            if override is not None:
+                session = ExecutionSession(override, derivative)
+            elif self.session_provider is not None:
                 session = self.session_provider.lease(tgt, derivative)
             else:
                 session = ExecutionSession(
@@ -978,7 +893,11 @@ class RegressionScheduler:
         self, sessions: dict[str, ExecutionSession], tgt: Target
     ) -> None:
         session = sessions.pop(tgt.name, None)
-        if session is not None and self.session_provider is not None:
+        if (
+            session is not None
+            and self.session_provider is not None
+            and tgt.name not in self.platform_overrides
+        ):
             self.session_provider.release(session, healthy=False)
 
     def _supervised_scalar_run(
@@ -997,7 +916,15 @@ class RegressionScheduler:
         the retry.  A failing *checkout* (injected ``pool-lease``
         chaos, a provider that cannot build a device) walks the same
         ladder: the cell quarantines instead of the whole run dying.
+
+        An overridden target's session runs the override instance with
+        no injector and is never leased from the provider.  Its state
+        is arbitrary experiment Python, so it gets no retry (a retry
+        would re-enter the experiment's mutated state): its first
+        failure quarantines the cell.
         """
+        overridden = tgt.name in self.platform_overrides
+        retries = 0 if overridden else self.retries
         attempt = 0
         retried = False
         while True:
@@ -1009,11 +936,13 @@ class RegressionScheduler:
             except Exception as exc:
                 self._discard_session(sessions, tgt)
                 attempt += 1
-                if attempt > self.retries:
+                if attempt > retries:
                     return self._quarantine_outcome(
                         request,
                         derivative,
-                        f"{attempt} attempt(s) failed, last: {exc}",
+                        f"overridden platform failed: {exc}"
+                        if overridden
+                        else f"{attempt} attempt(s) failed, last: {exc}",
                         retried=retried,
                     )
                 retried = True
@@ -1025,13 +954,13 @@ class RegressionScheduler:
     # -- reporting ---------------------------------------------------------
     def _assemble_report(
         self,
-        work: list[tuple[RunRequest, MemoryImage | None, Target]],
+        work: list[RunRequest],
         outcomes: dict[RunRequest, RunOutcome],
         derivative: Derivative,
     ) -> RegressionReport:
         report = RegressionReport(derivative=derivative.name)
         per_cell: dict[tuple[str, str], dict[str, RunResult]] = {}
-        for request, _image, _tgt in work:
+        for request in work:
             outcome = outcomes[request]
             report.results[
                 (request.environment, request.cell, request.target)

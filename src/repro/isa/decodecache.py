@@ -176,9 +176,11 @@ class DecodedInstruction:
     base_cycles: int
     fetch_waits: int
     #: The bus events a real fetch of this instruction would have
-    #: recorded — ``("read", pc, 4, word)`` per fetched word.  The core
-    #: replays them (``Bus.emit_fetches``) when a bus trace is active,
-    #: so the cache can stay enabled under observation.
+    #: recorded — ``("read", pc, 4, word)`` per fetched word.  The
+    #: superblock loop replays them into the bus trace when one is
+    #: active (a block's body in one bulk append of the block's
+    #: concatenated ``fetch_events``), so the cache can stay enabled
+    #: under observation.
     fetch_events: tuple[tuple[str, int, int, int], ...] = ()
     #: Memory micro-op classification (``MEM_*``; 0 = not a memory
     #: micro-op).  ``mem_disp`` is the sign-extended displacement

@@ -411,64 +411,27 @@ class CpuCore:
 
     # -- main step -----------------------------------------------------------
     def step(self) -> int:
-        """Execute one instruction; returns cycles consumed (including
-        interrupt entry if one was taken first).
+        """Execute one instruction on the reference interpreter; returns
+        cycles consumed (including interrupt entry if one was taken
+        first).
 
-        An unhooked core with a decode cache dispatches the predecoded
-        entry at *pc*; a cache miss, or a core with an ALU fault hook
-        armed, runs the reference interpreter (:meth:`_step_uncached`),
-        which is the only place the hook is applied."""
+        Every instruction is fetched and decoded through the bus
+        (:meth:`_step_uncached`), whether or not a decode cache is
+        attached: the cache serves only :meth:`run`'s superblock loop.
+        """
         if self.halted:
             return 0
         start_cycles = self.cycles
         self._pending_waits = 0
         self._check_interrupts()
-
-        pc = self.regs.pc
-        entry = (
-            self._decode_cache.get(pc)
-            if self._decode_cache is not None and self.alu_fault_hook is None
-            else None
-        )
-        if entry is None:
-            return self._step_uncached(pc, start_cycles)
-
-        # Predecoded fast path: fetch, decode and base-cycle lookup
-        # were done once for this address; charge the wait states a
-        # real fetch would have cost so timing stays identical, and
-        # replay the fetch bus events when someone is watching the
-        # bus so traced runs observe the same access stream.
-        if self.charge_wait_states:
-            self._pending_waits += entry.fetch_waits
-        bus = self.bus
-        if bus.trace_buffer is not None:
-            bus.emit_fetches(entry.fetch_events)
-        next_pc = entry.next_pc
-        try:
-            # Table dispatch: one indirect call to the per-opcode
-            # executor bound at decode time.
-            taken = entry.exec(self, entry)
-        except BusError:
-            # Convert data-access failures into the architectural trap.
-            self.take_trap(TRAP_BUS_ERROR, next_pc)
-            self.cycles += 2
-            self.instructions_retired += 1
-            return self.cycles - start_cycles
-
-        self.instructions_retired += 1
-        cost = entry.base_cycles + self._pending_waits
-        if taken:
-            cost += _JUMP_TAKEN_EXTRA
-        self.cycles += cost
-
-        if self.trace is not None:
-            self.trace.record(pc, entry.opcode, entry.mnemonic, cost)
-        return self.cycles - start_cycles
+        return self._step_uncached(self.regs.pc, start_cycles)
 
     def _step_uncached(self, pc: int, start_cycles: int) -> int:
         """Fetch/decode through the bus and execute via the reference
-        chain — the reference interpreter, for cache misses and for every
-        instruction of a core with an ALU fault hook armed."""
+        chain — the reference interpreter: every :meth:`step` (so every
+        instruction of a core with an ALU fault hook armed, the only
+        place the hook is applied) and the superblock loop's cache
+        misses."""
         try:
             word = self._read(pc, 4)
         except BusError:
@@ -543,8 +506,8 @@ class CpuCore:
         superblock loop runs whenever a decode cache is attached and no
         ALU fault hook is armed — observation (instruction trace, bus
         trace buffer, wait-state charging) only switches it to template
-        replay.  Anything else steps through :meth:`step`, which sends
-        a hooked core's every instruction to the reference interpreter.
+        replay.  Anything else (no decode cache, or a hooked core)
+        steps through :meth:`step`, the reference interpreter.
         """
         if self.halted:
             return 0

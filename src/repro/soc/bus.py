@@ -462,20 +462,6 @@ class Bus:
             trace.record("write", address, 4, value)
         return mapping.wait_states
 
-    def emit_fetches(
-        self, events: tuple[tuple[str, int, int, int], ...]
-    ) -> None:
-        """Replay predecoded instruction fetches into the trace.
-
-        The decode cache elides fetch bus reads; when someone is
-        watching the bus, the core calls this with the exact events a
-        real fetch would have produced, so traced runs see an identical
-        access stream with the cache on or off."""
-        self.access_count += len(events)
-        trace = self.trace_buffer
-        if trace is not None:
-            trace.extend_raw(events)
-
     # Convenience word accessors used by platforms/debug ports; they do
     # not charge wait states, count accesses, or record trace events.
     def peek_word(self, address: int) -> int:

@@ -13,7 +13,8 @@ built from three ordinary-filesystem primitives and one invariant:
   count;
 - **heartbeat renewal and expiry** — a healthy worker extends its
   lease (atomic rewrite, same nonce, firing the ``lease-renew`` chaos
-  site) while executing, up to its per-cell deadline
+  site; the scheduler's run-scoped heartbeat thread calls
+  :meth:`WorkList.renew`) while executing, up to its per-cell deadline
   (:meth:`WorkList.lapse`); a lease whose expiry passed is *dead* and
   any worker may **steal** it: overwrite-with-own-record, count the
   steal, then read back and confirm the nonce survived.  SIGKILLed or
@@ -43,10 +44,8 @@ local execution.  Chaos sites: ``store-read`` (fetch), ``store-write``
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import threading
 import time
 from pathlib import Path
 
@@ -264,31 +263,6 @@ class WorkList(DurableFiles):
                 self.released += 1
         except OSError:
             pass
-
-    @contextlib.contextmanager
-    def heartbeat(self, lease: Lease, interval: float | None = None):
-        """Context manager renewing *lease* from a daemon thread while
-        the body (the cell's execution) runs.  A failed renewal stops
-        the heartbeat; the body still completes and publishes — the
-        first-writer-wins result file, not the lease, is the truth."""
-        if interval is None:
-            interval = max(0.02, self.lease_ttl / 3.0)
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(interval):
-                if not self.renew(lease):
-                    return
-
-        thread = threading.Thread(
-            target=beat, name=f"lease-heartbeat-{lease.key[:8]}", daemon=True
-        )
-        thread.start()
-        try:
-            yield lease
-        finally:
-            stop.set()
-            thread.join(timeout=5.0)
 
     # -- results -----------------------------------------------------------
     def publish(self, key: str, payload: dict) -> bool:

@@ -296,13 +296,16 @@ class TestEventHorizons:
 
 def run_with_probes(image, use_block: bool, probe_every: int):
     """Session-style loop that probes the SoC every *probe_every*
-    cycles (at the first retire boundary crossing each threshold);
+    cycles (at the first retire boundary crossing each threshold):
+    the superblock loop over a decode cache when *use_block*, else the
+    reference interpreter, one :meth:`CpuCore.step` per instruction;
     returns (probe list, final cpu, final soc)."""
     soc = SystemOnChip(SC88A)
     soc.load_image(image)
     cpu = CpuCore(soc.bus, intc=soc.intc)
-    rom = MEMORY_MAP.rom
-    cpu.decode_cache = decode_cache_for(image, rom.base, rom.end)
+    if use_block:
+        rom = MEMORY_MAP.rom
+        cpu.decode_cache = decode_cache_for(image, rom.base, rom.end)
     cpu.reset(image.entry, MEMORY_MAP.stack_top)
 
     probes = []
@@ -450,8 +453,9 @@ spin:
             soc = SystemOnChip(SC88A)
             soc.load_image(image)
             cpu = CpuCore(soc.bus, intc=soc.intc)
-            rom = MEMORY_MAP.rom
-            cpu.decode_cache = decode_cache_for(image, rom.base, rom.end)
+            if use_block:
+                rom = MEMORY_MAP.rom
+                cpu.decode_cache = decode_cache_for(image, rom.base, rom.end)
             cpu.reset(image.entry, MEMORY_MAP.stack_top)
             if use_block:
                 soc.attach_cpu(cpu)

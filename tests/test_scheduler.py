@@ -24,7 +24,6 @@ from repro.core.faults import (
 from repro.core.scheduler import (
     RegressionScheduler,
     ResultCache,
-    RunRequest,
     matrix_digest,
     result_from_payload,
     result_to_payload,
@@ -41,7 +40,9 @@ from repro.platforms import (
     NetlistFault,
     RunStatus,
 )
+from repro.platforms.session import ExecutionSession
 from repro.soc.derivatives import SC88A, all_derivatives
+from repro.store import WorkList
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,28 +59,41 @@ def make_environments():
 
 
 class TestWorkList:
-    def test_work_list_covers_matrix(self):
+    def test_plan_covers_matrix(self):
         env = make_nvm_environment(2)
-        scheduler = RegressionScheduler()
-        work = scheduler._work_list({"NVM": env}, SC88A)
-        assert len(work) == 2 * len(all_targets())
-        requests = {request for request, _image, _tgt in work}
-        assert (
-            RunRequest("NVM", "TEST_NVM_PAGE_001", "sc88a", "golden")
-            in requests
-        )
+        report = RegressionScheduler().run_system({"NVM": env}, SC88A)
+        assert set(report.results) == {
+            ("NVM", cell, tgt.name)
+            for cell in ("TEST_NVM_PAGE_001", "TEST_NVM_PAGE_002")
+            for tgt in all_targets()
+        }
+        assert report.executed_runs == 2 * len(all_targets())
 
     def test_equal_build_inputs_share_one_image(self):
         # golden/accelerator and bondout/silicon have identical target
-        # defines, so the work-list must reuse their built images.
+        # defines, so the build cache must reuse their built images.
         env = make_nvm_environment(1)
-        work = RegressionScheduler()._work_list({"NVM": env}, SC88A)
         image_by_target = {
-            request.target: image for request, image, _tgt in work
+            tgt.name: env.build_image("TEST_NVM_PAGE_001", SC88A, tgt).image
+            for tgt in all_targets()
         }
         assert image_by_target["golden"] is image_by_target["accelerator"]
         assert image_by_target["bondout"] is image_by_target["silicon"]
         assert image_by_target["golden"] is not image_by_target["rtl"]
+
+    def test_uncached_plan_hashes_no_build_key(self, tmp_path, monkeypatch):
+        """Without a result cache there is no index to look a build key
+        up in, so the plan only builds — serial and fleet alike."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build key hashed without a cache")
+
+        monkeypatch.setattr(ModuleTestEnvironment, "build_key", forbidden)
+        for worklist in (None, WorkList(tmp_path / "fleet")):
+            report = RegressionScheduler(worklist=worklist).run_system(
+                make_environments(), SC88A
+            )
+            assert report.executed_runs == report.total_runs
 
 
 class TestExecutors:
@@ -142,6 +156,59 @@ class TestExecutors:
         report = scheduler.run_environment(make_nvm_environment(2), SC88A)
         assert set(report.suspect_platforms()) == {"gatelevel"}
         assert report.suspect_platforms()["gatelevel"] == 2
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["serial", "fleet"])
+    @pytest.mark.parametrize("where", ["build", "run"])
+    def test_failing_override_quarantines_at_once_outside_the_provider(
+        self, tmp_path, where, fleet
+    ):
+        """An overridden platform shares the supervised ladder with no
+        retry: its first failure — building its device or running on
+        it — quarantines the cell, and its session never passes
+        through the session provider, which gets every other session
+        back healthy, serial or fleet."""
+
+        class Broken(GateLevelSim):
+            attempts = 0
+
+            def build_soc(self, derivative):
+                if where == "build":
+                    Broken.attempts += 1
+                    raise RuntimeError("no netlist")
+                return super().build_soc(derivative)
+
+            def judge(self, cpu, soc):
+                Broken.attempts += 1
+                raise RuntimeError("no netlist")
+
+        class Provider:
+            def __init__(self):
+                self.leased, self.released = [], []
+
+            def lease(self, tgt, derivative):
+                self.leased.append(tgt.name)
+                return ExecutionSession(tgt.make_platform(), derivative)
+
+            def release(self, session, healthy):
+                self.released.append((session.platform.name, healthy))
+
+        provider = Provider()
+        report = RegressionScheduler(
+            targets=[TARGET_GOLDEN, target("gatelevel")],
+            platform_overrides={"gatelevel": Broken()},
+            session_provider=provider,
+            worklist=WorkList(tmp_path / "fleet") if fleet else None,
+            retries=2,
+            sleep=lambda seconds: None,
+        ).run_environment(make_nvm_environment(1), SC88A)
+        result = report.results[("NVM", "TEST_NVM_PAGE_001", "gatelevel")]
+        assert result.fault_reason == (
+            "quarantined: overridden platform failed: no netlist"
+        )
+        assert Broken.attempts == 1
+        assert (report.quarantined_runs, report.retried_runs) == (1, 0)
+        assert provider.leased == ["golden"]
+        assert provider.released == [("golden", True)]
 
 
 class TestResultCache:
@@ -577,6 +644,20 @@ def edit_trap_handlers(envs):
     return envs
 
 
+def count_toolchain_calls(monkeypatch) -> list[str]:
+    """Record every ``assemble_file`` and ``link`` call from now on."""
+    calls = []
+    for owner, name in ((Assembler, "assemble_file"), (Linker, "link")):
+        original = getattr(owner, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestBuildIndex:
     def rerun(
         self, tmp_path, build_log, edited, derivative=SC88A, between=None
@@ -749,15 +830,7 @@ class TestBuildIndex:
         RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
             make_suite(), SC88A
         )
-        calls = []
-        for owner, name in ((Assembler, "assemble_file"), (Linker, "link")):
-            original = getattr(owner, name)
-
-            def counting(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counting)
+        calls = count_toolchain_calls(monkeypatch)
         cache = ResultCache(tmp_path)
         report = RegressionScheduler(cache=cache).run_system(
             make_suite(), SC88A
@@ -766,6 +839,44 @@ class TestBuildIndex:
         assert report.executed_runs == 0
         assert cache.index_hits == report.total_runs
         assert cache.index_misses == 0
+
+    def test_fleet_serves_a_primed_cache_from_the_index(
+        self, tmp_path, monkeypatch
+    ):
+        """A fleet peer over a cache a serial run primed keys every
+        verdict from the build index: it assembles, links, claims and
+        executes nothing."""
+        RegressionScheduler(cache=ResultCache(tmp_path / "cache")).run_system(
+            make_suite(), SC88A
+        )
+        calls = count_toolchain_calls(monkeypatch)
+        cache = ResultCache(tmp_path / "cache")
+        worklist = WorkList(tmp_path / "fleet")
+        report = RegressionScheduler(
+            cache=cache, worklist=worklist
+        ).run_system(make_suite(), SC88A)
+        assert calls == []
+        assert cache.index_hits == report.total_runs
+        assert report.cached_runs == report.total_runs
+        assert worklist.claimed == 0
+        self.assert_matches_cold(report, make_suite())
+
+    def test_fleet_saves_the_index_it_extends(self, tmp_path, monkeypatch):
+        first = ResultCache(tmp_path / "cache")
+        cold = RegressionScheduler(
+            cache=first, worklist=WorkList(tmp_path / "fleet")
+        ).run_system(make_suite(), SC88A)
+        assert first.index_misses == cold.total_runs
+        assert cold.executed_runs == cold.total_runs
+        calls = count_toolchain_calls(monkeypatch)
+        second = ResultCache(tmp_path / "cache")
+        warm = RegressionScheduler(
+            cache=second, worklist=WorkList(tmp_path / "fleet")
+        ).run_system(make_suite(), SC88A)
+        assert calls == []
+        assert second.index_hits == warm.total_runs
+        assert warm.cached_runs == warm.total_runs
+        assert matrix_digest(warm) == matrix_digest(cold)
 
     def test_subset_run_leaves_other_positions(self, tmp_path):
         RegressionScheduler(cache=ResultCache(tmp_path)).run_system(

@@ -152,14 +152,6 @@ class TestLease:
         assert worklist.lease_lost == 1
         assert ("lease-renew", "cell", "raise") in injector.fired
 
-    def test_heartbeat_renews_from_background_thread(self, tmp_path):
-        worklist = WorkList(tmp_path, lease_ttl=0.06)
-        lease = worklist.claim("cell")
-        with worklist.heartbeat(lease, interval=0.02):
-            time.sleep(0.15)
-        assert worklist.renewed >= 1
-        assert not lease.lost
-
     def test_torn_lease_file_is_claimable(self, tmp_path):
         worklist, _now = self.make(tmp_path)
         (tmp_path / "leases").mkdir(exist_ok=True)
@@ -275,11 +267,19 @@ class TestFleetScheduler:
         self, workspace, tmp_path
     ):
         _oracle_sched, oracle = run_matrix(workspace)
+        # The first worker's first cell stalls for several heartbeat
+        # intervals: its live lease must be renewed, never lost.
+        stall = FaultPlan(specs=[
+            FaultSpec(site=SITE_SESSION_RUN, action="hang", hang_seconds=0.2)
+        ])
+        first_list = WorkList(tmp_path, owner="first", lease_ttl=0.06)
         _first, first = run_matrix(
-            workspace, worklist=WorkList(tmp_path, owner="first")
+            workspace, worklist=first_list, fault_plan=stall
         )
         assert verdict_bytes(first) == verdict_bytes(oracle)
         assert first.executed_runs == first.total_runs
+        assert first_list.renewed >= 1
+        assert first_list.lease_lost == 0
 
         second_list = WorkList(tmp_path, owner="second")
         _second_sched, second = run_matrix(workspace, worklist=second_list)
