@@ -203,7 +203,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
             max_entries=args.cache_max_entries, max_age=args.cache_max_age
         )
         print(
-            f"cache-prune: removed {removed} file(s); "
+            f"cache-prune: removed {removed} record(s); "
             f"{_stats_line(cache.stats())}"
         )
     return 0 if report.clean else 1
@@ -470,21 +470,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-prune",
         action="store_true",
         help=(
-            "after the run, prune the result cache per --cache-max-* "
-            "and print the cache accounting"
+            "after the run, compact the result cache's log per "
+            "--cache-max-* (verdict records past the bounds are dropped, "
+            "the segments of finished writers folded into one) and "
+            "print the cache accounting"
         ),
     )
     p_regress.add_argument(
         "--cache-max-entries",
         type=int,
         default=None,
-        help="prune: keep at most this many cached results (oldest go)",
+        help="prune: keep at most this many cached verdicts (oldest go)",
     )
     p_regress.add_argument(
         "--cache-max-age",
         type=float,
         default=None,
-        help="prune: drop cached results older than this many seconds",
+        help="prune: drop cached verdicts older than this many seconds",
     )
     p_regress.set_defaults(func=cmd_regress)
 

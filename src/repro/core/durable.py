@@ -5,14 +5,16 @@ journal all keep regression state on disk under the same rules, and
 this module is the only place they are written:
 
 - :func:`seal`/:func:`unseal` — the ``{"schema", "checksum",
-  "payload"}`` JSON envelope with a SHA-256 over the payload text
-  (:func:`unseal_text` returns that verified text itself);
+  "payload"}`` JSON envelope with a SHA-256 over the payload text;
 - :func:`atomic_write` — a unique temp file renamed (or, exclusive,
   hard-linked) into place, so no reader ever sees a torn file;
 - :func:`quarantine_aside` — a file that fails verification is renamed
   to a unique ``*.corrupt`` name: kept as evidence, never re-read;
 - :class:`DurableFiles` — the owners' base: contained, counted reads
   and writes, and one max-entries/max-age :meth:`~DurableFiles.prune`;
+- :class:`RecordLog` — an append-only log of checksummed records, one
+  segment per writer process (Bitcask's layout, LevelDB's torn-tail
+  rule): a value costs one ``O_APPEND`` write, not a file;
 - :func:`source_digest` — which code produced a value, in its key, so
   another code's value is a miss, never stale or corrupt data.
 
@@ -30,8 +32,14 @@ import json
 import os
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: no writer locks, so no segment folds
+    fcntl = None
 
 
 def checksum(data: bytes) -> str:
@@ -99,10 +107,10 @@ def seal(schema: int, text: str) -> bytes:
     return json.dumps(body).encode()
 
 
-def unseal_text(raw: bytes, schema: int) -> str:
-    """The payload text of the envelope *raw*, checksum verified;
-    raises :class:`ValueError` unless *raw* is an intact envelope of
-    *schema*."""
+def unseal(raw: bytes, schema: int):
+    """The JSON-decoded payload of the envelope *raw*, checksum
+    verified; raises :class:`ValueError` unless *raw* is an intact
+    envelope of *schema*."""
     try:
         body = json.loads(raw)
         if body["schema"] != schema:
@@ -112,13 +120,7 @@ def unseal_text(raw: bytes, schema: int) -> str:
             raise ValueError("envelope checksum mismatch")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed envelope: {exc!r}") from None
-    return text
-
-
-def unseal(raw: bytes, schema: int):
-    """The JSON-decoded payload of the envelope *raw* (see
-    :func:`unseal_text`)."""
-    return json.loads(unseal_text(raw, schema))
+    return json.loads(text)
 
 
 def atomic_write(
@@ -237,6 +239,15 @@ class DurableFiles:
         self.quarantined += 1
         return True
 
+    def injected_read(self, key: str, targeted: bool = False) -> None:
+        """Fire the read site for *key*, then raise :class:`ValueError`
+        when a ``corrupt`` spec is due: the read of a value already in
+        memory saw corrupt bytes.  Callers count the failure."""
+        self.injector.fire(self.read_site, key, targeted)
+        probe = key.encode()
+        if self.injector.mangle(self.read_site, key, probe, targeted) != probe:
+            raise ValueError(f"injected corruption reading {key}")
+
     def read_file(self, path: Path, key: str, decode, targeted: bool = False):
         """``decode(raw)`` of the file at *path*, or ``None``.
 
@@ -324,3 +335,368 @@ class DurableFiles:
         except OSError:
             return 0
         return 1
+
+
+# --------------------------------------------------------------------------
+# the record log
+# --------------------------------------------------------------------------
+
+#: Record layout version, part of every segment's name: a segment of
+#: another layout is never opened.
+LOG_SCHEMA = 1
+
+#: A reader folds the segments of exited writers into its own once
+#: there are more than this many of them (or any is damaged).
+FOLD_SEGMENTS = 8
+
+
+def encode_record(space: str, key: str, value: str, stamp: int) -> bytes:
+    """One record: its body's SHA-256, then the body — write time,
+    namespace, key and value, tab-separated — and a newline.  None of
+    the fields may hold a tab or a newline (JSON text never does)."""
+    body = f"{stamp}\t{space}\t{key}\t{value}".encode()
+    return checksum(body).encode() + b"\t" + body + b"\n"
+
+
+def parse_segment(data: bytes) -> tuple[list[tuple], list, int]:
+    """``(records, corrupt, torn)`` of one segment's bytes.
+
+    *records* are the intact ``(stamp, space, key, value, line)``
+    tuples in write order.  *corrupt* holds the ``(space, key)`` of
+    each line failing its checksum (``None`` where those fields are
+    unreadable too).  Bytes after the last newline are a record its
+    writer never finished (killed mid-write, or still writing it):
+    *torn* is 1, and they are never read as a record."""
+    lines = data.split(b"\n")
+    torn = int(bool(lines.pop()))
+    records = []
+    corrupt = []
+    for line in lines:
+        digest, _, body = line.partition(b"\t")
+        fields = body.decode(errors="replace").split("\t", 3)
+        if checksum(body).encode() == digest and len(fields) == 4:
+            try:
+                records.append((int(fields[0]), *fields[1:], line))
+                continue
+            except ValueError:
+                pass
+        corrupt.append(tuple(fields[1:3]) if len(fields) == 4 else None)
+    return records, corrupt, torn
+
+
+class _Dead:
+    """A segment whose writer is gone, locked by this reader."""
+
+    __slots__ = ("path", "fd", "records", "corrupt", "torn")
+
+    def __init__(self, path, fd, records, corrupt, torn):
+        self.path = path
+        self.fd = fd
+        self.records = records
+        self.corrupt = corrupt
+        self.torn = torn
+
+
+class RecordLog(DurableFiles):
+    """An append-only log of checksummed ``(namespace, key) -> value``
+    records in one directory that holds nothing but segments.
+
+    - **one segment per writer** — a process's first append creates
+      ``seg<LOG_SCHEMA>-<pid>-<nonce>.log`` and holds an ``flock`` on it
+      until it exits; each append is one ``O_APPEND`` write of whole
+      records, with no temp file, rename or fsync;
+    - **read once** — the first access reads every segment into
+      :attr:`records` (the last record of a key wins); later appends
+      by peers are not seen by this reader;
+    - **torn and corrupt** — a record cut off by a kill is dropped and
+      counted in :attr:`torn`, never read; a record failing its
+      checksum is counted in :attr:`corrupt`, never read;
+    - **folds** — a segment whose writer is gone (its lock can be
+      taken) is folded into the reader's own segment when it is
+      damaged or more than :data:`FOLD_SEGMENTS` such segments exist:
+      its intact records are re-appended, a segment holding corrupt
+      records is quarantined as evidence, any other is deleted.
+
+    Subclasses name the chaos sites and :attr:`bounded`, the namespace
+    :meth:`prune` bounds.
+    """
+
+    suffix = ".log"
+    bounded = ""
+
+    def __init__(self, directory: str | Path, injector=None):
+        super().__init__(directory, injector)
+        self.torn = 0
+        #: Source of the write time each record carries (what
+        #: :meth:`prune`'s age bound reads).
+        self.clock = time.time
+        #: namespace -> key -> value, read on first access.
+        self.records: dict[str, dict[str, str]] | None = None
+        #: (namespace, key) of records that failed verification:
+        #: already counted, so a read of one is not a miss.
+        self._damaged: set[tuple[str, str]] = set()
+        self._lock = threading.RLock()
+        #: This writer's segment (an unbuffered append handle) and its
+        #: file name, opened by the first append.
+        self._handle = None
+        self._segment = ""
+
+    def stats(self) -> dict[str, int]:
+        return {**super().stats(), "torn": self.torn}
+
+    def close(self) -> None:
+        """Close this writer's segment, releasing its lock."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
+    # -- reads -------------------------------------------------------------
+    def _load(self) -> dict[str, dict[str, str]]:
+        with self._lock:
+            if self.records is None:
+                self.records = {}
+                if not self.disabled:
+                    dead = self._scan(count=True)
+                    damaged = any(d.corrupt or d.torn for d in dead)
+                    self._fold(
+                        dead, fold=damaged or len(dead) > FOLD_SEGMENTS
+                    )
+        return self.records
+
+    def _scan(self, count: bool) -> list[_Dead]:
+        """Read every segment but this writer's own into
+        :attr:`records` and return those whose writer is gone, locked.
+        *count* adds their damage to this reader's counters."""
+        own = self._segment if self._handle is not None else None
+        try:
+            paths = [
+                (entry.stat().st_mtime, entry.path)
+                for entry in os.scandir(self.directory)
+                if entry.name.startswith(f"seg{LOG_SCHEMA}-")
+                and entry.name.endswith(self.suffix)
+                and entry.name != own
+            ]
+        except OSError:
+            return []
+        dead = []
+        for _mtime, entry_path in sorted(paths):
+            path = Path(entry_path)
+            fd = self._claim(path)
+            try:
+                if fd is None:
+                    data = path.read_bytes()
+                else:
+                    with os.fdopen(os.dup(fd), "rb") as stream:
+                        data = stream.read()
+            except OSError:  # a peer folded it meanwhile
+                data = b""
+            if not data:
+                # Empty: never folded, so a writer between its create
+                # and its lock never loses its segment.
+                if fd is not None:
+                    os.close(fd)
+                continue
+            records, corrupt, torn = parse_segment(data)
+            if count:
+                self.corrupt += len(corrupt)
+                self.torn += torn
+                self._damaged.update(corrupt)
+            for _stamp, space, key, value, _line in records:
+                self.records.setdefault(space, {})[key] = value
+            if fd is not None:
+                dead.append(_Dead(path, fd, records, corrupt, torn))
+        return dead
+
+    @staticmethod
+    def _claim(path: Path) -> int | None:
+        """A read fd holding *path*'s lock when its writer is gone,
+        else ``None`` (writer alive, file gone, or no locks here)."""
+        if fcntl is None:
+            return None
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            return None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:
+            os.close(fd)
+            return None
+        return fd
+
+    def _fold(self, dead: list[_Dead], fold: bool, keep=None) -> bool:
+        """Re-append the intact records of *dead* (only those *keep*
+        passes, when given) to this writer's segment, then remove the
+        segments; returns whether they were folded.  Releases their
+        locks either way."""
+        try:
+            if not (dead and fold):
+                return False
+            live: dict[tuple[str, str], tuple] = {}
+            for segment in dead:
+                for record in segment.records:
+                    live.pop(record[1:3], None)
+                    live[record[1:3]] = record
+            kept = list(live.values()) if keep is None else keep(live)
+            if kept:
+                self._write(b"".join(record[4] + b"\n" for record in kept))
+            for segment in dead:
+                if segment.corrupt:
+                    self.quarantine(segment.path)
+                else:
+                    self._remove(segment.path)
+            return True
+        except OSError:
+            self.write_errors += 1
+            return False
+        finally:
+            for segment in dead:
+                os.close(segment.fd)
+
+    def read(self, space: str, key: str) -> str | None:
+        """The value of *key* in *space*, or ``None``: a miss, or a read
+        that failed (counted in :attr:`corrupt`, and the value is never
+        served again by this reader).  Fires the read site for *key*."""
+        if self.disabled:
+            return None
+        value = self._load().get(space, {}).get(key)
+        if value is None:
+            if (space, key) not in self._damaged:
+                self.misses += 1
+            return None
+        if self.injector is not None:
+            try:
+                self.injected_read(key)
+            except Exception:
+                self.corrupt += 1
+                self.records[space].pop(key, None)
+                return None
+        return value
+
+    def read_space(self, space: str) -> dict[str, str]:
+        """Every key of *space* (a copy; empty when absent or the read
+        failed, counted).  Fires the read site, targeted, for *space*."""
+        if self.disabled:
+            return {}
+        values = self._load().get(space)
+        if values is None:
+            return {}
+        if self.injector is not None:
+            try:
+                self.injected_read(space, targeted=True)
+            except Exception:
+                self.corrupt += 1
+                self.records.pop(space, None)
+                return {}
+        return dict(values)
+
+    # -- writes ------------------------------------------------------------
+    def append(
+        self,
+        space: str,
+        values: dict[str, str],
+        fault_key: str,
+        targeted: bool = False,
+    ) -> bool:
+        """Append one record per item of *values* to this writer's
+        segment, in one write; returns whether it was written.  Fires
+        the write site once, for *fault_key*; a failure is counted in
+        :attr:`write_errors`, never raised."""
+        if self.disabled or not values:
+            return False
+        records = self._load()
+        stamp = int(self.clock())
+        data = b"".join(
+            encode_record(space, key, value, stamp)
+            for key, value in values.items()
+        )
+        try:
+            if self.injector is not None:
+                self.injector.fire(self.write_site, fault_key, targeted)
+                # The frame survives, the records do not.
+                data = self.injector.mangle(
+                    self.write_site, fault_key, data[:-1], targeted
+                ) + b"\n"
+            self._write(data)
+        except Exception:
+            self.write_errors += 1
+            return False
+        records.setdefault(space, {}).update(values)
+        return True
+
+    def _write(self, data: bytes) -> None:
+        """One append to this writer's segment, created and locked on
+        first use; a short write abandons the segment and raises."""
+        with self._lock:
+            if self._handle is None:
+                name = (
+                    f"seg{LOG_SCHEMA}-{os.getpid()}-"
+                    f"{os.urandom(4).hex()}{self.suffix}"
+                )
+                fd = os.open(
+                    self.directory / name,
+                    os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND,
+                    0o644,
+                )
+                if fcntl is not None:
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                self._handle = open(fd, "ab", buffering=0)
+                self._segment = name
+            if self._handle.write(data) != len(data):
+                self.close()
+                raise OSError("short write to a log segment")
+
+    # -- maintenance -------------------------------------------------------
+    def prune(
+        self,
+        max_entries: int | None = None,
+        max_age: float | None = None,
+        now: float | None = None,
+    ) -> int:
+        """Compact the log: fold this writer's segment and every segment
+        whose writer is gone into a fresh one, keeping of
+        :attr:`bounded` only the records younger than *max_age* seconds
+        and, of those, the newest *max_entries*.  Quarantined evidence
+        past *max_age* is removed too.  Returns the records dropped plus
+        evidence files removed; live peers' segments are left alone."""
+        if self.disabled or (max_entries is None and max_age is None):
+            return 0
+        if now is None:
+            now = time.time()
+        dropped: list[str] = []
+
+        def keep(live):
+            bounded = [r for r in live.values() if r[1] == self.bounded]
+            young = [
+                r for r in bounded if max_age is None or now - r[0] <= max_age
+            ]
+            if max_entries is not None:
+                # A stable sort: equal stamps stay in write order.
+                young.sort(key=lambda r: r[0])
+                young = young[max(0, len(young) - max_entries):]
+            survivors = {r[2] for r in young}
+            dropped.extend(r[2] for r in bounded if r[2] not in survivors)
+            return [
+                r for r in live.values()
+                if r[1] != self.bounded or r[2] in survivors
+            ]
+
+        records = self._load()
+        with self._lock:
+            self.close()
+            if not self._fold(self._scan(count=False), True, keep):
+                dropped.clear()
+        for key in dropped:
+            records.get(self.bounded, {}).pop(key, None)
+        removed = len(dropped)
+        if max_age is not None:
+            for path in self.directory.glob("*.corrupt"):
+                try:
+                    stale = now - path.stat().st_mtime > max_age
+                except OSError:
+                    continue
+                if stale:
+                    removed += self._remove(path)
+        self.pruned += removed
+        return removed

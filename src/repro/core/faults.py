@@ -45,10 +45,12 @@ site               fired from
                    = new segment file name (targeted)
 ``store-read``     :meth:`ArtifactStore.load_decode_cache` /
                    :meth:`WorkList.fetch` (shared-store reads), key =
-                   artifact file stem / cell key
-``store-write``    :meth:`ArtifactStore.save_decode_cache` /
-                   :meth:`WorkList.publish` (shared-store writes), key =
-                   artifact file stem / cell key
+                   snapshot name / cell key; a fleet's re-check after
+                   a claim is targeted
+``store-write``    :meth:`ArtifactStore.save_decode_pack`, once per
+                   snapshot in the pack / :meth:`WorkList.publish`
+                   (shared-store writes), key = snapshot name / cell
+                   key
 ``lease-renew``    :meth:`WorkList.renew` (heartbeat extension of a
                    held cell lease), key = cell key
 =================  ========================================================
@@ -66,7 +68,8 @@ payload bytes at the payload sites (cache read/write, store
 read/write) through :meth:`FaultInjector.mangle`.
 
 *Targeted* occurrences (the build index's reads and writes, journal
-compactions) only answer specs whose ``match`` names them: auxiliary
+compactions, a fleet's post-claim fetch) only answer specs whose
+``match`` names them: auxiliary
 I/O added to a site never shifts the hit windows of existing
 untargeted plans.
 """

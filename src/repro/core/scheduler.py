@@ -23,9 +23,10 @@ This module makes the matrix explicit:
    are keyed and served without assembling anything, in a fleet too;
    only index misses and uncached verdicts build, and a fresh build's
    digest always wins over the indexed one.  Without a cache the plan
-   only builds and hashes no build key.  Entries and indexes are
-   checksummed; corrupt files are counted, quarantined aside and
-   re-derived rather than replayed;
+   only builds and hashes no build key.  Verdicts and index positions
+   are checksummed records of one append-only log; corrupt records are
+   counted, their segment quarantined aside, and re-derived rather
+   than replayed;
 3. **execution** — remaining entries run in-process, one long-lived
    :class:`ExecutionSession` per target, under a **supervised** ladder:
    a failed attempt discards its session and is retried with capped
@@ -79,14 +80,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.assembler.linker import MemoryImage
-from repro.core.durable import (
-    DurableFiles,
-    content_key,
-    model_digest,
-    seal,
-    unseal,
-    unseal_text,
-)
+from repro.core.durable import RecordLog, content_key, model_digest
 from repro.core.environment import ModuleTestEnvironment
 from repro.core.faults import (
     FaultInjector,
@@ -112,9 +106,6 @@ from repro.soc.derivatives import Derivative
 #: Bump when run semantics change in a way that invalidates old caches.
 #: 2: checksummed cache entries (corrupt files detected, not replayed).
 CACHE_SCHEMA = 2
-
-#: Layout version of the per-(environment, derivative) build index.
-INDEX_SCHEMA = 1
 
 #: How often a fleet worker re-polls cells held by live peers.
 _POLL_INTERVAL = 0.05
@@ -245,31 +236,45 @@ def quarantine_result(
     )
 
 
-class ResultCache(DurableFiles):
+#: The record namespace of verdicts.
+_VERDICTS = "verdict"
+
+
+def _index_space(environment: str, derivative: str) -> str:
+    """The record namespace of one build index (also its fault key)."""
+    return f"index/{environment}/{derivative}"
+
+
+class ResultCache(RecordLog):
     """Persistent (image digest, target, derivative) -> result store.
 
-    One JSON file per key under *directory*, in the checksummed
-    envelope of :mod:`repro.core.durable`, whose rules also make the
-    cache contained: a corrupt entry is counted (never a clean miss)
-    and quarantined aside as evidence, a failed write or an
-    uncreatable directory degrades to a cold cache, never to a failed
-    regression.  The key includes a schema version and the engine's
+    A :class:`~repro.core.durable.RecordLog`: each verdict is one
+    checksummed record — its key and the canonical payload text that
+    :func:`matrix_digest` hashes — appended to this process's segment,
+    and every segment is read once, on first access.  The log's rules
+    make the cache contained: a corrupt record is counted (never a
+    clean miss, never a hit) and its segment quarantined as evidence
+    once its writer is gone, a record cut off by a kill is dropped and
+    counted in ``torn``, and a failed write or an uncreatable directory
+    degrades to a cold cache, never to a failed regression.  The key
+    includes a schema version and the engine's
     :func:`~repro.core.durable.model_digest`, so after an edit a verdict
     is a miss, never stale.  :meth:`prune` (``regress --cache-prune``)
-    bounds the directory.
+    compacts the log, dropping the oldest verdicts.
 
-    Beside the verdicts, ``index/`` holds one **build index** per
-    (environment, derivative): matrix position -> (build key, image
-    digest), in the same envelope.  It lets the scheduler compute a
-    verdict's key without assembling anything (:meth:`load_index` /
-    :meth:`save_index`).
+    Beside the verdicts, the log holds one **build index** per
+    (environment, derivative), one record per matrix position: its
+    build key and the image digest it produced.  It lets the scheduler
+    compute a verdict's key without assembling anything
+    (:meth:`load_index` / :meth:`save_index`).
     """
 
     read_site = SITE_CACHE_READ
     write_site = SITE_CACHE_WRITE
+    bounded = _VERDICTS
 
     def __init__(self, directory: str | Path, injector: FaultInjector | None = None):
-        super().__init__(directory, injector, subdirs=("index",))
+        super().__init__(directory, injector)
         self.hits = 0
         #: Matrix positions whose build key matched the index (no build
         #: needed to key their verdict), whose key was absent or
@@ -298,12 +303,6 @@ class ResultCache(DurableFiles):
             max_instructions,
         )
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def _index_path(self, environment: str, derivative: str) -> Path:
-        return self.directory / "index" / f"{environment}.{derivative}.json"
-
     def stats(self) -> dict[str, int]:
         return {
             **super().stats(),
@@ -314,15 +313,12 @@ class ResultCache(DurableFiles):
         }
 
     def get(self, key: str) -> RunResult | None:
-        if self.disabled:
+        text = self.read(_VERDICTS, key)
+        if text is None:
             return None
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        result = self.read_file(path, key, _decode_result)
-        if result is not None:
-            self.hits += 1
+        result = result_from_payload(json.loads(text))
+        result.payload_text = text
+        self.hits += 1
         return result
 
     def put(self, key: str, result: RunResult) -> bool:
@@ -330,25 +326,20 @@ class ResultCache(DurableFiles):
             return False
         text = json.dumps(result_to_payload(result), sort_keys=True)
         result.payload_text = text
-        data = seal(CACHE_SCHEMA, text)
-        return bool(self.write_file(self._path(key), key, data))
+        return self.append(_VERDICTS, {key: text}, key)
 
     # -- build index -------------------------------------------------------
     def load_index(
         self, environment: str, derivative: str
     ) -> dict[str, tuple[str, str]]:
         """Position -> (build key, image digest) for one (environment,
-        derivative); empty when absent, corrupt or of another schema."""
-        path = self._index_path(environment, derivative)
-        if self.disabled or not path.exists():
-            return {}
-        index = self.read_file(
-            path,
-            f"index/{environment}/{derivative}",
-            _decode_index,
-            targeted=True,
-        )
-        return index or {}
+        derivative); empty when absent or its read failed."""
+        return {
+            position: tuple(value.split(" "))
+            for position, value in self.read_space(
+                _index_space(environment, derivative)
+            ).items()
+        }
 
     def save_index(
         self,
@@ -356,36 +347,17 @@ class ResultCache(DurableFiles):
         derivative: str,
         index: dict[str, tuple[str, str]],
     ) -> bool:
+        """Append the positions of *index* the log does not hold yet."""
         if self.disabled:
             return False
-        payload_text = json.dumps(
-            {"schema": INDEX_SCHEMA, "positions": index}, sort_keys=True
-        )
-        return bool(
-            self.write_file(
-                self._index_path(environment, derivative),
-                f"index/{environment}/{derivative}",
-                seal(CACHE_SCHEMA, payload_text),
-                targeted=True,
-            )
-        )
-
-
-def _decode_result(raw: bytes) -> RunResult:
-    text = unseal_text(raw, CACHE_SCHEMA)
-    result = result_from_payload(json.loads(text))
-    result.payload_text = text
-    return result
-
-
-def _decode_index(raw: bytes) -> dict[str, tuple[str, str]]:
-    payload = unseal(raw, CACHE_SCHEMA)
-    if payload.get("schema") != INDEX_SCHEMA:
-        return {}
-    return {
-        position: (build_key, digest)
-        for position, (build_key, digest) in payload["positions"].items()
-    }
+        space = _index_space(environment, derivative)
+        current = self._load().get(space, {})
+        changed = {
+            position: f"{build_key} {digest}"
+            for position, (build_key, digest) in index.items()
+            if current.get(position) != f"{build_key} {digest}"
+        }
+        return self.append(space, changed, space, targeted=True)
 
 
 # --------------------------------------------------------------------------
@@ -715,12 +687,14 @@ class RegressionScheduler:
 
         Per cell: adopt an already-published verdict (``fetched``),
         otherwise claim the cell's lease — stealing it when its holder's
-        expiry passed (``stolen``) — and execute under a heartbeat with
-        the ordinary retry/quarantine ladder, then publish.  Cells held
-        by live peers are polled until their verdict appears or their
-        lease expires, so the matrix completes even when peers are
-        SIGKILLed or wedged mid-shard: every cell is eventually
-        published by its lease holder or reclaimed by a survivor.
+        expiry passed (``stolen``) — and, unless its holder published a
+        verdict meanwhile (adopted, the lease released), execute under a
+        heartbeat with the ordinary retry/quarantine ladder, then
+        publish.  Cells held by live peers are polled until their
+        verdict appears or their lease expires, so the matrix completes
+        even when peers are SIGKILLed or wedged mid-shard: every cell is
+        eventually published by its lease holder or reclaimed by a
+        survivor.
 
         Two budgets bound the reclaiming.  The heartbeat lets the lease
         of a cell running past ``run_timeout`` lapse, so a wedged holder
@@ -792,6 +766,20 @@ class RegressionScheduler:
                 errors_before = worklist.claim_errors
                 for request, image, tgt, key in remaining:
                     payload = worklist.fetch(key)
+                    lease = None
+                    if payload is None:
+                        lease = worklist.claim(key)
+                        if lease is None:
+                            # Held by a live peer (or claim trouble):
+                            # poll again — its result will publish, or
+                            # its lease will expire and we steal it.
+                            deferred.append((request, image, tgt, key))
+                            continue
+                        # Its holder may have published and released
+                        # between our fetch and our claim.
+                        payload = worklist.fetch(key, targeted=True)
+                        if payload is not None:
+                            worklist.release(lease)
                     if payload is not None:
                         out.append(
                             self._emit(
@@ -803,13 +791,6 @@ class RegressionScheduler:
                             )
                         )
                         progressed = True
-                        continue
-                    lease = worklist.claim(key)
-                    if lease is None:
-                        # Held by a live peer (or claim trouble): poll
-                        # again — its result will publish, or its lease
-                        # will expire and we steal it.
-                        deferred.append((request, image, tgt, key))
                         continue
                     if lease.steals > self.retries:
                         outcome = self._quarantine_outcome(

@@ -291,6 +291,7 @@ def _executors() -> dict[int, Callable]:
                     store.save_code(source, code)
             namespace = globals()
             exec(code, namespace)
+            _DECODED.clear()
             _EXECUTORS = {
                 int(op): namespace[semantics.executor_name(op)]
                 for op in Opcode
@@ -676,6 +677,10 @@ class DecodeCache:
             literal, literal_waits = second
             fetch_waits += literal_waits
             fetch_events += (("read", pc + 4, 4, literal),)
+        memo_key = (pc, word, literal, fetch_waits)
+        entry = _DECODED.get(memo_key)
+        if entry is not None:
+            return entry
         executors = _EXECUTORS if _EXECUTORS is not None else _executors()
         op = Opcode(opcode)
         fields = decode_word(spec.fmt, word)
@@ -686,7 +691,7 @@ class DecodeCache:
         elif mem_kind in _MEM_ABSOLUTE_KINDS:
             mem_disp = literal & WORD_MASK if literal is not None else 0
         imm_s, imm_u = _precomputed_operands(op, fields, literal)
-        return DecodedInstruction(
+        entry = DecodedInstruction(
             opcode=opcode,
             mnemonic=spec.mnemonic,
             size_bytes=spec.size_bytes,
@@ -706,6 +711,19 @@ class DecodeCache:
             width=fields.get("width", 0),
             exec=executors[opcode],
         )
+        if len(_DECODED) >= _DECODED_LIMIT:
+            _DECODED.clear()
+        _DECODED[memo_key] = entry
+        return entry
+
+
+#: (pc, word, literal, fetch waits) -> the one frozen
+#: :class:`DecodedInstruction` they decode to, shared by every cache
+#: (images of one workspace hold the same library code at the same
+#: addresses).  Emptied when full, by :func:`reset_registry` and by a
+#: rebuild of the executor table its entries are bound to.
+_DECODED: dict[tuple, DecodedInstruction] = {}
+_DECODED_LIMIT = 65536
 
 
 #: digest-keyed registry so the six platforms of a regression (and many
@@ -721,7 +739,8 @@ _REGISTRY_EVICTIONS = 0
 
 #: Optional persistent artifact store (duck-typed:
 #: ``load_decode_cache(key) -> DecodeCache | None``,
-#: ``save_decode_cache(key, cache) -> bool``, ``load_code(source) ->
+#: ``save_decode_cache(key, cache) -> bool`` (queue one cache),
+#: ``save_decode_pack() -> int`` (write the queue), ``load_code(source) ->
 #: CodeType | None`` and ``save_code(source, code) -> bool``, all
 #: non-raising) that :func:`decode_cache_for` consults on a registry
 #: miss, so a fresh process warm-starts from disk instead of re-paying
@@ -794,22 +813,21 @@ def decode_cache_for(
 
 
 def persist_registry() -> int:
-    """Save every registered cache to the installed artifact store;
-    returns how many snapshots were written (0 without a store).
+    """Save every changed registered cache to the installed artifact
+    store as one pack; returns how many snapshots it holds (0 without
+    a store).
 
-    The store skips byte-identical re-writes via a cheap content stamp,
-    so calling this after every regression costs one stat-sized check
-    per warm image, not one pickle."""
+    The store skips unchanged caches via a cheap content stamp, so
+    calling this after every regression costs one stamp compare per
+    warm image, and no file when nothing changed."""
     store = _ARTIFACT_STORE
     if store is None:
         return 0
     with _REGISTRY_LOCK:
         items = list(_REGISTRY.items())
-    saved = 0
     for key, cache in items:
-        if store.save_decode_cache(key, cache):
-            saved += 1
-    return saved
+        store.save_decode_cache(key, cache)
+    return store.save_decode_pack()
 
 
 def registry_stats() -> dict[str, int]:
@@ -821,7 +839,8 @@ def registry_stats() -> dict[str, int]:
 
 
 def reset_registry() -> int:
-    """Drop every registered cache; returns how many were discarded.
+    """Drop every registered cache and the decode memo; returns how
+    many caches were discarded.
 
     Benchmark/test hook: the registry is what makes the second run of
     an image warm (predecode and superblocks live here), so an honest
@@ -834,4 +853,5 @@ def reset_registry() -> int:
         dropped = len(_REGISTRY)
         _REGISTRY.clear()
         _REGISTRY_EVICTIONS = 0
+        _DECODED.clear()
     return dropped

@@ -6,14 +6,14 @@ dies with the process, and a regression matrix can only be sharded
 inside one machine.  This package extends the
 repo's two proven durability idioms downward and outward:
 
-- :mod:`repro.store.artifacts` — a content-addressed on-disk store of
+- :mod:`repro.store.artifacts` — an on-disk store of
   :class:`~repro.isa.decodecache.DecodeCache` snapshots (predecode +
   superblock formation), keyed by image digest, region bounds,
   wait-state profile and the model digest of the code that derived
-  them, checksummed, written and quarantined by the shared
-  rules of :mod:`repro.core.durable`.  A fresh process (or a rebooted
-  :class:`ServiceDaemon` pool) warm-starts from disk instead of
-  re-paying predecode and formation;
+  them, one pack per persist, checksummed, written and quarantined by
+  the shared rules of :mod:`repro.core.durable`.  A fresh process (or
+  a rebooted :class:`ServiceDaemon` pool) warm-starts from disk instead
+  of re-paying predecode and formation;
 - :mod:`repro.store.worklist` — a shared-directory work-list for
   fleet-sharded :class:`~repro.core.scheduler.RegressionScheduler`
   runs: lease-based cell claims (``O_EXCL`` claim files, heartbeat

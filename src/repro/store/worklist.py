@@ -288,18 +288,19 @@ class WorkList(DurableFiles):
         self.published += 1
         return True
 
-    def fetch(self, key: str) -> dict | None:
+    def fetch(self, key: str, targeted: bool = False) -> dict | None:
         """The published payload for *key*, or ``None`` (not published
         yet, or counted-and-quarantined corruption, after which the
         cell re-enters the claimable pool and is re-derived from
-        source).  Never raises."""
+        source).  *targeted* marks the re-check after a claim, which
+        only plans naming the cell see.  Never raises."""
         if self.disabled:
             return None
         path = self._result_path(key)
         if not path.exists():
             return None
         payload = self.read_file(
-            path, key, lambda raw: unseal(raw, WORKLIST_SCHEMA)
+            path, key, lambda raw: unseal(raw, WORKLIST_SCHEMA), targeted
         )
         if payload is not None:
             self.fetched += 1

@@ -22,6 +22,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +33,12 @@ from repro.assembler.objectfile import ObjectFile
 from repro.assembler.preprocessor import InMemoryProvider
 
 from repro.core import environment as environment_module
-from repro.core.durable import bytecode_tag, checksum, content_key
+from repro.core.durable import (
+    bytecode_tag,
+    checksum,
+    content_key,
+    model_digest,
+)
 from repro.core.environment import BASE_FUNCTIONS_FILENAME
 from repro.core.scheduler import (
     RegressionScheduler,
@@ -250,17 +256,19 @@ class TestChainRoundtrip:
     def test_foreign_bytecode_snapshot_is_a_miss(
         self, tmp_path, monkeypatch, written_by
     ):
-        """A snapshot written under another bytecode format has another
-        name: it is a miss, never corruption.  The cache is re-derived
-        and saved under this interpreter's name, which later processes
-        restore."""
+        """A snapshot written under another bytecode format names
+        another model digest: it is a miss, never corruption.  The cache
+        is re-derived and saved in this interpreter's pack, which later
+        processes restore, and the foreign pack is deleted."""
         image, cache, loop = hot_loop()
         rom = SC88A.memory_map().rom
         key = (image.digest(), rom.base, rom.base + rom.size, 0)
         run_on(image, cache)
         with monkeypatch.context() as patch:
             written_by(patch)
-            assert ArtifactStore(tmp_path).save_decode_cache(key, cache)
+            writer = ArtifactStore(tmp_path)
+            assert writer.save_decode_cache(key, cache)
+            assert writer.save_decode_pack() == 1
         (foreign,) = tmp_path.glob(f"{DECODE}-*.art")
         reset_registry()
         store = ArtifactStore(tmp_path)
@@ -273,8 +281,9 @@ class TestChainRoundtrip:
         assert (store.hits, store.misses) == (0, 1)
         assert (store.corrupt, store.quarantined) == (0, 0)
         assert decodecache.persist_registry() == 1
-        assert foreign.exists()
-        assert store._path(store._decode_stem(key)).exists()
+        # Saving folds the store: the other code's pack is gone.
+        assert not foreign.exists()
+        assert store._pack_index()[key].exists()
         rebound = ArtifactStore(tmp_path).load_decode_cache(key)
         assert rebound._blocks[loop].succ_taken is rebound._blocks[loop]
 
@@ -331,7 +340,8 @@ class TestCorruption:
             assert store.save_decode_cache(
                 key, decodecache._REGISTRY[key]
             )
-            self.corrupt_file(store._path(store._decode_stem(key)))
+            assert store.save_decode_pack() == 1
+            self.corrupt_file(store._pack_index()[key])
             assert store.load_decode_cache(key) is None
         assert store.corrupt == 3
         assert store.quarantined == 3
@@ -341,23 +351,28 @@ class TestCorruption:
         store = ArtifactStore(tmp_path)
         reset_registry()
         warm_and_persist(matrix, store)
-        key = next(iter(decodecache._REGISTRY))
-        path = store._path(store._decode_stem(key))
-        alias = ("0" * 64, 0, 16, 0)
-        # A valid artifact squatting under another key's content
-        # address lies about its identity: corruption by definition.
-        os.replace(path, store._path(store._decode_stem(alias)))
+        (path,) = tmp_path.glob(f"{DECODE}-*.art")
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        alias = ["0" * 64, 0, 16, 0]
+        # A header naming a key its payload does not hold lies about
+        # the pack's contents: corruption by definition.
+        header["keys"].append(alias)
+        path.write_bytes(
+            json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+        )
         fresh = ArtifactStore(tmp_path)
-        assert fresh.load_decode_cache(alias) is None
+        assert fresh.load_decode_cache(tuple(alias)) is None
         assert fresh.corrupt == 1
         assert fresh.quarantined == 1
 
     def test_truncated_artifact_is_corruption(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        stem = store._decode_stem(("digest", 0, 16, 0))
-        store._path(stem).write_bytes(b'{"schema": 1')  # no payload
+        path = store._path(f"{DECODE}-" + "0" * 64)
+        path.write_bytes(b'{"schema": 1')  # no payload
         assert store.load_decode_cache(("digest", 0, 16, 0)) is None
         assert store.corrupt == 1
+        assert not path.exists()
 
 
 # --------------------------------------------------------------------------
@@ -429,6 +444,78 @@ class TestPrune:
 
 
 # --------------------------------------------------------------------------
+# pack folding
+# --------------------------------------------------------------------------
+
+def tiny_cache() -> DecodeCache:
+    """A decode cache over 16 zero bytes (NOPs) with one entry."""
+    image = SimpleNamespace(
+        segments=[SimpleNamespace(base=0, end=16, data=bytes(16))]
+    )
+    cache = DecodeCache(image, 0, 16)
+    cache.get(0)
+    return cache
+
+
+def tiny_key(n: int) -> tuple:
+    return (f"{n:064x}", 0, 16, 0)
+
+
+class TestPackFold:
+    def write_packs(self, store: ArtifactStore, count: int) -> None:
+        for n in range(count):
+            assert store.save_decode_cache(tiny_key(n), tiny_cache())
+            assert store.save_decode_pack() == 1
+
+    def test_packs_past_the_bound_fold_into_one(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        self.write_packs(store, artifacts.FOLD_PACKS)
+        packs = list(tmp_path.glob(f"{DECODE}-*.art"))
+        assert len(packs) == artifacts.FOLD_PACKS
+        self.write_packs(ArtifactStore(tmp_path), artifacts.FOLD_PACKS + 1)
+        assert len(list(tmp_path.glob(f"{DECODE}-*.art"))) == 1
+        fresh = ArtifactStore(tmp_path)
+        for n in range(artifacts.FOLD_PACKS + 1):
+            assert fresh.load_decode_cache(tiny_key(n)) is not None
+        assert (fresh.hits, fresh.corrupt) == (artifacts.FOLD_PACKS + 1, 0)
+
+    def test_fold_keeps_a_corrupt_pack_as_evidence(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        self.write_packs(store, artifacts.FOLD_PACKS)
+        rotten = store._pack_index()[tiny_key(0)]
+        data = bytearray(rotten.read_bytes())
+        data[-1] ^= 0xFF
+        rotten.write_bytes(bytes(data))
+        assert store.save_decode_cache(tiny_key(99), tiny_cache())
+        assert store.save_decode_pack() == 1
+        assert (store.corrupt, store.quarantined) == (1, 1)
+        (evidence,) = tmp_path.glob("*.corrupt")
+        assert evidence.name.startswith(f"{rotten.stem}.")
+        assert len(list(tmp_path.glob(f"{DECODE}-*.art"))) == 1
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load_decode_cache(tiny_key(0)) is None
+        assert fresh.load_decode_cache(tiny_key(1)) is not None
+        assert fresh.load_decode_cache(tiny_key(99)) is not None
+        assert fresh.corrupt == 0
+
+
+    def test_a_cache_that_does_not_pickle_costs_only_itself(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        broken = tiny_cache()
+        broken._skip.add(lambda: None)
+        assert store.save_decode_cache(tiny_key(0), tiny_cache())
+        assert store.save_decode_cache(tiny_key(1), broken)
+        assert store.saved == 2  # counted when queued...
+        assert store.save_decode_pack() == 1
+        assert store.saved == 1  # ...and taken back when left out
+        assert store.write_errors == 1
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load_decode_cache(tiny_key(0)) is not None
+        assert fresh.load_decode_cache(tiny_key(1)) is None
+        assert (fresh.corrupt, fresh.misses) == (0, 1)
+
+
+# --------------------------------------------------------------------------
 # registry semantics
 # --------------------------------------------------------------------------
 
@@ -479,17 +566,14 @@ class TestRegistry:
         assert store.unchanged == keys
         assert hashed == []
 
-    def test_misnamed_snapshot_is_resaved_under_its_own_name(
-        self, tmp_path, matrix
-    ):
-        """A snapshot filed under another name is never read for a key:
-        the key misses, its state is re-derived and saved under the
-        key's own name, and the misnamed file is left as it was."""
+    def test_renamed_pack_still_serves_its_keys(self, tmp_path, matrix):
+        """A pack's header, not its name, says what it holds: a pack
+        under another name still serves every key, and nothing is
+        re-saved."""
         store = ArtifactStore(tmp_path)
         reset_registry()
         warm_and_persist(matrix, store)
-        key = next(iter(decodecache._REGISTRY))
-        right = store._path(store._decode_stem(key))
+        (right,) = tmp_path.glob(f"{DECODE}-*.art")
         wrong = store._path(f"{DECODE}-" + "0" * 64)
         os.replace(right, wrong)
         reset_registry()
@@ -497,9 +581,9 @@ class TestRegistry:
         set_artifact_store(booted)
         run_matrix(matrix)
         assert (booted.corrupt, booted.quarantined) == (0, 0)
-        assert booted.saved >= 1
-        assert right.exists() and wrong.exists()
-        assert ArtifactStore(tmp_path).load_decode_cache(key) is not None
+        assert booted.hits == store.saved
+        assert booted.saved == 0
+        assert wrong.exists() and not right.exists()
 
 
 # --------------------------------------------------------------------------
@@ -534,56 +618,76 @@ def code_tag_layout_payload(cache) -> bytes:
     return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def per_key_layout_payload(cache) -> bytes:
+    """*cache*'s snapshot as the per-key layout, one file per registry
+    key, pickled it."""
+    return snapshot_decode_cache(cache)
+
+
 class TestStoreFormat:
-    """Earlier layouts named a decode snapshot by its kind and the
-    SHA-256 of its registry key alone: ``decode-*`` with 21-field
-    entries, then ``decode2-*`` with 18-field entries and a
-    ``code_tag``.  This layout's names also hash the model digest, so
-    neither kind of file is ever opened."""
+    """Earlier layouts kept one file per registry key: ``decode-*``
+    named by the SHA-256 of the key alone with 21-field entries, then
+    ``decode2-*`` with 18-field entries and a ``code_tag``, then
+    ``decode-*`` named by the model digest and the key.  This layout's
+    packs (``decodes-*``) replace them: none of their files is ever
+    opened, and the first save deletes them."""
 
     @staticmethod
     def rewrite_in_layout(
-        directory: Path, kind: str, payload_of
+        directory: Path, kind: str, payload_of, name_of
     ) -> dict[Path, bytes]:
-        """Replace every decode snapshot in *directory* by the file an
-        earlier layout wrote for it; returns those files' bytes."""
+        """Replace every decode pack in *directory* by the per-key files
+        an earlier layout wrote for its caches; returns those files'
+        bytes."""
         written = {}
+        reader = ArtifactStore(directory)
         for path in sorted(directory.glob(f"{DECODE}-*.art")):
-            header_line, payload = path.read_bytes().split(b"\n", 1)
-            key = tuple(json.loads(header_line)["key"])
-            payload = payload_of(restore_decode_cache(payload))
-            header = json.dumps(
-                {
-                    "schema": artifacts.STORE_SCHEMA,
-                    "kind": kind,
-                    "key": list(key),
-                    "checksum": checksum(payload),
-                },
-                sort_keys=True,
-            ).encode()
-            earlier = directory / f"{kind}-{content_key(*key)}.art"
-            earlier.write_bytes(header + b"\n" + payload)
-            written[earlier] = earlier.read_bytes()
+            for key, cache in reader._unpack(path).items():
+                payload = payload_of(cache)
+                header = json.dumps(
+                    {
+                        "schema": artifacts.STORE_SCHEMA,
+                        "kind": kind,
+                        "key": list(key),
+                        "checksum": checksum(payload),
+                    },
+                    sort_keys=True,
+                ).encode()
+                earlier = directory / f"{kind}-{name_of(key)}.art"
+                earlier.write_bytes(header + b"\n" + payload)
+                written[earlier] = earlier.read_bytes()
             path.unlink()
         return written
 
     def test_first_layout_store_reads_clean(self, tmp_path):
-        self.assert_reads_clean(tmp_path, "decode", first_layout_payload)
+        self.assert_reads_clean(
+            tmp_path, "decode", first_layout_payload,
+            lambda key: content_key(*key),
+        )
 
     def test_code_tag_layout_store_reads_clean(self, tmp_path):
-        self.assert_reads_clean(tmp_path, "decode2", code_tag_layout_payload)
+        self.assert_reads_clean(
+            tmp_path, "decode2", code_tag_layout_payload,
+            lambda key: content_key(*key),
+        )
 
-    def assert_reads_clean(self, tmp_path, kind, payload_of):
+    def test_per_key_layout_store_reads_clean(self, tmp_path):
+        self.assert_reads_clean(
+            tmp_path, "decode", per_key_layout_payload,
+            lambda key: content_key(model_digest(), *key),
+        )
+
+    def assert_reads_clean(self, tmp_path, kind, payload_of, name_of):
         """A store whose decode snapshots are in an earlier layout: they
-        are misses, re-derived and saved under this layout's names; its
-        code and object artifacts still hit."""
+        are misses, re-derived and saved in one pack, and the earlier
+        files are deleted; its code and object artifacts still hit."""
         workspace = write_system_environment(
             make_default_system(nvm_tests=1, uart_tests=1), tmp_path / "ws"
         )
         store_dir = tmp_path / "store"
         cold = regress(workspace, store_dir)
         directory = store_dir / "artifacts"
-        earlier = self.rewrite_in_layout(directory, kind, payload_of)
+        earlier = self.rewrite_in_layout(directory, kind, payload_of, name_of)
         assert earlier
 
         after = regress(workspace, store_dir)
@@ -595,14 +699,13 @@ class TestStoreFormat:
         assert counters["saved"] == store_counters(cold)["saved"]
         assert counters["code_hits"] == 1 and counters["code_saved"] == 0
         assert counters["obj_hits"] >= 1 and counters["obj_saved"] == 0
-        saved = set(directory.glob(f"{DECODE}-*.art")) - set(earlier)
-        assert len(saved) == len(earlier)
-        assert {path: path.read_bytes() for path in earlier} == earlier
+        assert len(list(directory.glob(f"{DECODE}-*.art"))) == 1
+        assert not any(path.exists() for path in earlier)
         assert not list(directory.glob("*.corrupt"))
 
     def test_first_layout_entry_state_is_corruption(self, tmp_path, matrix):
         """A 21-field entry state never lands in shifted fields: the
-        entry rejects it, and a snapshot holding one is corrupt."""
+        entry rejects it, and a pack holding one is corrupt."""
         store = ArtifactStore(tmp_path)
         reset_registry()
         warm_and_persist(matrix, store)
@@ -613,13 +716,13 @@ class TestStoreFormat:
                 first_layout_state(entry)
             )
 
+        store._stamps.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 DecodedInstruction, "__getstate__", first_layout_state
             )
-            payload = snapshot_decode_cache(cache)
-        stem = store._decode_stem(key)
-        assert store._write(DECODE, key, stem, payload)
+            assert store.save_decode_cache(key, cache)
+            assert store.save_decode_pack() == 1
         fresh = ArtifactStore(tmp_path)
         assert fresh.load_decode_cache(key) is None
         assert (fresh.corrupt, fresh.quarantined, fresh.hits) == (1, 1, 0)

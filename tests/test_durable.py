@@ -1,10 +1,10 @@
 """The durable-file contract (:mod:`repro.core.durable`), once per owner.
 
-Four objects keep regression state on disk: the result cache, the
-artifact store, the fleet work-list's published results and the
-serving daemon's job journal (whose atomic write is compaction).  They
-share one envelope, one atomic write, one quarantine and one
-containment policy, so the same checks run against each of them:
+Three objects keep regression state in whole files: the artifact
+store, the fleet work-list's published results and the serving
+daemon's job journal (whose atomic write is compaction).  They share
+one envelope, one atomic write, one quarantine and one containment
+policy, so the same checks run against each of them:
 
 - an injected write fault (raise, mangle, or a failed rename) leaves
   no temp file behind;
@@ -12,9 +12,12 @@ containment policy, so the same checks run against each of them:
 - a quarantine that loses the race to a peer leaves no empty decoy;
 - a file that a peer removes mid-read is a miss, not corruption.
 
-The golden-bytes tests pin the on-disk formats: caches, stores,
-work-lists and journals written before the formats were shared must
-stay readable, so every owner must still write the same bytes.
+The result cache appends records to a log instead
+(:class:`~repro.core.durable.RecordLog`); :class:`TestRecordLog` holds
+it to the same contract in the log's terms.
+
+The golden-bytes tests pin the on-disk formats, so every owner keeps
+writing the same bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,16 @@ from types import SimpleNamespace
 
 import pytest
 
+from logtools import VERDICT, record_spans, rot_record, segments
 from repro import cli
-from repro.core.durable import atomic_write, quarantine_aside, seal, unseal
+from repro.core import durable
+from repro.core.durable import (
+    atomic_write,
+    encode_record,
+    quarantine_aside,
+    seal,
+    unseal,
+)
 from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.core.scheduler import CACHE_SCHEMA, ResultCache
 from repro.core.system_env import make_default_system
@@ -69,21 +80,8 @@ def evidence(directory: Path) -> list[Path]:
 # one adapter per owner: a numbered write, the file it made, a read back
 # --------------------------------------------------------------------------
 
-class CacheOwner:
+class FileOwner:
     write_match = None
-
-    def __init__(self, directory: Path, injector=None):
-        self.directory = directory
-        self.owner = ResultCache(directory, injector)
-
-    def write(self, n: int) -> None:
-        self.owner.put(f"key{n}", make_result(n))
-
-    def entry(self, n: int) -> Path:
-        return self.directory / f"key{n}.json"
-
-    def read(self, n: int):
-        return self.owner.get(f"key{n}")
 
     def counts(self) -> tuple[int, int]:
         return self.owner.corrupt, self.owner.quarantined
@@ -92,7 +90,9 @@ class CacheOwner:
         pass
 
 
-class StoreOwner(CacheOwner):
+class StoreOwner(FileOwner):
+    """Decode snapshots: one pack per write."""
+
     def __init__(self, directory: Path, injector=None):
         self.directory = directory
         self.owner = ArtifactStore(directory, injector)
@@ -103,15 +103,16 @@ class StoreOwner(CacheOwner):
 
     def write(self, n: int) -> None:
         self.owner.save_decode_cache(self.key(n), make_decode_cache())
+        self.owner.save_decode_pack()
 
     def entry(self, n: int) -> Path:
-        return self.owner._path(self.owner._decode_stem(self.key(n)))
+        return self.owner._pack_index()[self.key(n)]
 
     def read(self, n: int):
         return self.owner.load_decode_cache(self.key(n))
 
 
-class WorkListOwner(CacheOwner):
+class WorkListOwner(FileOwner):
     def __init__(self, directory: Path, injector=None):
         self.directory = directory
         self.owner = WorkList(directory, injector=injector)
@@ -165,7 +166,6 @@ class JournalOwner:
 
 
 OWNERS = {
-    "result-cache": CacheOwner,
     "artifact-store": StoreOwner,
     "worklist": WorkListOwner,
     "journal": JournalOwner,
@@ -261,9 +261,7 @@ class TestContract:
         assert evidence(tmp_path) == []
 
 
-@pytest.mark.parametrize(
-    "owner_name", ["artifact-store", "result-cache", "worklist"]
-)
+@pytest.mark.parametrize("owner_name", ["artifact-store", "worklist"])
 def test_file_vanishing_mid_read_is_a_miss(tmp_path, monkeypatch, owner_name):
     """A peer's quarantine or prune may remove a file between the
     existence check and the read: that is a miss, not corruption."""
@@ -281,6 +279,150 @@ def test_file_vanishing_mid_read_is_a_miss(tmp_path, monkeypatch, owner_name):
     assert owner.read(0) is None
     assert owner.counts() == (0, 0)
     assert owner.owner.misses == 1
+
+
+# --------------------------------------------------------------------------
+# the record log: the result cache's contract in a log's terms
+# --------------------------------------------------------------------------
+
+def cache_plan(action: str) -> FaultInjector:
+    return FaultInjector(FaultPlan(seed=3, specs=[
+        FaultSpec(site=ResultCache.write_site, action=action),
+    ]))
+
+
+def put_three(directory: Path) -> list[str]:
+    """Three verdicts from one writer, which then exits; their keys."""
+    writer = ResultCache(directory)
+    keys = [f"key{n}" for n in range(3)]
+    for n, key in enumerate(keys):
+        assert writer.put(key, make_result(n))
+    writer.close()
+    return keys
+
+
+class TestRecordLog:
+    def test_injected_write_raise_appends_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path, cache_plan("raise"))
+        assert cache.put("key0", make_result()) is False
+        assert cache.write_errors == 1
+        assert segments(tmp_path) == []
+        assert temp_files(tmp_path) == []
+
+    def test_injected_mangle_is_caught_by_the_next_reader(self, tmp_path):
+        cache = ResultCache(tmp_path, cache_plan("corrupt"))
+        assert cache.put("key0", make_result())
+        assert cache.injector.fired
+        cache.close()
+        reader = ResultCache(tmp_path)
+        assert reader.get("key0") is None
+        # (The flipped bytes may fall in the key, which then reads as
+        # a miss too: the record cannot say whose it was.)
+        assert (reader.corrupt, reader.torn, reader.hits) == (1, 0, 0)
+        assert temp_files(tmp_path) == []
+
+    def test_failed_append_is_counted_and_contained(
+        self, tmp_path, monkeypatch
+    ):
+        def full(*_args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(durable.os, "open", full)
+        cache = ResultCache(tmp_path)
+        assert cache.put("key0", make_result()) is False
+        assert cache.write_errors == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_torn_tail_at_every_offset_is_dropped_and_counted(
+        self, tmp_path
+    ):
+        """A writer killed inside its last record: whatever prefix of
+        it reached the disk, every complete record still hits and the
+        torn one is dropped and counted — never a hit, never corrupt,
+        never quarantined."""
+        first, second, last = put_three(tmp_path / "whole")
+        (segment,) = segments(tmp_path / "whole")
+        data = segment.read_bytes()
+        start, end = record_spans(segment)[-1]
+        for cut in range(start + 1, end):
+            directory = tmp_path / f"cut{cut}"
+            directory.mkdir()
+            (directory / segment.name).write_bytes(data[:cut])
+            reader = ResultCache(directory)
+            assert reader.get(first).cycles == 0
+            assert reader.get(second).cycles == 1
+            assert reader.get(last) is None
+            assert (reader.torn, reader.corrupt, reader.misses) == (1, 0, 1)
+            assert reader.quarantined == 0
+            assert evidence(directory) == []
+        # The reader folded the dead, torn segment: the next one reads
+        # the complete records and nothing torn.
+        healed = ResultCache(directory)
+        assert healed.get(second) is not None
+        assert (healed.torn, healed.corrupt) == (0, 0)
+
+    def test_corrupt_record_is_quarantined_once_its_writer_is_gone(
+        self, tmp_path
+    ):
+        writer = ResultCache(tmp_path)
+        for n in range(3):
+            writer.put(f"key{n}", make_result(n))
+        segment = rot_record(tmp_path, VERDICT, nth=1)
+        # Writer alive: counted, never served, left where it is.
+        reader = ResultCache(tmp_path)
+        assert reader.get("key1") is None
+        assert reader.get("key0") is not None
+        assert (reader.corrupt, reader.quarantined, reader.misses) == (1, 0, 0)
+        assert segment.exists()
+        writer.close()
+        # Writer gone: the segment becomes evidence, its intact records
+        # move to the reader's own segment.
+        folder = ResultCache(tmp_path)
+        assert folder.get("key2") is not None
+        assert (folder.corrupt, folder.quarantined) == (1, 1)
+        (aside,) = evidence(tmp_path)
+        assert aside.name.startswith(f"{segment.stem}.")
+        folder.close()
+        healed = ResultCache(tmp_path)
+        assert healed.get("key0") is not None
+        assert healed.get("key2") is not None
+        assert healed.get("key1") is None
+        assert (healed.corrupt, healed.misses) == (0, 1)
+
+    def test_segment_vanishing_mid_read_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        writer = ResultCache(tmp_path)
+        writer.put("key0", make_result())
+        (target,) = segments(tmp_path)
+        real_read = Path.read_bytes
+
+        def vanish(path):
+            if path == target:
+                path.unlink()
+            return real_read(path)
+
+        monkeypatch.setattr(Path, "read_bytes", vanish)
+        reader = ResultCache(tmp_path)
+        assert reader.get("key0") is None
+        assert (reader.corrupt, reader.quarantined, reader.misses) == (0, 0, 1)
+        writer.close()
+
+    def test_live_segments_are_never_folded(self, tmp_path):
+        """More dead segments than the fold bound fold into the
+        reader's own; a live writer's segment is left alone."""
+        live = ResultCache(tmp_path)
+        live.put("live", make_result())
+        for n in range(durable.FOLD_SEGMENTS + 1):
+            writer = ResultCache(tmp_path)
+            writer.put(f"key{n}", make_result(n))
+            writer.close()
+        reader = ResultCache(tmp_path)
+        assert reader.get("key0") is not None
+        assert len(segments(tmp_path)) == 2
+        reader.close()
+        assert ResultCache(tmp_path).get("live") is not None
+        live.close()
 
 
 # --------------------------------------------------------------------------
@@ -347,10 +489,20 @@ GOLDEN_VERDICT = (
     b'l}"}'
 )
 
-GOLDEN_ARTIFACT = (
-    b'{"checksum": "16a0eeb0791b6c92451fd284dd9f599e0a7dbe7f6ebea6e2d2d06c7f'
-    b'74aec112", "key": ["' + b"d" * 64 + b'", 0, 16, 0], "kind": "decode'
-    b'", "schema": 1}\nsnapshot'
+GOLDEN_RECORD = (
+    b"dd1b971e100204aa704405026b41c139a82cd6e787e8679c27a005d9109c22a7\t"
+    b'1000000000\tverdict\tk1\t{"cycles": 7, "derivative": "sc88a", "done'
+    b'_pin": null, "fault_reason": null, "instructions": 0, "pass_pin": nul'
+    b'l, "platform": "golden", "registers": null, "result_word": null, "sig'
+    b'nature": null, "status": "pass", "trace": null, "uart_output": null}\n'
+)
+
+GOLDEN_PACK = (
+    b'{"checksum": "0f22596a16821986c0e85f8e71fb23d5e4310166f82095aea064619'
+    b'616b3d339", "keys": [["' + b"d" * 64 + b'", 0, 16, 0]], "kind": "decod'
+    b'es", "model": "' + b"m" * 64 + b'", "schema": 1, "stamps": [[1, 0]]}\n'
+    b"\x80\x05\x95\x0f\x00\x00\x00\x00\x00\x00\x00]\x94\x8c\x08snapsho"
+    b"t\x94a."
 )
 
 GOLDEN_RESULT = (
@@ -368,24 +520,29 @@ GOLDEN_JOURNAL = (
 
 
 class TestGoldenBytes:
-    def test_seal_and_result_cache_entry(self, tmp_path):
+    def test_seal_and_result_cache_record(self, tmp_path):
         payload = json.loads(json.loads(GOLDEN_VERDICT)["payload"])
         text = json.dumps(payload, sort_keys=True)
         assert seal(CACHE_SCHEMA, text) == GOLDEN_VERDICT
         assert unseal(GOLDEN_VERDICT, CACHE_SCHEMA) == payload
         cache = ResultCache(tmp_path)
+        cache.clock = lambda: 1_000_000_000
         cache.put("k1", make_result(7))
-        assert (tmp_path / "k1.json").read_bytes() == GOLDEN_VERDICT
+        (segment,) = segments(tmp_path)
+        assert segment.read_bytes() == GOLDEN_RECORD
+        assert encode_record(
+            "verdict", "k1", text, 1_000_000_000
+        ) == GOLDEN_RECORD
 
-    def test_artifact_header(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            artifacts, "snapshot_decode_cache", lambda cache: b"snapshot"
-        )
+    def test_decode_pack(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifacts, "_snapshot", lambda cache: "snapshot")
+        monkeypatch.setattr(artifacts, "model_digest", lambda: "m" * 64)
         store = ArtifactStore(tmp_path)
         key = ("d" * 64, 0, 16, 0)
         assert store.save_decode_cache(key, make_decode_cache())
-        path = store._path(store._decode_stem(key))
-        assert path.read_bytes() == GOLDEN_ARTIFACT
+        assert store.save_decode_pack() == 1
+        (path,) = tmp_path.glob("decodes-*.art")
+        assert path.read_bytes() == GOLDEN_PACK
 
     def test_worklist_result_and_journal_record(self, tmp_path):
         worklist = WorkList(tmp_path / "wl")

@@ -433,9 +433,9 @@ class TestBlocksPerCache:
             second.body + (second.terminator,),
         )
         for mine, theirs in entries:
-            assert mine is not theirs
-            assert mine.pc == theirs.pc
-            assert mine.exec is theirs.exec
+            # One frozen instruction per (pc, words, fetch waits) per
+            # process: both caches hold the same decoded entries.
+            assert mine is theirs
         # Each cache's successor edges stay inside that cache.
         for cache, block in zip(caches, (first, second)):
             edges = [
@@ -461,3 +461,65 @@ class TestBlocksPerCache:
         assert session.cpu.halted, platform_name
         assert session.cpu.regs.data[0] == PASS_MAGIC, platform_name
         assert session.stats()["sb_blocks"] > 0
+
+
+class TestDecodeMemo:
+    """Each distinct (pc, words, fetch waits) decodes once per process;
+    the caches holding it keep their own hit/miss counts."""
+
+    def test_second_cache_decodes_nothing_but_counts_its_misses(
+        self, monkeypatch
+    ):
+        image = link_source(ALU_LOOP_SOURCE)
+        first = private_cache(image)
+        run_on(image, first)
+        decoded = []
+        real = decodecache._precomputed_operands
+        monkeypatch.setattr(
+            decodecache, "_precomputed_operands",
+            lambda *args: decoded.append(args[0]) or real(*args),
+        )
+        second = private_cache(image)
+        run_on(image, second)
+        assert decoded == []
+        assert (second.hits, second.misses) == (first.hits, first.misses)
+
+    def test_other_fetch_waits_are_another_entry(self):
+        image = link_source(ALU_LOOP_SOURCE)
+        rom = MEMORY_MAP.rom
+        plain = DecodeCache(image, rom.base, rom.base + rom.size)
+        waited = DecodeCache(image, rom.base, rom.base + rom.size, 2)
+        pc = image.entry
+        assert plain.get(pc) is not waited.get(pc)
+        entry = waited.get(pc)
+        assert entry.fetch_waits == 2 * len(entry.fetch_events)
+        assert plain.get(pc).fetch_waits == 0
+        assert private_cache(image).get(pc) is plain.get(pc)
+
+    def test_reset_registry_and_executor_rebuild_empty_it(self):
+        image = link_source(ALU_LOOP_SOURCE)
+        private_cache(image).get(image.entry)
+        assert decodecache._DECODED
+        decodecache.reset_registry()
+        assert not decodecache._DECODED
+        private_cache(image).get(image.entry)
+        assert decodecache._DECODED
+        # A rebuilt executor table never meets entries bound to the
+        # old one.  (The old table is put back afterwards: registered
+        # caches and their snapshots name the executors it holds.)
+        table = decodecache._EXECUTORS
+        named = {
+            name: getattr(decodecache, name)
+            for name in vars(decodecache) if name.startswith("_x_")
+        }
+        try:
+            decodecache._EXECUTORS = None
+            decodecache._executors()
+            assert not decodecache._DECODED
+            entry = private_cache(image).get(image.entry)
+            assert entry.exec is decodecache._EXECUTORS[entry.opcode]
+            assert entry.exec is not table[entry.opcode]
+        finally:
+            vars(decodecache).update(named)
+            decodecache._EXECUTORS = table
+            decodecache._DECODED.clear()

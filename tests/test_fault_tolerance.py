@@ -11,6 +11,8 @@ import pickle
 
 import pytest
 
+from logtools import VERDICT, rot_record, segments
+from repro.core.durable import parse_segment
 from repro.core.faults import (
     ACTION_CORRUPT,
     ACTION_HANG,
@@ -237,33 +239,36 @@ class TestCacheIntegrity:
     def test_corrupt_entry_counted_and_quarantined_aside(self, tmp_path):
         cache = ResultCache(tmp_path)
         self.run_once(cache)
-        victims = sorted(tmp_path.glob("*.json"))[:2]
-        for path in victims:
-            path.write_bytes(
-                corrupt_bytes(path.read_bytes(), 0, "disk", path.name, 8)
-            )
+        cache.close()
+        for nth in range(2):
+            rot_record(tmp_path, VERDICT, nth)
         cache = ResultCache(tmp_path)
         report = self.run_once(cache)
         assert cache.corrupt == 2
         assert report.clean
-        # The bad files were renamed aside, not left to re-fail.
-        assert len(list(tmp_path.glob("*.corrupt"))) == 2
+        # The segment holding them was renamed aside, its intact
+        # records carried over: nothing is left to re-fail.
+        assert cache.quarantined == 1
+        assert len(list(tmp_path.glob("*.corrupt"))) == 1
+        cache.close()
         cache = ResultCache(tmp_path)
-        self.run_once(cache)
+        report = self.run_once(cache)
         assert cache.corrupt == 0
+        assert report.executed_runs == 0
 
     def test_checksum_mismatch_is_not_a_clean_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = self.run_once(cache).results.popitem()[1]
-        key = next(iter(tmp_path.glob("*.json"))).stem
+        self.run_once(cache)
+        cache.close()
+        (segment,) = segments(tmp_path)
+        key = parse_segment(segment.read_bytes())[0][0][2]
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) is not None
         assert fresh.corrupt == 0
         # Flip payload bytes under the checksum.
-        path = tmp_path / f"{key}.json"
-        fresh.put(key, result)
-        body = path.read_bytes().replace(b'status', b'sTatus', 1)
-        path.write_bytes(body)
+        segment.write_bytes(
+            segment.read_bytes().replace(b'"status"', b'"sTatus"', 1)
+        )
         probe = ResultCache(tmp_path)
         assert probe.get(key) is None
         assert probe.corrupt == 1

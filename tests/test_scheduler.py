@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from logtools import rot_record, segments
 from repro.assembler.assembler import Assembler
 from repro.assembler.linker import Linker
 from repro.cli import main
 from repro.core import environment
+from repro.core.durable import parse_segment
 from repro.core.environment import GlobalLayer, ModuleTestEnvironment
 from repro.core.faults import (
     ACTION_CORRUPT,
@@ -314,9 +316,13 @@ class TestResultCache:
         scheduler = RegressionScheduler(cache=cache)
         env = make_nvm_environment(1)
         scheduler.run_environment(env, SC88A)
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
-        report = scheduler.run_environment(env, SC88A)
+        cache.close()
+        for path in segments(tmp_path):
+            lines = path.read_text().count("\n")
+            path.write_text("{not json\n" * lines)
+        report = RegressionScheduler(
+            cache=ResultCache(tmp_path)
+        ).run_environment(env, SC88A)
         assert report.executed_runs == report.total_runs
         assert report.clean
 
@@ -375,8 +381,8 @@ class TestDigestReusesCacheText:
             make_environments(), SC88A
         )
         expected = encoded_digest(report)
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
+        for path in segments(tmp_path):
+            path.write_text("{not json\n")
         assert matrix_digest(report) == expected
 
     def test_changed_copy_carries_no_stale_text(self, tmp_path):
@@ -412,12 +418,12 @@ class TestDigestReusesCacheText:
         )
         cache = ResultCache(tmp_path)
         cache.put("k", result)
-        path = tmp_path / "k.json"
-        body = json.loads(path.read_text())
-        body["payload"] = body["payload"].replace(
+        cache.close()
+        (path,) = segments(tmp_path)
+        path.write_text(path.read_text().replace(
             f'"cycles": {result.cycles}', f'"cycles": {result.cycles + 1}'
-        )
-        path.write_text(json.dumps(body))
+        ))
+        cache = ResultCache(tmp_path)
         assert cache.get("k") is None
         assert (cache.corrupt, cache.quarantined) == (1, 1)
 
@@ -896,32 +902,44 @@ class TestBuildIndex:
     def test_corrupt_index_costs_only_a_rebuild(
         self, tmp_path, build_log, how
     ):
-        RegressionScheduler(cache=ResultCache(tmp_path)).run_system(
-            make_suite(), SC88A
-        )
-        index_file = tmp_path / "index" / "NVM.sc88a.json"
+        first = ResultCache(tmp_path)
+        RegressionScheduler(cache=first).run_system(make_suite(), SC88A)
+        first.close()
         plan = None
         if how == "tampered":
-            index_file.write_bytes(
-                index_file.read_bytes().replace(b"TEST", b"TEXT", 1)
+            # One position's record rots: only that position rebuilds.
+            (segment,) = segments(tmp_path)
+            position = next(
+                record[2]
+                for record in parse_segment(segment.read_bytes())[0]
+                if record[1] == "index/NVM/sc88a"
             )
+            rot_record(
+                tmp_path, f"\tindex/NVM/sc88a\t{position}\t".encode()
+            )
+            rebuilt = {("NVM", *position.split("/"))}
         else:
+            # The whole index read fails: the environment rebuilds.
             plan = FaultPlan(seed=3, specs=[
                 FaultSpec(site=SITE_CACHE_READ, action=ACTION_CORRUPT,
                           match="index/NVM/"),
             ])
+            rebuilt = every_position({"NVM": make_suite()["NVM"]})
         build_log.clear()
         cache = ResultCache(tmp_path)
         report = RegressionScheduler(
             cache=cache, fault_plan=plan
         ).run_system(make_suite(), SC88A)
         assert cache.corrupt == 1
-        assert cache.quarantined == 1
-        assert len(list((tmp_path / "index").glob("NVM.sc88a.*.corrupt"))) == 1
-        assert set(build_log) == every_position({"NVM": make_suite()["NVM"]})
+        # A segment holding a corrupt record is set aside as evidence
+        # (its writer is gone); an injected read leaves the disk intact.
+        assert cache.quarantined == (1 if how == "tampered" else 0)
+        assert len(list(tmp_path.glob("*.corrupt"))) == cache.quarantined
+        assert set(build_log) == rebuilt
         assert report.executed_runs == 0
         assert cache.hits == report.total_runs
         self.assert_matches_cold(report, make_suite())
+        cache.close()
         # The rewritten index serves the next run cleanly.
         healed = ResultCache(tmp_path)
         RegressionScheduler(cache=healed).run_system(make_suite(), SC88A)

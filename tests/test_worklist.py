@@ -290,6 +290,34 @@ class TestFleetScheduler:
         assert second.executed_runs == 0
         assert second_list.fetched == second.total_runs
 
+    def test_verdict_published_before_the_claim_is_adopted(
+        self, workspace, tmp_path
+    ):
+        """A peer publishes a cell and releases its lease between this
+        worker's fetch and its claim: the claim succeeds, and the worker
+        adopts the published verdict (releasing the lease) instead of
+        running the cell a second time."""
+        _oracle_sched, oracle = run_matrix(workspace)
+        run_matrix(workspace, worklist=WorkList(tmp_path / "peer"))
+        peer_results = tmp_path / "peer" / "results"
+
+        class Racing(WorkList):
+            def claim(self, key):
+                published = self.directory / "results" / f"{key}.json"
+                published.write_bytes(
+                    (peer_results / f"{key}.json").read_bytes()
+                )
+                return super().claim(key)
+
+        racing = Racing(tmp_path / "shared", owner="racing")
+        _sched, report = run_matrix(workspace, worklist=racing)
+        assert verdict_bytes(report) == verdict_bytes(oracle)
+        assert report.fetched_runs == report.total_runs
+        assert report.executed_runs == 0
+        assert racing.duplicates == 0
+        assert racing.claimed == racing.released == report.total_runs
+        assert list((tmp_path / "shared" / "leases").iterdir()) == []
+
     def test_other_code_never_adopts_a_published_verdict(
         self, workspace, tmp_path, monkeypatch
     ):
