@@ -11,10 +11,12 @@ this module is the only place they are written:
 - :func:`quarantine_aside` — a file that fails verification is renamed
   to a unique ``*.corrupt`` name: kept as evidence, never re-read;
 - :class:`DurableFiles` — the owners' base: contained, counted reads
-  and writes, and one max-entries/max-age :meth:`~DurableFiles.prune`;
+  and writes of whole files (the artifact store, the work-list);
 - :class:`RecordLog` — an append-only log of checksummed records, one
   segment per writer process (Bitcask's layout, LevelDB's torn-tail
-  rule): a value costs one ``O_APPEND`` write, not a file;
+  rule): a value costs one ``O_APPEND`` write, not a file.  The result
+  cache and the job journal are its two owners, and
+  :meth:`~RecordLog.compact` is the one way either shrinks it;
 - :func:`source_digest` — which code produced a value, in its key, so
   another code's value is a miss, never stale or corrupt data.
 
@@ -25,6 +27,7 @@ and the decode cache.
 
 from __future__ import annotations
 
+import fnmatch
 import functools
 import hashlib
 import importlib.util
@@ -123,14 +126,12 @@ def unseal(raw: bytes, schema: int):
     return json.loads(text)
 
 
-def atomic_write(
-    path: Path, data: bytes, fsync: bool = False, exclusive: bool = False
-) -> bool:
+def atomic_write(path: Path, data: bytes, exclusive: bool = False) -> bool:
     """Make *data* the content of *path* in one step.
 
     The temp file's name is unique, because several processes may share
-    the directory.  *fsync* makes the data durable before the rename.
-    *exclusive* links instead of renaming, so the first writer wins:
+    the directory.  *exclusive* links instead of renaming, so the first
+    writer wins:
     returns ``False`` when *path* already existed.  Other failures raise
     :class:`OSError`.  The temp file never outlives the call.
     """
@@ -141,9 +142,6 @@ def atomic_write(
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
         if not exclusive:
             os.replace(tmp, path)
             renamed = True
@@ -212,7 +210,8 @@ class DurableFiles:
         #: Distinct corrupt files successfully renamed aside.
         self.quarantined = 0
         self.write_errors = 0
-        #: Files removed by :meth:`prune` over this owner's lifetime.
+        #: Records and evidence files :meth:`RecordLog.prune` removed
+        #: over this owner's lifetime (always 0 for whole-file owners).
         self.pruned = 0
         try:
             for subdir in subdirs:
@@ -277,7 +276,6 @@ class DurableFiles:
         data: bytes,
         targeted: bool = False,
         exclusive: bool = False,
-        fsync: bool = False,
     ) -> bool | None:
         """:func:`atomic_write` after firing the write site; ``None``
         on a failure, which is contained and counted."""
@@ -287,47 +285,10 @@ class DurableFiles:
                 data = self.injector.mangle(
                     self.write_site, key, data, targeted
                 )
-            return atomic_write(path, data, fsync=fsync, exclusive=exclusive)
+            return atomic_write(path, data, exclusive=exclusive)
         except Exception:
             self.write_errors += 1
             return None
-
-    def prune(
-        self,
-        max_entries: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-    ) -> int:
-        """Bound the directory; returns how many files were removed.
-
-        *max_age* (seconds) removes entries and quarantined evidence
-        past the horizon; *max_entries* then removes the oldest entries
-        beyond the count (evidence is never entry-bounded).  A file that
-        vanishes meanwhile is skipped; subdirectories are left alone.
-        """
-        removed = 0
-        if self.disabled or (max_entries is None and max_age is None):
-            return removed
-        if now is None:
-            now = time.time()
-        entries: list[tuple[float, Path]] = []
-        for path in list(self.directory.glob(f"*{self.suffix}")) + list(
-            self.directory.glob("*.corrupt")
-        ):
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            if max_age is not None and now - mtime > max_age:
-                removed += self._remove(path)
-            elif path.suffix == self.suffix:
-                entries.append((mtime, path))
-        if max_entries is not None and len(entries) > max_entries:
-            entries.sort()
-            for _mtime, path in entries[: len(entries) - max_entries]:
-                removed += self._remove(path)
-        self.pruned += removed
-        return removed
 
     def _remove(self, path: Path) -> int:
         try:
@@ -404,7 +365,8 @@ class RecordLog(DurableFiles):
     - **one segment per writer** — a process's first append creates
       ``seg<LOG_SCHEMA>-<pid>-<nonce>.log`` and holds an ``flock`` on it
       until it exits; each append is one ``O_APPEND`` write of whole
-      records, with no temp file, rename or fsync;
+      records, with no temp file or rename, and no fsync unless the
+      owner sets :attr:`fsync`;
     - **read once** — the first access reads every segment into
       :attr:`records` (the last record of a key wins); later appends
       by peers are not seen by this reader;
@@ -415,14 +377,25 @@ class RecordLog(DurableFiles):
       taken) is folded into the reader's own segment when it is
       damaged or more than :data:`FOLD_SEGMENTS` such segments exist:
       its intact records are re-appended, a segment holding corrupt
-      records is quarantined as evidence, any other is deleted.
+      records is quarantined as evidence, any other is deleted;
+    - **compaction** — :meth:`compact` folds this writer's segment and
+      every dead one into a fresh segment, keeping only the records
+      the owner's rule keeps: the cache's :meth:`prune` bounds
+      :attr:`bounded` by age and count, the journal keeps its pending
+      jobs.
 
-    Subclasses name the chaos sites and :attr:`bounded`, the namespace
-    :meth:`prune` bounds.
+    Subclasses name the chaos sites, :attr:`bounded` and the
+    :attr:`earlier_layout` their directory may still hold.
     """
 
     suffix = ".log"
     bounded = ""
+    #: Whether each append reaches the disk before it returns.
+    fsync = False
+    #: ``fnmatch`` patterns of the names an earlier layout of the owner
+    #: left in its directory: the first scan lists them in
+    #: :attr:`earlier`, and never reads them.
+    earlier_layout: tuple[str, ...] = ()
 
     def __init__(self, directory: str | Path, injector=None):
         super().__init__(directory, injector)
@@ -440,6 +413,9 @@ class RecordLog(DurableFiles):
         #: file name, opened by the first append.
         self._handle = None
         self._segment = ""
+        #: Entries matching :attr:`earlier_layout`, found by the first
+        #: scan.
+        self.earlier: list[Path] = []
 
     def stats(self) -> dict[str, int]:
         return {**super().stats(), "torn": self.torn}
@@ -457,26 +433,34 @@ class RecordLog(DurableFiles):
             if self.records is None:
                 self.records = {}
                 if not self.disabled:
-                    dead = self._scan(count=True)
+                    dead = self._scan(first=True)
                     damaged = any(d.corrupt or d.torn for d in dead)
                     self._fold(
                         dead, fold=damaged or len(dead) > FOLD_SEGMENTS
                     )
         return self.records
 
-    def _scan(self, count: bool) -> list[_Dead]:
-        """Read every segment but this writer's own into
-        :attr:`records` and return those whose writer is gone, locked.
-        *count* adds their damage to this reader's counters."""
+    def _scan(self, first: bool) -> list[_Dead]:
+        """Read every segment but this writer's own and return those
+        whose writer is gone, locked.  The *first* scan reads their
+        records into :attr:`records`, adds their damage to this
+        reader's counters and lists the :attr:`earlier_layout`
+        entries."""
         own = self._segment if self._handle is not None else None
+        paths = []
         try:
-            paths = [
-                (entry.stat().st_mtime, entry.path)
-                for entry in os.scandir(self.directory)
-                if entry.name.startswith(f"seg{LOG_SCHEMA}-")
-                and entry.name.endswith(self.suffix)
-                and entry.name != own
-            ]
+            for entry in os.scandir(self.directory):
+                name = entry.name
+                if name.startswith(f"seg{LOG_SCHEMA}-") and name.endswith(
+                    self.suffix
+                ):
+                    if name != own:
+                        paths.append((entry.stat().st_mtime, entry.path))
+                elif first and any(
+                    fnmatch.fnmatch(name, pattern)
+                    for pattern in self.earlier_layout
+                ):
+                    self.earlier.append(Path(entry.path))
         except OSError:
             return []
         dead = []
@@ -498,12 +482,12 @@ class RecordLog(DurableFiles):
                     os.close(fd)
                 continue
             records, corrupt, torn = parse_segment(data)
-            if count:
+            if first:
                 self.corrupt += len(corrupt)
                 self.torn += torn
                 self._damaged.update(corrupt)
-            for _stamp, space, key, value, _line in records:
-                self.records.setdefault(space, {})[key] = value
+                for _stamp, space, key, value, _line in records:
+                    self.records.setdefault(space, {})[key] = value
             if fd is not None:
                 dead.append(_Dead(path, fd, records, corrupt, torn))
         return dead
@@ -525,14 +509,15 @@ class RecordLog(DurableFiles):
             return None
         return fd
 
-    def _fold(self, dead: list[_Dead], fold: bool, keep=None) -> bool:
+    def _fold(self, dead: list[_Dead], fold: bool, keep=None) -> set | None:
         """Re-append the intact records of *dead* (only those *keep*
-        passes, when given) to this writer's segment, then remove the
-        segments; returns whether they were folded.  Releases their
-        locks either way."""
+        returns, when given) to this writer's segment, then remove the
+        segments.  Returns the ``(namespace, key)`` of the records left
+        out, or ``None`` when nothing was folded.  Releases their locks
+        either way."""
         try:
-            if not (dead and fold):
-                return False
+            if not fold:
+                return None
             live: dict[tuple[str, str], tuple] = {}
             for segment in dead:
                 for record in segment.records:
@@ -546,10 +531,10 @@ class RecordLog(DurableFiles):
                     self.quarantine(segment.path)
                 else:
                     self._remove(segment.path)
-            return True
+            return live.keys() - {record[1:3] for record in kept}
         except OSError:
             self.write_errors += 1
-            return False
+            return None
         finally:
             for segment in dead:
                 os.close(segment.fd)
@@ -644,27 +629,45 @@ class RecordLog(DurableFiles):
                 self._handle = open(fd, "ab", buffering=0)
                 self._segment = name
             if self._handle.write(data) != len(data):
-                self.close()
+                RecordLog.close(self)
                 raise OSError("short write to a log segment")
+            if self.fsync:
+                os.fsync(self._handle.fileno())
 
     # -- maintenance -------------------------------------------------------
+    def compact(self, keep) -> int | None:
+        """Fold this writer's segment and every segment whose writer is
+        gone into a fresh one holding only the records ``keep(live)``
+        returns, where *live* maps each ``(namespace, key)`` to its
+        newest ``(stamp, space, key, value, line)``.  Live peers'
+        segments are left alone.  Returns how many records were
+        dropped, or ``None`` when the fold failed (counted in
+        :attr:`write_errors`)."""
+        with self._lock:
+            first = self.records is None
+            if first:
+                self.records = {}
+            # This writer's segment only: an owner's close() may do more.
+            RecordLog.close(self)
+            dropped = self._fold(self._scan(first), True, keep)
+            for space, key in dropped or ():
+                self.records.get(space, {}).pop(key, None)
+        return None if dropped is None else len(dropped)
+
     def prune(
         self,
         max_entries: int | None = None,
         max_age: float | None = None,
         now: float | None = None,
     ) -> int:
-        """Compact the log: fold this writer's segment and every segment
-        whose writer is gone into a fresh one, keeping of
-        :attr:`bounded` only the records younger than *max_age* seconds
-        and, of those, the newest *max_entries*.  Quarantined evidence
-        past *max_age* is removed too.  Returns the records dropped plus
-        evidence files removed; live peers' segments are left alone."""
+        """:meth:`compact`, keeping of :attr:`bounded` only the records
+        younger than *max_age* seconds and, of those, the newest
+        *max_entries*.  Quarantined evidence past *max_age* is removed
+        too.  Returns the records dropped plus evidence files removed."""
         if self.disabled or (max_entries is None and max_age is None):
             return 0
         if now is None:
             now = time.time()
-        dropped: list[str] = []
 
         def keep(live):
             bounded = [r for r in live.values() if r[1] == self.bounded]
@@ -676,20 +679,12 @@ class RecordLog(DurableFiles):
                 young.sort(key=lambda r: r[0])
                 young = young[max(0, len(young) - max_entries):]
             survivors = {r[2] for r in young}
-            dropped.extend(r[2] for r in bounded if r[2] not in survivors)
             return [
                 r for r in live.values()
                 if r[1] != self.bounded or r[2] in survivors
             ]
 
-        records = self._load()
-        with self._lock:
-            self.close()
-            if not self._fold(self._scan(count=False), True, keep):
-                dropped.clear()
-        for key in dropped:
-            records.get(self.bounded, {}).pop(key, None)
-        removed = len(dropped)
+        removed = self.compact(keep) or 0
         if max_age is not None:
             for path in self.directory.glob("*.corrupt"):
                 try:

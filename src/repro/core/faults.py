@@ -40,9 +40,9 @@ site               fired from
                    ``{job id}``
 ``pool-lease``     :meth:`WarmSessionPool.lease` (checkout), key
                    ``{target}/{derivative}``
-``journal-write``  :meth:`JobJournal.append` (durable accept/settle
-                   records), key ``{job id}``; compaction rewrites, key
-                   = new segment file name (targeted)
+``journal-write``  :meth:`JobJournal.accept` / :meth:`JobJournal.settle`
+                   (one durable record each), key ``{job id}``;
+                   compaction fires no site
 ``store-read``     :meth:`ArtifactStore.load_decode_cache` /
                    :meth:`WorkList.fetch` (shared-store reads), key =
                    snapshot name / cell key; a fleet's re-check after
@@ -65,12 +65,11 @@ Actions
 degrades to ``raise`` so a mis-targeted spec cannot take the scheduler
 down); ``corrupt`` mangles
 payload bytes at the payload sites (cache read/write, store
-read/write) through :meth:`FaultInjector.mangle`.
+read/write, journal write) through :meth:`FaultInjector.mangle`.
 
-*Targeted* occurrences (the build index's reads and writes, journal
-compactions, a fleet's post-claim fetch) only answer specs whose
-``match`` names them: auxiliary
-I/O added to a site never shifts the hit windows of existing
+*Targeted* occurrences (the build index's reads and writes, a fleet's
+post-claim fetch) only answer specs whose ``match`` names them:
+auxiliary I/O added to a site never shifts the hit windows of existing
 untargeted plans.
 """
 

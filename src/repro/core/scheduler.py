@@ -272,6 +272,9 @@ class ResultCache(RecordLog):
     read_site = SITE_CACHE_READ
     write_site = SITE_CACHE_WRITE
     bounded = _VERDICTS
+    #: The per-key layout this log replaced: one sealed verdict per
+    #: ``<key>.json`` and the build indexes under ``index/``.
+    earlier_layout = ("[0-9a-f]" * 64 + ".json", "index")
 
     def __init__(self, directory: str | Path, injector: FaultInjector | None = None):
         super().__init__(directory, injector)
@@ -320,6 +323,25 @@ class ResultCache(RecordLog):
         result.payload_text = text
         self.hits += 1
         return result
+
+    def append(self, space, values, fault_key, targeted=False) -> bool:
+        """:meth:`RecordLog.append`; the first append written also
+        removes the :attr:`earlier_layout` files the scan found (never
+        evidence, never a segment)."""
+        if not super().append(space, values, fault_key, targeted):
+            return False
+        earlier, self.earlier = self.earlier, []
+        for path in earlier:
+            if path.name != "index":
+                self._remove(path)
+                continue
+            for entry in path.glob("*.json"):
+                self._remove(entry)
+            try:
+                path.rmdir()
+            except OSError:  # holds evidence, or is not a directory
+                pass
+        return True
 
     def put(self, key: str, result: RunResult) -> bool:
         if self.disabled:

@@ -14,10 +14,11 @@ headline property is robustness:
   keyed by target, derivative and engine flags, with lease/return
   checkout, health-checked recycling of wedged or poisoned sessions and
   bounded LRU eviction;
-- :mod:`repro.service.journal` — a crash-safe append-only write-ahead
-  journal of accepted jobs (checksummed records, atomic segment
-  compaction) replayed on restart, so an accepted job is never
-  silently lost;
+- :mod:`repro.service.journal` — a crash-safe write-ahead journal of
+  accepted jobs, kept in the result cache's append-only record log
+  (checksummed records, torn tails dropped, compaction to the pending
+  jobs) and replayed on restart, so an accepted job is never silently
+  lost;
 - :mod:`repro.service.daemon` — the stdlib-asyncio HTTP/JSON daemon:
   bounded admission with explicit load-shedding (503 + ``Retry-After``)
   instead of unbounded buffering, per-request deadlines that reclaim

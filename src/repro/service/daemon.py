@@ -162,6 +162,19 @@ def _report_summary(report) -> dict:
     }
 
 
+def _first_job_number(journal: JobJournal | None) -> int:
+    """1, or one past the highest job number *journal* holds pending: a
+    replayed job settles under its original id, so a new job sharing
+    that id would be settled, and forgotten, with it."""
+    numbers = [0]
+    pending = journal.pending_jobs() if journal is not None else ()
+    for job_id, _data in pending:
+        suffix = job_id.rpartition("-")[2]
+        if suffix.isdigit():
+            numbers.append(int(suffix))
+    return max(numbers) + 1
+
+
 class RegressionService:
     """Admission, execution and durability core of the daemon."""
 
@@ -219,7 +232,7 @@ class RegressionService:
         self._probe_derivative = lookup_derivative(probe_derivative)
         self._clock = clock
         self._slots = asyncio.Semaphore(self.max_active)
-        self._seq = itertools.count(1)
+        self._seq = itertools.count(_first_job_number(journal))
         #: Warm module environments keyed by name; validated against
         #: the on-disk source fingerprint on every resolve, so the
         #: daemon reuses assembled/linked build artifacts across

@@ -22,10 +22,9 @@ state so the *next* process skips the derivation:
   another model digest is never unpickled; when packs fold (more than
   :data:`FOLD_PACKS` of them) it is deleted with them, as are the
   per-key ``decode-*``/``decode2-*`` files of earlier layouts;
-- **atomic, contained, bounded** — the rules of
-  :mod:`repro.core.durable`: fleet workers sharing a store never see a
-  torn file, a broken store degrades the run to cold starts and
-  never fails it, and :meth:`ArtifactStore.prune` bounds the directory.
+- **atomic, contained** — the rules of :mod:`repro.core.durable`:
+  fleet workers sharing a store never see a torn file, and a broken
+  store degrades the run to cold starts and never fails it.
 
 The opcode executor table (``code-*``) and the assembled objects below
 the test cells (``objects-*``, one file per run) share those rules.

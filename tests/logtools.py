@@ -1,14 +1,16 @@
 """Helpers for tests that inspect or damage a record log's segments
-(:class:`repro.core.durable.RecordLog`, the result cache's layout)."""
+(:class:`repro.core.durable.RecordLog`, the layout of the result cache
+and of the job journal)."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-#: Marks the namespace field of a verdict record and of a build-index
-#: record inside a segment.
+#: Marks the namespace field of a verdict record, of a build-index
+#: record and of a journal's job record inside a segment.
 VERDICT = b"\tverdict\t"
 INDEX = b"\tindex/"
+JOB = b"\tjob\t"
 
 
 def segments(directory) -> list[Path]:

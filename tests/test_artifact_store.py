@@ -392,7 +392,6 @@ class TestDegradation:
         assert report.total_runs == len(report.results)
         assert store.saved == 0
         assert store.load_decode_cache(("k", 0, 1, 0)) is None
-        assert store.prune(max_entries=0) == 0
 
     def test_fleet_flag_without_store_dir_is_an_error(self, capsys):
         from repro import cli
@@ -400,47 +399,6 @@ class TestDegradation:
         code = cli.main(["regress", "/nonexistent", "--fleet"])
         assert code == 2
         assert "--fleet requires --store-dir" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------------
-# pruning
-# --------------------------------------------------------------------------
-
-class TestPrune:
-    def fill(self, store: ArtifactStore, tmp_path, count: int) -> int:
-        base = 1_000_000_000
-        for index in range(count):
-            path = tmp_path / f"decode-{index:064d}.art"
-            path.write_bytes(b"{}\nx")
-            stamp = base + index * 100
-            os.utime(path, (stamp, stamp))
-        return base
-
-    def test_max_entries_keeps_newest(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        self.fill(store, tmp_path, 5)
-        assert store.prune(max_entries=2) == 3
-        survivors = sorted(p.stem for p in tmp_path.glob("*.art"))
-        assert survivors == [f"decode-{3:064d}", f"decode-{4:064d}"]
-        assert store.pruned == 3
-
-    def test_max_age_reaps_artifacts_and_evidence(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        base = self.fill(store, tmp_path, 2)
-        evidence = tmp_path / "decode-dead.0000.corrupt"
-        evidence.write_bytes(b"rot")
-        os.utime(evidence, (base, base))
-        # Entry bounds never touch evidence...
-        assert store.prune(max_entries=100) == 0
-        assert evidence.exists()
-        # ...but the age horizon reaps it with the stale artifact.
-        assert store.prune(max_age=150, now=base + 200) == 2
-        assert not evidence.exists()
-
-    def test_noop_without_bounds(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        self.fill(store, tmp_path, 2)
-        assert store.prune() == 0
 
 
 # --------------------------------------------------------------------------

@@ -361,7 +361,8 @@ def test_cold_regress_appends_instead_of_creating_files(tmp_path):
 def test_earlier_layout_cache_reads_as_misses(tmp_path):
     """A cache directory of the per-key file layout (one sealed JSON
     file per verdict, ``index/*.json``): every verdict is a miss,
-    nothing is corrupt, and its files are left as they were."""
+    nothing is corrupt, and the first append removes those files —
+    never evidence — so one run leaves only segments."""
     suite = {"NVM": make_nvm_environment(2)}
     writer = ResultCache(tmp_path / "log")
     cold = RegressionScheduler(cache=writer).run_system(suite, SC88A)
@@ -376,13 +377,16 @@ def test_earlier_layout_cache_reads_as_misses(tmp_path):
     (old / "index" / "NVM.sc88a.json").write_bytes(seal(
         CACHE_SCHEMA, json.dumps({"schema": 1, "positions": positions})
     ))
-    files = {path: path.read_bytes() for path in old.rglob("*.json")}
+    evidence = old / "0123.4567.corrupt"
+    evidence.write_bytes(b"rot")
+    assert len(list(old.rglob("*.json"))) == cold.total_runs + 1
     cache = ResultCache(old)
     report = RegressionScheduler(cache=cache).run_system(suite, SC88A)
     assert report.executed_runs == cold.total_runs
     assert (cache.hits, cache.misses) == (0, cold.total_runs)
     assert (cache.corrupt, cache.quarantined, cache.torn) == (0, 0, 0)
-    assert {path: path.read_bytes() for path in files} == files
+    assert sorted(old.iterdir()) == sorted(segments(old) + [evidence])
+    assert evidence.read_bytes() == b"rot"
 
 
 def test_fleet_peers_append_to_their_own_segments(tmp_path):

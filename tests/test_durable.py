@@ -1,10 +1,9 @@
 """The durable-file contract (:mod:`repro.core.durable`), once per owner.
 
-Three objects keep regression state in whole files: the artifact
-store, the fleet work-list's published results and the serving
-daemon's job journal (whose atomic write is compaction).  They share
-one envelope, one atomic write, one quarantine and one containment
-policy, so the same checks run against each of them:
+Two objects keep regression state in whole files: the artifact store
+and the fleet work-list's published results.  They share one envelope,
+one atomic write, one quarantine and one containment policy, so the
+same checks run against each of them:
 
 - an injected write fault (raise, mangle, or a failed rename) leaves
   no temp file behind;
@@ -12,9 +11,12 @@ policy, so the same checks run against each of them:
 - a quarantine that loses the race to a peer leaves no empty decoy;
 - a file that a peer removes mid-read is a miss, not corruption.
 
-The result cache appends records to a log instead
-(:class:`~repro.core.durable.RecordLog`); :class:`TestRecordLog` holds
-it to the same contract in the log's terms.
+The result cache and the serving daemon's job journal append records
+to a log instead (:class:`~repro.core.durable.RecordLog`);
+:class:`TestRecordLog` holds both to the same contract in the log's
+terms: a failed or mangled append, a torn tail at every byte offset, a
+corrupt record kept as evidence, a segment vanishing mid-read, and
+live writers' segments never folded.
 
 The golden-bytes tests pin the on-disk formats, so every owner keeps
 writing the same bytes.
@@ -29,7 +31,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from logtools import VERDICT, record_spans, rot_record, segments
+from logtools import JOB, VERDICT, record_spans, rot_record, segments
 from repro import cli
 from repro.core import durable
 from repro.core.durable import (
@@ -127,48 +129,9 @@ class WorkListOwner(FileOwner):
         return self.owner.fetch(f"cell{n}")
 
 
-class JournalOwner:
-    """The journal's durable-file write is compaction; its read is the
-    replay a restarted journal performs.  One record per segment makes
-    every accept compact."""
-
-    # Compactions are targeted occurrences of the journal-write site.
-    write_match = "journal-"
-
-    def __init__(self, directory: Path, injector=None):
-        self.directory = directory
-        self.owner = self._open(injector)
-        self.corrupt = self.quarantined = 0
-
-    def _open(self, injector=None) -> JobJournal:
-        return JobJournal(
-            self.directory, injector, segment_records=1, fsync=False
-        )
-
-    def write(self, n: int) -> None:
-        self.owner.accept(f"job-{n}", {"n": n})
-
-    def entry(self, n: int) -> Path:
-        return max(self.directory.glob("journal-*.ndjson"))
-
-    def read(self, n: int):
-        self.owner.close()
-        self.owner = self._open()
-        self.corrupt += self.owner.corrupt
-        self.quarantined += self.owner.quarantined
-        return dict(self.owner.pending_jobs()).get(f"job-{n}")
-
-    def counts(self) -> tuple[int, int]:
-        return self.corrupt, self.quarantined
-
-    def close(self) -> None:
-        self.owner.close()
-
-
 OWNERS = {
     "artifact-store": StoreOwner,
     "worklist": WorkListOwner,
-    "journal": JournalOwner,
 }
 
 
@@ -261,11 +224,9 @@ class TestContract:
         assert evidence(tmp_path) == []
 
 
-@pytest.mark.parametrize("owner_name", ["artifact-store", "worklist"])
-def test_file_vanishing_mid_read_is_a_miss(tmp_path, monkeypatch, owner_name):
-    """A peer's quarantine or prune may remove a file between the
-    existence check and the read: that is a miss, not corruption."""
-    owner = OWNERS[owner_name](tmp_path)
+def test_file_vanishing_mid_read_is_a_miss(tmp_path, monkeypatch, owner):
+    """A peer's quarantine may remove a file between the existence
+    check and the read: that is a miss, not corruption."""
     owner.write(0)
     target = owner.entry(0)
     real_read = Path.read_bytes
@@ -282,65 +243,116 @@ def test_file_vanishing_mid_read_is_a_miss(tmp_path, monkeypatch, owner_name):
 
 
 # --------------------------------------------------------------------------
-# the record log: the result cache's contract in a log's terms
+# the record log: the contract in a log's terms, once per log owner
 # --------------------------------------------------------------------------
 
-def cache_plan(action: str) -> FaultInjector:
+class CacheLog:
+    """The result cache: a write is a put, a read a get."""
+
+    kind = ResultCache
+    needle = VERDICT
+    #: Misses a read of an absent value counts.
+    miss = 1
+
+    def __init__(self, directory: Path, injector=None):
+        self.owner = ResultCache(directory, injector)
+
+    def write(self, n: int) -> bool:
+        return self.owner.put(f"key{n}", make_result(n))
+
+    @staticmethod
+    def read(reader: ResultCache, n: int):
+        result = reader.get(f"key{n}")
+        return None if result is None else result.cycles
+
+
+class JournalLog:
+    """The job journal: a write is an accept, a read the replay a
+    restarted journal performs."""
+
+    kind = JobJournal
+    needle = JOB
+    miss = 0
+
+    def __init__(self, directory: Path, injector=None):
+        self.owner = JobJournal(directory, injector)
+
+    def write(self, n: int) -> bool:
+        try:
+            self.owner.accept(f"job-{n}", {"n": n})
+        except JournalError:
+            return False
+        return True
+
+    @staticmethod
+    def read(reader: JobJournal, n: int):
+        return dict(reader.pending_jobs()).get(f"job-{n}", {}).get("n")
+
+
+LOGS = {"result-cache": CacheLog, "journal": JournalLog}
+
+
+@pytest.fixture(params=sorted(LOGS))
+def log(request):
+    return LOGS[request.param]
+
+
+def write_plan(log, action: str) -> FaultInjector:
     return FaultInjector(FaultPlan(seed=3, specs=[
-        FaultSpec(site=ResultCache.write_site, action=action),
+        FaultSpec(site=log.kind.write_site, action=action),
     ]))
 
 
-def put_three(directory: Path) -> list[str]:
-    """Three verdicts from one writer, which then exits; their keys."""
-    writer = ResultCache(directory)
-    keys = [f"key{n}" for n in range(3)]
-    for n, key in enumerate(keys):
-        assert writer.put(key, make_result(n))
-    writer.close()
-    return keys
+def write_three(log, directory: Path) -> None:
+    """Three values from one writer, which then exits."""
+    writer = log(directory)
+    for n in range(3):
+        assert writer.write(n)
+    writer.owner.close()
 
 
 class TestRecordLog:
-    def test_injected_write_raise_appends_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path, cache_plan("raise"))
-        assert cache.put("key0", make_result()) is False
-        assert cache.write_errors == 1
+    def test_injected_write_raise_appends_nothing(self, tmp_path, log):
+        writer = log(tmp_path, write_plan(log, "raise"))
+        assert writer.write(0) is False
+        assert writer.owner.write_errors == 1
         assert segments(tmp_path) == []
         assert temp_files(tmp_path) == []
 
-    def test_injected_mangle_is_caught_by_the_next_reader(self, tmp_path):
-        cache = ResultCache(tmp_path, cache_plan("corrupt"))
-        assert cache.put("key0", make_result())
-        assert cache.injector.fired
-        cache.close()
-        reader = ResultCache(tmp_path)
-        assert reader.get("key0") is None
+    def test_injected_mangle_is_caught_by_the_next_reader(
+        self, tmp_path, log
+    ):
+        writer = log(tmp_path, write_plan(log, "corrupt"))
+        assert writer.write(0)
+        assert writer.owner.injector.fired
+        writer.owner.close()
+        reader = log.kind(tmp_path)
+        assert log.read(reader, 0) is None
         # (The flipped bytes may fall in the key, which then reads as
         # a miss too: the record cannot say whose it was.)
-        assert (reader.corrupt, reader.torn, reader.hits) == (1, 0, 0)
+        assert (reader.corrupt, reader.torn) == (1, 0)
         assert temp_files(tmp_path) == []
 
     def test_failed_append_is_counted_and_contained(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, log
     ):
         def full(*_args):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(durable.os, "open", full)
-        cache = ResultCache(tmp_path)
-        assert cache.put("key0", make_result()) is False
-        assert cache.write_errors == 1
+        writer = log(tmp_path)
+        assert writer.write(0) is False
+        assert writer.owner.write_errors == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_torn_tail_at_every_offset_is_dropped_and_counted(
-        self, tmp_path
+        self, tmp_path, log
     ):
         """A writer killed inside its last record: whatever prefix of
-        it reached the disk, every complete record still hits and the
-        torn one is dropped and counted — never a hit, never corrupt,
-        never quarantined."""
-        first, second, last = put_three(tmp_path / "whole")
+        it reached the disk, every complete record still reads and the
+        torn one is dropped and counted — never read (for the journal:
+        never pending), never corrupt, never quarantined."""
+        write_three(log, tmp_path / "whole")
         (segment,) = segments(tmp_path / "whole")
         data = segment.read_bytes()
         start, end = record_spans(segment)[-1]
@@ -348,52 +360,53 @@ class TestRecordLog:
             directory = tmp_path / f"cut{cut}"
             directory.mkdir()
             (directory / segment.name).write_bytes(data[:cut])
-            reader = ResultCache(directory)
-            assert reader.get(first).cycles == 0
-            assert reader.get(second).cycles == 1
-            assert reader.get(last) is None
-            assert (reader.torn, reader.corrupt, reader.misses) == (1, 0, 1)
+            reader = log.kind(directory)
+            assert log.read(reader, 0) == 0
+            assert log.read(reader, 1) == 1
+            assert log.read(reader, 2) is None
+            assert (reader.torn, reader.corrupt) == (1, 0)
+            assert reader.misses == log.miss
             assert reader.quarantined == 0
             assert evidence(directory) == []
         # The reader folded the dead, torn segment: the next one reads
         # the complete records and nothing torn.
-        healed = ResultCache(directory)
-        assert healed.get(second) is not None
+        healed = log.kind(directory)
+        assert log.read(healed, 1) == 1
         assert (healed.torn, healed.corrupt) == (0, 0)
 
     def test_corrupt_record_is_quarantined_once_its_writer_is_gone(
-        self, tmp_path
+        self, tmp_path, log
     ):
-        writer = ResultCache(tmp_path)
+        writer = log(tmp_path)
         for n in range(3):
-            writer.put(f"key{n}", make_result(n))
-        segment = rot_record(tmp_path, VERDICT, nth=1)
+            writer.write(n)
+        segment = rot_record(tmp_path, log.needle, nth=1)
         # Writer alive: counted, never served, left where it is.
-        reader = ResultCache(tmp_path)
-        assert reader.get("key1") is None
-        assert reader.get("key0") is not None
+        reader = log.kind(tmp_path)
+        assert log.read(reader, 1) is None
+        assert log.read(reader, 0) == 0
         assert (reader.corrupt, reader.quarantined, reader.misses) == (1, 0, 0)
         assert segment.exists()
-        writer.close()
+        writer.owner.close()
         # Writer gone: the segment becomes evidence, its intact records
         # move to the reader's own segment.
-        folder = ResultCache(tmp_path)
-        assert folder.get("key2") is not None
+        folder = log.kind(tmp_path)
+        assert log.read(folder, 2) == 2
         assert (folder.corrupt, folder.quarantined) == (1, 1)
         (aside,) = evidence(tmp_path)
         assert aside.name.startswith(f"{segment.stem}.")
         folder.close()
-        healed = ResultCache(tmp_path)
-        assert healed.get("key0") is not None
-        assert healed.get("key2") is not None
-        assert healed.get("key1") is None
-        assert (healed.corrupt, healed.misses) == (0, 1)
+        healed = log.kind(tmp_path)
+        assert log.read(healed, 0) == 0
+        assert log.read(healed, 2) == 2
+        assert log.read(healed, 1) is None
+        assert (healed.corrupt, healed.misses) == (0, log.miss)
 
     def test_segment_vanishing_mid_read_is_a_miss(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, log
     ):
-        writer = ResultCache(tmp_path)
-        writer.put("key0", make_result())
+        writer = log(tmp_path)
+        writer.write(0)
         (target,) = segments(tmp_path)
         real_read = Path.read_bytes
 
@@ -403,26 +416,28 @@ class TestRecordLog:
             return real_read(path)
 
         monkeypatch.setattr(Path, "read_bytes", vanish)
-        reader = ResultCache(tmp_path)
-        assert reader.get("key0") is None
-        assert (reader.corrupt, reader.quarantined, reader.misses) == (0, 0, 1)
-        writer.close()
+        reader = log.kind(tmp_path)
+        assert log.read(reader, 0) is None
+        assert (reader.corrupt, reader.quarantined) == (0, 0)
+        assert reader.misses == log.miss
+        writer.owner.close()
 
-    def test_live_segments_are_never_folded(self, tmp_path):
-        """More dead segments than the fold bound fold into the
-        reader's own; a live writer's segment is left alone."""
-        live = ResultCache(tmp_path)
-        live.put("live", make_result())
+    def test_live_segments_are_never_folded(self, tmp_path, log):
+        """Dead segments fold into the reader's own (the cache's once
+        more than the fold bound exist, the journal's at every boot);
+        a live writer's segment is left alone."""
+        live = log(tmp_path)
+        live.write(99)
         for n in range(durable.FOLD_SEGMENTS + 1):
-            writer = ResultCache(tmp_path)
-            writer.put(f"key{n}", make_result(n))
-            writer.close()
-        reader = ResultCache(tmp_path)
-        assert reader.get("key0") is not None
+            writer = log(tmp_path)
+            writer.write(n)
+            writer.owner.close()
+        reader = log.kind(tmp_path)
+        assert log.read(reader, 0) == 0
         assert len(segments(tmp_path)) == 2
         reader.close()
-        assert ResultCache(tmp_path).get("live") is not None
-        live.close()
+        assert log.read(log.kind(tmp_path), 99) == 99
+        live.owner.close()
 
 
 # --------------------------------------------------------------------------
@@ -512,10 +527,9 @@ GOLDEN_RESULT = (
 )
 
 GOLDEN_JOURNAL = (
-    b'{"schema": 1, "checksum": "1890fe443b79514578f153c74e1168b7e4f5b7cf95'
-    b'4bdfe515fee8b87416dc9f", "payload": "{\\"data\\": {\\"name\\": \\"pac'
-    b'k\\"}, \\"job\\": \\"job-000001\\", \\"kind\\": \\"accepted\\", \\"se'
-    b'q\\": 1}"}\n'
+    b"f6d7d8dbb3e9cb6aa24878a559c3df18f52cc83bd15f04ce22c762277ca1e88c\t"
+    b'1000000000\tjob\tjob-000001\t{"data": {"name": "pack"}, "kind": "acc'
+    b'epted"}\n'
 )
 
 
@@ -549,10 +563,11 @@ class TestGoldenBytes:
         assert worklist.publish("c" * 64, {"status": "pass", "cycles": 7})
         published = tmp_path / "wl" / "results" / ("c" * 64 + ".json")
         assert published.read_bytes() == GOLDEN_RESULT
-        journal = JobJournal(tmp_path / "journal", fsync=False)
+        journal = JobJournal(tmp_path / "journal")
+        journal.clock = lambda: 1_000_000_000
         journal.accept("job-000001", {"name": "pack"})
         journal.close()
-        segment = next((tmp_path / "journal").glob("journal-*.ndjson"))
+        (segment,) = segments(tmp_path / "journal")
         assert segment.read_bytes() == GOLDEN_JOURNAL
 
     @pytest.mark.parametrize(

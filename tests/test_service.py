@@ -6,10 +6,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from logtools import JOB, rot_record, segments
 from repro.core.faults import (
     FaultPlan,
     FaultSpec,
@@ -36,6 +42,20 @@ from repro.service import (
     resolve_pack,
 )
 from repro.soc.derivatives import SC88A
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A daemon's journal killed between accept and settle: three accepts,
+#: one settle, then SIGKILL (argv[1] is the journal directory).
+KILL9_CHILD = """
+import os, signal, sys
+from repro.service import JobJournal
+journal = JobJournal(sys.argv[1])
+for n in (1, 2, 3):
+    journal.accept(f"job-{n:06d}", {"name": f"pack{n}"})
+journal.settle("job-000002", "completed", {})
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -257,26 +277,25 @@ class TestJobJournal:
         journal.accept("job-1", {"name": "a"})
         journal.accept("job-2", {"name": "b"})
         journal.close()
-        segment = next(tmp_path.glob("journal-*.ndjson"))
-        lines = segment.read_bytes().splitlines(keepends=True)
-        # Tear the first record mid-payload (its newline survives).
-        segment.write_bytes(
-            lines[0][: len(lines[0]) // 2] + b"\n" + lines[1]
-        )
+        # Rot the first record in place (its frame survives).
+        segment = rot_record(tmp_path, JOB)
         reborn = JobJournal(tmp_path)
         assert reborn.corrupt_records == 1
         assert [job for job, _ in reborn.pending_jobs()] == ["job-2"]
+        # The segment is kept as evidence, not deleted.
+        assert reborn.quarantined == 1
+        (aside,) = tmp_path.glob("*.corrupt")
+        assert aside.name.startswith(f"{segment.stem}.")
         reborn.close()
 
     def test_compaction_bounds_segments(self, tmp_path):
-        journal = JobJournal(tmp_path, segment_records=4, fsync=False)
+        journal = JobJournal(tmp_path, segment_records=4)
         for index in range(10):
             journal.accept(f"job-{index}", {"name": str(index)})
             journal.settle(f"job-{index}", "completed", {})
         journal.accept("job-last", {"name": "pending"})
         journal.close()
-        segments = sorted(tmp_path.glob("journal-*.ndjson"))
-        assert len(segments) == 1
+        assert len(segments(tmp_path)) == 1
         assert journal.compactions >= 2
         reborn = JobJournal(tmp_path)
         assert [job for job, _ in reborn.pending_jobs()] == ["job-last"]
@@ -305,6 +324,7 @@ class TestJobJournal:
         # The torn accept is an *explicit* loss report, never silence.
         assert reborn.corrupt_records == 1
         assert reborn.pending_jobs() == []
+        assert reborn.quarantined == 1
         reborn.close()
 
     def test_settle_failure_returns_false(self, tmp_path):
@@ -318,7 +338,7 @@ class TestJobJournal:
         # triggered compaction must include that accept in the
         # rewritten segment — compacting before the pending set was
         # updated silently dropped the just-acknowledged job.
-        journal = JobJournal(tmp_path, segment_records=2, fsync=False)
+        journal = JobJournal(tmp_path, segment_records=2)
         journal.accept("job-1", {"name": "a"})
         journal.accept("job-2", {"name": "b"})  # fills → compacts
         assert journal.compactions >= 2  # boot compaction + this one
@@ -334,7 +354,7 @@ class TestJobJournal:
         # Mirror regression: a settle-triggered compaction must not
         # re-persist the settling job as pending (dropping the settle
         # record caused spurious replay of completed jobs).
-        journal = JobJournal(tmp_path, segment_records=2, fsync=False)
+        journal = JobJournal(tmp_path, segment_records=2)
         journal.accept("job-1", {"name": "a"})
         assert journal.settle("job-1", "completed", {})  # fills → compacts
         reborn = JobJournal(tmp_path)
@@ -346,7 +366,7 @@ class TestJobJournal:
         # escape accept()/settle() as a raw exception (the daemon maps
         # JournalError → 503; anything else reads as a 500 while the
         # record is already on disk).
-        journal = JobJournal(tmp_path, segment_records=2, fsync=False)
+        journal = JobJournal(tmp_path, segment_records=2)
 
         def boom():
             raise OSError("disk full")
@@ -359,6 +379,55 @@ class TestJobJournal:
         assert stats["compaction_failures"] == 2
         assert [job for job, _ in journal.pending_jobs()] == ["job-2"]
         journal.close()
+
+    def test_failed_settle_is_not_compacted_back(self, tmp_path):
+        # A job whose settle could not be written finished all the
+        # same: the next compaction drops its accept, as it drops a
+        # settled job's.
+        plan = FaultPlan(specs=[
+            FaultSpec(site=SITE_JOURNAL_WRITE, action="raise", after=1),
+        ])
+        journal = JobJournal(
+            tmp_path, injector=FaultInjector(plan), segment_records=2
+        )
+        journal.accept("job-1", {"name": "a"})
+        assert journal.settle("job-1", "completed", {}) is False
+        assert journal.pending_jobs() == []
+        journal.accept("job-2", {"name": "b"})  # fills → compacts
+        journal.close()
+        reborn = JobJournal(tmp_path)
+        assert [job for job, _ in reborn.pending_jobs()] == ["job-2"]
+        reborn.close()
+
+    def test_sigkill_child_replays_exactly_the_unsettled_jobs(
+        self, tmp_path
+    ):
+        """A real kill -9: a child accepts three jobs, settles one and
+        SIGKILLs itself.  The reopened journal holds exactly the other
+        two, folded into one segment, with nothing corrupt or torn."""
+        child = subprocess.run(
+            [sys.executable, "-c", KILL9_CHILD, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert child.returncode == -signal.SIGKILL
+        reborn = JobJournal(tmp_path)
+        assert reborn.pending_jobs() == [
+            ("job-000001", {"name": "pack1"}),
+            ("job-000003", {"name": "pack3"}),
+        ]
+        assert (reborn.corrupt_records, reborn.torn) == (0, 0)
+        assert len(segments(tmp_path)) == 1
+        assert list(tmp_path.glob("*.corrupt")) == []
+        reborn.close()
+
+    def test_earlier_layout_segments_are_refused_untouched(self, tmp_path):
+        old = tmp_path / "journal-00000003.ndjson"
+        old.write_bytes(b'{"schema": 1}\n')
+        with pytest.raises(JournalError, match="journal-00000003.ndjson"):
+            JobJournal(tmp_path)
+        assert old.read_bytes() == b'{"schema": 1}\n'
+        assert list(tmp_path.iterdir()) == [old]
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -372,6 +373,51 @@ def test_kill9_between_accept_and_settle_replays_zero_loss(
     assert stats["jobs"]["completed"] == 1
     assert stats["journal"]["pending"] == 0
     # Durable: a third incarnation has nothing left to replay.
+    reborn = JobJournal(journal_dir)
+    assert reborn.pending_jobs() == []
+    reborn.close()
+
+
+def test_restarted_daemon_never_reuses_a_replayed_job_id(workspace, tmp_path):
+    """A replayed job settles under its original id.  A job submitted
+    after the restart must get another id: sharing it, the replay's
+    settle would also settle the new job, and a kill -9 before the new
+    job finished would lose an acknowledged job."""
+    journal_dir = tmp_path / "journal"
+    first = JobJournal(journal_dir)
+    first.accept("job-000001", smoke_pack(name="orphan"))
+    # kill -9: the handle is abandoned, never settled, never closed.
+    del first
+    journal = JobJournal(journal_dir)
+    real_settle = journal.settle
+    gate = threading.Lock()
+    on_disk = {}
+
+    def settle(job_id, status, summary):
+        with gate:  # no other settle until the disk is read
+            settled = real_settle(job_id, status, summary)
+            if not on_disk:
+                # The replay's settle: what would a restart replay now?
+                reader = JobJournal(journal_dir)
+                on_disk[job_id] = [job for job, _ in reader.pending_jobs()]
+            return settled
+
+    journal.settle = settle
+
+    async def scenario():
+        service = RegressionService(workspace, journal=journal)
+        assert await service.replay_pending() == 1
+        events = [event async for event in service.submit(smoke_pack())]
+        await service.drain()
+        return events
+
+    events = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+    fresh = events[0]["job"]
+    assert events[-1]["event"] == "done"
+    # The new job was acknowledged and still pending on disk when the
+    # replay settled.
+    assert on_disk == {"job-000001": [fresh]}
+    assert fresh != "job-000001"
     reborn = JobJournal(journal_dir)
     assert reborn.pending_jobs() == []
     reborn.close()
