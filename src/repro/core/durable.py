@@ -11,12 +11,13 @@ this module is the only place they are written:
 - :func:`quarantine_aside` — a file that fails verification is renamed
   to a unique ``*.corrupt`` name: kept as evidence, never re-read;
 - :class:`DurableFiles` — the owners' base: contained, counted reads
-  and writes of whole files (the artifact store, the work-list);
+  and writes of whole files (the fleet work-list);
 - :class:`RecordLog` — an append-only log of checksummed records, one
   segment per writer process (Bitcask's layout, LevelDB's torn-tail
   rule): a value costs one ``O_APPEND`` write, not a file.  The result
-  cache and the job journal are its two owners, and
-  :meth:`~RecordLog.compact` is the one way either shrinks it;
+  cache, the artifact store and the job journal are its three owners,
+  and :meth:`~RecordLog.compact` is the one way any of them shrinks
+  it;
 - :func:`source_digest` — which code produced a value, in its key, so
   another code's value is a miss, never stale or corrupt data.
 
@@ -188,15 +189,14 @@ class DurableFiles:
     """A directory of checksummed files owned by one object.
 
     Subclasses name their chaos sites (:attr:`read_site`,
-    :attr:`write_site`) and entry :attr:`suffix`, and supply their own
-    decode step to :meth:`read_file`.  Construction never raises: a
+    :attr:`write_site`) and supply their own decode step to
+    :meth:`read_file`.  Construction never raises: a
     root that cannot be created sets :attr:`disabled`, and the owner
     makes every operation a no-op — the run degrades, it does not fail.
     """
 
     read_site = ""
     write_site = ""
-    suffix = ".json"
 
     def __init__(self, directory: str | Path, injector=None, subdirs=("",)):
         self.directory = Path(directory)
@@ -316,7 +316,8 @@ def encode_record(space: str, key: str, value: str, stamp: int) -> bytes:
     namespace, key and value, tab-separated — and a newline.  None of
     the fields may hold a tab or a newline (JSON text never does)."""
     body = f"{stamp}\t{space}\t{key}\t{value}".encode()
-    return checksum(body).encode() + b"\t" + body + b"\n"
+    # One join: a pack's value is most of a megabyte.
+    return b"".join((checksum(body).encode(), b"\t", body, b"\n"))
 
 
 def parse_segment(data: bytes) -> tuple[list[tuple], list, int]:
@@ -382,7 +383,10 @@ class RecordLog(DurableFiles):
       every dead one into a fresh segment, keeping only the records
       the owner's rule keeps: the cache's :meth:`prune` bounds
       :attr:`bounded` by age and count, the journal keeps its pending
-      jobs.
+      jobs, and the first append of a process drops the records its
+      owner no longer reads (:meth:`current`);
+    - **earlier layouts** — the first append of a process also removes
+      the entries of :attr:`earlier_layout` its first scan found.
 
     Subclasses name the chaos sites, :attr:`bounded` and the
     :attr:`earlier_layout` their directory may still hold.
@@ -416,6 +420,8 @@ class RecordLog(DurableFiles):
         #: Entries matching :attr:`earlier_layout`, found by the first
         #: scan.
         self.earlier: list[Path] = []
+        #: Whether nothing was appended yet (see :meth:`_tidy`).
+        self._first_append = True
 
     def stats(self) -> dict[str, int]:
         return {**super().stats(), "torn": self.torn}
@@ -607,8 +613,46 @@ class RecordLog(DurableFiles):
         except Exception:
             self.write_errors += 1
             return False
-        records.setdefault(space, {}).update(values)
+        with self._lock:
+            records.setdefault(space, {}).update(values)
+            if self._first_append:
+                self._first_append = False
+                self._tidy()
         return True
+
+    def current(self, space: str, key: str) -> bool:
+        """Whether this code still reads the record of *key* in
+        *space*; an owner whose log may hold records of other code says
+        which do not count."""
+        return True
+
+    def _tidy(self) -> None:
+        """After the first append: remove the :attr:`earlier_layout`
+        entries (never evidence, never a segment), and compact the
+        records :meth:`current` rejects away."""
+        earlier, self.earlier = self.earlier, []
+        for path in earlier:
+            if not path.is_dir():
+                self._remove(path)
+                continue
+            for entry in path.glob("*"):
+                if not entry.name.endswith(".corrupt"):
+                    self._remove(entry)
+            try:
+                path.rmdir()
+            except OSError:  # holds evidence
+                pass
+        if any(
+            not self.current(space, key)
+            for space, values in self.records.items()
+            for key in values
+        ):
+            self.compact(
+                lambda live: [
+                    record for record in live.values()
+                    if self.current(record[1], record[2])
+                ]
+            )
 
     def _write(self, data: bytes) -> None:
         """One append to this writer's segment, created and locked on

@@ -311,8 +311,8 @@ class GlobalLayer:
 def stored_objects(keys, build) -> list[ObjectFile]:
     """The objects content-keyed by *keys*: from the installed artifact
     store when it holds every one, else ``build()`` — whose objects are
-    then staged, so the run's end writes them to the store in one
-    artifact (:meth:`~repro.store.artifacts.ArtifactStore.save_objects`)."""
+    then staged, so the run's end appends them to the store in one
+    write (:meth:`~repro.store.artifacts.ArtifactStore.save_objects`)."""
     from repro.isa.decodecache import artifact_store
 
     store = artifact_store()

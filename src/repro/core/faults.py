@@ -43,14 +43,16 @@ site               fired from
 ``journal-write``  :meth:`JobJournal.accept` / :meth:`JobJournal.settle`
                    (one durable record each), key ``{job id}``;
                    compaction fires no site
-``store-read``     :meth:`ArtifactStore.load_decode_cache` /
+``store-read``     :class:`ArtifactStore` lookups that find a record
+                   (:meth:`~ArtifactStore.load_decode_cache`, once per
+                   snapshot; ``load_code``; ``load_object``) /
                    :meth:`WorkList.fetch` (shared-store reads), key =
-                   snapshot name / cell key; a fleet's re-check after
-                   a claim is targeted
-``store-write``    :meth:`ArtifactStore.save_decode_pack`, once per
-                   snapshot in the pack / :meth:`WorkList.publish`
-                   (shared-store writes), key = snapshot name / cell
-                   key
+                   snapshot name / record key / cell key; a fleet's
+                   re-check after a claim is targeted
+``store-write``    :class:`ArtifactStore` appends (one per decode pack,
+                   executor table and batch of objects) /
+                   :meth:`WorkList.publish` (shared-store writes), key
+                   = record key / cell key
 ``lease-renew``    :meth:`WorkList.renew` (heartbeat extension of a
                    held cell lease), key = cell key
 =================  ========================================================

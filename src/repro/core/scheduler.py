@@ -324,25 +324,6 @@ class ResultCache(RecordLog):
         self.hits += 1
         return result
 
-    def append(self, space, values, fault_key, targeted=False) -> bool:
-        """:meth:`RecordLog.append`; the first append written also
-        removes the :attr:`earlier_layout` files the scan found (never
-        evidence, never a segment)."""
-        if not super().append(space, values, fault_key, targeted):
-            return False
-        earlier, self.earlier = self.earlier, []
-        for path in earlier:
-            if path.name != "index":
-                self._remove(path)
-                continue
-            for entry in path.glob("*.json"):
-                self._remove(entry)
-            try:
-                path.rmdir()
-            except OSError:  # holds evidence, or is not a directory
-                pass
-        return True
-
     def put(self, key: str, result: RunResult) -> bool:
         if self.disabled:
             return False
@@ -523,7 +504,7 @@ class RegressionScheduler:
             self._on_outcome = None
             # Persist whatever decode/superblock state this run
             # warmed up, and the objects below the test cell it
-            # assembled (one file for all of them).  One stamp-sized
+            # assembled (one append for all of them).  One stamp-sized
             # check per registered image when an artifact store is
             # installed, a constant-time no-op otherwise.
             from repro.isa.decodecache import artifact_store, persist_registry

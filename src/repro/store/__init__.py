@@ -10,8 +10,9 @@ repo's two proven durability idioms downward and outward:
   :class:`~repro.isa.decodecache.DecodeCache` snapshots (predecode +
   superblock formation), keyed by image digest, region bounds,
   wait-state profile and the model digest of the code that derived
-  them, one pack per persist, checksummed, written and quarantined by
-  the shared rules of :mod:`repro.core.durable`.  A fresh process (or
+  them, one pack per persist, appended to the checksummed record log
+  of :mod:`repro.core.durable` beside the executor table and the
+  assembled objects below the test cells.  A fresh process (or
   a rebooted :class:`ServiceDaemon` pool) warm-starts from disk instead
   of re-paying predecode and formation;
 - :mod:`repro.store.worklist` — a shared-directory work-list for
@@ -26,12 +27,11 @@ Chaos coverage comes from three store-layer injection sites in
 :mod:`repro.core.faults` (``store-read``, ``store-write``,
 ``lease-renew``).  Every store operation is contained: an unavailable
 or corrupt store root degrades the run to local-only execution
-(counted, never fatal), and corrupt artifacts are quarantined aside
-and re-derived from source — never trusted.
+(counted, never fatal), and corrupt artifacts are counted, kept as
+evidence and re-derived from source — never trusted.
 """
 
 from repro.store.artifacts import (
-    STORE_SCHEMA,
     ArtifactStore,
     restore_decode_cache,
     snapshot_decode_cache,
@@ -41,7 +41,6 @@ from repro.store.worklist import Lease, WorkList
 __all__ = [
     "ArtifactStore",
     "Lease",
-    "STORE_SCHEMA",
     "WorkList",
     "restore_decode_cache",
     "snapshot_decode_cache",

@@ -1,16 +1,20 @@
 """Helpers for tests that inspect or damage a record log's segments
-(:class:`repro.core.durable.RecordLog`, the layout of the result cache
-and of the job journal)."""
+(:class:`repro.core.durable.RecordLog`, the layout of the result cache,
+the artifact store and the job journal)."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 #: Marks the namespace field of a verdict record, of a build-index
-#: record and of a journal's job record inside a segment.
+#: record, of a journal's job record and of the store's decode-pack,
+#: executor-table and object records inside a segment.
 VERDICT = b"\tverdict\t"
 INDEX = b"\tindex/"
 JOB = b"\tjob\t"
+DECODES = b"\tdecodes/"
+CODE = b"\tcode\t"
+OBJECTS = b"\tobjects\t"
 
 
 def segments(directory) -> list[Path]:

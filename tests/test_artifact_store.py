@@ -16,7 +16,6 @@ import importlib.util
 import json
 import marshal
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -26,6 +25,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from logtools import CODE, DECODES, OBJECTS, rot_record, segments
 from repro.assembler.assembler import Assembler
 from repro.assembler.errors import LinkError
 from repro.assembler.linker import Linker
@@ -33,12 +33,7 @@ from repro.assembler.objectfile import ObjectFile
 from repro.assembler.preprocessor import InMemoryProvider
 
 from repro.core import environment as environment_module
-from repro.core.durable import (
-    bytecode_tag,
-    checksum,
-    content_key,
-    model_digest,
-)
+from repro.core.durable import FOLD_SEGMENTS, parse_segment
 from repro.core.environment import BASE_FUNCTIONS_FILENAME
 from repro.core.scheduler import (
     RegressionScheduler,
@@ -69,8 +64,23 @@ from repro.store import artifacts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: The kind name (and file prefix) of decode-cache snapshots.
-DECODE = artifacts._KIND_DECODE
+
+def log_records(directory) -> list[tuple]:
+    """The intact ``(stamp, space, key, value, line)`` records of every
+    segment in *directory*."""
+    return [
+        record
+        for path in segments(directory)
+        for record in parse_segment(path.read_bytes())[0]
+    ]
+
+
+def object_keys(directory) -> set[str]:
+    """The content keys of the object records in *directory*'s log."""
+    return {
+        record[2] for record in log_records(directory)
+        if record[1] == "objects"
+    }
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +138,8 @@ class TestRoundtrip:
         warm_and_persist(matrix, store)
         assert store.saved >= 1
         assert store.write_errors == 0
-        assert sorted(tmp_path.glob(f"{DECODE}-*.art"))
+        (segment,) = segments(tmp_path)
+        assert DECODES in segment.read_bytes()
 
     def test_warm_start_is_byte_identical_and_skips_predecode(
         self, tmp_path, matrix
@@ -259,7 +270,8 @@ class TestChainRoundtrip:
         """A snapshot written under another bytecode format names
         another model digest: it is a miss, never corruption.  The cache
         is re-derived and saved in this interpreter's pack, which later
-        processes restore, and the foreign pack is deleted."""
+        processes restore, and that first append compacts the foreign
+        pack away."""
         image, cache, loop = hot_loop()
         rom = SC88A.memory_map().rom
         key = (image.digest(), rom.base, rom.base + rom.size, 0)
@@ -269,7 +281,8 @@ class TestChainRoundtrip:
             writer = ArtifactStore(tmp_path)
             assert writer.save_decode_cache(key, cache)
             assert writer.save_decode_pack() == 1
-        (foreign,) = tmp_path.glob(f"{DECODE}-*.art")
+            foreign = artifacts._decode_space()
+        writer.close()
         reset_registry()
         store = ArtifactStore(tmp_path)
         set_artifact_store(store)
@@ -281,9 +294,10 @@ class TestChainRoundtrip:
         assert (store.hits, store.misses) == (0, 1)
         assert (store.corrupt, store.quarantined) == (0, 0)
         assert decodecache.persist_registry() == 1
-        # Saving folds the store: the other code's pack is gone.
-        assert not foreign.exists()
-        assert store._pack_index()[key].exists()
+        # Saving compacts the log: the other code's pack is gone.
+        spaces = {record[1] for record in log_records(tmp_path)}
+        assert spaces == {artifacts._decode_space()} != {foreign}
+        assert len(segments(tmp_path)) == 1
         rebound = ArtifactStore(tmp_path).load_decode_cache(key)
         assert rebound._blocks[loop].succ_taken is rebound._blocks[loop]
 
@@ -293,86 +307,64 @@ class TestChainRoundtrip:
 # --------------------------------------------------------------------------
 
 class TestCorruption:
-    def corrupt_file(self, path) -> None:
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-
     def test_corrupt_artifact_is_quarantined_and_rederived(
         self, tmp_path, matrix
     ):
         store = ArtifactStore(tmp_path)
         reset_registry()
         cold_report = warm_and_persist(matrix, store)
-        artifacts = sorted(tmp_path.glob(f"{DECODE}-*.art"))
-        for path in artifacts:
-            self.corrupt_file(path)
+        store.close()
+        (segment,) = segments(tmp_path)
+        rot_record(tmp_path, DECODES)
 
         reset_registry()
         fresh = ArtifactStore(tmp_path)
         set_artifact_store(fresh)
         _scheduler, report = run_matrix(matrix)
 
-        # Every corrupt artifact was detected, renamed aside as
-        # evidence, and the state re-derived from source — verdicts
-        # identical to the cold run, nothing trusted.
+        # The rotted pack was detected, its segment renamed aside as
+        # evidence once its writer was gone, and the state re-derived
+        # from source — verdicts identical to the cold run, nothing
+        # trusted.
         assert verdict_bytes(report) == verdict_bytes(cold_report)
-        assert fresh.corrupt == len(artifacts)
-        assert fresh.quarantined == len(artifacts)
-        assert fresh.hits == 0
-        evidence = list(tmp_path.glob("*.corrupt"))
-        assert len(evidence) == len(artifacts)
-        # The re-derived state was re-persisted over the quarantined
-        # originals by the run's finally-persist.
+        assert (fresh.corrupt, fresh.quarantined, fresh.hits) == (1, 1, 0)
+        (evidence,) = tmp_path.glob("*.corrupt")
+        assert evidence.name.startswith(f"{segment.stem}.")
+        # The re-derived state was appended again by the run's
+        # finally-persist.
         assert fresh.saved >= 1
 
     def test_repeated_corruption_preserves_every_evidence_file(
-        self, tmp_path, matrix
+        self, tmp_path
     ):
-        store = ArtifactStore(tmp_path)
-        reset_registry()
-        warm_and_persist(matrix, store)
-        key = next(iter(decodecache._REGISTRY))
-        for _ in range(3):
-            # Re-persist (cold state changed nothing, so force a new
-            # file), corrupt it, then watch the load quarantine it.
-            store._stamps.clear()
-            assert store.save_decode_cache(
-                key, decodecache._REGISTRY[key]
-            )
-            assert store.save_decode_pack() == 1
-            self.corrupt_file(store._pack_index()[key])
-            assert store.load_decode_cache(key) is None
-        assert store.corrupt == 3
-        assert store.quarantined == 3
+        for n in range(3):
+            writer = ArtifactStore(tmp_path)
+            assert writer.save_decode_cache(tiny_key(n), tiny_cache())
+            assert writer.save_decode_pack() == 1
+            writer.close()
+            rot_record(tmp_path, DECODES)
+            reader = ArtifactStore(tmp_path)
+            assert reader.load_decode_cache(tiny_key(n)) is None
+            assert (reader.corrupt, reader.quarantined) == (1, 1)
         assert len(list(tmp_path.glob("*.corrupt"))) == 3
 
-    def test_header_key_mismatch_is_corruption(self, tmp_path, matrix):
+    def test_pack_whose_keys_disagree_with_its_pickle_is_corruption(
+        self, tmp_path
+    ):
+        """An intact record whose pack names more keys than it pickled
+        is counted, and nothing is quarantined: the bytes in the log
+        are what was written."""
         store = ArtifactStore(tmp_path)
-        reset_registry()
-        warm_and_persist(matrix, store)
-        (path,) = tmp_path.glob(f"{DECODE}-*.art")
-        header_line, payload = path.read_bytes().split(b"\n", 1)
-        header = json.loads(header_line)
-        alias = ["0" * 64, 0, 16, 0]
-        # A header naming a key its payload does not hold lies about
-        # the pack's contents: corruption by definition.
-        header["keys"].append(alias)
-        path.write_bytes(
-            json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+        state = [artifacts._snapshot(tiny_cache())]
+        header = json.dumps(
+            {"keys": [list(tiny_key(0)), list(tiny_key(1))]},
+            separators=(",", ":"),
         )
+        value = f"{header} {artifacts._text(artifacts._pickled(state))}"
+        assert store.append(artifacts._decode_space(), {"pack": value}, "")
         fresh = ArtifactStore(tmp_path)
-        assert fresh.load_decode_cache(tuple(alias)) is None
-        assert fresh.corrupt == 1
-        assert fresh.quarantined == 1
-
-    def test_truncated_artifact_is_corruption(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        path = store._path(f"{DECODE}-" + "0" * 64)
-        path.write_bytes(b'{"schema": 1')  # no payload
-        assert store.load_decode_cache(("digest", 0, 16, 0)) is None
-        assert store.corrupt == 1
-        assert not path.exists()
+        assert fresh.load_decode_cache(tiny_key(1)) is None
+        assert (fresh.corrupt, fresh.quarantined, fresh.hits) == (1, 0, 0)
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +394,7 @@ class TestDegradation:
 
 
 # --------------------------------------------------------------------------
-# pack folding
+# packs
 # --------------------------------------------------------------------------
 
 def tiny_cache() -> DecodeCache:
@@ -419,44 +411,7 @@ def tiny_key(n: int) -> tuple:
     return (f"{n:064x}", 0, 16, 0)
 
 
-class TestPackFold:
-    def write_packs(self, store: ArtifactStore, count: int) -> None:
-        for n in range(count):
-            assert store.save_decode_cache(tiny_key(n), tiny_cache())
-            assert store.save_decode_pack() == 1
-
-    def test_packs_past_the_bound_fold_into_one(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        self.write_packs(store, artifacts.FOLD_PACKS)
-        packs = list(tmp_path.glob(f"{DECODE}-*.art"))
-        assert len(packs) == artifacts.FOLD_PACKS
-        self.write_packs(ArtifactStore(tmp_path), artifacts.FOLD_PACKS + 1)
-        assert len(list(tmp_path.glob(f"{DECODE}-*.art"))) == 1
-        fresh = ArtifactStore(tmp_path)
-        for n in range(artifacts.FOLD_PACKS + 1):
-            assert fresh.load_decode_cache(tiny_key(n)) is not None
-        assert (fresh.hits, fresh.corrupt) == (artifacts.FOLD_PACKS + 1, 0)
-
-    def test_fold_keeps_a_corrupt_pack_as_evidence(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        self.write_packs(store, artifacts.FOLD_PACKS)
-        rotten = store._pack_index()[tiny_key(0)]
-        data = bytearray(rotten.read_bytes())
-        data[-1] ^= 0xFF
-        rotten.write_bytes(bytes(data))
-        assert store.save_decode_cache(tiny_key(99), tiny_cache())
-        assert store.save_decode_pack() == 1
-        assert (store.corrupt, store.quarantined) == (1, 1)
-        (evidence,) = tmp_path.glob("*.corrupt")
-        assert evidence.name.startswith(f"{rotten.stem}.")
-        assert len(list(tmp_path.glob(f"{DECODE}-*.art"))) == 1
-        fresh = ArtifactStore(tmp_path)
-        assert fresh.load_decode_cache(tiny_key(0)) is None
-        assert fresh.load_decode_cache(tiny_key(1)) is not None
-        assert fresh.load_decode_cache(tiny_key(99)) is not None
-        assert fresh.corrupt == 0
-
-
+class TestPacks:
     def test_a_cache_that_does_not_pickle_costs_only_itself(self, tmp_path):
         store = ArtifactStore(tmp_path)
         broken = tiny_cache()
@@ -471,6 +426,35 @@ class TestPackFold:
         assert fresh.load_decode_cache(tiny_key(0)) is not None
         assert fresh.load_decode_cache(tiny_key(1)) is None
         assert (fresh.corrupt, fresh.misses) == (0, 1)
+
+    def test_base_function_edits_leave_at_most_the_fold_bound(
+        self, tmp_path
+    ):
+        """Twelve ``Base_Functions.asm`` edits, each regressed by its own
+        store instance, closed afterwards as an exiting process would:
+        every edit appends new objects and packs, and the directory
+        still holds nothing but at most ``FOLD_SEGMENTS + 1``
+        segments."""
+        system_dir = write_system_environment(
+            make_default_system(nvm_tests=1, uart_tests=0), tmp_path / "ws"
+        )
+        base = system_dir / "NVM" / "Abstraction_Layer" / BASE_FUNCTIONS_FILENAME
+        directory = tmp_path / "store" / "artifacts"
+        for n in range(12):
+            with open(base, "a") as handle:
+                handle.write(f"\nBase_Edit_{n}:\n    RETURN\n")
+            reset_registry()
+            store = ArtifactStore(directory)
+            set_artifact_store(store)
+            RegressionScheduler(targets=[lookup_target("golden")]).run_system(
+                {"NVM": load_module_environment(system_dir / "NVM")}, SC88A
+            )
+            assert (store.obj_saved, store.write_errors) == (1, 0)
+            store.close()
+        names = sorted(path.name for path in directory.iterdir())
+        assert names == [path.name for path in segments(directory)]
+        assert 1 <= len(names) <= FOLD_SEGMENTS + 1
+        assert len(object_keys(directory)) >= 12
 
 
 # --------------------------------------------------------------------------
@@ -505,34 +489,33 @@ class TestRegistry:
 
     def test_unchanged_persist_hashes_no_key(self, tmp_path, matrix,
                                             monkeypatch):
-        """A warm daemon persists after every pack: once a key's file
-        is known, an unchanged check is a dict lookup and a stamp
-        compare, with no SHA-256 of the key."""
-        from repro.store import artifacts
-
+        """A warm daemon persists after every pack: once a key's
+        snapshot is known, an unchanged check is a dict lookup and a
+        stamp compare, with no SHA-256."""
         store = ArtifactStore(tmp_path)
         reset_registry()
         warm_and_persist(matrix, store)
         keys = len(decodecache._REGISTRY)
         hashed = []
-        real = artifacts.content_key
+        real = artifacts.checksum
         monkeypatch.setattr(
-            artifacts, "content_key",
-            lambda *parts: hashed.append(parts) or real(*parts),
+            artifacts, "checksum",
+            lambda data: hashed.append(data) or real(data),
         )
         assert decodecache.persist_registry() == 0
         assert store.unchanged == keys
         assert hashed == []
 
-    def test_renamed_pack_still_serves_its_keys(self, tmp_path, matrix):
-        """A pack's header, not its name, says what it holds: a pack
-        under another name still serves every key, and nothing is
-        re-saved."""
+    def test_renamed_segment_still_serves_its_keys(self, tmp_path, matrix):
+        """A pack's record, not its segment's name, says what it holds:
+        a segment under another writer's name still serves every key,
+        and nothing is re-saved."""
         store = ArtifactStore(tmp_path)
         reset_registry()
         warm_and_persist(matrix, store)
-        (right,) = tmp_path.glob(f"{DECODE}-*.art")
-        wrong = store._path(f"{DECODE}-" + "0" * 64)
+        store.close()
+        (right,) = segments(tmp_path)
+        wrong = tmp_path / "seg1-1-00000000.log"
         os.replace(right, wrong)
         reset_registry()
         booted = ArtifactStore(tmp_path)
@@ -560,106 +543,37 @@ def first_layout_state(entry) -> list:
             *state[2:]]
 
 
-def first_layout_payload(cache) -> bytes:
-    """*cache*'s snapshot with 21-field entries, as the first entry
-    layout pickled it."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DecodedInstruction, "__getstate__", first_layout_state)
-        return snapshot_decode_cache(cache)
-
-
-def code_tag_layout_payload(cache) -> bytes:
-    """*cache*'s snapshot with a ``code_tag`` field beside the chains,
-    as the layout before names hashed the model digest pickled it."""
-    snapshot = pickle.loads(snapshot_decode_cache(cache))
-    snapshot["code_tag"] = bytecode_tag()
-    return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def per_key_layout_payload(cache) -> bytes:
-    """*cache*'s snapshot as the per-key layout, one file per registry
-    key, pickled it."""
-    return snapshot_decode_cache(cache)
-
-
 class TestStoreFormat:
-    """Earlier layouts kept one file per registry key: ``decode-*``
-    named by the SHA-256 of the key alone with 21-field entries, then
-    ``decode2-*`` with 18-field entries and a ``code_tag``, then
-    ``decode-*`` named by the model digest and the key.  This layout's
-    packs (``decodes-*``) replace them: none of their files is ever
-    opened, and the first save deletes them."""
+    """Earlier layouts kept one file per artifact: ``decodes-*`` packs,
+    ``code-*`` and ``objects-*`` files, and before them per-key
+    ``decode-*``/``decode2-*`` snapshots, all ``*.art``.  The log
+    replaces them: none is ever opened, and the first append removes
+    them (never the evidence beside them)."""
 
-    @staticmethod
-    def rewrite_in_layout(
-        directory: Path, kind: str, payload_of, name_of
-    ) -> dict[Path, bytes]:
-        """Replace every decode pack in *directory* by the per-key files
-        an earlier layout wrote for its caches; returns those files'
-        bytes."""
-        written = {}
-        reader = ArtifactStore(directory)
-        for path in sorted(directory.glob(f"{DECODE}-*.art")):
-            for key, cache in reader._unpack(path).items():
-                payload = payload_of(cache)
-                header = json.dumps(
-                    {
-                        "schema": artifacts.STORE_SCHEMA,
-                        "kind": kind,
-                        "key": list(key),
-                        "checksum": checksum(payload),
-                    },
-                    sort_keys=True,
-                ).encode()
-                earlier = directory / f"{kind}-{name_of(key)}.art"
-                earlier.write_bytes(header + b"\n" + payload)
-                written[earlier] = earlier.read_bytes()
-            path.unlink()
-        return written
-
-    def test_first_layout_store_reads_clean(self, tmp_path):
-        self.assert_reads_clean(
-            tmp_path, "decode", first_layout_payload,
-            lambda key: content_key(*key),
-        )
-
-    def test_code_tag_layout_store_reads_clean(self, tmp_path):
-        self.assert_reads_clean(
-            tmp_path, "decode2", code_tag_layout_payload,
-            lambda key: content_key(*key),
-        )
-
-    def test_per_key_layout_store_reads_clean(self, tmp_path):
-        self.assert_reads_clean(
-            tmp_path, "decode", per_key_layout_payload,
-            lambda key: content_key(model_digest(), *key),
-        )
-
-    def assert_reads_clean(self, tmp_path, kind, payload_of, name_of):
-        """A store whose decode snapshots are in an earlier layout: they
-        are misses, re-derived and saved in one pack, and the earlier
-        files are deleted; its code and object artifacts still hit."""
+    def test_earlier_layout_store_reads_as_misses(self, tmp_path):
         workspace = write_system_environment(
             make_default_system(nvm_tests=1, uart_tests=1), tmp_path / "ws"
         )
+        cold = regress(workspace, tmp_path / "fresh")
         store_dir = tmp_path / "store"
-        cold = regress(workspace, store_dir)
         directory = store_dir / "artifacts"
-        earlier = self.rewrite_in_layout(directory, kind, payload_of, name_of)
-        assert earlier
+        directory.mkdir(parents=True)
+        earlier = [
+            directory / f"{kind}-{n:064x}.art"
+            for n, kind in enumerate(
+                ("decodes", "code", "objects", "decode", "decode2")
+            )
+        ]
+        for path in earlier:
+            path.write_bytes(b'{"schema": 1}\nrot')
+        kept = directory / f"decodes-{0:064x}.abc.corrupt"
+        kept.write_bytes(b"evidence")
 
         after = regress(workspace, store_dir)
         assert after["matrix-digest"] == cold["matrix-digest"]
         assert after["engine-stats"] == cold["engine-stats"]
-        counters = store_counters(after)
-        assert (counters["corrupt"], counters["quarantined"]) == (0, 0)
-        assert counters["hits"] == 0
-        assert counters["saved"] == store_counters(cold)["saved"]
-        assert counters["code_hits"] == 1 and counters["code_saved"] == 0
-        assert counters["obj_hits"] >= 1 and counters["obj_saved"] == 0
-        assert len(list(directory.glob(f"{DECODE}-*.art"))) == 1
-        assert not any(path.exists() for path in earlier)
-        assert not list(directory.glob("*.corrupt"))
+        assert store_counters(after) == store_counters(cold)
+        assert sorted(directory.iterdir()) == sorted([*segments(directory), kept])
 
     def test_first_layout_entry_state_is_corruption(self, tmp_path, matrix):
         """A 21-field entry state never lands in shifted fields: the
@@ -683,7 +597,7 @@ class TestStoreFormat:
             assert store.save_decode_pack() == 1
         fresh = ArtifactStore(tmp_path)
         assert fresh.load_decode_cache(key) is None
-        assert (fresh.corrupt, fresh.quarantined, fresh.hits) == (1, 1, 0)
+        assert (fresh.corrupt, fresh.quarantined, fresh.hits) == (1, 0, 0)
 
 
 # --------------------------------------------------------------------------
@@ -763,24 +677,24 @@ class TestExecutorArtifact:
         cold = probe_executors(tmp_path)
         assert cold["compiles"] == 1
         assert (cold["code_saved"], cold["code_hits"]) == (1, 0)
-        assert len(list(tmp_path.glob("code-*.art"))) == 1
+        (segment,) = segments(tmp_path)
+        assert segment.read_bytes().count(CODE) == 1
         warm = probe_executors(tmp_path)
         assert warm["compiles"] == 0
         assert (warm["code_saved"], warm["code_hits"]) == (0, 1)
         assert warm["corrupt"] == 0
 
     def test_rotted_artifact_is_quarantined_and_recompiled(self, tmp_path):
-        """Rot in the executor artifact is counted, set aside and
-        recompiled; the matrix then runs exactly as from an intact
-        copy of the same store."""
+        """Rot in the executor record is counted, its segment set aside
+        and the table recompiled; the matrix then runs exactly as from
+        an intact copy of the same store."""
         workspace = write_system_environment(
             make_default_system(nvm_tests=1, uart_tests=1), tmp_path / "ws"
         )
         rotted, intact = tmp_path / "rotted", tmp_path / "intact"
         regress(workspace, rotted)
         shutil.copytree(rotted, intact)
-        (artifact,) = (rotted / "artifacts").glob("code-*.art")
-        TestCorruption().corrupt_file(artifact)
+        rot_record(rotted / "artifacts", CODE)
 
         healed = regress(workspace, rotted)
         control = regress(workspace, intact)
@@ -813,28 +727,17 @@ class TestExecutorArtifact:
             patch.setattr(target, name, value)
             assert store.save_code(source, code)
             assert store.load_code(source) is not None
+        store.close()
         fresh = ArtifactStore(tmp_path)
         assert fresh.load_code(source) is None
         stats = fresh.stats()
         assert (stats["code_hits"], stats["corrupt"]) == (0, 0)
         assert stats["quarantined"] == 0
-        assert len(list(tmp_path.glob("code-*.art"))) == 1
+        # The first append compacts the other interpreter's code away.
         assert fresh.save_code(source, code)
+        codes = [r for r in log_records(tmp_path) if r[1] == "code"]
+        assert [r[2] for r in codes] == [artifacts.code_key(source)]
         assert ArtifactStore(tmp_path).load_code(source) is not None
-
-    def test_header_key_mismatch_is_corruption(self, tmp_path):
-        """A valid code artifact squatting under another source's
-        content address is corruption, not a hit."""
-        store = ArtifactStore(tmp_path)
-        first, second = "x = 1\n", "x = 2\n"
-        assert store.save_code(first, compile(first, "<probe>", "exec"))
-        (path,) = tmp_path.glob("code-*.art")
-        from repro.store.artifacts import code_key
-
-        os.replace(path, store._path(store._stem("code", code_key(second))))
-        assert store.load_code(second) is None
-        assert (store.corrupt, store.quarantined) == (1, 1)
-
 
 # --------------------------------------------------------------------------
 # assembled objects below the test cell: persisted by content key
@@ -892,10 +795,6 @@ def edit_one_cell(workspace: Path) -> None:
         handle.write("\n    NOP\n")
 
 
-def object_artifacts(store_dir: Path) -> list[Path]:
-    return sorted((store_dir / "artifacts").glob("objects-*.art"))
-
-
 class TestObjectArtifact:
     @pytest.fixture
     def workspace(self, tmp_path):
@@ -910,7 +809,8 @@ class TestObjectArtifact:
         cold, _ = probe_regress(workspace, store, "--cache-dir", cache)
         counters = store_counters(cold)
         assert (counters["obj_saved"], counters["obj_hits"]) == (1, 0)
-        assert len(object_artifacts(store)) == 1
+        stored = object_keys(store / "artifacts")
+        assert stored
 
         edit_one_cell(workspace)
         edited, calls = probe_regress(workspace, store, "--cache-dir", cache)
@@ -920,7 +820,7 @@ class TestObjectArtifact:
         # libraries and the ES ROM.
         assert (counters["obj_hits"], counters["obj_saved"]) == (7, 0)
         assert counters["corrupt"] == 0
-        assert len(object_artifacts(store)) == 1
+        assert object_keys(store / "artifacts") == stored
 
         control, calls = probe_regress(
             workspace, tmp_path / "fresh-store", "--no-cache"
@@ -934,22 +834,23 @@ class TestObjectArtifact:
         rotted, intact = tmp_path / "rotted", tmp_path / "intact"
         probe_regress(workspace, rotted)
         shutil.copytree(rotted, intact)
-        (artifact,) = object_artifacts(rotted)
-        TestCorruption().corrupt_file(artifact)
+        rot_record(rotted / "artifacts", OBJECTS)
 
         healed, healed_calls = probe_regress(workspace, rotted)
         control, control_calls = probe_regress(workspace, intact)
         assert healed["engine-stats"] == control["engine-stats"]
         assert healed["matrix-digest"] == control["matrix-digest"]
-        counters = store_counters(healed)
-        assert counters["corrupt"] == counters["quarantined"] == 1
-        assert (counters["obj_hits"], counters["obj_saved"]) == (0, 1)
+        healed_counters = store_counters(healed)
+        assert healed_counters["corrupt"] == healed_counters["quarantined"] == 1
+        assert healed_counters["obj_saved"] == 1
         counters = store_counters(control)
         assert (counters["corrupt"], counters["obj_saved"]) == (0, 0)
-        assert counters["obj_hits"] > 0
+        assert counters["obj_hits"] > healed_counters["obj_hits"]
         assert len(healed_calls) > len(control_calls)
         assert len(list((rotted / "artifacts").glob("*.corrupt"))) == 1
-        assert len(object_artifacts(rotted)) == 1
+        assert object_keys(rotted / "artifacts") == object_keys(
+            intact / "artifacts"
+        )
 
     def test_cell_only_edit_writes_no_object_artifact(self, tmp_path):
         """The store stays a fixed point under cell edits: test-cell
@@ -967,14 +868,14 @@ class TestObjectArtifact:
 
         store = regress_in_fresh_process(make_nvm_environment(1))
         assert store.obj_saved == 1
-        before = sorted(tmp_path.glob("objects-*.art"))
+        before = object_keys(tmp_path)
         edited = make_nvm_environment(1)
         _edit_cell_source(edited)
         store = regress_in_fresh_process(edited)
         assert (store.obj_saved, store.corrupt) == (0, 0)
         # Base functions for two target signatures, both libraries, ES.
         assert store.obj_hits == 5
-        assert sorted(tmp_path.glob("objects-*.art")) == before
+        assert object_keys(tmp_path) == before
 
 
 def _edit_cell_source(environment) -> None:
@@ -1082,27 +983,12 @@ class TestObjectEncoding:
         assert "inc.asm:2 (via a.asm:2)" in messages[0]
         assert messages[0] == messages[1]
 
-    def test_misnamed_object_artifact_is_corruption(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        obj = Assembler().assemble_source("_main:\n    HALT\n", "m.asm")
-        store.load_object("k")
-        store.stage_object("k", obj)
-        assert store.save_objects()
-        (path,) = tmp_path.glob("objects-*.art")
-        os.replace(path, tmp_path / ("objects-" + "0" * 64 + ".art"))
-        fresh = ArtifactStore(tmp_path)
-        assert fresh.load_object("k") is None
-        assert (fresh.corrupt, fresh.quarantined, fresh.obj_hits) == (1, 1, 0)
-
     def test_undecodable_entry_is_corruption(self, tmp_path):
-        """A verified artifact whose entry does not decode is counted
+        """An intact record whose object does not decode is counted
         and dropped; the unit is then assembled as on a miss."""
         store = ArtifactStore(tmp_path)
-        keys = ("k",)
-        assert store._write(
-            "objects", keys, store._stem("objects", keys),
-            marshal.dumps({"k": ("not an object",)}),
-        )
+        value = artifacts._text(marshal.dumps(("not an object",)))
+        assert store.append("objects", {"k": value}, "k")
         assert store.load_object("k") is None
         assert store.load_object("k") is None
         assert (store.corrupt, store.obj_hits) == (1, 0)

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from logtools import VERDICT, rot_record, segments
+from logtools import CODE, DECODES, OBJECTS, VERDICT, rot_record, segments
 from repro import cli
 from repro.core.durable import parse_segment, quarantine_aside, seal
 from repro.core.scheduler import CACHE_SCHEMA, RegressionScheduler, ResultCache
@@ -336,8 +336,8 @@ def test_sigkill_mid_matrix_loses_no_complete_record(tmp_path):
 
 def test_cold_regress_appends_instead_of_creating_files(tmp_path):
     """A cold ``regress --cache-dir --store-dir`` leaves one log segment
-    and three store files — a decode pack, the executor table and the
-    objects — and no temp file."""
+    in each — the store's holds a decode pack, the executor table and
+    the objects — and no temp file."""
     workspace = write_system_environment(
         make_default_system(nvm_tests=2, uart_tests=1), tmp_path / "ws"
     )
@@ -350,11 +350,12 @@ def test_cold_regress_appends_instead_of_creating_files(tmp_path):
     )
     cache = [path.name for path in (tmp_path / "cache").iterdir()]
     assert len(cache) == 1 and cache[0].startswith("seg1-")
-    store = sorted(
-        path.name.split("-")[0]
-        for path in (tmp_path / "store" / "artifacts").iterdir()
-    )
-    assert store == ["code", "decodes", "objects"]
+    store = tmp_path / "store" / "artifacts"
+    assert list(store.iterdir()) == segments(store)
+    (segment,) = segments(store)
+    data = segment.read_bytes()
+    for needle in (DECODES, CODE, OBJECTS):
+        assert needle in data
     assert [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")] == []
 
 

@@ -1,9 +1,8 @@
 """The durable-file contract (:mod:`repro.core.durable`), once per owner.
 
-Two objects keep regression state in whole files: the artifact store
-and the fleet work-list's published results.  They share one envelope,
-one atomic write, one quarantine and one containment policy, so the
-same checks run against each of them:
+The fleet work-list keeps its published results in whole files, under
+one envelope, one atomic write, one quarantine and one containment
+policy; these checks hold it to them:
 
 - an injected write fault (raise, mangle, or a failed rename) leaves
   no temp file behind;
@@ -11,10 +10,10 @@ same checks run against each of them:
 - a quarantine that loses the race to a peer leaves no empty decoy;
 - a file that a peer removes mid-read is a miss, not corruption.
 
-The result cache and the serving daemon's job journal append records
-to a log instead (:class:`~repro.core.durable.RecordLog`);
-:class:`TestRecordLog` holds both to the same contract in the log's
-terms: a failed or mangled append, a torn tail at every byte offset, a
+The result cache, the artifact store and the serving daemon's job
+journal append records to a log instead
+(:class:`~repro.core.durable.RecordLog`); :class:`TestRecordLog` holds
+all three to the same contract in the log's terms: a failed or mangled append, a torn tail at every byte offset, a
 corrupt record kept as evidence, a segment vanishing mid-read, and
 live writers' segments never folded.
 
@@ -31,7 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from logtools import JOB, VERDICT, record_spans, rot_record, segments
+from logtools import DECODES, JOB, VERDICT, record_spans, rot_record, segments
 from repro import cli
 from repro.core import durable
 from repro.core.durable import (
@@ -92,28 +91,6 @@ class FileOwner:
         pass
 
 
-class StoreOwner(FileOwner):
-    """Decode snapshots: one pack per write."""
-
-    def __init__(self, directory: Path, injector=None):
-        self.directory = directory
-        self.owner = ArtifactStore(directory, injector)
-
-    @staticmethod
-    def key(n: int) -> tuple:
-        return (f"{n:064x}", 0, 16, 0)
-
-    def write(self, n: int) -> None:
-        self.owner.save_decode_cache(self.key(n), make_decode_cache())
-        self.owner.save_decode_pack()
-
-    def entry(self, n: int) -> Path:
-        return self.owner._pack_index()[self.key(n)]
-
-    def read(self, n: int):
-        return self.owner.load_decode_cache(self.key(n))
-
-
 class WorkListOwner(FileOwner):
     def __init__(self, directory: Path, injector=None):
         self.directory = directory
@@ -129,10 +106,7 @@ class WorkListOwner(FileOwner):
         return self.owner.fetch(f"cell{n}")
 
 
-OWNERS = {
-    "artifact-store": StoreOwner,
-    "worklist": WorkListOwner,
-}
+OWNERS = {"worklist": WorkListOwner}
 
 
 @pytest.fixture(params=sorted(OWNERS))
@@ -251,8 +225,10 @@ class CacheLog:
 
     kind = ResultCache
     needle = VERDICT
-    #: Misses a read of an absent value counts.
+    #: Misses a read of an absent value counts, and a read of a value
+    #: whose record failed its checksum.
     miss = 1
+    damaged_miss = 0
 
     def __init__(self, directory: Path, injector=None):
         self.owner = ResultCache(directory, injector)
@@ -273,6 +249,7 @@ class JournalLog:
     kind = JobJournal
     needle = JOB
     miss = 0
+    damaged_miss = 0
 
     def __init__(self, directory: Path, injector=None):
         self.owner = JobJournal(directory, injector)
@@ -289,7 +266,38 @@ class JournalLog:
         return dict(reader.pending_jobs()).get(f"job-{n}", {}).get("n")
 
 
-LOGS = {"result-cache": CacheLog, "journal": JournalLog}
+class StoreLog:
+    """The artifact store: a write appends one decode pack, a read
+    restores its cache."""
+
+    kind = ArtifactStore
+    needle = DECODES
+    miss = 1
+    #: The keys of a damaged pack are inside its value: a read of one
+    #: cannot tell it from a miss.
+    damaged_miss = 1
+
+    def __init__(self, directory: Path, injector=None):
+        self.owner = ArtifactStore(directory, injector)
+
+    @staticmethod
+    def key(n: int) -> tuple:
+        return (f"{n:064x}", 0, 16, 0)
+
+    def write(self, n: int) -> bool:
+        self.owner.save_decode_cache(self.key(n), make_decode_cache())
+        return self.owner.save_decode_pack() == 1
+
+    @classmethod
+    def read(cls, reader: ArtifactStore, n: int):
+        return None if reader.load_decode_cache(cls.key(n)) is None else n
+
+
+LOGS = {
+    "artifact-store": StoreLog,
+    "journal": JournalLog,
+    "result-cache": CacheLog,
+}
 
 
 @pytest.fixture(params=sorted(LOGS))
@@ -385,7 +393,8 @@ class TestRecordLog:
         reader = log.kind(tmp_path)
         assert log.read(reader, 1) is None
         assert log.read(reader, 0) == 0
-        assert (reader.corrupt, reader.quarantined, reader.misses) == (1, 0, 0)
+        assert (reader.corrupt, reader.quarantined) == (1, 0)
+        assert reader.misses == log.damaged_miss
         assert segment.exists()
         writer.owner.close()
         # Writer gone: the segment becomes evidence, its intact records
@@ -513,11 +522,11 @@ GOLDEN_RECORD = (
 )
 
 GOLDEN_PACK = (
-    b'{"checksum": "0f22596a16821986c0e85f8e71fb23d5e4310166f82095aea064619'
-    b'616b3d339", "keys": [["' + b"d" * 64 + b'", 0, 16, 0]], "kind": "decod'
-    b'es", "model": "' + b"m" * 64 + b'", "schema": 1, "stamps": [[1, 0]]}\n'
-    b"\x80\x05\x95\x0f\x00\x00\x00\x00\x00\x00\x00]\x94\x8c\x08snapsho"
-    b"t\x94a."
+    b"5492337a54304e73a7b0651f903414df2cf783718bf4b0a19a3a85c13ba6ce31\t"
+    b"1000000000\tdecodes/" + b"m" * 64 + b"\t"
+    b"ff09d4338b58df38b212a5b6f3c840b12c727dce97f844ba691050b363416b1d\t"
+    b'{"keys":[["' + b"d" * 64 + b'",0,16,0]],"stamps":[[1,0]]} '
+    b"gAWVDwAAAAAAAABdlIwIc25hcHNob3SUYS4=\n"
 )
 
 GOLDEN_RESULT = (
@@ -552,11 +561,12 @@ class TestGoldenBytes:
         monkeypatch.setattr(artifacts, "_snapshot", lambda cache: "snapshot")
         monkeypatch.setattr(artifacts, "model_digest", lambda: "m" * 64)
         store = ArtifactStore(tmp_path)
+        store.clock = lambda: 1_000_000_000
         key = ("d" * 64, 0, 16, 0)
         assert store.save_decode_cache(key, make_decode_cache())
         assert store.save_decode_pack() == 1
-        (path,) = tmp_path.glob("decodes-*.art")
-        assert path.read_bytes() == GOLDEN_PACK
+        (segment,) = segments(tmp_path)
+        assert segment.read_bytes() == GOLDEN_PACK
 
     def test_worklist_result_and_journal_record(self, tmp_path):
         worklist = WorkList(tmp_path / "wl")
