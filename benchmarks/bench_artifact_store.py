@@ -50,7 +50,8 @@ from repro.core.workspace import (
     load_module_environment,
     write_system_environment,
 )
-from repro.isa.decodecache import reset_registry, set_artifact_store
+from repro.isa.decodecache import reset_registry
+from repro.store import set_artifact_store
 from repro.soc.derivatives import SC88A, derivative as lookup_derivative
 from repro.store import ArtifactStore, WorkList
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.assembler.errors import (
     DirectiveError,
@@ -88,54 +88,93 @@ class OperandShape(enum.Enum):
     EXPR = "expression"
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedOperand:
+class ParsedOperand(NamedTuple):
     shape: OperandShape
     register: Register | None = None
     expr_tokens: tuple[Token, ...] = ()
     offset_tokens: tuple[Token, ...] = ()
 
 
-@dataclass
 class _InstrStatement:
-    spec: InstructionSpec
-    operands: list[ParsedOperand]
-    section: str
-    offset: int
-    location: SourceLocation
-    source: str
+    __slots__ = ("spec", "operands", "section", "offset", "location", "source")
+
+    def __init__(
+        self,
+        spec: InstructionSpec,
+        operands: list[ParsedOperand],
+        section: str,
+        offset: int,
+        location: SourceLocation,
+        source: str,
+    ):
+        self.spec = spec
+        self.operands = operands
+        self.section = section
+        self.offset = offset
+        self.location = location
+        self.source = source
 
 
-@dataclass
 class _DataStatement:
-    directive: str
-    chunks: list[list[Token]]
-    text: str | None
-    size: int
-    section: str
-    offset: int
-    location: SourceLocation
-    source: str
+    __slots__ = (
+        "directive", "chunks", "text", "size", "section", "offset",
+        "location", "source",
+    )
+
+    def __init__(
+        self,
+        directive: str,
+        chunks: list[list[Token]],
+        text: str | None,
+        size: int,
+        section: str,
+        offset: int,
+        location: SourceLocation,
+        source: str,
+    ):
+        self.directive = directive
+        self.chunks = chunks
+        self.text = text
+        self.size = size
+        self.section = section
+        self.offset = offset
+        self.location = location
+        self.source = source
 
 
-@dataclass
 class _MacroDef:
-    name: str
-    params: list[str]
-    body: list[str]
-    location: SourceLocation
+    __slots__ = ("name", "params", "body", "location")
+
+    def __init__(
+        self,
+        name: str,
+        params: list[str],
+        body: list[str],
+        location: SourceLocation,
+    ):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.location = location
 
 
-@dataclass
 class _CondFrame:
-    taking: bool
-    taken_before: bool
-    seen_else: bool
-    parent_active: bool
+    __slots__ = ("taking", "taken_before", "seen_else", "parent_active")
+
+    def __init__(
+        self,
+        taking: bool,
+        taken_before: bool,
+        seen_else: bool,
+        parent_active: bool,
+    ):
+        self.taking = taking
+        self.taken_before = taken_before
+        self.seen_else = seen_else
+        self.parent_active = parent_active
 
 
-@dataclass
-class ListingRecord:
+class ListingRecord(NamedTuple):
     """One listing row: where the bytes came from and what they are."""
 
     section: str

@@ -8,11 +8,10 @@ cells and the team debugging a regression needs real locations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in an assembler source file."""
 
     filename: str
@@ -81,12 +80,14 @@ class LinkError(AssemblerError):
     overlapping sections, image does not fit its memory region)."""
 
 
-@dataclass
 class Diagnostics:
     """Collector used when callers want all errors, not just the first."""
 
-    errors: list[AssemblerError] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("errors", "warnings")
+
+    def __init__(self) -> None:
+        self.errors: list[AssemblerError] = []
+        self.warnings: list[str] = []
 
     def error(self, exc: AssemblerError) -> None:
         self.errors.append(exc)

@@ -21,8 +21,7 @@ sequence that fails to parse is never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.assembler.errors import ExpressionError, SourceLocation
 from repro.assembler.lexer import Token, TokenKind
@@ -33,8 +32,7 @@ from repro.assembler.lexer import Token, TokenKind
 Resolver = Callable[[str], "int | None"]
 
 
-@dataclass(frozen=True)
-class ExprResult:
+class ExprResult(NamedTuple):
     """Evaluated expression: absolute value, or ``symbol + value``."""
 
     value: int

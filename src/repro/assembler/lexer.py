@@ -15,7 +15,7 @@ distinct line once per process: a regression matrix re-reads the same
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.assembler.errors import LexError, SourceLocation
 
@@ -29,8 +29,7 @@ class TokenKind(enum.Enum):
     EOL = "end of line"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: int | None = None  # numeric value for NUMBER tokens

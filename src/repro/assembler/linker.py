@@ -21,7 +21,7 @@ gates, emulator and silicon).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.assembler.errors import LinkError, UNKNOWN_LOCATION
 from repro.assembler.objectfile import DATA_SECTION, ObjectFile, TEXT_SECTION
@@ -32,8 +32,7 @@ DEFAULT_DATA_BASE = 0x1000_0000
 ENTRY_SYMBOL = "_main"
 
 
-@dataclass
-class PlacedSection:
+class PlacedSection(NamedTuple):
     """A section fixed at an absolute base address."""
 
     object_name: str
@@ -49,13 +48,21 @@ class PlacedSection:
         return self.base < other.end and other.base < self.end
 
 
-@dataclass
 class MemoryImage:
     """Fully linked, loadable image: segments + absolute symbol table."""
 
-    segments: list[PlacedSection] = field(default_factory=list)
-    symbols: dict[str, int] = field(default_factory=dict)
-    entry: int | None = None
+    __slots__ = ("segments", "symbols", "entry", "_digest")
+
+    def __init__(
+        self,
+        segments: list[PlacedSection] | None = None,
+        symbols: dict[str, int] | None = None,
+        entry: int | None = None,
+    ):
+        self.segments = [] if segments is None else segments
+        self.symbols = {} if symbols is None else symbols
+        self.entry = entry
+        self._digest: str | None = None
 
     def read_word(self, address: int) -> int:
         for segment in self.segments:
@@ -84,9 +91,8 @@ class MemoryImage:
         regression result cache.  Memoised; images are treated as
         immutable once linked.
         """
-        cached = getattr(self, "_digest", None)
-        if cached is not None:
-            return cached
+        if self._digest is not None:
+            return self._digest
         hasher = hashlib.sha256()
         hasher.update(str(self.entry).encode())
         for segment in sorted(self.segments, key=lambda s: s.base):
@@ -97,8 +103,7 @@ class MemoryImage:
         return self._digest
 
 
-@dataclass
-class Region:
+class Region(NamedTuple):
     """A placement region with bounds checking."""
 
     name: str

@@ -15,7 +15,7 @@ without pickling them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.assembler.errors import LinkError, SourceLocation, UNKNOWN_LOCATION
 
@@ -24,8 +24,7 @@ DATA_SECTION = "data"
 VECTOR_SECTION = "vectors"
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """An exported label: section-relative until the object is linked."""
 
     name: str
@@ -34,8 +33,7 @@ class Symbol:
     location: SourceLocation = UNKNOWN_LOCATION
 
 
-@dataclass(frozen=True)
-class Relocation:
+class Relocation(NamedTuple):
     """Patch request: write ``resolve(symbol) + addend`` into the 32-bit
     word at ``section[offset]`` at link time."""
 
@@ -46,15 +44,29 @@ class Relocation:
     location: SourceLocation = UNKNOWN_LOCATION
 
 
-@dataclass
 class Section:
     """One contiguous chunk of assembled output."""
 
-    name: str
-    data: bytearray = field(default_factory=bytearray)
-    #: Absolute base address requested via ``.ORG``; ``None`` floats and is
-    #: placed by the linker according to the memory map.
-    org: int | None = None
+    __slots__ = ("name", "data", "org")
+
+    def __init__(
+        self,
+        name: str,
+        data: bytearray | None = None,
+        org: int | None = None,
+    ):
+        self.name = name
+        self.data = bytearray() if data is None else data
+        #: Absolute base address requested via ``.ORG``; ``None`` floats
+        #: and is placed by the linker according to the memory map.
+        self.org = org
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Section):
+            return NotImplemented
+        return (self.name, self.data, self.org) == (
+            other.name, other.data, other.org
+        )
 
     @property
     def size(self) -> int:
@@ -73,21 +85,46 @@ class Section:
         return int.from_bytes(self.data[offset : offset + 4], "little")
 
 
-@dataclass
 class ObjectFile:
     """Assembler output for one translation unit."""
 
-    name: str
-    sections: dict[str, Section] = field(default_factory=dict)
-    symbols: dict[str, Symbol] = field(default_factory=dict)
-    relocations: list[Relocation] = field(default_factory=list)
-    externs: set[str] = field(default_factory=set)
-    #: Every file the unit read, root source first, then ``.INCLUDE``s in
-    #: encounter order.  Consumed by the ADVM violation checker.
-    included_files: list[str] = field(default_factory=list)
-    #: Values of ``.EQU``/``.DEFINE`` symbols seen while assembling, kept
-    #: for listings and for ADVM coverage of define usage.
-    define_snapshot: dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "name", "sections", "symbols", "relocations", "externs",
+        "included_files", "define_snapshot",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        sections: dict[str, Section] | None = None,
+        symbols: dict[str, Symbol] | None = None,
+        relocations: list[Relocation] | None = None,
+        externs: set[str] | None = None,
+        included_files: list[str] | None = None,
+        define_snapshot: dict[str, int] | None = None,
+    ):
+        self.name = name
+        self.sections = {} if sections is None else sections
+        self.symbols = {} if symbols is None else symbols
+        self.relocations = [] if relocations is None else relocations
+        self.externs = set() if externs is None else externs
+        #: Every file the unit read, root source first, then
+        #: ``.INCLUDE``s in encounter order.  Consumed by the ADVM
+        #: violation checker.
+        self.included_files = [] if included_files is None else included_files
+        #: Values of ``.EQU``/``.DEFINE`` symbols seen while assembling,
+        #: kept for listings and for ADVM coverage of define usage.
+        self.define_snapshot = (
+            {} if define_snapshot is None else define_snapshot
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObjectFile):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in ObjectFile.__slots__
+        )
 
     def section(self, name: str) -> Section:
         if name not in self.sections:

@@ -16,7 +16,6 @@ tests.
 from __future__ import annotations
 
 import posixpath
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.assembler.errors import IncludeError, SourceLocation
@@ -88,38 +87,47 @@ class InMemoryProvider(FileProvider):
         return None
 
 
-@dataclass
 class _Frame:
     """One open file or macro expansion."""
 
-    name: str
-    lines: list[str]
-    index: int = 0
-    #: Location of the line that opened this frame (include/invocation site).
-    opened_at: SourceLocation | None = None
-    is_file: bool = True
-    #: Include/macro chain every line of this frame reports.
-    context: tuple[tuple[str, int], ...] = field(init=False, default=())
+    __slots__ = ("name", "lines", "index", "opened_at", "is_file", "context")
 
-    def __post_init__(self) -> None:
-        if self.opened_at is not None:
-            self.context = self.opened_at.context + (
-                (self.opened_at.filename, self.opened_at.line),
-            )
+    def __init__(
+        self,
+        name: str,
+        lines: list[str],
+        opened_at: SourceLocation | None = None,
+        is_file: bool = True,
+    ):
+        self.name = name
+        self.lines = lines
+        self.index = 0
+        #: Location of the line that opened this frame (include or
+        #: invocation site).
+        self.opened_at = opened_at
+        self.is_file = is_file
+        #: Include/macro chain every line of this frame reports.
+        self.context: tuple[tuple[str, int], ...] = (
+            ()
+            if opened_at is None
+            else opened_at.context + ((opened_at.filename, opened_at.line),)
+        )
 
     def exhausted(self) -> bool:
         return self.index >= len(self.lines)
 
 
-@dataclass
 class SourceStream:
     """Stack-based line source with include tracking."""
 
-    provider: FileProvider
-    frames: list[_Frame] = field(default_factory=list)
-    #: Files opened, in first-open order (root first).
-    opened_files: list[str] = field(default_factory=list)
-    max_depth: int = 64
+    __slots__ = ("provider", "frames", "opened_files", "max_depth")
+
+    def __init__(self, provider: FileProvider, max_depth: int = 64):
+        self.provider = provider
+        self.frames: list[_Frame] = []
+        #: Files opened, in first-open order (root first).
+        self.opened_files: list[str] = []
+        self.max_depth = max_depth
 
     def _open_files_on_stack(self) -> set[str]:
         return {f.name for f in self.frames if f.is_file}

@@ -168,12 +168,13 @@ def cmd_regress(args: argparse.Namespace) -> int:
     store = None
     worklist = None
     if args.store_dir:
-        from repro.isa.decodecache import set_artifact_store
-        from repro.store import ArtifactStore, WorkList
+        from repro.store import ArtifactStore, set_artifact_store
 
         store = ArtifactStore(Path(args.store_dir) / "artifacts")
         set_artifact_store(store)
         if args.fleet:
+            from repro.store import WorkList
+
             worklist = WorkList(
                 Path(args.store_dir) / "worklist",
                 lease_ttl=args.lease_ttl,

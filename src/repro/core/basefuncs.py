@@ -23,8 +23,12 @@ Register conventions (documented for test authors):
 
 from __future__ import annotations
 
-from repro.soc.derivatives import Derivative
+from typing import TYPE_CHECKING
+
 from repro.soc.embedded import es_abi
+
+if TYPE_CHECKING:
+    from repro.soc.derivatives import Derivative
 
 HEADER = """\
 ;; Base_Functions.asm -- ADVM abstraction layer function library.

@@ -26,19 +26,19 @@ describes for adapting "automatically depending on the derivative".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.targets import Target, all_targets
 from repro.soc.derivatives import Derivative, all_derivatives
-from repro.soc.device import FAIL_MAGIC, PASS_MAGIC
-from repro.soc.memorymap import NVM_PAGE_BYTES
-from repro.soc.peripherals.intc import (
+from repro.soc.layouts import (
+    CMD_ERASE,
+    CMD_PROG,
     LINE_NVM,
     LINE_TIMER,
     LINE_UART,
     LINE_WDT,
 )
-from repro.soc.peripherals.nvm import CMD_ERASE, CMD_PROG
+from repro.soc.memorymap import FAIL_MAGIC, NVM_PAGE_BYTES, PASS_MAGIC
 
 #: Scratch-register convention: base functions may clobber these freely.
 SCRATCH_DATA_REGS = ("d11", "d13")
@@ -49,8 +49,7 @@ CALL_ADDR_REGISTER = "A12"
 GUARD_DEFINE = "ADVM_GLOBALS_INCLUDED"
 
 
-@dataclass(frozen=True)
-class DefineEntry:
+class DefineEntry(NamedTuple):
     """One generated define with provenance, for audits and diffing."""
 
     name: str
@@ -216,7 +215,6 @@ def target_entries(target: Target) -> list[DefineEntry]:
     ]
 
 
-@dataclass
 class GlobalDefines:
     """Generator/model of one module environment's ``Globals.inc``.
 
@@ -226,11 +224,28 @@ class GlobalDefines:
     in the abstraction layer)".
     """
 
-    module_name: str = "MODULE"
-    derivatives: list[Derivative] = field(default_factory=all_derivatives)
-    targets: list[Target] = field(default_factory=all_targets)
-    extras: dict[str, int] = field(default_factory=dict)
-    derivative_extras: dict[str, dict[str, int]] = field(default_factory=dict)
+    __slots__ = (
+        "module_name", "derivatives", "targets", "extras",
+        "derivative_extras",
+    )
+
+    def __init__(
+        self,
+        module_name: str = "MODULE",
+        derivatives: list[Derivative] | None = None,
+        targets: list[Target] | None = None,
+        extras: dict[str, int] | None = None,
+        derivative_extras: dict[str, dict[str, int]] | None = None,
+    ):
+        self.module_name = module_name
+        self.derivatives = (
+            all_derivatives() if derivatives is None else derivatives
+        )
+        self.targets = all_targets() if targets is None else targets
+        self.extras = {} if extras is None else extras
+        self.derivative_extras = (
+            {} if derivative_extras is None else derivative_extras
+        )
 
     def set_extra(self, name: str, value: int) -> None:
         self.extras[name] = value

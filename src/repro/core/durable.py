@@ -98,7 +98,13 @@ def bytecode_tag() -> tuple[str, str]:
 def model_digest() -> str:
     """The digest of the code that executes a run: the model sources
     and :func:`bytecode_tag` (snapshots hold marshalled code)."""
-    return content_key(source_digest(_MODEL_SOURCES), *bytecode_tag())
+    return _model_digest(*bytecode_tag())
+
+
+@functools.cache
+def _model_digest(cache_tag: str, magic: str) -> str:
+    """:func:`model_digest` under one bytecode tag, hashed once."""
+    return content_key(source_digest(_MODEL_SOURCES), cache_tag, magic)
 
 
 def seal(schema: int, text: str) -> bytes:

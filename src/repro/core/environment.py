@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import posixpath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro import assembler as toolchain
 from repro.assembler.linker import Linker, MemoryImage
@@ -46,9 +46,9 @@ from repro.core.globals_layer import (
 )
 from repro.core.targets import Target, all_targets, target as lookup_target
 from repro.core.testplan import TestPlan
-from repro.platforms.base import RunResult
 from repro.soc.derivatives import Derivative, all_derivatives
 from repro.soc.embedded import assemble_embedded_software, es_source
+from repro.verdict import RunResult
 
 GLOBALS_FILENAME = "Globals.inc"
 BASE_FUNCTIONS_FILENAME = "Base_Functions.asm"
@@ -189,25 +189,31 @@ def input_key(
     return content_key(*parts)
 
 
-@dataclass
 class TestCell:
     """One directed test (a test cell directory in Figure 3)."""
 
     # Not a pytest class, despite the Test* name.
     __test__ = False
+    __slots__ = ("name", "source", "description", "testplan_ids")
 
-    name: str
-    source: str
-    description: str = ""
-    testplan_ids: tuple[str, ...] = ()
+    def __init__(
+        self,
+        name: str,
+        source: str,
+        description: str = "",
+        testplan_ids: tuple[str, ...] = (),
+    ):
+        self.name = name
+        self.source = source
+        self.description = description
+        self.testplan_ids = testplan_ids
 
     @property
     def filename(self) -> str:
         return f"{self.name}.asm"
 
 
-@dataclass
-class BuildArtifacts:
+class BuildArtifacts(NamedTuple):
     """Everything produced while building one test cell."""
 
     image: MemoryImage
@@ -313,7 +319,7 @@ def stored_objects(keys, build) -> list[ObjectFile]:
     store when it holds every one, else ``build()`` — whose objects are
     then staged, so the run's end appends them to the store in one
     write (:meth:`~repro.store.artifacts.ArtifactStore.save_objects`)."""
-    from repro.isa.decodecache import artifact_store
+    from repro.store import artifact_store
 
     store = artifact_store()
     if store is None:
@@ -329,10 +335,12 @@ def stored_objects(keys, build) -> list[ObjectFile]:
 class _SourceState:
     """What one state of an environment's sources builds from: the
     files, their fingerprint, and memos of the per-target build
-    signatures and per-unit object keys (see
+    signatures, per-unit object keys and per-position build keys (see
     :meth:`ModuleTestEnvironment._sources`)."""
 
-    __slots__ = ("token", "files", "fingerprint", "signatures", "keys")
+    __slots__ = (
+        "token", "files", "fingerprint", "signatures", "keys", "builds",
+    )
 
     def __init__(self, token: tuple, files: dict[str, str]):
         self.token = token
@@ -340,6 +348,7 @@ class _SourceState:
         self.fingerprint = _files_fingerprint(files)
         self.signatures: dict[Target, tuple] = {}
         self.keys: dict[tuple, str] = {}
+        self.builds: dict[tuple, str] = {}
 
 
 class ModuleTestEnvironment:
@@ -575,24 +584,31 @@ class ModuleTestEnvironment:
         The :func:`input_key` of the cell under the target's
         :meth:`build_signature`, over ``Globals.inc``, the base
         functions, both global libraries, the ES source and every file
-        they reach.  Costs hashing only, never assembly.
+        they reach.  Costs hashing only, never assembly, and once per
+        (cell, derivative, target signature) in one state of the
+        sources: targets with equal signatures share the key.
         """
         cell = self.cell(cell_name)
         state = self._sources()
-        return input_key(
-            state.files,
-            cell.filename,
-            derivative,
-            self._signature(state, tgt),
-            [
+        signature = self._signature(state, tgt)
+        memo = (cell_name, derivative, signature)
+        key = state.builds.get(memo)
+        if key is None:
+            key = state.builds[memo] = input_key(
+                state.files,
                 cell.filename,
-                GLOBALS_FILENAME,
-                BASE_FUNCTIONS_FILENAME,
-                TRAP_HANDLERS_FILENAME,
-                GLOBAL_FUNCTIONS_FILENAME,
-            ],
-            (es_source(derivative.es_version),),
-        )
+                derivative,
+                signature,
+                [
+                    cell.filename,
+                    GLOBALS_FILENAME,
+                    BASE_FUNCTIONS_FILENAME,
+                    TRAP_HANDLERS_FILENAME,
+                    GLOBAL_FUNCTIONS_FILENAME,
+                ],
+                (es_source(derivative.es_version),),
+            )
+        return key
 
     def _object_key(
         self,

@@ -82,7 +82,6 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass, field
 
 SITE_SESSION_RUN = "session-run"
 SITE_CACHE_READ = "cache-read"
@@ -128,7 +127,6 @@ class InjectedFault(RuntimeError):
         return (InjectedFault, (self.site, self.key))
 
 
-@dataclass(frozen=True)
 class FaultSpec:
     """One deterministic fault: fire *action* at *site* on the hits
     selected by the ``after``/``times`` window.
@@ -136,32 +134,52 @@ class FaultSpec:
     ``match`` is a substring filter over the site key (``None`` matches
     every key); the spec's hit counter only advances on matching hits,
     so ``after=2, times=1`` means "the third matching occurrence, once".
+    ``corrupt_bytes`` is how many payload bytes a ``corrupt`` spec flips.
     """
 
-    site: str
-    action: str
-    match: str | None = None
-    after: int = 0
-    times: int = 1
-    hang_seconds: float = 30.0
-    #: How many payload bytes a ``corrupt`` spec flips.
-    corrupt_bytes: int = 4
+    __slots__ = (
+        "site", "action", "match", "after", "times", "hang_seconds",
+        "corrupt_bytes",
+    )
 
-    def __post_init__(self):
-        if self.site not in ALL_SITES:
+    def __init__(
+        self,
+        site: str,
+        action: str,
+        match: str | None = None,
+        after: int = 0,
+        times: int = 1,
+        hang_seconds: float = 30.0,
+        corrupt_bytes: int = 4,
+    ):
+        if site not in ALL_SITES:
             raise ValueError(
-                f"unknown fault site {self.site!r}; known: {ALL_SITES}"
+                f"unknown fault site {site!r}; known: {ALL_SITES}"
             )
-        if self.action not in ALL_ACTIONS:
+        if action not in ALL_ACTIONS:
             raise ValueError(
-                f"unknown fault action {self.action!r}; known: {ALL_ACTIONS}"
+                f"unknown fault action {action!r}; known: {ALL_ACTIONS}"
             )
+        self.site = site
+        self.action = action
+        self.match = match
+        self.after = after
+        self.times = times
+        self.hang_seconds = hang_seconds
+        self.corrupt_bytes = corrupt_bytes
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FaultSpec):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in FaultSpec.__slots__
+        )
 
     def matches(self, key: str) -> bool:
         return self.match is None or self.match in key
 
 
-@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, picklable set of :class:`FaultSpec`\\ s.
 
@@ -170,12 +188,17 @@ class FaultPlan:
     inject byte-identical chaos.
     """
 
-    seed: int = 0
-    specs: tuple[FaultSpec, ...] = field(default_factory=tuple)
+    __slots__ = ("seed", "specs")
 
-    def __post_init__(self):
-        # Accept any iterable of specs but store a hashable tuple.
-        object.__setattr__(self, "specs", tuple(self.specs))
+    def __init__(self, seed: int = 0, specs=()):
+        self.seed = seed
+        # Accept any iterable of specs but store a tuple.
+        self.specs: tuple[FaultSpec, ...] = tuple(specs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FaultPlan):
+            return NotImplemented
+        return (self.seed, self.specs) == (other.seed, other.specs)
 
 
 def _in_worker_process() -> bool:

@@ -23,9 +23,8 @@ points change without notice (Figure 7's scenario).
 from __future__ import annotations
 
 from repro.soc.derivatives import Derivative
-from repro.soc.device import FAIL_MAGIC
-from repro.soc.memorymap import VECTOR_COUNT
-from repro.soc.peripherals.intc import LINE_NVM, LINE_TIMER
+from repro.soc.layouts import LINE_NVM, LINE_TIMER
+from repro.soc.memorymap import FAIL_MAGIC, VECTOR_COUNT
 
 #: Vector numbers with dedicated handlers.
 TIMER_VECTOR = 8 + LINE_TIMER

@@ -14,15 +14,14 @@ fills a :class:`RegressionReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.platforms.base import RunResult, RunStatus
+from repro.verdict import RunResult, RunStatus
 
 REFERENCE_TARGET = "golden"
 
 
-@dataclass
-class Divergence:
+class Divergence(NamedTuple):
     """One platform disagreeing with the reference on one test."""
 
     environment: str
@@ -39,30 +38,34 @@ class Divergence:
         )
 
 
-@dataclass
 class RegressionReport:
     """Everything one regression produced."""
 
-    derivative: str
-    #: (environment, test, target) -> result
-    results: dict[tuple[str, str, str], RunResult] = field(
-        default_factory=dict
+    __slots__ = (
+        "derivative", "results", "divergences", "executed_runs",
+        "cached_runs", "retried_runs", "quarantined_runs", "fetched_runs",
+        "stolen_runs",
     )
-    divergences: list[Divergence] = field(default_factory=list)
-    #: Platform runs actually executed vs. served from the persistent
-    #: result cache (incremental regression bookkeeping).
-    executed_runs: int = 0
-    cached_runs: int = 0
-    #: Fault-tolerance bookkeeping: runs that needed more than one
-    #: attempt, and cells quarantined as synthesized FAULT verdicts
-    #: after the attempt budget.
-    retried_runs: int = 0
-    quarantined_runs: int = 0
-    #: Fleet bookkeeping: verdicts adopted from a peer worker's
-    #: publication in the shared work-list, and runs executed under a
-    #: lease stolen from a dead (expired) worker.
-    fetched_runs: int = 0
-    stolen_runs: int = 0
+
+    def __init__(self, derivative: str):
+        self.derivative = derivative
+        #: (environment, test, target) -> result
+        self.results: dict[tuple[str, str, str], RunResult] = {}
+        self.divergences: list[Divergence] = []
+        #: Platform runs actually executed vs. served from the persistent
+        #: result cache (incremental regression bookkeeping).
+        self.executed_runs = 0
+        self.cached_runs = 0
+        #: Fault-tolerance bookkeeping: runs that needed more than one
+        #: attempt, and cells quarantined as synthesized FAULT verdicts
+        #: after the attempt budget.
+        self.retried_runs = 0
+        self.quarantined_runs = 0
+        #: Fleet bookkeeping: verdicts adopted from a peer worker's
+        #: publication in the shared work-list, and runs executed under a
+        #: lease stolen from a dead (expired) worker.
+        self.fetched_runs = 0
+        self.stolen_runs = 0
 
     @property
     def total_runs(self) -> int:

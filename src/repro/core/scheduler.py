@@ -74,10 +74,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.assembler.linker import MemoryImage
 from repro.core.durable import RecordLog, content_key, model_digest
@@ -93,15 +94,17 @@ from repro.core.regression import (
     detect_divergences,
 )
 from repro.core.targets import Target, all_targets
-from repro.platforms.base import (
+from repro.soc.derivatives import Derivative
+from repro.verdict import (
     DEFAULT_MAX_INSTRUCTIONS,
-    Platform,
+    VERDICT_FIELDS,
     RunResult,
     RunStatus,
 )
-from repro.platforms.cpu import InstructionTrace
-from repro.platforms.session import ExecutionSession
-from repro.soc.derivatives import Derivative
+
+if TYPE_CHECKING:
+    from repro.platforms.base import Platform
+    from repro.platforms.session import ExecutionSession
 
 #: Bump when run semantics change in a way that invalidates old caches.
 #: 2: checksummed cache entries (corrupt files detected, not replayed).
@@ -111,8 +114,7 @@ CACHE_SCHEMA = 2
 _POLL_INTERVAL = 0.05
 
 
-@dataclass(frozen=True)
-class RunRequest:
+class RunRequest(NamedTuple):
     """One (environment, cell, derivative, target) matrix entry."""
 
     environment: str
@@ -121,7 +123,6 @@ class RunRequest:
     target: str
 
 
-@dataclass
 class RunOutcome:
     """A request plus how its result was obtained.
 
@@ -133,13 +134,27 @@ class RunOutcome:
     executed under a lease reclaimed from a dead worker.
     """
 
-    request: RunRequest
-    result: RunResult
-    cached: bool = False
-    retried: bool = False
-    quarantined: bool = False
-    fetched: bool = False
-    stolen: bool = False
+    __slots__ = (
+        "request", "result", "cached", "retried", "quarantined", "fetched",
+        "stolen",
+    )
+
+    def __init__(
+        self,
+        request: RunRequest,
+        result: RunResult,
+        cached: bool = False,
+        retried: bool = False,
+        quarantined: bool = False,
+        fetched: bool = False,
+    ):
+        self.request = request
+        self.result = result
+        self.cached = cached
+        self.retried = retried
+        self.quarantined = quarantined
+        self.fetched = fetched
+        self.stolen = False
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +185,10 @@ def result_to_payload(result: RunResult) -> dict:
 
 def result_from_payload(payload: dict) -> RunResult:
     trace = payload["trace"]
+    if trace is not None:
+        from repro.platforms.cpu import InstructionTrace
+
+        trace = InstructionTrace.from_raw(trace)
     return RunResult(
         platform=payload["platform"],
         derivative=payload["derivative"],
@@ -182,9 +201,37 @@ def result_from_payload(payload: dict) -> RunResult:
         done_pin=payload["done_pin"],
         pass_pin=payload["pass_pin"],
         fault_reason=payload["fault_reason"],
-        trace=None if trace is None else InstructionTrace.from_raw(trace),
+        trace=trace,
         registers=payload["registers"],
     )
+
+
+#: What precedes the status value in a payload's ``sort_keys`` JSON.
+#: A string value cannot hold it: JSON escapes every quote in a string.
+_STATUS_MARK = '"status": "'
+
+
+class _CachedResult(RunResult):
+    """A verdict read back from the result cache: its status and
+    payload text at once, every other field decoded from the text when
+    first read.  ``regress`` reads only the status, and the text for
+    the matrix digest, so a hit costs no JSON decode."""
+
+    __slots__ = ()
+
+    def __init__(self, text: str):
+        start = text.index(_STATUS_MARK) + len(_STATUS_MARK)
+        self.status = RunStatus(text[start:text.index('"', start)])
+        self.payload_text = text
+
+    def __getattr__(self, name: str):
+        # Reached only while a field's slot is unset: decode them all.
+        if name not in VERDICT_FIELDS:
+            raise AttributeError(name)
+        decoded = result_from_payload(json.loads(self.payload_text))
+        for field in VERDICT_FIELDS:
+            setattr(self, field, getattr(decoded, field))
+        return getattr(self, name)
 
 
 def matrix_digest(report: RegressionReport) -> str:
@@ -319,10 +366,8 @@ class ResultCache(RecordLog):
         text = self.read(_VERDICTS, key)
         if text is None:
             return None
-        result = result_from_payload(json.loads(text))
-        result.payload_text = text
         self.hits += 1
-        return result
+        return _CachedResult(text)
 
     def put(self, key: str, result: RunResult) -> bool:
         if self.disabled:
@@ -506,12 +551,15 @@ class RegressionScheduler:
             # warmed up, and the objects below the test cell it
             # assembled (one append for all of them).  One stamp-sized
             # check per registered image when an artifact store is
-            # installed, a constant-time no-op otherwise.
-            from repro.isa.decodecache import artifact_store, persist_registry
+            # installed, a constant-time no-op otherwise; a run that
+            # executed nothing has loaded no decode registry to persist.
+            from repro.store import artifact_store
 
-            persist_registry()
             store = artifact_store()
             if store is not None:
+                decodecache = sys.modules.get("repro.isa.decodecache")
+                if decodecache is not None:
+                    decodecache.persist_registry()
                 store.save_objects()
 
         return self._assemble_report(work, outcomes, derivative)
@@ -861,6 +909,8 @@ class RegressionScheduler:
     ) -> ExecutionSession:
         session = sessions.get(tgt.name)
         if session is None:
+            from repro.platforms.session import ExecutionSession
+
             override = self.platform_overrides.get(tgt.name)
             if override is not None:
                 session = ExecutionSession(override, derivative)

@@ -12,13 +12,13 @@ blocks and the name of the platform class that executes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.platforms import Platform, make_platform
+if TYPE_CHECKING:
+    from repro.platforms import Platform
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(NamedTuple):
     """One simulation/emulation target."""
 
     name: str
@@ -33,6 +33,10 @@ class Target:
         return f"TARGET_{self.name.upper()}"
 
     def make_platform(self, **kwargs) -> Platform:
+        # The engine loads with the first platform built, so a
+        # regression served from the result cache never loads it.
+        from repro.platforms import make_platform
+
         return make_platform(self.platform_name, **kwargs)
 
 

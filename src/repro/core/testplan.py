@@ -16,37 +16,37 @@ Statuses track the directed-test lifecycle: ``planned`` (no test yet),
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 VALID_STATUSES = ("planned", "implemented", "passing")
 
 
-@dataclass
 class PlanItem:
-    item_id: str
-    status: str
-    description: str
+    __slots__ = ("item_id", "status", "description")
 
-    def __post_init__(self) -> None:
-        if self.status not in VALID_STATUSES:
+    def __init__(self, item_id: str, status: str, description: str):
+        if status not in VALID_STATUSES:
             raise ValueError(
-                f"plan item {self.item_id}: bad status {self.status!r} "
+                f"plan item {item_id}: bad status {status!r} "
                 f"(expected one of {VALID_STATUSES})"
             )
+        self.item_id = item_id
+        self.status = status
+        self.description = description
 
     def render(self) -> str:
         return f"{self.item_id} | {self.status} | {self.description}"
 
 
-@dataclass
 class TestPlan:
     """The module test plan: ordered items, grep-able text round-trip."""
 
     # Not a pytest class, despite the Test* name.
     __test__ = False
+    __slots__ = ("module", "items")
 
-    module: str
-    items: list[PlanItem] = field(default_factory=list)
+    def __init__(self, module: str, items: list[PlanItem] | None = None):
+        self.module = module
+        self.items = [] if items is None else items
 
     def add(
         self, item_id: str, description: str, status: str = "planned"

@@ -28,9 +28,8 @@ System tree (Figure 5)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro import assembler as toolchain
 from repro.assembler.linker import Linker, MemoryImage
@@ -102,8 +101,7 @@ def write_system_environment(
 # validation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureIssue:
+class StructureIssue(NamedTuple):
     path: str
     problem: str
 

@@ -63,7 +63,6 @@ appends instead of per-instruction recording.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Mapping
 
 from repro.isa.encoding import decode_word, opcode_of, sign_extend_16
@@ -150,9 +149,9 @@ _MEM_ABSOLUTE_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
 class DecodedInstruction:
     """One fully decoded instruction, ready for the execute stage.
+    Immutable once decoded: one entry is shared by every cache.
 
     ``fetch_waits`` is the bus wait-state cost a real fetch of this
     instruction's word(s) would have charged; cycle-accurate cores add
@@ -170,84 +169,92 @@ class DecodedInstruction:
     bit-field operations.
     """
 
-    opcode: int
-    mnemonic: str
-    size_bytes: int
-    base_cycles: int
-    fetch_waits: int
-    #: The bus events a real fetch of this instruction would have
-    #: recorded — ``("read", pc, 4, word)`` per fetched word.  The
-    #: superblock loop replays them into the bus trace when one is
-    #: active (a block's body in one bulk append of the block's
-    #: concatenated ``fetch_events``), so the cache can stay enabled
-    #: under observation.
-    fetch_events: tuple[tuple[str, int, int, int], ...] = ()
-    #: Memory micro-op classification (``MEM_*``; 0 = not a memory
-    #: micro-op).  ``mem_disp`` is the sign-extended displacement
-    #: (indexed forms) or the absolute address (LDABS/STABS forms); the
-    #: register operands are ``r1`` (the data/address register moved)
-    #: and ``r2`` (the base register).
-    mem_kind: int = MEM_NONE
-    mem_disp: int = 0
-    #: Executor binding + precomputed operands (see class docstring).
-    pc: int = 0
-    next_pc: int = 0
-    r1: int = 0
-    r2: int = 0
-    r3: int = 0
-    imm_s: int = 0
-    imm_u: int = 0
-    pos: int = 0
-    width: int = 0
-    exec: Callable | None = None
+    __slots__ = (
+        "opcode", "mnemonic", "size_bytes", "base_cycles", "fetch_waits",
+        "fetch_events", "mem_kind", "mem_disp", "pc", "next_pc", "r1", "r2",
+        "r3", "imm_s", "imm_u", "pos", "width", "exec",
+    )
+
+    def __init__(
+        self,
+        opcode: int,
+        mnemonic: str,
+        size_bytes: int,
+        base_cycles: int,
+        fetch_waits: int,
+        fetch_events: tuple[tuple[str, int, int, int], ...] = (),
+        mem_kind: int = MEM_NONE,
+        mem_disp: int = 0,
+        pc: int = 0,
+        next_pc: int = 0,
+        r1: int = 0,
+        r2: int = 0,
+        r3: int = 0,
+        imm_s: int = 0,
+        imm_u: int = 0,
+        pos: int = 0,
+        width: int = 0,
+        exec: Callable | None = None,
+    ):
+        self.opcode = opcode
+        self.mnemonic = mnemonic
+        self.size_bytes = size_bytes
+        self.base_cycles = base_cycles
+        self.fetch_waits = fetch_waits
+        #: The bus events a real fetch of this instruction would have
+        #: recorded — ``("read", pc, 4, word)`` per fetched word.  The
+        #: superblock loop replays them into the bus trace when one is
+        #: active (a block's body in one bulk append of the block's
+        #: concatenated ``fetch_events``), so the cache can stay enabled
+        #: under observation.
+        self.fetch_events = fetch_events
+        #: Memory micro-op classification (``MEM_*``; 0 = not a memory
+        #: micro-op).  ``mem_disp`` is the sign-extended displacement
+        #: (indexed forms) or the absolute address (LDABS/STABS forms);
+        #: the register operands are ``r1`` (the data/address register
+        #: moved) and ``r2`` (the base register).
+        self.mem_kind = mem_kind
+        self.mem_disp = mem_disp
+        #: Executor binding + precomputed operands (see class docstring).
+        self.pc = pc
+        self.next_pc = next_pc
+        self.r1 = r1
+        self.r2 = r2
+        self.r3 = r3
+        self.imm_s = imm_s
+        self.imm_u = imm_u
+        self.pos = pos
+        self.width = width
+        self.exec = exec
+
+    def __getstate__(self) -> list:
+        """Every slot, in slot order (the unrolled ``__setstate__``'s
+        layout)."""
+        return [getattr(self, slot) for slot in self.__slots__]
 
 
-_DECODED_FIELDS = tuple(
-    field.name for field in dataclass_fields(DecodedInstruction)
-)
-
-
-def _decoded_getstate(self) -> list:
-    return [getattr(self, name) for name in _DECODED_FIELDS]
-
-
-def _unrolled_setstate(names, setattr_form: str, bindings=None):
-    """A ``__setstate__`` with one inline store per field (the
-    dataclass-``__init__`` codegen trick).  An artifact-store restore
-    unpickles thousands of entries and blocks; a Python-level
-    ``zip``+``setattr`` loop over 18-20 fields per object was the
-    hottest piece of a warm process start.  A state of any other length
-    (another field layout) raises ``ValueError``, so it can never land
-    in shifted fields."""
+def _unrolled_setstate(names):
+    """A ``__setstate__`` with one inline store per slot.  An
+    artifact-store restore unpickles thousands of entries and blocks; a
+    Python-level ``zip``+``setattr`` loop over 14-18 slots per object
+    was the hottest piece of a warm process start.  A state of any other
+    length (another slot layout) raises ``ValueError``, so it can never
+    land in shifted slots."""
     source = (
         "def _setstate(self, state):\n"
         f"    if len(state) != {len(names)}:\n"
         "        raise ValueError('pickled state has the wrong field count')\n"
     ) + "\n".join(
-        setattr_form.format(name=name, index=index)
-        for index, name in enumerate(names)
+        f"    self.{name} = state[{index}]" for index, name in enumerate(names)
     )
-    namespace = dict(bindings or {})
+    namespace: dict = {}
     exec(source, namespace)
     return namespace["_setstate"]
 
 
-# The slot-pickling helpers dataclasses generates for a frozen slots
-# class re-resolve ``fields()`` and go through ``object.__setattr__``
-# on every object; an artifact-store restore unpickles thousands of
-# entries, so bind precomputed versions (assigned post-class because
-# ``slots=True`` rebuilds the class and installs its own helpers over
-# in-body definitions on 3.11).  The frozen class's own ``__setattr__``
-# raises, so each field is stored through its slot descriptor's
-# ``__set__``, pre-bound: half the cost of ``object.__setattr__``.
-DecodedInstruction.__getstate__ = _decoded_getstate
+# Bound post-class so the generated source can enumerate the slots.
 DecodedInstruction.__setstate__ = _unrolled_setstate(
-    _DECODED_FIELDS,
-    "    _set_{name}(self, state[{index}])",
-    {
-        f"_set_{name}": getattr(DecodedInstruction, name).__set__
-        for name in _DECODED_FIELDS
-    },
+    DecodedInstruction.__slots__
 )
 
 
@@ -283,7 +290,7 @@ def _executors() -> dict[int, Callable]:
             from repro.isa import semantics
 
             source = semantics.executor_source()
-            store = _ARTIFACT_STORE
+            store = _artifact_store()
             code = None if store is None else store.load_code(source)
             if code is None:
                 code = compile(source, "<opcode executors>", "exec")
@@ -450,11 +457,8 @@ class Superblock:
         return [getattr(self, slot) for slot in self.__slots__]
 
 
-# Same unrolled-stores trick as ``DecodedInstruction`` (bound
-# post-class so the generated source can enumerate the slots).
-Superblock.__setstate__ = _unrolled_setstate(
-    Superblock.__slots__, "    self.{name} = state[{index}]"
-)
+# Same unrolled-stores trick as ``DecodedInstruction``.
+Superblock.__setstate__ = _unrolled_setstate(Superblock.__slots__)
 
 
 #: Opcodes whose ``imm_u`` is the sign-extended-and-masked immediate.
@@ -717,7 +721,7 @@ class DecodeCache:
         return entry
 
 
-#: (pc, word, literal, fetch waits) -> the one frozen
+#: (pc, word, literal, fetch waits) -> the one immutable
 #: :class:`DecodedInstruction` they decode to, shared by every cache
 #: (images of one workspace hold the same library code at the same
 #: addresses).  Emptied when full, by :func:`reset_registry` and by a
@@ -737,33 +741,16 @@ _REGISTRY_LIMIT = 256
 _REGISTRY_LOCK = threading.Lock()
 _REGISTRY_EVICTIONS = 0
 
-#: Optional persistent artifact store (duck-typed:
-#: ``load_decode_cache(key) -> DecodeCache | None``,
-#: ``save_decode_cache(key, cache) -> bool`` (queue one cache),
-#: ``save_decode_pack() -> int`` (write the queue), ``load_code(source) ->
-#: CodeType | None`` and ``save_code(source, code) -> bool``, all
-#: non-raising) that :func:`decode_cache_for` consults on a registry
-#: miss, so a fresh process warm-starts from disk instead of re-paying
-#: predecode and superblock formation, and that :func:`_executors`
-#: loads the compiled executor table from.  The build layer keeps the
-#: assembled objects below the test cell in it too
-#: (:func:`repro.core.environment.stored_objects`).  Installed by the
-#: CLI/daemon via :func:`set_artifact_store`; ``None`` keeps the
-#: registry pure-memory.
-_ARTIFACT_STORE = None
+def _artifact_store():
+    """The installed persistent artifact store
+    (:func:`repro.store.artifact_store`), or ``None``: consulted by
+    :func:`decode_cache_for` on a registry miss, so a fresh process
+    warm-starts from disk instead of re-paying predecode and superblock
+    formation, and by :func:`_executors` for the compiled executor
+    table; drained by :func:`persist_registry`."""
+    from repro.store import artifact_store
 
-
-def set_artifact_store(store) -> None:
-    """Install (or with ``None`` remove) the persistent artifact store
-    consulted on registry misses and drained by
-    :func:`persist_registry`."""
-    global _ARTIFACT_STORE
-    _ARTIFACT_STORE = store
-
-
-def artifact_store():
-    """The installed artifact store, or ``None``."""
-    return _ARTIFACT_STORE
+    return artifact_store()
 
 
 def _evict_to_limit_locked() -> None:
@@ -789,7 +776,8 @@ def decode_cache_for(
     full the least-recently-resolved cache is evicted (dropping its
     blocks with it).
 
-    With an artifact store installed (:func:`set_artifact_store`), a
+    With an artifact store installed
+    (:func:`repro.store.set_artifact_store`), a
     registry miss first tries the store: a hit restores the persisted
     predecode/superblock state and the fresh process skips the cold
     start entirely.  The store names a snapshot by this key and the
@@ -801,8 +789,9 @@ def decode_cache_for(
     with _REGISTRY_LOCK:
         cache = _REGISTRY.pop(key, None)
         if cache is None:
-            if _ARTIFACT_STORE is not None:
-                cache = _ARTIFACT_STORE.load_decode_cache(key)
+            store = _artifact_store()
+            if store is not None:
+                cache = store.load_decode_cache(key)
             if cache is None:
                 cache = DecodeCache(
                     image, region_base, region_end, wait_states
@@ -820,7 +809,7 @@ def persist_registry() -> int:
     The store skips unchanged caches via a cheap content stamp, so
     calling this after every regression costs one stamp compare per
     warm image, and no file when nothing changed."""
-    store = _ARTIFACT_STORE
+    store = _artifact_store()
     if store is None:
         return 0
     with _REGISTRY_LOCK:

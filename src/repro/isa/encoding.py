@@ -34,7 +34,7 @@ perform the bias internally, so callers never see the bias.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 WORD_BITS = 32
 WORD_MASK = 0xFFFF_FFFF
@@ -165,8 +165,7 @@ def sign_extend_16(value: int) -> int:
     return value - 0x1_0000 if value & 0x8000 else value
 
 
-@dataclass(frozen=True)
-class EncodedInstruction:
+class EncodedInstruction(NamedTuple):
     """One fully encoded instruction: first word plus optional literal."""
 
     word: int

@@ -18,7 +18,6 @@ each operand is routed to the encoding slot named in the spec's
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.isa.encoding import Format
 
@@ -128,22 +127,35 @@ class Opcode(enum.IntEnum):
     WRPSW = 0x7A
 
 
-@dataclass(frozen=True)
 class InstructionSpec:
     """Static description of one machine operation."""
 
-    name: str
-    mnemonic: str
-    opcode: Opcode
-    fmt: Format
-    operands: tuple[OperandKind, ...]
-    slots: tuple[str, ...]
-    description: str
-    sets_flags: str = ""
+    __slots__ = (
+        "name", "mnemonic", "opcode", "fmt", "operands", "slots",
+        "description", "sets_flags",
+    )
 
-    def __post_init__(self) -> None:
-        if len(self.operands) != len(self.slots):
-            raise ValueError(f"{self.name}: operands/slots length mismatch")
+    def __init__(
+        self,
+        name: str,
+        mnemonic: str,
+        opcode: Opcode,
+        fmt: Format,
+        operands: tuple[OperandKind, ...],
+        slots: tuple[str, ...],
+        description: str,
+        sets_flags: str = "",
+    ):
+        if len(operands) != len(slots):
+            raise ValueError(f"{name}: operands/slots length mismatch")
+        self.name = name
+        self.mnemonic = mnemonic
+        self.opcode = opcode
+        self.fmt = fmt
+        self.operands = operands
+        self.slots = slots
+        self.description = description
+        self.sets_flags = sets_flags
 
     @property
     def words(self) -> int:

@@ -12,7 +12,6 @@ top of RAM at reset.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 WORD_MASK = 0xFFFF_FFFF
 NUM_REGS_PER_CLASS = 16
@@ -26,16 +25,24 @@ class RegisterClass(enum.Enum):
     ADDRESS = "a"
 
 
-@dataclass(frozen=True)
 class Register:
     """A single architectural register (bank + index)."""
 
-    cls: RegisterClass
-    index: int
+    __slots__ = ("cls", "index")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < NUM_REGS_PER_CLASS:
-            raise ValueError(f"register index out of range: {self.index}")
+    def __init__(self, cls: RegisterClass, index: int):
+        if not 0 <= index < NUM_REGS_PER_CLASS:
+            raise ValueError(f"register index out of range: {index}")
+        self.cls = cls
+        self.index = index
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Register):
+            return NotImplemented
+        return self.cls is other.cls and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.cls, self.index))
 
     @property
     def name(self) -> str:
@@ -80,7 +87,6 @@ def parse_register(text: str) -> Register | None:
     return Register(cls, index)
 
 
-@dataclass
 class ProcessorStatusWord:
     """PSW with the four ALU flags and the interrupt-enable bit.
 
@@ -89,11 +95,21 @@ class ProcessorStatusWord:
     ``RETI``, so round-tripping through :attr:`value` must be lossless.
     """
 
-    carry: bool = False
-    zero: bool = False
-    negative: bool = False
-    overflow: bool = False
-    interrupt_enable: bool = False
+    __slots__ = ("carry", "zero", "negative", "overflow", "interrupt_enable")
+
+    def __init__(
+        self,
+        carry: bool = False,
+        zero: bool = False,
+        negative: bool = False,
+        overflow: bool = False,
+        interrupt_enable: bool = False,
+    ):
+        self.carry = carry
+        self.zero = zero
+        self.negative = negative
+        self.overflow = overflow
+        self.interrupt_enable = interrupt_enable
 
     _C_BIT = 1 << 0
     _Z_BIT = 1 << 1
@@ -160,14 +176,16 @@ class ProcessorStatusWord:
         return clone
 
 
-@dataclass
 class RegisterFile:
     """The full architectural register state of one SC88 core."""
 
-    data: list[int] = field(default_factory=lambda: [0] * NUM_REGS_PER_CLASS)
-    address: list[int] = field(default_factory=lambda: [0] * NUM_REGS_PER_CLASS)
-    pc: int = 0
-    psw: ProcessorStatusWord = field(default_factory=ProcessorStatusWord)
+    __slots__ = ("data", "address", "pc", "psw")
+
+    def __init__(self) -> None:
+        self.data = [0] * NUM_REGS_PER_CLASS
+        self.address = [0] * NUM_REGS_PER_CLASS
+        self.pc = 0
+        self.psw = ProcessorStatusWord()
 
     def read(self, reg: Register) -> int:
         bank = self.data if reg.cls is RegisterClass.DATA else self.address

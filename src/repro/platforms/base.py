@@ -17,75 +17,19 @@ bondout            instr     debug port  post-run register reads
 product silicon    instr     pins only   pass/fail via GPIO + UART
 =================  ========  ==========  =========================
 
-A :class:`RunResult` carries only what the platform can legitimately
-observe — the regression layer treats missing observability as "no data",
-exactly as a real lab bring-up would.
+The verdict a run produces is a :class:`~repro.verdict.RunResult`.
 """
 
 from __future__ import annotations
 
-import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
 from repro.assembler.linker import MemoryImage
-from repro.platforms.cpu import CpuCore, CpuFault, InstructionTrace
+from repro.platforms.cpu import CpuCore
 from repro.soc.bus import BusTrace
 from repro.soc.derivatives import Derivative
 from repro.soc.device import FAIL_MAGIC, PASS_MAGIC, SystemOnChip
-
-DEFAULT_MAX_INSTRUCTIONS = 1_000_000
-
-
-class RunStatus(enum.Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    TIMEOUT = "timeout"
-    FAULT = "fault"
-    WATCHDOG = "watchdog-reset"
-    NO_DATA = "no-data"  # platform cannot observe a verdict source
-
-
-@dataclass
-class RunResult:
-    """Outcome of one test image on one platform."""
-
-    platform: str
-    derivative: str
-    status: RunStatus
-    instructions: int = 0
-    cycles: int = 0
-    #: d0 signature, where register visibility exists.
-    signature: int | None = None
-    #: RAM result word, where memory visibility exists.
-    result_word: int | None = None
-    uart_output: str | None = None
-    done_pin: int | None = None
-    pass_pin: int | None = None
-    fault_reason: str | None = None
-    #: Retired-instruction log where trace visibility exists: the live
-    #: ``InstructionTrace`` from a run, or one over the cached rows when
-    #: rehydrated from the result cache.
-    trace: InstructionTrace | None = None
-    #: Register snapshot, where a debug port exists.
-    registers: dict[str, int] | None = None
-    #: This verdict's result-cache JSON text, when the cache has already
-    #: sealed (stored) or verified (read back) it, so the matrix digest
-    #: hashes that text instead of encoding the verdict again.  Not part
-    #: of the verdict: no constructor argument (``dataclasses.replace``
-    #: never carries it to a changed copy), no comparison, no ``repr``.
-    payload_text: str | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-
-    @property
-    def passed(self) -> bool:
-        return self.status is RunStatus.PASS
-
-    def verdict_key(self) -> tuple:
-        """The cross-platform comparison key used by divergence checks:
-        only fields every platform can report."""
-        return (self.status.value,)
+from repro.verdict import DEFAULT_MAX_INSTRUCTIONS, RunResult, RunStatus
 
 
 class Platform(ABC):

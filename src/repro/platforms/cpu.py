@@ -19,8 +19,7 @@ is zero is *unhandled* and raises :class:`CpuFault`, ending the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.isa.decodecache import BASE_CYCLES, DecodeCache
 from repro.isa.encoding import decode_word, opcode_of, sign_extend_16
@@ -56,8 +55,7 @@ class CpuFault(Exception):
         self.pc = pc
 
 
-@dataclass
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One retired instruction, for platforms with waveform visibility."""
 
     pc: int

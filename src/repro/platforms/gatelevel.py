@@ -11,15 +11,14 @@ found in that particular simulation domain").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.platforms.base import Platform
 from repro.platforms.cpu import CpuCore
 from repro.soc.device import SystemOnChip
 
 
-@dataclass(frozen=True)
-class NetlistFault:
+class NetlistFault(NamedTuple):
     """A stuck-at / wrong-wiring style fault in the synthesized ALU.
 
     ``opcode`` limits the fault to one operation (e.g. only INSERT results

@@ -221,7 +221,7 @@ class RegressionService:
         if store is not None:
             if store.injector is None and self._injector is not None:
                 store.injector = self._injector
-            from repro.isa.decodecache import set_artifact_store
+            from repro.store import set_artifact_store
 
             set_artifact_store(store)
         self.max_pending = max(1, int(max_pending))

@@ -7,94 +7,58 @@ page controller, timer, interrupt controller, GPIO, watchdog), a register
 model with named bit fields (:mod:`repro.soc.registers`), and the
 embedded-software ROM that plays the paper's "global layer" firmware
 (:mod:`repro.soc.embedded`).
+
+Each public name resolves on first use (PEP 562) and imports only the
+submodule defining it: rendering ``Globals.inc`` from the derivative
+catalogue loads neither the bus nor a peripheral model.
 """
 
-from repro.soc.bus import Bus, BusAccess, BusError, BusTrace, Memory
-from repro.soc.derivatives import (
-    CATALOGUE,
-    Derivative,
-    SC88A,
-    SC88B,
-    SC88C,
-    SC88D,
-    all_derivatives,
-    derivative,
-)
-from repro.soc.device import (
-    FAIL_MAGIC,
-    PASS_MAGIC,
-    SystemOnChip,
-)
-from repro.soc.embedded import (
-    ES_ABI_V1,
-    ES_ABI_V2,
-    EsAbi,
-    assemble_embedded_software,
-    es_abi,
-    es_source,
-)
-from repro.soc.memorymap import (
-    IRQ_VECTOR_BASE,
-    MemoryMap,
-    MemoryRegion,
-    NVM_PAGE_BYTES,
-    TRAP_BUS_ERROR,
-    TRAP_DIV_ZERO,
-    TRAP_ILLEGAL_OPCODE,
-    TRAP_MISALIGNED,
-    TRAP_WATCHDOG,
-    VECTOR_BASE,
-    VECTOR_COUNT,
-    make_memory_map,
-)
-from repro.soc.registers import (
-    Access,
-    Field,
-    Instance,
-    PeripheralLayout,
-    RegisterDef,
-    RegisterMap,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Access",
-    "Bus",
-    "BusAccess",
-    "BusError",
-    "BusTrace",
-    "CATALOGUE",
-    "Derivative",
-    "ES_ABI_V1",
-    "ES_ABI_V2",
-    "EsAbi",
-    "FAIL_MAGIC",
-    "Field",
-    "IRQ_VECTOR_BASE",
-    "Instance",
-    "Memory",
-    "MemoryMap",
-    "MemoryRegion",
-    "NVM_PAGE_BYTES",
-    "PASS_MAGIC",
-    "PeripheralLayout",
-    "RegisterDef",
-    "RegisterMap",
-    "SC88A",
-    "SC88B",
-    "SC88C",
-    "SC88D",
-    "SystemOnChip",
-    "TRAP_BUS_ERROR",
-    "TRAP_DIV_ZERO",
-    "TRAP_ILLEGAL_OPCODE",
-    "TRAP_MISALIGNED",
-    "TRAP_WATCHDOG",
-    "VECTOR_BASE",
-    "VECTOR_COUNT",
-    "all_derivatives",
-    "assemble_embedded_software",
-    "derivative",
-    "es_abi",
-    "es_source",
-    "make_memory_map",
-]
+#: Public name -> the submodule that defines it (``__all__`` order).
+_ORIGINS = {
+    "Access": "registers",
+    "Bus": "bus",
+    "BusAccess": "bus",
+    "BusError": "bus",
+    "BusTrace": "bus",
+    "CATALOGUE": "derivatives",
+    "Derivative": "derivatives",
+    "ES_ABI_V1": "embedded",
+    "ES_ABI_V2": "embedded",
+    "EsAbi": "embedded",
+    "FAIL_MAGIC": "memorymap",
+    "Field": "registers",
+    "IRQ_VECTOR_BASE": "memorymap",
+    "Instance": "registers",
+    "Memory": "bus",
+    "MemoryMap": "memorymap",
+    "MemoryRegion": "memorymap",
+    "NVM_PAGE_BYTES": "memorymap",
+    "PASS_MAGIC": "memorymap",
+    "PeripheralLayout": "registers",
+    "RegisterDef": "registers",
+    "RegisterMap": "registers",
+    "SC88A": "derivatives",
+    "SC88B": "derivatives",
+    "SC88C": "derivatives",
+    "SC88D": "derivatives",
+    "SystemOnChip": "device",
+    "TRAP_BUS_ERROR": "memorymap",
+    "TRAP_DIV_ZERO": "memorymap",
+    "TRAP_ILLEGAL_OPCODE": "memorymap",
+    "TRAP_MISALIGNED": "memorymap",
+    "TRAP_WATCHDOG": "memorymap",
+    "VECTOR_BASE": "memorymap",
+    "VECTOR_COUNT": "memorymap",
+    "all_derivatives": "derivatives",
+    "assemble_embedded_software": "embedded",
+    "derivative": "derivatives",
+    "es_abi": "embedded",
+    "es_source": "embedded",
+    "make_memory_map": "memorymap",
+}
+
+__all__ = list(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

@@ -33,9 +33,8 @@ same way on every platform.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from struct import Struct
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 #: Dispatch-table granularity.  256-byte pages cover every real mapping
 #: exactly (memory regions are 64 KiB-aligned and SFR peripheral blocks
@@ -70,30 +69,41 @@ class BusDevice(Protocol):
     def write(self, offset: int, value: int, size: int) -> None: ...
 
 
-@dataclass
 class Mapping:
-    name: str
-    base: int
-    size: int
-    device: BusDevice
-    wait_states: int = 0
-    #: Derived routing state, filled in ``__post_init__``: the exclusive
-    #: end address, and — for plain :class:`Memory` devices — the raw
-    #: byte buffer the bus may read/write words from directly
-    #: (``word_wbuf`` stays ``None`` for read-only memories so writes
-    #: route through :meth:`Memory.write` and raise).
-    end: int = field(init=False, repr=False)
-    word_buf: bytearray | None = field(init=False, default=None, repr=False)
-    word_wbuf: bytearray | None = field(init=False, default=None, repr=False)
+    __slots__ = (
+        "name", "base", "size", "device", "wait_states", "end", "word_buf",
+        "word_wbuf",
+    )
 
-    def __post_init__(self) -> None:
-        # Re-entrant: whoever swaps a mapping's device re-runs this, so
-        # stale word buffers must be dropped, not just overwritten — a
-        # non-Memory device (e.g. a watching wrapper) must route every
-        # access through its read/write methods.
+    def __init__(
+        self,
+        name: str,
+        base: int,
+        size: int,
+        device: BusDevice,
+        wait_states: int = 0,
+    ):
+        self.name = name
+        self.base = base
+        self.size = size
+        self.device = device
+        self.wait_states = wait_states
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Derive the routing state: the exclusive end address, and —
+        for plain :class:`Memory` devices — the raw byte buffer the bus
+        may read/write words from directly (``word_wbuf`` stays
+        ``None`` for read-only memories so writes route through
+        :meth:`Memory.write` and raise).
+
+        Whoever swaps a mapping's device calls this again, so stale
+        word buffers are dropped, not just overwritten — a non-Memory
+        device (e.g. a watching wrapper) must route every access
+        through its read/write methods."""
         self.end = self.base + self.size
-        self.word_buf = None
-        self.word_wbuf = None
+        self.word_buf: bytearray | None = None
+        self.word_wbuf: bytearray | None = None
         if type(self.device) is Memory:
             self.word_buf = self.device.data
             if not self.device.read_only:
@@ -103,8 +113,7 @@ class Mapping:
         return self.base <= address and address + length <= self.end
 
 
-@dataclass(frozen=True)
-class BusAccess:
+class BusAccess(NamedTuple):
     """One observed bus transaction (for traces and coverage)."""
 
     kind: str  # "read" | "write"

@@ -20,25 +20,26 @@ sc88d     embedded software **rewritten** (entry point renamed, input
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.soc.embedded import EsAbi, es_abi
+from repro.soc.layouts import (
+    make_gpio_layout,
+    make_intc_layout,
+    make_nvm_layout,
+    make_timer_layout,
+    make_uart_layout,
+    make_wdt_layout,
+)
 from repro.soc.memorymap import MemoryMap, make_memory_map
 from repro.soc.registers import Instance, PeripheralLayout, RegisterMap
-from repro.soc.peripherals.gpio import make_gpio_layout
-from repro.soc.peripherals.intc import make_intc_layout
-from repro.soc.peripherals.nvm import make_nvm_layout
-from repro.soc.peripherals.timer import make_timer_layout
-from repro.soc.peripherals.uart import make_uart_layout
-from repro.soc.peripherals.watchdog import make_wdt_layout
 
 SFR_BASE = 0xF000_0000
 
 
-@dataclass(frozen=True)
-class Derivative:
+class Derivative(NamedTuple):
     """Static description of one chip variant."""
 
     name: str

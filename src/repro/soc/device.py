@@ -9,12 +9,10 @@ output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.assembler.linker import MemoryImage
 from repro.soc.bus import Bus, Memory
 from repro.soc.derivatives import Derivative
-from repro.soc.memorymap import MemoryMap
+from repro.soc.memorymap import FAIL_MAGIC, PASS_MAGIC, MemoryMap
 from repro.soc.peripherals.gpio import DONE_PIN, Gpio, PASS_PIN
 from repro.soc.peripherals.intc import (
     InterruptController,
@@ -29,10 +27,6 @@ from repro.soc.peripherals.timer import Timer
 from repro.soc.peripherals.uart import Uart
 from repro.soc.peripherals.watchdog import Watchdog
 
-#: Result signatures written by tests (also published via Globals.inc).
-PASS_MAGIC = 0x600D_C0DE
-FAIL_MAGIC = 0xBAD0_BAD0
-
 #: Wait states charged by the cycle-accurate platforms, per region.
 ROM_WAIT_STATES = 1
 RAM_WAIT_STATES = 0
@@ -40,13 +34,15 @@ NVM_WAIT_STATES = 3
 SFR_WAIT_STATES = 1
 
 
-@dataclass
 class IrqLine:
-    line: int
-    device: object  # Peripheral with an ``irq`` attribute
-    #: Whether the device was armed (``device.armed()``) when the bound
-    #: core last re-evaluated it; only armed lines are walked.
-    armed: bool = False
+    __slots__ = ("line", "device", "armed")
+
+    def __init__(self, line: int, device: object):
+        self.line = line
+        self.device = device  # Peripheral with an ``irq`` attribute
+        #: Whether the device was armed (``device.armed()``) when the
+        #: bound core last re-evaluated it; only armed lines are walked.
+        self.armed = False
 
 
 class SfrPort:

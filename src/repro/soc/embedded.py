@@ -21,14 +21,13 @@ generator consults to build the correct wrapper for each derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro import assembler as toolchain
 from repro.soc.memorymap import ES_ROM_BASE
 
 
-@dataclass(frozen=True)
-class EsAbi:
+class EsAbi(NamedTuple):
     """Calling convention of the embedded-software entry points."""
 
     version: int

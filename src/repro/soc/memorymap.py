@@ -10,11 +10,10 @@ ADVM abstraction layer must absorb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MemoryRegion:
+class MemoryRegion(NamedTuple):
     """One contiguous address range."""
 
     name: str
@@ -46,9 +45,13 @@ TRAP_WATCHDOG = 5
 #: Hardware interrupt lines map to vectors 8 + line.
 IRQ_VECTOR_BASE = 8
 
+#: Result signatures tests deposit in the result word (also published
+#: via Globals.inc).
+PASS_MAGIC = 0x600D_C0DE
+FAIL_MAGIC = 0xBAD0_BAD0
 
-@dataclass(frozen=True)
-class MemoryMap:
+
+class MemoryMap(NamedTuple):
     """Complete address map for one derivative."""
 
     rom: MemoryRegion = MemoryRegion("rom", 0x0000_0000, 0x0008_0000)

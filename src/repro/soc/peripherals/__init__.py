@@ -1,9 +1,9 @@
 """SC88 peripheral models.
 
-Each peripheral module exports a layout factory (parameterised by the
-derivative-specific facts: field positions, register names, counter
-widths) and a behavioural model class.  The ADVM global-defines generator
-reads the layouts; the execution platforms run the models.
+Each peripheral module exports a behavioural model class, bound to the
+layout factory :mod:`repro.soc.layouts` defines for it (and re-exported
+here).  The ADVM global-defines generator reads the layouts; the
+execution platforms run the models.
 """
 
 from repro.soc.peripherals.base import Peripheral

@@ -10,45 +10,9 @@ pins to produce its verdict.
 
 from __future__ import annotations
 
+from repro.soc.layouts import DONE_PIN, NUM_PINS, PASS_PIN, make_gpio_layout
 from repro.soc.peripherals.base import Peripheral
-from repro.soc.registers import (
-    Access,
-    Field,
-    PeripheralLayout,
-    RegisterDef,
-)
-
-DONE_PIN = 0
-PASS_PIN = 1
-NUM_PINS = 16
-
-
-def make_gpio_layout(
-    out_name: str = "GPIO_OUT",
-    in_name: str = "GPIO_IN",
-    dir_name: str = "GPIO_DIR",
-) -> PeripheralLayout:
-    return PeripheralLayout(
-        name="GPIO",
-        doc="general-purpose I/O; pins 0/1 report test done/pass",
-        registers=(
-            RegisterDef(
-                out_name, 0x00, fields=(Field("PINS", 0, NUM_PINS),)
-            ),
-            RegisterDef(
-                in_name,
-                0x04,
-                access=Access.RO,
-                fields=(Field("PINS", 0, NUM_PINS, Access.RO),),
-            ),
-            RegisterDef(
-                dir_name,
-                0x08,
-                fields=(Field("PINS", 0, NUM_PINS),),
-                doc="1 = output",
-            ),
-        ),
-    )
+from repro.soc.registers import PeripheralLayout
 
 
 class Gpio(Peripheral):

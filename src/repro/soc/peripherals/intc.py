@@ -9,54 +9,17 @@ environments enable only the lines they exercise.
 
 from __future__ import annotations
 
-from repro.soc.peripherals.base import Peripheral
-from repro.soc.registers import (
-    Access,
-    Field,
-    PeripheralLayout,
-    RegisterDef,
+from repro.soc.layouts import (
+    LINE_GPIO,
+    LINE_NVM,
+    LINE_TIMER,
+    LINE_UART,
+    LINE_WDT,
+    NUM_LINES,
+    make_intc_layout,
 )
-
-#: Interrupt line assignment (fixed across derivatives).
-LINE_UART = 0
-LINE_TIMER = 1
-LINE_NVM = 2
-LINE_GPIO = 3
-LINE_WDT = 4
-NUM_LINES = 8
-
-
-def make_intc_layout(
-    enable_name: str = "INT_EN",
-    pending_name: str = "INT_PEND",
-    vector_name: str = "INT_VECT",
-) -> PeripheralLayout:
-    return PeripheralLayout(
-        name="INTC",
-        doc="level-sensitive interrupt controller",
-        registers=(
-            RegisterDef(
-                enable_name,
-                0x00,
-                fields=(Field("LINES", 0, NUM_LINES),),
-            ),
-            RegisterDef(
-                pending_name,
-                0x04,
-                access=Access.W1C,
-                fields=(Field("LINES", 0, NUM_LINES, Access.W1C),),
-            ),
-            RegisterDef(
-                vector_name,
-                0x08,
-                access=Access.RO,
-                fields=(
-                    Field("LINE", 0, 4, Access.RO, "lowest pending line"),
-                    Field("VALID", 31, 1, Access.RO),
-                ),
-            ),
-        ),
-    )
+from repro.soc.peripherals.base import Peripheral
+from repro.soc.registers import PeripheralLayout
 
 
 class InterruptController(Peripheral):

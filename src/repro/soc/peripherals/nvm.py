@@ -24,64 +24,13 @@ platforms observe a realistic busy window).
 from __future__ import annotations
 
 from repro.soc.bus import Memory
+from repro.soc.layouts import CMD_ERASE, CMD_IDLE, CMD_PROG, make_nvm_layout
 from repro.soc.memorymap import NVM_PAGE_BYTES
 from repro.soc.peripherals.base import Peripheral
-from repro.soc.registers import (
-    Access,
-    Field,
-    PeripheralLayout,
-    RegisterDef,
-)
-
-CMD_IDLE = 0
-CMD_PROG = 1
-CMD_ERASE = 2
+from repro.soc.registers import PeripheralLayout
 
 PROGRAM_CYCLES = 64
 ERASE_CYCLES = 96
-
-
-def make_nvm_layout(
-    page_pos: int = 0,
-    page_width: int = 5,
-    ctrl_name: str = "NVM_CTRL",
-    stat_name: str = "NVM_STAT",
-    addr_name: str = "NVM_ADDR",
-    data_name: str = "NVM_DATA",
-) -> PeripheralLayout:
-    """NVM controller block with a derivative-specific PAGE field."""
-    cmd_pos = max(page_pos + page_width, 16)
-    return PeripheralLayout(
-        name="NVM",
-        doc="page-programmable non-volatile memory controller",
-        registers=(
-            RegisterDef(
-                ctrl_name,
-                0x00,
-                fields=(
-                    Field("PAGE", page_pos, page_width, doc="target page"),
-                    Field("CMD", cmd_pos, 2, doc="0=idle 1=prog 2=erase"),
-                    Field("START", 31, 1, doc="pulse to start operation"),
-                ),
-            ),
-            RegisterDef(
-                stat_name,
-                0x04,
-                access=Access.RO,
-                fields=(
-                    Field("BUSY", 0, 1, Access.RO, "operation in progress"),
-                    Field("DONE", 1, 1, Access.RO, "operation finished"),
-                    Field("ERR", 2, 1, Access.RO, "bad page or command"),
-                ),
-            ),
-            RegisterDef(addr_name, 0x08, doc="byte offset into page buffer"),
-            RegisterDef(
-                data_name,
-                0x0C,
-                doc="write: store word at NVM_ADDR, auto-increment by 4",
-            ),
-        ),
-    )
 
 
 class NvmController(Peripheral):

@@ -7,54 +7,9 @@ bits), which is published to tests through the global defines as
 
 from __future__ import annotations
 
+from repro.soc.layouts import make_timer_layout
 from repro.soc.peripherals.base import Peripheral
-from repro.soc.registers import (
-    Access,
-    Field,
-    PeripheralLayout,
-    RegisterDef,
-)
-
-
-def make_timer_layout(
-    counter_width: int = 24,
-    ctrl_name: str = "TIM_CTRL",
-    count_name: str = "TIM_CNT",
-    reload_name: str = "TIM_RELOAD",
-    stat_name: str = "TIM_STAT",
-) -> PeripheralLayout:
-    return PeripheralLayout(
-        name="TIMER",
-        doc=f"{counter_width}-bit down counter",
-        registers=(
-            RegisterDef(
-                ctrl_name,
-                0x00,
-                fields=(
-                    Field("EN", 0, 1, doc="count enable"),
-                    Field("IE", 1, 1, doc="underflow interrupt enable"),
-                    Field("ONESHOT", 2, 1, doc="stop after first underflow"),
-                ),
-            ),
-            RegisterDef(
-                count_name,
-                0x04,
-                access=Access.RO,
-                fields=(Field("COUNT", 0, counter_width, Access.RO),),
-            ),
-            RegisterDef(
-                reload_name,
-                0x08,
-                fields=(Field("RELOAD", 0, counter_width),),
-            ),
-            RegisterDef(
-                stat_name,
-                0x0C,
-                access=Access.W1C,
-                fields=(Field("OVF", 0, 1, Access.W1C, "underflow seen"),),
-            ),
-        ),
-    )
+from repro.soc.registers import PeripheralLayout
 
 
 class Timer(Peripheral):

@@ -11,53 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.soc.layouts import make_uart_layout
 from repro.soc.peripherals.base import Peripheral
-from repro.soc.registers import (
-    Access,
-    Field,
-    PeripheralLayout,
-    RegisterDef,
-)
+from repro.soc.registers import PeripheralLayout
 
 RX_FIFO_DEPTH = 8
-
-
-def make_uart_layout(
-    ctrl_name: str = "UART_CTRL",
-    stat_name: str = "UART_STAT",
-    data_name: str = "UART_DATA",
-    baud_name: str = "UART_BAUD",
-) -> PeripheralLayout:
-    """UART register block; register *names* are derivative-controlled."""
-    return PeripheralLayout(
-        name="UART",
-        doc="asynchronous serial port with loopback test mode",
-        registers=(
-            RegisterDef(
-                ctrl_name,
-                0x00,
-                fields=(
-                    Field("EN", 0, 1, doc="block enable"),
-                    Field("LOOP", 1, 1, doc="loopback tx -> rx"),
-                    Field("TXEN", 2, 1, doc="transmitter enable"),
-                    Field("RXEN", 3, 1, doc="receiver enable"),
-                    Field("RXIE", 4, 1, doc="receive interrupt enable"),
-                ),
-            ),
-            RegisterDef(
-                stat_name,
-                0x04,
-                access=Access.RO,
-                fields=(
-                    Field("TXRDY", 0, 1, Access.RO, "transmitter idle"),
-                    Field("RXAVL", 1, 1, Access.RO, "receive data available"),
-                    Field("OVR", 2, 1, Access.RO, "receive overrun occurred"),
-                ),
-            ),
-            RegisterDef(data_name, 0x08, doc="tx on write, rx on read"),
-            RegisterDef(baud_name, 0x0C, reset=0x0010, doc="baud divisor"),
-        ),
-    )
 
 
 class Uart(Peripheral):

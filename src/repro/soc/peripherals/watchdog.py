@@ -9,49 +9,12 @@ needs to know.
 
 from __future__ import annotations
 
+from repro.soc.layouts import make_wdt_layout
 from repro.soc.peripherals.base import Peripheral
-from repro.soc.registers import (
-    Access,
-    Field,
-    PeripheralLayout,
-    RegisterDef,
-)
+from repro.soc.registers import PeripheralLayout
 
 DEFAULT_SERVICE_KEY = 0xA5
 DEFAULT_TIMEOUT = 100_000
-
-
-def make_wdt_layout(
-    ctrl_name: str = "WDT_CTRL",
-    service_name: str = "WDT_SERVICE",
-    count_name: str = "WDT_CNT",
-) -> PeripheralLayout:
-    return PeripheralLayout(
-        name="WDT",
-        doc="windowless watchdog; write the service key to reload",
-        registers=(
-            RegisterDef(
-                ctrl_name,
-                0x00,
-                fields=(
-                    Field("EN", 0, 1, doc="enable (sticky until reset)"),
-                    Field("TIMEOUT", 8, 20, doc="reload value in cycles"),
-                ),
-            ),
-            RegisterDef(
-                service_name,
-                0x04,
-                access=Access.WO,
-                fields=(Field("KEY", 0, 8, Access.WO),),
-            ),
-            RegisterDef(
-                count_name,
-                0x08,
-                access=Access.RO,
-                fields=(Field("COUNT", 0, 32, Access.RO),),
-            ),
-        ),
-    )
 
 
 class Watchdog(Peripheral):

@@ -14,8 +14,7 @@ base addresses for one concrete derivative and answers queries like
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 
 class Access:
@@ -27,21 +26,28 @@ class Access:
     W1C = "w1c"  # write-1-to-clear (status registers)
 
 
-@dataclass(frozen=True)
 class Field:
     """A named bit field inside a register."""
 
-    name: str
-    pos: int
-    width: int
-    access: str = Access.RW
-    doc: str = ""
+    __slots__ = ("name", "pos", "width", "access", "doc")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.pos < 32:
-            raise ValueError(f"field {self.name}: pos out of range")
-        if not 1 <= self.width <= 32 or self.pos + self.width > 32:
-            raise ValueError(f"field {self.name}: width out of range")
+    def __init__(
+        self,
+        name: str,
+        pos: int,
+        width: int,
+        access: str = Access.RW,
+        doc: str = "",
+    ):
+        if not 0 <= pos < 32:
+            raise ValueError(f"field {name}: pos out of range")
+        if not 1 <= width <= 32 or pos + width > 32:
+            raise ValueError(f"field {name}: width out of range")
+        self.name = name
+        self.pos = pos
+        self.width = width
+        self.access = access
+        self.doc = doc
 
     @property
     def mask(self) -> int:
@@ -60,33 +66,37 @@ class Field:
         )
 
 
-@dataclass(frozen=True)
 class RegisterDef:
     """One register inside a peripheral block."""
 
-    name: str
-    offset: int
-    fields: tuple[Field, ...] = ()
-    access: str = Access.RW
-    reset: int = 0
-    doc: str = ""
+    __slots__ = ("name", "offset", "fields", "access", "reset", "doc")
 
-    def __post_init__(self) -> None:
-        if self.offset % 4:
-            raise ValueError(f"register {self.name}: offset must be aligned")
+    def __init__(
+        self,
+        name: str,
+        offset: int,
+        fields: tuple[Field, ...] = (),
+        access: str = Access.RW,
+        reset: int = 0,
+        doc: str = "",
+    ):
+        if offset % 4:
+            raise ValueError(f"register {name}: offset must be aligned")
         seen: set[str] = set()
         used_bits = 0
-        for fld in self.fields:
+        for fld in fields:
             if fld.name in seen:
-                raise ValueError(
-                    f"register {self.name}: duplicate field {fld.name}"
-                )
+                raise ValueError(f"register {name}: duplicate field {fld.name}")
             seen.add(fld.name)
             if used_bits & fld.mask:
-                raise ValueError(
-                    f"register {self.name}: field {fld.name} overlaps"
-                )
+                raise ValueError(f"register {name}: field {fld.name} overlaps")
             used_bits |= fld.mask
+        self.name = name
+        self.offset = offset
+        self.fields = fields
+        self.access = access
+        self.reset = reset
+        self.doc = doc
 
     def field_named(self, name: str) -> Field:
         for fld in self.fields:
@@ -95,7 +105,6 @@ class RegisterDef:
         raise KeyError(f"register {self.name} has no field {name!r}")
 
 
-@dataclass(frozen=True)
 class PeripheralLayout:
     """A peripheral's register block: the *version-controlled* interface.
 
@@ -103,44 +112,38 @@ class PeripheralLayout:
     moved fields — and the ADVM global defines absorb the difference.
     """
 
-    name: str
-    registers: tuple[RegisterDef, ...]
-    size: int = 0x100
-    doc: str = ""
+    __slots__ = (
+        "name", "registers", "size", "doc", "registers_by_name",
+        "registers_by_offset", "field_masks",
+    )
 
-    def __post_init__(self) -> None:
-        seen_names: set[str] = set()
-        seen_offsets: set[int] = set()
-        for reg in self.registers:
-            if reg.name in seen_names:
-                raise ValueError(f"{self.name}: duplicate register {reg.name}")
-            if reg.offset in seen_offsets:
-                raise ValueError(
-                    f"{self.name}: duplicate offset {reg.offset:#x}"
-                )
-            if reg.offset >= self.size:
-                raise ValueError(
-                    f"{self.name}: register {reg.name} outside block"
-                )
-            seen_names.add(reg.name)
-            seen_offsets.add(reg.offset)
-
-    # Decode tables, built on first use and cached on the (immutable)
-    # layout itself — every peripheral bound to it shares them.
-    @cached_property
-    def registers_by_name(self) -> dict[str, RegisterDef]:
-        return {reg.name: reg for reg in self.registers}
-
-    @cached_property
-    def registers_by_offset(self) -> dict[int, RegisterDef]:
-        return {reg.offset: reg for reg in self.registers}
-
-    @cached_property
-    def field_masks(self) -> dict[tuple[str, str], tuple[int, int]]:
-        """``(register, field) -> (mask, pos)`` for every field."""
-        return {
+    def __init__(
+        self,
+        name: str,
+        registers: tuple[RegisterDef, ...],
+        size: int = 0x100,
+        doc: str = "",
+    ):
+        # Decode tables, shared by every peripheral bound to the layout.
+        self.registers_by_name: dict[str, RegisterDef] = {}
+        self.registers_by_offset: dict[int, RegisterDef] = {}
+        for reg in registers:
+            if reg.name in self.registers_by_name:
+                raise ValueError(f"{name}: duplicate register {reg.name}")
+            if reg.offset in self.registers_by_offset:
+                raise ValueError(f"{name}: duplicate offset {reg.offset:#x}")
+            if reg.offset >= size:
+                raise ValueError(f"{name}: register {reg.name} outside block")
+            self.registers_by_name[reg.name] = reg
+            self.registers_by_offset[reg.offset] = reg
+        self.name = name
+        self.registers = registers
+        self.size = size
+        self.doc = doc
+        #: ``(register, field) -> (mask, pos)`` for every field.
+        self.field_masks = {
             (reg.name, fld.name): (fld.mask, fld.pos)
-            for reg in self.registers
+            for reg in registers
             for fld in reg.fields
         }
 
@@ -159,8 +162,7 @@ class PeripheralLayout:
         return [r.name for r in self.registers]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A peripheral layout bound to a base address."""
 
     name: str
@@ -171,7 +173,6 @@ class Instance:
         return self.base + self.layout.register_named(register_name).offset
 
 
-@dataclass
 class RegisterMap:
     """All register instances of one derivative, queryable by name.
 
@@ -180,7 +181,10 @@ class RegisterMap:
     what assembler defines are generated from.
     """
 
-    instances: dict[str, Instance] = field(default_factory=dict)
+    __slots__ = ("instances",)
+
+    def __init__(self) -> None:
+        self.instances: dict[str, Instance] = {}
 
     def add(self, instance: Instance) -> None:
         if instance.name in self.instances:

@@ -29,19 +29,44 @@ Chaos coverage comes from three store-layer injection sites in
 or corrupt store root degrades the run to local-only execution
 (counted, never fatal), and corrupt artifacts are counted, kept as
 evidence and re-derived from source — never trusted.
+
+Each public name resolves on first use (PEP 562), so installing a store
+for a regression served from the result cache loads neither the
+snapshot codec nor the work-list.
 """
 
-from repro.store.artifacts import (
-    ArtifactStore,
-    restore_decode_cache,
-    snapshot_decode_cache,
-)
-from repro.store.worklist import Lease, WorkList
+from repro import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "Lease",
-    "WorkList",
-    "restore_decode_cache",
-    "snapshot_decode_cache",
-]
+#: Public name -> the submodule that defines it (``__all__`` order).
+_ORIGINS = {
+    "ArtifactStore": "artifacts",
+    "Lease": "worklist",
+    "WorkList": "worklist",
+    "restore_decode_cache": "artifacts",
+    "snapshot_decode_cache": "artifacts",
+}
+
+__all__ = [*_ORIGINS, "artifact_store", "set_artifact_store"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)
+
+#: The process's persistent artifact store, or ``None`` (pure memory).
+#: Duck-typed: the decode registry
+#: (:func:`~repro.isa.decodecache.decode_cache_for`) restores caches
+#: from it on a miss, the executor table loads from it, the build layer
+#: keeps the assembled objects below the test cell in it
+#: (:func:`repro.core.environment.stored_objects`), and the scheduler
+#: drains it when a regression ends.  Installed by the CLI and the
+#: daemon.
+_INSTALLED = None
+
+
+def set_artifact_store(store) -> None:
+    """Install (or with ``None`` remove) the persistent artifact store."""
+    global _INSTALLED
+    _INSTALLED = store
+
+
+def artifact_store():
+    """The installed artifact store, or ``None``."""
+    return _INSTALLED

@@ -53,11 +53,14 @@ import pickle
 import threading
 import types
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.assembler.objectfile import ObjectFile
 from repro.core.durable import RecordLog, bytecode_tag, checksum, model_digest
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
-from repro.isa.decodecache import DecodeCache
+
+if TYPE_CHECKING:
+    from repro.isa.decodecache import DecodeCache
 
 _DECODES = "decodes/"
 _CODE = "code"
@@ -87,6 +90,8 @@ def _snapshot(cache: DecodeCache) -> dict:
 
 
 def _restore(snapshot: dict) -> DecodeCache:
+    from repro.isa.decodecache import DecodeCache
+
     cache = DecodeCache.__new__(DecodeCache)
     cache._segments = snapshot["segments"]
     cache._entries = snapshot["entries"]

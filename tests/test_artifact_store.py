@@ -52,14 +52,18 @@ from repro.isa.decodecache import (
     DecodedInstruction,
     registry_stats,
     reset_registry,
-    set_artifact_store,
 )
 from repro.isa.encoding import decode_word
 from repro.isa.instructions import Opcode, lookup_opcode
 from repro.platforms.cpu import CpuCore
 from repro.soc.derivatives import SC88A, SC88B, derivative as lookup_derivative
 from repro.soc.device import SystemOnChip
-from repro.store import ArtifactStore, restore_decode_cache, snapshot_decode_cache
+from repro.store import (
+    ArtifactStore,
+    restore_decode_cache,
+    set_artifact_store,
+    snapshot_decode_cache,
+)
 from repro.store import artifacts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -538,7 +542,7 @@ def first_layout_state(entry) -> list:
     word = entry.fetch_events[0][3]
     literal = entry.fetch_events[1][3] if len(entry.fetch_events) > 1 else None
     fields = decode_word(lookup_opcode(entry.opcode).fmt, word)
-    state = [getattr(entry, name) for name in decodecache._DECODED_FIELDS]
+    state = [getattr(entry, name) for name in DecodedInstruction.__slots__]
     return [state[0], Opcode(entry.opcode), state[1], fields, literal,
             *state[2:]]
 
@@ -610,7 +614,7 @@ class TestStoreFormat:
 EXECUTOR_PROBE = """\
 import builtins, json, sys
 from repro.isa import decodecache
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, set_artifact_store
 
 compiled = []
 real_compile = builtins.compile
@@ -624,7 +628,7 @@ def counting_compile(source, filename, *args, **kwargs):
 
 builtins.compile = counting_compile
 store = ArtifactStore(sys.argv[1])
-decodecache.set_artifact_store(store)
+set_artifact_store(store)
 table = decodecache.EXECUTORS
 assert len(table) == len(set(table)) > 0
 print(json.dumps({"compiles": len(compiled), **store.stats()}))

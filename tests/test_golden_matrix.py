@@ -24,7 +24,8 @@ from goldenmatrix import (
     matrix,
     write_workspace,
 )
-from repro.isa.decodecache import reset_registry, set_artifact_store
+from repro.isa.decodecache import reset_registry
+from repro.store import set_artifact_store
 from repro.soc.derivatives import all_derivatives, derivative
 from repro.store import ArtifactStore
 

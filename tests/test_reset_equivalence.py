@@ -180,7 +180,7 @@ def apply_step(soc: SystemOnChip, step: tuple) -> None:
         mapping = bus.mapping_for(soc.memory_map.ram.base, 1)
         original = mapping.device
         mapping.device = _Wrapped(original)
-        mapping.__post_init__()  # refresh the swapped mapping's buffers
+        mapping.refresh()  # refresh the swapped mapping's buffers
         bus.poke_word(mapping.base, 0x5A5A_5A5A)
         # Device restored, word buffers still dropped.
         mapping.device = original

@@ -162,7 +162,7 @@ class TestDispatchReuse:
         bus.write_word(0x10, 0x55)
         mapping.device = Memory(PAGE_SIZE)
         assert mapping.word_buf is not mapping.device.data
-        mapping.__post_init__()
+        mapping.refresh()
         assert mapping.word_buf is mapping.device.data
         assert bus.page_table == {0: mapping}
         assert bus.read_word(0x10) == (0, 0)

@@ -1,6 +1,6 @@
 """Tests for the cached, fleet-shardable regression scheduler."""
 
-import dataclasses
+import copy
 import hashlib
 import json
 import os
@@ -45,6 +45,7 @@ from repro.platforms import (
 from repro.platforms.session import ExecutionSession
 from repro.soc.derivatives import SC88A, all_derivatives
 from repro.store import WorkList
+from repro.verdict import VERDICT_FIELDS, RunResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -141,7 +142,10 @@ class TestExecutors:
                        {"signature": (original.signature or 0) ^ 1},
                        {"trace": InstructionTrace.from_raw(
                            original.trace.raw()[:-1])}):
-            report.results[key] = dataclasses.replace(original, **change)
+            changed = copy.copy(original)
+            for name, value in change.items():
+                setattr(changed, name, value)
+            report.results[key] = changed
             assert matrix_digest(report) != digest, change
         report.results[key] = original
         assert matrix_digest(report) == digest
@@ -392,7 +396,8 @@ class TestDigestReusesCacheText:
         digest = matrix_digest(report)
         key = ("NVM", "TEST_NVM_PAGE_001", "rtl")
         original = report.results[key]
-        changed = dataclasses.replace(original, cycles=original.cycles + 1)
+        changed = copy.copy(original)
+        changed.cycles += 1
         assert changed.payload_text is None
         report.results[key] = changed
         assert matrix_digest(report) == encoded_digest(report) != digest
@@ -401,7 +406,8 @@ class TestDigestReusesCacheText:
         result = make_nvm_environment(1).run_test(
             "TEST_NVM_PAGE_001", SC88A, "rtl"
         )
-        other = dataclasses.replace(result, cycles=result.cycles + 7)
+        other = copy.copy(result)
+        other.cycles += 7
         cache = ResultCache(tmp_path)
         assert cache.put("k", result)
         assert cache.get("k").payload_text == encoded(result)
@@ -411,6 +417,29 @@ class TestDigestReusesCacheText:
         assert result_to_payload(again) == result_to_payload(other)
         assert again.payload_text == encoded(other) != encoded(result)
         assert ResultCache(tmp_path).get("k").payload_text == encoded(other)
+
+    def test_hit_decodes_its_other_fields_on_first_read(self, tmp_path):
+        """A hit carries its status and text at once; its other fields
+        are decoded from the text when one is first read, into exactly
+        the verdict a fresh decode of that text gives."""
+        result = make_nvm_environment(1).run_test(
+            "TEST_NVM_PAGE_001", SC88A, "rtl"
+        )
+        assert result.trace is not None and result.registers is not None
+        assert ResultCache(tmp_path).put("k", result)
+        hit = ResultCache(tmp_path).get("k")
+        assert hit.status is result.status
+        assert hit.payload_text == encoded(result)
+        for name in VERDICT_FIELDS:
+            if name != "status":
+                with pytest.raises(AttributeError):
+                    getattr(RunResult, name).__get__(hit, RunResult)
+        fresh = result_from_payload(json.loads(encoded(result)))
+        assert hit.cycles == fresh.cycles
+        for name in VERDICT_FIELDS:
+            assert getattr(hit, name) == getattr(fresh, name), name
+        assert hit == fresh == result
+        assert hit.payload_text == encoded(result)
 
     def test_tampered_text_is_corruption_not_digest_input(self, tmp_path):
         result = make_nvm_environment(1).run_test(
@@ -782,7 +811,7 @@ class TestBuildIndex:
         self.assert_matches_cold(report, edit_trap_handlers(make_suite()))
 
     def test_derivative_edit_rebuilds_everything(self, tmp_path, build_log):
-        variant = dataclasses.replace(SC88A, description="re-specified")
+        variant = SC88A._replace(description="re-specified")
         edited = make_suite()
         report, cache, rebuilt = self.rerun(
             tmp_path, build_log, edited, derivative=variant

@@ -32,7 +32,8 @@ from repro.core.faults import (
 from repro.core.scheduler import ResultCache
 from repro.core.system_env import make_default_system
 from repro.core.workspace import write_system_environment
-from repro.isa.decodecache import reset_registry, set_artifact_store
+from repro.isa.decodecache import reset_registry
+from repro.store import set_artifact_store
 from repro.service import JobJournal, RegressionService, ServiceDaemon
 from repro.store import ArtifactStore
 
