@@ -9,6 +9,7 @@ import itertools
 
 from repro.assembler.assembler import Assembler
 from repro.assembler.linker import Linker
+from repro.assembler.objectfile import ObjectFile
 from repro.core.targets import TARGET_GOLDEN
 from repro.core.workloads import make_nvm_environment
 from repro.platforms import GoldenModel, RtlSim
@@ -102,6 +103,51 @@ def test_link_throughput(benchmark):
     image = benchmark(linker.link, objects)
     assert image.entry is not None
     shape(f"toolchain: linked {len(objects)} objects, {image.total_bytes} bytes")
+
+
+def relocating_object(relocation_count: int) -> ObjectFile:
+    """An object whose text section is *relocation_count* literal words,
+    each patched with the address of ``_main``."""
+    obj = ObjectFile("relocs.o")
+    text = obj.section("text")
+    obj.add_symbol("_main", "text", 0)
+    for _ in range(relocation_count):
+        offset = text.emit_word(0)
+        obj.add_relocation("text", offset, "_main", addend=offset)
+    return obj
+
+
+def test_linker_scales_linearly(benchmark):
+    import time
+
+    linker = Linker(
+        text_base=MEMORY_MAP.text_base, data_base=MEMORY_MAP.data_base
+    )
+
+    def measure():
+        timings = []
+        for count in (1_000, 8_000, 64_000):
+            obj = relocating_object(count)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                image = linker.link([obj])
+                best = min(best, time.perf_counter() - start)
+            last = MEMORY_MAP.text_base + 4 * (count - 1)
+            assert image.read_word(last) == last
+            timings.append((count, best))
+        return timings
+
+    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
+    per_relocation = [elapsed / count for count, elapsed in timings]
+    # A link that copied its segment per relocation would pay time in
+    # proportion to the segment per relocation (about 7x here).
+    spread = max(per_relocation) / min(per_relocation)
+    assert spread < 3.0, per_relocation
+    shape(
+        "toolchain: time/relocation stable across 1000..64000-relocation "
+        f"segments (spread {spread:.2f}x) — linking is linear"
+    )
 
 
 def test_golden_model_mips(benchmark):

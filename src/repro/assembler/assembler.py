@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import re
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.assembler.errors import (
@@ -76,6 +77,13 @@ _MAX_DEFINE_DEPTH = 16
 #: operands), shared read-only by every unit.  Cleared when full.
 _PARSED_INSTRUCTIONS: dict[tuple, tuple[InstructionSpec, list]] = {}
 _PARSED_INSTRUCTIONS_LIMIT = 4096
+
+#: ``.INCLUDE`` entry state -> the ``equ`` and ``defines`` it left and
+#: the macros it defined, for passes that changed nothing else (see
+#: :meth:`_Unit._include`).  Each entry holds a whole ``equ`` table, so
+#: the cap is small; cleared when full.
+_INCLUDES: dict[tuple, tuple[dict, dict, dict]] = {}
+_INCLUDES_LIMIT = 256
 
 
 class OperandShape(enum.Enum):
@@ -227,7 +235,7 @@ class _Unit:
         self.name = name
         self.stream = SourceStream(owner.provider)
         self.equ: dict[str, int] = dict(owner.predefines)
-        self.defines: dict[str, list[Token]] = {}
+        self.defines: dict[str, tuple[Token, ...]] = {}
         self.macros: dict[str, _MacroDef] = {}
         self.cond_stack: list[_CondFrame] = []
         #: Whether lines are being assembled: every open conditional
@@ -241,17 +249,13 @@ class _Unit:
         self.orgs: dict[str, int] = {}
         self.statements: list[_InstrStatement | _DataStatement] = []
         self.obj = ObjectFile(name=name)
-        self.listing: list[ListingRecord] = []
+        #: ``.INCLUDE`` directives executed, replays included.
+        self.includes = 0
         self.ended = False
 
     # ---------------------------------------------------------------- pass 1
     def run(self) -> ObjectFile:
-        while not self.ended:
-            item = self.stream.next_line()
-            if item is None:
-                break
-            line, location = item
-            self._pass1_line(line, location)
+        self._pass1(0)
         if self.capturing is not None:
             raise DirectiveError(
                 f"missing .ENDM for macro {self.capturing.name!r}",
@@ -265,6 +269,16 @@ class _Unit:
             self.obj.included_files = [self.name]
         self.obj.define_snapshot = dict(self.equ)
         return self.obj
+
+    def _pass1(self, floor: int) -> None:
+        """Assemble lines until the frames above the lowest *floor* run
+        out, or ``.END``."""
+        next_line = self.stream.next_line
+        while not self.ended:
+            item = next_line(floor)
+            if item is None:
+                return
+            self._pass1_line(*item)
 
     def _pass1_line(self, line: str, location: SourceLocation) -> None:
         # Macro body capture swallows raw lines (they may contain `\@`
@@ -394,7 +408,7 @@ class _Unit:
                 TokenKind.IDENT,
             ):
                 raise DirectiveError(".INCLUDE requires a file name", location)
-            self.stream.push_file(rest[0].text, location)
+            self._include(rest[0].text, location)
         elif directive in (".EQU", ".SET"):
             if (
                 len(rest) < 3
@@ -409,9 +423,9 @@ class _Unit:
             if not rest or rest[0].kind is not TokenKind.IDENT:
                 raise DirectiveError(".DEFINE requires a name", location)
             name = rest[0].text
-            body = [t for t in rest[1:] if t.kind is not TokenKind.EOL]
+            body = tuple(t for t in rest[1:] if t.kind is not TokenKind.EOL)
             if not body:
-                body = [Token(TokenKind.NUMBER, "1", 1)]
+                body = (Token(TokenKind.NUMBER, "1", 1),)
             if name in self.defines:
                 raise SymbolError(f"duplicate .DEFINE {name!r}", location)
             self.defines[name] = body
@@ -482,6 +496,77 @@ class _Unit:
             raise DirectiveError(f".ERROR: {message}", location)
         else:
             raise DirectiveError(f"unknown directive {directive}", location)
+
+    def _include(self, path: str, location: SourceLocation) -> None:
+        """Pass 1 over an ``.INCLUDE``d file, or a replay of an earlier one.
+
+        A pass that leaves everything but ``equ``, ``defines`` and
+        ``macros`` as it found it (no statement, label, section or
+        ``.ORG`` change, macro call, nested include, ``.END`` or
+        unbalanced conditional) is a pure function of the file and the
+        entry state it can read.  Its exit state is stored under that
+        key, and an equal entry state restores it instead of reading the
+        lines again: every unit of a matrix starts with the same
+        ``Globals.inc`` prelude under a handful of predefine sets.  The
+        cycle and depth checks run either way; a pass that raises
+        stores nothing.
+        """
+        stream = self.stream
+        resolved, text = stream.open_file(path, location)
+        self.includes += 1
+        cursors = tuple(self.cursors.items())
+        orgs = tuple(self.orgs.items())
+        section = self.current_section
+        depth = len(self.cond_stack)
+        key = (
+            resolved, text, tuple(self.equ.items()),
+            tuple(self.defines.items()), tuple(self.macros), depth,
+            section, cursors, orgs,
+        )
+        stored = _INCLUDES.get(key)
+        if stored is not None:
+            equ, defines, defined = stored
+            self.equ = dict(equ)
+            self.defines = dict(defines)
+            self.macros.update(defined)
+            stream.mark_opened(resolved)
+            return
+        includes = self.includes
+        statements = len(self.statements)
+        symbols = len(self.obj.symbols)
+        macro_counter = self.macro_counter
+        macros = dict(self.macros)
+        top = self.cond_stack[-1] if depth else None
+        seen_else = top is not None and top.seen_else
+        stream.push_text(resolved, text, location)
+        self._pass1(len(stream.frames) - 1)
+        if (
+            self.ended
+            or self.capturing is not None
+            or self.includes != includes
+            or len(self.statements) != statements
+            or len(self.obj.symbols) != symbols
+            or self.macro_counter != macro_counter
+            or self.current_section != section
+            or tuple(self.cursors.items()) != cursors
+            or tuple(self.orgs.items()) != orgs
+            or len(self.cond_stack) != depth
+            or (top is not None
+                and (self.cond_stack[-1] is not top
+                     or top.seen_else != seen_else))
+        ):
+            return
+        if len(_INCLUDES) >= _INCLUDES_LIMIT:
+            _INCLUDES.clear()
+        _INCLUDES[key] = (
+            dict(self.equ),
+            dict(self.defines),
+            {
+                name: macro
+                for name, macro in self.macros.items()
+                if macros.get(name) is not macro
+            },
+        )
 
     def _equ_directive(
         self, name: str, value_tokens: list[Token], location: SourceLocation
@@ -739,13 +824,22 @@ class _Unit:
     def _expand_defines(
         self, tokens: list[Token], location: SourceLocation
     ) -> list[Token]:
-        out = list(tokens)
+        """*tokens* with every ``.DEFINE`` name replaced by its body;
+        *tokens* itself when no token names one (no caller mutates the
+        result)."""
+        defines = self.defines
+        for token in tokens:
+            if token.text in defines:
+                break
+        else:
+            return tokens
+        out = tokens
         for _ in range(_MAX_DEFINE_DEPTH):
             expanded: list[Token] = []
             changed = False
             for token in out:
-                if token.kind is TokenKind.IDENT and token.text in self.defines:
-                    expanded.extend(self.defines[token.text])
+                if token.kind is TokenKind.IDENT and token.text in defines:
+                    expanded.extend(defines[token.text])
                     changed = True
                 else:
                     expanded.append(token)
@@ -778,20 +872,33 @@ class _Unit:
                     f"{stmt.section!r} ({section.size} != {stmt.offset})",
                     stmt.location,
                 )
-            before = section.size
             if isinstance(stmt, _InstrStatement):
                 self._encode_instruction(stmt, section)
             else:
                 self._encode_data(stmt, section)
-            self.listing.append(
+
+    @cached_property
+    def listing(self) -> list[ListingRecord]:
+        """One record per statement and the bytes it assembled to, read
+        back from the object's sections (after :meth:`run`)."""
+        records = []
+        for stmt in self.statements:
+            size = (
+                stmt.spec.size_bytes
+                if isinstance(stmt, _InstrStatement)
+                else stmt.size
+            )
+            data = self.obj.sections[stmt.section].data
+            records.append(
                 ListingRecord(
                     section=stmt.section,
-                    offset=before,
-                    data=bytes(section.data[before:]),
+                    offset=stmt.offset,
+                    data=bytes(data[stmt.offset : stmt.offset + size]),
                     source=stmt.source,
                     location=stmt.location,
                 )
             )
+        return records
 
     @staticmethod
     def _check_range(

@@ -143,15 +143,29 @@ class Linker:
             raise LinkError("nothing to link")
         placements = self._place(objects)
         symbols = self._symbol_table(objects, placements)
-        image = MemoryImage(symbols=symbols)
-        for (obj, section_name), base in placements.items():
-            obj_file = next(o for o in objects if o.name == obj)
-            data = bytearray(obj_file.sections[section_name].data)
-            image.segments.append(
-                PlacedSection(obj, section_name, base, bytes(data))
-            )
-        self._check_overlaps(image)
-        self._patch(objects, placements, symbols, image)
+        by_name: dict[str, ObjectFile] = {}
+        for obj in objects:
+            by_name.setdefault(obj.name, obj)
+        # One mutable copy per segment: every relocation patches it in
+        # place, and it is frozen once.
+        buffers = {
+            (obj, section): bytearray(by_name[obj].sections[section].data)
+            for obj, section in placements
+        }
+        self._check_overlaps(
+            [
+                PlacedSection(obj, section, base, buffers[obj, section])
+                for (obj, section), base in placements.items()
+            ]
+        )
+        self._patch(objects, symbols, buffers)
+        image = MemoryImage(
+            segments=[
+                PlacedSection(obj, section, base, bytes(buffers[obj, section]))
+                for (obj, section), base in placements.items()
+            ],
+            symbols=symbols,
+        )
         if entry_symbol in symbols:
             image.entry = symbols[entry_symbol]
         elif require_entry:
@@ -237,8 +251,8 @@ class Linker:
                 defined_in[symbol.name] = obj.name
         return symbols
 
-    def _check_overlaps(self, image: MemoryImage) -> None:
-        ordered = sorted(image.segments, key=lambda s: s.base)
+    def _check_overlaps(self, segments: list[PlacedSection]) -> None:
+        ordered = sorted(segments, key=lambda s: s.base)
         for first, second in zip(ordered, ordered[1:]):
             if first.overlaps(second):
                 raise LinkError(
@@ -251,13 +265,9 @@ class Linker:
     def _patch(
         self,
         objects: list[ObjectFile],
-        placements: dict[tuple[str, str], int],
         symbols: dict[str, int],
-        image: MemoryImage,
+        buffers: dict[tuple[str, str], bytearray],
     ) -> None:
-        segment_index = {
-            (s.object_name, s.name): i for i, s in enumerate(image.segments)
-        }
         missing: list[str] = []
         for obj in objects:
             for reloc in obj.relocations:
@@ -268,15 +278,9 @@ class Linker:
                     )
                     continue
                 value = (symbols[reloc.symbol] + reloc.addend) & 0xFFFF_FFFF
-                index = segment_index[(obj.name, reloc.section)]
-                segment = image.segments[index]
-                data = bytearray(segment.data)
-                data[reloc.offset : reloc.offset + 4] = value.to_bytes(
-                    4, "little"
-                )
-                image.segments[index] = PlacedSection(
-                    segment.object_name, segment.name, segment.base, bytes(data)
-                )
+                buffers[obj.name, reloc.section][
+                    reloc.offset : reloc.offset + 4
+                ] = value.to_bytes(4, "little")
         if missing:
             raise LinkError(
                 "undefined symbol(s): " + "; ".join(sorted(missing)),

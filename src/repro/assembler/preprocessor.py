@@ -132,9 +132,12 @@ class SourceStream:
     def _open_files_on_stack(self) -> set[str]:
         return {f.name for f in self.frames if f.is_file}
 
-    def push_file(
+    def open_file(
         self, path: str, opened_at: SourceLocation | None = None
-    ) -> None:
+    ) -> tuple[str, str]:
+        """Resolve *path* from the innermost open file, check it against
+        include cycles and the nesting limit, and read it: returns
+        ``(resolved path, text)`` without pushing a frame."""
         from_dir = None
         for frame in reversed(self.frames):
             if frame.is_file:
@@ -153,22 +156,28 @@ class SourceStream:
                 f"include cycle through {resolved!r}",
                 opened_at or SourceLocation(resolved, 0),
             )
+        self._check_depth(resolved, opened_at)
+        return resolved, self.provider.read(resolved)
+
+    def push_file(
+        self, path: str, opened_at: SourceLocation | None = None
+    ) -> None:
+        resolved, text = self.open_file(path, opened_at)
+        self.push_text(resolved, text, opened_at)
+
+    def mark_opened(self, name: str) -> None:
+        """Record *name* as read, as pushing it would."""
+        if name not in self.opened_files:
+            self.opened_files.append(name)
+
+    def _check_depth(
+        self, name: str, opened_at: SourceLocation | None
+    ) -> None:
         if len(self.frames) >= self.max_depth:
             raise IncludeError(
                 f"include/macro nesting deeper than {self.max_depth}",
-                opened_at or SourceLocation(resolved, 0),
+                opened_at or SourceLocation(name, 0),
             )
-        text = self.provider.read(resolved)
-        self.frames.append(
-            _Frame(
-                name=resolved,
-                lines=text.splitlines(),
-                opened_at=opened_at,
-                is_file=True,
-            )
-        )
-        if resolved not in self.opened_files:
-            self.opened_files.append(resolved)
 
     def push_text(
         self,
@@ -178,11 +187,7 @@ class SourceStream:
         is_file: bool = True,
     ) -> None:
         """Push literal source text (root in-memory sources, macro bodies)."""
-        if len(self.frames) >= self.max_depth:
-            raise IncludeError(
-                f"include/macro nesting deeper than {self.max_depth}",
-                opened_at or SourceLocation(name, 0),
-            )
+        self._check_depth(name, opened_at)
         self.frames.append(
             _Frame(
                 name=name,
@@ -191,16 +196,20 @@ class SourceStream:
                 is_file=is_file,
             )
         )
-        if is_file and name not in self.opened_files:
-            self.opened_files.append(name)
+        if is_file:
+            self.mark_opened(name)
 
-    def next_line(self) -> tuple[str, SourceLocation] | None:
-        """Pop the next source line, unwinding finished frames."""
-        while self.frames and self.frames[-1].exhausted():
-            self.frames.pop()
-        if not self.frames:
+    def next_line(
+        self, floor: int = 0
+    ) -> tuple[str, SourceLocation] | None:
+        """Pop the next source line, unwinding finished frames; ``None``
+        once the frames above the lowest *floor* ones run out."""
+        frames = self.frames
+        while len(frames) > floor and frames[-1].exhausted():
+            frames.pop()
+        if len(frames) <= floor:
             return None
-        frame = self.frames[-1]
+        frame = frames[-1]
         line = frame.lines[frame.index]
         frame.index += 1
         return line, SourceLocation(frame.name, frame.index, frame.context)

@@ -80,7 +80,6 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import signal
 import time
 
 SITE_SESSION_RUN = "session-run"
@@ -257,6 +256,8 @@ class FaultInjector:
                 self._sleep(spec.hang_seconds)
             elif spec.action == ACTION_KILL:
                 if _in_worker_process():
+                    import signal
+
                     os.kill(os.getpid(), signal.SIGKILL)
                 # Outside a worker a kill degrades to a contained raise:
                 # chaos must never take the supervising process down.

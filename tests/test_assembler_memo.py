@@ -90,11 +90,12 @@ def test_tokens_are_fresh_lists():
 
 
 @pytest.mark.parametrize(
-    "memo,limit,fill",
+    "memo,limit,cap,fill",
     [
         (
             lexer._LINE_TOKENS,
             lexer._LINE_TOKENS_LIMIT,
+            4096,
             lambda i: lexer.tokenize_line(
                 f"    LOAD d0, {i}", SourceLocation("x.asm", 1)
             ),
@@ -102,6 +103,7 @@ def test_tokens_are_fresh_lists():
         (
             expressions._PARSED,
             expressions._PARSED_LIMIT,
+            4096,
             lambda i: expressions.evaluate_all(
                 lexer.tokenize_line(f"{i} + 1", SourceLocation("x.asm", 1)),
                 {}.get,
@@ -111,13 +113,25 @@ def test_tokens_are_fresh_lists():
         (
             assembler_module._PARSED_INSTRUCTIONS,
             assembler_module._PARSED_INSTRUCTIONS_LIMIT,
+            4096,
             None,
         ),
+        (
+            assembler_module._INCLUDES,
+            assembler_module._INCLUDES_LIMIT,
+            256,
+            lambda i: Assembler(
+                provider=InMemoryProvider(
+                    {"a.asm": '.INCLUDE "inc.asm"\n', "inc.asm": PRELUDE}
+                ),
+                predefines={f"DERIVATIVE_{i}": 1},
+            ).assemble_file("a.asm"),
+        ),
     ],
-    ids=["lines", "expressions", "instructions"],
+    ids=["lines", "expressions", "instructions", "includes"],
 )
-def test_memo_cap_holds(memo, limit, fill):
-    assert limit == 4096
+def test_memo_cap_holds(memo, limit, cap, fill):
+    assert limit == cap
     distinct = limit + 500
     if fill is None:
         source = "\n".join(f"    LOAD d0, {i}" for i in range(distinct))
@@ -126,6 +140,182 @@ def test_memo_cap_holds(memo, limit, fill):
         for i in range(distinct):
             fill(i)
     assert 0 < len(memo) <= limit
+
+
+# ---------------------------------------------------------------------------
+# the .INCLUDE prelude memo
+# ---------------------------------------------------------------------------
+
+#: A miniature ``Globals.inc``: a guard, derivative blocks, a macro.
+PRELUDE = """\
+.IFNDEF PRELUDE_INCLUDED
+.DEFINE PRELUDE_INCLUDED
+.DEFINE CallAddr a12
+.IFDEF DERIVATIVE_B
+LIMIT .EQU 8
+.ELSE
+LIMIT .EQU 4
+.ENDIF
+.MACRO BUMP reg
+    ADDI reg, reg, LIMIT
+.ENDM
+.ENDIF
+"""
+
+CELL = '.INCLUDE "inc.asm"\n_main:\n    BUMP d0\n    LOAD d1, LIMIT\n    HALT\n'
+
+
+def count_includes(monkeypatch) -> dict[str, list[str]]:
+    """The files ``.INCLUDE``d and those whose lines a pass read (the
+    rest were replays), after emptying the prelude memo."""
+    monkeypatch.setattr(assembler_module, "_INCLUDES", {})
+    counts = {"includes": [], "passes": []}
+    include, pass1 = _Unit._include, _Unit._pass1
+
+    def counting_include(self, path, location):
+        counts["includes"].append(path)
+        return include(self, path, location)
+
+    def counting_pass1(self, floor):
+        if floor:
+            counts["passes"].append(self.stream.frames[-1].name)
+        return pass1(self, floor)
+
+    monkeypatch.setattr(_Unit, "_include", counting_include)
+    monkeypatch.setattr(_Unit, "_pass1", counting_pass1)
+    return counts
+
+
+def assemble(files: dict[str, str], root: str = "a.asm", **predefines):
+    asm = Assembler(provider=InMemoryProvider(files), predefines=predefines)
+    return asm.assemble_file(root)
+
+
+def test_cold_matrix_replays_most_preludes(monkeypatch):
+    """The 174 sc88a positions of the default matrix include
+    ``Globals.inc`` 56 times under 24 distinct entry states."""
+    system = make_default_system(nvm_tests=6, uart_tests=3)
+    counts = count_includes(monkeypatch)
+    for env in system.environments.values():
+        for cell in env.cells:
+            for tgt in all_targets():
+                env.build_image(cell, SC88A, tgt)
+    assert len(counts["includes"]) == 56
+    assert len(counts["passes"]) == 24
+    assert set(counts["includes"]) == set(counts["passes"]) == {"Globals.inc"}
+
+
+def test_replay_matches_a_fresh_pass(monkeypatch):
+    files = {"a.asm": CELL, "inc.asm": PRELUDE}
+    counts = count_includes(monkeypatch)
+    fresh = assemble(files, DERIVATIVE_B=1)
+    replayed = assemble(files, DERIVATIVE_B=1)
+    assert counts == {"includes": ["inc.asm"] * 2, "passes": ["inc.asm"]}
+    assert replayed == fresh
+    assert replayed.included_files == ["a.asm", "inc.asm"]
+    assert list(replayed.define_snapshot) == ["DERIVATIVE_B", "LIMIT"]
+    assert replayed.section("text").read_word(8) == 8  # LOAD d1, LIMIT
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "here:\n",
+        "    NOP\n",
+        "    .WORD 7\n",
+        "    .SPACE 0\n",
+        ".SECTION data\n",
+        ".SECTION fresh\n.SECTION text\n",
+        "    BUMP d0\n",
+        "    NOTHING\n",
+        '.INCLUDE "leaf.inc"\n',
+        ".ORG 0x400\n",
+        ".END\n",
+        ".ELSE\n",
+        ".IFDEF NOWHERE\n",
+        ".MACRO OPEN\n",
+    ],
+    ids=[
+        "label", "instruction", "data", "empty-data", "section",
+        "section-round-trip", "macro-call", "empty-macro-call",
+        "nested-include", "org", "end", "else", "open-if", "open-macro",
+    ],
+)
+def test_include_with_effects_is_never_replayed(monkeypatch, body):
+    include = '.INCLUDE "inc.asm"\n'
+    if body == ".ELSE\n":
+        include = f".IFNDEF UNSET\n{include}.ENDIF\n"
+    elif body == ".IFDEF NOWHERE\n":
+        include += ".ENDIF\n"
+    elif body == ".MACRO OPEN\n":
+        include += ".ENDM\n"
+    root = (
+        ".MACRO BUMP reg\n    ADDI reg, reg, 1\n.ENDM\n"
+        ".MACRO NOTHING\n.ENDM\n"
+        ".SECTION data\n.SECTION text\n"
+        f"{include}_main:\n    HALT\n"
+    )
+    files = {
+        "a.asm": root,
+        "inc.asm": f"X .EQU 1\n{body}",
+        "leaf.inc": "Y .EQU 2\n",
+    }
+    counts = count_includes(monkeypatch)
+    first = assemble(files)
+    second = assemble(files)
+    assert counts["passes"].count("inc.asm") == 2
+    assert all(key[0] != "inc.asm" for key in assembler_module._INCLUDES)
+    assert second == first
+
+
+@pytest.mark.parametrize(
+    "prefix,predefines",
+    [
+        (".DEFINE Scratch d3\n", {}),
+        ("LIMIT .EQU 4\n", {}),
+        ("", {"DERIVATIVE_B": 1}),
+        ("", {"TARGET_RTL": 1}),
+        (".SECTION data\n", {}),
+        ("    NOP\n", {}),
+    ],
+    ids=["define", "equ", "derivative", "other-predefine", "section", "cursor"],
+)
+def test_another_entry_state_misses(monkeypatch, prefix, predefines):
+    files = {"a.asm": CELL, "b.asm": prefix + CELL, "inc.asm": PRELUDE}
+    counts = count_includes(monkeypatch)
+    assemble(files)
+    assemble(files, "b.asm", **predefines)
+    assert counts == {"includes": ["inc.asm"] * 2, "passes": ["inc.asm"] * 2}
+    assert len(assembler_module._INCLUDES) == 2
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"DERIVATIVE_B": 1}, "inc.asm:2 (via b.asm:2): .ERROR: no B"),
+        (
+            {"LIMIT": 5},
+            "inc.asm:4 (via b.asm:2): .EQU 'LIMIT' redefined",
+        ),
+    ],
+    ids=["error", "equ-clash"],
+)
+def test_failure_after_clean_include_reports_its_location(
+    monkeypatch, entry, message
+):
+    files = {
+        "a.asm": '\n.INCLUDE "inc.asm"\n_main:\n    HALT\n',
+        "b.asm": '\n.INCLUDE "inc.asm"\n_main:\n    HALT\n',
+        "inc.asm": '.IFDEF DERIVATIVE_B\n.ERROR "no B"\n.ENDIF\n'
+        "LIMIT .EQU 4\n",
+    }
+    count_includes(monkeypatch)
+    assemble(files)
+    assert len(assembler_module._INCLUDES) == 1
+    with pytest.raises(Exception) as info:
+        assemble(files, "b.asm", **entry)
+    assert str(info.value).startswith(message)
+    assert len(assembler_module._INCLUDES) == 1
 
 
 # ---------------------------------------------------------------------------
