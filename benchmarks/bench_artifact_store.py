@@ -19,10 +19,11 @@ the subsystem to:
   (``speedup >= 0.95``);
 - **chaos completion**: a real fleet — one worker process SIGKILLed
   mid-shard holding a lease, survivors stealing it after expiry — plus
-  one published result corrupted after the fact: the matrix settles
-  exactly once (first-writer-wins accounting), the corruption is
-  detected, quarantined and re-derived, and every verdict is
-  byte-identical to a scalar serial oracle.
+  one published record corrupted after the fact: the matrix settles
+  exactly once (one published record per cell), the corruption is
+  detected, its segment quarantined as evidence and the verdict
+  re-derived, and every verdict is byte-identical to a scalar serial
+  oracle.
 
 Emits ``BENCH_artifact_store.json`` next to the repository root.  Also
 runnable as a script: ``python benchmarks/bench_artifact_store.py
@@ -41,6 +42,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.durable import parse_segment
 from repro.core.faults import ACTION_KILL, FaultPlan, FaultSpec, SITE_SESSION_RUN
 from repro.core.scheduler import RegressionScheduler, result_to_payload
 from repro.core.system_env import make_default_system
@@ -301,8 +303,18 @@ def _fleet_worker(
     }, sort_keys=True))
 
 
+def _published_keys(store_dir: Path) -> list[str]:
+    """The cell key of every intact verdict record in the work-list's
+    log segments, in segment and write order."""
+    return [
+        record[2]
+        for segment in sorted(store_dir.glob("seg*.log"))
+        for record in parse_segment(segment.read_bytes())[0]
+    ]
+
+
 def run_chaos(config) -> dict:
-    """SIGKILLed fleet worker + one post-hoc corrupted published result:
+    """SIGKILLed fleet worker + one post-hoc corrupted published record:
     the matrix settles exactly once and the corruption is detected,
     quarantined and re-derived — all verdicts byte-identical to a
     scalar serial oracle."""
@@ -372,9 +384,9 @@ def run_chaos(config) -> dict:
             json.loads((tmp / f"survivor{index}.json").read_text())
             for index in range(config["fleet_survivors"])
         ]
-        # Exactly-once accounting: os.link publication succeeds once
-        # per cell ever, the dead worker's lease was stolen, and every
-        # survivor assembled the complete matrix.
+        # Exactly-once accounting: a verdict is appended only when no
+        # peer's is found, the dead worker's lease was stolen, and
+        # every survivor assembled the complete matrix.
         stolen = sum(report["stats"]["stolen"] for report in reports)
         published = sum(report["stats"]["published"] for report in reports)
         assert stolen >= 1, [report["stats"] for report in reports]
@@ -383,18 +395,20 @@ def run_chaos(config) -> dict:
             assert report["counters"]["total"] == cells
             assert report["counters"]["quarantined"] == 0
             assert report["results"] == oracle_bytes
-        result_files = sorted((store_dir / "results").glob("*.json"))
-        assert len(result_files) == cells
-        assert not list((store_dir / "results").glob(".*.tmp"))
+        keys = _published_keys(store_dir)
+        assert len(set(keys)) == len(keys) == cells
+        assert not list(store_dir.rglob("*.tmp"))
 
-        # Corrupt one published verdict after the fact: a fresh reader
-        # must detect and quarantine it (never trust it) ...
-        target_file = result_files[0]
-        raw = bytearray(target_file.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        target_file.write_bytes(bytes(raw))
+        # Corrupt one published verdict of a dead peer's segment after
+        # the fact: a fresh reader must detect it (never trust it) and
+        # quarantine the segment as evidence ...
+        segment = sorted(store_dir.glob("seg*.log"))[0]
+        raw = bytearray(segment.read_bytes())
+        first = parse_segment(bytes(raw))[0][0]
+        raw[len(first[4]) // 2] ^= 0xFF
+        segment.write_bytes(bytes(raw))
         auditor = WorkList(store_dir, owner="auditor", lease_ttl=lease_ttl)
-        assert auditor.fetch(target_file.stem) is None
+        assert auditor.fetch(first[2]) is None
         assert auditor.corrupt == 1 and auditor.quarantined == 1
 
         # ... and one more fleet pass re-derives exactly that cell from
@@ -415,8 +429,8 @@ def run_chaos(config) -> dict:
         }
         assert redo_bytes == oracle_bytes
         verify = WorkList(store_dir, owner="verify", lease_ttl=lease_ttl)
-        for path in sorted((store_dir / "results").glob("*.json")):
-            assert verify.fetch(path.stem) is not None
+        for key in set(_published_keys(store_dir)):
+            assert verify.fetch(key) is not None
         assert verify.fetched == cells and verify.corrupt == 0
 
     return {
@@ -470,7 +484,7 @@ def test_chaos_fleet_and_emit_json():
     shape(
         f"artifact_store: fleet survived {numbers['killed_workers']} "
         f"SIGKILLed worker ({numbers['stolen_leases']} lease(s) stolen) "
-        f"and {numbers['corrupt_detected']} corrupt result "
+        f"and {numbers['corrupt_detected']} corrupt record "
         f"(quarantined + re-derived), verdicts byte-identical"
     )
     path = RESULTS.emit()
@@ -501,7 +515,7 @@ def main(argv: list[str]) -> int:
         f"zero-fault {zero_fault['speedup']}x (floor "
         f"{config['min_zero_fault_speedup']}x), chaos fleet survived "
         f"{chaos['killed_workers']} kill + {chaos['corrupt_detected']} "
-        f"corrupt result -> {path.name}"
+        f"corrupt record -> {path.name}"
     )
     failed = False
     if warm_start["speedup"] < config["min_warm_speedup"]:

@@ -1,23 +1,21 @@
-"""Checksummed durable files, defined once.
+"""Checksummed durable records, defined once.
 
 The result cache, the artifact store, the fleet work-list and the job
 journal all keep regression state on disk under the same rules, and
 this module is the only place they are written:
 
-- :func:`seal`/:func:`unseal` — the ``{"schema", "checksum",
-  "payload"}`` JSON envelope with a SHA-256 over the payload text;
-- :func:`atomic_write` — a unique temp file renamed (or, exclusive,
-  hard-linked) into place, so no reader ever sees a torn file;
-- :func:`quarantine_aside` — a file that fails verification is renamed
-  to a unique ``*.corrupt`` name: kept as evidence, never re-read;
-- :class:`DurableFiles` — the owners' base: contained, counted reads
-  and writes of whole files (the fleet work-list);
 - :class:`RecordLog` — an append-only log of checksummed records, one
   segment per writer process (Bitcask's layout, LevelDB's torn-tail
   rule): a value costs one ``O_APPEND`` write, not a file.  The result
-  cache, the artifact store and the job journal are its three owners,
-  and :meth:`~RecordLog.compact` is the one way any of them shrinks
-  it;
+  cache, the artifact store, the fleet work-list and the job journal
+  are its four owners, and :meth:`~RecordLog.compact` is the one way
+  any of them shrinks it;
+- :func:`atomic_write` — a unique temp file renamed (or, exclusive,
+  hard-linked) into place, so no reader ever sees a torn file: the
+  work-list's lease files, the one state kept outside a log;
+- :func:`quarantine_aside` — a segment that fails verification is
+  renamed to a unique ``*.corrupt`` name: kept as evidence, never
+  re-read;
 - :func:`source_digest` — which code produced a value, in its key, so
   another code's value is a miss, never stale or corrupt data.
 
@@ -32,7 +30,6 @@ import fnmatch
 import functools
 import hashlib
 import importlib.util
-import json
 import os
 import sys
 import tempfile
@@ -107,32 +104,6 @@ def _model_digest(cache_tag: str, magic: str) -> str:
     return content_key(source_digest(_MODEL_SOURCES), cache_tag, magic)
 
 
-def seal(schema: int, text: str) -> bytes:
-    """The checksummed envelope around payload *text*."""
-    body = {
-        "schema": schema,
-        "checksum": checksum(text.encode()),
-        "payload": text,
-    }
-    return json.dumps(body).encode()
-
-
-def unseal(raw: bytes, schema: int):
-    """The JSON-decoded payload of the envelope *raw*, checksum
-    verified; raises :class:`ValueError` unless *raw* is an intact
-    envelope of *schema*."""
-    try:
-        body = json.loads(raw)
-        if body["schema"] != schema:
-            raise ValueError(f"envelope schema is not {schema}")
-        text = body["payload"]
-        if checksum(text.encode()) != body["checksum"]:
-            raise ValueError("envelope checksum mismatch")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed envelope: {exc!r}") from None
-    return json.loads(text)
-
-
 def atomic_write(path: Path, data: bytes, exclusive: bool = False) -> bool:
     """Make *data* the content of *path* in one step.
 
@@ -189,119 +160,6 @@ def quarantine_aside(path: Path) -> bool:
             pass
         return False
     return True
-
-
-class DurableFiles:
-    """A directory of checksummed files owned by one object.
-
-    Subclasses name their chaos sites (:attr:`read_site`,
-    :attr:`write_site`) and supply their own decode step to
-    :meth:`read_file`.  Construction never raises: a
-    root that cannot be created sets :attr:`disabled`, and the owner
-    makes every operation a no-op — the run degrades, it does not fail.
-    """
-
-    read_site = ""
-    write_site = ""
-
-    def __init__(self, directory: str | Path, injector=None, subdirs=("",)):
-        self.directory = Path(directory)
-        #: Optional :class:`repro.core.faults.FaultInjector`.
-        self.injector = injector
-        self.disabled = False
-        self.misses = 0
-        #: Reads that failed: unreadable, injected, or rejected by the
-        #: decode step.  Corrupt is never a miss.
-        self.corrupt = 0
-        #: Distinct corrupt files successfully renamed aside.
-        self.quarantined = 0
-        self.write_errors = 0
-        #: Records and evidence files :meth:`RecordLog.prune` removed
-        #: over this owner's lifetime (always 0 for whole-file owners).
-        self.pruned = 0
-        try:
-            for subdir in subdirs:
-                (self.directory / subdir).mkdir(parents=True, exist_ok=True)
-        except OSError:
-            self.disabled = True
-
-    def stats(self) -> dict[str, int]:
-        """The shared counters, one flat dict (the shape CLI summaries
-        and the daemon's ``/stats`` expose); owners add their own."""
-        return {
-            "disabled": int(self.disabled),
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "write_errors": self.write_errors,
-            "pruned": self.pruned,
-        }
-
-    def quarantine(self, path: Path) -> bool:
-        """:func:`quarantine_aside`, counted in :attr:`quarantined`."""
-        if not quarantine_aside(path):
-            return False
-        self.quarantined += 1
-        return True
-
-    def injected_read(self, key: str, targeted: bool = False) -> None:
-        """Fire the read site for *key*, then raise :class:`ValueError`
-        when a ``corrupt`` spec is due: the read of a value already in
-        memory saw corrupt bytes.  Callers count the failure."""
-        self.injector.fire(self.read_site, key, targeted)
-        probe = key.encode()
-        if self.injector.mangle(self.read_site, key, probe, targeted) != probe:
-            raise ValueError(f"injected corruption reading {key}")
-
-    def read_file(self, path: Path, key: str, decode, targeted: bool = False):
-        """``decode(raw)`` of the file at *path*, or ``None``.
-
-        Callers check that *path* exists first, so the read site fires
-        only for files that do.  A file a peer removed since then is a
-        miss; any other failure is counted corruption and quarantined.
-        """
-        try:
-            if self.injector is not None:
-                self.injector.fire(self.read_site, key, targeted)
-            raw = path.read_bytes()
-            if self.injector is not None:
-                raw = self.injector.mangle(self.read_site, key, raw, targeted)
-            return decode(raw)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            self.corrupt += 1
-            self.quarantine(path)
-            return None
-
-    def write_file(
-        self,
-        path: Path,
-        key: str,
-        data: bytes,
-        targeted: bool = False,
-        exclusive: bool = False,
-    ) -> bool | None:
-        """:func:`atomic_write` after firing the write site; ``None``
-        on a failure, which is contained and counted."""
-        try:
-            if self.injector is not None:
-                self.injector.fire(self.write_site, key, targeted)
-                data = self.injector.mangle(
-                    self.write_site, key, data, targeted
-                )
-            return atomic_write(path, data, exclusive=exclusive)
-        except Exception:
-            self.write_errors += 1
-            return None
-
-    def _remove(self, path: Path) -> int:
-        try:
-            os.unlink(path)
-        except OSError:
-            return 0
-        return 1
 
 
 # --------------------------------------------------------------------------
@@ -365,9 +223,9 @@ class _Dead:
         self.torn = torn
 
 
-class RecordLog(DurableFiles):
+class RecordLog:
     """An append-only log of checksummed ``(namespace, key) -> value``
-    records in one directory that holds nothing but segments.
+    records in one directory, owned by one object.
 
     - **one segment per writer** — a process's first append creates
       ``seg<LOG_SCHEMA>-<pid>-<nonce>.log`` and holds an ``flock`` on it
@@ -376,10 +234,14 @@ class RecordLog(DurableFiles):
       owner sets :attr:`fsync`;
     - **read once** — the first access reads every segment into
       :attr:`records` (the last record of a key wins); later appends
-      by peers are not seen by this reader;
-    - **torn and corrupt** — a record cut off by a kill is dropped and
-      counted in :attr:`torn`, never read; a record failing its
-      checksum is counted in :attr:`corrupt`, never read;
+      by peers are seen only by :meth:`refresh`, which reads just the
+      bytes each segment gained (the work-list polls with it; the
+      other owners never rescan);
+    - **torn and corrupt** — a record a dead writer never finished (it
+      was killed mid-write) is dropped and counted in :attr:`torn`,
+      never read; the unfinished last line of a live writer is not
+      read yet, and not counted; a record failing its checksum is
+      counted in :attr:`corrupt`, never read;
     - **folds** — a segment whose writer is gone (its lock can be
       taken) is folded into the reader's own segment when it is
       damaged or more than :data:`FOLD_SEGMENTS` such segments exist:
@@ -393,11 +255,18 @@ class RecordLog(DurableFiles):
       owner no longer reads (:meth:`current`);
     - **earlier layouts** — the first append of a process also removes
       the entries of :attr:`earlier_layout` its first scan found.
+      Other entries that are not segments (the work-list's
+      ``leases/``) are left alone.
 
-    Subclasses name the chaos sites, :attr:`bounded` and the
+    Construction never raises: a directory that cannot be created sets
+    :attr:`disabled`, and every operation is a no-op — the run
+    degrades, it does not fail.  Subclasses name their chaos sites
+    (:attr:`read_site`, :attr:`write_site`), :attr:`bounded` and the
     :attr:`earlier_layout` their directory may still hold.
     """
 
+    read_site = ""
+    write_site = ""
     suffix = ".log"
     bounded = ""
     #: Whether each append reaches the disk before it returns.
@@ -408,8 +277,25 @@ class RecordLog(DurableFiles):
     earlier_layout: tuple[str, ...] = ()
 
     def __init__(self, directory: str | Path, injector=None):
-        super().__init__(directory, injector)
+        self.directory = Path(directory)
+        #: Optional :class:`repro.core.faults.FaultInjector`.
+        self.injector = injector
+        self.disabled = False
+        self.misses = 0
+        #: Reads that failed: a record failing its checksum, or an
+        #: injected fault.  Corrupt is never a miss.
+        self.corrupt = 0
+        #: Distinct corrupt segments successfully renamed aside.
+        self.quarantined = 0
+        self.write_errors = 0
+        #: Records and evidence files :meth:`prune` removed over this
+        #: owner's lifetime.
+        self.pruned = 0
         self.torn = 0
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            self.disabled = True
         #: Source of the write time each record carries (what
         #: :meth:`prune`'s age bound reads).
         self.clock = time.time
@@ -418,6 +304,9 @@ class RecordLog(DurableFiles):
         #: (namespace, key) of records that failed verification:
         #: already counted, so a read of one is not a miss.
         self._damaged: set[tuple[str, str]] = set()
+        #: Segment name -> the bytes of it read so far, whole records
+        #: only: where :meth:`refresh` resumes.
+        self._offsets: dict[str, int] = {}
         self._lock = threading.RLock()
         #: This writer's segment (an unbuffered append handle) and its
         #: file name, opened by the first append.
@@ -430,7 +319,17 @@ class RecordLog(DurableFiles):
         self._first_append = True
 
     def stats(self) -> dict[str, int]:
-        return {**super().stats(), "torn": self.torn}
+        """The shared counters, one flat dict (the shape CLI summaries
+        and the daemon's ``/stats`` expose); owners add their own."""
+        return {
+            "disabled": int(self.disabled),
+            "misses": self.misses,
+            "corrupt": self.corrupt,
+            "quarantined": self.quarantined,
+            "write_errors": self.write_errors,
+            "pruned": self.pruned,
+            "torn": self.torn,
+        }
 
     def close(self) -> None:
         """Close this writer's segment, releasing its lock."""
@@ -438,6 +337,29 @@ class RecordLog(DurableFiles):
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
+
+    def quarantine(self, path: Path) -> bool:
+        """:func:`quarantine_aside`, counted in :attr:`quarantined`."""
+        if not quarantine_aside(path):
+            return False
+        self.quarantined += 1
+        return True
+
+    def injected_read(self, key: str, targeted: bool = False) -> None:
+        """Fire the read site for *key*, then raise :class:`ValueError`
+        when a ``corrupt`` spec is due: the read of a value already in
+        memory saw corrupt bytes.  Callers count the failure."""
+        self.injector.fire(self.read_site, key, targeted)
+        probe = key.encode()
+        if self.injector.mangle(self.read_site, key, probe, targeted) != probe:
+            raise ValueError(f"injected corruption reading {key}")
+
+    def _remove(self, path: Path) -> int:
+        try:
+            os.unlink(path)
+        except OSError:
+            return 0
+        return 1
 
     # -- reads -------------------------------------------------------------
     def _load(self) -> dict[str, dict[str, str]]:
@@ -452,20 +374,35 @@ class RecordLog(DurableFiles):
                     )
         return self.records
 
+    def _is_segment(self, name: str) -> bool:
+        return name.startswith(f"seg{LOG_SCHEMA}-") and name.endswith(
+            self.suffix
+        )
+
+    def _own(self) -> str | None:
+        """This writer's open segment's name, if any."""
+        return self._segment if self._handle is not None else None
+
+    def _absorb(self, records: list[tuple], corrupt: list) -> None:
+        """Add one read's intact *records* to :attr:`records` and its
+        *corrupt* ones to this reader's counters."""
+        self.corrupt += len(corrupt)
+        self._damaged.update(corrupt)
+        for _stamp, space, key, value, _line in records:
+            self.records.setdefault(space, {})[key] = value
+
     def _scan(self, first: bool) -> list[_Dead]:
         """Read every segment but this writer's own and return those
         whose writer is gone, locked.  The *first* scan reads their
         records into :attr:`records`, adds their damage to this
-        reader's counters and lists the :attr:`earlier_layout`
-        entries."""
-        own = self._segment if self._handle is not None else None
+        reader's counters, notes how far it read each segment and lists
+        the :attr:`earlier_layout` entries."""
+        own = self._own()
         paths = []
         try:
             for entry in os.scandir(self.directory):
                 name = entry.name
-                if name.startswith(f"seg{LOG_SCHEMA}-") and name.endswith(
-                    self.suffix
-                ):
+                if self._is_segment(name):
                     if name != own:
                         paths.append((entry.stat().st_mtime, entry.path))
                 elif first and any(
@@ -487,6 +424,10 @@ class RecordLog(DurableFiles):
                         data = stream.read()
             except OSError:  # a peer folded it meanwhile
                 data = b""
+            if fd is None:
+                # Its writer may be alive (or no locks tell here): its
+                # last line may still be arriving.
+                data = data[: data.rfind(b"\n") + 1]
             if not data:
                 # Empty: never folded, so a writer between its create
                 # and its lock never loses its segment.
@@ -495,14 +436,50 @@ class RecordLog(DurableFiles):
                 continue
             records, corrupt, torn = parse_segment(data)
             if first:
-                self.corrupt += len(corrupt)
+                self._offsets[path.name] = len(data)
+                self._absorb(records, corrupt)
                 self.torn += torn
-                self._damaged.update(corrupt)
-                for _stamp, space, key, value, _line in records:
-                    self.records.setdefault(space, {})[key] = value
             if fd is not None:
                 dead.append(_Dead(path, fd, records, corrupt, torn))
         return dead
+
+    def refresh(self) -> None:
+        """Read the records other writers appended since this reader
+        last read their segments: only the bytes each segment gained,
+        and only whole records — a live writer's unfinished last line
+        is left for a later refresh, never counted torn.  Folds
+        nothing and fires no site; the first call is the first
+        read."""
+        with self._lock:
+            if self.records is None:
+                self._load()
+                return
+            if self.disabled:
+                return
+            own = self._own()
+            try:
+                entries = [
+                    entry for entry in os.scandir(self.directory)
+                    if self._is_segment(entry.name) and entry.name != own
+                ]
+            except OSError:
+                return
+            for entry in entries:
+                name = entry.name
+                start = self._offsets.get(name, 0)
+                try:
+                    if entry.stat().st_size <= start:
+                        continue
+                    with open(entry.path, "rb") as stream:
+                        stream.seek(start)
+                        data = stream.read()
+                except OSError:  # a peer folded it meanwhile
+                    continue
+                data = data[: data.rfind(b"\n") + 1]
+                if data:
+                    self._offsets[name] = start + len(data)
+                    records, corrupt, _torn = parse_segment(data)
+                    self._absorb(records, corrupt)
 
     @staticmethod
     def _claim(path: Path) -> int | None:
@@ -551,10 +528,13 @@ class RecordLog(DurableFiles):
             for segment in dead:
                 os.close(segment.fd)
 
-    def read(self, space: str, key: str) -> str | None:
+    def read(
+        self, space: str, key: str, targeted: bool = False
+    ) -> str | None:
         """The value of *key* in *space*, or ``None``: a miss, or a read
         that failed (counted in :attr:`corrupt`, and the value is never
-        served again by this reader).  Fires the read site for *key*."""
+        served again by this reader).  Fires the read site for *key*
+        when there is a value (*targeted* as given)."""
         if self.disabled:
             return None
         value = self._load().get(space, {}).get(key)
@@ -564,7 +544,7 @@ class RecordLog(DurableFiles):
             return None
         if self.injector is not None:
             try:
-                self.injected_read(key)
+                self.injected_read(key, targeted)
             except Exception:
                 self.corrupt += 1
                 self.records[space].pop(key, None)

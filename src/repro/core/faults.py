@@ -46,13 +46,14 @@ site               fired from
 ``store-read``     :class:`ArtifactStore` lookups that find a record
                    (:meth:`~ArtifactStore.load_decode_cache`, once per
                    snapshot; ``load_code``; ``load_object``) /
-                   :meth:`WorkList.fetch` (shared-store reads), key =
-                   snapshot name / record key / cell key; a fleet's
-                   re-check after a claim is targeted
+                   :meth:`WorkList.fetch` that finds a verdict record,
+                   key = snapshot name / record key / cell key; a
+                   fleet's re-check after a claim is targeted
 ``store-write``    :class:`ArtifactStore` appends (one per decode pack,
                    executor table and batch of objects) /
-                   :meth:`WorkList.publish` (shared-store writes), key
-                   = record key / cell key
+                   :meth:`WorkList.publish` appends (one per verdict
+                   published; a peer's verdict found first writes
+                   nothing), key = record key / cell key
 ``lease-renew``    :meth:`WorkList.renew` (heartbeat extension of a
                    held cell lease), key = cell key
 =================  ========================================================

@@ -243,8 +243,9 @@ def matrix_digest(report: RegressionReport) -> str:
     like the freshly executed one.  Each line is the ``sort_keys`` JSON
     of ``[*key, payload]``, built as the key's JSON list, then the
     payload's text, then the closing bracket; the text is the one the
-    cache sealed or verified (``RunResult.payload_text``) when there is
-    one, so a re-regression encodes only the verdicts it executed."""
+    cache or the work-list stored or read (``RunResult.payload_text``)
+    when there is one, so a re-regression encodes only the verdicts it
+    executed."""
     digest = hashlib.sha256()
     for key in sorted(report.results):
         result = report.results[key]
@@ -319,7 +320,7 @@ class ResultCache(RecordLog):
     read_site = SITE_CACHE_READ
     write_site = SITE_CACHE_WRITE
     bounded = _VERDICTS
-    #: The per-key layout this log replaced: one sealed verdict per
+    #: The per-key layout this log replaced: one checksummed verdict per
     #: ``<key>.json`` and the build indexes under ``index/``.
     earlier_layout = ("[0-9a-f]" * 64 + ".json", "index")
 
@@ -372,8 +373,10 @@ class ResultCache(RecordLog):
     def put(self, key: str, result: RunResult) -> bool:
         if self.disabled:
             return False
-        text = json.dumps(result_to_payload(result), sort_keys=True)
-        result.payload_text = text
+        text = result.payload_text
+        if text is None:
+            text = json.dumps(result_to_payload(result), sort_keys=True)
+            result.payload_text = text
         return self.append(_VERDICTS, {key: text}, key)
 
     # -- build index -------------------------------------------------------
@@ -756,9 +759,13 @@ class RegressionScheduler:
         included, stays behind expired, so later peers quarantine it
         too instead of dying on it.
 
-        Publication is first-writer-wins; losing the race adopts the
-        peer's canonical verdict so every worker accounts identical
-        results.  Quarantined verdicts are never published — they are
+        A verdict is published only when no peer's is found, and a
+        peer's found instead is adopted, so every worker accounts
+        identical results.  Fetched and adopted verdicts stay payload
+        text until a field is read (:class:`_CachedResult`).  Each poll
+        round after the first starts with one refresh of the peers'
+        publications.
+        Quarantined verdicts are never published — they are
         this process's infrastructure failure, and a healthy peer (or a
         lease steal after ours lapses) can still derive the real one.
         A store that fails mid-run degrades that cell to the local
@@ -816,9 +823,9 @@ class RegressionScheduler:
                 progressed = False
                 errors_before = worklist.claim_errors
                 for request, image, tgt, key in remaining:
-                    payload = worklist.fetch(key)
+                    text = worklist.fetch(key)
                     lease = None
-                    if payload is None:
+                    if text is None:
                         lease = worklist.claim(key)
                         if lease is None:
                             # Held by a live peer (or claim trouble):
@@ -828,16 +835,14 @@ class RegressionScheduler:
                             continue
                         # Its holder may have published and released
                         # between our fetch and our claim.
-                        payload = worklist.fetch(key, targeted=True)
-                        if payload is not None:
+                        text = worklist.fetch(key, targeted=True)
+                        if text is not None:
                             worklist.release(lease)
-                    if payload is not None:
+                    if text is not None:
                         out.append(
                             self._emit(
                                 RunOutcome(
-                                    request,
-                                    result_from_payload(payload),
-                                    fetched=True,
+                                    request, _CachedResult(text), fetched=True
                                 )
                             )
                         )
@@ -865,16 +870,17 @@ class RegressionScheduler:
                         held[0] = None
                     outcome.stolen = lease.stolen
                     if not outcome.quarantined:
-                        published = worklist.publish(
-                            key, result_to_payload(outcome.result)
+                        text = json.dumps(
+                            result_to_payload(outcome.result), sort_keys=True
                         )
-                        if not published:
+                        outcome.result.payload_text = text
+                        if not worklist.publish(key, text):
                             peer = worklist.fetch(key)
                             if peer is not None:
                                 # Lost the publication race: adopt the
                                 # canonical verdict so every fleet
                                 # worker accounts identical results.
-                                outcome.result = result_from_payload(peer)
+                                outcome.result = _CachedResult(peer)
                     worklist.release(lease)
                     out.append(self._emit(outcome))
                     progressed = True
@@ -896,6 +902,9 @@ class RegressionScheduler:
                             )
                         break
                     self._sleep(_POLL_INTERVAL)
+                if remaining:
+                    # One read per poll round of what peers published.
+                    worklist.refresh()
         finally:
             stop_beat.set()
             keeper.join(timeout=5.0)

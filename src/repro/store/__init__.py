@@ -17,11 +17,11 @@ repo's two proven durability idioms downward and outward:
   of re-paying predecode and formation;
 - :mod:`repro.store.worklist` — a shared-directory work-list for
   fleet-sharded :class:`~repro.core.scheduler.RegressionScheduler`
-  runs: lease-based cell claims (``O_EXCL`` claim files, heartbeat
-  renewal, wall-clock expiry), expired-lease reclaim (work stealing
-  from dead workers) and idempotent first-writer-wins result
-  publication, so at-least-once execution yields exactly-once
-  accounting.
+  runs: lease-based cell claims (whole lease files hard-linked into
+  place, heartbeat renewal, wall-clock expiry), expired-lease reclaim
+  (work stealing from dead workers) and idempotent verdict
+  publication to the same record log, one segment per peer, so
+  at-least-once execution yields exactly-once accounting.
 
 Chaos coverage comes from three store-layer injection sites in
 :mod:`repro.core.faults` (``store-read``, ``store-write``,

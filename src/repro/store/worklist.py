@@ -2,8 +2,8 @@
 
 Several scheduler processes — possibly on several machines sharing a
 filesystem — divide one regression matrix by racing to *claim* cells
-and publishing their results into a common directory.  The protocol is
-built from three ordinary-filesystem primitives and one invariant:
+and publishing their verdicts into a common directory.  The protocol is
+built from ordinary-filesystem primitives and one invariant:
 
 - **lease-based claims** — a cell is claimed by hard-linking a whole
   record to ``leases/<key>.lease`` (the *exclusive*
@@ -23,18 +23,22 @@ built from three ordinary-filesystem primitives and one invariant:
   quarantined instead of run, its record left behind expired
   (:meth:`WorkList.poison`) so a cell that kills whoever runs it
   cannot take the fleet down one worker at a time;
-- **idempotent first-writer-wins publication** — results are written
-  to a temp file and ``os.link``ed to ``results/<key>.json`` (the
-  *exclusive* :func:`~repro.core.durable.atomic_write`): the first
-  publisher wins atomically, later publishers count a
-  ``duplicate`` and adopt the published verdict.  Steal races and
-  double executions are therefore *benign*: at-least-once execution,
+- **verdicts in one log** — the work-list is a
+  :class:`~repro.core.durable.RecordLog`: a published verdict is one
+  checksummed record, its cell key and the same payload text the
+  result cache stores, appended to the publishing peer's own segment.
+  A peer sees the others' verdicts by :meth:`~RecordLog.refresh`,
+  which reads only what their segments gained;
+- **idempotent publication** — a worker appends a verdict only after
+  a refresh finds none for the cell; otherwise it counts a
+  ``duplicate`` and adopts the published one.  Steal races and double
+  executions are therefore *benign*: at-least-once execution,
   exactly-once accounting;
-- **corruption is re-derived, never trusted** — published results ride
-  the checksummed envelope of :mod:`repro.core.durable`; a result that
-  fails verification is quarantined aside (counted) and its cell
-  returns to the claimable pool, so the matrix re-derives the verdict
-  from source.
+- **corruption is re-derived, never trusted** — a record that fails
+  its checksum is counted and never read, and its cell returns to the
+  claimable pool, so the matrix re-derives the verdict from source;
+  once its writer is gone, the first reader quarantines its segment
+  as evidence.
 
 Every operation is contained: an unavailable work-list root marks the
 list :attr:`WorkList.disabled` and the scheduler degrades to ordinary
@@ -49,22 +53,15 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.durable import (
-    DurableFiles,
-    atomic_write,
-    content_key,
-    seal,
-    unseal,
-)
+from repro.core.durable import RecordLog, atomic_write, content_key
 from repro.core.faults import (
     SITE_LEASE_RENEW,
     SITE_STORE_READ,
     SITE_STORE_WRITE,
 )
 
-#: Bump when the published-result envelope changes incompatibly.
-WORKLIST_SCHEMA = 1
-
+#: The record namespace of published verdicts.
+_VERDICTS = "verdict"
 
 #: Cell identity: the content key of (model digest, environment, cell,
 #: derivative, target, image digest, run bounds), derived alike by
@@ -97,11 +94,15 @@ class Lease:
         return self.steals > 0
 
 
-class WorkList(DurableFiles):
-    """Lease/steal/publish protocol over one shared directory."""
+class WorkList(RecordLog):
+    """Lease/steal/publish protocol over one shared directory: the
+    verdict log's segments beside ``leases/``."""
 
     read_site = SITE_STORE_READ
     write_site = SITE_STORE_WRITE
+    #: The per-cell layout this log replaced: a ``results`` directory of
+    #: one checksummed JSON envelope per cell.
+    earlier_layout = ("results",)
 
     def __init__(
         self,
@@ -111,7 +112,11 @@ class WorkList(DurableFiles):
         injector=None,
         clock=time.time,
     ):
-        super().__init__(directory, injector, subdirs=("leases", "results"))
+        super().__init__(directory, injector)
+        try:
+            (self.directory / "leases").mkdir(exist_ok=True)
+        except OSError:
+            self.disabled = True
         self.owner = owner or f"pid{os.getpid()}-{os.urandom(3).hex()}"
         self.lease_ttl = max(0.05, float(lease_ttl))
         #: Wall clock on purpose: expiries must compare across
@@ -132,9 +137,6 @@ class WorkList(DurableFiles):
     # -- paths -------------------------------------------------------------
     def _lease_path(self, key: str) -> Path:
         return self.directory / "leases" / f"{key}.lease"
-
-    def _result_path(self, key: str) -> Path:
-        return self.directory / "results" / f"{key}.json"
 
     def _read_lease(self, path: Path) -> dict | None:
         """The lease record at *path*: ``None`` when there is no file,
@@ -264,47 +266,39 @@ class WorkList(DurableFiles):
         except OSError:
             pass
 
-    # -- results -----------------------------------------------------------
-    def publish(self, key: str, payload: dict) -> bool:
-        """Publish *key*'s result, first writer wins.  Returns whether
-        *this* call's write became the published file; a lost race
-        counts a duplicate, a failed write counts a write error, and
-        neither raises."""
+    # -- verdicts ----------------------------------------------------------
+    def publish(self, key: str, text: str) -> bool:
+        """Append *text*, the payload text of *key*'s verdict, unless a
+        refresh finds that a peer published the cell first.  Returns
+        whether this call appended it; a verdict found counts a
+        duplicate (the caller adopts it), a failed append counts a
+        write error, and neither raises."""
         if self.disabled:
             return False
-        # Exclusive (hard-link) publication: a rename would let a late
-        # duplicate clobber the canonical result other workers adopted.
-        published = self.write_file(
-            self._result_path(key),
-            key,
-            seal(WORKLIST_SCHEMA, json.dumps(payload, sort_keys=True)),
-            exclusive=True,
-        )
-        if published is None:
-            return False
-        if not published:
+        self.refresh()
+        if key in self.records.get(_VERDICTS, {}):
             self.duplicates += 1
+            return False
+        if not self.append(_VERDICTS, {key: text}, key):
             return False
         self.published += 1
         return True
 
-    def fetch(self, key: str, targeted: bool = False) -> dict | None:
-        """The published payload for *key*, or ``None`` (not published
-        yet, or counted-and-quarantined corruption, after which the
-        cell re-enters the claimable pool and is re-derived from
-        source).  *targeted* marks the re-check after a claim, which
-        only plans naming the cell see.  Never raises."""
+    def fetch(self, key: str, targeted: bool = False) -> str | None:
+        """The published payload text of *key*, or ``None`` (not
+        published yet, or counted corruption, after which the cell
+        re-enters the claimable pool and is re-derived from source).
+        *targeted* marks the re-check after a claim, which refreshes
+        first — its holder may have published since — and fires the
+        read site only for plans naming the cell.  Never raises."""
         if self.disabled:
             return None
-        path = self._result_path(key)
-        if not path.exists():
-            return None
-        payload = self.read_file(
-            path, key, lambda raw: unseal(raw, WORKLIST_SCHEMA), targeted
-        )
-        if payload is not None:
+        if targeted:
+            self.refresh()
+        text = self.read(_VERDICTS, key, targeted)
+        if text is not None:
             self.fetched += 1
-        return payload
+        return text
 
     def stats(self) -> dict[str, int]:
         return {
@@ -321,6 +315,7 @@ class WorkList(DurableFiles):
             "duplicates": self.duplicates,
             "fetched": self.fetched,
             "corrupt": self.corrupt,
+            "torn": self.torn,
             "quarantined": self.quarantined,
             "write_errors": self.write_errors,
         }

@@ -37,7 +37,7 @@ class RunResult:
     over the cached rows when rehydrated from the result cache.
 
     ``payload_text`` is this verdict's result-cache JSON text, when the
-    cache has already sealed (stored) or verified (read back) it, so the
+    cache has already stored or verified (read back) it, so the
     matrix digest hashes that text instead of encoding the verdict
     again.  It is not part of the verdict: no constructor argument, no
     comparison, and a copy (``copy.copy``, made to be changed) drops it.

@@ -1,9 +1,12 @@
 """Helpers for tests that inspect or damage a record log's segments
 (:class:`repro.core.durable.RecordLog`, the layout of the result cache,
-the artifact store and the job journal)."""
+the artifact store, the fleet work-list and the job journal), or that
+lay out what an earlier per-file layout left behind."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 #: Marks the namespace field of a verdict record, of a build-index
@@ -15,6 +18,17 @@ JOB = b"\tjob\t"
 DECODES = b"\tdecodes/"
 CODE = b"\tcode\t"
 OBJECTS = b"\tobjects\t"
+
+
+def envelope(schema: int, text: str) -> bytes:
+    """One file of the per-file layout the logs replaced: the
+    ``{"schema", "checksum", "payload"}`` JSON envelope, with a SHA-256
+    over the payload text."""
+    return json.dumps({
+        "schema": schema,
+        "checksum": hashlib.sha256(text.encode()).hexdigest(),
+        "payload": text,
+    }).encode()
 
 
 def segments(directory) -> list[Path]:

@@ -21,9 +21,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from logtools import CODE, DECODES, OBJECTS, VERDICT, rot_record, segments
+from logtools import (
+    CODE,
+    DECODES,
+    OBJECTS,
+    VERDICT,
+    envelope,
+    rot_record,
+    segments,
+)
 from repro import cli
-from repro.core.durable import parse_segment, quarantine_aside, seal
+from repro.core.durable import parse_segment, quarantine_aside
 from repro.core.scheduler import CACHE_SCHEMA, RegressionScheduler, ResultCache
 from repro.core.system_env import make_default_system
 from repro.core.workspace import write_system_environment
@@ -370,12 +378,12 @@ def test_earlier_layout_cache_reads_as_misses(tmp_path):
     old = tmp_path / "old"
     (old / "index").mkdir(parents=True)
     for key, text in writer._load()["verdict"].items():
-        (old / f"{key}.json").write_bytes(seal(CACHE_SCHEMA, text))
+        (old / f"{key}.json").write_bytes(envelope(CACHE_SCHEMA, text))
     positions = {
         position: value.split(" ")
         for position, value in writer._load()["index/NVM/sc88a"].items()
     }
-    (old / "index" / "NVM.sc88a.json").write_bytes(seal(
+    (old / "index" / "NVM.sc88a.json").write_bytes(envelope(
         CACHE_SCHEMA, json.dumps({"schema": 1, "positions": positions})
     ))
     evidence = old / "0123.4567.corrupt"

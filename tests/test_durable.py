@@ -1,21 +1,15 @@
-"""The durable-file contract (:mod:`repro.core.durable`), once per owner.
+"""The durable-record contract (:mod:`repro.core.durable`), once per
+owner.
 
-The fleet work-list keeps its published results in whole files, under
-one envelope, one atomic write, one quarantine and one containment
-policy; these checks hold it to them:
-
-- an injected write fault (raise, mangle, or a failed rename) leaves
-  no temp file behind;
-- a torn file is counted once and quarantined under a unique name;
-- a quarantine that loses the race to a peer leaves no empty decoy;
-- a file that a peer removes mid-read is a miss, not corruption.
-
-The result cache, the artifact store and the serving daemon's job
-journal append records to a log instead
+The result cache, the artifact store, the fleet work-list and the
+serving daemon's job journal append records to a log
 (:class:`~repro.core.durable.RecordLog`); :class:`TestRecordLog` holds
-all three to the same contract in the log's terms: a failed or mangled append, a torn tail at every byte offset, a
-corrupt record kept as evidence, a segment vanishing mid-read, and
-live writers' segments never folded.
+all four to one contract: a failed or mangled append, a torn tail at
+every byte offset, a corrupt record kept as evidence, a segment
+vanishing mid-read, and live writers' segments never folded.
+:class:`TestRefresh` holds the one reader that rescans — the
+work-list — to reading only what peers appended, and only whole
+records.
 
 The golden-bytes tests pin the on-disk formats, so every owner keeps
 writing the same bytes.
@@ -33,20 +27,20 @@ import pytest
 from logtools import DECODES, JOB, VERDICT, record_spans, rot_record, segments
 from repro import cli
 from repro.core import durable
-from repro.core.durable import (
-    atomic_write,
-    encode_record,
-    quarantine_aside,
-    seal,
-    unseal,
-)
+from repro.core.durable import atomic_write, encode_record, quarantine_aside
 from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.core.scheduler import CACHE_SCHEMA, ResultCache
+from repro.core.scheduler import (
+    RegressionScheduler,
+    ResultCache,
+    result_to_payload,
+)
 from repro.core.system_env import make_default_system
+from repro.core.workloads import make_nvm_environment
 from repro.core.workspace import write_system_environment
 from repro.isa.decodecache import DecodeCache
 from repro.platforms.base import RunResult, RunStatus
 from repro.service.journal import JobJournal, JournalError
+from repro.soc.derivatives import SC88A
 from repro.store import artifacts
 from repro.store.artifacts import ArtifactStore
 from repro.store.worklist import WorkList
@@ -78,146 +72,7 @@ def evidence(directory: Path) -> list[Path]:
 
 
 # --------------------------------------------------------------------------
-# one adapter per owner: a numbered write, the file it made, a read back
-# --------------------------------------------------------------------------
-
-class FileOwner:
-    write_match = None
-
-    def counts(self) -> tuple[int, int]:
-        return self.owner.corrupt, self.owner.quarantined
-
-    def close(self) -> None:
-        pass
-
-
-class WorkListOwner(FileOwner):
-    def __init__(self, directory: Path, injector=None):
-        self.directory = directory
-        self.owner = WorkList(directory, injector=injector)
-
-    def write(self, n: int) -> None:
-        self.owner.publish(f"cell{n}", {"verdict": n})
-
-    def entry(self, n: int) -> Path:
-        return self.directory / "results" / f"cell{n}.json"
-
-    def read(self, n: int):
-        return self.owner.fetch(f"cell{n}")
-
-
-OWNERS = {"worklist": WorkListOwner}
-
-
-@pytest.fixture(params=sorted(OWNERS))
-def owner(request, tmp_path):
-    owner = OWNERS[request.param](tmp_path)
-    yield owner
-    owner.close()
-
-
-def write_site_plan(owner, action: str) -> FaultInjector:
-    spec = FaultSpec(
-        site=type(owner.owner).write_site,
-        action=action,
-        match=owner.write_match,
-    )
-    return FaultInjector(FaultPlan(seed=3, specs=[spec]))
-
-
-# --------------------------------------------------------------------------
-# the contract
-# --------------------------------------------------------------------------
-
-class TestContract:
-    def test_injected_write_raise_leaves_no_temp_file(
-        self, tmp_path, owner
-    ):
-        owner.owner.injector = write_site_plan(owner, "raise")
-        owner.write(0)
-        assert owner.owner.write_errors == 1
-        assert temp_files(tmp_path) == []
-
-    def test_injected_mangle_leaves_no_temp_file(self, tmp_path, owner):
-        owner.owner.injector = write_site_plan(owner, "corrupt")
-        owner.write(0)
-        assert owner.owner.injector.fired
-        assert temp_files(tmp_path) == []
-        # The mangled file is written, then caught on read.
-        owner.owner.injector = None
-        assert owner.read(0) is None
-        assert owner.counts()[0] >= 1
-
-    def test_failed_rename_leaves_no_temp_file(
-        self, tmp_path, owner, monkeypatch
-    ):
-
-        def fail(*_args):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(os, "replace", fail)
-        monkeypatch.setattr(os, "link", fail)
-        owner.write(0)
-        assert owner.owner.write_errors == 1
-        assert temp_files(tmp_path) == []
-
-    def test_torn_file_counted_once_and_quarantined_uniquely(
-        self, tmp_path, owner
-    ):
-        kept: set[str] = set()
-        for n in range(2):
-            owner.write(n)
-            path = owner.entry(n)
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 2])
-            assert owner.read(n) is None
-            assert owner.read(n) is None  # evidence is off the hot path
-            assert owner.counts() == (n + 1, n + 1)
-            (added,) = {p.name for p in evidence(tmp_path)} - kept
-            assert added.startswith(f"{path.stem}.")
-            kept.add(added)
-
-    def test_lost_quarantine_race_leaves_no_decoy(
-        self, tmp_path, owner, monkeypatch
-    ):
-        owner.write(0)
-        target = owner.entry(0)
-        real_read = Path.read_bytes
-
-        def read_then_lose_race(path):
-            if path == target:
-                # A peer quarantines the file right after this read.
-                real_read(path)
-                path.unlink()
-                return b"rot"
-            return real_read(path)
-
-        monkeypatch.setattr(Path, "read_bytes", read_then_lose_race)
-        assert owner.read(0) is None
-        assert owner.counts() == (1, 0)
-        assert evidence(tmp_path) == []
-
-
-def test_file_vanishing_mid_read_is_a_miss(tmp_path, monkeypatch, owner):
-    """A peer's quarantine may remove a file between the existence
-    check and the read: that is a miss, not corruption."""
-    owner.write(0)
-    target = owner.entry(0)
-    real_read = Path.read_bytes
-
-    def vanish(path):
-        if path == target:
-            path.unlink()
-        return real_read(path)
-
-    monkeypatch.setattr(Path, "read_bytes", vanish)
-    assert owner.read(0) is None
-    assert owner.counts() == (0, 0)
-    assert owner.owner.misses == 1
-
-
-# --------------------------------------------------------------------------
-# the record log: the contract in a log's terms, once per log owner
+# the record log: the contract, once per owner
 # --------------------------------------------------------------------------
 
 class CacheLog:
@@ -229,6 +84,8 @@ class CacheLog:
     #: whose record failed its checksum.
     miss = 1
     damaged_miss = 0
+    #: What the owner's directory holds besides segments.
+    entries = ()
 
     def __init__(self, directory: Path, injector=None):
         self.owner = ResultCache(directory, injector)
@@ -250,6 +107,7 @@ class JournalLog:
     needle = JOB
     miss = 0
     damaged_miss = 0
+    entries = ()
 
     def __init__(self, directory: Path, injector=None):
         self.owner = JobJournal(directory, injector)
@@ -276,6 +134,7 @@ class StoreLog:
     #: The keys of a damaged pack are inside its value: a read of one
     #: cannot tell it from a miss.
     damaged_miss = 1
+    entries = ()
 
     def __init__(self, directory: Path, injector=None):
         self.owner = ArtifactStore(directory, injector)
@@ -293,10 +152,33 @@ class StoreLog:
         return None if reader.load_decode_cache(cls.key(n)) is None else n
 
 
+class WorkListLog:
+    """The fleet work-list: a write is a publish, a read a fetch."""
+
+    kind = WorkList
+    needle = VERDICT
+    miss = 1
+    damaged_miss = 0
+    #: The lease files live beside the log.
+    entries = ("leases",)
+
+    def __init__(self, directory: Path, injector=None):
+        self.owner = WorkList(directory, injector=injector)
+
+    def write(self, n: int) -> bool:
+        return self.owner.publish(f"cell{n}", json.dumps({"n": n}))
+
+    @staticmethod
+    def read(reader: WorkList, n: int):
+        text = reader.fetch(f"cell{n}")
+        return None if text is None else json.loads(text)["n"]
+
+
 LOGS = {
     "artifact-store": StoreLog,
     "journal": JournalLog,
     "result-cache": CacheLog,
+    "worklist": WorkListLog,
 }
 
 
@@ -351,7 +233,7 @@ class TestRecordLog:
         writer = log(tmp_path)
         assert writer.write(0) is False
         assert writer.owner.write_errors == 1
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == list(log.entries)
 
     def test_torn_tail_at_every_offset_is_dropped_and_counted(
         self, tmp_path, log
@@ -450,6 +332,74 @@ class TestRecordLog:
 
 
 # --------------------------------------------------------------------------
+# refresh: the work-list's view of what its peers append
+# --------------------------------------------------------------------------
+
+class TestRefresh:
+    def test_a_verdict_a_peer_appends_later_is_adopted_by_the_next_fetch(
+        self, tmp_path
+    ):
+        reader = WorkList(tmp_path, owner="reader")
+        peer = WorkList(tmp_path, owner="peer")
+        assert reader.fetch("first") is None  # the first read
+        assert peer.publish("first", '{"n": 1}')
+        # Read once: a plain fetch does not rescan; the fetch after a
+        # claim does.
+        assert reader.fetch("first") is None
+        assert reader.fetch("first", targeted=True) == '{"n": 1}'
+        # A refresh reads only what the peer's segment gained: a record
+        # it read before may rot on disk unseen.
+        rot_record(tmp_path, VERDICT)
+        assert peer.publish("second", '{"n": 2}')
+        reader.refresh()
+        assert reader.fetch("second") == '{"n": 2}'
+        assert (reader.fetched, reader.corrupt, reader.torn) == (2, 0, 0)
+
+    def test_a_live_peers_half_written_record_waits_for_its_newline(
+        self, tmp_path
+    ):
+        peer = WorkList(tmp_path, owner="peer")
+        assert peer.publish("first", '{"n": 1}')
+        (segment,) = segments(tmp_path)
+        record = encode_record("verdict", "second", '{"n": 2}', 1_000_000_000)
+        half = len(record) // 2
+        with open(segment, "ab") as stream:  # the peer is mid-write
+            stream.write(record[:half])
+        reader = WorkList(tmp_path, owner="reader")
+        assert reader.fetch("first") == '{"n": 1}'
+        assert reader.fetch("second", targeted=True) is None
+        reader.refresh()
+        assert reader.fetch("second") is None
+        assert (reader.torn, reader.corrupt) == (0, 0)
+        with open(segment, "ab") as stream:
+            stream.write(record[half:])
+        assert reader.fetch("second", targeted=True) == '{"n": 2}'
+        assert (reader.torn, reader.corrupt) == (0, 0)
+        peer.close()
+
+    def test_a_result_cache_miss_never_rescans(self, tmp_path, monkeypatch):
+        """Only the work-list refreshes: a cold 24-run matrix, every
+        verdict a miss, lists the cache directory once."""
+        directory = tmp_path / "cache"
+        listed = []
+        real_scandir = os.scandir
+
+        def scandir(path="."):
+            if Path(path) == directory:
+                listed.append(path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(durable.os, "scandir", scandir)
+        cache = ResultCache(directory)
+        report = RegressionScheduler(cache=cache).run_system(
+            {"NVM": make_nvm_environment(4)}, SC88A
+        )
+        assert report.executed_runs == report.total_runs == 24
+        assert cache.misses == 24
+        assert len(listed) == 1
+
+
+# --------------------------------------------------------------------------
 # an uncreatable directory
 # --------------------------------------------------------------------------
 
@@ -503,16 +453,6 @@ class TestUnavailableDirectory:
 # the on-disk formats did not change
 # --------------------------------------------------------------------------
 
-GOLDEN_VERDICT = (
-    b'{"schema": 2, "checksum": "78c16361de613a00fe2c0ba659c16948e42598ed8'
-    b'c9df7e72016b50fa59f440c", "payload": "{\\"cycles\\": 7, \\"derivative'
-    b'\\": \\"sc88a\\", \\"done_pin\\": null, \\"fault_reason\\": null, \\"'
-    b'instructions\\": 0, \\"pass_pin\\": null, \\"platform\\": \\"golden\\"'
-    b', \\"registers\\": null, \\"result_word\\": null, \\"signature\\": nul'
-    b'l, \\"status\\": \\"pass\\", \\"trace\\": null, \\"uart_output\\": nul'
-    b'l}"}'
-)
-
 GOLDEN_RECORD = (
     b"dd1b971e100204aa704405026b41c139a82cd6e787e8679c27a005d9109c22a7\t"
     b'1000000000\tverdict\tk1\t{"cycles": 7, "derivative": "sc88a", "done'
@@ -529,10 +469,9 @@ GOLDEN_PACK = (
     b"gAWVDwAAAAAAAABdlIwIc25hcHNob3SUYS4=\n"
 )
 
-GOLDEN_RESULT = (
-    b'{"schema": 1, "checksum": "4f3e24804a32b979e09cf184cd3a3369a98729df51'
-    b'bd0d8ccd89cad4e831d8c4", "payload": "{\\"cycles\\": 7, \\"status\\": '
-    b'\\"pass\\"}"}'
+GOLDEN_WORKLIST = (
+    b"d3559c0b2b3c3b586eed1665c161c92c72b9d99dfdd165e94c3ac439d20f16e4\t"
+    b"1000000000\tverdict\t" + b"c" * 64 + b'\t{"cycles": 7, "status": "pass"}\n'
 )
 
 GOLDEN_JOURNAL = (
@@ -543,16 +482,13 @@ GOLDEN_JOURNAL = (
 
 
 class TestGoldenBytes:
-    def test_seal_and_result_cache_record(self, tmp_path):
-        payload = json.loads(json.loads(GOLDEN_VERDICT)["payload"])
-        text = json.dumps(payload, sort_keys=True)
-        assert seal(CACHE_SCHEMA, text) == GOLDEN_VERDICT
-        assert unseal(GOLDEN_VERDICT, CACHE_SCHEMA) == payload
+    def test_result_cache_record(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.clock = lambda: 1_000_000_000
         cache.put("k1", make_result(7))
         (segment,) = segments(tmp_path)
         assert segment.read_bytes() == GOLDEN_RECORD
+        text = json.dumps(result_to_payload(make_result(7)), sort_keys=True)
         assert encode_record(
             "verdict", "k1", text, 1_000_000_000
         ) == GOLDEN_RECORD
@@ -570,34 +506,16 @@ class TestGoldenBytes:
 
     def test_worklist_result_and_journal_record(self, tmp_path):
         worklist = WorkList(tmp_path / "wl")
-        assert worklist.publish("c" * 64, {"status": "pass", "cycles": 7})
-        published = tmp_path / "wl" / "results" / ("c" * 64 + ".json")
-        assert published.read_bytes() == GOLDEN_RESULT
+        worklist.clock = lambda: 1_000_000_000
+        assert worklist.publish("c" * 64, '{"cycles": 7, "status": "pass"}')
+        (segment,) = segments(tmp_path / "wl")
+        assert segment.read_bytes() == GOLDEN_WORKLIST
         journal = JobJournal(tmp_path / "journal")
         journal.clock = lambda: 1_000_000_000
         journal.accept("job-000001", {"name": "pack"})
         journal.close()
         (segment,) = segments(tmp_path / "journal")
         assert segment.read_bytes() == GOLDEN_JOURNAL
-
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            b"rot",
-            b"[]",
-            b'{"schema": 2}',
-            GOLDEN_VERDICT.replace(b'"schema": 2', b'"schema": 3'),
-            GOLDEN_VERDICT.replace(b"78c1", b"78c2"),
-            GOLDEN_VERDICT.replace(b"golden", b"silver"),
-        ],
-        ids=[
-            "not-json", "not-object", "no-payload", "other-schema",
-            "bad-checksum", "edited-payload",
-        ],
-    )
-    def test_unseal_rejects_anything_but_an_intact_envelope(self, raw):
-        with pytest.raises(ValueError):
-            unseal(raw, CACHE_SCHEMA)
 
 
 class TestPrimitives:
@@ -619,3 +537,9 @@ class TestPrimitives:
         names = [p.name for p in evidence(tmp_path)]
         assert len(set(names)) == 2
         assert all(name.startswith("entry.") for name in names)
+
+    def test_lost_quarantine_race_leaves_no_decoy(self, tmp_path):
+        """A peer set the segment aside (or removed it) first: nothing
+        is renamed, and the placeholder name is not left behind."""
+        assert quarantine_aside(tmp_path / "seg1-gone.log") is False
+        assert evidence(tmp_path) == []

@@ -7,10 +7,11 @@ a matrix by racing lease-based cell claims; a SIGKILLed worker's cells
 are stolen by survivors after its lease expires, and so are the cells
 of a worker wedged past its per-cell deadline; a cell that kills every
 process running it costs at most ``retries + 1`` processes before the
-fleet quarantines it; publication is first-writer-wins so at-least-once
-execution yields exactly-once accounting; corrupt published results are
-quarantined and re-derived, never trusted; and healthy-cell verdicts
-are byte-identical to a scalar serial run of the same matrix.
+fleet quarantines it; a verdict is published once, to the work-list's
+record log, so at-least-once execution yields exactly-once accounting;
+corrupt published records are counted and re-derived, never trusted,
+and kept as evidence once their writer is gone; and healthy-cell
+verdicts are byte-identical to a scalar serial run of the same matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from pathlib import Path
 
 import pytest
 
+from logtools import VERDICT, envelope, rot_record, segments
+from repro.core.durable import parse_segment
 from repro.core.faults import (
     FaultInjector,
     FaultPlan,
@@ -71,6 +74,18 @@ def run_matrix(workspace, worklist=None, fault_plan=None, targets=TARGETS):
         environments, lookup_derivative("sc88a")
     )
     return scheduler, report
+
+
+def published(store_dir: Path) -> dict[str, str]:
+    """Cell key -> payload text of every intact verdict in the
+    work-list's log."""
+    return {
+        key: text
+        for segment in segments(store_dir)
+        for _stamp, _space, key, text, _line in parse_segment(
+            segment.read_bytes()
+        )[0]
+    }
 
 
 def verdict_bytes(report) -> dict[tuple, bytes]:
@@ -211,31 +226,72 @@ class TestPublish:
     def test_first_writer_wins_and_duplicates_count(self, tmp_path):
         first = WorkList(tmp_path, owner="a")
         second = WorkList(tmp_path, owner="b")
-        assert first.publish("cell", {"verdict": "first"})
-        assert not second.publish("cell", {"verdict": "second"})
+        assert first.publish("cell", '{"verdict": "first"}')
+        assert not second.publish("cell", '{"verdict": "second"}')
         assert second.duplicates == 1
         # Every reader adopts the canonical first write.
-        assert first.fetch("cell") == {"verdict": "first"}
-        assert second.fetch("cell") == {"verdict": "first"}
-        assert not list(tmp_path.glob("results/*.tmp"))
+        assert first.fetch("cell") == '{"verdict": "first"}'
+        assert second.fetch("cell") == '{"verdict": "first"}'
+        assert published(tmp_path) == {"cell": '{"verdict": "first"}'}
+        assert len(segments(tmp_path)) == 1
 
     def test_corrupt_result_is_quarantined_and_republishable(
         self, tmp_path
     ):
+        writer = WorkList(tmp_path)
+        assert writer.publish("cell", '{"verdict": "good"}')
+        writer.close()
+        rot_record(tmp_path, VERDICT)
+        # Corrupt != trusted: counted, its dead segment renamed aside,
+        # the cell re-enters the claimable pool and is re-derived.
         worklist = WorkList(tmp_path)
-        assert worklist.publish("cell", {"verdict": "good"})
-        path = tmp_path / "results" / "cell.json"
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        # Corrupt != trusted: counted, renamed aside, cell re-enters
-        # the claimable pool and the verdict is re-derived.
         assert worklist.fetch("cell") is None
         assert worklist.corrupt == 1
         assert worklist.quarantined == 1
-        assert list((tmp_path / "results").glob("*.corrupt"))
-        assert worklist.publish("cell", {"verdict": "rederived"})
-        assert worklist.fetch("cell") == {"verdict": "rederived"}
+        assert list(tmp_path.glob("*.corrupt"))
+        assert worklist.publish("cell", '{"verdict": "rederived"}')
+        assert worklist.fetch("cell") == '{"verdict": "rederived"}'
+
+    def test_injected_read_corruption_quarantines_nothing(self, tmp_path):
+        """A ``store-read`` corruption hits a verdict already read into
+        memory: counted and never served, but the bytes on disk are
+        intact, so nothing is set aside and the next reader adopts it."""
+        writer = WorkList(tmp_path)
+        assert writer.publish("cell", '{"verdict": "good"}')
+        writer.close()
+        injector = FaultInjector(FaultPlan(seed=3, specs=[
+            FaultSpec(site=SITE_STORE_READ, action="corrupt"),
+        ]))
+        reader = WorkList(tmp_path, injector=injector)
+        assert reader.fetch("cell") is None
+        assert (reader.corrupt, reader.quarantined) == (1, 0)
+        assert not list(tmp_path.glob("*.corrupt"))
+        assert WorkList(tmp_path).fetch("cell") == '{"verdict": "good"}'
+
+    @pytest.mark.parametrize("evidence", [False, True])
+    def test_first_append_removes_the_per_cell_results_layout(
+        self, tmp_path, evidence
+    ):
+        """A store of the per-cell layout (one envelope per
+        ``results/<key>.json``): its verdicts are never read, and the
+        first append removes them, keeping ``*.corrupt`` evidence."""
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "cell.json").write_bytes(
+            envelope(1, '{"verdict": "old"}')
+        )
+        if evidence:
+            (results / "cell.1234.corrupt").write_bytes(b"rot")
+        worklist = WorkList(tmp_path)
+        assert worklist.fetch("cell") is None
+        assert worklist.publish("cell", '{"verdict": "new"}')
+        kept = ["cell.1234.corrupt"] if evidence else []
+        assert (
+            sorted(p.name for p in results.iterdir()) if results.exists()
+            else []
+        ) == kept
+        assert worklist.fetch("cell") == '{"verdict": "new"}'
+        assert worklist.corrupt == 0
 
     def test_cell_key_is_deterministic_and_distinct(self):
         key = cell_key("env", "cell", "sc88a", "golden", "digest", 1000)
@@ -253,7 +309,7 @@ class TestPublish:
         worklist = WorkList(squatter)
         assert worklist.disabled
         assert worklist.claim("cell") is None
-        assert not worklist.publish("cell", {})
+        assert not worklist.publish("cell", "{}")
         assert worklist.fetch("cell") is None
         assert worklist.stats()["disabled"] == 1
 
@@ -298,15 +354,13 @@ class TestFleetScheduler:
         adopts the published verdict (releasing the lease) instead of
         running the cell a second time."""
         _oracle_sched, oracle = run_matrix(workspace)
-        run_matrix(workspace, worklist=WorkList(tmp_path / "peer"))
-        peer_results = tmp_path / "peer" / "results"
+        run_matrix(workspace, worklist=WorkList(tmp_path / "source"))
+        verdicts = published(tmp_path / "source")
+        peer = WorkList(tmp_path / "shared", owner="peer")
 
         class Racing(WorkList):
             def claim(self, key):
-                published = self.directory / "results" / f"{key}.json"
-                published.write_bytes(
-                    (peer_results / f"{key}.json").read_bytes()
-                )
+                assert peer.publish(key, verdicts[key])
                 return super().claim(key)
 
         racing = Racing(tmp_path / "shared", owner="racing")
@@ -384,13 +438,11 @@ class TestFleetScheduler:
         # golden cells quarantine locally; rtl cells publish.
         assert report.quarantined_runs == 2
         assert worklist.published == 2
-        published = [
-            json.loads(
-                json.loads(path.read_text())["payload"]
-            )["platform"]
-            for path in (tmp_path / "results").glob("*.json")
+        platforms = [
+            json.loads(text)["platform"]
+            for text in published(tmp_path).values()
         ]
-        assert published and all(name == "rtl" for name in published)
+        assert platforms == ["rtl", "rtl"]
 
 
 # --------------------------------------------------------------------------
@@ -521,21 +573,25 @@ def test_sigkilled_worker_is_stolen_and_matrix_settles_exactly_once(
         )
 
     # The dead worker's cell was stolen, and exactly-once accounting
-    # holds: one published file per cell, ever, across the fleet.
+    # holds: one published record per cell, ever, across the fleet.
     assert sum(r["counters"]["stolen"] for r in reports) >= 1
     assert sum(r["stats"]["stolen"] for r in reports) >= 1
     assert sum(r["stats"]["published"] for r in reports) == cells
-    results_dir = store_dir / "results"
-    assert len(list(results_dir.glob("*.json"))) == cells
+    keys = published(store_dir)
+    assert len(keys) == cells
+    assert sum(
+        len(parse_segment(segment.read_bytes())[0])
+        for segment in segments(store_dir)
+    ) == cells
 
-    # Zero torn artifacts: no temp droppings, and a fresh reader
-    # verifies every published envelope cleanly.
-    assert not list(results_dir.glob(".*.tmp"))
-    assert not list(results_dir.glob("*.corrupt"))
+    # Zero torn artifacts: no temp droppings, no evidence, and a fresh
+    # reader verifies every published record cleanly.
+    assert not list(store_dir.rglob("*.tmp"))
+    assert not list(store_dir.rglob("*.corrupt"))
     fresh = WorkList(store_dir, owner="auditor")
-    for path in results_dir.glob("*.json"):
-        assert fresh.fetch(path.stem) is not None
-    assert fresh.corrupt == 0
+    for key in keys:
+        assert fresh.fetch(key) is not None
+    assert (fresh.corrupt, fresh.torn) == (0, 0)
 
     # Byte-identity against the scalar serial oracle, per cell.
     _oracle_sched, oracle = run_matrix(workspace)
@@ -652,6 +708,4 @@ def test_poison_cell_costs_retries_plus_one_processes(tmp_path):
             if key != poison_key
         }
     # The quarantined verdict was never published.
-    assert len(list((tmp_path / "fleet" / "results").glob("*.json"))) == (
-        len(targets) - 1
-    )
+    assert len(published(tmp_path / "fleet")) == len(targets) - 1
