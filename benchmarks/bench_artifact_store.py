@@ -17,13 +17,13 @@ the subsystem to:
   store+work-list scheduler (every cell claimed, executed, published)
   vs a plain serial scheduler — byte-identical and at most 5% slower
   (``speedup >= 0.95``);
-- **chaos completion**: a real fleet — one worker process SIGKILLed
-  mid-shard holding a lease, survivors stealing it after expiry — plus
-  one published record corrupted after the fact: the matrix settles
-  exactly once (one published record per cell), the corruption is
-  detected, its segment quarantined as evidence and the verdict
-  re-derived, and every verdict is byte-identical to a scalar serial
-  oracle.
+- **chaos completion**: a real fleet over one shared result cache —
+  one worker process SIGKILLed mid-shard holding a lease, survivors
+  stealing it after expiry — plus one published record corrupted
+  after the fact: the matrix settles exactly once (one published
+  record per cell), the corruption is detected, its segment
+  quarantined as evidence and the verdict re-derived, and every
+  verdict is byte-identical to a scalar serial oracle.
 
 Emits ``BENCH_artifact_store.json`` next to the repository root.  Also
 runnable as a script: ``python benchmarks/bench_artifact_store.py
@@ -44,7 +44,11 @@ from pathlib import Path
 
 from repro.core.durable import parse_segment
 from repro.core.faults import ACTION_KILL, FaultPlan, FaultSpec, SITE_SESSION_RUN
-from repro.core.scheduler import RegressionScheduler, result_to_payload
+from repro.core.scheduler import (
+    RegressionScheduler,
+    ResultCache,
+    result_to_payload,
+)
 from repro.core.system_env import make_default_system
 from repro.core.targets import target as lookup_target
 from repro.core.workloads import make_nvm_environment, make_uart_environment
@@ -186,9 +190,9 @@ def run_zero_fault(config) -> dict:
     vs a plain scheduler — identity first, then the ≤5% overhead gate.
 
     The fleet work-list is opt-in and buys cross-process parallelism,
-    not zero cost; its per-cell protocol price (fetch + claim + a
-    shared heartbeat + publish + release) is measured and recorded as
-    a trend figure, without a floor."""
+    not zero cost; its per-cell protocol price (the shared cache's
+    probe, fetch + claim + a shared heartbeat + publish + release) is
+    measured and recorded as a trend figure, without a floor."""
     environments = make_environments(config)
 
     def plain_run():
@@ -210,10 +214,11 @@ def run_zero_fault(config) -> dict:
                 set_artifact_store(None)
 
         def fleet_run():
-            # Fresh work-list per sample so every cell is claimed,
+            # Fresh shared cache per sample so every cell is claimed,
             # executed and published — the full protocol cost, never
-            # the (much cheaper) fetch-adoption path.
-            worklist = WorkList(Path(tmp) / f"wl{next(fresh)}")
+            # the (much cheaper) cached path.
+            shared = ResultCache(Path(tmp) / f"wl{next(fresh)}")
+            worklist = WorkList(shared)
             set_artifact_store(store)
             try:
                 scheduler = RegressionScheduler(worklist=worklist)
@@ -237,10 +242,11 @@ def run_zero_fault(config) -> dict:
     assert store.unchanged >= store.saved, store.stats()
     # Single worker, fresh list: everything executed, nothing adopted,
     # nothing stolen, every cell published exactly once.
-    assert fleet.fetched_runs == 0 and fleet.stolen_runs == 0
+    assert fleet.cached_runs == 0 and fleet.stolen_runs == 0
     assert worklist.claimed == fleet.total_runs, worklist.stats()
     assert worklist.published == fleet.total_runs, worklist.stats()
-    assert worklist.corrupt == 0 and worklist.write_errors == 0
+    shared = worklist.cache
+    assert shared.corrupt == 0 and shared.write_errors == 0
 
     per_cell_us = (
         (fleet_elapsed - plain_elapsed) / fleet.total_runs * 1e6
@@ -275,7 +281,9 @@ def _fleet_worker(
         if kill_on_first_run
         else None
     )
-    worklist = WorkList(store_dir, owner=owner, lease_ttl=lease_ttl)
+    worklist = WorkList(
+        ResultCache(store_dir), owner=owner, lease_ttl=lease_ttl
+    )
     scheduler = RegressionScheduler(
         targets=[lookup_target(name) for name in TARGETS],
         worklist=worklist,
@@ -296,7 +304,7 @@ def _fleet_worker(
         "counters": {
             "total": report.total_runs,
             "executed": report.executed_runs,
-            "fetched": report.fetched_runs,
+            "cached": report.cached_runs,
             "stolen": report.stolen_runs,
             "quarantined": report.quarantined_runs,
         },
@@ -304,12 +312,13 @@ def _fleet_worker(
 
 
 def _published_keys(store_dir: Path) -> list[str]:
-    """The cell key of every intact verdict record in the work-list's
+    """The key of every intact ``verdict`` record in the shared cache's
     log segments, in segment and write order."""
     return [
         record[2]
         for segment in sorted(store_dir.glob("seg*.log"))
         for record in parse_segment(segment.read_bytes())[0]
+        if record[1] == "verdict"
     ]
 
 
@@ -402,25 +411,30 @@ def run_chaos(config) -> dict:
         # Corrupt one published verdict of a dead peer's segment after
         # the fact: a fresh reader must detect it (never trust it) and
         # quarantine the segment as evidence ...
-        segment = sorted(store_dir.glob("seg*.log"))[0]
+        segment, first = next(
+            (segment, record)
+            for segment in sorted(store_dir.glob("seg*.log"))
+            for record in parse_segment(segment.read_bytes())[0]
+            if record[1] == "verdict"
+        )
         raw = bytearray(segment.read_bytes())
-        first = parse_segment(bytes(raw))[0][0]
-        raw[len(first[4]) // 2] ^= 0xFF
+        raw[raw.index(first[4]) + len(first[4]) // 2] ^= 0xFF
         segment.write_bytes(bytes(raw))
-        auditor = WorkList(store_dir, owner="auditor", lease_ttl=lease_ttl)
-        assert auditor.fetch(first[2]) is None
+        auditor = ResultCache(store_dir)
+        assert auditor.get(first[2]) is None
         assert auditor.corrupt == 1 and auditor.quarantined == 1
 
         # ... and one more fleet pass re-derives exactly that cell from
-        # source while adopting every intact published verdict.
+        # source while serving every intact published verdict from the
+        # shared cache.
         redo_worklist = WorkList(
-            store_dir, owner="rederive", lease_ttl=lease_ttl
+            ResultCache(store_dir), owner="rederive", lease_ttl=lease_ttl
         )
         redo = RegressionScheduler(
             targets=[lookup_target(name) for name in TARGETS],
             worklist=redo_worklist,
         ).run_system(environments, derivative)
-        assert redo.executed_runs == 1 and redo.fetched_runs == cells - 1
+        assert redo.executed_runs == 1 and redo.cached_runs == cells - 1
         redo_bytes = {
             "/".join(key): json.dumps(
                 result_to_payload(result), sort_keys=True
@@ -428,10 +442,10 @@ def run_chaos(config) -> dict:
             for key, result in redo.results.items()
         }
         assert redo_bytes == oracle_bytes
-        verify = WorkList(store_dir, owner="verify", lease_ttl=lease_ttl)
+        verify = ResultCache(store_dir)
         for key in set(_published_keys(store_dir)):
-            assert verify.fetch(key) is not None
-        assert verify.fetched == cells and verify.corrupt == 0
+            assert verify.get(key) is not None
+        assert verify.hits == cells and verify.corrupt == 0
 
     return {
         "cells": cells,

@@ -144,8 +144,12 @@ def _load_modules(system_dir: Path, module: str | None):
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    if args.fleet and not args.store_dir:
-        print("--fleet requires --store-dir", file=sys.stderr)
+    if args.fleet and (not args.cache_dir or args.no_cache):
+        print(
+            "--fleet requires --cache-dir and no --no-cache (its peers "
+            "share their verdicts through the cache)",
+            file=sys.stderr,
+        )
         return 2
     if args.run_timeout is not None and not args.fleet:
         print(
@@ -172,13 +176,10 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
         store = ArtifactStore(Path(args.store_dir) / "artifacts")
         set_artifact_store(store)
-        if args.fleet:
-            from repro.store import WorkList
+    if args.fleet:
+        from repro.store import WorkList
 
-            worklist = WorkList(
-                Path(args.store_dir) / "worklist",
-                lease_ttl=args.lease_ttl,
-            )
+        worklist = WorkList(cache, lease_ttl=args.lease_ttl)
     scheduler = RegressionScheduler(
         targets=targets,
         cache=cache,
@@ -401,7 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent result cache; unchanged cells are not re-run",
+        help=(
+            "persistent result cache; unchanged cells are not re-run. "
+            "Under --fleet, the directory the peers share: their "
+            "verdicts and cell leases"
+        ),
     )
     p_regress.add_argument(
         "--run-timeout",
@@ -433,18 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "persistent artifact store root; warmed decode/superblock "
-            "state is saved there and fresh processes warm-start "
-            "from it instead of re-predecoding"
+            "state and assembled objects are saved there and fresh "
+            "processes warm-start from it instead of re-deriving them"
         ),
     )
     p_regress.add_argument(
         "--fleet",
         action="store_true",
         help=(
-            "shard the matrix with peer processes through a shared "
-            "work-list under --store-dir (lease claims, work stealing, "
-            "first-writer-wins results); start one such process per "
-            "core to use more cores"
+            "shard the matrix with peer processes sharing --cache-dir "
+            "(lease claims under its leases/, work stealing, "
+            "first-writer-wins verdicts; not with --no-cache); start "
+            "one such process per core to use more cores"
         ),
     )
     p_regress.add_argument(
@@ -452,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help=(
-            "fleet cell-lease expiry in seconds; a worker dead longer "
-            "than this has its cells stolen by survivors (default: 30)"
+            "fleet cell-lease expiry in seconds (--fleet only); a "
+            "worker dead longer than this has its cells stolen by "
+            "survivors (default: 30)"
         ),
     )
     p_regress.add_argument(

@@ -1,18 +1,18 @@
 """Checksummed durable records, defined once.
 
-The result cache, the artifact store, the fleet work-list and the job
-journal all keep regression state on disk under the same rules, and
-this module is the only place they are written:
+The result cache, the artifact store, the job journal and the fleet
+work-list's leases keep regression state on disk under the same rules,
+and this module is the only place they are written:
 
 - :class:`RecordLog` — an append-only log of checksummed records, one
   segment per writer process (Bitcask's layout, LevelDB's torn-tail
   rule): a value costs one ``O_APPEND`` write, not a file.  The result
-  cache, the artifact store, the fleet work-list and the job journal
-  are its four owners, and :meth:`~RecordLog.compact` is the one way
-  any of them shrinks it;
+  cache (whose verdicts a fleet's peers share), the artifact store and
+  the job journal are its three owners, and
+  :meth:`~RecordLog.compact` is the one way any of them shrinks it;
 - :func:`atomic_write` — a unique temp file renamed (or, exclusive,
   hard-linked) into place, so no reader ever sees a torn file: the
-  work-list's lease files, the one state kept outside a log;
+  fleet work-list's lease files, the one state kept outside a log;
 - :func:`quarantine_aside` — a segment that fails verification is
   renamed to a unique ``*.corrupt`` name: kept as evidence, never
   re-read;
@@ -235,8 +235,9 @@ class RecordLog:
     - **read once** — the first access reads every segment into
       :attr:`records` (the last record of a key wins); later appends
       by peers are seen only by :meth:`refresh`, which reads just the
-      bytes each segment gained (the work-list polls with it; the
-      other owners never rescan);
+      bytes each segment gained (a fleet's scheduler and work-list
+      refresh the shared result cache with it; nothing else
+      rescans);
     - **torn and corrupt** — a record a dead writer never finished (it
       was killed mid-write) is dropped and counted in :attr:`torn`,
       never read; the unfinished last line of a live writer is not
@@ -255,8 +256,8 @@ class RecordLog:
       owner no longer reads (:meth:`current`);
     - **earlier layouts** — the first append of a process also removes
       the entries of :attr:`earlier_layout` its first scan found.
-      Other entries that are not segments (the work-list's
-      ``leases/``) are left alone.
+      Other entries that are not segments (the fleet's ``leases/`` in
+      the cache directory) are left alone.
 
     Construction never raises: a directory that cannot be created sets
     :attr:`disabled`, and every operation is a no-op — the run

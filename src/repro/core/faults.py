@@ -4,9 +4,9 @@ The paper's regression matrix is only useful unattended if a single
 faulty cell cannot take the whole matrix down.  This module provides
 the *chaos half* of that contract: a seeded, fully deterministic fault
 plan that the scheduler, the execution sessions, the result cache, the
-fleet work-list and the serving layer consult at a small catalogue of
-**named injection sites**, so every fault-tolerance test reproduces
-bit-for-bit from its seed.
+artifact store, the fleet work-list and the serving layer consult at
+a small catalogue of **named injection sites**, so every
+fault-tolerance test reproduces bit-for-bit from its seed.
 
 Design constraints (mirrored by the supervision layer in
 :mod:`repro.core.scheduler`):
@@ -31,11 +31,15 @@ site               fired from
 =================  ========================================================
 ``session-run``    :meth:`ExecutionSession.begin`, key
                    ``{platform}#run{n}``
-``cache-read``     :meth:`ResultCache.get`, key = cache key; build-index
+``cache-read``     :meth:`ResultCache.get` that finds a verdict, key =
+                   cache key (also a fleet's :meth:`WorkList.fetch`;
+                   its re-check after a claim is targeted); build-index
                    loads, key ``index/{environment}/{derivative}``
                    (targeted)
-``cache-write``    :meth:`ResultCache.put`, key = cache key; build-index
-                   saves, same key (targeted)
+``cache-write``    :meth:`ResultCache.put`, key = cache key (also a
+                   fleet's :meth:`WorkList.publish`; a verdict the log
+                   holds writes nothing); build-index saves, same key
+                   (targeted)
 ``service-accept`` :meth:`RegressionService.submit` (admission), key
                    ``{job id}``
 ``pool-lease``     :meth:`WarmSessionPool.lease` (checkout), key
@@ -45,17 +49,13 @@ site               fired from
                    compaction fires no site
 ``store-read``     :class:`ArtifactStore` lookups that find a record
                    (:meth:`~ArtifactStore.load_decode_cache`, once per
-                   snapshot; ``load_code``; ``load_object``) /
-                   :meth:`WorkList.fetch` that finds a verdict record,
-                   key = snapshot name / record key / cell key; a
-                   fleet's re-check after a claim is targeted
+                   snapshot; ``load_code``; ``load_object``), key =
+                   snapshot name / record key
 ``store-write``    :class:`ArtifactStore` appends (one per decode pack,
-                   executor table and batch of objects) /
-                   :meth:`WorkList.publish` appends (one per verdict
-                   published; a peer's verdict found first writes
-                   nothing), key = record key / cell key
+                   executor table and batch of objects), key = record
+                   key
 ``lease-renew``    :meth:`WorkList.renew` (heartbeat extension of a
-                   held cell lease), key = cell key
+                   held cell lease), key = the cell's cache key
 =================  ========================================================
 
 Actions
@@ -71,7 +71,7 @@ payload bytes at the payload sites (cache read/write, store
 read/write, journal write) through :meth:`FaultInjector.mangle`.
 
 *Targeted* occurrences (the build index's reads and writes, a fleet's
-post-claim fetch) only answer specs whose ``match`` names them:
+post-claim re-check) only answer specs whose ``match`` names them:
 auxiliary I/O added to a site never shifts the hit windows of existing
 untargeted plans.
 """

@@ -43,8 +43,7 @@ class RegressionReport:
 
     __slots__ = (
         "derivative", "results", "divergences", "executed_runs",
-        "cached_runs", "retried_runs", "quarantined_runs", "fetched_runs",
-        "stolen_runs",
+        "cached_runs", "retried_runs", "quarantined_runs", "stolen_runs",
     )
 
     def __init__(self, derivative: str):
@@ -53,7 +52,8 @@ class RegressionReport:
         self.results: dict[tuple[str, str, str], RunResult] = {}
         self.divergences: list[Divergence] = []
         #: Platform runs actually executed vs. served from the persistent
-        #: result cache (incremental regression bookkeeping).
+        #: result cache, whichever fleet peer wrote the verdict
+        #: (incremental regression bookkeeping).
         self.executed_runs = 0
         self.cached_runs = 0
         #: Fault-tolerance bookkeeping: runs that needed more than one
@@ -61,10 +61,8 @@ class RegressionReport:
         #: after the attempt budget.
         self.retried_runs = 0
         self.quarantined_runs = 0
-        #: Fleet bookkeeping: verdicts adopted from a peer worker's
-        #: publication in the shared work-list, and runs executed under a
-        #: lease stolen from a dead (expired) worker.
-        self.fetched_runs = 0
+        #: Fleet bookkeeping: runs executed under a lease stolen from a
+        #: dead (expired) worker.
         self.stolen_runs = 0
 
     @property
@@ -102,10 +100,9 @@ class RegressionReport:
             f"  {self.executed_runs} run(s) executed, "
             f"{self.cached_runs} served from cache"
         )
-        if self.fetched_runs or self.stolen_runs:
+        if self.stolen_runs:
             lines.append(
-                f"  fleet: {self.fetched_runs} verdict(s) adopted from "
-                f"peers, {self.stolen_runs} lease(s) stolen from dead "
+                f"  fleet: {self.stolen_runs} lease(s) stolen from dead "
                 "workers"
             )
         if self.retried_runs or self.quarantined_runs:

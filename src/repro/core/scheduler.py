@@ -33,10 +33,11 @@ This module makes the matrix explicit:
    deterministic backoff and, after ``retries`` more attempts,
    **quarantined** as a synthesized :data:`RunStatus.FAULT` result.
    The matrix always completes.  More cores come from the **fleet**:
-   several processes (or machines) pointed at one shared
-   :class:`~repro.store.worklist.WorkList` divide the matrix by racing
-   cell leases, and each cell runs on the same ladder under a
-   heartbeat.  The fleet adds two guarantees of its own:
+   several processes (or machines) sharing one result cache directory
+   divide the matrix by racing leases on its verdict keys
+   (:class:`~repro.store.worklist.WorkList`), and each cell runs on the
+   same ladder under a heartbeat.  The fleet adds two guarantees of its
+   own:
 
    - **per-cell deadline** — the heartbeat stops renewing a lease whose
      cell has run longer than ``run_timeout``, so a wedged holder's
@@ -126,17 +127,16 @@ class RunRequest(NamedTuple):
 class RunOutcome:
     """A request plus how its result was obtained.
 
-    ``retried`` marks runs that needed more than one submission, and
-    ``quarantined`` cells whose result is a synthesized
+    ``cached`` marks verdicts read from the result cache, whichever
+    fleet peer wrote them, ``retried`` runs that needed more than one
+    submission, and ``quarantined`` cells whose result is a synthesized
     :data:`RunStatus.FAULT` because every attempt failed.  In a
-    fleet-sharded run, ``fetched`` marks verdicts adopted from a peer
-    worker's publication in the shared work-list and ``stolen`` runs
-    executed under a lease reclaimed from a dead worker.
+    fleet-sharded run, ``stolen`` marks runs executed under a lease
+    reclaimed from a dead worker.
     """
 
     __slots__ = (
-        "request", "result", "cached", "retried", "quarantined", "fetched",
-        "stolen",
+        "request", "result", "cached", "retried", "quarantined", "stolen",
     )
 
     def __init__(
@@ -146,14 +146,12 @@ class RunOutcome:
         cached: bool = False,
         retried: bool = False,
         quarantined: bool = False,
-        fetched: bool = False,
     ):
         self.request = request
         self.result = result
         self.cached = cached
         self.retried = retried
         self.quarantined = quarantined
-        self.fetched = fetched
         self.stolen = False
 
 
@@ -239,11 +237,11 @@ def matrix_digest(report: RegressionReport) -> str:
     target)`` entry in sorted order with its result's cache payload.
 
     The payload is the result cache's own serialisation, so a verdict
-    read back from the cache or adopted from a fleet peer hashes exactly
-    like the freshly executed one.  Each line is the ``sort_keys`` JSON
-    of ``[*key, payload]``, built as the key's JSON list, then the
-    payload's text, then the closing bracket; the text is the one the
-    cache or the work-list stored or read (``RunResult.payload_text``)
+    read back from the cache, whichever fleet peer wrote it, hashes
+    exactly like the freshly executed one.  Each line is the
+    ``sort_keys`` JSON of ``[*key, payload]``, built as the key's JSON
+    list, then the payload's text, then the closing bracket; the text
+    is the one the cache stored or read (``RunResult.payload_text``)
     when there is one, so a re-regression encodes only the verdicts it
     executed."""
     digest = hashlib.sha256()
@@ -363,20 +361,30 @@ class ResultCache(RecordLog):
             "index_stale": self.index_stale,
         }
 
-    def get(self, key: str) -> RunResult | None:
-        text = self.read(_VERDICTS, key)
+    def holds(self, key: str) -> bool:
+        """Whether the log holds an intact verdict for *key*, as this
+        reader last read it; counts nothing and fires no site."""
+        return key in self._load().get(_VERDICTS, ())
+
+    def get(self, key: str, targeted: bool = False) -> RunResult | None:
+        text = self.read(_VERDICTS, key, targeted)
         if text is None:
             return None
         self.hits += 1
         return _CachedResult(text)
 
     def put(self, key: str, result: RunResult) -> bool:
+        """Append *result* as *key*'s verdict, unless the log already
+        holds that very verdict for *key* (a fleet's publication, or a
+        position sharing its key): returns whether it appended."""
         if self.disabled:
             return False
         text = result.payload_text
         if text is None:
             text = json.dumps(result_to_payload(result), sort_keys=True)
             result.payload_text = text
+        if self._load().get(_VERDICTS, {}).get(key) == text:
+            return False
         return self.append(_VERDICTS, {key: text}, key)
 
     # -- build index -------------------------------------------------------
@@ -480,13 +488,20 @@ class RegressionScheduler:
         #: rebuilds them instead of handing the wreck to the next
         #: tenant.
         self.session_provider = session_provider
-        #: Optional shared :class:`repro.store.worklist.WorkList`:
-        #: several scheduler processes pointed at the same directory
-        #: divide the matrix by racing cell claims, adopting each
-        #: other's published verdicts and stealing expired leases from
-        #: dead workers.  A disabled (uncreatable) work-list degrades
-        #: the run to ordinary local execution.
+        #: Optional :class:`repro.store.worklist.WorkList` over a
+        #: shared result cache: several scheduler processes pointed at
+        #: the same cache directory divide the matrix by racing cell
+        #: claims, reading each other's verdicts from the cache and
+        #: stealing expired leases from dead workers.  The scheduler's
+        #: cache is the work-list's.  A disabled (uncreatable)
+        #: work-list degrades the run to ordinary local execution.
         self.worklist = worklist
+        if worklist is not None:
+            if cache is not None and cache is not worklist.cache:
+                raise ValueError(
+                    "a fleet reads its verdicts from its work-list's cache"
+                )
+            self.cache = cache = worklist.cache
         #: Set for the duration of :meth:`run_system` when the caller
         #: wants outcomes streamed as they materialise.
         self._on_outcome = None
@@ -537,12 +552,13 @@ class RegressionScheduler:
             work, pending, indexes = self._plan(
                 environments, derivative, outcomes, cache_keys
             )
-            for outcome in self._execute(pending, derivative):
+            for outcome in self._execute(pending, derivative, cache_keys):
                 outcomes[outcome.request] = outcome
                 key = cache_keys.get(outcome.request)
                 # Quarantined verdicts are infrastructure faults;
                 # replaying them from a warm cache would make one bad
-                # day permanent.
+                # day permanent.  A fleet already published the rest,
+                # which put leaves as it is.
                 if key is not None and not outcome.quarantined:
                     self.cache.put(key, outcome.result)
             for env_name, (loaded, index) in indexes.items():
@@ -695,21 +711,23 @@ class RegressionScheduler:
         self,
         pending: list[tuple[RunRequest, MemoryImage, Target]],
         derivative: Derivative,
+        cache_keys: dict[RunRequest, str],
     ) -> list[RunOutcome]:
         """Run *pending* in-process on one session per target, each
         cell on the supervised ladder.  In a fleet the cells of
-        ordinary targets are divided with peer processes through the
+        ordinary targets, each keyed by its verdict key in
+        *cache_keys*, are divided with peer processes through the
         shared work-list (the fleet is the parallelism); overridden
         platforms stay local — their state is arbitrary experiment
         Python no peer could reproduce."""
         fleet = self.worklist is not None and not self.worklist.disabled
         sessions: dict[str, ExecutionSession] = {}
-        shared: list[tuple[RunRequest, MemoryImage, Target]] = []
+        shared: list[tuple[RunRequest, MemoryImage, Target, str]] = []
         out: list[RunOutcome] = []
         try:
             for request, image, tgt in pending:
                 if fleet and tgt.name not in self.platform_overrides:
-                    shared.append((request, image, tgt))
+                    shared.append((request, image, tgt, cache_keys[request]))
                     continue
                 out.append(
                     self._emit(
@@ -733,22 +751,24 @@ class RegressionScheduler:
     def _run_fleet(
         self,
         sessions: dict[str, ExecutionSession],
-        items: list[tuple[RunRequest, MemoryImage, Target]],
+        remaining: list[tuple[RunRequest, MemoryImage, Target, str]],
         derivative: Derivative,
     ) -> list[RunOutcome]:
-        """Run *items* cooperatively with peer workers over the shared
+        """Run the ``(request, image, target, verdict key)`` cells of
+        *remaining* cooperatively with peer workers over the shared
         work-list.
 
-        Per cell: adopt an already-published verdict (``fetched``),
-        otherwise claim the cell's lease — stealing it when its holder's
-        expiry passed (``stolen``) — and, unless its holder published a
-        verdict meanwhile (adopted, the lease released), execute under a
-        heartbeat with the ordinary retry/quarantine ladder, then
-        publish.  Cells held by live peers are polled until their
-        verdict appears or their lease expires, so the matrix completes
-        even when peers are SIGKILLed or wedged mid-shard: every cell is
-        eventually published by its lease holder or reclaimed by a
-        survivor.
+        Per cell: adopt a verdict already in the shared cache
+        (``cached``), otherwise claim the cell's lease — stealing it
+        when its holder's expiry passed (``stolen``) — and, unless its
+        holder published a verdict meanwhile (adopted, the lease
+        released), execute under a heartbeat with the ordinary
+        retry/quarantine ladder, then publish.  Cells held by live
+        peers are polled until their verdict appears or their lease
+        expires, so the matrix completes even when peers are SIGKILLed
+        or wedged mid-shard: every cell is eventually published by its
+        lease holder or reclaimed by a survivor.  Positions that share
+        a verdict key are one cell.
 
         Two budgets bound the reclaiming.  The heartbeat lets the lease
         of a cell running past ``run_timeout`` lapse, so a wedged holder
@@ -761,18 +781,17 @@ class RegressionScheduler:
 
         A verdict is published only when no peer's is found, and a
         peer's found instead is adopted, so every worker accounts
-        identical results.  Fetched and adopted verdicts stay payload
-        text until a field is read (:class:`_CachedResult`).  Each poll
-        round after the first starts with one refresh of the peers'
-        publications.
+        identical results.  Adopted verdicts stay payload text until a
+        field is read (:class:`_CachedResult`).  Each poll round starts
+        with one refresh of the peers' publications.
         Quarantined verdicts are never published — they are
         this process's infrastructure failure, and a healthy peer (or a
         lease steal after ours lapses) can still derive the real one.
-        A store that fails mid-run degrades that cell to the local
-        verdict; the work-list counts the error and the run continues.
+        A failed publication keeps the local verdict (the cache counts
+        the write error), and a lease directory that fails mid-run
+        degrades the leftover cells to local execution (the work-list
+        counts its claim errors): the run continues.
         """
-        from repro.store.worklist import cell_key
-
         worklist = self.worklist
         out: list[RunOutcome] = []
         # One run-scoped heartbeat thread renewing whichever lease is
@@ -800,32 +819,17 @@ class RegressionScheduler:
             target=_beat, name="fleet-heartbeat", daemon=True
         )
         keeper.start()
-        remaining: list[tuple[RunRequest, MemoryImage, Target, str]] = [
-            (
-                request,
-                image,
-                tgt,
-                cell_key(
-                    model_digest(),
-                    request.environment,
-                    request.cell,
-                    request.derivative,
-                    request.target,
-                    image.digest(),
-                    self.max_instructions,
-                ),
-            )
-            for request, image, tgt in items
-        ]
         try:
             while remaining:
+                # One read per poll round of what peers published.
+                worklist.cache.refresh()
                 deferred = []
                 progressed = False
                 errors_before = worklist.claim_errors
                 for request, image, tgt, key in remaining:
-                    text = worklist.fetch(key)
+                    verdict = worklist.fetch(key)
                     lease = None
-                    if text is None:
+                    if verdict is None:
                         lease = worklist.claim(key)
                         if lease is None:
                             # Held by a live peer (or claim trouble):
@@ -835,17 +839,13 @@ class RegressionScheduler:
                             continue
                         # Its holder may have published and released
                         # between our fetch and our claim.
-                        text = worklist.fetch(key, targeted=True)
-                        if text is not None:
+                        verdict = worklist.fetch(key, targeted=True)
+                        if verdict is not None:
                             worklist.release(lease)
-                    if text is not None:
-                        out.append(
-                            self._emit(
-                                RunOutcome(
-                                    request, _CachedResult(text), fetched=True
-                                )
-                            )
-                        )
+                    if verdict is not None:
+                        out.append(self._emit(
+                            RunOutcome(request, verdict, cached=True)
+                        ))
                         progressed = True
                         continue
                     if lease.steals > self.retries:
@@ -869,18 +869,15 @@ class RegressionScheduler:
                     finally:
                         held[0] = None
                     outcome.stolen = lease.stolen
-                    if not outcome.quarantined:
-                        text = json.dumps(
-                            result_to_payload(outcome.result), sort_keys=True
-                        )
-                        outcome.result.payload_text = text
-                        if not worklist.publish(key, text):
-                            peer = worklist.fetch(key)
-                            if peer is not None:
-                                # Lost the publication race: adopt the
-                                # canonical verdict so every fleet
-                                # worker accounts identical results.
-                                outcome.result = _CachedResult(peer)
+                    if not outcome.quarantined and not worklist.publish(
+                        key, outcome.result
+                    ):
+                        peer = worklist.fetch(key)
+                        if peer is not None:
+                            # Lost the publication race: adopt the
+                            # canonical verdict so every fleet worker
+                            # accounts identical results.
+                            outcome.result = peer
                     worklist.release(lease)
                     out.append(self._emit(outcome))
                     progressed = True
@@ -902,9 +899,6 @@ class RegressionScheduler:
                             )
                         break
                     self._sleep(_POLL_INTERVAL)
-                if remaining:
-                    # One read per poll round of what peers published.
-                    worklist.refresh()
         finally:
             stop_beat.set()
             keeper.join(timeout=5.0)
@@ -1017,10 +1011,6 @@ class RegressionScheduler:
                 )[request.target] = outcome.result
             if outcome.cached:
                 report.cached_runs += 1
-            elif outcome.fetched:
-                # Adopted from a fleet peer's publication: nobody here
-                # executed it, but it is not a local cache hit either.
-                report.fetched_runs += 1
             else:
                 report.executed_runs += 1
             if outcome.stolen:

@@ -15,20 +15,23 @@ repo's two proven durability idioms downward and outward:
   assembled objects below the test cells.  A fresh process (or
   a rebooted :class:`ServiceDaemon` pool) warm-starts from disk instead
   of re-paying predecode and formation;
-- :mod:`repro.store.worklist` — a shared-directory work-list for
-  fleet-sharded :class:`~repro.core.scheduler.RegressionScheduler`
-  runs: lease-based cell claims (whole lease files hard-linked into
-  place, heartbeat renewal, wall-clock expiry), expired-lease reclaim
-  (work stealing from dead workers) and idempotent verdict
-  publication to the same record log, one segment per peer, so
+- :mod:`repro.store.worklist` — the leases of fleet-sharded
+  :class:`~repro.core.scheduler.RegressionScheduler` runs whose peers
+  share one :class:`~repro.core.scheduler.ResultCache` directory:
+  lease-based cell claims under ``<cache-dir>/leases/`` (whole lease
+  files hard-linked into place, heartbeat renewal, wall-clock expiry),
+  expired-lease reclaim (work stealing from dead workers) and
+  idempotent verdict publication as the cache's own records, so
   at-least-once execution yields exactly-once accounting.
 
-Chaos coverage comes from three store-layer injection sites in
-:mod:`repro.core.faults` (``store-read``, ``store-write``,
-``lease-renew``).  Every store operation is contained: an unavailable
-or corrupt store root degrades the run to local-only execution
-(counted, never fatal), and corrupt artifacts are counted, kept as
-evidence and re-derived from source — never trusted.
+Chaos coverage comes from the artifact store's two injection sites in
+:mod:`repro.core.faults` (``store-read``, ``store-write``) and the
+work-list's ``lease-renew``; a fleet's verdict reads and writes are the
+cache's (``cache-read``, ``cache-write``).  Every store operation is
+contained: an unavailable or corrupt store root degrades the run to
+execution without it (counted, never fatal), an unavailable lease
+directory to local-only execution, and corrupt artifacts are counted,
+kept as evidence and re-derived from source — never trusted.
 
 Each public name resolves on first use (PEP 562), so installing a store
 for a regression served from the result cache loads neither the

@@ -1,9 +1,14 @@
-"""Shared-directory work-list for fleet-sharded regression runs.
+"""Leases over a shared result cache for fleet-sharded regression runs.
 
 Several scheduler processes — possibly on several machines sharing a
 filesystem — divide one regression matrix by racing to *claim* cells
-and publishing their verdicts into a common directory.  The protocol is
-built from ordinary-filesystem primitives and one invariant:
+of one shared :class:`~repro.core.scheduler.ResultCache` directory: a
+fleet is a set of peers of that cache.  A cell is a verdict key
+(:meth:`~repro.core.scheduler.ResultCache.key_for`), and its verdict,
+once published, is the cache's own ``verdict`` record, so a fleet run
+primes a cache and a primed cache serves a fleet run.  The work-list
+keeps only what the cache has no use for, the leases, under
+``<cache-dir>/leases/``, and one invariant:
 
 - **lease-based claims** — a cell is claimed by hard-linking a whole
   record to ``leases/<key>.lease`` (the *exclusive*
@@ -23,27 +28,21 @@ built from ordinary-filesystem primitives and one invariant:
   quarantined instead of run, its record left behind expired
   (:meth:`WorkList.poison`) so a cell that kills whoever runs it
   cannot take the fleet down one worker at a time;
-- **verdicts in one log** — the work-list is a
-  :class:`~repro.core.durable.RecordLog`: a published verdict is one
-  checksummed record, its cell key and the same payload text the
-  result cache stores, appended to the publishing peer's own segment.
-  A peer sees the others' verdicts by :meth:`~RecordLog.refresh`,
-  which reads only what their segments gained;
-- **idempotent publication** — a worker appends a verdict only after
-  a refresh finds none for the cell; otherwise it counts a
-  ``duplicate`` and adopts the published one.  Steal races and double
-  executions are therefore *benign*: at-least-once execution,
-  exactly-once accounting;
-- **corruption is re-derived, never trusted** — a record that fails
-  its checksum is counted and never read, and its cell returns to the
-  claimable pool, so the matrix re-derives the verdict from source;
-  once its writer is gone, the first reader quarantines its segment
-  as evidence.
+- **idempotent publication** — a worker appends a verdict to the
+  cache only after a :meth:`~repro.core.durable.RecordLog.refresh`
+  (which reads only what the peers' segments gained) finds none for
+  the cell; otherwise it counts a ``duplicate`` and adopts the
+  published one.  Steal races and double executions are therefore
+  *benign*: at-least-once execution, exactly-once accounting.
 
-Every operation is contained: an unavailable work-list root marks the
-list :attr:`WorkList.disabled` and the scheduler degrades to ordinary
-local execution.  Chaos sites: ``store-read`` (fetch), ``store-write``
-(publish), ``lease-renew`` (renewal).
+Corruption, torn records and write failures are the cache's: counted
+in its ``cache-stats``, a corrupt record never read (its cell returns
+to the claimable pool and is re-derived from source) and its segment
+quarantined as evidence once its writer is gone.  An unavailable
+cache or lease directory marks the list :attr:`WorkList.disabled` and
+the scheduler degrades to ordinary local execution.  Chaos sites:
+``cache-read`` and ``cache-write`` (the cache's), ``lease-renew``
+(renewal).
 """
 
 from __future__ import annotations
@@ -53,20 +52,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.durable import RecordLog, atomic_write, content_key
-from repro.core.faults import (
-    SITE_LEASE_RENEW,
-    SITE_STORE_READ,
-    SITE_STORE_WRITE,
-)
-
-#: The record namespace of published verdicts.
-_VERDICTS = "verdict"
-
-#: Cell identity: the content key of (model digest, environment, cell,
-#: derivative, target, image digest, run bounds), derived alike by
-#: every worker running the same code.
-cell_key = content_key
+from repro.core.durable import atomic_write
+from repro.core.faults import SITE_LEASE_RENEW
 
 
 class Lease:
@@ -94,29 +81,31 @@ class Lease:
         return self.steals > 0
 
 
-class WorkList(RecordLog):
-    """Lease/steal/publish protocol over one shared directory: the
-    verdict log's segments beside ``leases/``."""
-
-    read_site = SITE_STORE_READ
-    write_site = SITE_STORE_WRITE
-    #: The per-cell layout this log replaced: a ``results`` directory of
-    #: one checksummed JSON envelope per cell.
-    earlier_layout = ("results",)
+class WorkList:
+    """Lease/steal protocol over the ``leases/`` directory of a shared
+    result cache, publishing verdicts through that cache."""
 
     def __init__(
         self,
-        directory: str | Path,
+        cache,
         owner: str | None = None,
         lease_ttl: float = 30.0,
         injector=None,
         clock=time.time,
     ):
-        super().__init__(directory, injector)
-        try:
-            (self.directory / "leases").mkdir(exist_ok=True)
-        except OSError:
-            self.disabled = True
+        #: The shared :class:`~repro.core.scheduler.ResultCache` whose
+        #: verdicts the fleet reads and publishes.
+        self.cache = cache
+        #: Optional :class:`repro.core.faults.FaultInjector` (the
+        #: ``lease-renew`` site).
+        self.injector = injector
+        self.leases = cache.directory / "leases"
+        self.disabled = cache.disabled
+        if not self.disabled:
+            try:
+                self.leases.mkdir(exist_ok=True)
+            except OSError:
+                self.disabled = True
         self.owner = owner or f"pid{os.getpid()}-{os.urandom(3).hex()}"
         self.lease_ttl = max(0.05, float(lease_ttl))
         #: Wall clock on purpose: expiries must compare across
@@ -132,11 +121,10 @@ class WorkList(RecordLog):
         self.claim_errors = 0
         self.published = 0
         self.duplicates = 0
-        self.fetched = 0
 
     # -- paths -------------------------------------------------------------
     def _lease_path(self, key: str) -> Path:
-        return self.directory / "leases" / f"{key}.lease"
+        return self.leases / f"{key}.lease"
 
     def _read_lease(self, path: Path) -> dict | None:
         """The lease record at *path*: ``None`` when there is no file,
@@ -267,38 +255,40 @@ class WorkList(RecordLog):
             pass
 
     # -- verdicts ----------------------------------------------------------
-    def publish(self, key: str, text: str) -> bool:
-        """Append *text*, the payload text of *key*'s verdict, unless a
+    def publish(self, key: str, result) -> bool:
+        """Append *result* as *key*'s verdict to the cache, unless a
         refresh finds that a peer published the cell first.  Returns
         whether this call appended it; a verdict found counts a
-        duplicate (the caller adopts it), a failed append counts a
-        write error, and neither raises."""
+        duplicate (the caller adopts it), a failed append is the
+        cache's write error, and neither raises."""
         if self.disabled:
             return False
-        self.refresh()
-        if key in self.records.get(_VERDICTS, {}):
+        self.cache.refresh()
+        if self.cache.holds(key):
             self.duplicates += 1
             return False
-        if not self.append(_VERDICTS, {key: text}, key):
+        if not self.cache.put(key, result):
             return False
         self.published += 1
         return True
 
-    def fetch(self, key: str, targeted: bool = False) -> str | None:
-        """The published payload text of *key*, or ``None`` (not
+    def fetch(self, key: str, targeted: bool = False):
+        """*key*'s published verdict from the cache, or ``None`` (not
         published yet, or counted corruption, after which the cell
         re-enters the claimable pool and is re-derived from source).
-        *targeted* marks the re-check after a claim, which refreshes
-        first — its holder may have published since — and fires the
-        read site only for plans naming the cell.  Never raises."""
+        It reads what the cache holds: the scheduler refreshes it once
+        per poll round, and *targeted* — the re-check after a claim —
+        refreshes first, since the cell's last holder may have
+        published since, and fires the read site only for plans
+        naming the cell.  An unpublished cell is not a cache miss.
+        Never raises."""
         if self.disabled:
             return None
         if targeted:
-            self.refresh()
-        text = self.read(_VERDICTS, key, targeted)
-        if text is not None:
-            self.fetched += 1
-        return text
+            self.cache.refresh()
+        if not self.cache.holds(key):
+            return None
+        return self.cache.get(key, targeted)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -313,9 +303,4 @@ class WorkList(RecordLog):
             "claim_errors": self.claim_errors,
             "published": self.published,
             "duplicates": self.duplicates,
-            "fetched": self.fetched,
-            "corrupt": self.corrupt,
-            "torn": self.torn,
-            "quarantined": self.quarantined,
-            "write_errors": self.write_errors,
         }

@@ -389,13 +389,6 @@ class TestDegradation:
         assert store.saved == 0
         assert store.load_decode_cache(("k", 0, 1, 0)) is None
 
-    def test_fleet_flag_without_store_dir_is_an_error(self, capsys):
-        from repro import cli
-
-        code = cli.main(["regress", "/nonexistent", "--fleet"])
-        assert code == 2
-        assert "--fleet requires --store-dir" in capsys.readouterr().err
-
 
 # --------------------------------------------------------------------------
 # packs

@@ -35,7 +35,7 @@ from repro.core.durable import parse_segment, quarantine_aside
 from repro.core.scheduler import CACHE_SCHEMA, RegressionScheduler, ResultCache
 from repro.core.system_env import make_default_system
 from repro.core.workspace import write_system_environment
-from repro.core.targets import all_targets
+from repro.core.targets import all_targets, target
 from repro.core.workloads import make_nvm_environment
 from repro.platforms.base import DEFAULT_MAX_INSTRUCTIONS, RunResult, RunStatus
 from repro.soc.derivatives import SC88A
@@ -399,20 +399,26 @@ def test_earlier_layout_cache_reads_as_misses(tmp_path):
 
 
 def test_fleet_peers_append_to_their_own_segments(tmp_path):
-    """Two fleet peers that read one cache before either wrote it each
-    append every verdict to a segment of their own; a third run serves
-    the whole matrix from the two."""
+    """Two fleet peers that read one shared cache before either wrote
+    it each append the verdicts they publish to a segment of their own:
+    the second adopts the first's golden column from the log and
+    publishes the rest.  A third run serves the whole matrix from the
+    two segments."""
     suite = {"NVM": make_nvm_environment(2)}
     peers = [ResultCache(tmp_path / "cache") for _ in range(2)]
     for peer in peers:
         peer._load()
     reports = [
         RegressionScheduler(
-            cache=peer, worklist=WorkList(tmp_path / "fleet", owner=name)
+            targets=targets, worklist=WorkList(peer, owner=name)
         ).run_system(suite, SC88A)
-        for name, peer in zip(("first", "second"), peers)
+        for name, peer, targets in zip(
+            ("first", "second"), peers, ([target("golden")], all_targets())
+        )
     ]
-    assert reports[1].fetched_runs == reports[1].total_runs
+    golden = reports[0].total_runs
+    assert reports[1].cached_runs == golden
+    assert reports[1].executed_runs == reports[1].total_runs - golden
     assert len(segments(tmp_path / "cache")) == 2
     for peer in peers:
         peer.close()

@@ -1,15 +1,15 @@
 """The durable-record contract (:mod:`repro.core.durable`), once per
 owner.
 
-The result cache, the artifact store, the fleet work-list and the
-serving daemon's job journal append records to a log
+The result cache (whose verdicts a fleet's peers share), the artifact
+store and the serving daemon's job journal append records to a log
 (:class:`~repro.core.durable.RecordLog`); :class:`TestRecordLog` holds
-all four to one contract: a failed or mangled append, a torn tail at
+all three to one contract: a failed or mangled append, a torn tail at
 every byte offset, a corrupt record kept as evidence, a segment
 vanishing mid-read, and live writers' segments never folded.
-:class:`TestRefresh` holds the one reader that rescans — the
-work-list — to reading only what peers appended, and only whole
-records.
+:class:`TestRefresh` holds the one reader that rescans — a fleet's
+work-list over the shared cache — to reading only what peers appended,
+and only whole records.
 
 The golden-bytes tests pin the on-disk formats, so every owner keeps
 writing the same bytes.
@@ -152,33 +152,10 @@ class StoreLog:
         return None if reader.load_decode_cache(cls.key(n)) is None else n
 
 
-class WorkListLog:
-    """The fleet work-list: a write is a publish, a read a fetch."""
-
-    kind = WorkList
-    needle = VERDICT
-    miss = 1
-    damaged_miss = 0
-    #: The lease files live beside the log.
-    entries = ("leases",)
-
-    def __init__(self, directory: Path, injector=None):
-        self.owner = WorkList(directory, injector=injector)
-
-    def write(self, n: int) -> bool:
-        return self.owner.publish(f"cell{n}", json.dumps({"n": n}))
-
-    @staticmethod
-    def read(reader: WorkList, n: int):
-        text = reader.fetch(f"cell{n}")
-        return None if text is None else json.loads(text)["n"]
-
-
 LOGS = {
     "artifact-store": StoreLog,
     "journal": JournalLog,
     "result-cache": CacheLog,
-    "worklist": WorkListLog,
 }
 
 
@@ -339,46 +316,48 @@ class TestRefresh:
     def test_a_verdict_a_peer_appends_later_is_adopted_by_the_next_fetch(
         self, tmp_path
     ):
-        reader = WorkList(tmp_path, owner="reader")
-        peer = WorkList(tmp_path, owner="peer")
+        reader = WorkList(ResultCache(tmp_path), owner="reader")
+        peer = WorkList(ResultCache(tmp_path), owner="peer")
         assert reader.fetch("first") is None  # the first read
-        assert peer.publish("first", '{"n": 1}')
+        assert peer.publish("first", make_result(1))
         # Read once: a plain fetch does not rescan; the fetch after a
         # claim does.
         assert reader.fetch("first") is None
-        assert reader.fetch("first", targeted=True) == '{"n": 1}'
+        assert reader.fetch("first", targeted=True).cycles == 1
         # A refresh reads only what the peer's segment gained: a record
         # it read before may rot on disk unseen.
         rot_record(tmp_path, VERDICT)
-        assert peer.publish("second", '{"n": 2}')
-        reader.refresh()
-        assert reader.fetch("second") == '{"n": 2}'
-        assert (reader.fetched, reader.corrupt, reader.torn) == (2, 0, 0)
+        assert peer.publish("second", make_result(2))
+        reader.cache.refresh()
+        assert reader.fetch("second").cycles == 2
+        cache = reader.cache
+        assert (cache.hits, cache.corrupt, cache.torn) == (2, 0, 0)
 
     def test_a_live_peers_half_written_record_waits_for_its_newline(
         self, tmp_path
     ):
-        peer = WorkList(tmp_path, owner="peer")
-        assert peer.publish("first", '{"n": 1}')
+        peer = WorkList(ResultCache(tmp_path), owner="peer")
+        assert peer.publish("first", make_result(1))
         (segment,) = segments(tmp_path)
-        record = encode_record("verdict", "second", '{"n": 2}', 1_000_000_000)
+        text = json.dumps(result_to_payload(make_result(2)), sort_keys=True)
+        record = encode_record("verdict", "second", text, 1_000_000_000)
         half = len(record) // 2
         with open(segment, "ab") as stream:  # the peer is mid-write
             stream.write(record[:half])
-        reader = WorkList(tmp_path, owner="reader")
-        assert reader.fetch("first") == '{"n": 1}'
+        reader = WorkList(ResultCache(tmp_path), owner="reader")
+        assert reader.fetch("first").cycles == 1
         assert reader.fetch("second", targeted=True) is None
-        reader.refresh()
+        reader.cache.refresh()
         assert reader.fetch("second") is None
-        assert (reader.torn, reader.corrupt) == (0, 0)
+        assert (reader.cache.torn, reader.cache.corrupt) == (0, 0)
         with open(segment, "ab") as stream:
             stream.write(record[half:])
-        assert reader.fetch("second", targeted=True) == '{"n": 2}'
-        assert (reader.torn, reader.corrupt) == (0, 0)
-        peer.close()
+        assert reader.fetch("second", targeted=True).cycles == 2
+        assert (reader.cache.torn, reader.cache.corrupt) == (0, 0)
+        peer.cache.close()
 
     def test_a_result_cache_miss_never_rescans(self, tmp_path, monkeypatch):
-        """Only the work-list refreshes: a cold 24-run matrix, every
+        """Only a fleet refreshes: a cold serial 24-run matrix, every
         verdict a miss, lists the cache directory once."""
         directory = tmp_path / "cache"
         listed = []
@@ -469,11 +448,6 @@ GOLDEN_PACK = (
     b"gAWVDwAAAAAAAABdlIwIc25hcHNob3SUYS4=\n"
 )
 
-GOLDEN_WORKLIST = (
-    b"d3559c0b2b3c3b586eed1665c161c92c72b9d99dfdd165e94c3ac439d20f16e4\t"
-    b"1000000000\tverdict\t" + b"c" * 64 + b'\t{"cycles": 7, "status": "pass"}\n'
-)
-
 GOLDEN_JOURNAL = (
     b"f6d7d8dbb3e9cb6aa24878a559c3df18f52cc83bd15f04ce22c762277ca1e88c\t"
     b'1000000000\tjob\tjob-000001\t{"data": {"name": "pack"}, "kind": "acc'
@@ -504,12 +478,13 @@ class TestGoldenBytes:
         (segment,) = segments(tmp_path)
         assert segment.read_bytes() == GOLDEN_PACK
 
-    def test_worklist_result_and_journal_record(self, tmp_path):
-        worklist = WorkList(tmp_path / "wl")
-        worklist.clock = lambda: 1_000_000_000
-        assert worklist.publish("c" * 64, '{"cycles": 7, "status": "pass"}')
-        (segment,) = segments(tmp_path / "wl")
-        assert segment.read_bytes() == GOLDEN_WORKLIST
+    def test_published_verdict_and_journal_record(self, tmp_path):
+        """A fleet's published verdict is the result cache's record."""
+        cache = ResultCache(tmp_path / "shared")
+        cache.clock = lambda: 1_000_000_000
+        assert WorkList(cache).publish("k1", make_result(7))
+        (segment,) = segments(tmp_path / "shared")
+        assert segment.read_bytes() == GOLDEN_RECORD
         journal = JobJournal(tmp_path / "journal")
         journal.clock = lambda: 1_000_000_000
         journal.accept("job-000001", {"name": "pack"})

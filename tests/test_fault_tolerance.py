@@ -333,8 +333,8 @@ class TestChaosAcceptance:
     def test_chaos_matrix_completes_everywhere(
         self, mode, peers, baseline_report, tmp_path
     ):
-        def worklist():
-            return WorkList(tmp_path / "fleet") if mode == "fleet" else None
+        def worklist(cache):
+            return WorkList(cache) if mode == "fleet" else None
 
         cache = ResultCache(tmp_path / "cache")
         report = RegressionScheduler(
@@ -342,7 +342,7 @@ class TestChaosAcceptance:
             fault_plan=CHAOS_PLAN,
             retries=1,
             backoff_base=0.001,
-            worklist=worklist(),
+            worklist=worklist(cache),
         ).run_system(make_environments(), SC88A)
         assert report.total_runs == baseline_report.total_runs
         for key, result in report.results.items():
@@ -358,14 +358,13 @@ class TestChaosAcceptance:
         assert report.quarantined_runs == rtl_cells
         assert report.retried_runs == rtl_cells + 1
         # Quarantined verdicts are never cached, nor published to the
-        # fleet: a fault-free re-run executes exactly the quarantined
-        # cells.  The fleet's second peer reads no cache; it adopts
-        # every other verdict from the first peer's publications.
+        # fleet: a fault-free re-run — the fleet's second peer too —
+        # executes exactly the quarantined cells and reads every other
+        # verdict from the shared cache.
+        cache = ResultCache(tmp_path / "cache")
         rerun = RegressionScheduler(
-            cache=ResultCache(tmp_path / "cache") if peers == 1 else None,
-            worklist=worklist(),
+            cache=cache, worklist=worklist(cache)
         ).run_system(make_environments(), SC88A)
         assert rerun.executed_runs == rtl_cells
-        if mode == "fleet":
-            assert rerun.fetched_runs == rerun.total_runs - rtl_cells
+        assert rerun.cached_runs == rerun.total_runs - rtl_cells
         assert_healthy_cells_identical(rerun, baseline_report)

@@ -84,19 +84,26 @@ class TestWorkList:
         assert image_by_target["bondout"] is image_by_target["silicon"]
         assert image_by_target["golden"] is not image_by_target["rtl"]
 
-    def test_uncached_plan_hashes_no_build_key(self, tmp_path, monkeypatch):
+    def test_uncached_plan_hashes_no_build_key(self, monkeypatch):
         """Without a result cache there is no index to look a build key
-        up in, so the plan only builds — serial and fleet alike."""
+        up in, so the plan only builds (a fleet always has a cache)."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("build key hashed without a cache")
 
         monkeypatch.setattr(ModuleTestEnvironment, "build_key", forbidden)
-        for worklist in (None, WorkList(tmp_path / "fleet")):
-            report = RegressionScheduler(worklist=worklist).run_system(
-                make_environments(), SC88A
+        report = RegressionScheduler().run_system(make_environments(), SC88A)
+        assert report.executed_runs == report.total_runs
+
+    def test_fleet_takes_its_verdicts_from_its_worklists_cache(
+        self, tmp_path
+    ):
+        worklist = WorkList(ResultCache(tmp_path / "shared"))
+        assert RegressionScheduler(worklist=worklist).cache is worklist.cache
+        with pytest.raises(ValueError, match="work-list's cache"):
+            RegressionScheduler(
+                cache=ResultCache(tmp_path / "other"), worklist=worklist
             )
-            assert report.executed_runs == report.total_runs
 
 
 class TestExecutors:
@@ -203,7 +210,9 @@ class TestExecutors:
             targets=[TARGET_GOLDEN, target("gatelevel")],
             platform_overrides={"gatelevel": Broken()},
             session_provider=provider,
-            worklist=WorkList(tmp_path / "fleet") if fleet else None,
+            worklist=(
+                WorkList(ResultCache(tmp_path / "fleet")) if fleet else None
+            ),
             retries=2,
             sleep=lambda seconds: None,
         ).run_environment(make_nvm_environment(1), SC88A)
@@ -499,6 +508,23 @@ class TestRegressCli:
         (line,) = captured.err.splitlines()
         assert line.startswith("--run-timeout requires --fleet")
 
+    @pytest.mark.parametrize("argv", [
+        ["--fleet"],
+        ["--fleet", "--cache-dir", "verdicts", "--no-cache"],
+    ], ids=["no-cache-dir", "no-cache"])
+    def test_fleet_requires_a_shared_cache(
+        self, workspace, tmp_path, monkeypatch, capsys, argv
+    ):
+        here = tmp_path / "cwd"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        assert main(["regress", str(workspace), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("--fleet requires --cache-dir and no ")
+        assert list(here.iterdir()) == []
+
     def test_matrix_digest_agrees_across_executors_and_cache(
         self, workspace, tmp_path, capsys
     ):
@@ -518,13 +544,13 @@ class TestRegressCli:
         cold, _ = digest(*cache)
         warm, out = digest(*cache)
         assert "0 run(s) executed" in out
-        # Two concurrent fleet peers over one fresh store: each prints
-        # the serial digest, writes nothing to stderr and, with both
-        # alive, steals nothing from the other.
+        # Two concurrent fleet peers over one fresh shared cache: each
+        # prints the serial digest, writes nothing to stderr and, with
+        # both alive, steals nothing from the other.
         argv = [
             sys.executable, "-m", "repro.cli", "regress", str(workspace),
             "--engine-stats", "--fleet",
-            "--store-dir", str(tmp_path / "store"),
+            "--cache-dir", str(tmp_path / "shared"),
         ]
         peers = [
             subprocess.Popen(
@@ -549,7 +575,9 @@ class TestRegressCli:
                 line for line in out.splitlines()
                 if line.startswith("worklist-stats: ")
             ]
-            assert " stolen=0 " in stats
+            assert dict(
+                pair.split("=") for pair in stats.split()[1:]
+            )["stolen"] == "0"
         assert fleet == [serial, serial]
         assert serial == cold == warm
 
@@ -886,10 +914,10 @@ class TestBuildIndex:
         )
         calls = count_toolchain_calls(monkeypatch)
         cache = ResultCache(tmp_path / "cache")
-        worklist = WorkList(tmp_path / "fleet")
-        report = RegressionScheduler(
-            cache=cache, worklist=worklist
-        ).run_system(make_suite(), SC88A)
+        worklist = WorkList(cache)
+        report = RegressionScheduler(worklist=worklist).run_system(
+            make_suite(), SC88A
+        )
         assert calls == []
         assert cache.index_hits == report.total_runs
         assert report.cached_runs == report.total_runs
@@ -899,19 +927,62 @@ class TestBuildIndex:
     def test_fleet_saves_the_index_it_extends(self, tmp_path, monkeypatch):
         first = ResultCache(tmp_path / "cache")
         cold = RegressionScheduler(
-            cache=first, worklist=WorkList(tmp_path / "fleet")
+            cache=first, worklist=WorkList(first)
         ).run_system(make_suite(), SC88A)
         assert first.index_misses == cold.total_runs
         assert cold.executed_runs == cold.total_runs
         calls = count_toolchain_calls(monkeypatch)
         second = ResultCache(tmp_path / "cache")
         warm = RegressionScheduler(
-            cache=second, worklist=WorkList(tmp_path / "fleet")
+            cache=second, worklist=WorkList(second)
         ).run_system(make_suite(), SC88A)
         assert calls == []
         assert second.index_hits == warm.total_runs
         assert warm.cached_runs == warm.total_runs
         assert matrix_digest(warm) == matrix_digest(cold)
+
+    def test_fleet_verdicts_are_the_caches_own_records(
+        self, tmp_path, monkeypatch
+    ):
+        """A one-peer fleet over a shared cache directory leaves one
+        verdict record per key there, beside the build index and the
+        empty ``leases/``, and no second verdict log: a serial run
+        over that directory then serves every position from it,
+        assembling and linking nothing."""
+        directory = tmp_path / "shared"
+        cache = ResultCache(directory)
+        cold = RegressionScheduler(worklist=WorkList(cache)).run_system(
+            make_suite(), SC88A
+        )
+        cache.close()
+        records = [
+            record
+            for segment in segments(directory)
+            for record in parse_segment(segment.read_bytes())[0]
+        ]
+        verdicts = [r[2] for r in records if r[1] == "verdict"]
+        assert sorted(verdicts) == sorted(set(verdicts))
+        assert len(verdicts) == cold.executed_runs
+        assert {r[1] for r in records} == {
+            "verdict", "index/NVM/sc88a", "index/UART/sc88a"
+        }
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            [segment.name for segment in segments(directory)] + ["leases"]
+        )
+        assert list((directory / "leases").iterdir()) == []
+        assert [
+            path for path in tmp_path.rglob("seg*.log")
+            if path.parent != directory
+        ] == []
+        calls = count_toolchain_calls(monkeypatch)
+        serial = ResultCache(directory)
+        report = RegressionScheduler(cache=serial).run_system(
+            make_suite(), SC88A
+        )
+        assert calls == []
+        assert report.cached_runs == report.total_runs
+        assert serial.index_hits == report.total_runs
+        assert matrix_digest(report) == matrix_digest(cold)
 
     def test_subset_run_leaves_other_positions(self, tmp_path):
         RegressionScheduler(cache=ResultCache(tmp_path)).run_system(

@@ -2,16 +2,17 @@
 publication, chaos containment and multi-process SIGKILL, hang and
 poison-cell recovery.
 
-The contract: several scheduler processes sharing one directory divide
-a matrix by racing lease-based cell claims; a SIGKILLed worker's cells
-are stolen by survivors after its lease expires, and so are the cells
-of a worker wedged past its per-cell deadline; a cell that kills every
-process running it costs at most ``retries + 1`` processes before the
-fleet quarantines it; a verdict is published once, to the work-list's
-record log, so at-least-once execution yields exactly-once accounting;
-corrupt published records are counted and re-derived, never trusted,
-and kept as evidence once their writer is gone; and healthy-cell
-verdicts are byte-identical to a scalar serial run of the same matrix.
+The contract: several scheduler processes sharing one result cache
+directory divide a matrix by racing lease-based claims on its verdict
+keys; a SIGKILLed worker's cells are stolen by survivors after its
+lease expires, and so are the cells of a worker wedged past its
+per-cell deadline; a cell that kills every process running it costs at
+most ``retries + 1`` processes before the fleet quarantines it; a
+verdict is published once, as the shared cache's own record, so
+at-least-once execution yields exactly-once accounting; corrupt
+published records are counted and re-derived, never trusted, and kept
+as evidence once their writer is gone; and healthy-cell verdicts are
+byte-identical to a scalar serial run of the same matrix.
 """
 
 from __future__ import annotations
@@ -25,19 +26,23 @@ from pathlib import Path
 
 import pytest
 
-from logtools import VERDICT, envelope, rot_record, segments
+from logtools import VERDICT, rot_record, segments
 from repro.core.durable import parse_segment
 from repro.core.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
+    SITE_CACHE_READ,
+    SITE_CACHE_WRITE,
     SITE_LEASE_RENEW,
     SITE_SESSION_RUN,
-    SITE_STORE_READ,
-    SITE_STORE_WRITE,
 )
 from repro.core import scheduler as scheduler_module
-from repro.core.scheduler import RegressionScheduler, result_to_payload
+from repro.core.scheduler import (
+    RegressionScheduler,
+    ResultCache,
+    result_to_payload,
+)
 from repro.core.system_env import make_default_system
 from repro.core.targets import target as lookup_target
 from repro.core.workspace import (
@@ -46,7 +51,7 @@ from repro.core.workspace import (
 )
 from repro.soc.derivatives import derivative as lookup_derivative
 from repro.store import WorkList
-from repro.store.worklist import cell_key
+from repro.verdict import RunResult, RunStatus
 
 TARGETS = ["golden", "rtl"]
 
@@ -76,16 +81,33 @@ def run_matrix(workspace, worklist=None, fault_plan=None, targets=TARGETS):
     return scheduler, report
 
 
-def published(store_dir: Path) -> dict[str, str]:
-    """Cell key -> payload text of every intact verdict in the
-    work-list's log."""
-    return {
-        key: text
-        for segment in segments(store_dir)
-        for _stamp, _space, key, text, _line in parse_segment(
-            segment.read_bytes()
-        )[0]
-    }
+def fleet(directory, **kwargs) -> WorkList:
+    """A work-list over the result cache in *directory*."""
+    return WorkList(ResultCache(directory), **kwargs)
+
+
+def verdict_records(directory: Path) -> list[tuple]:
+    """Every intact verdict record in the cache's log segments."""
+    return [
+        record
+        for segment in segments(directory)
+        for record in parse_segment(segment.read_bytes())[0]
+        if record[1] == "verdict"
+    ]
+
+
+def published(directory: Path) -> dict[str, str]:
+    """Verdict key -> payload text of every intact verdict in the
+    shared cache's log."""
+    return {key: text for _stamp, _space, key, text, _line in
+            verdict_records(directory)}
+
+
+def result(cycles: int) -> RunResult:
+    return RunResult(
+        platform="golden", derivative="sc88a", status=RunStatus.PASS,
+        cycles=cycles,
+    )
 
 
 def verdict_bytes(report) -> dict[tuple, bytes]:
@@ -106,7 +128,7 @@ class TestLease:
         now = [1_000.0]
         kwargs.setdefault("clock", lambda: now[0])
         kwargs.setdefault("lease_ttl", 10.0)
-        return WorkList(tmp_path, **kwargs), now
+        return fleet(tmp_path, **kwargs), now
 
     def test_claim_is_exclusive_while_live(self, tmp_path):
         worklist, _now = self.make(tmp_path, owner="a")
@@ -224,92 +246,68 @@ class TestLease:
 
 class TestPublish:
     def test_first_writer_wins_and_duplicates_count(self, tmp_path):
-        first = WorkList(tmp_path, owner="a")
-        second = WorkList(tmp_path, owner="b")
-        assert first.publish("cell", '{"verdict": "first"}')
-        assert not second.publish("cell", '{"verdict": "second"}')
+        first = fleet(tmp_path, owner="a")
+        second = fleet(tmp_path, owner="b")
+        assert first.publish("cell", result(1))
+        assert not second.publish("cell", result(2))
         assert second.duplicates == 1
         # Every reader adopts the canonical first write.
-        assert first.fetch("cell") == '{"verdict": "first"}'
-        assert second.fetch("cell") == '{"verdict": "first"}'
-        assert published(tmp_path) == {"cell": '{"verdict": "first"}'}
+        assert first.fetch("cell").cycles == 1
+        assert second.fetch("cell").cycles == 1
+        assert list(published(tmp_path)) == ["cell"]
         assert len(segments(tmp_path)) == 1
 
     def test_corrupt_result_is_quarantined_and_republishable(
         self, tmp_path
     ):
-        writer = WorkList(tmp_path)
-        assert writer.publish("cell", '{"verdict": "good"}')
-        writer.close()
+        writer = fleet(tmp_path)
+        assert writer.publish("cell", result(1))
+        writer.cache.close()
         rot_record(tmp_path, VERDICT)
         # Corrupt != trusted: counted, its dead segment renamed aside,
         # the cell re-enters the claimable pool and is re-derived.
-        worklist = WorkList(tmp_path)
+        worklist = fleet(tmp_path)
         assert worklist.fetch("cell") is None
-        assert worklist.corrupt == 1
-        assert worklist.quarantined == 1
+        assert worklist.cache.corrupt == 1
+        assert worklist.cache.quarantined == 1
         assert list(tmp_path.glob("*.corrupt"))
-        assert worklist.publish("cell", '{"verdict": "rederived"}')
-        assert worklist.fetch("cell") == '{"verdict": "rederived"}'
+        assert worklist.publish("cell", result(2))
+        assert worklist.fetch("cell").cycles == 2
 
     def test_injected_read_corruption_quarantines_nothing(self, tmp_path):
-        """A ``store-read`` corruption hits a verdict already read into
+        """A ``cache-read`` corruption hits a verdict already read into
         memory: counted and never served, but the bytes on disk are
         intact, so nothing is set aside and the next reader adopts it."""
-        writer = WorkList(tmp_path)
-        assert writer.publish("cell", '{"verdict": "good"}')
-        writer.close()
+        writer = fleet(tmp_path)
+        assert writer.publish("cell", result(1))
+        writer.cache.close()
         injector = FaultInjector(FaultPlan(seed=3, specs=[
-            FaultSpec(site=SITE_STORE_READ, action="corrupt"),
+            FaultSpec(site=SITE_CACHE_READ, action="corrupt"),
         ]))
-        reader = WorkList(tmp_path, injector=injector)
+        reader = WorkList(ResultCache(tmp_path, injector))
         assert reader.fetch("cell") is None
-        assert (reader.corrupt, reader.quarantined) == (1, 0)
+        assert (reader.cache.corrupt, reader.cache.quarantined) == (1, 0)
         assert not list(tmp_path.glob("*.corrupt"))
-        assert WorkList(tmp_path).fetch("cell") == '{"verdict": "good"}'
+        assert fleet(tmp_path).fetch("cell").cycles == 1
 
-    @pytest.mark.parametrize("evidence", [False, True])
-    def test_first_append_removes_the_per_cell_results_layout(
-        self, tmp_path, evidence
-    ):
-        """A store of the per-cell layout (one envelope per
-        ``results/<key>.json``): its verdicts are never read, and the
-        first append removes them, keeping ``*.corrupt`` evidence."""
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "cell.json").write_bytes(
-            envelope(1, '{"verdict": "old"}')
-        )
-        if evidence:
-            (results / "cell.1234.corrupt").write_bytes(b"rot")
-        worklist = WorkList(tmp_path)
+    def test_unpublished_cell_is_not_a_cache_miss(self, tmp_path):
+        """Polling a cell no peer published yet reads nothing: the
+        cache's misses count only what its plan looked up."""
+        worklist = fleet(tmp_path)
         assert worklist.fetch("cell") is None
-        assert worklist.publish("cell", '{"verdict": "new"}')
-        kept = ["cell.1234.corrupt"] if evidence else []
-        assert (
-            sorted(p.name for p in results.iterdir()) if results.exists()
-            else []
-        ) == kept
-        assert worklist.fetch("cell") == '{"verdict": "new"}'
-        assert worklist.corrupt == 0
+        assert worklist.fetch("cell", targeted=True) is None
+        assert worklist.cache.stats()["misses"] == 0
 
-    def test_cell_key_is_deterministic_and_distinct(self):
-        key = cell_key("env", "cell", "sc88a", "golden", "digest", 1000)
-        assert key == cell_key(
-            "env", "cell", "sc88a", "golden", "digest", 1000
-        )
-        assert key != cell_key(
-            "env", "cell", "sc88a", "rtl", "digest", 1000
-        )
-        assert len(key) == 64
-
-    def test_disabled_worklist_contains_everything(self, tmp_path):
-        squatter = tmp_path / "wl"
-        squatter.write_text("a file where the work-list should be")
-        worklist = WorkList(squatter)
+    @pytest.mark.parametrize("squat", ["cache", "leases"])
+    def test_disabled_worklist_contains_everything(self, tmp_path, squat):
+        """An uncreatable cache or lease directory disables the list."""
+        directory = tmp_path / "wl" if squat == "cache" else tmp_path
+        squatter = directory if squat == "cache" else tmp_path / "leases"
+        squatter.write_text("a file where a directory should be")
+        worklist = fleet(directory)
         assert worklist.disabled
         assert worklist.claim("cell") is None
-        assert not worklist.publish("cell", "{}")
+        assert not worklist.publish("cell", result(1))
         assert worklist.fetch("cell") is None
         assert worklist.stats()["disabled"] == 1
 
@@ -328,7 +326,7 @@ class TestFleetScheduler:
         stall = FaultPlan(specs=[
             FaultSpec(site=SITE_SESSION_RUN, action="hang", hang_seconds=0.2)
         ])
-        first_list = WorkList(tmp_path, owner="first", lease_ttl=0.06)
+        first_list = fleet(tmp_path, owner="first", lease_ttl=0.06)
         _first, first = run_matrix(
             workspace, worklist=first_list, fault_plan=stall
         )
@@ -337,14 +335,16 @@ class TestFleetScheduler:
         assert first_list.renewed >= 1
         assert first_list.lease_lost == 0
 
-        second_list = WorkList(tmp_path, owner="second")
+        second_list = fleet(tmp_path, owner="second")
         _second_sched, second = run_matrix(workspace, worklist=second_list)
-        # Everything was already published: the second worker executes
-        # nothing and adopts byte-identical verdicts.
+        # Everything was already published to the shared cache: the
+        # second worker's plan serves byte-identical verdicts from it
+        # and claims and executes nothing.
         assert verdict_bytes(second) == verdict_bytes(oracle)
-        assert second.fetched_runs == second.total_runs
+        assert second.cached_runs == second.total_runs
         assert second.executed_runs == 0
-        assert second_list.fetched == second.total_runs
+        assert second_list.cache.hits == second.total_runs
+        assert second_list.claimed == 0
 
     def test_verdict_published_before_the_claim_is_adopted(
         self, workspace, tmp_path
@@ -354,19 +354,19 @@ class TestFleetScheduler:
         adopts the published verdict (releasing the lease) instead of
         running the cell a second time."""
         _oracle_sched, oracle = run_matrix(workspace)
-        run_matrix(workspace, worklist=WorkList(tmp_path / "source"))
-        verdicts = published(tmp_path / "source")
-        peer = WorkList(tmp_path / "shared", owner="peer")
+        run_matrix(workspace, worklist=fleet(tmp_path / "source"))
+        source = ResultCache(tmp_path / "source")
+        peer = fleet(tmp_path / "shared", owner="peer")
 
         class Racing(WorkList):
             def claim(self, key):
-                assert peer.publish(key, verdicts[key])
+                assert peer.publish(key, source.get(key))
                 return super().claim(key)
 
-        racing = Racing(tmp_path / "shared", owner="racing")
+        racing = Racing(ResultCache(tmp_path / "shared"), owner="racing")
         _sched, report = run_matrix(workspace, worklist=racing)
         assert verdict_bytes(report) == verdict_bytes(oracle)
-        assert report.fetched_runs == report.total_runs
+        assert report.cached_runs == report.total_runs
         assert report.executed_runs == 0
         assert racing.duplicates == 0
         assert racing.claimed == racing.released == report.total_runs
@@ -378,44 +378,46 @@ class TestFleetScheduler:
         """Cells are keyed by the model digest: a worker running other
         engine code finds nothing its peers published and executes
         every run."""
-        run_matrix(workspace, worklist=WorkList(tmp_path, owner="first"))
+        run_matrix(workspace, worklist=fleet(tmp_path, owner="first"))
         monkeypatch.setattr(scheduler_module, "model_digest", lambda: "0" * 64)
-        other_list = WorkList(tmp_path, owner="other")
+        other_list = fleet(tmp_path, owner="other")
         _other_sched, other = run_matrix(workspace, worklist=other_list)
-        assert other.fetched_runs == 0
+        assert other.cached_runs == 0
         assert other.executed_runs == other.total_runs
-        assert other_list.stats()["corrupt"] == 0
+        assert other_list.cache.corrupt == 0
 
     def test_matrix_completes_under_store_chaos(self, workspace, tmp_path):
-        """All three store-layer sites armed hot: every fetch raises,
-        every publish raises, every renew raises.  The matrix must
-        still complete with locally-derived, byte-identical verdicts —
-        store chaos degrades, it never wedges."""
+        """Every site a fleet's I/O fires armed hot: every verdict read
+        raises, every publish raises, every renew raises.  The matrix
+        must still complete with locally-derived, byte-identical
+        verdicts — store chaos degrades, it never wedges."""
         _oracle_sched, oracle = run_matrix(workspace)
         plan = FaultPlan(
             seed=11,
             specs=[
                 FaultSpec(
-                    site=SITE_STORE_READ, action="raise", times=10_000
+                    site=SITE_CACHE_READ, action="raise", times=10_000
                 ),
                 FaultSpec(
-                    site=SITE_STORE_WRITE, action="raise", times=10_000
+                    site=SITE_CACHE_WRITE, action="raise", times=10_000
                 ),
                 FaultSpec(
                     site=SITE_LEASE_RENEW, action="raise", times=10_000
                 ),
             ],
         )
-        worklist = WorkList(tmp_path, lease_ttl=5.0)
+        worklist = fleet(tmp_path, lease_ttl=5.0)
         _sched, report = run_matrix(
             workspace, worklist=worklist, fault_plan=plan
         )
         assert verdict_bytes(report) == verdict_bytes(oracle)
         assert report.quarantined_runs == 0
         assert report.total_runs == len(TARGETS) * 2
-        # The chaos demonstrably hit the store layer and was counted.
-        assert worklist.write_errors == report.total_runs
-        assert worklist.corrupt == 0  # nothing was ever published
+        # The chaos demonstrably hit the cache and was counted: each
+        # failed publication, and the run's own put that retries it.
+        assert worklist.published == 0
+        assert worklist.cache.write_errors == 2 * report.total_runs
+        assert worklist.cache.corrupt == 0  # nothing was ever published
 
     def test_quarantined_verdicts_are_never_published(
         self, workspace, tmp_path
@@ -431,7 +433,7 @@ class TestFleetScheduler:
                 )
             ],
         )
-        worklist = WorkList(tmp_path)
+        worklist = fleet(tmp_path)
         _sched, report = run_matrix(
             workspace, worklist=worklist, fault_plan=plan
         )
@@ -467,9 +469,9 @@ def _fleet_worker(
     run_timeout: float | None = None,
     targets: list[str] = TARGETS,
 ) -> None:
-    """One fleet worker process: regress NVM over the shared work-list
+    """One fleet worker process: regress NVM over the shared cache
     under *plan* and write its verdicts and counters to *report_path*."""
-    worklist = WorkList(store_dir, owner=owner, lease_ttl=lease_ttl)
+    worklist = fleet(store_dir, owner=owner, lease_ttl=lease_ttl)
     scheduler = RegressionScheduler(
         targets=[lookup_target(name) for name in targets],
         worklist=worklist,
@@ -492,7 +494,7 @@ def _fleet_worker(
         "counters": {
             "total": report.total_runs,
             "executed": report.executed_runs,
-            "fetched": report.fetched_runs,
+            "cached": report.cached_runs,
             "stolen": report.stolen_runs,
             "quarantined": report.quarantined_runs,
         },
@@ -568,7 +570,7 @@ def test_sigkilled_worker_is_stolen_and_matrix_settles_exactly_once(
         assert report["counters"]["quarantined"] == 0
         assert (
             report["counters"]["executed"]
-            + report["counters"]["fetched"]
+            + report["counters"]["cached"]
             == cells
         )
 
@@ -579,18 +581,15 @@ def test_sigkilled_worker_is_stolen_and_matrix_settles_exactly_once(
     assert sum(r["stats"]["published"] for r in reports) == cells
     keys = published(store_dir)
     assert len(keys) == cells
-    assert sum(
-        len(parse_segment(segment.read_bytes())[0])
-        for segment in segments(store_dir)
-    ) == cells
+    assert len(verdict_records(store_dir)) == cells
 
     # Zero torn artifacts: no temp droppings, no evidence, and a fresh
     # reader verifies every published record cleanly.
     assert not list(store_dir.rglob("*.tmp"))
     assert not list(store_dir.rglob("*.corrupt"))
-    fresh = WorkList(store_dir, owner="auditor")
+    fresh = ResultCache(store_dir)
     for key in keys:
-        assert fresh.fetch(key) is not None
+        assert fresh.get(key) is not None
     assert (fresh.corrupt, fresh.torn) == (0, 0)
 
     # Byte-identity against the scalar serial oracle, per cell.
