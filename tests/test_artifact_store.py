@@ -389,6 +389,20 @@ class TestDegradation:
         assert store.saved == 0
         assert store.load_decode_cache(("k", 0, 1, 0)) is None
 
+    def test_store_dir_is_not_a_fleets_shared_cache(self, tmp_path, capsys):
+        """The store holds artifacts only: ``--fleet`` with a
+        ``--store-dir`` but no ``--cache-dir`` is an error, and the
+        store is never created."""
+        from repro import cli
+
+        store = tmp_path / "store"
+        code = cli.main(
+            ["regress", "/nonexistent", "--fleet", "--store-dir", str(store)]
+        )
+        assert code == 2
+        assert "--fleet requires --cache-dir" in capsys.readouterr().err
+        assert not store.exists()
+
 
 # --------------------------------------------------------------------------
 # packs

@@ -4,7 +4,8 @@ owner.
 The result cache (whose verdicts a fleet's peers share), the artifact
 store and the serving daemon's job journal append records to a log
 (:class:`~repro.core.durable.RecordLog`); :class:`TestRecordLog` holds
-all three to one contract: a failed or mangled append, a torn tail at
+all three, and a fleet's work-list publishing to and fetching from the
+shared cache, to one contract: a failed or mangled append, a torn tail at
 every byte offset, a corrupt record kept as evidence, a segment
 vanishing mid-read, and live writers' segments never folded.
 :class:`TestRefresh` holds the one reader that rescans — a fleet's
@@ -152,10 +153,37 @@ class StoreLog:
         return None if reader.load_decode_cache(cls.key(n)) is None else n
 
 
+class WorkListLog:
+    """A fleet peer over the shared cache: a write is a work-list
+    publish (refresh, check, append), a read a work-list fetch of what
+    the reader's cache holds."""
+
+    kind = ResultCache
+    needle = VERDICT
+    #: A poll of a cell no peer published is not a cache miss.
+    miss = 0
+    damaged_miss = 0
+    #: The lease files live beside the cache's log.
+    entries = ("leases",)
+
+    def __init__(self, directory: Path, injector=None):
+        self.worklist = WorkList(ResultCache(directory, injector))
+        self.owner = self.worklist.cache
+
+    def write(self, n: int) -> bool:
+        return self.worklist.publish(f"cell{n}", make_result(n))
+
+    @staticmethod
+    def read(reader: ResultCache, n: int):
+        result = WorkList(reader).fetch(f"cell{n}")
+        return None if result is None else result.cycles
+
+
 LOGS = {
     "artifact-store": StoreLog,
     "journal": JournalLog,
     "result-cache": CacheLog,
+    "worklist": WorkListLog,
 }
 
 
@@ -478,8 +506,9 @@ class TestGoldenBytes:
         (segment,) = segments(tmp_path)
         assert segment.read_bytes() == GOLDEN_PACK
 
-    def test_published_verdict_and_journal_record(self, tmp_path):
-        """A fleet's published verdict is the result cache's record."""
+    def test_worklist_result_and_journal_record(self, tmp_path):
+        """A verdict the work-list publishes is the result cache's
+        record, byte for byte."""
         cache = ResultCache(tmp_path / "shared")
         cache.clock = lambda: 1_000_000_000
         assert WorkList(cache).publish("k1", make_result(7))

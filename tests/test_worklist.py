@@ -298,18 +298,48 @@ class TestPublish:
         assert worklist.fetch("cell", targeted=True) is None
         assert worklist.cache.stats()["misses"] == 0
 
-    @pytest.mark.parametrize("squat", ["cache", "leases"])
-    def test_disabled_worklist_contains_everything(self, tmp_path, squat):
-        """An uncreatable cache or lease directory disables the list."""
-        directory = tmp_path / "wl" if squat == "cache" else tmp_path
-        squatter = directory if squat == "cache" else tmp_path / "leases"
-        squatter.write_text("a file where a directory should be")
-        worklist = fleet(directory)
+    @staticmethod
+    def assert_contained(worklist: WorkList) -> None:
         assert worklist.disabled
         assert worklist.claim("cell") is None
         assert not worklist.publish("cell", result(1))
         assert worklist.fetch("cell") is None
         assert worklist.stats()["disabled"] == 1
+
+    def test_disabled_worklist_contains_everything(self, tmp_path):
+        squatter = tmp_path / "wl"
+        squatter.write_text("a file where the cache should be")
+        self.assert_contained(fleet(squatter))
+
+    def test_uncreatable_lease_directory_disables_the_list(self, tmp_path):
+        (tmp_path / "leases").write_text("a file where the leases should be")
+        worklist = fleet(tmp_path)
+        self.assert_contained(worklist)
+        # The cache itself still works: only the fleet is off.
+        assert not worklist.cache.disabled
+
+    def test_cell_key_is_deterministic_and_distinct(self, tmp_path):
+        """A fleet cell is the cache's verdict key: the same for the
+        same image, target, derivative and budget, different when the
+        target or the derivative differs, and computed from the image
+        digest alone."""
+        keys = ResultCache(tmp_path)
+        sc88a = lookup_derivative("sc88a")
+        key = keys.key_for("digest", lookup_target("golden"), sc88a, 1000)
+        assert key == keys.key_for(
+            "digest", lookup_target("golden"), sc88a, 1000
+        )
+        others = {
+            keys.key_for("digest", lookup_target("rtl"), sc88a, 1000),
+            keys.key_for(
+                "digest", lookup_target("golden"),
+                lookup_derivative("sc88b"), 1000,
+            ),
+            keys.key_for("other", lookup_target("golden"), sc88a, 1000),
+            keys.key_for("digest", lookup_target("golden"), sc88a, 999),
+        }
+        assert key not in others and len(others) == 4
+        assert len(key) == 64
 
 
 # --------------------------------------------------------------------------
