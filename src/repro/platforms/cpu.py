@@ -21,7 +21,11 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from repro.isa.decodecache import BASE_CYCLES, DecodeCache
+from repro.isa.decodecache import (
+    BASE_CYCLES,
+    DecodeCache,
+    _JUMP_TAKEN_EXTRA,
+)
 from repro.isa.encoding import decode_word, opcode_of, sign_extend_16
 from repro.isa.instructions import Opcode, lookup_opcode
 from repro.isa.registers import RegisterFile, WORD_MASK
@@ -145,8 +149,6 @@ class InstructionTrace:
 #: and cycle lookup cache together; re-exported here for compatibility.
 _BASE_CYCLES = BASE_CYCLES
 
-_JUMP_TAKEN_EXTRA = 1
-
 
 class CpuCore:
     """One SC88 core attached to a bus and an interrupt controller."""
@@ -185,19 +187,14 @@ class CpuCore:
         #: (RAM execution / uncacheable addresses) — fast-path coverage
         #: regressions show up here as silent nonzero counts.
         self.sb_fallback_steps = 0
-        #: Cycle deadline of the current :meth:`run` block; peripheral
-        #: scheduling shortens it via :meth:`cut_block` when an SFR
-        #: write may have moved the next event horizon.
+        #: Cycle deadline of the current :meth:`run` block; the SoC
+        #: lowers it when an SFR write moves the next event horizon
+        #: nearer (``SystemOnChip.horizon_changed``).
         self._block_deadline: int | None = None
         #: Superblock chain memo carried between :meth:`run` blocks:
         #: ``(decode_cache, predicted_next_block)``.  Validated against
-        #: the live cache and pc before use; flushed by
-        #: :meth:`cut_block` (an SFR write may have rescheduled the
-        #: world) and by :meth:`reset`.
+        #: the live cache and pc before use; dropped by :meth:`reset`.
         self._sb_resume: tuple | None = None
-        #: Bumped by :meth:`cut_block`; a runner that observes a bump
-        #: mid-run discards its chain instead of persisting it.
-        self._sb_epoch = 0
 
     @property
     def decode_cache(self) -> DecodeCache | None:
@@ -229,7 +226,6 @@ class CpuCore:
         self.sb_replays = 0
         self.sb_fallback_steps = 0
         self._sb_resume = None
-        self._sb_epoch += 1
 
     def enable_trace(self, limit: int = 100_000) -> None:
         self.trace = InstructionTrace(limit)
@@ -478,17 +474,6 @@ class CpuCore:
         return self.cycles - start_cycles
 
     # -- block execution ------------------------------------------------------
-    def cut_block(self) -> None:
-        """End the current :meth:`run` block after the instruction in
-        flight (peripheral scheduling calls this when an SFR write may
-        have moved the next event horizon).  Also flushes the cached
-        superblock successor chain: the store that cut the block may
-        have rescheduled the world, so the next block must re-resolve
-        from the decode cache rather than ride a stale prediction."""
-        self._block_deadline = self.cycles
-        self._sb_resume = None
-        self._sb_epoch += 1
-
     def run(
         self,
         cycle_budget: int | None = None,
@@ -500,11 +485,12 @@ class CpuCore:
         ``instructions_retired`` ceiling) is reached, or — checked after
         each retired instruction, exactly where the per-step loop
         ticked peripherals — once *cycle_budget* cycles have been
-        consumed or :meth:`cut_block` fired.  Engine selection: the
-        superblock loop runs whenever a decode cache is attached and no
-        ALU fault hook is armed — observation (instruction trace, bus
-        trace buffer, wait-state charging) only switches it to template
-        replay.  Anything else (no decode cache, or a hooked core)
+        consumed or the deadline the SoC lowered mid-run (an SFR write
+        that moved the event horizon nearer) is reached.  Engine
+        selection: the superblock loop runs whenever a decode cache is
+        attached and no ALU fault hook is armed — observation
+        (instruction trace, bus trace buffer, wait-state charging) only
+        switches it to template replay.  Anything else (no decode cache, or a hooked core)
         steps through :meth:`step`, the reference interpreter.
         """
         if self.halted:
@@ -539,15 +525,21 @@ class CpuCore:
         hook).
 
         Retires instructions block-at-a-time: the interrupt probe and
-        the limit check run once per superblock (sound because body
-        instructions are pure-register — they cannot raise bus traffic,
-        flush peripheral time, take traps, or arm the interrupt-enable
-        bit), the straight-line body executes as one fused loop with
-        cycles and retire counts batched, and the terminator chains
-        directly to its cached successor block.  Near a cycle deadline
-        or retire limit the body falls back to single-instruction
-        stepping so stop points stay exactly where :meth:`step` puts
-        them.
+        the limit check run once per superblock (sound because a body
+        cannot observe or move peripheral time, take a trap, or arm
+        the interrupt-enable bit: its memory accesses are done in place
+        only on zero-wait RAM), the body executes as one fused loop
+        with cycles and retire counts batched, and the terminator
+        chains directly to its cached successor block.  A body access
+        that cannot be done in place (an SFR, NVM or ROM page, a
+        misaligned address, an active bus trace) leaves the body before
+        it: the executed prefix retires from the templates of the
+        block's :meth:`~repro.isa.decodecache.Superblock.cut` at that
+        entry, and the entry runs as its terminator.  When the window
+        ends inside a body, only the prefix that retires before the
+        stop point is fused and the entry after it runs as the
+        terminator, so stop points stay exactly where :meth:`step`
+        puts them.
 
         Idle spins (``DJNZ rX, .``) are fast-forwarded: the remaining
         taken iterations are warped analytically — counter, logic
@@ -571,14 +563,14 @@ class CpuCore:
         :meth:`step` is wait debt left by an interrupt entry (vector
         read + frame pushes): ``step`` folds it into the next
         instruction's cost, which a static template cannot carry, so
-        that first instruction retires through the single-entry path.
+        that first instruction retires as the terminator of an empty
+        prefix.
         """
         regs = self.regs
         psw = regs.psw
         intc = self.intc
         cache = self._decode_cache
         block_at = cache.block_at
-        epoch = self._sb_epoch
         resume = self._sb_resume
         sb = resume[1] if resume is not None and resume[0] is cache else None
         bus = self.bus
@@ -647,21 +639,43 @@ class CpuCore:
             body = sb.body
             if body:
                 deadline = self._block_deadline
-                body_cycles = sb.body_cycles_w if charge else sb.body_cycles
                 if (
-                    not pending
-                    and (limit is None or retired + sb.body_count <= limit)
-                    and (
-                        deadline is None
-                        or self.cycles + body_cycles < deadline
+                    pending
+                    or (limit is not None and retired + sb.body_count > limit)
+                    or (
+                        deadline is not None
+                        and self.cycles
+                        + (sb.body_cycles_w if charge else sb.body_cycles)
+                        >= deadline
                     )
                 ):
-                    for entry in body:
-                        entry.exec(self, entry)
-                    retired += sb.body_count
+                    # The window ends inside the body, or interrupt-entry
+                    # wait debt the static template cannot carry: fuse
+                    # the prefix that retires before the stop point, and
+                    # retire the entry after it as the terminator.
+                    most = sb.body_count - 1
+                    if pending:
+                        most = 0
+                    elif limit is not None and limit - retired - 1 < most:
+                        most = limit - retired - 1
+                    if deadline is not None and most:
+                        most = sb.prefix_before(
+                            deadline - self.cycles, most, charge
+                        )
+                    sb = sb.cut(body[most])
+                    body = sb.body
+                for entry in body:
+                    if entry.body_exec(self, entry):
+                        # Not an in-place access: leave the body before
+                        # it, and retire it as the terminator.
+                        sb = sb.cut(entry)
+                        break
+                count = sb.body_count
+                if count:
+                    retired += count
                     self.instructions_retired = retired
-                    self.cycles += body_cycles
-                    cache.hits += sb.body_count
+                    self.cycles += sb.body_cycles_w if charge else sb.body_cycles
+                    cache.hits += count
                     if observed:
                         self.sb_replays += 1
                     if bus_trace is not None:
@@ -671,31 +685,8 @@ class CpuCore:
                         trace.extend_raw(
                             sb.trace_tmpl_w if charge else sb.trace_tmpl
                         )
-                else:
-                    # Window narrower than the body, or interrupt-entry
-                    # wait debt the static template cannot carry: retire
-                    # one instruction the per-step way and re-resolve.
-                    entry = body[0]
-                    if charge:
-                        self._pending_waits = pending + entry.fetch_waits
-                    if bus_trace is not None:
-                        bus.access_count += len(entry.fetch_events)
-                        bus_trace.extend_raw(entry.fetch_events)
-                    entry.exec(self, entry)
-                    cost = entry.base_cycles + self._pending_waits
-                    self.instructions_retired = retired + 1
-                    self.cycles += cost
-                    cache.hits += 1
-                    if trace is not None:
-                        trace.record(
-                            entry.pc, entry.opcode, entry.mnemonic, cost
-                        )
-                    sb = None
-                    if deadline is not None and self.cycles >= deadline:
-                        break
-                    continue
-                if limit is not None and retired >= limit:
-                    break  # retire ceiling reached before the terminator
+                    if limit is not None and retired >= limit:
+                        break  # retire ceiling reached before the terminator
             term = sb.terminator
             if term is None:
                 # Next address not cacheable: resolve it at the top of
@@ -745,10 +736,9 @@ class CpuCore:
             deadline = self._block_deadline
             if deadline is not None and self.cycles >= deadline:
                 break
-        # Persist the predicted chain for the next block run — unless a
-        # cut_block() mid-run flushed it (the cut wins: re-resolve).
-        if self._sb_epoch == epoch:
-            self._sb_resume = None if sb is None else (cache, sb)
+        # Persist the predicted chain for the next block run (validated
+        # against the live pc before it is followed).
+        self._sb_resume = None if sb is None else (cache, sb)
 
     # -- execution ---------------------------------------------------------
     def _execute(

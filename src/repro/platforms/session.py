@@ -29,8 +29,9 @@ NVM completion, level-sensitive interrupt re-raise), the core executes
 up to that many cycles in one :meth:`CpuCore.run` block, and the
 deferred peripheral time is settled in one linear ``tick`` at the
 boundary.  Peripheral register accesses and SoC probes settle the debt
-early (and SFR writes end the current block so a moved horizon is
-picked up), which makes block and per-step driving byte-identical.
+early (and an SFR write that brings the next event nearer lowers the
+current block's deadline to it), which makes block and per-step
+driving byte-identical.
 
 Within a block the core executes superblock-at-a-time (straight-line
 fusion, chaining across taken branches, analytic fast-forward of idle
@@ -239,7 +240,7 @@ class ExecutionSession:
                 # Event-horizon loop: run the core in blocks bounded by
                 # the next observable peripheral event, then settle the
                 # deferred peripheral time in one linear tick.  An SFR
-                # write that moves the horizon ends the block early.
+                # write that moves the horizon nearer ends it there.
                 while not cpu.halted and (
                     cpu.instructions_retired < max_instructions
                 ):

@@ -51,10 +51,13 @@ class SfrPort:
     Under event-horizon scheduling the SoC defers peripheral ticking
     until the next observable event; this port settles the pending
     cycle debt *before* any register access, so software (and probes)
-    never observe stale peripheral state.  Writes additionally end the
-    core's current block-run: a store may reconfigure the peripheral
-    (enable a timer, start an NVM operation) and move the event
-    horizon, which the scheduler must recompute before running on.
+    never observe stale peripheral state.  Writes additionally
+    recompute the event horizon: a store may reconfigure the
+    peripheral (enable a timer, start an NVM operation, clear an
+    interrupt-pending bit) and bring the next event nearer, which then
+    lowers the core's window deadline (:meth:`SystemOnChip.
+    horizon_changed`).  A store that moves no event nearer leaves the
+    window running.
 
     A write through this port (or a reset) is the only way a
     peripheral becomes armed during a run, so the write hook also
@@ -267,7 +270,10 @@ class SystemOnChip:
     # underflow, watchdog expiry, level-sensitive interrupt re-raise,
     # NVM completion), the session runs the core in blocks bounded by
     # that horizon, and the accumulated cycle debt is settled in one
-    # linear ``tick`` at the boundary.  Every peripheral ``tick``
+    # linear ``tick`` at the boundary.  A level-sensitive line the INTC
+    # already holds pending is not an event: re-raising it changes
+    # nothing, and only a register write (which recomputes the horizon)
+    # clears a pending bit.  Every peripheral ``tick``
     # implementation is linear in the sense ``tick(a); tick(b)`` ==
     # ``tick(a + b)`` between observable events, so batched and
     # per-instruction ticking retire byte-identical state; the SFR
@@ -323,9 +329,12 @@ class SystemOnChip:
 
     def horizon_changed(self, irq_line: IrqLine | None = None) -> None:
         """Re-evaluate whether the device on *irq_line* (the one just
-        written) is armed, recompute the event horizon, and end the
-        core's current block so the session picks up the new bound (a
-        store may have armed a nearer event)."""
+        written) is armed and recompute the event horizon.  When the
+        new horizon is nearer than the end of the core's current
+        window, the window's deadline moves to it, so the core stops
+        where the event falls; a farther horizon leaves the deadline
+        alone (flushing early is always equivalent).  Called right after
+        the port settled time, so the horizon counts from now."""
         cpu = self._cpu
         if cpu is None:
             return
@@ -336,8 +345,12 @@ class SystemOnChip:
                 self._armed = [
                     line for line in self.irq_lines if line.armed
                 ]
-        self._horizon = self._compute_horizon()
-        cpu.cut_block()
+        horizon = self._horizon = self._compute_horizon()
+        if horizon is not None:
+            deadline = self._ticked_cycles + horizon
+            current = cpu._block_deadline
+            if current is None or deadline < current:
+                cpu._block_deadline = deadline
 
     def run_budget(self) -> int | None:
         """Cycles the bound core may execute before peripheral time
@@ -351,8 +364,11 @@ class SystemOnChip:
 
     def _compute_horizon(self) -> int | None:
         horizon: int | None = None
+        pending = self.intc.pending_lines()
         for irq_line in self._armed:
-            distance = irq_line.device.event_horizon()
+            distance = irq_line.device.event_horizon(
+                bool(pending >> irq_line.line & 1)
+            )
             if distance is not None and (
                 horizon is None or distance < horizon
             ):

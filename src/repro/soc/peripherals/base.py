@@ -92,7 +92,7 @@ class Peripheral:
         overrides ``tick`` defines this next to it."""
         return False
 
-    def event_horizon(self) -> int | None:
+    def event_horizon(self, line_pending: bool = False) -> int | None:
         """Core cycles until this peripheral's ticking next changes
         externally *observable* state — raises its interrupt line or
         trips a latched condition (watchdog expiry) — or ``None`` when
@@ -101,7 +101,15 @@ class Peripheral:
         that merely count down are not events: the SFR ports flush
         pending time before any read, so they are never seen stale.
         Must be exact or an *underestimate*; flushing early is always
-        equivalent, flushing late is not."""
+        equivalent, flushing late is not.
+
+        *line_pending* says the interrupt controller already holds this
+        peripheral's line pending.  Raising a pending line again changes
+        nothing, so a level-sensitive re-raise is then not an event.
+        That rests on one rule of the SoC: a pending bit is cleared only
+        by a register write (a write-1-to-clear of the controller's
+        pending register), and every register write settles time and
+        recomputes the horizon before the core runs on."""
         return None
 
     # -- register/field helpers for subclasses -----------------------------

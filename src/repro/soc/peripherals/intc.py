@@ -35,17 +35,16 @@ class InterruptController(Peripheral):
                 self._pending, self.reg_value(self._pending) | (1 << line)
             )
 
+    def pending_lines(self) -> int:
+        """The pending bits, one per line, whether enabled or not."""
+        return self.values[self._pending]
+
     def pending_line(self) -> int | None:
         """Lowest-numbered line that is both pending and enabled."""
         active = self.reg_value(self._pending) & self.reg_value(self._enable)
         if not active:
             return None
         return (active & -active).bit_length() - 1
-
-    def acknowledge(self, line: int) -> None:
-        self.set_reg(
-            self._pending, self.reg_value(self._pending) & ~(1 << line)
-        )
 
     def on_read(self, reg, value: int) -> int:
         if reg.name == self._vector:

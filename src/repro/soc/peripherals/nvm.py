@@ -117,7 +117,7 @@ class NvmController(Peripheral):
             return status
         return value
 
-    def event_horizon(self) -> int | None:
+    def event_horizon(self, line_pending: bool = False) -> int | None:
         # The only tick-driven event is operation completion (DONE +
         # interrupt + array update) after the programming delay.
         return self.busy_cycles if self.busy_cycles > 0 else None

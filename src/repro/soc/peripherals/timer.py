@@ -41,7 +41,7 @@ class Timer(Peripheral):
         elif reg.name == self._ctrl:
             pass  # EN/IE take effect on the next tick
 
-    def event_horizon(self) -> int | None:
+    def event_horizon(self, line_pending: bool = False) -> int | None:
         values = self.values
         ctrl = values[self._ctrl]
         if not ctrl & self._en:
@@ -50,8 +50,9 @@ class Timer(Peripheral):
             return None  # counts, but can never raise an interrupt
         if values[self._stat] & self._ovf:
             # Level-sensitive: every tick re-raises the line until the
-            # handler clears OVF, so ticking cannot be deferred.
-            return 1
+            # handler clears OVF, so ticking cannot be deferred unless
+            # the line is pending already (re-raising it is a no-op).
+            return None if line_pending else 1
         # Underflow fires on the cycle after the counter hits zero.
         return values[self._count] + 1
 

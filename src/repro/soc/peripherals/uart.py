@@ -89,12 +89,17 @@ class Uart(Peripheral):
             return 0
         return value
 
-    def event_horizon(self) -> int | None:
+    def event_horizon(self, line_pending: bool = False) -> int | None:
         # The receive interrupt is level-sensitive on FIFO occupancy:
         # while data is pending with RXIE set, every tick re-raises the
-        # line; otherwise ticking changes nothing (the FIFO only moves
-        # on register accesses, which settle deferred time themselves).
-        if self.rx_fifo and self.field_value(self._ctrl, "RXIE") == 1:
+        # line (a no-op while the line is pending already); otherwise
+        # ticking changes nothing (the FIFO only moves on register
+        # accesses, which settle deferred time themselves).
+        if (
+            not line_pending
+            and self.rx_fifo
+            and self.field_value(self._ctrl, "RXIE") == 1
+        ):
             return 1
         return None
 

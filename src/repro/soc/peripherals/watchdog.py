@@ -50,7 +50,7 @@ class Watchdog(Peripheral):
         elif reg.name == self._ctrl:
             self.set_reg(self._count, self._timeout())
 
-    def event_horizon(self) -> int | None:
+    def event_horizon(self, line_pending: bool = False) -> int | None:
         if self.expired or self.field_value(self._ctrl, "EN") != 1:
             return None
         # Expiry latches once cumulative ticking reaches the count.

@@ -218,10 +218,17 @@ def _stress_worker(directory: str, seed: int, rounds: int) -> dict:
             else:
                 # Simulated bit rot: overwrite one byte in place while
                 # others are appending and reading.
+                # A segment a peer quarantined or folded between
+                # ``segments()`` and ``open`` leaves nothing to rot;
+                # only this step forgives that, never put/get/open.
                 paths = segments(directory)
                 if paths:
                     path = rng.choice(paths)
-                    with open(path, "r+b") as stream:
+                    try:
+                        stream = open(path, "r+b")
+                    except FileNotFoundError:
+                        continue
+                    with stream:
                         size = stream.seek(0, os.SEEK_END)
                         if size:
                             stream.seek(rng.randrange(size))

@@ -406,20 +406,6 @@ class TestMidRunProbes:
         assert soc.run_budget() == 10  # reload + 1 cycles to underflow
         assert cpu._block_deadline is not None  # block was cut
 
-    def test_sfr_write_flushes_cached_superblock_chain(self):
-        """cut_block() invalidation covers the superblock chain: an SFR
-        write mid-run must drop the cached successor prediction (the
-        store may have rescheduled the world) as well as cut the block."""
-        soc = SystemOnChip(SC88A)
-        cpu = CpuCore(soc.bus, intc=soc.intc)
-        soc.attach_cpu(cpu)
-        cpu._sb_resume = ("sentinel-cache", "sentinel-block")
-        epoch = cpu._sb_epoch
-        timer_reload = soc.register_map.register_address("TIMER.TIM_RELOAD")
-        soc.bus.write_word(timer_reload, 9)
-        assert cpu._sb_resume is None
-        assert cpu._sb_epoch == epoch + 1
-
     def test_sfr_write_mid_superblock_observes_settled_state(self):
         """A store that lands on an SFR page between superblocks must
         see peripheral time fully settled — including every cycle the

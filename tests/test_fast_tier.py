@@ -11,7 +11,7 @@ cases where sharing and invalidation could go wrong:
     closed-form warp applies, across both derivatives and all six
     platforms, and with the bus trace recorded.
 (b) **Invalidation** — self-modifying RAM code (never cached), SFR
-    writes mid-block (``cut_block`` moves the deadline), derivative
+    writes mid-block (a nearer horizon lowers the deadline), derivative
     swaps (distinct registry keys) and injected faults
     (``core/faults.py`` sites) all leave runs byte-identical to the
     reference.
@@ -217,7 +217,7 @@ class TestInvalidation:
     )
     def test_sfr_write_mid_block(self, platform_name):
         """An SFR store inside the hot loop reschedules the event
-        horizon (``cut_block``); the superblock loop must stop at
+        horizon (a nearer one lowers the deadline); the superblock loop must stop at
         reference-exact points on all platforms."""
         from repro.core.environment import ModuleTestEnvironment, TestCell
 

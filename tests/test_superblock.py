@@ -2,9 +2,10 @@
 
 The contract under test:
 
-(a) **Formation** — superblocks are maximal straight-line runs of
-    pure-register instructions; memory micro-ops, control flow, traps
-    and interrupt-enable writers terminate them; a bare ``DJNZ rX, .``
+(a) **Formation** — superblock bodies hold register operations, memory
+    micro-ops and direct ``JMP``/``CALL`` (followed to their target);
+    conditional and dynamic control flow, traps and interrupt-enable
+    writers terminate them; a bare ``DJNZ rX, .``
     self-loop is classified as an idle spin.
 (b) **Equivalence** — the superblock engine (fusion + chaining + idle
     fast-forward) retires byte-identical signature / cycles /
@@ -23,8 +24,7 @@ The contract under test:
     on instruction limits and block deadlines, so event-horizon
     scheduling (and therefore interrupt delivery) is unperturbed.
 (e) **Chaining/invalidation** — successor links are validated against
-    the live pc, and :meth:`CpuCore.cut_block` flushes the cached
-    chain.
+    the live pc, and :meth:`CpuCore.reset` drops the cached chain.
 """
 
 import pytest
@@ -111,18 +111,29 @@ class TestFormation:
         entry = image.entry
 
         first = cache.block_at(entry)
-        # Four pure ALU/flag ops, then the ST.W micro-op terminates.
-        assert first.body_count == 4
+        # The ST.W stays in the body and the JMP is followed to its
+        # target; the DJNZ (a conditional branch) terminates.
         assert [e.mnemonic for e in first.body] == [
-            "ADDI", "XOR", "SHLI", "CMPI",
+            "ADDI", "XOR", "SHLI", "CMPI", "ST.W", "ADDI", "JMP", "LOAD",
         ]
-        assert first.terminator.mnemonic == "ST.W"
-        assert first.body_cycles == sum(e.base_cycles for e in first.body)
+        assert first.terminator.mnemonic == "DJNZ"
+        jmp = first.body[6]
+        assert first.body_cycles == (
+            sum(e.base_cycles for e in first.body) + 1  # the JMP's taken cycle
+        )
         assert first.spin_reg == -1
 
-        after_store = cache.block_at(first.terminator.next_pc)
-        assert [e.mnemonic for e in after_store.body] == ["ADDI"]
-        assert after_store.terminator.mnemonic == "JMP"
+        # A store that leaves the body retires as the terminator of
+        # the prefix before it: the block shape before stores stayed
+        # in bodies.
+        store = first.body[4]
+        prefix = first.cut(store)
+        assert [e.mnemonic for e in prefix.body] == [
+            "ADDI", "XOR", "SHLI", "CMPI",
+        ]
+        assert prefix.terminator is store
+        assert prefix.body_cycles == sum(e.base_cycles for e in prefix.body)
+        assert jmp.imm_u == first.body[7].pc
 
     def test_idle_spin_detection(self):
         image = link_source(FORMATION_SOURCE)
@@ -438,20 +449,6 @@ loop:
         # ...and the fall-through edge to the epilogue block.
         assert loop_block.succ_fall is not None
         assert loop_block.succ_fall.start == loop_block.terminator.next_pc
-
-    def test_cut_block_flushes_cached_chain(self):
-        image = link_source(SPIN_ONLY_SOURCE)
-        cpu, _ = direct_cpu(image)
-        cpu.run(instruction_limit=10)
-        assert cpu._sb_resume is not None  # chain predicted for resume
-        epoch = cpu._sb_epoch
-        cpu.cut_block()
-        assert cpu._sb_resume is None
-        assert cpu._sb_epoch == epoch + 1
-        # The run must still complete correctly after the flush.
-        cpu.run()
-        assert cpu.halted
-        assert cpu.regs.data[0] == PASS_MAGIC
 
     def test_reset_flushes_cached_chain(self):
         image = link_source(SPIN_ONLY_SOURCE)
