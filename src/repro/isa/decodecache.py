@@ -38,19 +38,14 @@ the same linked image, so the decode work is paid once per image, not
 once per platform.
 
 On top of the per-address entries the cache stitches **superblocks**
-(:class:`Superblock`): a body of instructions that cannot observe or
-move peripheral time, plus one terminator (a conditional branch, an
-indirect call, a return, a trap, or an interrupt-enable writer).  A
-body follows direct ``JMP``/``CALL`` to their static targets and holds
-memory micro-ops: the core does those in place when they hit zero-wait
-RAM, and otherwise leaves the body before the access and retires it as
-the terminator of the executed prefix (:meth:`Superblock.cut`).  The
-core's block runner executes a superblock body as one fused loop — no
-per-instruction cache probe, interrupt probe, or budget check — and
-chains block-to-block across taken branches by caching the successor
-block on the branch's superblock (validated against the live program
-counter on every transition, so dynamic targets like ``RET`` stay
-correct).  Superblocks
+(:class:`Superblock`): maximal straight-line runs of pure-register
+instructions plus one terminator (a branch, call, trap, memory micro-op,
+or interrupt-enable writer).  The core's block runner executes a
+superblock body as one fused loop — no per-instruction cache probe,
+interrupt probe, or budget check — and chains block-to-block across
+taken branches by caching the successor block on the branch's
+superblock (validated against the live program counter on every
+transition, so dynamic targets like ``RET`` stay correct).  Superblocks
 whose entire architectural effect is counting a register down
 (``DJNZ rX, .`` self-loops) are flagged as *idle spins* so the core can
 fast-forward them analytically.  Like entries, superblocks are pure
@@ -107,7 +102,8 @@ for _op in Opcode:
 
 #: Memory micro-op classification (``DecodedInstruction.mem_kind``).
 #: Kinds 1..10 are the word-size micro-ops, 11..14 the byte/halfword
-#: loads and stores (zero-extended on load, truncated on store).
+#: loads and stores (zero-extended on load, truncated on store).  A
+#: nonzero kind ends a superblock (the access may land on an SFR page);
 #: ``mem_disp`` carries the precomputed displacement or absolute
 #: address.
 MEM_NONE = 0
@@ -165,10 +161,6 @@ class DecodedInstruction:
     from :mod:`repro.isa.semantics`, pickled by reference as
     ``repro.isa.decodecache._x_<opcode>``); the core calls
     ``entry.exec(cpu, entry)`` and gets back the branch-taken flag.
-    ``body_exec`` is the executor a superblock body calls: ``exec``
-    itself, or for memory micro-ops, ``JMP`` and ``CALL`` the opcode's
-    ``_x_<opcode>_body``, which returns ``True`` when the core must
-    leave the body before the instruction.
     Executor operands are precomputed at decode time: ``r1``/``r2``/
     ``r3`` register indices, ``imm_s`` (the sign-extended immediate as a
     signed Python int, or an extract's sign bit), ``imm_u`` (the
@@ -180,7 +172,7 @@ class DecodedInstruction:
     __slots__ = (
         "opcode", "mnemonic", "size_bytes", "base_cycles", "fetch_waits",
         "fetch_events", "mem_kind", "mem_disp", "pc", "next_pc", "r1", "r2",
-        "r3", "imm_s", "imm_u", "pos", "width", "exec", "body_exec",
+        "r3", "imm_s", "imm_u", "pos", "width", "exec",
     )
 
     def __init__(
@@ -203,7 +195,6 @@ class DecodedInstruction:
         pos: int = 0,
         width: int = 0,
         exec: Callable | None = None,
-        body_exec: Callable | None = None,
     ):
         self.opcode = opcode
         self.mnemonic = mnemonic
@@ -235,7 +226,6 @@ class DecodedInstruction:
         self.pos = pos
         self.width = width
         self.exec = exec
-        self.body_exec = exec if body_exec is None else body_exec
 
     def __getstate__(self) -> list:
         """Every slot, in slot order (the unrolled ``__setstate__``'s
@@ -277,8 +267,6 @@ DecodedInstruction.__setstate__ = _unrolled_setstate(
 # costs the extra cycle.  They are rendered from ``isa/semantics.py``
 # (operands read off ``e``) and compiled together on first use — the
 # first decode or the first artifact-store unpickle, never at import.
-# Each executor's ``body`` attribute is the one a superblock body calls
-# (``DecodedInstruction.body_exec``): itself, or ``_x_<opcode>_body``.
 # With an artifact store installed the compiled table is loaded from it
 # (keyed by the source's SHA-256 and the interpreter's bytecode tag, so
 # an edited table is a new key) and compiled, then saved, only on a
@@ -311,14 +299,10 @@ def _executors() -> dict[int, Callable]:
             namespace = globals()
             exec(code, namespace)
             _DECODED.clear()
-            table = {}
-            for op in Opcode:
-                executor = namespace[semantics.executor_name(op)]
-                executor.body = namespace.get(
-                    semantics.body_executor_name(op), executor
-                )
-                table[int(op)] = executor
-            _EXECUTORS = table
+            _EXECUTORS = {
+                int(op): namespace[semantics.executor_name(op)]
+                for op in Opcode
+            }
     return _EXECUTORS
 
 
@@ -337,33 +321,28 @@ def __getattr__(name: str):
 # Superblocks — straight-line fusion over decoded entries.
 # ---------------------------------------------------------------------------
 
-#: Opcodes that end a superblock.  Conditional branches and dynamic
-#: targets end a block because the next pc is decided at run time;
-#: ``HALT`` because the runner's loop condition must see it;
-#: ``EI``/``WRPSW``/``RETI`` because they can turn the interrupt-enable
-#: bit on (the runner probes interrupts once per block, which is only
-#: sound while no body instruction can arm them); ``DIVU``/``TRAP``
-#: because they can enter a trap handler.  Memory micro-ops do not end
-#: a block: a body access to anything but zero-wait RAM (an SFR page
-#: would flush deferred peripheral time and may move the horizon) leaves
-#: the body before it, through :meth:`Superblock.cut`.  An instruction
-#: whose successor is already in the body ends the block too, so no
-#: address appears twice in one body.
+#: Opcodes that end a superblock.  Control flow ends a block because the
+#: next pc is decided at run time; ``HALT`` because the runner's loop
+#: condition must see it; ``EI``/``WRPSW``/``RETI`` because they can
+#: turn the interrupt-enable bit on (the runner probes interrupts once
+#: per block, which is only sound while no body instruction can arm
+#: them); ``DIVU``/``TRAP`` because they can enter a trap handler.
+#: Memory micro-ops (``mem_kind != MEM_NONE``) also terminate: a load or
+#: store may land on an SFR page, flushing deferred peripheral time,
+#: raising interrupt lines, or moving the window's deadline nearer — all
+#: of which the runner must re-check before retiring another
+#: instruction.
 _SB_BARRIER_OPCODES = frozenset(
     int(op)
     for op in (
-        Opcode.JZ, Opcode.JNZ, Opcode.JC, Opcode.JNC,
+        Opcode.JMP, Opcode.JZ, Opcode.JNZ, Opcode.JC, Opcode.JNC,
         Opcode.JN, Opcode.JNN, Opcode.JV, Opcode.JNV,
         Opcode.JGE, Opcode.JLT, Opcode.JGT, Opcode.JLE,
-        Opcode.CALL_IND, Opcode.DJNZ,
+        Opcode.CALL_ABS, Opcode.CALL_IND, Opcode.DJNZ,
         Opcode.RET, Opcode.RETI, Opcode.TRAP, Opcode.HALT,
         Opcode.EI, Opcode.WRPSW, Opcode.DIVU,
     )
 )
-
-#: Always-taken jumps with a static target (``imm_u``): a body continues
-#: there, and each costs its taken cycle inside the body.
-_SB_STATIC_JUMPS = frozenset({int(Opcode.JMP), int(Opcode.CALL_ABS)})
 
 #: Body length cap: bounds formation cost and the cost of the prefix
 #: search a window that ends mid-body pays.
@@ -375,20 +354,14 @@ _JUMP_TAKEN_EXTRA = 1
 
 
 class Superblock:
-    """A body of decoded instructions plus its terminator.
+    """One straight-line run of decoded instructions plus its terminator.
 
-    ``body`` entries cannot observe or move peripheral time and never
-    take a conditional branch: register operations, direct ``JMP`` and
-    ``CALL`` (followed to their static target), and memory micro-ops,
-    whose ``body_exec`` does the access in place only on zero-wait RAM
-    with no bus trace active — executing a body cannot change anything
-    the block runner's hoisted checks observe, which is what makes the
-    fused body loop sound.  A body access that cannot be done in place
-    leaves the body before it: the runner retires the executed prefix
-    and that instruction through :meth:`cut`, today's block shape.
-    ``terminator`` is the instruction that ends the block (``None`` when
-    the next address is not cacheable or the body hit its cap, and the
-    runner must resolve the next pc afresh).
+    ``body`` entries are pure-register operations: no bus access, no
+    trap, no control flow, no interrupt-enable writes — executing them
+    cannot change anything the block runner's hoisted checks observe,
+    which is what makes the fused body loop sound.  ``terminator`` is
+    the instruction that ends the block (``None`` when the next address
+    is not cacheable and the runner must fall back to the legacy step).
 
     ``succ_taken``/``succ_fall`` memoise the successor superblock after
     the terminator's taken/fall-through edge.  They are a *prediction*,
@@ -409,15 +382,12 @@ class Superblock:
 
     - ``fetch_events`` concatenates every body entry's replayed fetch
       events into one tuple, so a traced block emits its whole fetch
-      stream with a single bulk ring append (a body does no data
-      access while a bus trace is active, so no data event falls
-      between them);
+      stream with a single bulk ring append;
     - ``trace_tmpl`` / ``trace_tmpl_w`` are the body's retire-trace
       records ``(pc, opcode, mnemonic, cost)`` — all four fields are
-      static for body entries (no data waits, since a body accesses
-      only zero-wait RAM, and a body ``JMP``/``CALL`` is always taken),
-      the ``_w`` variant folding each entry's fetch wait states into
-      its cost for cycle-accurate cores;
+      static for body entries (pure-register: no data waits, never a
+      taken branch), the ``_w`` variant folding each entry's fetch wait
+      states into its cost for cycle-accurate cores;
     - ``body_cycles_w`` / ``spin_cost_w`` fold the static fetch-wait
       cycles into the block totals, so under wait-state charging only
       *data-access* waits are left to charge inline (and only the
@@ -446,6 +416,7 @@ class Superblock:
         self.start = start
         self.body = body
         self.body_count = len(body)
+        self.body_cycles = sum(entry.base_cycles for entry in body)
         self.terminator = terminator
         self.succ_taken: Superblock | None = None
         self.succ_fall: Superblock | None = None
@@ -456,23 +427,21 @@ class Superblock:
             fetch_events += entry.fetch_events
         self.fetch_events = fetch_events
         self.trace_tmpl = tuple(
+            (entry.pc, entry.opcode, entry.mnemonic, entry.base_cycles)
+            for entry in body
+        )
+        self.trace_tmpl_w = tuple(
             (
                 entry.pc,
                 entry.opcode,
                 entry.mnemonic,
-                entry.base_cycles
-                + (_JUMP_TAKEN_EXTRA if entry.opcode in _SB_STATIC_JUMPS else 0),
+                entry.base_cycles + entry.fetch_waits,
             )
             for entry in body
         )
-        self.trace_tmpl_w = tuple(
-            (pc, opcode, mnemonic, cost + entry.fetch_waits)
-            for (pc, opcode, mnemonic, cost), entry in zip(
-                self.trace_tmpl, body
-            )
+        self.body_cycles_w = self.body_cycles + sum(
+            entry.fetch_waits for entry in body
         )
-        self.body_cycles = sum(record[3] for record in self.trace_tmpl)
-        self.body_cycles_w = sum(record[3] for record in self.trace_tmpl_w)
         if (
             not body
             and terminator is not None
@@ -490,10 +459,9 @@ class Superblock:
     def cut(self, entry: DecodedInstruction) -> "Superblock":
         """This block ended at body *entry*: a block of the same start
         whose body is the prefix before *entry* and whose terminator is
-        *entry*.  The runner retires through it what it ran of this
-        body when *entry* must leave the body, and when a window ends
-        inside the body.  Memoised per entry (benign duplicates under
-        concurrency, like :meth:`DecodeCache.block_at`)."""
+        *entry*.  The runner retires through it what fits of this body
+        when a window ends inside the body.  Memoised per entry (benign
+        duplicates under concurrency, like :meth:`DecodeCache.block_at`)."""
         block = self.cuts.get(entry.pc)
         if block is None:
             body = self.body
@@ -688,22 +656,19 @@ class DecodeCache:
 
     def _form_block(self, pc: int, first: DecodedInstruction) -> Superblock:
         body: list[DecodedInstruction] = []
-        seen: set[int] = set()
         entry: DecodedInstruction | None = first
         terminator: DecodedInstruction | None = None
         while entry is not None:
-            opcode = entry.opcode
-            seen.add(entry.pc)
-            follow = (
-                entry.imm_u if opcode in _SB_STATIC_JUMPS else entry.next_pc
-            )
-            if opcode in _SB_BARRIER_OPCODES or follow in seen:
+            if (
+                entry.mem_kind != MEM_NONE
+                or entry.opcode in _SB_BARRIER_OPCODES
+            ):
                 terminator = entry
                 break
             body.append(entry)
             if len(body) >= _SB_MAX_BODY:
                 break
-            entry = self.get(follow)
+            entry = self.get(entry.next_pc)
         return Superblock(pc, tuple(body), terminator)
 
     def predecode_all(self) -> int:
@@ -782,7 +747,6 @@ class DecodeCache:
             pos=fields.get("pos", 0),
             width=fields.get("width", 0),
             exec=executors[opcode],
-            body_exec=executors[opcode].body,
         )
         if len(_DECODED) >= _DECODED_LIMIT:
             _DECODED.clear()

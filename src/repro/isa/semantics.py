@@ -11,19 +11,11 @@ once, for the decode cache's executor table: ``o`` is
 reads its operands off the decoded entry at run time
 (:func:`executor_source`).
 
-A row has up to four parts besides its effect: ``cond``, the
+A row has up to three parts besides its effect: ``cond``, the
 taken-condition of a conditional branch (the target is ``o.imm_u``);
-``target``, the pc expression a jump stores after its effect;
+``target``, the pc expression a jump stores after its effect; and
 ``taken``, the executor's return value when it is neither (default
-``False``, or ``True`` for a jump); and ``inline``, the effect of the
-opcode inside a superblock body.  A row with ``inline`` gets a second
-executor, ``_x_<opcode>_body(cpu, e)``: a memory access is done in
-place when it lands on a zero-wait RAM page, is aligned and no bus
-trace is active, and otherwise the executor returns ``True`` before any
-side effect, so the core leaves the body and retires the instruction
-through its ordinary executor (:func:`ram_page`).  A body executor
-returns ``False`` when it ran: ``JMP`` and ``CALL`` continue the body
-at their static target, so they are not "taken" there.
+``False``, or ``True`` for a jump).
 
 ``CpuCore._execute`` stays hand-written: it is the oracle the rendered
 executors are fuzzed against, so adding an opcode means one row here
@@ -38,7 +30,6 @@ from typing import Callable, NamedTuple
 
 from repro.isa.instructions import Opcode
 from repro.isa.registers import STACK_POINTER_INDEX, WORD_MASK
-from repro.soc.bus import PAGE_SHIFT
 from repro.soc.memorymap import TRAP_DIV_ZERO
 
 _M = WORD_MASK
@@ -68,7 +59,6 @@ class Row(NamedTuple):
     cond: str | None = None
     target: Callable[[object], str] | None = None
     taken: str | None = None
-    inline: Callable[[object], list[str]] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -231,119 +221,37 @@ def _indexed(o) -> str:
     return f"(addr[{o.r2}] + {o.mem_disp}) & {_M}"
 
 
+def _load(reader: str, bank: str = "data", address=_indexed) -> Row:
+    return Row(
+        lambda o: [f"{bank}[{o.r1}] = cpu.{reader}({address(o)})"]
+    )
+
+
+def _store(writer: str, bank: str = "data", address=_indexed) -> Row:
+    return Row(
+        lambda o: [f"cpu.{writer}({address(o)}, {bank}[{o.r1}])"]
+    )
+
+
 def _absolute(o) -> str:
     return f"{o.mem_disp}"
 
 
-#: The core's access helper per size (``CpuCore._read_word_fast`` ...).
-_READERS = {4: "_read_word_fast", 2: "_read_half_fast", 1: "_read_byte_fast"}
-_WRITERS = {4: "_write_word_fast", 2: "_write_half_fast", 1: "_write_byte_fast"}
+def _push(bank: str) -> Row:
+    return Row(lambda o: [
+        f"_v = {bank}[{o.r1}]",  # before the sp update (PUSH sp)
+        f"_p = (addr[{_SPI}] - 4) & {_M}",
+        f"addr[{_SPI}] = _p",
+        "cpu._write_word_fast(_p, _v)",
+    ])
 
 
-def ram_page(address: str, size: int, buf: str) -> list[str]:
-    """Leave the body (``return True``) unless the *size*-byte access at
-    local *address* lands on a zero-wait RAM page, aligned, with no bus
-    trace active; then bind ``_m`` to the page's mapping and count the
-    access.  *buf* is the mapping's buffer the access needs
-    (``word_buf`` to read, ``word_wbuf`` to write), which only plain
-    :class:`~repro.soc.bus.Memory` pages have.  Anything else (an SFR or
-    NVM page, waited memory, a page the bus has not resolved yet) goes
-    through the ordinary executor, which flushes, charges and traces."""
-    aligned = f" or {address} & {size - 1}" if size > 1 else ""
-    return [
-        "_bus = cpu.bus",
-        f"_m = _bus.page_table.get({address} >> {PAGE_SHIFT})",
-        f"if (_m is None or _m.{buf} is None or _m.wait_states"
-        f" or _bus.trace_buffer is not None{aligned}):",
-        "    return True",
-        "_bus.access_count += 1",
-    ]
-
-
-def _ram_read(address: str, size: int) -> str:
-    offset = f"{address} - _m.base"
-    if size == 1:
-        return f"_m.word_buf[{offset}]"
-    return f"_u{8 * size}_unpack_from(_m.word_buf, {offset})[0]"
-
-
-def _ram_write(address: str, size: int, value: str) -> str:
-    offset = f"{address} - _m.base"
-    if size == 1:
-        return f"_m.word_wbuf[{offset}] = {value} & 0xFF"
-    mask = 0xFFFF if size == 2 else _M
-    return f"_u{8 * size}_pack_into(_m.word_wbuf, {offset}, {value} & {mask})"
-
-
-def _load(size: int, bank: str = "data", address=_indexed) -> Row:
-    def effect(o):
-        return [f"{bank}[{o.r1}] = cpu.{_READERS[size]}({address(o)})"]
-
-    def inline(o):
-        return [
-            f"_a = {address(o)}",
-            *ram_page("_a", size, "word_buf"),
-            f"{bank}[{o.r1}] = {_ram_read('_a', size)}",
-        ]
-
-    return Row(effect, inline=inline)
-
-
-def _store(size: int, bank: str = "data", address=_indexed) -> Row:
-    def effect(o):
-        return [f"cpu.{_WRITERS[size]}({address(o)}, {bank}[{o.r1}])"]
-
-    def inline(o):
-        return [
-            f"_a = {address(o)}",
-            *ram_page("_a", size, "word_wbuf"),
-            _ram_write("_a", size, f"{bank}[{o.r1}]"),
-        ]
-
-    return Row(effect, inline=inline)
-
-
-def push(value: str, inline: bool = False) -> list[str]:
-    """Push *value* (read before the sp update: ``PUSH sp`` pushes the
-    old sp).  A faulting write leaves sp decremented, as
-    ``CpuCore._push`` does."""
-    lines = [f"_v = {value}", f"_a = (addr[{_SPI}] - 4) & {_M}"]
-    if inline:
-        return lines + [
-            *ram_page("_a", 4, "word_wbuf"),
-            f"addr[{_SPI}] = _a",
-            _ram_write("_a", 4, "_v"),
-        ]
-    return lines + [f"addr[{_SPI}] = _a", "cpu._write_word_fast(_a, _v)"]
-
-
-def pop(dest: str | None = None, inline: bool = False) -> list[str]:
-    """Pop into ``_v``, then into *dest* if any (after the sp update:
-    ``POP sp`` loads the popped word).  A faulting read leaves sp
-    unchanged, as ``CpuCore._pop`` does."""
-    lines = [f"_a = addr[{_SPI}]"]
-    if inline:
-        lines += [*ram_page("_a", 4, "word_buf"), f"_v = {_ram_read('_a', 4)}"]
-    else:
-        lines.append("_v = cpu._read_word_fast(_a)")
-    lines.append(f"addr[{_SPI}] = (_a + 4) & {_M}")
-    if dest is not None:
-        lines.append(f"{dest} = _v")
-    return lines
-
-
-def _push_row(bank: str) -> Row:
-    return Row(
-        lambda o: push(f"{bank}[{o.r1}]"),
-        inline=lambda o: push(f"{bank}[{o.r1}]", inline=True),
-    )
-
-
-def _pop_row(bank: str) -> Row:
-    return Row(
-        lambda o: pop(f"{bank}[{o.r1}]"),
-        inline=lambda o: pop(f"{bank}[{o.r1}]", inline=True),
-    )
+def _pop(bank: str) -> Row:
+    return Row(lambda o: [
+        f"_v = cpu._read_word_fast(addr[{_SPI}])",
+        f"addr[{_SPI}] = (addr[{_SPI}] + 4) & {_M}",
+        f"{bank}[{o.r1}] = _v",
+    ])
 
 
 def _move(dst: str, src: str) -> Row:
@@ -354,12 +262,8 @@ def _set(bank: str) -> Row:
     return Row(lambda o: [f"{bank}[{o.r1}] = {o.imm_u}"])
 
 
-def _call(target: Callable[[object], str], inline: bool = False) -> Row:
-    return Row(
-        lambda o: push(o.next_pc),
-        target=target,
-        inline=(lambda o: push(o.next_pc, inline=True)) if inline else None,
-    )
+def _call(target: Callable[[object], str]) -> Row:
+    return Row(lambda o: [f"cpu._push({o.next_pc})"], target=target)
 
 
 def _imm_target(o) -> str:
@@ -429,9 +333,9 @@ ROWS: dict[Opcode, Row] = {
     Opcode.DI: Row(lambda o: ["psw.interrupt_enable = False"]),
     Opcode.EI: Row(lambda o: ["psw.interrupt_enable = True"]),
     # A faulting pop traps from the fall-through pc, stored first.
-    Opcode.RET: Row(lambda o: pop(), target=lambda o: "_v"),
+    Opcode.RET: Row(target=lambda o: "cpu._pop()"),
     Opcode.RETI: Row(
-        lambda o: pop("psw.value") + pop(), target=lambda o: "_v"
+        lambda o: ["psw.value = cpu._pop()"], target=lambda o: "cpu._pop()"
     ),
     # -- moves -------------------------------------------------------------
     Opcode.MOV_DD: Row(lambda o: _store_logic(o, f"data[{o.r2}]")),
@@ -443,20 +347,20 @@ ROWS: dict[Opcode, Row] = {
     Opcode.MOVI: _set("data"),  # imm_u is the extended immediate
     Opcode.MOVHI: _set("data"),  # imm_u is imm16 << 16
     # -- memory micro-ops --------------------------------------------------
-    Opcode.LD_W: _load(4),
-    Opcode.LD_H: _load(2),
-    Opcode.LD_B: _load(1),
-    Opcode.ST_W: _store(4),
-    Opcode.ST_H: _store(2),
-    Opcode.ST_B: _store(1),
-    Opcode.LDABS_D: _load(4, address=_absolute),
-    Opcode.STABS_D: _store(4, address=_absolute),
-    Opcode.LDABS_A: _load(4, "addr", _absolute),
-    Opcode.STABS_A: _store(4, "addr", _absolute),
-    Opcode.PUSH_D: _push_row("data"),
-    Opcode.PUSH_A: _push_row("addr"),
-    Opcode.POP_D: _pop_row("data"),
-    Opcode.POP_A: _pop_row("addr"),
+    Opcode.LD_W: _load("_read_word_fast"),
+    Opcode.LD_H: _load("_read_half_fast"),
+    Opcode.LD_B: _load("_read_byte_fast"),
+    Opcode.ST_W: _store("_write_word_fast"),
+    Opcode.ST_H: _store("_write_half_fast"),
+    Opcode.ST_B: _store("_write_byte_fast"),
+    Opcode.LDABS_D: _load("_read_word_fast", address=_absolute),
+    Opcode.STABS_D: _store("_write_word_fast", address=_absolute),
+    Opcode.LDABS_A: _load("_read_word_fast", "addr", _absolute),
+    Opcode.STABS_A: _store("_write_word_fast", "addr", _absolute),
+    Opcode.PUSH_D: _push("data"),
+    Opcode.PUSH_A: _push("addr"),
+    Opcode.POP_D: _pop("data"),
+    Opcode.POP_A: _pop("addr"),
     # -- ALU ---------------------------------------------------------------
     Opcode.ADD: Row(_add),
     Opcode.SUB: Row(
@@ -503,7 +407,7 @@ ROWS: dict[Opcode, Row] = {
         lambda o: [f"psw.zero = not (data[{o.r1}] >> {o.imm_u} & 1)"]
     ),
     # -- control flow ------------------------------------------------------
-    Opcode.JMP: Row(target=_imm_target, inline=_none),
+    Opcode.JMP: Row(target=_imm_target),
     Opcode.JZ: Row(cond="psw.zero"),
     Opcode.JNZ: Row(cond="not psw.zero"),
     Opcode.JC: Row(cond="psw.carry"),
@@ -517,7 +421,7 @@ ROWS: dict[Opcode, Row] = {
     Opcode.JGT: Row(cond="not psw.zero and psw.negative == psw.overflow"),
     Opcode.JLE: Row(cond="psw.zero or psw.negative != psw.overflow"),
     # A faulting push traps from the fall-through pc, stored first.
-    Opcode.CALL_ABS: _call(_imm_target, inline=True),
+    Opcode.CALL_ABS: _call(_imm_target),
     Opcode.CALL_IND: _call(lambda o: f"addr[{o.r1}]"),
     Opcode.DJNZ: Row(_djnz, cond="_v"),
     # -- system ------------------------------------------------------------
@@ -539,12 +443,11 @@ assert set(ROWS) == set(Opcode), "semantics table incomplete"
 _LOCALS = (("data", "data"), ("addr", "address"), ("psw", "psw"))
 
 
-def function_lines(row: Row, inline: bool = False) -> list[str]:
+def function_lines(row: Row) -> list[str]:
     """Unindented body of ``(cpu, e) -> taken`` for *row*: the pc
-    store, the effect and the taken flag; with *inline*, of its body
-    executor (the ``inline`` effect, returning ``False``)."""
+    store, the effect and the taken flag."""
     o = EXEC_OPERANDS
-    effect = row.inline(o) if inline else row.effect(o)
+    effect = row.effect(o)
     if row.cond is not None:
         return effect + [
             f"if {row.cond}:",
@@ -558,15 +461,14 @@ def function_lines(row: Row, inline: bool = False) -> list[str]:
     if row.target is not None:
         lines.append(f"regs.pc = {row.target(o)}")
         taken = taken or "True"
-    lines.append(f"return {'False' if inline else taken or 'False'}")
+    lines.append(f"return {taken or 'False'}")
     return lines
 
 
-def function_source(name: str, row: Row, inline: bool = False) -> str:
-    """Source of ``def name(cpu, e)`` rendering *row* (its body
-    executor with *inline*), hoisting only the register-file locals
-    its body uses."""
-    body = function_lines(row, inline)
+def function_source(name: str, row: Row) -> str:
+    """Source of ``def name(cpu, e)`` rendering *row*, hoisting only the
+    register-file locals its body uses."""
+    body = function_lines(row)
     text = "\n".join(body)
     prelude = ["regs = cpu.regs"] + [
         f"{local} = regs.{attr}"
@@ -584,29 +486,9 @@ def executor_name(op: Opcode) -> str:
     return f"_x_{op.name.lower()}"
 
 
-def body_executor_name(op: Opcode) -> str:
-    """The name of *op*'s body executor, for rows with ``inline``."""
-    return executor_name(op) + "_body"
-
-
-#: The buffer codecs the body executors' in-place accesses call.
-_EXECUTOR_IMPORTS = (
-    "from repro.soc.bus import (\n"
-    "    u16_pack_into as _u16_pack_into,\n"
-    "    u16_unpack_from as _u16_unpack_from,\n"
-    "    u32_pack_into as _u32_pack_into,\n"
-    "    u32_unpack_from as _u32_unpack_from,\n"
-    ")\n"
-)
-
-
 def executor_source() -> str:
     """Every executor's source, one module for one ``compile()``."""
-    functions = []
-    for op, row in ROWS.items():
-        functions.append(function_source(executor_name(op), row))
-        if row.inline is not None:
-            functions.append(
-                function_source(body_executor_name(op), row, inline=True)
-            )
-    return _EXECUTOR_IMPORTS + "\n".join(functions)
+    return "\n".join(
+        function_source(executor_name(op), row)
+        for op, row in ROWS.items()
+    )

@@ -525,21 +525,16 @@ class CpuCore:
         hook).
 
         Retires instructions block-at-a-time: the interrupt probe and
-        the limit check run once per superblock (sound because a body
-        cannot observe or move peripheral time, take a trap, or arm
-        the interrupt-enable bit: its memory accesses are done in place
-        only on zero-wait RAM), the body executes as one fused loop
-        with cycles and retire counts batched, and the terminator
-        chains directly to its cached successor block.  A body access
-        that cannot be done in place (an SFR, NVM or ROM page, a
-        misaligned address, an active bus trace) leaves the body before
-        it: the executed prefix retires from the templates of the
-        block's :meth:`~repro.isa.decodecache.Superblock.cut` at that
-        entry, and the entry runs as its terminator.  When the window
-        ends inside a body, only the prefix that retires before the
-        stop point is fused and the entry after it runs as the
-        terminator, so stop points stay exactly where :meth:`step`
-        puts them.
+        the limit check run once per superblock (sound because body
+        instructions are pure-register — they cannot raise bus traffic,
+        flush peripheral time, take traps, or arm the interrupt-enable
+        bit), the straight-line body executes as one fused loop with
+        cycles and retire counts batched, and the terminator chains
+        directly to its cached successor block.  When the window ends
+        inside a body, only the prefix that retires before the stop
+        point is fused and the entry after it runs as the terminator of
+        the block's :meth:`~repro.isa.decodecache.Superblock.cut`, so
+        stop points stay exactly where :meth:`step` puts them.
 
         Idle spins (``DJNZ rX, .``) are fast-forwarded: the remaining
         taken iterations are warped analytically — counter, logic
@@ -665,11 +660,7 @@ class CpuCore:
                     sb = sb.cut(body[most])
                     body = sb.body
                 for entry in body:
-                    if entry.body_exec(self, entry):
-                        # Not an in-place access: leave the body before
-                        # it, and retire it as the terminator.
-                        sb = sb.cut(entry)
-                        break
+                    entry.exec(self, entry)
                 count = sb.body_count
                 if count:
                     retired += count

@@ -2,10 +2,9 @@
 
 The contract under test:
 
-(a) **Formation** — superblock bodies hold register operations, memory
-    micro-ops and direct ``JMP``/``CALL`` (followed to their target);
-    conditional and dynamic control flow, traps and interrupt-enable
-    writers terminate them; a bare ``DJNZ rX, .``
+(a) **Formation** — superblocks are maximal straight-line runs of
+    pure-register instructions; memory micro-ops, control flow, traps
+    and interrupt-enable writers terminate them; a bare ``DJNZ rX, .``
     self-loop is classified as an idle spin.
 (b) **Equivalence** — the superblock engine (fusion + chaining + idle
     fast-forward) retires byte-identical signature / cycles /
@@ -111,29 +110,18 @@ class TestFormation:
         entry = image.entry
 
         first = cache.block_at(entry)
-        # The ST.W stays in the body and the JMP is followed to its
-        # target; the DJNZ (a conditional branch) terminates.
+        # Four pure ALU/flag ops, then the ST.W micro-op terminates.
+        assert first.body_count == 4
         assert [e.mnemonic for e in first.body] == [
-            "ADDI", "XOR", "SHLI", "CMPI", "ST.W", "ADDI", "JMP", "LOAD",
-        ]
-        assert first.terminator.mnemonic == "DJNZ"
-        jmp = first.body[6]
-        assert first.body_cycles == (
-            sum(e.base_cycles for e in first.body) + 1  # the JMP's taken cycle
-        )
-        assert first.spin_reg == -1
-
-        # A store that leaves the body retires as the terminator of
-        # the prefix before it: the block shape before stores stayed
-        # in bodies.
-        store = first.body[4]
-        prefix = first.cut(store)
-        assert [e.mnemonic for e in prefix.body] == [
             "ADDI", "XOR", "SHLI", "CMPI",
         ]
-        assert prefix.terminator is store
-        assert prefix.body_cycles == sum(e.base_cycles for e in prefix.body)
-        assert jmp.imm_u == first.body[7].pc
+        assert first.terminator.mnemonic == "ST.W"
+        assert first.body_cycles == sum(e.base_cycles for e in first.body)
+        assert first.spin_reg == -1
+
+        after_store = cache.block_at(first.terminator.next_pc)
+        assert [e.mnemonic for e in after_store.body] == ["ADDI"]
+        assert after_store.terminator.mnemonic == "JMP"
 
     def test_idle_spin_detection(self):
         image = link_source(FORMATION_SOURCE)

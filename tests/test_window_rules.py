@@ -1,14 +1,11 @@
-"""The block rule and the window rule of the superblock engine.
+"""The window rule of the superblock engine.
 
-- **Window rule.**  A window (one ``CpuCore.run`` call) ends only where
-  an observable peripheral event can fall: a level-sensitive line the
-  interrupt controller already holds pending is not an event, and an
-  SFR write lowers the window's deadline only when it brings the next
-  event nearer.
-- **Block rule.**  Memory micro-ops and direct ``JMP``/``CALL`` stay
-  inside a superblock body: the access is done in place on zero-wait
-  RAM, and anything else leaves the body before the access, retiring
-  the executed prefix and that instruction as today's block shape.
+A window (one ``CpuCore.run`` call) ends only where an observable
+peripheral event can fall: a level-sensitive line the interrupt
+controller already holds pending is not an event, and an SFR write
+lowers the window's deadline only when it brings the next event
+nearer.  A chain prediction carried between windows is checked against
+the live pc, so it is never followed stale.
 
 Every engine outcome here is compared with the reference interpreter
 (``use_superblocks=False``) under the instruction trace, a bus trace
@@ -189,40 +186,6 @@ def test_engine_matches_reference(source, platform_class, bus_trace):
     reference, _ = outcome(traced(platform_class, bus_trace), image, False)
     assert fast == reference
     assert fast[1] is not None
-
-
-# --------------------------------------------------------------------------
-# block rule
-# --------------------------------------------------------------------------
-
-def test_body_holds_ram_accesses_and_direct_calls():
-    image = link_source(BODY_SOURCE)
-    rom = MEMORY_MAP.rom
-    cache = decode_cache_for(image, rom.base, rom.base + rom.size)
-    block = cache.block_at(image.entry)
-    # The RAM store, the push and the call stay in the body, which
-    # follows the call into ``func`` up to its RET.
-    mnemonics = [entry.mnemonic for entry in block.body]
-    assert mnemonics[2:] == ["MOVI", "ST.W", "PUSH", "CALL", "ADDI"]
-    assert block.terminator.mnemonic == "RET"
-    call = block.body[5]
-    assert block.trace_tmpl[5][3] == call.base_cycles + 1  # taken cycle
-    assert block.body_cycles == sum(record[3] for record in block.trace_tmpl)
-    # After the return: the GPIO store, the pop, a RAM load and a JMP
-    # followed to ``done``.
-    after = cache.block_at(call.next_pc)
-    assert [entry.mnemonic for entry in after.body] == [
-        "ST.W", "POP", "LD.W", "JMP", "LOAD",
-    ]
-    assert after.terminator.mnemonic == "HALT"
-    # The GPIO store leaves the body before the access: its cut is an
-    # empty prefix with the store as terminator, memoised.
-    gpio_store = after.body[0]
-    cut = after.cut(gpio_store)
-    assert (cut.start, cut.body, cut.terminator) == (
-        after.start, (), gpio_store,
-    )
-    assert after.cut(gpio_store) is cut
 
 
 def test_stale_chain_prediction_is_never_followed():
